@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus bench bench-parallel bench-valency bench-serve bench-scaling bench-store bench-checkpoint bench-alloc vet
+.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus bench bench-parallel bench-valency bench-serve bench-scaling bench-store bench-checkpoint bench-alloc bench-e2e vet
 
 all: build test
 
@@ -76,6 +76,15 @@ corpus:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
+
+# The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): one
+# run of `go run ./bench` per declared workload, each printing its five
+# end-to-end metrics as the last stdout line. bench/ has its own tests
+# (`$(GO) test ./bench`).
+bench-e2e:
+	for w in explore-wide lemma-pipeline cluster-recover serve-mixed; do \
+		$(GO) run ./bench -workload $$w || exit 1; \
+	done
 
 # The parallel exploration guardrail: E2/E3 at GOMAXPROCS 1 vs 4 (the
 # default worker count follows GOMAXPROCS), plus the explicit-worker-count

@@ -5,16 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash/crc32"
-	"log"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"github.com/flpsim/flp/internal/explore"
-	"github.com/flpsim/flp/internal/model"
 )
 
 // Run checkpoints: the durable form of a distributed exploration's
@@ -96,34 +92,20 @@ type CheckpointStats struct {
 // per-key lock. Write failures are logged, never fatal — a run that cannot
 // checkpoint still completes, it just cannot be resumed.
 type CheckpointStore struct {
-	dir  string
-	logf func(format string, args ...any)
+	*shelf
 
-	mu    sync.Mutex
-	locks map[string]*sync.Mutex
-
-	writes, resumes, corrupt, skips atomic.Int64
+	writes, resumes, skips atomic.Int64
 }
 
 // OpenCheckpoints returns a checkpoint store rooted at dir, creating the
 // directory if needed.
 func OpenCheckpoints(dir string) (*CheckpointStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("atlasstore: checkpoints: %w", err)
+	sh, err := openShelf(dir, "checkpoint ", "deleting; restarting from scratch")
+	if err != nil {
+		return nil, err
 	}
-	return &CheckpointStore{dir: dir, logf: log.Printf, locks: make(map[string]*sync.Mutex)}, nil
+	return &CheckpointStore{shelf: sh}, nil
 }
-
-// SetLog redirects the store's diagnostics; nil silences them.
-func (s *CheckpointStore) SetLog(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	s.logf = f
-}
-
-// Dir returns the store's root directory.
-func (s *CheckpointStore) Dir() string { return s.dir }
 
 // Stats returns the cumulative operation counters.
 func (s *CheckpointStore) Stats() CheckpointStats {
@@ -157,45 +139,15 @@ func (s *CheckpointStore) file(key RunKey) string {
 	return filepath.Join(s.dir, hex.EncodeToString(h.Sum(nil))+".ckpt")
 }
 
-func (s *CheckpointStore) lockKey(path string) func() {
-	s.mu.Lock()
-	l, ok := s.locks[path]
-	if !ok {
-		l = &sync.Mutex{}
-		s.locks[path] = l
-	}
-	s.mu.Unlock()
-	l.Lock()
-	return l.Unlock
-}
-
 // Save persists a boundary checkpoint atomically (temp file, fsync,
 // rename), superseding any previous checkpoint for the key. Failures are
 // logged, never fatal.
 func (s *CheckpointStore) Save(key RunKey, ck *RunCheckpoint) {
 	path := s.file(key)
-	defer s.lockKey(path)()
-	data := encodeCheckpoint(key, ck)
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		s.logf("atlasstore: checkpoint write %s: %v", path, err)
-		return
+	defer s.lock(path)()
+	if s.write(path, encodeCheckpoint(key, ck)) {
+		s.writes.Add(1)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		s.logf("atlasstore: checkpoint write %s: %v", path, err)
-		return
-	}
-	s.writes.Add(1)
 }
 
 // Load reads the key's checkpoint: nil when none exists (counted as a
@@ -206,12 +158,9 @@ func (s *CheckpointStore) Save(key RunKey, ck *RunCheckpoint) {
 // reporting a replay failure back via Discard.
 func (s *CheckpointStore) Load(key RunKey) *RunCheckpoint {
 	path := s.file(key)
-	defer s.lockKey(path)()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.logf("atlasstore: checkpoint read %s: %v", path, err)
-		}
+	defer s.lock(path)()
+	data, ok := s.read(path)
+	if !ok {
 		s.skips.Add(1)
 		return nil
 	}
@@ -228,7 +177,7 @@ func (s *CheckpointStore) Load(key RunKey) *RunCheckpoint {
 // (snapshot replay) rejected it; counted as corruption.
 func (s *CheckpointStore) Discard(key RunKey, err error) {
 	path := s.file(key)
-	defer s.lockKey(path)()
+	defer s.lock(path)()
 	s.drop(path, err)
 }
 
@@ -236,19 +185,9 @@ func (s *CheckpointStore) Discard(key RunKey, err error) {
 // run has nothing to resume.
 func (s *CheckpointStore) Clear(key RunKey) {
 	path := s.file(key)
-	defer s.lockKey(path)()
+	defer s.lock(path)()
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		s.logf("atlasstore: checkpoint clear %s: %v", path, err)
-	}
-}
-
-// drop logs and deletes a damaged checkpoint; the run restarts from
-// scratch. Callers hold the key lock.
-func (s *CheckpointStore) drop(path string, err error) {
-	s.corrupt.Add(1)
-	s.logf("atlasstore: checkpoint %s: %v (deleting; restarting from scratch)", filepath.Base(path), err)
-	if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
-		s.logf("atlasstore: remove %s: %v", path, rmErr)
 	}
 }
 
@@ -258,19 +197,8 @@ func (s *CheckpointStore) drop(path string, err error) {
 // scalars in place of edge columns.
 func encodeCheckpoint(key RunKey, ck *RunCheckpoint) []byte {
 	snap := ck.Snap
-	dict := make([]model.Event, 0, 16)
-	dictIdx := make(map[string]uint32)
-	parentViaIdx := make([]uint32, len(snap.ParentVia))
-	for i, e := range snap.ParentVia {
-		k := e.Key()
-		j, ok := dictIdx[k]
-		if !ok {
-			j = uint32(len(dict))
-			dict = append(dict, e)
-			dictIdx[k] = j
-		}
-		parentViaIdx[i] = j
-	}
+	var dict eventDict
+	parentViaIdx := dict.column(snap.ParentVia)
 
 	var b []byte
 	b = append(b, ckMagic[:]...)
@@ -283,7 +211,7 @@ func encodeCheckpoint(key RunKey, ck *RunCheckpoint) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.Depth))) // V
 	b = binary.LittleEndian.AppendUint64(b, uint64(ck.Start))
 	b = binary.LittleEndian.AppendUint64(b, uint64(ck.Expanded))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(dict))) // D
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(dict.events))) // D
 	b = appendBytes(b, []byte(key.Protocol))
 	b = binary.LittleEndian.AppendUint64(b, uint64(key.N))
 	b = appendBytes(b, key.RootKey)
@@ -291,33 +219,12 @@ func encodeCheckpoint(key RunKey, ck *RunCheckpoint) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxConfigs))
 	b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxDepth))
 
-	for _, e := range dict {
-		if e.Msg == nil {
-			b = append(b, 0)
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
-		} else {
-			b = append(b, 1)
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.To)))
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.From)))
-			b = appendBytes(b, []byte(e.Msg.Body))
-		}
-	}
-
+	b = dict.appendTo(b)
 	b = appendI32s(b, snap.Depth)
 	b = appendI32s(b, snap.Parent)
-	b = appendU32s(b, parentViaIdx)
+	b = appendI32s(b, parentViaIdx)
 
-	b = binary.LittleEndian.AppendUint64(b, 0)
-	off := uint64(0)
-	for _, k := range snap.Keys {
-		off += uint64(len(k))
-		b = binary.LittleEndian.AppendUint64(b, off)
-	}
-	for _, k := range snap.Keys {
-		b = append(b, k...)
-	}
-
+	b = appendKeyTable(b, snap.Keys)
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	return b
 }
@@ -326,21 +233,9 @@ func encodeCheckpoint(key RunKey, ck *RunCheckpoint) []byte {
 // requested key. Every failure is a *corruptError; the store logs, deletes,
 // and the run restarts from scratch.
 func decodeCheckpoint(key RunKey, b []byte) (*RunCheckpoint, error) {
-	if len(b) < len(ckMagic)+4+4+4 {
-		return nil, corruptf("short checkpoint (%d bytes)", len(b))
-	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
-		return nil, corruptf("checksum mismatch")
-	}
-	r := &reader{b: body}
-	var m [8]byte
-	copy(m[:], r.bytes(8))
-	if r.err != nil || m != ckMagic {
-		return nil, corruptf("bad magic")
-	}
-	if v := r.u32(); v != ckFormatVersion {
-		return nil, corruptf("checkpoint format version %d (want %d)", v, ckFormatVersion)
+	r, err := openFrame(b, ckMagic, ckFormatVersion)
+	if err != nil {
+		return nil, err
 	}
 	flags := r.u32()
 	V := r.count()
@@ -368,51 +263,17 @@ func decodeCheckpoint(key RunKey, b []byte) (*RunCheckpoint, error) {
 		return nil, corruptf("checkpoint identity does not match the requested run")
 	}
 
-	dict := make([]model.Event, D)
-	for i := range dict {
-		switch kind := r.u8(); kind {
-		case 0:
-			dict[i] = model.Event{P: model.PID(r.i64())}
-		case 1:
-			p := model.PID(r.i64())
-			to := model.PID(r.i64())
-			from := model.PID(r.i64())
-			body := string(r.blob())
-			msg := model.Message{To: to, From: from, Body: body}
-			dict[i] = model.Event{P: p, Msg: &msg}
-		default:
-			if r.err == nil {
-				return nil, corruptf("unknown event kind %d", kind)
-			}
-		}
-		if r.err != nil {
-			return nil, corruptf("truncated event dictionary")
-		}
+	dict, err := readEventDict(r, D)
+	if err != nil {
+		return nil, err
 	}
 
 	depth := r.i32s(V)
 	parent := r.i32s(V)
-	parentViaIdx := r.u32s(V)
-	keyOff := r.u64s(V + 1)
-	if r.err != nil {
-		return nil, corruptf("truncated columns")
-	}
-	blobLen := keyOff[V]
-	if blobLen > uint64(len(r.b)-r.off) {
-		return nil, corruptf("key blob overruns file")
-	}
-	keyBlob := r.bytes(int(blobLen))
-	if r.err != nil || r.off != len(r.b) {
-		return nil, corruptf("trailing or missing bytes")
-	}
-
-	keys := make([][]byte, V)
-	for i := range keys {
-		lo, hi := keyOff[i], keyOff[i+1]
-		if lo > hi || hi > blobLen {
-			return nil, corruptf("key offsets not monotonic")
-		}
-		keys[i] = keyBlob[lo:hi]
+	parentViaIdx := r.i32s(V)
+	keys, err := readKeyTable(r, V)
+	if err != nil {
+		return nil, err
 	}
 	parentVia, err := viaColumn(parentViaIdx, dict)
 	if err != nil {

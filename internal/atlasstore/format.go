@@ -71,26 +71,9 @@ func encodeArtifact(protoName string, n int, rootKey []byte, snap *explore.Atlas
 	// Event dictionary: every distinct via label across both event
 	// columns. parentVia[0] is the zero Event, so the null event for
 	// process 0 is always present — no sentinel index needed.
-	dict := make([]model.Event, 0, 16)
-	dictIdx := make(map[string]uint32)
-	indexOf := func(e model.Event) uint32 {
-		k := e.Key()
-		if i, ok := dictIdx[k]; ok {
-			return i
-		}
-		i := uint32(len(dict))
-		dict = append(dict, e)
-		dictIdx[k] = i
-		return i
-	}
-	parentViaIdx := make([]uint32, len(snap.ParentVia))
-	for i, e := range snap.ParentVia {
-		parentViaIdx[i] = indexOf(e)
-	}
-	succViaIdx := make([]uint32, len(snap.SuccVia))
-	for i, e := range snap.SuccVia {
-		succViaIdx[i] = indexOf(e)
-	}
+	var dict eventDict
+	parentViaIdx := dict.column(snap.ParentVia)
+	succViaIdx := dict.column(snap.SuccVia)
 
 	var b []byte
 	b = append(b, magic[:]...)
@@ -107,46 +90,24 @@ func encodeArtifact(protoName string, n int, rootKey []byte, snap *explore.Atlas
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.Depth)))       // V
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.SuccStart)-1)) // X
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.SuccTo)))      // E
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(dict)))             // D
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(dict.events)))      // D
 	b = appendBytes(b, []byte(protoName))
 	b = binary.LittleEndian.AppendUint64(b, uint64(n))
 	b = appendBytes(b, rootKey)
 
-	for _, e := range dict {
-		if e.Msg == nil {
-			b = append(b, 0)
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
-		} else {
-			b = append(b, 1)
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.To)))
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.From)))
-			b = appendBytes(b, []byte(e.Msg.Body))
-		}
-	}
-
+	b = dict.appendTo(b)
 	b = appendI32s(b, snap.Depth)
 	b = appendI32s(b, snap.Parent)
-	b = appendU32s(b, parentViaIdx)
+	b = appendI32s(b, parentViaIdx)
 	b = appendI32s(b, snap.SuccStart)
 	b = appendI32s(b, snap.SuccTo)
-	b = appendU32s(b, succViaIdx)
+	b = appendI32s(b, succViaIdx)
 	if hasDists {
 		b = appendI32s(b, snap.Dist0)
 		b = appendI32s(b, snap.Dist1)
 	}
 
-	// Key table: V+1 cumulative offsets into one blob, then the blob.
-	b = binary.LittleEndian.AppendUint64(b, 0)
-	off := uint64(0)
-	for _, k := range snap.Keys {
-		off += uint64(len(k))
-		b = binary.LittleEndian.AppendUint64(b, off)
-	}
-	for _, k := range snap.Keys {
-		b = append(b, k...)
-	}
-
+	b = appendKeyTable(b, snap.Keys)
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	return b
 }
@@ -154,21 +115,9 @@ func encodeArtifact(protoName string, n int, rootKey []byte, snap *explore.Atlas
 // decodeArtifact parses and validates on-disk bytes. Every failure is a
 // *corruptError; the caller (Store) logs, deletes, and rebuilds.
 func decodeArtifact(b []byte) (*artifact, error) {
-	if len(b) < len(magic)+4+4+4 {
-		return nil, corruptf("short file (%d bytes)", len(b))
-	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
-		return nil, corruptf("checksum mismatch")
-	}
-	r := &reader{b: body}
-	var m [8]byte
-	copy(m[:], r.bytes(8))
-	if r.err != nil || m != magic {
-		return nil, corruptf("bad magic")
-	}
-	if v := r.u32(); v != formatVersion {
-		return nil, corruptf("format version %d (want %d)", v, formatVersion)
+	r, err := openFrame(b, magic, formatVersion)
+	if err != nil {
+		return nil, err
 	}
 	flags := r.u32()
 	complete := flags&flagComplete != 0
@@ -190,7 +139,114 @@ func decodeArtifact(b []byte) (*artifact, error) {
 		return nil, corruptf("implausible counts V=%d X=%d n=%d", V, X, n)
 	}
 
-	dict := make([]model.Event, D)
+	dict, err := readEventDict(r, D)
+	if err != nil {
+		return nil, err
+	}
+
+	depth := r.i32s(V)
+	parent := r.i32s(V)
+	parentViaIdx := r.i32s(V)
+	succStart := r.i32s(X + 1)
+	succTo := r.i32s(E)
+	succViaIdx := r.i32s(E)
+	var dist0, dist1 []int32
+	if hasDists {
+		dist0 = r.i32s(V)
+		dist1 = r.i32s(V)
+	}
+	keys, err := readKeyTable(r, V)
+	if err != nil {
+		return nil, err
+	}
+	parentVia, err := viaColumn(parentViaIdx, dict)
+	if err != nil {
+		return nil, err
+	}
+	succVia, err := viaColumn(succViaIdx, dict)
+	if err != nil {
+		return nil, err
+	}
+	snap := &explore.AtlasSnapshot{
+		Depth: depth, Parent: parent, ParentVia: parentVia,
+		SuccStart: succStart, SuccTo: succTo, SuccVia: succVia,
+		Keys: keys, Complete: complete, Dist0: dist0, Dist1: dist1,
+	}
+	return &artifact{ProtoName: protoName, N: n, RootKey: rootKey, Snap: snap}, nil
+}
+
+// openFrame checks what both artifact kinds are framed with before a
+// single field is read — minimum length, the CRC-32C trailer over
+// everything preceding it, magic, layout version — and returns a reader
+// positioned after the version.
+func openFrame(b []byte, magic [8]byte, version uint32) (*reader, error) {
+	if len(b) < len(magic)+4+4+4 {
+		return nil, corruptf("short file (%d bytes)", len(b))
+	}
+	body, trailer := b[:len(b)-4], b[len(b)-4:]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
+		return nil, corruptf("checksum mismatch")
+	}
+	r := &reader{b: body}
+	var m [8]byte
+	copy(m[:], r.bytes(8))
+	if r.err != nil || m != magic {
+		return nil, corruptf("bad magic")
+	}
+	if v := r.u32(); v != version {
+		return nil, corruptf("format version %d (want %d)", v, version)
+	}
+	return r, nil
+}
+
+// eventDict is the event dictionary both artifact kinds carry: every
+// distinct via label once, in first-use order, with the event columns
+// stored as indices into it.
+type eventDict struct {
+	events []model.Event
+	idx    map[string]int32
+}
+
+// column returns evs as dictionary indices, adding unseen events.
+func (d *eventDict) column(evs []model.Event) []int32 {
+	if d.idx == nil {
+		d.idx = make(map[string]int32)
+	}
+	out := make([]int32, len(evs))
+	for i, e := range evs {
+		k := e.Key()
+		j, ok := d.idx[k]
+		if !ok {
+			j = int32(len(d.events))
+			d.events = append(d.events, e)
+			d.idx[k] = j
+		}
+		out[i] = j
+	}
+	return out
+}
+
+// appendTo encodes the dictionary entries: a kind byte, the process, and
+// for deliveries the message.
+func (d *eventDict) appendTo(b []byte) []byte {
+	for _, e := range d.events {
+		if e.Msg == nil {
+			b = append(b, 0)
+			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
+		} else {
+			b = append(b, 1)
+			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
+			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.To)))
+			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.From)))
+			b = appendBytes(b, []byte(e.Msg.Body))
+		}
+	}
+	return b
+}
+
+// readEventDict decodes n dictionary entries.
+func readEventDict(r *reader, n int) ([]model.Event, error) {
+	dict := make([]model.Event, n)
 	for i := range dict {
 		switch kind := r.u8(); kind {
 		case 0:
@@ -211,26 +267,33 @@ func decodeArtifact(b []byte) (*artifact, error) {
 			return nil, corruptf("truncated event dictionary")
 		}
 	}
+	return dict, nil
+}
 
-	depth := r.i32s(V)
-	parent := r.i32s(V)
-	parentViaIdx := r.u32s(V)
-	succStart := r.i32s(X + 1)
-	succTo := r.i32s(E)
-	succViaIdx := r.u32s(E)
-	var dist0, dist1 []int32
-	if hasDists {
-		dist0 = r.i32s(V)
-		dist1 = r.i32s(V)
+// appendKeyTable encodes the dense-id → canonical-key table: len(keys)+1
+// cumulative offsets into one blob, then the blob.
+func appendKeyTable(b []byte, keys [][]byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	off := uint64(0)
+	for _, k := range keys {
+		off += uint64(len(k))
+		b = binary.LittleEndian.AppendUint64(b, off)
 	}
+	for _, k := range keys {
+		b = append(b, k...)
+	}
+	return b
+}
+
+// readKeyTable decodes the key table of a V-node artifact, which ends the
+// checksummed body. r's sticky error also covers the fixed-width columns
+// read just before it.
+func readKeyTable(r *reader, V int) ([][]byte, error) {
 	keyOff := r.u64s(V + 1)
 	if r.err != nil {
 		return nil, corruptf("truncated columns")
 	}
-	blobLen := uint64(0)
-	if len(keyOff) > 0 {
-		blobLen = keyOff[V]
-	}
+	blobLen := keyOff[V]
 	if blobLen > uint64(len(r.b)-r.off) {
 		return nil, corruptf("key blob overruns file")
 	}
@@ -238,7 +301,6 @@ func decodeArtifact(b []byte) (*artifact, error) {
 	if r.err != nil || r.off != len(r.b) {
 		return nil, corruptf("trailing or missing bytes")
 	}
-
 	keys := make([][]byte, V)
 	for i := range keys {
 		lo, hi := keyOff[i], keyOff[i+1]
@@ -247,27 +309,14 @@ func decodeArtifact(b []byte) (*artifact, error) {
 		}
 		keys[i] = keyBlob[lo:hi]
 	}
-	parentVia, err := viaColumn(parentViaIdx, dict)
-	if err != nil {
-		return nil, err
-	}
-	succVia, err := viaColumn(succViaIdx, dict)
-	if err != nil {
-		return nil, err
-	}
-	snap := &explore.AtlasSnapshot{
-		Depth: depth, Parent: parent, ParentVia: parentVia,
-		SuccStart: succStart, SuccTo: succTo, SuccVia: succVia,
-		Keys: keys, Complete: complete, Dist0: dist0, Dist1: dist1,
-	}
-	return &artifact{ProtoName: protoName, N: n, RootKey: rootKey, Snap: snap}, nil
+	return keys, nil
 }
 
 // viaColumn resolves dictionary indices to events, bounds-checked.
-func viaColumn(idx []uint32, dict []model.Event) ([]model.Event, error) {
+func viaColumn(idx []int32, dict []model.Event) ([]model.Event, error) {
 	out := make([]model.Event, len(idx))
 	for i, j := range idx {
-		if int(j) >= len(dict) {
+		if j < 0 || int(j) >= len(dict) {
 			return nil, corruptf("event index %d out of dictionary range %d", j, len(dict))
 		}
 		out[i] = dict[j]
@@ -283,13 +332,6 @@ func appendBytes(b, p []byte) []byte {
 func appendI32s(b []byte, xs []int32) []byte {
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(x))
-	}
-	return b
-}
-
-func appendU32s(b []byte, xs []uint32) []byte {
-	for _, x := range xs {
-		b = binary.LittleEndian.AppendUint32(b, x)
 	}
 	return b
 }
@@ -374,18 +416,6 @@ func (r *reader) i32s(n int) []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return out
-}
-
-func (r *reader) u32s(n int) []uint32 {
-	p := r.bytes(4 * n)
-	if p == nil {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(p[4*i:])
 	}
 	return out
 }

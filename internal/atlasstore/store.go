@@ -34,13 +34,110 @@ import (
 // disk-level analogue of the cache's singleflight), requests for
 // different lineages proceed independently.
 type Store struct {
-	dir  string
-	logf func(format string, args ...any)
+	*shelf
+
+	hits, misses, resumes, evictions, refused atomic.Int64
+}
+
+// shelf is the directory discipline the atlas store and the checkpoint
+// store share: one file per content-addressed key, work on one file
+// serialized on a per-path lock, writes atomic (temp file, fsync, rename),
+// and damage answered by detect-log-delete. noun prefixes the
+// diagnostics ("" for atlas artifacts, "checkpoint " for run checkpoints)
+// and onCorrupt says what deleting a damaged file leads to.
+type shelf struct {
+	dir             string
+	logf            func(format string, args ...any)
+	noun, onCorrupt string
 
 	mu    sync.Mutex
 	locks map[string]*sync.Mutex
 
-	hits, misses, resumes, evictions, corrupt, refused atomic.Int64
+	// corrupt counts files that failed validation and were deleted.
+	corrupt atomic.Int64
+}
+
+// openShelf returns a shelf rooted at dir, creating the directory if
+// needed.
+func openShelf(dir, noun, onCorrupt string) (*shelf, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("atlasstore: %s%w", noun, err)
+	}
+	return &shelf{dir: dir, logf: log.Printf, noun: noun, onCorrupt: onCorrupt, locks: make(map[string]*sync.Mutex)}, nil
+}
+
+// SetLog redirects the store's diagnostics (corruption, I/O failures);
+// nil silences them.
+func (s *shelf) SetLog(f func(format string, args ...any)) {
+	if f == nil {
+		f = func(string, ...any) {}
+	}
+	s.logf = f
+}
+
+// Dir returns the store's root directory.
+func (s *shelf) Dir() string { return s.dir }
+
+// lock serializes work on one file; the returned func releases it.
+func (s *shelf) lock(path string) func() {
+	s.mu.Lock()
+	l, ok := s.locks[path]
+	if !ok {
+		l = &sync.Mutex{}
+		s.locks[path] = l
+	}
+	s.mu.Unlock()
+	l.Lock()
+	return l.Unlock
+}
+
+// read returns the file's bytes, ok=false when it is absent or unreadable
+// (the latter logged).
+func (s *shelf) read(path string) (data []byte, ok bool) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		if !os.IsNotExist(err) {
+			s.logf("atlasstore: %sread %s: %v", s.noun, path, err)
+		}
+		return nil, false
+	}
+	return data, true
+}
+
+// write atomically replaces the file: temp file in the same directory,
+// fsync, rename. Failures are logged, never fatal — the in-memory result
+// is still correct — and reported as false.
+func (s *shelf) write(path string, data []byte) bool {
+	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		s.logf("atlasstore: %swrite %s: %v", s.noun, path, err)
+		return false
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		s.logf("atlasstore: %swrite %s: %v", s.noun, path, err)
+		return false
+	}
+	return true
+}
+
+// drop logs and deletes a damaged file so the next request starts clean.
+// Callers hold the file's lock.
+func (s *shelf) drop(path string, err error) {
+	s.corrupt.Add(1)
+	s.logf("atlasstore: %s%s: %v (%s)", s.noun, filepath.Base(path), err, s.onCorrupt)
+	if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
+		s.logf("atlasstore: remove %s: %v", path, rmErr)
+	}
 }
 
 // Stats is a snapshot of the store's operation counters.
@@ -67,23 +164,12 @@ type Stats struct {
 
 // Open returns a store rooted at dir, creating the directory if needed.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("atlasstore: %w", err)
+	sh, err := openShelf(dir, "", "deleting for rebuild")
+	if err != nil {
+		return nil, err
 	}
-	return &Store{dir: dir, logf: log.Printf, locks: make(map[string]*sync.Mutex)}, nil
+	return &Store{shelf: sh}, nil
 }
-
-// SetLog redirects the store's diagnostics (corruption, I/O failures);
-// nil silences them.
-func (s *Store) SetLog(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	s.logf = f
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Stats returns the cumulative operation counters.
 func (s *Store) Stats() Stats {
@@ -115,19 +201,6 @@ func (s *Store) lineageFile(pr model.Protocol, root *model.Config) string {
 	return filepath.Join(s.dir, hex.EncodeToString(h.Sum(nil))+".atlas")
 }
 
-// lockLineage serializes work on one artifact file.
-func (s *Store) lockLineage(path string) func() {
-	s.mu.Lock()
-	l, ok := s.locks[path]
-	if !ok {
-		l = &sync.Mutex{}
-		s.locks[path] = l
-	}
-	s.mu.Unlock()
-	l.Lock()
-	return l.Unlock
-}
-
 // GetAtlas implements explore.AtlasBackend: answer the atlas request from
 // disk when possible, build-and-persist when not, honouring BuildAtlas's
 // complete-or-refused contract exactly. Store trouble (unwritable
@@ -142,7 +215,7 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 		return nil, false
 	}
 	path := s.lineageFile(pr, root)
-	defer s.lockLineage(path)()
+	defer s.lock(path)()
 
 	art := s.load(pr, root, path)
 	if art != nil && art.Snap.Complete {
@@ -154,7 +227,7 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 		}
 		a, err := explore.LoadAtlas(pr, root, opt, art.Snap)
 		if err != nil {
-			s.dropCorrupt(path, err)
+			s.drop(path, err)
 		} else {
 			s.hits.Add(1)
 			return a, true
@@ -162,19 +235,7 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 		art = nil
 	}
 
-	var b *explore.AtlasBuilder
-	resumed := false
-	if art != nil { // truncated artifact: resume from its frontier
-		rb, err := explore.RestoreAtlasBuilder(pr, root, art.Snap)
-		if err != nil {
-			s.dropCorrupt(path, err)
-		} else {
-			b, resumed = rb, true
-		}
-	}
-	if b == nil {
-		b = explore.NewAtlasBuilder(pr, root)
-	}
+	b, resumed := s.builder(pr, root, path, art)
 	// Each request lands in exactly one outcome counter: hit (loaded),
 	// resume (frontier extended), miss (built from scratch), refused
 	// (answered without productive work). Whether a miss or resume ends
@@ -238,29 +299,20 @@ type DeepenStats struct {
 func (s *Store) Deepen(pr model.Protocol, root *model.Config, opt explore.Options) (*explore.AtlasSnapshot, DeepenStats, error) {
 	opt = opt.Normalized()
 	path := s.lineageFile(pr, root)
-	defer s.lockLineage(path)()
+	defer s.lock(path)()
 
-	var b *explore.AtlasBuilder
+	art := s.load(pr, root, path)
+	if art != nil && art.Snap.Complete {
+		// Exhausted: nothing a deeper bound could add.
+		s.hits.Add(1)
+		return art.Snap, DeepenStats{
+			Nodes: art.Snap.Len(), Expanded: art.Snap.Expanded(),
+			Complete: true, Resumed: true,
+		}, nil
+	}
 	var st DeepenStats
-	if art := s.load(pr, root, path); art != nil {
-		if art.Snap.Complete {
-			// Exhausted: nothing a deeper bound could add.
-			s.hits.Add(1)
-			return art.Snap, DeepenStats{
-				Nodes: art.Snap.Len(), Expanded: art.Snap.Expanded(),
-				Complete: true, Resumed: true,
-			}, nil
-		}
-		rb, err := explore.RestoreAtlasBuilder(pr, root, art.Snap)
-		if err != nil {
-			s.dropCorrupt(path, err)
-		} else {
-			b, st.Resumed = rb, true
-		}
-	}
-	if b == nil {
-		b = explore.NewAtlasBuilder(pr, root)
-	}
+	b, resumed := s.builder(pr, root, path, art)
+	st.Resumed = resumed
 	st.NewlyExpanded = b.Extend(opt)
 	st.Nodes, st.Expanded, st.Complete = b.Len(), b.Expanded(), b.Complete()
 	if st.Resumed {
@@ -291,66 +343,45 @@ func (s *Store) Deepen(pr model.Protocol, root *model.Config, opt explore.Option
 	return snap, st, nil
 }
 
+// builder returns the lineage's builder: restored from a truncated
+// artifact's frontier (resumed=true), or fresh when there is none or its
+// replay fails (dropped as corrupt).
+func (s *Store) builder(pr model.Protocol, root *model.Config, path string, art *artifact) (_ *explore.AtlasBuilder, resumed bool) {
+	if art != nil {
+		b, err := explore.RestoreAtlasBuilder(pr, root, art.Snap)
+		if err == nil {
+			return b, true
+		}
+		s.drop(path, err)
+	}
+	return explore.NewAtlasBuilder(pr, root), false
+}
+
 // load reads and validates the lineage's artifact; nil when absent,
 // corrupt (deleted for rebuild), or not this lineage's content.
 func (s *Store) load(pr model.Protocol, root *model.Config, path string) *artifact {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.logf("atlasstore: read %s: %v", path, err)
-		}
+	data, ok := s.read(path)
+	if !ok {
 		return nil
 	}
 	art, err := decodeArtifact(data)
 	if err != nil {
-		s.dropCorrupt(path, err)
+		s.drop(path, err)
 		return nil
 	}
 	if art.ProtoName != pr.Name() || art.N != pr.N() || !bytes.Equal(art.RootKey, root.KeyBytes()) {
 		// The file's content-addressed name disagrees with its header —
 		// only possible through corruption or tampering.
-		s.dropCorrupt(path, fmt.Errorf("artifact identity does not match its lineage"))
+		s.drop(path, fmt.Errorf("artifact identity does not match its lineage"))
 		return nil
 	}
 	return art
 }
 
-// dropCorrupt logs and deletes a damaged artifact so the next request
-// rebuilds it.
-func (s *Store) dropCorrupt(path string, err error) {
-	s.corrupt.Add(1)
-	s.logf("atlasstore: %s: %v (deleting for rebuild)", filepath.Base(path), err)
-	if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
-		s.logf("atlasstore: remove %s: %v", path, rmErr)
-	}
-}
-
-// save atomically writes the artifact: temp file in the same directory,
-// fsync, rename. replace notes that an older artifact is being
-// superseded (counted as an eviction). Failures are logged, never fatal —
-// the in-memory result is still correct.
+// save atomically writes the artifact. replace notes that an older
+// artifact is being superseded (counted as an eviction).
 func (s *Store) save(path string, pr model.Protocol, root *model.Config, snap *explore.AtlasSnapshot, replace bool) {
-	data := encodeArtifact(pr.Name(), pr.N(), root.KeyBytes(), snap)
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		s.logf("atlasstore: write %s: %v", path, err)
-		return
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		s.logf("atlasstore: write %s: %v", path, err)
-		return
-	}
-	if replace {
+	if s.write(path, encodeArtifact(pr.Name(), pr.N(), root.KeyBytes(), snap)) && replace {
 		s.evictions.Add(1)
 	}
 }

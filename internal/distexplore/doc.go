@@ -16,7 +16,7 @@
 // topology, three RPC phases per level:
 //
 //   - Expand: each shard's primary expands that shard's slice of the
-//     frontier through explore.ExpandConfig and returns candidates tagged
+//     frontier through explore.AppendSuccessors and returns candidates tagged
 //     with (parent global index, successor index) — their position in the
 //     canonical order. Expansion is pure, so a shard whose primary dies
 //     mid-phase is simply re-issued to the next live replica, which

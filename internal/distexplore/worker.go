@@ -89,8 +89,10 @@ type job struct {
 	lastDedupResp        []byte
 
 	// candScratch is the expand phase's candidate buffer, recycled across
-	// levels (encodeLevelCandidates serializes it before the next reuse).
+	// levels (encodeLevelCandidates serializes it before the next reuse);
+	// succScratch is the per-node successor buffer beside it.
 	candScratch []candidate
+	succScratch []explore.Successor
 }
 
 func (j *job) visitedAdd(hash uint64, key string) (fresh bool) {
@@ -400,7 +402,8 @@ func (w *Worker) expandLevel(level int, shards []uint64) []byte {
 		if !want[nd.shard] {
 			continue
 		}
-		for si, s := range explore.ExpandConfig(j.pr, nd.cfg, j.skip) {
+		j.succScratch = explore.AppendSuccessors(j.pr, nd.cfg, j.skip, j.succScratch)
+		for si, s := range j.succScratch {
 			h := s.Cfg.Hash()
 			key := s.Cfg.Key()
 			if j.replicatesHash(h) {

@@ -57,3 +57,26 @@ func TestAllocsExploreParallel(t *testing.T) {
 		t.Fatalf("parallel Explore allocates %.1f/config, ceiling %d", per, ceiling)
 	}
 }
+
+// TestAllocsBuildAtlas pins the edge-recording walk of the same core: node
+// table and CSR growth, interning, the inline successor buffer, plus the
+// predecessor CSR and the two backward passes. Measured on the waitall(3)
+// fixture: 106.1 allocs per atlas node, the same at every run because one
+// worker expands inline, and 115.2 under -race, which the Makefile's race
+// targets run this test with; the ceiling leaves room for that and little
+// else, so it is the local, sub-second stand-in for the benchmark's
+// alloc_mb_per_op bound on the atlas-building workloads.
+func TestAllocsBuildAtlas(t *testing.T) {
+	pr := registryFixture(t, "waitall")
+	root := model.MustInitial(pr, model.Inputs{model.V0, model.V1, model.V0})
+	opt := explore.Options{MaxConfigs: 100000, Workers: 1}
+	atlas, ok := explore.BuildAtlas(pr, root, opt)
+	if !ok {
+		t.Fatal("BuildAtlas refused within budget")
+	}
+	per := testing.AllocsPerRun(5, func() { explore.BuildAtlas(pr, root, opt) }) / float64(atlas.Len())
+	const ceiling = 125
+	if per > ceiling {
+		t.Fatalf("BuildAtlas allocates %.1f/node, ceiling %d", per, ceiling)
+	}
+}

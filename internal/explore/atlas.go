@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -32,53 +31,30 @@ import (
 //
 // An Atlas is immutable after construction and safe for concurrent use.
 type Atlas struct {
-	pr   model.Protocol
-	opt  Options
-	root *model.Config
-
-	// index maps configurations to dense node ids (the interner tag is the
-	// id). Node ids are assigned in breadth-first admission order; the root
-	// is node 0.
-	index *model.Interner
-	cfgs  []*model.Config
-	depth []int32
-
-	// parent/parentVia are the breadth-first tree links: the node each
-	// configuration was first reached from and the event that reached it.
-	// They recover a shortest root-to-node schedule without storing one.
-	parent    []int32
-	parentVia []model.Event
-
-	// Successor adjacency in CSR (compressed sparse row) form: node u's
-	// out-edges are succTo[succStart[u]:succStart[u+1]] with event labels
-	// succVia at the same indices, in canonical event order. Edges to
-	// already-visited configurations are recorded too — valency is a
-	// reachability property, and the breadth-first tree alone does not
-	// carry cross-edge reachability.
-	succStart []int32
-	succTo    []int32
-	succVia   []model.Event
+	// core is the node table the atlas was built on (or loaded into):
+	// configurations, breadth-first tree links and successor adjacency by
+	// dense node id, ids assigned in admission order with the root at 0.
+	// Node u's out-edges are g.SuccTo[g.SuccStart[u]:g.SuccStart[u+1]] with
+	// event labels g.SuccVia at the same indices, in canonical event order.
+	// g.Dist0[u] / g.Dist1[u] is the length of a shortest schedule from u to
+	// a configuration containing decision value 0 / 1, or -1 when none is
+	// reachable. These are the decision bits: has0 = Dist0 ≥ 0.
+	core
+	opt Options
 
 	// Predecessor adjacency in CSR form: node v's in-edges are
 	// predFrom[predStart[v]:predStart[v+1]]; predEdge holds each in-edge's
 	// index into the successor arrays, so its event label is
-	// succVia[predEdge[i]].
+	// g.SuccVia[predEdge[i]].
 	predStart []int32
 	predFrom  []int32
 	predEdge  []int32
 
-	// dist0[u] / dist1[u] is the length of a shortest schedule from u to a
-	// configuration containing decision value 0 / 1, or -1 when none is
-	// reachable. These are the decision bits: has0 = dist0 ≥ 0.
-	dist0 []int32
-	dist1 []int32
-
 	// Store-loaded atlases (LoadAtlas) carry the persisted canonical-key
-	// table instead of an interner, answer IDOf from a lazily built key
-	// map, and materialize configurations on demand by replaying the
+	// table g.Keys instead of an interner, answer IDOf from a lazily built
+	// key map, and materialize configurations on demand by replaying the
 	// breadth-first tree under cfgMu. Built atlases keep index non-nil and
 	// never touch these.
-	keys      [][]byte
 	byKeyOnce sync.Once
 	byKey     map[string]int32
 	cfgMu     sync.Mutex
@@ -93,87 +69,19 @@ type Atlas struct {
 // byte-identical in valency, exactness, and witness length whenever the
 // atlas would have been available.
 //
-// The build honours opt.Workers exactly like ExploreFiltered: node
-// expansion runs level-synchronously on a worker pool while a single
-// coordinator merges successors in canonical order, so node ids, edges,
-// and witnesses are byte-identical at every worker count.
+// The build is one AtlasBuilder extended once and finished, i.e. the
+// level-synchronous core (core.go) with edges recorded: it honours
+// opt.Workers exactly like ExploreFiltered, a single coordinator merging
+// successors in canonical order, so node ids, edges, and witnesses are
+// byte-identical at every worker count.
 func BuildAtlas(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
 	opt = opt.withDefaults()
 	if opt.MaxDepth != 0 || opt.MaxConfigs >= math.MaxInt32 {
 		return nil, false
 	}
-	a := &Atlas{
-		pr:    pr,
-		opt:   opt,
-		root:  root,
-		index: model.NewInterner(),
-	}
-	led := NewLedger(opt)
-	a.index.InternTag(root, 0)
-	a.admit(root, -1, model.Event{})
-	a.succStart = append(a.succStart, 0) // CSR sentinel: node u's edges are succStart[u]:succStart[u+1]
-
-	expand := func(n node, dst []Successor) []Successor { return AppendSuccessors(pr, n.cfg, nil, dst) }
-	pool := &succPool{}
-	var levelScratch []node
-	var seqBuf []Successor
-	for start, end := 0, 1; start < end; start, end = end, len(a.cfgs) {
-		var exps [][]Successor
-		if opt.Workers > 1 {
-			if cap(levelScratch) < end-start {
-				levelScratch = make([]node, end-start)
-			}
-			level := levelScratch[:end-start]
-			for i := range level {
-				level[i] = node{cfg: a.cfgs[start+i]}
-			}
-			exps = expandLevel(level, expand, opt.Workers, pool)
-		}
-		for u := start; u < end; u++ {
-			var succs []Successor
-			if exps != nil {
-				succs = exps[u-start]
-			} else {
-				seqBuf = AppendSuccessors(pr, a.cfgs[u], nil, seqBuf)
-				succs = seqBuf
-			}
-			for _, s := range succs {
-				id := int32(len(a.cfgs))
-				if got, fresh := a.index.InternTag(s.Cfg, uint64(id)); fresh {
-					if !led.Admit() {
-						return nil, false // budget exceeded: no truncated atlases
-					}
-					a.admit(s.Cfg, int32(u), s.Via)
-				} else {
-					id = int32(got)
-				}
-				a.succTo = append(a.succTo, id)
-				a.succVia = append(a.succVia, s.Via)
-			}
-			a.succStart = append(a.succStart, int32(len(a.succTo)))
-		}
-		if exps != nil {
-			pool.recycle(exps)
-		}
-	}
-
-	a.buildPred()
-	a.dist0 = a.distToValue(model.V0)
-	a.dist1 = a.distToValue(model.V1)
-	return a, true
-}
-
-// admit appends one node's struct-of-arrays entries (everything except the
-// successor CSR, which closes when the node is expanded).
-func (a *Atlas) admit(c *model.Config, parent int32, via model.Event) {
-	d := int32(0)
-	if parent >= 0 {
-		d = a.depth[parent] + 1
-	}
-	a.cfgs = append(a.cfgs, c)
-	a.depth = append(a.depth, d)
-	a.parent = append(a.parent, parent)
-	a.parentVia = append(a.parentVia, via)
+	b := NewAtlasBuilder(pr, root)
+	b.Extend(opt)
+	return b.Finish(opt) // refuses a builder the budget stopped: no truncated atlases
 }
 
 // buildPred inverts the successor CSR into the predecessor CSR by the
@@ -181,19 +89,19 @@ func (a *Atlas) admit(c *model.Config, parent int32, via model.Event) {
 func (a *Atlas) buildPred() {
 	V := len(a.cfgs)
 	a.predStart = make([]int32, V+1)
-	for _, v := range a.succTo {
+	for _, v := range a.g.SuccTo {
 		a.predStart[v+1]++
 	}
 	for i := 0; i < V; i++ {
 		a.predStart[i+1] += a.predStart[i]
 	}
-	a.predFrom = make([]int32, len(a.succTo))
-	a.predEdge = make([]int32, len(a.succTo))
+	a.predFrom = make([]int32, len(a.g.SuccTo))
+	a.predEdge = make([]int32, len(a.g.SuccTo))
 	cur := make([]int32, V)
 	copy(cur, a.predStart[:V])
 	for u := 0; u < V; u++ {
-		for ei := a.succStart[u]; ei < a.succStart[u+1]; ei++ {
-			v := a.succTo[ei]
+		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
+			v := a.g.SuccTo[ei]
 			a.predFrom[cur[v]] = int32(u)
 			a.predEdge[cur[v]] = ei
 			cur[v]++
@@ -244,7 +152,7 @@ func (a *Atlas) backwardBFS(seed func(int32) bool, usable func(model.Event) bool
 			if dist[u] >= 0 {
 				continue
 			}
-			if usable != nil && !usable(a.succVia[a.predEdge[ei]]) {
+			if usable != nil && !usable(a.g.SuccVia[a.predEdge[ei]]) {
 				continue
 			}
 			dist[u] = dist[v] + 1
@@ -264,19 +172,15 @@ func (a *Atlas) distDecidedAvoiding(p model.PID) []int32 {
 	// A node contains a decision value exactly when one of its decision
 	// distances is zero, so the seed runs off the distance columns — which
 	// loaded atlases have even before any configuration is materialized.
-	seed := func(id int32) bool { return a.dist0[id] == 0 || a.dist1[id] == 0 }
+	seed := func(id int32) bool { return a.g.Dist0[id] == 0 || a.g.Dist1[id] == 0 }
 	return a.backwardBFS(seed, func(e model.Event) bool { return e.P != p })
 }
 
-// Len returns the number of nodes — the size of the exhausted reachable
-// set.
-func (a *Atlas) Len() int { return len(a.cfgs) }
-
 // Edges returns the number of recorded transitions.
-func (a *Atlas) Edges() int { return len(a.succTo) }
+func (a *Atlas) Edges() int { return len(a.g.SuccTo) }
 
 // Root returns the configuration the atlas was built from.
-func (a *Atlas) Root() *model.Config { return a.root }
+func (a *Atlas) Root() *model.Config { return a.cfgs[0] }
 
 // Config returns the configuration of node id. On a built atlas every
 // configuration is already materialized; on a store-loaded atlas the
@@ -301,19 +205,13 @@ func (a *Atlas) materialize(id int32) *model.Config {
 	// Collect the unmaterialized suffix of the parent chain, then replay
 	// it forward.
 	chain := []int32{id}
-	for p := a.parent[id]; a.cfgs[p] == nil; p = a.parent[p] {
+	for p := a.g.Parent[id]; a.cfgs[p] == nil; p = a.g.Parent[p] {
 		chain = append(chain, p)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		u := chain[i]
-		c, err := model.Apply(a.pr, a.cfgs[a.parent[u]], a.parentVia[u])
-		if err != nil {
-			panic(fmt.Sprintf("explore: loaded atlas replay failed at node %d: %v", u, err))
+		if err := a.replay(int(chain[i]), a.g.Keys[chain[i]]); err != nil {
+			panic(err.Error())
 		}
-		if !bytes.Equal(c.KeyBytes(), a.keys[u]) {
-			panic(fmt.Sprintf("explore: loaded atlas replay diverged at node %d", u))
-		}
-		a.cfgs[u] = c
 	}
 	return a.cfgs[id]
 }
@@ -330,8 +228,8 @@ func (a *Atlas) IDOf(c *model.Config) (int32, bool) {
 		return int32(tag), true
 	}
 	a.byKeyOnce.Do(func() {
-		m := make(map[string]int32, len(a.keys))
-		for i, k := range a.keys {
+		m := make(map[string]int32, len(a.g.Keys))
+		for i, k := range a.g.Keys {
 			m[string(k)] = int32(i)
 		}
 		a.byKey = m
@@ -342,7 +240,7 @@ func (a *Atlas) IDOf(c *model.Config) (int32, bool) {
 
 // ValencyAt returns the exact valency class of node id.
 func (a *Atlas) ValencyAt(id int32) Valency {
-	has0, has1 := a.dist0[id] >= 0, a.dist1[id] >= 0
+	has0, has1 := a.g.Dist0[id] >= 0, a.g.Dist1[id] >= 0
 	switch {
 	case has0 && has1:
 		return Bivalent
@@ -381,9 +279,9 @@ func (a *Atlas) Witness(id int32, d model.Value) (model.Schedule, bool) {
 
 func (a *Atlas) distFor(d model.Value) []int32 {
 	if d == model.V0 {
-		return a.dist0
+		return a.g.Dist0
 	}
-	return a.dist1
+	return a.g.Dist1
 }
 
 // descend recovers a shortest schedule from u to a dist-0 node by greedy
@@ -401,12 +299,12 @@ func (a *Atlas) descendWhere(u int32, dist []int32, usable func(model.Event) boo
 	sigma := make(model.Schedule, 0, dist[u])
 	for dist[u] > 0 {
 		next := int32(-1)
-		for ei := a.succStart[u]; ei < a.succStart[u+1]; ei++ {
-			if usable != nil && !usable(a.succVia[ei]) {
+		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
+			if usable != nil && !usable(a.g.SuccVia[ei]) {
 				continue
 			}
-			if v := a.succTo[ei]; dist[v] >= 0 && dist[v] == dist[u]-1 {
-				sigma = append(sigma, a.succVia[ei])
+			if v := a.g.SuccTo[ei]; dist[v] >= 0 && dist[v] == dist[u]-1 {
+				sigma = append(sigma, a.g.SuccVia[ei])
 				next = v
 				break
 			}
@@ -421,13 +319,7 @@ func (a *Atlas) descendWhere(u int32, dist []int32, usable func(model.Event) boo
 
 // PathTo returns a shortest schedule from the root to node id, recovered
 // from the breadth-first tree's parent pointers.
-func (a *Atlas) PathTo(id int32) model.Schedule {
-	sigma := make(model.Schedule, a.depth[id])
-	for i := id; a.parent[i] >= 0; i = a.parent[i] {
-		sigma[a.depth[i]-1] = a.parentVia[i]
-	}
-	return sigma
-}
+func (a *Atlas) PathTo(id int32) model.Schedule { return a.pathTo(int(id)) }
 
 // InfoAt returns node id's full classification with witness schedules, in
 // the same shape Classify produces. Valency, exactness, and witness
@@ -441,14 +333,14 @@ func (a *Atlas) InfoAt(id int32) ValencyInfo {
 		Exact:    true,
 		Complete: true,
 		Visited:  a.Len(),
-		hasZero:  a.dist0[id] >= 0,
-		hasOne:   a.dist1[id] >= 0,
+		hasZero:  a.g.Dist0[id] >= 0,
+		hasOne:   a.g.Dist1[id] >= 0,
 	}
 	if info.hasZero {
-		info.Witness0 = a.descend(id, a.dist0)
+		info.Witness0 = a.descend(id, a.g.Dist0)
 	}
 	if info.hasOne {
-		info.Witness1 = a.descend(id, a.dist1)
+		info.Witness1 = a.descend(id, a.g.Dist1)
 	}
 	return info
 }
@@ -479,9 +371,9 @@ func (a *Atlas) Census() map[Valency]int {
 // no-ops, where e(u) = u), and ok=false for an unrecorded delivery (e is
 // not applicable at u).
 func (a *Atlas) succByEvent(u int32, e model.Event) (int32, bool) {
-	for ei := a.succStart[u]; ei < a.succStart[u+1]; ei++ {
-		if a.succVia[ei].Same(e) {
-			return a.succTo[ei], true
+	for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
+		if a.g.SuccVia[ei].Same(e) {
+			return a.g.SuccTo[ei], true
 		}
 	}
 	if e.IsNull() {
@@ -500,11 +392,11 @@ func (a *Atlas) frontier(e model.Event) []int32 {
 	order = append(order, 0)
 	for qi := 0; qi < len(order); qi++ {
 		u := order[qi]
-		for ei := a.succStart[u]; ei < a.succStart[u+1]; ei++ {
-			if a.succVia[ei].Same(e) {
+		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
+			if a.g.SuccVia[ei].Same(e) {
 				continue
 			}
-			if v := a.succTo[ei]; !seen[v] {
+			if v := a.g.SuccTo[ei]; !seen[v] {
 				seen[v] = true
 				order = append(order, v)
 			}

@@ -21,7 +21,9 @@ import (
 // admission order. Any sequence of Extend calls therefore walks the same
 // trajectory as a single uninterrupted build — a depth-d state extended by
 // k is byte-identical to a one-shot depth-(d+k) build, which is what makes
-// frontier resume safe to persist.
+// frontier resume safe to persist. The trajectory itself is walked by the
+// level-synchronous core (core.go); builder, atlas and snapshot all hold
+// its one node table rather than copies of it.
 
 // AtlasSnapshot is the serializable exploration state behind an Atlas (or
 // a partial build on its way to one): the struct-of-arrays node table, the
@@ -57,10 +59,10 @@ func (s *AtlasSnapshot) Len() int { return len(s.Depth) }
 // nodes [Expanded, Len) are the stored frontier.
 func (s *AtlasSnapshot) Expanded() int { return len(s.SuccStart) - 1 }
 
-// validateShape checks the cross-array invariants a well-formed snapshot
+// validateFor checks the cross-array invariants a well-formed snapshot
 // satisfies, so a mangled artifact surfaces as an error instead of an
-// index panic deep in replay.
-func (s *AtlasSnapshot) validateShape() error {
+// index panic deep in replay, and that the snapshot describes root.
+func (s *AtlasSnapshot) validateFor(root *model.Config) error {
 	v := len(s.Depth)
 	if v == 0 {
 		return fmt.Errorf("explore: snapshot has no nodes")
@@ -86,7 +88,7 @@ func (s *AtlasSnapshot) validateShape() error {
 		return fmt.Errorf("explore: snapshot edge columns disagree")
 	}
 	prev := int32(0)
-	if x >= 0 && len(s.SuccStart) > 0 && s.SuccStart[0] != 0 {
+	if s.SuccStart[0] != 0 {
 		return fmt.Errorf("explore: snapshot CSR does not start at 0")
 	}
 	for _, off := range s.SuccStart {
@@ -95,7 +97,7 @@ func (s *AtlasSnapshot) validateShape() error {
 		}
 		prev = off
 	}
-	if x >= 0 && len(s.SuccStart) > 0 && int(s.SuccStart[x]) != e {
+	if int(s.SuccStart[x]) != e {
 		return fmt.Errorf("explore: snapshot CSR does not close at %d edges", e)
 	}
 	for _, to := range s.SuccTo {
@@ -115,63 +117,36 @@ func (s *AtlasSnapshot) validateShape() error {
 			return fmt.Errorf("explore: snapshot node %d depth disagrees with its parent", i)
 		}
 	}
+	if !bytes.Equal(s.Keys[0], root.KeyBytes()) {
+		return fmt.Errorf("explore: snapshot root key does not match the requested root")
+	}
 	return nil
 }
 
-// AtlasBuilder is the resumable form of BuildAtlas: the same breadth-first
-// materialization, but truncation (by budget or depth) leaves a usable
-// state — every node admitted so far, the successor CSR closed through the
-// last expanded node — instead of refusing, and Extend resumes expansion
-// from exactly that point. Unlike the one-shot builder it stops *before*
-// the first node whose fresh successors would overflow the budget, so the
-// captured state is always at a clean node boundary.
+// AtlasBuilder is the resumable form of BuildAtlas — which is itself one
+// builder extended once and finished: truncation (by budget or depth)
+// leaves a usable state — every node admitted so far, the successor CSR
+// closed through the last expanded node — and Extend resumes expansion from
+// exactly that point. It stops *before* the first node whose fresh
+// successors would overflow the budget, so the captured state is always at
+// a clean node boundary.
 //
 // An AtlasBuilder is not safe for concurrent use; the store serializes
 // access per artifact.
 type AtlasBuilder struct {
-	pr   model.Protocol
-	root *model.Config
-
-	index     *model.Interner
-	cfgs      []*model.Config
-	depth     []int32
-	parent    []int32
-	parentVia []model.Event
-	succStart []int32
-	succTo    []int32
-	succVia   []model.Event
-
-	complete bool
+	core
 	finished bool
 }
 
 // NewAtlasBuilder returns a builder holding just the root, nothing
 // expanded.
 func NewAtlasBuilder(pr model.Protocol, root *model.Config) *AtlasBuilder {
-	b := &AtlasBuilder{pr: pr, root: root, index: model.NewInterner()}
-	b.index.InternTag(root, 0)
-	b.admit(root, -1, model.Event{})
-	b.succStart = append(b.succStart, 0)
-	return b
+	return &AtlasBuilder{core: newCore(pr, root, nil, true)}
 }
-
-func (b *AtlasBuilder) admit(c *model.Config, parent int32, via model.Event) {
-	d := int32(0)
-	if parent >= 0 {
-		d = b.depth[parent] + 1
-	}
-	b.cfgs = append(b.cfgs, c)
-	b.depth = append(b.depth, d)
-	b.parent = append(b.parent, parent)
-	b.parentVia = append(b.parentVia, via)
-}
-
-// Len returns the number of admitted nodes.
-func (b *AtlasBuilder) Len() int { return len(b.cfgs) }
 
 // Expanded returns the number of nodes whose successor lists are closed.
 // Nodes [Expanded, Len) are the frontier Extend resumes from.
-func (b *AtlasBuilder) Expanded() int { return len(b.succStart) - 1 }
+func (b *AtlasBuilder) Expanded() int { return b.g.Expanded() }
 
 // Configs exposes the admitted configurations by dense id. The slice
 // aliases the builder's arrays — callers must treat it as read-only. Its
@@ -182,39 +157,7 @@ func (b *AtlasBuilder) Configs() []*model.Config { return b.cfgs }
 
 // Complete reports whether the reachable set is exhausted (empty
 // frontier).
-func (b *AtlasBuilder) Complete() bool { return b.complete }
-
-// FrontierDepth returns the depth of the next node Extend would expand,
-// ok=false when the build is complete.
-func (b *AtlasBuilder) FrontierDepth() (int, bool) {
-	x := b.Expanded()
-	if x >= len(b.cfgs) {
-		return 0, false
-	}
-	return int(b.depth[x]), true
-}
-
-// freshAmong counts the distinct configurations in succs not yet admitted
-// — the budget cost of expanding their node — without interning anything.
-func (b *AtlasBuilder) freshAmong(succs []Successor) int {
-	fresh := 0
-	for i := range succs {
-		if _, known := b.index.Tag(succs[i].Cfg); known {
-			continue
-		}
-		dup := false
-		for j := 0; j < i; j++ {
-			if succs[j].Cfg.Equal(succs[i].Cfg) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			fresh++
-		}
-	}
-	return fresh
-}
+func (b *AtlasBuilder) Complete() bool { return b.g.Complete }
 
 // Extend expands frontier nodes in admission order under opt's bounds and
 // reports how many nodes this call expanded. It stops — leaving the state
@@ -233,176 +176,49 @@ func (b *AtlasBuilder) Extend(opt Options) (newlyExpanded int) {
 		panic("explore: AtlasBuilder used after Finish")
 	}
 	opt = opt.withDefaults()
-	pool := &succPool{}
-	var seqBuf []Successor
-	var levelScratch []node
-
-	for {
-		u := b.Expanded()
-		if u >= len(b.cfgs) {
-			b.complete = true
-			return newlyExpanded
-		}
-		if opt.MaxDepth > 0 && int(b.depth[u]) >= opt.MaxDepth {
-			return newlyExpanded
-		}
-		// Batch: the contiguous run of pending nodes at this depth (one
-		// breadth-first level's remainder), expanded together when the
-		// worker pool is on.
-		end := u
-		for end < len(b.cfgs) && b.depth[end] == b.depth[u] {
-			end++
-		}
-		var exps [][]Successor
-		if opt.Workers > 1 {
-			if cap(levelScratch) < end-u {
-				levelScratch = make([]node, end-u)
-			}
-			level := levelScratch[:end-u]
-			for i := range level {
-				level[i] = node{cfg: b.cfgs[u+i]}
-			}
-			exps = expandLevel(level, func(n node, dst []Successor) []Successor {
-				return AppendSuccessors(b.pr, n.cfg, nil, dst)
-			}, opt.Workers, pool)
-		}
-		for v := u; v < end; v++ {
-			var succs []Successor
-			if exps != nil {
-				succs = exps[v-u]
-			} else {
-				seqBuf = AppendSuccessors(b.pr, b.cfgs[v], nil, seqBuf)
-				succs = seqBuf
-			}
-			if len(b.cfgs)+b.freshAmong(succs) > opt.MaxConfigs {
-				if exps != nil {
-					pool.recycle(exps)
-				}
-				return newlyExpanded // budget: stop before this node
-			}
-			for _, s := range succs {
-				id := int32(len(b.cfgs))
-				if got, fresh := b.index.InternTag(s.Cfg, uint64(id)); fresh {
-					b.admit(s.Cfg, int32(v), s.Via)
-				} else {
-					id = int32(got)
-				}
-				b.succTo = append(b.succTo, id)
-				b.succVia = append(b.succVia, s.Via)
-			}
-			b.succStart = append(b.succStart, int32(len(b.succTo)))
-			newlyExpanded++
-		}
-		if exps != nil {
-			pool.recycle(exps)
-		}
-	}
+	from := b.Expanded()
+	b.g.Complete = b.walk(from, opt, nil)
+	return b.Expanded() - from
 }
 
-// Snapshot captures the builder's exploration state. The returned arrays
-// alias the builder's; do not Extend while a snapshot is being serialized.
-func (b *AtlasBuilder) Snapshot() *AtlasSnapshot {
-	keys := make([][]byte, len(b.cfgs))
-	for i, c := range b.cfgs {
-		keys[i] = c.KeyBytes()
-	}
-	return &AtlasSnapshot{
-		Depth:     b.depth,
-		Parent:    b.parent,
-		ParentVia: b.parentVia,
-		SuccStart: b.succStart,
-		SuccTo:    b.succTo,
-		SuccVia:   b.succVia,
-		Keys:      keys,
-		Complete:  b.complete,
-	}
-}
-
-// Finish converts a complete builder into an Atlas — predecessor CSR plus
-// the two backward passes, exactly as BuildAtlas would have produced (the
-// admission trajectory is shared, so the arrays are byte-identical).
-// ok=false when the frontier is not empty. The builder hands its arrays to
-// the atlas and must not be used afterwards.
+// Finish converts a complete builder into an Atlas: predecessor CSR plus
+// the two backward passes. ok=false when the frontier is not empty. The
+// builder hands its node table to the atlas and must not be used
+// afterwards.
 func (b *AtlasBuilder) Finish(opt Options) (*Atlas, bool) {
-	if !b.complete {
+	if !b.g.Complete {
 		return nil, false
 	}
 	b.finished = true
-	a := &Atlas{
-		pr: b.pr, opt: opt.withDefaults(), root: b.root,
-		index: b.index, cfgs: b.cfgs, depth: b.depth,
-		parent: b.parent, parentVia: b.parentVia,
-		succStart: b.succStart, succTo: b.succTo, succVia: b.succVia,
-	}
+	a := &Atlas{core: b.core, opt: opt.withDefaults()}
 	a.buildPred()
-	a.dist0 = a.distToValue(model.V0)
-	a.dist1 = a.distToValue(model.V1)
+	a.g.Dist0 = a.distToValue(model.V0)
+	a.g.Dist1 = a.distToValue(model.V1)
 	return a, true
 }
 
 // RestoreAtlasBuilder reconstructs a resumable builder from a snapshot by
-// replaying the breadth-first tree: node i's configuration is
-// parentVia[i] applied to its parent's, verified byte-for-byte against the
-// stored canonical key. One protocol step per node — no re-exploration, no
-// dedup sweeps — and any corruption (or a protocol whose semantics have
-// drifted since the snapshot was taken) surfaces as an error on the first
-// divergent node, never as a wrong atlas.
+// replaying the breadth-first tree (core.replay): one verified protocol
+// step per node — no re-exploration, no dedup sweeps — with any divergence
+// an error, never a wrong atlas.
 func RestoreAtlasBuilder(pr model.Protocol, root *model.Config, snap *AtlasSnapshot) (*AtlasBuilder, error) {
-	if err := snap.validateShape(); err != nil {
+	if err := snap.validateFor(root); err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(snap.Keys[0], root.KeyBytes()) {
-		return nil, fmt.Errorf("explore: snapshot root key does not match the requested root")
-	}
-	b := &AtlasBuilder{pr: pr, root: root, index: model.NewInterner()}
-	b.cfgs = make([]*model.Config, len(snap.Depth))
+	b := &AtlasBuilder{core: core{pr: pr, index: model.NewInterner(), cfgs: make([]*model.Config, snap.Len()), g: *snap}}
+	// The builder grows past the snapshot: its keys are recomputed on the
+	// next Snapshot, its distances by Finish.
+	b.g.Keys, b.g.Dist0, b.g.Dist1 = nil, nil, nil
 	b.cfgs[0] = root
 	for i := 1; i < len(b.cfgs); i++ {
-		c, err := model.Apply(pr, b.cfgs[snap.Parent[i]], snap.ParentVia[i])
-		if err != nil {
-			return nil, fmt.Errorf("explore: snapshot replay failed at node %d: %w", i, err)
+		if err := b.replay(i, snap.Keys[i]); err != nil {
+			return nil, err
 		}
-		if !bytes.Equal(c.KeyBytes(), snap.Keys[i]) {
-			return nil, fmt.Errorf("explore: snapshot replay diverged at node %d (stored key does not match)", i)
-		}
-		b.cfgs[i] = c
 	}
 	for i, c := range b.cfgs {
 		b.index.InternTag(c, uint64(i))
 	}
-	b.depth = snap.Depth
-	b.parent = snap.Parent
-	b.parentVia = snap.ParentVia
-	b.succStart = snap.SuccStart
-	b.succTo = snap.SuccTo
-	b.succVia = snap.SuccVia
-	b.complete = snap.Complete
 	return b, nil
-}
-
-// Snapshot captures a complete atlas's state, distance columns included,
-// for persistence. Arrays alias the atlas's (which is immutable).
-func (a *Atlas) Snapshot() *AtlasSnapshot {
-	keys := make([][]byte, len(a.cfgs))
-	if a.keys != nil {
-		copy(keys, a.keys)
-	} else {
-		for i, c := range a.cfgs {
-			keys[i] = c.KeyBytes()
-		}
-	}
-	return &AtlasSnapshot{
-		Depth:     a.depth,
-		Parent:    a.parent,
-		ParentVia: a.parentVia,
-		SuccStart: a.succStart,
-		SuccTo:    a.succTo,
-		SuccVia:   a.succVia,
-		Keys:      keys,
-		Complete:  true,
-		Dist0:     a.dist0,
-		Dist1:     a.dist1,
-	}
 }
 
 // LoadAtlas reconstructs an Atlas from a complete snapshot without
@@ -421,23 +237,13 @@ func LoadAtlas(pr model.Protocol, root *model.Config, opt Options, snap *AtlasSn
 	if !snap.Complete {
 		return nil, fmt.Errorf("explore: cannot load a partial snapshot as an atlas")
 	}
-	if err := snap.validateShape(); err != nil {
+	if err := snap.validateFor(root); err != nil {
 		return nil, err
 	}
 	if len(snap.Dist0) != len(snap.Depth) {
 		return nil, fmt.Errorf("explore: snapshot lacks distance columns")
 	}
-	if !bytes.Equal(snap.Keys[0], root.KeyBytes()) {
-		return nil, fmt.Errorf("explore: snapshot root key does not match the requested root")
-	}
-	a := &Atlas{
-		pr: pr, opt: opt.withDefaults(), root: root,
-		cfgs:  make([]*model.Config, len(snap.Depth)),
-		depth: snap.Depth, parent: snap.Parent, parentVia: snap.ParentVia,
-		succStart: snap.SuccStart, succTo: snap.SuccTo, succVia: snap.SuccVia,
-		dist0: snap.Dist0, dist1: snap.Dist1,
-		keys: snap.Keys,
-	}
+	a := &Atlas{core: core{pr: pr, cfgs: make([]*model.Config, snap.Len()), g: *snap}, opt: opt.withDefaults()}
 	a.cfgs[0] = root
 	a.buildPred()
 	return a, nil

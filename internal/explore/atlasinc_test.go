@@ -118,7 +118,13 @@ func TestAtlasBuilderMatchesBuildAtlas(t *testing.T) {
 
 // TestAtlasBuilderBudgetParity: the builder must be complete exactly when
 // BuildAtlas succeeds, at every budget — the complete-or-refused contract
-// expressed incrementally.
+// expressed incrementally — and must stop exactly where the budget rule
+// says: before the first node whose distinct fresh successors do not fit.
+// The expected stop is read off the full graph (a node's fresh successors
+// are its breadth-first tree children), independently of the builder's own
+// pre-scan. The sweep must include the boundary the pre-scan's guard sits
+// on: a node whose raw successor count would overflow the budget while its
+// fresh count fits has to be expanded all the same.
 func TestAtlasBuilderBudgetParity(t *testing.T) {
 	pr := registryFixture(t, "naivemajority")
 	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
@@ -126,7 +132,13 @@ func TestAtlasBuilderBudgetParity(t *testing.T) {
 	if !ok {
 		t.Fatal("BuildAtlas refused within budget")
 	}
-	for _, budget := range []int{1, 2, 10, full.Len() - 1, full.Len(), full.Len() + 1} {
+	graph := full.Snapshot()
+	children := make([]int, full.Len())
+	for _, p := range graph.Parent[1:] {
+		children[p]++
+	}
+	boundaryHits := 0
+	for budget := 1; budget <= full.Len()+1; budget++ {
 		opt := explore.Options{MaxConfigs: budget}
 		_, wantOK := explore.BuildAtlas(pr, root, opt)
 		b := explore.NewAtlasBuilder(pr, root)
@@ -134,9 +146,22 @@ func TestAtlasBuilderBudgetParity(t *testing.T) {
 		if b.Complete() != wantOK {
 			t.Errorf("budget %d: builder complete = %v, BuildAtlas ok = %v", budget, b.Complete(), wantOK)
 		}
-		if b.Len() > budget {
-			t.Errorf("budget %d: builder admitted %d nodes over budget", budget, b.Len())
+		wantLen, wantExpanded := 1, 0
+		for wantExpanded < wantLen && wantLen+children[wantExpanded] <= budget {
+			outdeg := int(graph.SuccStart[wantExpanded+1] - graph.SuccStart[wantExpanded])
+			if wantLen+outdeg > budget {
+				boundaryHits++
+			}
+			wantLen += children[wantExpanded]
+			wantExpanded++
 		}
+		if b.Len() != wantLen || b.Expanded() != wantExpanded {
+			t.Errorf("budget %d: builder stopped at %d nodes / %d expanded, budget rule says %d / %d",
+				budget, b.Len(), b.Expanded(), wantLen, wantExpanded)
+		}
+	}
+	if boundaryHits == 0 {
+		t.Error("no budget in the sweep put a node on the successor-count-overflows-but-fresh-fits boundary")
 	}
 }
 

@@ -105,6 +105,60 @@ func TestParallelPartialCorrectnessMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBuilderPrefixMatchesSequential holds the level-synchronous core's
+// edge-recording walk to the sequential oracle: under each case's bounds
+// the nodes a builder admits are, entry by entry, the first Len() entries
+// of the oracle's visit stream (the builder stops at a clean node boundary,
+// the oracle admits until full, so the builder's table is a prefix), and
+// bounds reached in two Extend calls leave the same table as one call.
+func TestBuilderPrefixMatchesSequential(t *testing.T) {
+	type step struct {
+		key   string
+		depth int32
+		via   model.Event
+	}
+	for _, tc := range determinismCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			c := model.MustInitial(tc.pr, model.Inputs{0, 1, 1})
+			var oracle []step
+			complete, _ := explore.Explore(tc.pr, c, withWorkers(tc.opt, 1), nil,
+				func(cfg *model.Config, depth int, path func() model.Schedule) bool {
+					st := step{key: string(cfg.KeyBytes()), depth: int32(depth)}
+					if depth > 0 {
+						st.via = path()[depth-1]
+					}
+					oracle = append(oracle, st)
+					return false
+				})
+			half := tc.opt
+			half.MaxConfigs = (len(oracle) + 1) / 2
+			half.MaxDepth = tc.opt.MaxDepth / 2
+			for _, w := range []int{1, 8} {
+				one := explore.NewAtlasBuilder(tc.pr, c)
+				one.Extend(withWorkers(tc.opt, w))
+				snap := one.Snapshot()
+				if snap.Len() > len(oracle) || one.Complete() != complete {
+					t.Fatalf("workers=%d: builder admitted %d nodes (complete=%v), oracle visited %d (complete=%v)",
+						w, snap.Len(), one.Complete(), len(oracle), complete)
+				}
+				for i := 0; i < snap.Len(); i++ {
+					got := step{key: string(snap.Keys[i]), depth: snap.Depth[i], via: snap.ParentVia[i]}
+					if got.key != oracle[i].key || got.depth != oracle[i].depth || !got.via.Same(oracle[i].via) {
+						t.Fatalf("workers=%d: node %d diverged from the oracle's visit %d", w, i, i)
+					}
+				}
+				two := explore.NewAtlasBuilder(tc.pr, c)
+				n := two.Extend(withWorkers(half, w))
+				n += two.Extend(withWorkers(tc.opt, w))
+				if n != one.Expanded() {
+					t.Fatalf("workers=%d: split Extend expanded %d nodes, one call %d", w, n, one.Expanded())
+				}
+				snapshotsEqual(t, "split Extend vs one call", snap, two.Snapshot())
+			}
+		})
+	}
+}
+
 // TestParallelLemma3MatchesSequential pins the frontier census — the
 // primitive under the Theorem 1 adversary — across worker counts,
 // including the witness schedule Sigma.

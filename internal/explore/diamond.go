@@ -85,12 +85,12 @@ func diamondOnAtlas(a *Atlas, e model.Event) DiamondReport {
 		if !ok {
 			panic(fmt.Sprintf("explore: event %s not applicable to member of ℰ; model invariant broken", e))
 		}
-		for ei := a.succStart[u]; ei < a.succStart[u+1]; ei++ {
-			ePrime := a.succVia[ei]
+		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
+			ePrime := a.g.SuccVia[ei]
 			if ePrime.Same(e) || ePrime.P == e.P {
 				continue
 			}
-			c1 := a.succTo[ei]
+			c1 := a.g.SuccTo[ei]
 			rep.Squares++
 			// Around the square: down-then-right vs right-then-down.
 			left, lok := a.succByEvent(d0, ePrime)

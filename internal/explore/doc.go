@@ -29,17 +29,27 @@
 //
 // # Parallel exploration
 //
-// [Options.Workers] selects the engine: <= 1 runs the classic sequential
-// loop, > 1 (the default is GOMAXPROCS) runs a level-synchronous parallel
-// BFS. Each frontier level is a contiguous slice of the node array; workers
-// expand nodes concurrently — event enumeration, no-op filtering, successor
-// application, and hash precomputation are all pure — and a single
-// coordinator then merges the per-node successor lists back in canonical
-// (node index, event order) order. Because visiting, deduplication,
-// budgeting, and witness selection all happen on the coordinator in that
-// fixed order, every observable — the visit stream, reachable counts,
-// truncation flags, valency witnesses, reports — is byte-identical at every
-// worker count. The differential tests in this package pin that contract.
+// The package has one level-synchronous breadth-first core (core.go) and
+// one sequential loop kept apart from it as the reference.
+//
+// [Options.Workers] > 1 (the default is GOMAXPROCS) runs [Explore] on the
+// core: each frontier level is a contiguous range of the node table;
+// workers expand its nodes concurrently — event enumeration, no-op
+// filtering, successor application, and hash precomputation are all pure —
+// and a single coordinator then merges the per-node successor lists back in
+// canonical (node index, event order) order. Because visiting,
+// deduplication, budgeting, and witness selection all happen on the
+// coordinator in that fixed order, every observable — the visit stream,
+// reachable counts, truncation flags, valency witnesses, reports — is
+// byte-identical at every worker count. [AtlasBuilder.Extend] and
+// [BuildAtlas] are the same core with successor edges recorded, at any
+// worker count (one worker expands inline instead of on the pool).
+//
+// Workers <= 1 runs Explore's fused sequential loop instead. It shares the
+// event filter, the admission [Ledger] and the interner with the core but
+// not the loop: it is the oracle the differential tests in this package,
+// package conformance and the benchmark's golden digests compare every
+// other engine against.
 //
 // Deduplication uses [model.Interner]: a sharded table keyed by the cached
 // 64-bit FNV-1a hash of the canonical key, with hash hits confirmed by full

@@ -4,15 +4,14 @@ import (
 	"github.com/flpsim/flp/internal/model"
 )
 
-// This file is the engine core shared by every exploration engine: the
-// sequential and parallel in-process engines of this package and the
-// distributed engine of package distexplore. All three are the same
-// breadth-first algorithm — expand frontier nodes in canonical order,
-// deduplicate successors against a visited set, admit first-seen
-// configurations under a budget — differing only in where the work runs.
-// Factoring expansion (ExpandConfig) and admission accounting (Ledger)
-// here is what makes the byte-identical-results contract a property of one
-// implementation rather than three parallel reimplementations.
+// This file holds what every exploration engine shares: the engines of
+// this package (the level-synchronous core in core.go and the sequential
+// oracle loop in reach.go) and the distributed engine of package
+// distexplore. All are the same breadth-first algorithm — expand frontier
+// nodes in canonical order, deduplicate successors against a visited set,
+// admit first-seen configurations under a budget — differing only in where
+// the work runs. Expansion (AppendSuccessors) and admission accounting
+// (Ledger) live here so that the rules they encode exist once.
 
 // Successor is one expansion product: the applied event together with the
 // resulting configuration, its fingerprint precomputed.
@@ -32,20 +31,15 @@ func skipEvent(pr model.Protocol, c *model.Config, e model.Event, skip func(mode
 	return e.IsNull() && model.IsNoOp(pr, c, e)
 }
 
-// ExpandConfig enumerates the successors of c under pr in canonical event
-// order, applying the same event filtering as every engine's merge path.
-// It is a pure function of its arguments (pr must honour the Protocol
-// contract of determinism and side-effect freedom), so it may run on any
-// worker — an in-process goroutine or a remote shard — without changing
-// results. Fingerprints are computed here, off the merge path.
-func ExpandConfig(pr model.Protocol, c *model.Config, skip func(model.Event) bool) []Successor {
-	return AppendSuccessors(pr, c, skip, nil)
-}
-
-// AppendSuccessors is ExpandConfig appending into a caller-owned buffer, so
-// level-synchronous engines can recycle successor slices across levels
-// instead of allocating one per expanded node. dst is truncated before use;
-// the returned slice is dst grown in place when capacity allows.
+// AppendSuccessors enumerates the successors of c under pr in canonical
+// event order into a caller-owned buffer, applying the same event
+// filtering as every engine's merge path. It is a pure function of its
+// arguments (pr must honour the Protocol contract of determinism and
+// side-effect freedom), so it may run on any worker — an in-process
+// goroutine or a remote shard — without changing results. Fingerprints are
+// computed here, off the merge path. dst is truncated before use and grown
+// in place when capacity allows, so engines recycle successor slices
+// instead of allocating one per expanded node.
 func AppendSuccessors(pr model.Protocol, c *model.Config, skip func(model.Event) bool, dst []Successor) []Successor {
 	dst = dst[:0]
 	for _, e := range model.Events(c) {

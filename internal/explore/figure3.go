@@ -119,8 +119,8 @@ func figure3OnAtlas(pr model.Protocol, a *Atlas, e model.Event) Figure3Report {
 	for _, u := range a.frontier(e) {
 		var sigma model.Schedule
 		haveSigma := false
-		for ei := a.succStart[u]; ei < a.succStart[u+1]; ei++ {
-			ePrime := a.succVia[ei]
+		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
+			ePrime := a.g.SuccVia[ei]
 			if ePrime.P != p || ePrime.Same(e) {
 				continue
 			}
@@ -137,7 +137,7 @@ func figure3OnAtlas(pr model.Protocol, a *Atlas, e model.Event) Figure3Report {
 			C0 := a.Config(u)
 			A := model.MustApplySchedule(pr, C0, sigma)
 			D0 := model.MustApply(pr, C0, e)
-			C1 := a.Config(a.succTo[ei])
+			C1 := a.Config(a.g.SuccTo[ei])
 			D1 := model.MustApply(pr, C1, e)
 
 			// e(A) = σ(D0): σ avoids p, e is p's — Lemma 1.

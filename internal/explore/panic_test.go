@@ -40,31 +40,46 @@ func (p *panicProto) Step(pid model.PID, s model.State, m *model.Message) (model
 // TestExpandLevelPanicDeterminism pins the re-raise rule of the parallel
 // expansion pool: when multiple nodes of one level panic, the surfaced
 // panic value is the one the sequential engine would have hit first,
-// regardless of worker count or scheduling.
+// regardless of worker count or scheduling — for every caller of the
+// level-synchronous core, whose inline (one worker) and pooled expansion
+// must agree with each other and with the sequential Explore.
 func TestExpandLevelPanicDeterminism(t *testing.T) {
 	pr := &panicProto{n: 2, boomAt: 2}
 	c := model.MustInitial(pr, model.Inputs{0, 0})
 
 	// At level 1 the frontier is [(1 step, 0 steps), (0 steps, 1 step)];
 	// expanding either node pushes a process to 2 steps, so both panic.
-	recovered := func(workers int) (v interface{}) {
-		defer func() { v = recover() }()
-		explore.Explore(pr, c, explore.Options{Workers: workers}, nil, nil)
-		return nil
+	engines := []struct {
+		name string
+		run  func(workers int)
+	}{
+		{"Explore", func(w int) { explore.Explore(pr, c, explore.Options{Workers: w}, nil, nil) }},
+		{"BuildAtlas", func(w int) { explore.BuildAtlas(pr, c, explore.Options{Workers: w}) }},
+		{"split Extend", func(w int) {
+			b := explore.NewAtlasBuilder(pr, c)
+			b.Extend(explore.Options{Workers: w, MaxDepth: 1}) // the root only: no panic yet
+			b.Extend(explore.Options{Workers: w})
+		}},
 	}
-
-	seq := recovered(1)
-	if seq == nil {
-		t.Fatal("sequential engine did not panic")
-	}
-	want := "panicproto: p0 reached 2 steps"
-	if seq != want {
-		t.Fatalf("sequential engine surfaced %v, want %q", seq, want)
-	}
-	for _, w := range []int{2, 8} {
-		for trial := 0; trial < 20; trial++ { // panic selection must not depend on scheduling
-			if got := recovered(w); got != seq {
-				t.Fatalf("workers=%d trial %d: surfaced panic %v, sequential engine surfaced %v", w, trial, got, seq)
+	const want = "panicproto: p0 reached 2 steps"
+	for _, eng := range engines {
+		recovered := func(workers int) (v interface{}) {
+			defer func() { v = recover() }()
+			eng.run(workers)
+			return nil
+		}
+		seq := recovered(1)
+		if seq == nil {
+			t.Fatalf("%s: one worker did not panic", eng.name)
+		}
+		if seq != want {
+			t.Fatalf("%s: one worker surfaced %v, want %q", eng.name, seq, want)
+		}
+		for _, w := range []int{2, 8} {
+			for trial := 0; trial < 20; trial++ { // panic selection must not depend on scheduling
+				if got := recovered(w); got != seq {
+					t.Fatalf("%s workers=%d trial %d: surfaced panic %v, one worker surfaced %v", eng.name, w, trial, got, seq)
+				}
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package explore
 import (
 	"sync"
 	"sync/atomic"
+
+	"github.com/flpsim/flp/internal/model"
 )
 
 // succPool recycles the per-level allocations of the level-synchronous
@@ -54,13 +56,13 @@ func (p *succPool) recycle(out [][]Successor) {
 	}
 }
 
-// expandLevel runs expand over every node of one breadth-first level on a
+// expandLevel expands every configuration of one breadth-first level on a
 // pool of workers and returns the successor lists indexed like level.
 // Expansion is pure, so the only coordination is work distribution: an
 // atomic cursor hands out node indices, which keeps fast workers busy when
 // node costs are uneven. Each slot of the returned slice carries a
-// recycled buffer from p that expand appends into; the caller must hand
-// the slice back with p.recycle once merged.
+// recycled buffer from p that AppendSuccessors appends into; the caller
+// must hand the slice back with p.recycle once merged.
 //
 // A panic in any worker (a protocol contract violation surfacing through
 // MustApply) is re-raised on the caller's goroutine once the pool has
@@ -68,10 +70,10 @@ func (p *succPool) recycle(out [][]Successor) {
 // frontier index is re-raised — the node the sequential engine would have
 // reached first — so the surfaced failure is byte-identical at every
 // worker count.
-func expandLevel(level []node, expand func(node, []Successor) []Successor, workers int, p *succPool) [][]Successor {
+func expandLevel(pr model.Protocol, skip func(model.Event) bool, level []*model.Config, workers int, p *succPool) [][]Successor {
 	out := p.level(len(level))
 	if len(level) == 1 {
-		out[0] = expand(level[0], out[0])
+		out[0] = AppendSuccessors(pr, level[0], skip, out[0])
 		return out
 	}
 	if workers > len(level) {
@@ -100,7 +102,7 @@ func expandLevel(level []node, expand func(node, []Successor) []Successor, worke
 					return
 				}
 				cur = i
-				out[i] = expand(level[i], out[i])
+				out[i] = AppendSuccessors(pr, level[i], skip, out[i])
 			}
 		}(w)
 	}

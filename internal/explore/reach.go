@@ -26,8 +26,9 @@ func Explore(pr model.Protocol, c *model.Config, opt Options, avoid *model.Event
 	return ExploreFiltered(pr, c, opt, AvoidFilter(avoid), visit)
 }
 
-// node is one entry of the breadth-first frontier. Parent links let path
-// reconstruction walk back to the root without storing schedules.
+// node is one entry of the sequential engine's breadth-first frontier.
+// Parent links let path reconstruction walk back to the root without
+// storing schedules.
 type node struct {
 	cfg    *model.Config
 	depth  int
@@ -40,72 +41,36 @@ type node struct {
 // The Lemma 2 proof walk uses it to explore runs in which a whole process
 // takes no steps.
 //
-// With Options.Workers > 1, node expansion — event enumeration, protocol
-// steps, and successor fingerprinting, the dominant costs — runs on a
-// worker pool one breadth-first level at a time, while a single
-// coordinator merges successors into the frontier in canonical order.
-// Results are byte-identical to the sequential engine. skip must be safe
-// for concurrent calls (the filters used by the checkers are pure
-// functions of the event); pr must honour the Protocol contract of being
-// deterministic and side-effect free, which also makes it safe to call
-// from several workers.
+// With Options.Workers > 1 the exploration runs on the level-synchronous
+// core (core.go): node expansion — event enumeration, protocol steps, and
+// successor fingerprinting, the dominant costs — runs on a worker pool one
+// breadth-first level at a time, while a single coordinator merges
+// successors into the frontier in canonical order. Results are
+// byte-identical to the sequential loop below, which is kept separate on
+// purpose: it is the oracle every other engine is compared against. skip
+// must be safe for concurrent calls (the filters used by the checkers are
+// pure functions of the event); pr must honour the Protocol contract of
+// being deterministic and side-effect free, which also makes it safe to
+// call from several workers.
 //
 // The distributed engine (package distexplore) runs the same algorithm
 // with the frontier partitioned by configuration hash range across worker
-// processes; it shares ExpandConfig and Ledger with this implementation,
+// processes; it shares AppendSuccessors and Ledger with this package,
 // which is what keeps its results byte-identical too.
 func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(model.Event) bool, visit Visit) (complete bool, visited int) {
 	opt = opt.withDefaults()
 
-	nodes := []node{{cfg: c, depth: 0, parent: -1}}
-	seen := model.NewInterner()
-	seen.Intern(c)
-	led := NewLedger(opt)
-
-	pathOf := func(i int) func() model.Schedule {
-		return func() model.Schedule {
-			var rev model.Schedule
-			for j := i; nodes[j].parent >= 0; j = nodes[j].parent {
-				rev = append(rev, nodes[j].via)
-			}
-			// Reverse into root-to-node order.
-			sigma := make(model.Schedule, len(rev))
-			for k := range rev {
-				sigma[k] = rev[len(rev)-1-k]
-			}
-			return sigma
-		}
-	}
-
-	// expand computes the successors of one node via the shared engine
-	// core, appending into a buffer recycled across levels. It is a pure
-	// function of the node and its buffer, so workers may run it ahead of
-	// the coordinator without changing results.
-	expand := func(n node, dst []Successor) []Successor {
-		if opt.DepthCapped(n.depth) {
-			return dst[:0]
-		}
-		return AppendSuccessors(pr, n.cfg, skip, dst)
-	}
-
-	// merge folds one node's successors into the frontier: first-seen
-	// configurations are appended in canonical event order until the
-	// budget is reached. Only the coordinator calls merge, so frontier
-	// growth — and therefore node indices, paths, and truncation — is
-	// deterministic for every worker count.
-	merge := func(parent int, succs []Successor) {
-		for _, s := range succs {
-			if _, fresh := seen.Intern(s.Cfg); !fresh {
-				continue
-			}
-			if !led.Admit() {
-				break
-			}
-			nodes = append(nodes, node{cfg: s.Cfg, depth: nodes[parent].depth + 1, parent: parent, via: s.Via})
-		}
-	}
-
 	if opt.Workers <= 1 {
+		led := NewLedger(opt)
+		nodes := []node{{cfg: c, depth: 0, parent: -1}}
+		seen := model.NewInterner()
+		seen.Intern(c)
+		pathOf := func(i int) func() model.Schedule {
+			return func() model.Schedule {
+				return treePath(i, nodes[i].depth, func(j int) (int, model.Event) { return nodes[j].parent, nodes[j].via })
+			}
+		}
+
 		// Sequential engine: expansion and merging are fused so the event
 		// loop can break the moment a fresh successor overflows the budget,
 		// skipping the protocol steps and fingerprints for the rest of the
@@ -138,35 +103,8 @@ func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(
 		return led.Complete(), len(nodes)
 	}
 
-	// Parallel engine: breadth-first levels are contiguous index ranges
-	// (successors always land after every node of the current depth), so
-	// each level [start, end) is expanded by the worker pool as a whole,
-	// then visited and merged in index order. Workers may expand nodes the
-	// budget will discard (the level is speculated as a whole); that slack
-	// is bounded by one level and never reaches an observable.
-	pool := &succPool{}
-	for start, end := 0, 1; start < end; start, end = end, len(nodes) {
-		var exps [][]Successor
-		if !led.Sealed() {
-			exps = expandLevel(nodes[start:end], expand, opt.Workers, pool)
-		}
-		for i := start; i < end; i++ {
-			n := nodes[i]
-			if visit != nil && visit(n.cfg, n.depth, pathOf(i)) {
-				return false, len(nodes)
-			}
-			if !led.ShouldExpand(n.depth) {
-				continue
-			}
-			if exps != nil {
-				merge(i, exps[i-start])
-			}
-		}
-		if exps != nil {
-			pool.recycle(exps)
-		}
-	}
-	return led.Complete(), len(nodes)
+	w := newCore(pr, c, skip, false)
+	return w.walk(0, opt, visit), w.Len()
 }
 
 // Reachable reports whether target is reachable from c (by configuration
