@@ -60,13 +60,18 @@ func (c *core) admit(cfg *model.Config, parent int32, via model.Event) {
 // node not yet visited/expanded — under opt's bounds (defaults applied),
 // and reports whether it exhausted the reachable set: false when a bound
 // cut something off or visit stopped it. Levels are contiguous id ranges
-// (successors always land after every node of the current depth), so each
-// level is expanded as a whole on the worker pool when opt.Workers > 1, or
-// node by node inline otherwise, and then visited and merged in id order
-// by this one goroutine. That fixed merge order is what makes every array,
-// count and truncation flag independent of the worker count. The pool
-// speculates: it may expand nodes the budget then discards; that slack is
-// bounded by one level and never reaches an observable.
+// (successors always land after every node of the current depth), so a
+// level is expanded a chunk at a time on the worker pool when opt.Workers
+// > 1, or node by node inline otherwise, and each chunk is then visited
+// and merged in id order by this one goroutine. That fixed merge order is
+// what makes every array, count and truncation flag independent of the
+// worker count.
+//
+// The pool speculates: it may expand nodes the budget then discards. The
+// ledger bounds that slack to one chunk (specChunk), and a node is merged
+// only while the ledger is not sealed — the per-node test the sequential
+// oracle makes — so the nodes whose successors are merged, and everything
+// observable, are the oracle's whatever the chunking.
 //
 // A walk that records edges stops at the first node it may not expand in
 // full (depth cap or budget), because CSR rows close in node order — the
@@ -84,31 +89,52 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 	}
 	for start := from; start < end; start, end = end, len(c.cfgs) {
 		depth := int(c.g.Depth[start])
-		expandable := !led.Sealed() && !opt.DepthCapped(depth)
-		var exps [][]Successor
-		if expandable && opt.Workers > 1 {
-			exps = expandLevel(c.pr, c.skip, c.cfgs[start:end], opt.Workers, &pool)
-		}
-		for u := start; u < end; u++ {
-			if visit != nil && visit(c.cfgs[u], depth, func() model.Schedule { return c.pathTo(u) }) {
-				return false
+		for lo := start; lo < end; {
+			hi := end
+			var exps [][]Successor
+			if opt.Workers > 1 && !led.Sealed() && !opt.DepthCapped(depth) {
+				hi = lo + specChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, opt.Workers)
+				exps = expandLevel(c.pr, c.skip, c.cfgs[lo:hi], opt.Workers, &pool)
 			}
-			closed := false
-			if led.ShouldExpand(depth) && expandable {
-				if exps != nil {
-					closed = c.merge(u, exps[u-start], led)
-				} else {
-					inline = AppendSuccessors(c.pr, c.cfgs[u], c.skip, inline)
-					closed = c.merge(u, inline, led)
+			for u := lo; u < hi; u++ {
+				if visit != nil && visit(c.cfgs[u], depth, func() model.Schedule { return c.pathTo(u) }) {
+					return false
+				}
+				closed := false
+				if led.ShouldExpand(depth) && !led.Sealed() {
+					if exps != nil {
+						closed = c.merge(u, exps[u-lo], led)
+					} else {
+						inline = AppendSuccessors(c.pr, c.cfgs[u], c.skip, inline)
+						closed = c.merge(u, inline, led)
+					}
+				}
+				if edges && !closed {
+					return false
 				}
 			}
-			if edges && !closed {
-				return false
-			}
+			pool.recycle(exps)
+			lo = hi
 		}
-		pool.recycle(exps)
 	}
 	return led.Complete()
+}
+
+// specChunk sizes the next pooled expansion of a level with remaining
+// nodes left: as many nodes as the budget's room is expected to pay for at
+// the table's running rate of admissions per expanded node (count over
+// expanded, so at least one), floored at a few nodes per worker so the
+// pool stays busy, and capped at the level's remainder — which is the
+// whole answer while the budget is far.
+func specChunk(remaining, room, expanded, count, workers int) int {
+	n := float64(room)
+	if expanded > 0 {
+		n *= float64(expanded) / float64(count)
+	}
+	if n >= float64(remaining) {
+		return remaining
+	}
+	return min(max(int(n), 4*workers), remaining)
 }
 
 // merge folds node u's successors into the table in canonical event order

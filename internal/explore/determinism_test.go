@@ -18,7 +18,9 @@ import (
 
 // determinismCases covers every seed protocol. Unbounded state spaces
 // (paxos, benor) and large finite ones (3pc, onethird) run under a budget,
-// which additionally exercises truncation determinism at the boundary.
+// which additionally exercises truncation determinism at the boundary. The
+// last six are the explore-wide shapes at budgets that cut a level in the
+// middle, where the level path expands in ledger-sized chunks.
 func determinismCases(t *testing.T) []struct {
 	name string
 	pr   model.Protocol
@@ -50,7 +52,19 @@ func determinismCases(t *testing.T) []struct {
 		{"benor-budget", mk("benor", 3), explore.Options{MaxConfigs: 600}},
 		{"naivemajority-depth4", mk("naivemajority", 3), explore.Options{MaxDepth: 4}},
 		{"naivemajority-budget137", mk("naivemajority", 3), explore.Options{MaxConfigs: 137}},
+		{"naivemajority4-budget60", mk("naivemajority", 4), explore.Options{MaxConfigs: 60}},
+		{"naivemajority4-budget400", mk("naivemajority", 4), explore.Options{MaxConfigs: 400}},
+		{"naivemajority4-budget1000", mk("naivemajority", 4), explore.Options{MaxConfigs: 1000}},
+		{"paxos-budget60", mk("paxos", 3), explore.Options{MaxConfigs: 60}},
+		{"paxos-budget400", mk("paxos", 3), explore.Options{MaxConfigs: 400}},
+		{"paxos-budget1000", mk("paxos", 3), explore.Options{MaxConfigs: 1000}},
 	}
+}
+
+// caseRoot is the initial configuration the case-driven tests start from:
+// inputs 0,1,1 (and 0 for a fourth process).
+func caseRoot(pr model.Protocol) *model.Config {
+	return model.MustInitial(pr, model.Inputs{0, 1, 1, 0}[:pr.N()])
 }
 
 func withWorkers(opt explore.Options, w int) explore.Options {
@@ -61,7 +75,7 @@ func withWorkers(opt explore.Options, w int) explore.Options {
 func TestParallelCountReachableMatchesSequential(t *testing.T) {
 	for _, tc := range determinismCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			c := model.MustInitial(tc.pr, model.Inputs{0, 1, 1})
+			c := caseRoot(tc.pr)
 			seqCount, seqExact := explore.CountReachable(tc.pr, c, withWorkers(tc.opt, 1))
 			parCount, parExact := explore.CountReachable(tc.pr, c, withWorkers(tc.opt, 8))
 			if seqCount != parCount || seqExact != parExact {
@@ -111,6 +125,8 @@ func TestParallelPartialCorrectnessMatchesSequential(t *testing.T) {
 // of the oracle's visit stream (the builder stops at a clean node boundary,
 // the oracle admits until full, so the builder's table is a prefix), and
 // bounds reached in two Extend calls leave the same table as one call.
+// BuildAtlas, the same walk finished, answers exactly when the oracle
+// completed, with one node per oracle visit.
 func TestBuilderPrefixMatchesSequential(t *testing.T) {
 	type step struct {
 		key   string
@@ -119,7 +135,7 @@ func TestBuilderPrefixMatchesSequential(t *testing.T) {
 	}
 	for _, tc := range determinismCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			c := model.MustInitial(tc.pr, model.Inputs{0, 1, 1})
+			c := caseRoot(tc.pr)
 			var oracle []step
 			complete, _ := explore.Explore(tc.pr, c, withWorkers(tc.opt, 1), nil,
 				func(cfg *model.Config, depth int, path func() model.Schedule) bool {
@@ -133,7 +149,11 @@ func TestBuilderPrefixMatchesSequential(t *testing.T) {
 			half := tc.opt
 			half.MaxConfigs = (len(oracle) + 1) / 2
 			half.MaxDepth = tc.opt.MaxDepth / 2
-			for _, w := range []int{1, 8} {
+			for _, w := range []int{1, 2, 8} {
+				atlas, ok := explore.BuildAtlas(tc.pr, c, withWorkers(tc.opt, w))
+				if ok != (complete && tc.opt.MaxDepth == 0) || (ok && atlas.Len() != len(oracle)) {
+					t.Fatalf("workers=%d: BuildAtlas ok=%v, oracle visited %d (complete=%v)", w, ok, len(oracle), complete)
+				}
 				one := explore.NewAtlasBuilder(tc.pr, c)
 				one.Extend(withWorkers(tc.opt, w))
 				snap := one.Snapshot()
@@ -246,35 +266,39 @@ func TestParallelGeneratedProtocolsMatchSequential(t *testing.T) {
 }
 
 // TestParallelExploreOrderMatchesSequential compares the raw visit
-// streams: configuration keys, depths, and reconstructed paths must agree
-// position by position, which is stronger than any aggregate report.
+// streams of every case: configuration keys, depths, and reconstructed
+// paths must agree position by position, and so must the count and the
+// completeness flag — which is stronger than any aggregate report.
 func TestParallelExploreOrderMatchesSequential(t *testing.T) {
 	type step struct {
 		key   string
 		depth int
 		path  string
 	}
-	pr := protocols.NewNaiveMajority(3)
-	c := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	stream := func(workers int) []step {
-		var out []step
-		explore.Explore(pr, c, explore.Options{MaxConfigs: 600, Workers: workers}, nil,
-			func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-				out = append(out, step{key: cfg.Key(), depth: depth, path: path().String()})
-				return false
-			})
-		return out
-	}
-	seq := stream(1)
-	for _, w := range []int{2, 3, 8} {
-		par := stream(w)
-		if len(seq) != len(par) {
-			t.Fatalf("workers=%d: visit count %d, sequential %d", w, len(par), len(seq))
-		}
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatalf("workers=%d: visit %d diverged:\n sequential: %+v\n parallel:   %+v", w, i, seq[i], par[i])
+	for _, tc := range determinismCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			c := caseRoot(tc.pr)
+			stream := func(workers int) (out []step, complete bool, visited int) {
+				complete, visited = explore.Explore(tc.pr, c, withWorkers(tc.opt, workers), nil,
+					func(cfg *model.Config, depth int, path func() model.Schedule) bool {
+						out = append(out, step{key: cfg.Key(), depth: depth, path: path().String()})
+						return false
+					})
+				return out, complete, visited
 			}
-		}
+			seq, seqComplete, seqVisited := stream(1)
+			for _, w := range []int{2, 3, 8} {
+				par, parComplete, parVisited := stream(w)
+				if len(seq) != len(par) || seqComplete != parComplete || seqVisited != parVisited {
+					t.Fatalf("workers=%d: %d visits (count %d, complete=%v), sequential %d (count %d, complete=%v)",
+						w, len(par), parVisited, parComplete, len(seq), seqVisited, seqComplete)
+				}
+				for i := range seq {
+					if seq[i] != par[i] {
+						t.Fatalf("workers=%d: visit %d diverged:\n sequential: %+v\n parallel:   %+v", w, i, seq[i], par[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -34,10 +34,13 @@
 //
 // [Options.Workers] > 1 (the default is GOMAXPROCS) runs [Explore] on the
 // core: each frontier level is a contiguous range of the node table;
-// workers expand its nodes concurrently — event enumeration, no-op
-// filtering, successor application, and hash precomputation are all pure —
-// and a single coordinator then merges the per-node successor lists back in
-// canonical (node index, event order) order. Because visiting,
+// workers expand its nodes concurrently, a chunk at a time — event
+// enumeration, no-op filtering, successor application, and hash
+// precomputation are all pure — and a single coordinator then merges the
+// per-node successor lists back in canonical (node index, event order)
+// order. A chunk is the whole level while the budget is far and shrinks to
+// what the budget's room can still admit as it nears, so the pool never
+// expands more than one chunk the budget then throws away. Because visiting,
 // deduplication, budgeting, and witness selection all happen on the
 // coordinator in that fixed order, every observable — the visit stream,
 // reachable counts, truncation flags, valency witnesses, reports — is

@@ -20,15 +20,16 @@ type Successor struct {
 	Cfg *model.Config
 }
 
-// skipEvent reports whether e is excluded from the expansion of c: either
-// the caller's filter rejects it, or it is a null event that would not
-// change the system state (skipping no-op nulls is what keeps the explored
-// state space of a finite protocol finite).
-func skipEvent(pr model.Protocol, c *model.Config, e model.Event, skip func(model.Event) bool) bool {
+// successor returns e(c), or nil when e is excluded from the expansion of
+// c: either the caller's filter rejects it, or it is a null event that
+// would not change the system state (skipping no-op nulls is what keeps
+// the explored state space of a finite protocol finite). model.Expand
+// decides the latter from the same protocol step that builds the child.
+func successor(pr model.Protocol, c *model.Config, e model.Event, skip func(model.Event) bool) *model.Config {
 	if skip != nil && skip(e) {
-		return true
+		return nil
 	}
-	return e.IsNull() && model.IsNoOp(pr, c, e)
+	return model.Expand(pr, c, e)
 }
 
 // AppendSuccessors enumerates the successors of c under pr in canonical
@@ -43,10 +44,10 @@ func skipEvent(pr model.Protocol, c *model.Config, e model.Event, skip func(mode
 func AppendSuccessors(pr model.Protocol, c *model.Config, skip func(model.Event) bool, dst []Successor) []Successor {
 	dst = dst[:0]
 	for _, e := range model.Events(c) {
-		if skipEvent(pr, c, e, skip) {
+		nc := successor(pr, c, e, skip)
+		if nc == nil {
 			continue
 		}
-		nc := model.MustApply(pr, c, e)
 		nc.Hash()
 		dst = append(dst, Successor{Via: e, Cfg: nc})
 	}

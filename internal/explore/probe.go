@@ -124,7 +124,7 @@ func pickSenderFirst(q model.PID) pickFunc {
 //
 // The run is executed on a mutable state slice plus a FIFO tracker rather
 // than through immutable configurations: probes never compare
-// configurations, so paying for buffer clones and canonical keys on every
+// configurations, so paying for buffer copies and canonical keys on every
 // step — the dominant cost at hundreds of steps per run and dozens of runs
 // per probe — would buy nothing.
 func fairRun(pr model.Protocol, c *model.Config, order []model.PID, maxSteps int, pick pickFunc) (model.Schedule, []model.Value) {

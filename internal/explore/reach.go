@@ -87,10 +87,10 @@ func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(
 				continue
 			}
 			for _, e := range model.Events(n.cfg) {
-				if skipEvent(pr, n.cfg, e, skip) {
+				nc := successor(pr, n.cfg, e, skip)
+				if nc == nil {
 					continue
 				}
-				nc := model.MustApply(pr, n.cfg, e)
 				if _, fresh := seen.Intern(nc); !fresh {
 					continue
 				}

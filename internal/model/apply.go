@@ -43,6 +43,14 @@ func Apply(pr Protocol, c *Config, e Event) (*Config, error) {
 // the step (with From stamped), for callers that maintain send-order
 // bookkeeping on top of the untimed buffer.
 func ApplyTraced(pr Protocol, c *Config, e Event) (*Config, []Message, error) {
+	return step(pr, c, e, false)
+}
+
+// step is the one place a protocol is stepped into a new configuration.
+// With dropNoOp set, a null event that leaves c unchanged (IsNoOp) yields
+// (nil, nil, nil) instead of a copy of c, decided from the same Step call
+// that would have produced the child.
+func step(pr Protocol, c *Config, e Event, dropNoOp bool) (*Config, []Message, error) {
 	if int(e.P) < 0 || int(e.P) >= c.N() {
 		return nil, nil, &ProtocolError{Protocol: pr.Name(), P: e.P, Reason: "no such process"}
 	}
@@ -51,6 +59,9 @@ func ApplyTraced(pr Protocol, c *Config, e Event) (*Config, []Message, error) {
 	}
 	old := c.State(e.P)
 	ns, sends := pr.Step(e.P, old, e.Msg)
+	if dropNoOp && e.Msg == nil && unchanged(old, ns, sends) {
+		return nil, nil, nil
+	}
 	if ns == nil {
 		return nil, nil, &ProtocolError{Protocol: pr.Name(), P: e.P, Reason: "Step returned nil state"}
 	}
@@ -84,6 +95,17 @@ func MustApply(pr Protocol, c *Config, e Event) *Config {
 	return nc
 }
 
+// Expand returns the successor e(c) as MustApply does, or nil when e is a
+// null event that is a no-op on c (IsNoOp). It steps the process once, so
+// exploration engines call it instead of IsNoOp followed by MustApply.
+func Expand(pr Protocol, c *Config, e Event) *Config {
+	nc, _, err := step(pr, c, e, true)
+	if err != nil {
+		panic(err)
+	}
+	return nc
+}
+
 // IsNoOp reports whether applying e to c leaves the system state unchanged:
 // same process state and no messages sent (and nothing consumed). Null
 // events that are no-ops can be skipped during exploration without losing
@@ -94,5 +116,11 @@ func IsNoOp(pr Protocol, c *Config, e Event) bool {
 		return false // consuming a message always changes the buffer
 	}
 	ns, sends := pr.Step(e.P, c.State(e.P), nil)
-	return ns != nil && len(sends) == 0 && ns.Key() == c.State(e.P).Key()
+	return unchanged(c.State(e.P), ns, sends)
+}
+
+// unchanged reports whether a null step from old to ns that sent sends
+// changed nothing.
+func unchanged(old, ns State, sends []Message) bool {
+	return ns != nil && len(sends) == 0 && ns.Key() == old.Key()
 }

@@ -36,7 +36,7 @@ import (
 // store wins and all stores are equal.
 type Config struct {
 	states []State
-	buf    *Buffer
+	buf    Buffer
 	key    atomic.Pointer[string] // lazily computed canonical key (string view)
 	bkey   atomic.Pointer[[]byte] // lazily computed binary canonical key
 	hash   atomic.Uint64          // lazily computed fingerprint; 0 = unset
@@ -75,7 +75,7 @@ func Initial(pr Protocol, in Inputs) (*Config, error) {
 		}
 		states[p] = s
 	}
-	return &Config{states: states, buf: NewBuffer()}, nil
+	return &Config{states: states}, nil
 }
 
 // MustInitial is Initial but panics on error, for tests and examples with
@@ -96,7 +96,7 @@ func (c *Config) State(p PID) State { return c.states[p] }
 
 // Buffer returns the message buffer. Callers must not mutate it; use Apply
 // to take steps.
-func (c *Config) Buffer() *Buffer { return c.buf }
+func (c *Config) Buffer() *Buffer { return &c.buf }
 
 // Output returns the output register content of process p.
 func (c *Config) Output(p PID) Output { return c.states[p].Output() }
@@ -351,14 +351,7 @@ func (c *Config) withStep(p PID, ns State, remove *Message, sends []Message) *Co
 	states := make([]State, len(c.states))
 	copy(states, c.states)
 	states[p] = ns
-	buf := c.buf.Clone()
-	if remove != nil {
-		buf.Remove(*remove)
-	}
-	for _, m := range sends {
-		buf.Send(m)
-	}
-	nc := &Config{states: states, buf: buf}
+	nc := &Config{states: states, buf: c.buf.with(remove, sends)}
 	if pk := c.bkey.Load(); pk != nil {
 		nc.parentKey, nc.parentP = *pk, int32(p)
 	}

@@ -70,31 +70,22 @@ func Applicable(c *Config, e Event) bool {
 // Events enumerates the applicable events of c, one per process-and-
 // distinct-message pair plus the null event for every process. Duplicate
 // copies of a message are interchangeable under multiset semantics, so one
-// event per distinct message is exhaustive.
+// event per distinct message is exhaustive. Delivery events point at the
+// buffer's own (immutable) entries.
 func Events(c *Config) []Event {
-	msgs := c.Buffer().Messages()
-	evs := make([]Event, 0, c.N()+len(msgs))
+	evs := make([]Event, 0, c.N()+len(c.buf.es))
 	for p := 0; p < c.N(); p++ {
 		evs = append(evs, NullEvent(PID(p)))
-		for i := range msgs {
-			if int(msgs[i].To) == p {
-				evs = append(evs, Event{P: PID(p), Msg: &msgs[i]})
-			}
-		}
+		evs = c.buf.appendDeliveries(evs, PID(p))
 	}
 	return evs
 }
 
 // DeliveryEvents enumerates only the message-delivery events of c.
 func DeliveryEvents(c *Config) []Event {
-	msgs := c.Buffer().Messages()
-	evs := make([]Event, 0, len(msgs))
+	evs := make([]Event, 0, len(c.buf.es))
 	for p := 0; p < c.N(); p++ {
-		for i := range msgs {
-			if int(msgs[i].To) == p {
-				evs = append(evs, Event{P: PID(p), Msg: &msgs[i]})
-			}
-		}
+		evs = c.buf.appendDeliveries(evs, PID(p))
 	}
 	return evs
 }

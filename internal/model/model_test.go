@@ -481,31 +481,3 @@ func TestApplicableEdgeCases(t *testing.T) {
 		t.Error("mismatched delivery applicable")
 	}
 }
-
-func TestBufferOperations(t *testing.T) {
-	b := model.NewBuffer()
-	m := model.Message{To: 0, From: 1, Body: "x"}
-	b.Send(m)
-	b.Send(m)
-	if b.Count(m) != 2 || b.Len() != 2 {
-		t.Errorf("Count=%d Len=%d, want 2, 2", b.Count(m), b.Len())
-	}
-	if !b.Remove(m) || b.Count(m) != 1 {
-		t.Error("Remove failed")
-	}
-	clone := b.Clone()
-	clone.Remove(m)
-	if !b.Contains(m) {
-		t.Error("Clone not independent")
-	}
-	if b.Equal(clone) {
-		t.Error("unequal buffers Equal")
-	}
-	if b.String() == "∅" {
-		t.Error("nonempty buffer renders empty")
-	}
-	b.Remove(m)
-	if b.String() != "∅" {
-		t.Errorf("empty buffer String = %q", b.String())
-	}
-}
