@@ -27,12 +27,13 @@ test-dist:
 	$(GO) run ./cmd/flpcluster selftest -workers 3 -shards 6 -protocol 2pc
 
 # Fault injection under the race detector: the scripted kill sweep
-# (every worker × every level), mixed-fault chaos seeds, compression
-# negotiation, the R=1 abort contract, coordinator kills at every level
-# boundary with checkpoint resume, and worker rejoin — the recovery half
-# of the byte-identical guarantee.
+# (every worker × every level), kills inside a chunked level (on the adopt
+# batch that opens it and on an expand request), mixed-fault chaos seeds,
+# compression negotiation, the R=1 abort contract, coordinator kills at
+# every level boundary with checkpoint resume, and worker rejoin — the
+# recovery half of the byte-identical guarantee.
 test-chaos:
-	$(GO) test -race -count=1 -run 'TestFailover|TestReplicasOne|TestChaos|TestCompression|TestInterrupt|TestWorkerDrain|TestWorkerLost|TestRetryAfterConnLoss|TestCheckpoint|TestRejoin|TestLostShard' ./internal/distexplore
+	$(GO) test -race -count=1 -run 'TestFailover|TestKillInside|TestReplicasOne|TestChaos|TestCompression|TestInterrupt|TestWorkerDrain|TestWorkerLost|TestRetryAfterConnLoss|TestCheckpoint|TestRejoin|TestLostShard' ./internal/distexplore
 
 test-short:
 	$(GO) test -short ./...
@@ -56,8 +57,14 @@ test-store:
 serve:
 	$(GO) run ./cmd/flpserve -listen 127.0.0.1:8080 -pool 4
 
+FUZZTIME ?= 30s
+
+# Native fuzzing: the configuration key/hash contract, and every payload
+# decoder of the cluster protocol (error, or re-encodes to the same bytes;
+# never a panic, never a slice sized past the payload).
 fuzz:
-	$(GO) test ./internal/model -fuzz FuzzConfigKeyHash -fuzztime 30s
+	$(GO) test ./internal/model -fuzz FuzzConfigKeyHash -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/distexplore -run '^$$' -fuzz FuzzWirePayloads -fuzztime $(FUZZTIME)
 
 # Cross-engine conformance fuzzing: random generated protocols through
 # sequential, parallel, distributed (fault-free and under a scripted
@@ -65,7 +72,6 @@ fuzz:
 # input is shrunk to a minimal reproducer and dumped under
 # testdata/failures/ as a loadable fixture; replay it with
 # `flpcheck -genspec <name from the fixture> -conformance`.
-FUZZTIME ?= 30s
 fuzz-conformance:
 	$(GO) test ./internal/conformance -fuzz FuzzConformanceTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -fuzz FuzzConformanceBenOr -fuzztime $(FUZZTIME)
@@ -126,10 +132,11 @@ bench-store:
 bench-checkpoint:
 	$(GO) run ./cmd/flpbench -experiment E25
 
-# The allocation guardrail: the AllocsPerRun pins plus the hot-path
+# The allocation guardrail: the AllocsPerRun pins (in distexplore: one
+# budgeted loopback run against the sequential engine) plus the hot-path
 # benchmarks the EXPERIMENTS.md numbers are regenerated from.
 bench-alloc:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
 
 vet:

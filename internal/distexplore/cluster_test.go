@@ -409,7 +409,7 @@ func TestOwnerShardPartition(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for s := 0; s < 8; s++ {
-		seen[ownerWorker(s, 3)] = true
+		seen[shardReplicas(s, 3, 1)[0]] = true
 	}
 	if len(seen) != 3 {
 		t.Errorf("round-robin dealing of 8 shards reached %d of 3 workers", len(seen))

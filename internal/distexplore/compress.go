@@ -15,10 +15,9 @@ import (
 // is negotiated, never assumed: the coordinator opens each connection with
 // a hello frame listing the codecs it speaks, the worker answers with the
 // one it accepts (or none), and only after that may either side set
-// frameCompressedBit. A peer that predates the hello frame answers it with
-// frameErr (unknown frame type), which the coordinator treats as "no
-// compression" — so old and new cluster members interoperate with plain
-// frames, unchanged.
+// frameCompressedBit. A peer that answers the hello with frameErr gets
+// plain frames. (Only the codec is negotiated; the payload format is
+// versioned and checked at init, see wire.go.)
 
 // codecFlate is the one codec currently offered: stdlib DEFLATE at
 // BestSpeed (the frames are latency-sensitive; level 1 already removes

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,9 +41,8 @@ type RPCOptions struct {
 	Seed int64
 	// Compress offers wire-level frame compression in the per-connection
 	// hello exchange. Workers that accept it receive and send large frames
-	// deflated; peers that predate the hello frame answer it with an
-	// error, which the coordinator treats as "plain frames only" — old and
-	// new cluster members interoperate unchanged.
+	// deflated; a peer that answers the hello with an error gets plain
+	// frames.
 	//
 	// The offer is adaptive: on transports that declare themselves
 	// in-process (InProcessTransport — loopback, and fault wrappers
@@ -483,47 +483,46 @@ type nodeRec struct {
 	via    model.Event
 }
 
-// expandPhase collects one level's candidates: every shard is expanded by
-// its current primary, and when a primary is lost mid-phase its pending
-// shards are re-issued to the next live replica — expansion is pure on the
-// workers, so the promoted standby recomputes the identical candidate set
-// from its replicated frontier. The loop ends when every shard has
-// answered, or a shard runs out of live replicas.
-func (cl *Cluster) expandPhase(rs *replicaSet, level int) ([]candidate, error) {
+// expandPhase collects one chunk's candidates — the level's nodes with a
+// global index in [ch.lo, hi): every shard is expanded by its current
+// primary, and when a primary is lost mid-phase its pending shards are
+// re-issued to the next live replica — expansion is pure on the workers, so
+// the promoted standby recomputes the identical candidate set from its
+// replicated frontier. The loop ends when every shard has answered, or a
+// shard runs out of live replicas.
+func (cl *Cluster) expandPhase(rs *replicaSet, ch chunkID, hi int) ([]candidate, error) {
 	done := make([]bool, rs.shards)
 	var all []candidate
 	for {
-		assign := make(map[int][]uint64)
-		pending := 0
+		assign := make(map[int][]int)
 		for s := 0; s < rs.shards; s++ {
 			if done[s] {
 				continue
 			}
-			pending++
 			w, ok := rs.primary(s)
 			if !ok {
 				return nil, rs.lostShard(s)
 			}
-			assign[w] = append(assign[w], uint64(s))
+			assign[w] = append(assign[w], s)
 		}
-		if pending == 0 {
+		if len(assign) == 0 {
 			return all, nil
 		}
 		payloads := make(map[int][]byte, len(assign))
 		for w, ss := range assign {
-			payloads[w] = encodeLevelIndices(level, ss)
+			payloads[w] = (&expandReq{Level: ch.level, Lo: ch.lo, Hi: hi, Shards: ss}).encode()
 		}
 		resps, err := cl.replicatedFanout(rs, frameExpand, frameExpandResp, payloads)
 		if err != nil {
 			return nil, err
 		}
 		for w, resp := range resps {
-			lv, cands, err := decodeLevelCandidates(resp)
+			lv, cands, err := decodeCandidates(resp)
 			if err != nil {
-				return nil, fmt.Errorf("distexplore: worker %d expand response: %w", w, err)
+				return nil, &WorkerError{Worker: w, Addr: cl.workers[w].addr, Msg: fmt.Sprintf("malformed expand response: %v", err)}
 			}
-			if lv != level {
-				return nil, fmt.Errorf("distexplore: worker %d answered expand for level %d, want %d", w, lv, level)
+			if lv != ch.level {
+				return nil, fmt.Errorf("distexplore: worker %d answered expand for level %d, want %d", w, lv, ch.level)
 			}
 			all = append(all, cands...)
 			for _, s := range assign[w] {
@@ -535,33 +534,59 @@ func (cl *Cluster) expandPhase(rs *replicaSet, level int) ([]candidate, error) {
 	}
 }
 
-// dedupPhase routes one level's candidates (already in global merge order)
-// to their shards, sends each shard's batch to every live replica, and
-// settles freshness from the primary's answer. Replicas apply identical
-// batches in identical order, so their answers must agree — a divergence
-// is reported as corruption, not silently resolved. Lost workers are
-// tolerated as long as each candidate-bearing shard keeps one live
-// replica whose answer arrived.
-func (cl *Cluster) dedupPhase(rs *replicaSet, level int, all []candidate) ([]candidate, error) {
-	byShard := make([][]candidate, rs.shards)
+// mergeOrder puts one chunk's candidates in global merge order — sorted by
+// (parent node index, successor index within the parent's canonical
+// expansion), which is precisely the order in which the sequential engine
+// would consider them — and keeps only the first occurrence of each key:
+// dedup would call every later one seen, whatever it says of the first.
+// Per-shard groups preserve this order, so "first fresh in the group" equals
+// "first fresh globally" per configuration (a key's candidates all land in
+// one shard).
+func mergeOrder(all []candidate) []candidate {
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Parent != all[j].Parent {
+			return all[i].Parent < all[j].Parent
+		}
+		return all[i].SuccIdx < all[j].SuccIdx
+	})
+	first := make(map[uint64]int, len(all))
+	kept := all[:0]
 	for _, c := range all {
+		if firstOccurrence(first, kept, c.wireKey) {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// dedupPhase routes one chunk's candidates (in merge order) to their
+// shards, sends each shard's identities to every live replica, and settles
+// freshness from the primary's answer; it returns the fresh candidates,
+// still in merge order. Replicas apply identical batches in identical
+// order, so their answers must agree — a divergence is reported as
+// corruption, not silently resolved. Lost workers are tolerated as long as
+// each candidate-bearing shard keeps one live replica whose answer arrived.
+func (cl *Cluster) dedupPhase(rs *replicaSet, ch chunkID, all []candidate) ([]candidate, error) {
+	byShard := make([][]int, rs.shards) // positions in all
+	groups := make([]shardGroup, rs.shards)
+	for i, c := range all {
 		s := ownerShard(c.Hash, rs.shards)
-		byShard[s] = append(byShard[s], c)
+		byShard[s] = append(byShard[s], i)
+		groups[s] = shardGroup{Shard: s, Keys: append(groups[s].Keys, c.wireKey)}
 	}
 	payloads := make(map[int][]byte)
 	for w := 0; w < rs.workers; w++ {
 		if !rs.live(w) {
 			continue
 		}
-		var groups []shardGroup
-		for s := 0; s < rs.shards; s++ {
-			if len(byShard[s]) == 0 || !rs.replicates(w, s) {
-				continue
+		var mine []shardGroup
+		for s, g := range groups {
+			if len(g.Keys) > 0 && rs.replicates(w, s) {
+				mine = append(mine, g)
 			}
-			groups = append(groups, shardGroup{Shard: s, Cands: byShard[s]})
 		}
-		if len(groups) > 0 {
-			payloads[w] = encodeShardGroups(level, groups)
+		if len(mine) > 0 {
+			payloads[w] = encodeDedupReq(ch.level, ch.lo, mine)
 		}
 	}
 	resps, err := cl.replicatedFanout(rs, frameDedup, frameDedupResp, payloads)
@@ -570,21 +595,21 @@ func (cl *Cluster) dedupPhase(rs *replicaSet, level int, all []candidate) ([]can
 	}
 	freshBy := make(map[int]map[int][]uint64, len(resps))
 	for w, resp := range resps {
-		lv, groups, err := decodeShardIndices(resp)
+		lv, lo, answers, err := decodeDedupResp(resp)
 		if err != nil {
-			return nil, fmt.Errorf("distexplore: worker %d dedup response: %w", w, err)
+			return nil, &WorkerError{Worker: w, Addr: cl.workers[w].addr, Msg: fmt.Sprintf("malformed dedup response: %v", err)}
 		}
-		if lv != level {
-			return nil, fmt.Errorf("distexplore: worker %d answered dedup for level %d, want %d", w, lv, level)
+		if (chunkID{lv, lo}) != ch {
+			return nil, fmt.Errorf("distexplore: worker %d answered dedup for level %d chunk %d, want level %d chunk %d", w, lv, lo, ch.level, ch.lo)
 		}
-		m := make(map[int][]uint64, len(groups))
-		for _, g := range groups {
+		m := make(map[int][]uint64, len(answers))
+		for _, g := range answers {
 			m[g.Shard] = g.Fresh
 		}
 		freshBy[w] = m
 	}
 
-	var fresh []candidate
+	isFresh := make([]bool, len(all))
 	for s := 0; s < rs.shards; s++ {
 		if len(byShard[s]) == 0 {
 			continue
@@ -603,7 +628,7 @@ func (cl *Cluster) dedupPhase(rs *replicaSet, level int, all []candidate) ([]can
 				chosen, chosenW = f, w
 				continue
 			}
-			if !equalUint64s(chosen, f) {
+			if !slices.Equal(chosen, f) {
 				return nil, fmt.Errorf(
 					"distexplore: replica divergence on shard %d: workers %d and %d disagree on freshness (corrupted replica state)",
 					s, chosenW, w)
@@ -616,28 +641,16 @@ func (cl *Cluster) dedupPhase(rs *replicaSet, level int, all []candidate) ([]can
 			if i >= uint64(len(byShard[s])) {
 				return nil, fmt.Errorf("distexplore: worker %d dedup index %d out of range for shard %d", chosenW, i, s)
 			}
-			fresh = append(fresh, byShard[s][i])
+			isFresh[byShard[s][i]] = true
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool {
-		if fresh[i].Parent != fresh[j].Parent {
-			return fresh[i].Parent < fresh[j].Parent
+	fresh := all[:0]
+	for i, c := range all {
+		if isFresh[i] {
+			fresh = append(fresh, c)
 		}
-		return fresh[i].SuccIdx < fresh[j].SuccIdx
-	})
+	}
 	return fresh, nil
-}
-
-func equalUint64s(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // adoptPhase hands one level's admitted nodes to every live replica of
@@ -648,11 +661,9 @@ func (cl *Cluster) adoptPhase(rs *replicaSet, level int, adopts []adoptNode) err
 	if len(adopts) == 0 {
 		return nil
 	}
-	shardOf := make([]int, len(adopts))
 	touched := make(map[int]bool)
-	for i, nd := range adopts {
-		shardOf[i] = ownerShard(model.HashKey(nd.Key), rs.shards)
-		touched[shardOf[i]] = true
+	for _, nd := range adopts {
+		touched[ownerShard(nd.Hash, rs.shards)] = true
 	}
 	payloads := make(map[int][]byte)
 	for w := 0; w < rs.workers; w++ {
@@ -660,8 +671,8 @@ func (cl *Cluster) adoptPhase(rs *replicaSet, level int, adopts []adoptNode) err
 			continue
 		}
 		var mine []adoptNode
-		for i, nd := range adopts {
-			if rs.replicates(w, shardOf[i]) {
+		for _, nd := range adopts {
+			if rs.replicates(w, ownerShard(nd.Hash, rs.shards)) {
 				mine = append(mine, nd)
 			}
 		}
@@ -731,16 +742,26 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	// Phase 0: install the job on every worker. Init failures are fatal
 	// even with replication — a worker that never received the job holds
 	// no state to fail over from, and starting a run against a cluster
-	// that is already degraded would hide real deployment problems.
-	err = cl.fanout(func(w int) error {
+	// that is already degraded would hide real deployment problems. A
+	// worker that speaks another wire version fails here too.
+	initWorker := func(w int) error {
 		req := initReq{
 			Protocol: t.Protocol, N: t.N, Inputs: t.Inputs, Prefix: t.Prefix,
 			Avoid: t.Avoid, Shards: shards, WorkerCount: W, WorkerIndex: w,
 			Replicas: replicas,
 		}
-		return cl.expectOK(w, frameInit, req.encode())
-	})
-	if err != nil {
+		rtyp, ack, err := cl.call(w, frameInit, req.encode())
+		if err == nil && rtyp != frameOK {
+			err = fmt.Errorf("distexplore: worker %d: unexpected response frame 0x%02x", w, rtyp)
+		}
+		if err == nil {
+			if verr := checkInitAck(ack); verr != nil {
+				err = &WorkerError{Worker: w, Addr: cl.workers[w].addr, Msg: verr.Error()}
+			}
+		}
+		return err
+	}
+	if err = cl.fanout(initWorker); err != nil {
 		return false, 0, err
 	}
 	// Workers now hold state; tear it down on every exit path.
@@ -786,8 +807,11 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	// it replicates, re-adopted in admission order. Adoption interns each
 	// key into the worker's visited slice and rebuilds its frontier, so
 	// after the backfill the replacement holds exactly the state a live
-	// replica carries at this boundary. Depth-capped levels are skipped
-	// just as the original run never adopted them.
+	// replica carries at this chunk boundary — the nodes earlier chunks of
+	// the running level admitted included, which the level's own adopt
+	// phase then finds already applied (adoption is idempotent per node).
+	// Depth-capped levels are skipped just as the original run never
+	// adopted them.
 	backfillWorker := func(w int) error {
 		for lo := 0; lo < len(nodes); {
 			hi, d := lo, nodes[lo].depth
@@ -797,11 +821,11 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 			if !eopt.DepthCapped(d) {
 				var mine []adoptNode
 				for i := lo; i < hi; i++ {
-					s := ownerShard(model.HashKey(cfgs[i].Key()), shards)
-					if workerReplicatesShard(w, s, W, replicas) {
+					id := identityOf(cfgs[i])
+					if rs.replicates(w, ownerShard(id.Hash, shards)) {
 						mine = append(mine, adoptNode{
 							Index: uint64(i), Depth: uint64(d),
-							Key: cfgs[i].Key(), Schedule: scheduleOf(i),
+							wireKey: id, Schedule: scheduleOf(i),
 						})
 					}
 				}
@@ -832,15 +856,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 				if cl.redial(w) != nil {
 					continue
 				}
-				req := initReq{
-					Protocol: t.Protocol, N: t.N, Inputs: t.Inputs, Prefix: t.Prefix,
-					Avoid: t.Avoid, Shards: shards, WorkerCount: W, WorkerIndex: w,
-					Replicas: replicas,
-				}
-				if cl.expectOK(w, frameInit, req.encode()) != nil {
-					continue
-				}
-				if backfillWorker(w) != nil {
+				if initWorker(w) != nil || backfillWorker(w) != nil {
 					continue
 				}
 				rs.revive(w)
@@ -856,9 +872,9 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 
 	// withRejoin runs one RPC phase, converting a shard-coverage loss into
 	// a bounded wait for a replacement worker when rejoin is enabled. The
-	// phase retry is safe: expansion is pure, and the per-level idempotency
-	// guards on surviving workers answer retried dedups from cache and
-	// absorb retried adopts as no-ops.
+	// phase retry is safe: expansion is pure, and the idempotency guards on
+	// surviving workers answer a retried dedup chunk from cache and skip
+	// the nodes of a retried adopt they already hold.
 	withRejoin := func(phase func() error) error {
 		for {
 			perr := phase()
@@ -954,7 +970,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 						// level loop below).
 						adopts = append(adopts, adoptNode{
 							Index: uint64(i), Depth: uint64(d),
-							Key: wcfgs[i].Key(), Schedule: scheduleOf(i),
+							wireKey: identityOf(wcfgs[i]), Schedule: scheduleOf(i),
 						})
 					}
 					if aerr := cl.adoptPhase(rs, d, adopts); aerr != nil {
@@ -979,16 +995,19 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	} else {
 		// Adopt the root into every replica of its owning shard so level 0
 		// has a frontier wherever it may be needed.
-		err = cl.adoptPhase(rs, 0, []adoptNode{{Index: 0, Depth: 0, Key: root.Key()}})
+		err = cl.adoptPhase(rs, 0, []adoptNode{{wireKey: identityOf(root)}})
 		if err != nil {
 			return false, 0, err
 		}
 	}
 
 	// Level loop. Levels are contiguous index ranges, exactly as in the
-	// in-process parallel engine; each iteration runs up to three RPC
-	// phases (expand, dedup, adopt) and merges between them in canonical
-	// (parent index, successor index) order.
+	// in-process parallel engine. A level is walked in chunks of parent
+	// indices [lo, hi), each sized from the ledger by the rule core.walk
+	// uses (explore.SpecChunk) and each expanded, merged in canonical
+	// (parent index, successor index) order, deduped and admitted before the
+	// next is sized — so once the ledger seals, nothing further is expanded,
+	// keyed or shipped. Adoption stays one phase per level.
 	for ; start < end; start, end = end, len(nodes) {
 		if cl.interrupted.Load() {
 			// The last boundary checkpoint (if any) stays on disk: an
@@ -1040,86 +1059,81 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 			}
 		}
 
-		// Phase 1+2: expand the level and dedup its candidates, skipped
-		// when no node of this level may grow the frontier (sealed budget,
-		// or the whole level is depth-capped — level equals depth in
-		// breadth-first order, so the cap is uniform across the level).
-		var fresh []candidate
-		if !led.Sealed() && !eopt.DepthCapped(level) {
-			var all []candidate
-			if perr := withRejoin(func() error {
-				var e error
-				all, e = cl.expandPhase(rs, level)
-				return e
-			}); perr != nil {
-				return false, 0, perr
-			}
-			cl.stats.ExpandedNodes += end - start
-			cl.stats.LiveExpanded += end - start
-
-			// Global merge order: candidates sorted by (parent node index,
-			// successor index within the parent's canonical expansion) is
-			// precisely the order in which the sequential engine would
-			// consider them. Per-shard groups preserve this order, so
-			// "first fresh in the group" equals "first fresh globally" per
-			// configuration (a key's candidates all land in one shard).
-			sort.Slice(all, func(i, j int) bool {
-				if all[i].Parent != all[j].Parent {
-					return all[i].Parent < all[j].Parent
-				}
-				return all[i].SuccIdx < all[j].SuccIdx
-			})
-
-			if perr := withRejoin(func() error {
-				var e error
-				fresh, e = cl.dedupPhase(rs, level, all)
-				return e
-			}); perr != nil {
-				return false, 0, perr
-			}
-		}
-
-		// Visit and admit, interleaved per node exactly like the in-process
-		// engines: node i is visited, then its fresh successors are
-		// admitted, so an early-stopping visit observes the same count.
-		fi := 0
 		var adopts []adoptNode
-		for i := start; i < end; i++ {
-			if visit != nil && visit(cfgs[i], nodes[i].depth, pathOf(i)) {
-				if t.Checkpoints != nil {
-					ckw.discard()
-					t.Checkpoints.Clear(ckKey) // deliberate end; nothing to resume
+		for lo, hi := start, start; lo < end; lo = hi {
+			// Phase 1+2: expand the chunk and dedup its candidates, skipped
+			// when no node of this level may grow the frontier (sealed
+			// budget, or the whole level is depth-capped — level equals
+			// depth in breadth-first order, so the cap is uniform across
+			// the level); the rest of the level is then only visited.
+			hi = end
+			var fresh []candidate
+			if !led.Sealed() && !eopt.DepthCapped(level) {
+				ch := chunkID{level, lo}
+				hi = lo + explore.SpecChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, max(rs.liveCount(), 1))
+				var all []candidate
+				if perr := withRejoin(func() error {
+					var e error
+					all, e = cl.expandPhase(rs, ch, hi)
+					return e
+				}); perr != nil {
+					return false, 0, perr
 				}
-				return false, len(nodes), nil
+				cl.stats.ExpandedNodes += hi - lo
+				cl.stats.LiveExpanded += hi - lo
+				all = mergeOrder(all)
+				if perr := withRejoin(func() error {
+					var e error
+					fresh, e = cl.dedupPhase(rs, ch, all)
+					return e
+				}); perr != nil {
+					return false, 0, perr
+				}
 			}
-			if !led.ShouldExpand(nodes[i].depth) {
-				continue
-			}
-			for fi < len(fresh) && fresh[fi].Parent < uint64(i) {
-				fi++ // defensive; candidates of visited parents are behind us
-			}
-			for fi < len(fresh) && fresh[fi].Parent == uint64(i) {
-				c := fresh[fi]
-				fi++
-				if !led.Admit() {
+
+			// Visit and admit, interleaved per node exactly like the
+			// in-process engines: node i is visited, then its fresh
+			// successors are admitted, so an early-stopping visit observes
+			// the same count.
+			fi := 0
+			for i := lo; i < hi; i++ {
+				if visit != nil && visit(cfgs[i], nodes[i].depth, pathOf(i)) {
+					if t.Checkpoints != nil {
+						ckw.discard()
+						t.Checkpoints.Clear(ckKey) // deliberate end; nothing to resume
+					}
+					return false, len(nodes), nil
+				}
+				if !led.ShouldExpand(nodes[i].depth) {
 					continue
 				}
-				idx := len(nodes)
-				nodes = append(nodes, nodeRec{parent: i, depth: nodes[i].depth + 1, via: c.Via})
-				if needCfgs {
-					cfgs = append(cfgs, model.MustApply(pr, cfgs[i], c.Via))
+				for fi < len(fresh) && fresh[fi].Parent < uint64(i) {
+					fi++ // defensive; candidates of visited parents are behind us
 				}
-				adopts = append(adopts, adoptNode{
-					Index: uint64(idx), Depth: uint64(nodes[i].depth + 1),
-					Key: c.Key, Schedule: scheduleOf(idx),
-				})
+				for ; fi < len(fresh) && fresh[fi].Parent == uint64(i); fi++ {
+					c := fresh[fi]
+					if !led.Admit() {
+						continue
+					}
+					nodes = append(nodes, nodeRec{parent: i, depth: level + 1, via: c.Via})
+					if needCfgs {
+						cfgs = append(cfgs, model.MustApply(pr, cfgs[i], c.Via))
+					}
+					adopts = append(adopts, adoptNode{
+						Index: uint64(len(nodes) - 1), Depth: uint64(level + 1), wireKey: c.wireKey,
+					})
+				}
 			}
 		}
 
 		// Phase 3: hand the admitted nodes to their owning shards — unless
 		// they can never be expanded (sealed budget, or the next level sits
-		// at the depth cap), in which case no worker needs them.
+		// at the depth cap), in which case no worker needs them and their
+		// schedules are never built.
 		if len(adopts) > 0 && !led.Sealed() && !eopt.DepthCapped(level+1) {
+			for i := range adopts {
+				adopts[i].Schedule = scheduleOf(int(adopts[i].Index))
+			}
 			if perr := withRejoin(func() error {
 				return cl.adoptPhase(rs, level+1, adopts)
 			}); perr != nil {

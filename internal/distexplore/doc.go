@@ -13,39 +13,56 @@
 // R−1 of its holders.
 //
 // A single coordinator drives the level-synchronous loop in a star
-// topology, three RPC phases per level:
+// topology. A level is walked in chunks of parent indices [lo, hi), each
+// sized from the ledger by the rule the in-process level engine uses
+// (explore.SpecChunk, the live workers as the pool). Each chunk runs two RPC
+// phases and is admitted before the next is sized, so once the ledger seals
+// nothing further is expanded, keyed or shipped; a third ends the level:
 //
-//   - Expand: each shard's primary expands that shard's slice of the
-//     frontier through explore.AppendSuccessors and returns candidates tagged
-//     with (parent global index, successor index) — their position in the
-//     canonical order. Expansion is pure, so a shard whose primary dies
-//     mid-phase is simply re-issued to the next live replica, which
-//     recomputes the identical candidates from its replicated frontier.
-//   - Dedup: the coordinator sorts all candidates into global order,
-//     groups them per shard, and sends each shard's batch to every live
-//     replica; all replicas apply it (keeping their visited slices
-//     identical) and answer which candidates are first-seen. The
-//     coordinator settles freshness from the primary's answer and checks
-//     the standbys agree.
-//   - Adopt: the coordinator admits fresh candidates in global order under
-//     the shared explore.Ledger budget, assigns node indices, and hands
-//     each admitted node (canonical key + schedule from the root) to every
-//     live replica of its shard, which rematerializes the configuration by
-//     replay and verifies the key.
+//   - Expand: each shard's primary expands that shard's frontier nodes
+//     inside the chunk through explore.AppendSuccessors and returns
+//     candidates tagged with (parent global index, successor index) — their
+//     position in the canonical order. Expansion is pure, so a shard whose
+//     primary dies mid-phase is simply re-issued to the next live replica,
+//     which recomputes the identical candidates from its replicated
+//     frontier.
+//   - Dedup: the coordinator sorts the chunk's candidates into global
+//     order, groups their identities per shard, and sends each shard's
+//     batch to every live replica; all replicas apply it (keeping their
+//     visited slices identical) and answer which candidates are first-seen.
+//     The coordinator settles freshness from the primary's answer, checks
+//     the standbys agree, and admits the fresh candidates in global order
+//     under the shared explore.Ledger budget, assigning node indices.
+//   - Adopt, once per level: each admitted node (identity + schedule from
+//     the root) goes to every live replica of its shard, which takes the
+//     configuration from what it expanded this level or rematerializes it
+//     by replay, and verifies the key.
+//
+// A configuration's identity on the wire is what it is in process: the
+// binary canonical key (model.Config.KeyBytes) with its fingerprint, the
+// FNV-1a hash of exactly those bytes. Three of every four successors are
+// duplicates (commuting diamonds), and three kinds are dropped before dedup
+// because dedup would call them seen anyway: a worker drops a successor
+// whose key the same expand call already emitted, and one that lands in a
+// shard it replicates and is already in its visited slice; the coordinator
+// keeps the first occurrence of a key per chunk in merge order. None of
+// them can be the occurrence the sequential engine admits, so admission
+// order, edges and paths are unchanged (DESIGN.md §4 has the argument).
 //
 // Because admission decisions are made only at the coordinator, in the
 // same canonical order as the in-process engines, and through the same
 // Ledger, results — visit order, counts, witness schedules, the complete
 // flag — are byte-identical to explore.Explore at every (workers × shards
-// × replicas) combination, with or without worker failures.
+// × replicas) combination and however the levels are chunked, with or
+// without worker failures.
 //
 // # Failure model
 //
 // RPCs carry deadlines; transient transport failures are retried over
 // fresh connections with capped, fully-jittered exponential backoff, and
-// worker request handling is idempotent per level (pure expansion, cached
-// dedup responses, applied-level guards) so a replayed request is
-// answered, not re-applied. A worker that stays unreachable is declared
+// worker request handling is idempotent (pure expansion; the last dedup
+// chunk, named by (level, lo), cached with its response; adoption applied
+// once per node index) so a replayed request is answered, not re-applied. A worker that stays unreachable is declared
 // lost for the rest of the run: with replication (R ≥ 2) its shards fail
 // over to their standbys and the run continues byte-identically; when a
 // shard's entire replica chain is gone (always, at R = 1) the exploration
@@ -65,6 +82,9 @@
 // delayed or truncated frames, a scripted worker kill at a scripted level
 // — which is how the failover tests prove the byte-identical contract
 // under failure. Frames above a size threshold may be deflate-compressed
-// when the per-connection hello exchange negotiates it (compress.go);
-// peers that predate the hello frame interoperate unchanged.
+// when the per-connection hello exchange negotiates it (compress.go). There
+// is one payload format (wire.go): the init exchange carries its version
+// both ways and refuses a member that speaks another, and every decoder
+// bounds the counts it reads by the bytes that remain, so a corrupt frame
+// is an error answer (a WorkerError at the coordinator), never a panic.
 package distexplore

@@ -91,6 +91,17 @@ func newReplicaSet(shards, workers, replicas int) *replicaSet {
 
 func (rs *replicaSet) live(w int) bool { return !rs.dead[w] }
 
+// liveCount is the number of workers not declared lost.
+func (rs *replicaSet) liveCount() int {
+	n := 0
+	for _, d := range rs.dead {
+		if !d {
+			n++
+		}
+	}
+	return n
+}
+
 // markLost records a worker as dead together with the transport error that
 // condemned it, for the diagnostic if a shard later loses its last copy.
 func (rs *replicaSet) markLost(w int, err error) {

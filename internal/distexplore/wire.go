@@ -1,19 +1,145 @@
 package distexplore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/flpsim/flp/internal/model"
 )
 
-// RPC payloads. Configurations cross the wire as canonical key +
-// fingerprint + (for adoption) the schedule reaching them from the root —
-// see the wire-layer rationale in internal/model/wire.go.
+// RPC payloads. A configuration crosses the wire as its identity — the
+// fingerprint and the binary canonical key it is the FNV-1a hash of
+// (wireKey) — plus, for adoption, the schedule reaching it from the root;
+// see the wire-layer rationale in internal/model/wire.go. Every request
+// that belongs to a level starts with that level as a uvarint, which is
+// what FaultPlan's scripted kills read.
+//
+// There is one wire format. wireVersion travels in the init exchange both
+// ways, and a member that speaks another version (or predates versions) is
+// refused there with an error naming both sides — never mis-decoded later.
+const wireVersion = 2
+
+// reader consumes one payload front to back. The first failure sticks and
+// empties the buffer, so a decoder reads its fields unconditionally and
+// checks once, in done. Counts are bounded by the bytes that remain (every
+// element of every list is at least one byte), so a hostile count can size
+// no slice past the payload's own length.
+type reader struct {
+	b   []byte
+	err error
+}
+
+func (r *reader) fail(what string, err error) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%s: %w", what, err)
+	}
+	r.b = nil
+}
+
+func (r *reader) uvarint(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n, err := model.ConsumeUvarint(r.b)
+	if err != nil {
+		r.fail(what, err)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// num reads a level, shard, index bound or process count into an int.
+func (r *reader) num(what string) int {
+	v := r.uvarint(what)
+	if v > math.MaxInt32 {
+		r.fail(what, fmt.Errorf("%d is out of range", v))
+		return 0
+	}
+	return int(v)
+}
+
+func (r *reader) count(what string) int {
+	v := r.uvarint(what)
+	if v > uint64(len(r.b)) {
+		r.fail(what, fmt.Errorf("count %d exceeds the %d bytes that remain", v, len(r.b)))
+		return 0
+	}
+	return int(v)
+}
+
+// consume runs one of the model's Consume* decoders on the front of the
+// payload.
+func consume[T any](r *reader, what string, f func([]byte) (T, int, error)) T {
+	var zero T
+	if r.err != nil {
+		return zero
+	}
+	v, n, err := f(r.b)
+	if err != nil {
+		r.fail(what, err)
+		return zero
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// done reports the sticky error, or that the payload was not used up.
+func (r *reader) done(what string) error {
+	if r.err == nil && len(r.b) > 0 {
+		r.fail(what, fmt.Errorf("%d trailing bytes", len(r.b)))
+	}
+	return r.err
+}
+
+// wireKey is a configuration's identity on the wire: Config.Hash() and
+// Config.KeyBytes(). The hash routes it to its shard and buckets it in the
+// owner's visited slice; the key settles every comparison exactly. A
+// decoded Key aliases the received frame.
+type wireKey struct {
+	Hash uint64
+	Key  []byte
+}
+
+func identityOf(c *model.Config) wireKey { return wireKey{Hash: c.Hash(), Key: c.KeyBytes()} }
+
+// wireKeySize and eventSize bound what appendWireKey and model.AppendEvent
+// add, so an encoder sizes its payload once instead of growing it.
+func wireKeySize(k wireKey) int { return 8 + binary.MaxVarintLen32 + len(k.Key) }
+
+func eventSize(e model.Event) int {
+	if e.Msg == nil {
+		return 1 + binary.MaxVarintLen32
+	}
+	return 1 + 4*binary.MaxVarintLen32 + len(e.Msg.Body)
+}
+
+func appendWireKey(b []byte, k wireKey) []byte {
+	b = binary.LittleEndian.AppendUint64(b, k.Hash)
+	b = model.AppendUvarint(b, uint64(len(k.Key)))
+	return append(b, k.Key...)
+}
+
+func (r *reader) key(what string) (k wireKey) {
+	if r.err == nil && len(r.b) < 8 {
+		r.fail(what, fmt.Errorf("truncated fingerprint"))
+	}
+	if r.err != nil {
+		return k
+	}
+	k.Hash = binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	n := r.count(what)
+	k.Key, r.b = r.b[:n:n], r.b[n:]
+	return k
+}
 
 // initReq starts an exploration job on a worker. The worker reconstructs
 // the protocol from the registry by name, builds the root configuration
-// from the inputs plus the prefix schedule, and owns every visited-set
-// shard s with s % WorkerCount == WorkerIndex.
+// from the inputs plus the prefix schedule, and holds every visited-set
+// shard whose replica chain (replica.go) includes WorkerIndex.
 type initReq struct {
 	Protocol    string
 	N           int
@@ -23,83 +149,100 @@ type initReq struct {
 	Shards      int
 	WorkerCount int
 	WorkerIndex int
-	// Replicas is the shard replication factor: shard s is held by workers
-	// (s+r) mod WorkerCount for r = 0..Replicas-1 (see replica.go). Decoded
-	// as 1 when absent, so an older coordinator gets the unreplicated
-	// layout it expects.
-	Replicas int
+	Replicas    int
 }
 
-func (r *initReq) encode() []byte {
-	b := model.AppendString(nil, r.Protocol)
-	b = model.AppendUvarint(b, uint64(r.N))
-	b = model.AppendInputs(b, r.Inputs)
-	b = model.AppendSchedule(b, r.Prefix)
-	if r.Avoid != nil {
+func (q *initReq) encode() []byte {
+	b := model.AppendString(nil, q.Protocol)
+	b = model.AppendUvarint(b, uint64(q.N))
+	b = model.AppendInputs(b, q.Inputs)
+	b = model.AppendSchedule(b, q.Prefix)
+	if q.Avoid != nil {
 		b = append(b, 1)
-		b = model.AppendEvent(b, *r.Avoid)
+		b = model.AppendEvent(b, *q.Avoid)
 	} else {
 		b = append(b, 0)
 	}
-	b = model.AppendUvarint(b, uint64(r.Shards))
-	b = model.AppendUvarint(b, uint64(r.WorkerCount))
-	b = model.AppendUvarint(b, uint64(r.WorkerIndex))
-	b = model.AppendUvarint(b, uint64(r.Replicas))
+	for _, v := range []int{q.Shards, q.WorkerCount, q.WorkerIndex, q.Replicas, wireVersion} {
+		b = model.AppendUvarint(b, uint64(v))
+	}
 	return b
 }
 
 func decodeInitReq(b []byte) (*initReq, error) {
-	var r initReq
-	var n int
-	var err error
-	if r.Protocol, n, err = model.ConsumeString(b); err != nil {
-		return nil, fmt.Errorf("init protocol: %w", err)
+	r := reader{b: b}
+	var q initReq
+	q.Protocol = consume(&r, "init protocol", model.ConsumeString)
+	q.N = r.num("init n")
+	q.Inputs = consume(&r, "init inputs", model.ConsumeInputs)
+	q.Prefix = consume(&r, "init prefix", model.ConsumeSchedule)
+	switch r.num("init avoid flag") {
+	case 0:
+	case 1:
+		e := consume(&r, "init avoid", model.ConsumeEvent)
+		q.Avoid = &e
+	default:
+		r.fail("init avoid flag", fmt.Errorf("not 0 or 1"))
 	}
-	b = b[n:]
-	nProcs, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return nil, fmt.Errorf("init n: %w", err)
+	for _, dst := range []*int{&q.Shards, &q.WorkerCount, &q.WorkerIndex, &q.Replicas} {
+		*dst = r.num("init shard layout")
 	}
-	r.N = int(nProcs)
-	b = b[n:]
-	if r.Inputs, n, err = model.ConsumeInputs(b); err != nil {
-		return nil, fmt.Errorf("init inputs: %w", err)
+	if err := r.wireVersion("the coordinator"); err != nil {
+		return nil, fmt.Errorf("init: %w", err)
 	}
-	b = b[n:]
-	if r.Prefix, n, err = model.ConsumeSchedule(b); err != nil {
-		return nil, fmt.Errorf("init prefix: %w", err)
+	return &q, r.done("init")
+}
+
+// wireVersion reads the version the peer sent at init — the last field of
+// the request, the whole acknowledgement — and holds it to the one-release
+// rule. A peer from before versions existed sent nothing there.
+func (r *reader) wireVersion(peer string) error {
+	const fix = "run one release on every cluster member"
+	if r.err == nil && len(r.b) == 0 {
+		return fmt.Errorf("%s predates wire versions, this side speaks version %d; %s", peer, wireVersion, fix)
 	}
-	b = b[n:]
-	if len(b) == 0 {
-		return nil, fmt.Errorf("init: truncated avoid flag")
+	if v := r.num("wire version"); r.err == nil && v != wireVersion {
+		return fmt.Errorf("%s speaks wire version %d, this side version %d; %s", peer, v, wireVersion, fix)
 	}
-	hasAvoid := b[0] == 1
-	b = b[1:]
-	if hasAvoid {
-		e, n, err := model.ConsumeEvent(b)
-		if err != nil {
-			return nil, fmt.Errorf("init avoid: %w", err)
-		}
-		r.Avoid = &e
-		b = b[n:]
+	return nil
+}
+
+// checkInitAck reads a worker's answer to init: its wire version.
+func checkInitAck(b []byte) error {
+	r := reader{b: b}
+	if err := r.wireVersion("the worker"); err != nil {
+		return err
 	}
-	for _, dst := range []*int{&r.Shards, &r.WorkerCount, &r.WorkerIndex} {
-		v, n, err := model.ConsumeUvarint(b)
-		if err != nil {
-			return nil, fmt.Errorf("init shard layout: %w", err)
-		}
-		*dst = int(v)
-		b = b[n:]
+	return r.done("init ack")
+}
+
+// expandReq asks a worker to expand the frontier nodes of one level whose
+// global index lies in [Lo, Hi) and whose shard is listed — one
+// budget-sized chunk of the level, for the shards the worker leads.
+type expandReq struct {
+	Level, Lo, Hi int
+	Shards        []int
+}
+
+func (q *expandReq) encode() []byte {
+	b := model.AppendUvarint(nil, uint64(q.Level))
+	b = model.AppendUvarint(b, uint64(q.Lo))
+	b = model.AppendUvarint(b, uint64(q.Hi))
+	b = model.AppendUvarint(b, uint64(len(q.Shards)))
+	for _, s := range q.Shards {
+		b = model.AppendUvarint(b, uint64(s))
 	}
-	r.Replicas = 1
-	if len(b) > 0 {
-		v, _, err := model.ConsumeUvarint(b)
-		if err != nil {
-			return nil, fmt.Errorf("init replicas: %w", err)
-		}
-		r.Replicas = int(v)
+	return b
+}
+
+func decodeExpandReq(b []byte) (*expandReq, error) {
+	r := reader{b: b}
+	q := expandReq{Level: r.num("expand level"), Lo: r.num("expand lo"), Hi: r.num("expand hi")}
+	q.Shards = make([]int, r.count("expand shards"))
+	for i := range q.Shards {
+		q.Shards[i] = r.num("expand shard")
 	}
-	return &r, nil
+	return &q, r.done("expand")
 }
 
 // candidate is one successor produced by expansion, before deduplication:
@@ -109,173 +252,101 @@ func decodeInitReq(b []byte) (*initReq, error) {
 type candidate struct {
 	Parent  uint64 // global index of the expanded node
 	SuccIdx uint64 // position in the parent's canonical successor list
-	Hash    uint64 // fingerprint; routes the candidate to its owning shard
-	Key     string // canonical configuration key; settles dedup exactly
-	Via     model.Event
+	wireKey
+	Via model.Event
 }
 
-func appendCandidate(b []byte, c candidate) []byte {
-	b = model.AppendUvarint(b, c.Parent)
-	b = model.AppendUvarint(b, c.SuccIdx)
-	b = model.AppendUvarint(b, c.Hash)
-	b = model.AppendString(b, c.Key)
-	return model.AppendEvent(b, c.Via)
+// firstOccurrence reports whether no candidate in kept has k's key yet, and
+// remembers by fingerprint that the next one appended will. Two keys that
+// collide on the fingerprint both count as first: the drop this serves is
+// an optimization, and dedup at the shard owner stays exact.
+func firstOccurrence(first map[uint64]int, kept []candidate, k wireKey) bool {
+	if i, seen := first[k.Hash]; seen && bytes.Equal(kept[i].Key, k.Key) {
+		return false
+	}
+	first[k.Hash] = len(kept)
+	return true
 }
 
-func consumeCandidate(b []byte) (candidate, int, error) {
-	var c candidate
-	off := 0
-	for _, dst := range []*uint64{&c.Parent, &c.SuccIdx, &c.Hash} {
-		v, n, err := model.ConsumeUvarint(b[off:])
-		if err != nil {
-			return c, 0, err
-		}
-		*dst = v
-		off += n
+// encodeCandidates is the expand response: the level and the candidates the
+// worker did not drop at the source.
+func encodeCandidates(level int, cands []candidate) []byte {
+	size := 2 * binary.MaxVarintLen32
+	for _, c := range cands {
+		size += 2*binary.MaxVarintLen64 + wireKeySize(c.wireKey) + eventSize(c.Via)
 	}
-	key, n, err := model.ConsumeString(b[off:])
-	if err != nil {
-		return c, 0, err
-	}
-	c.Key = key
-	off += n
-	e, n, err := model.ConsumeEvent(b[off:])
-	if err != nil {
-		return c, 0, err
-	}
-	c.Via = e
-	return c, off + n, nil
-}
-
-// encodeLevelCandidates frames a level number plus a candidate list; used
-// by both the expand response and the dedup request.
-func encodeLevelCandidates(level int, cands []candidate) []byte {
-	b := model.AppendUvarint(nil, uint64(level))
+	b := model.AppendUvarint(make([]byte, 0, size), uint64(level))
 	b = model.AppendUvarint(b, uint64(len(cands)))
 	for _, c := range cands {
-		b = appendCandidate(b, c)
+		b = model.AppendUvarint(b, c.Parent)
+		b = model.AppendUvarint(b, c.SuccIdx)
+		b = appendWireKey(b, c.wireKey)
+		b = model.AppendEvent(b, c.Via)
 	}
 	return b
 }
 
-func decodeLevelCandidates(b []byte) (level int, cands []candidate, err error) {
-	lv, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("candidates level: %w", err)
-	}
-	b = b[n:]
-	count, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("candidates count: %w", err)
-	}
-	b = b[n:]
-	cands = make([]candidate, 0, count)
-	for i := uint64(0); i < count; i++ {
-		c, n, err := consumeCandidate(b)
-		if err != nil {
-			return 0, nil, fmt.Errorf("candidate %d: %w", i, err)
+func decodeCandidates(b []byte) (level int, cands []candidate, err error) {
+	r := reader{b: b}
+	level = r.num("candidates level")
+	cands = make([]candidate, r.count("candidates count"))
+	for i := range cands {
+		cands[i] = candidate{
+			Parent:  r.uvarint("candidate parent"),
+			SuccIdx: r.uvarint("candidate successor index"),
+			wireKey: r.key("candidate key"),
+			Via:     consume(&r, "candidate event", model.ConsumeEvent),
 		}
-		cands = append(cands, c)
-		b = b[n:]
 	}
-	return int(lv), cands, nil
+	return level, cands, r.done("candidates")
 }
 
-// encodeUintList frames a level number plus a list of indices; used by the
-// dedup response (indices into the request's candidate list that were
-// fresh) and the expand request (which carries only the level).
-func encodeLevelIndices(level int, idx []uint64) []byte {
-	b := model.AppendUvarint(nil, uint64(level))
-	b = model.AppendUvarint(b, uint64(len(idx)))
-	for _, v := range idx {
-		b = model.AppendUvarint(b, v)
-	}
-	return b
-}
-
-func decodeLevelIndices(b []byte) (level int, idx []uint64, err error) {
-	lv, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("indices level: %w", err)
-	}
-	b = b[n:]
-	count, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("indices count: %w", err)
-	}
-	b = b[n:]
-	idx = make([]uint64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, n, err := model.ConsumeUvarint(b)
-		if err != nil {
-			return 0, nil, fmt.Errorf("index %d: %w", i, err)
-		}
-		idx = append(idx, v)
-		b = b[n:]
-	}
-	return int(lv), idx, nil
-}
-
-// shardGroup is one shard's slice of a level's candidates, in global merge
-// order. Dedup requests carry one group per shard the receiving worker
-// replicates, so a worker can answer for several shards in one RPC while
-// the coordinator still reads freshness per shard — which is what lets it
-// take any live replica's answer for a shard whose primary died.
+// shardGroup is one shard's slice of a chunk's candidate identities, in
+// global merge order, first occurrence of each key only. Dedup requests
+// carry one group per shard the receiving worker replicates, so a worker can
+// answer for several shards in one RPC while the coordinator still reads
+// freshness per shard — which is what lets it take any live replica's
+// answer for a shard whose primary died.
 type shardGroup struct {
 	Shard int
-	Cands []candidate
+	Keys  []wireKey
 }
 
-func encodeShardGroups(level int, groups []shardGroup) []byte {
-	b := model.AppendUvarint(nil, uint64(level))
+// encodeDedupReq frames one chunk's groups; (level, lo) names the chunk and
+// is echoed by the answer.
+func encodeDedupReq(level, lo int, groups []shardGroup) []byte {
+	size := 3 * binary.MaxVarintLen32
+	for _, g := range groups {
+		size += 2 * binary.MaxVarintLen32
+		for _, k := range g.Keys {
+			size += wireKeySize(k)
+		}
+	}
+	b := model.AppendUvarint(make([]byte, 0, size), uint64(level))
+	b = model.AppendUvarint(b, uint64(lo))
 	b = model.AppendUvarint(b, uint64(len(groups)))
 	for _, g := range groups {
 		b = model.AppendUvarint(b, uint64(g.Shard))
-		b = model.AppendUvarint(b, uint64(len(g.Cands)))
-		for _, c := range g.Cands {
-			b = appendCandidate(b, c)
+		b = model.AppendUvarint(b, uint64(len(g.Keys)))
+		for _, k := range g.Keys {
+			b = appendWireKey(b, k)
 		}
 	}
 	return b
 }
 
-func decodeShardGroups(b []byte) (level int, groups []shardGroup, err error) {
-	lv, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard groups level: %w", err)
-	}
-	b = b[n:]
-	count, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard groups count: %w", err)
-	}
-	b = b[n:]
-	groups = make([]shardGroup, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var g shardGroup
-		s, n, err := model.ConsumeUvarint(b)
-		if err != nil {
-			return 0, nil, fmt.Errorf("shard group %d id: %w", i, err)
+func decodeDedupReq(b []byte) (level, lo int, groups []shardGroup, err error) {
+	r := reader{b: b}
+	level, lo = r.num("dedup level"), r.num("dedup lo")
+	groups = make([]shardGroup, r.count("dedup groups"))
+	for i := range groups {
+		groups[i].Shard = r.num("dedup shard")
+		groups[i].Keys = make([]wireKey, r.count("dedup group size"))
+		for j := range groups[i].Keys {
+			groups[i].Keys[j] = r.key("dedup key")
 		}
-		g.Shard = int(s)
-		b = b[n:]
-		cn, n, err := model.ConsumeUvarint(b)
-		if err != nil {
-			return 0, nil, fmt.Errorf("shard group %d size: %w", i, err)
-		}
-		b = b[n:]
-		g.Cands = make([]candidate, 0, cn)
-		for j := uint64(0); j < cn; j++ {
-			c, n, err := consumeCandidate(b)
-			if err != nil {
-				return 0, nil, fmt.Errorf("shard group %d candidate %d: %w", i, j, err)
-			}
-			g.Cands = append(g.Cands, c)
-			b = b[n:]
-		}
-		groups = append(groups, g)
 	}
-	return int(lv), groups, nil
+	return level, lo, groups, r.done("dedup")
 }
 
 // shardIndices is one shard's dedup answer: the indices (into that shard's
@@ -285,8 +356,9 @@ type shardIndices struct {
 	Fresh []uint64
 }
 
-func encodeShardIndices(level int, groups []shardIndices) []byte {
+func encodeDedupResp(level, lo int, groups []shardIndices) []byte {
 	b := model.AppendUvarint(nil, uint64(level))
+	b = model.AppendUvarint(b, uint64(lo))
 	b = model.AppendUvarint(b, uint64(len(groups)))
 	for _, g := range groups {
 		b = model.AppendUvarint(b, uint64(g.Shard))
@@ -298,101 +370,63 @@ func encodeShardIndices(level int, groups []shardIndices) []byte {
 	return b
 }
 
-func decodeShardIndices(b []byte) (level int, groups []shardIndices, err error) {
-	lv, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard indices level: %w", err)
-	}
-	b = b[n:]
-	count, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard indices count: %w", err)
-	}
-	b = b[n:]
-	groups = make([]shardIndices, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var g shardIndices
-		s, n, err := model.ConsumeUvarint(b)
-		if err != nil {
-			return 0, nil, fmt.Errorf("shard indices %d id: %w", i, err)
+func decodeDedupResp(b []byte) (level, lo int, groups []shardIndices, err error) {
+	r := reader{b: b}
+	level, lo = r.num("dedup answer level"), r.num("dedup answer lo")
+	groups = make([]shardIndices, r.count("dedup answer groups"))
+	for i := range groups {
+		groups[i].Shard = r.num("dedup answer shard")
+		groups[i].Fresh = make([]uint64, r.count("dedup answer size"))
+		for j := range groups[i].Fresh {
+			groups[i].Fresh[j] = r.uvarint("dedup answer index")
 		}
-		g.Shard = int(s)
-		b = b[n:]
-		fn, n, err := model.ConsumeUvarint(b)
-		if err != nil {
-			return 0, nil, fmt.Errorf("shard indices %d size: %w", i, err)
-		}
-		b = b[n:]
-		g.Fresh = make([]uint64, 0, fn)
-		for j := uint64(0); j < fn; j++ {
-			v, n, err := model.ConsumeUvarint(b)
-			if err != nil {
-				return 0, nil, fmt.Errorf("shard indices %d fresh %d: %w", i, j, err)
-			}
-			g.Fresh = append(g.Fresh, v)
-			b = b[n:]
-		}
-		groups = append(groups, g)
 	}
-	return int(lv), groups, nil
+	return level, lo, groups, r.done("dedup answer")
 }
 
 // adoptNode is one admitted configuration being handed to its owning
-// shard: identity (key), placement (global index and depth), and
+// shard: identity (wireKey), placement (global index and depth), and
 // provenance (schedule from the root, by which the owner rematerializes
 // the configuration, verifying the key).
 type adoptNode struct {
-	Index    uint64
-	Depth    uint64
-	Key      string
+	Index uint64
+	Depth uint64
+	wireKey
 	Schedule model.Schedule
 }
 
 func encodeAdoptReq(level int, nodes []adoptNode) []byte {
-	b := model.AppendUvarint(nil, uint64(level))
+	size := 2 * binary.MaxVarintLen32
+	for _, nd := range nodes {
+		size += 2*binary.MaxVarintLen64 + wireKeySize(nd.wireKey) + binary.MaxVarintLen32
+		for _, e := range nd.Schedule {
+			size += eventSize(e)
+		}
+	}
+	b := model.AppendUvarint(make([]byte, 0, size), uint64(level))
 	b = model.AppendUvarint(b, uint64(len(nodes)))
 	for _, nd := range nodes {
 		b = model.AppendUvarint(b, nd.Index)
 		b = model.AppendUvarint(b, nd.Depth)
-		b = model.AppendString(b, nd.Key)
+		b = appendWireKey(b, nd.wireKey)
 		b = model.AppendSchedule(b, nd.Schedule)
 	}
 	return b
 }
 
 func decodeAdoptReq(b []byte) (level int, nodes []adoptNode, err error) {
-	lv, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("adopt level: %w", err)
-	}
-	b = b[n:]
-	count, n, err := model.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("adopt count: %w", err)
-	}
-	b = b[n:]
-	nodes = make([]adoptNode, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var nd adoptNode
-		for _, dst := range []*uint64{&nd.Index, &nd.Depth} {
-			v, n, err := model.ConsumeUvarint(b)
-			if err != nil {
-				return 0, nil, fmt.Errorf("adopt node %d: %w", i, err)
-			}
-			*dst = v
-			b = b[n:]
+	r := reader{b: b}
+	level = r.num("adopt level")
+	nodes = make([]adoptNode, r.count("adopt count"))
+	for i := range nodes {
+		nodes[i] = adoptNode{
+			Index:    r.uvarint("adopt index"),
+			Depth:    r.uvarint("adopt depth"),
+			wireKey:  r.key("adopt key"),
+			Schedule: consume(&r, "adopt schedule", model.ConsumeSchedule),
 		}
-		if nd.Key, n, err = model.ConsumeString(b); err != nil {
-			return 0, nil, fmt.Errorf("adopt node %d key: %w", i, err)
-		}
-		b = b[n:]
-		if nd.Schedule, n, err = model.ConsumeSchedule(b); err != nil {
-			return 0, nil, fmt.Errorf("adopt node %d schedule: %w", i, err)
-		}
-		b = b[n:]
-		nodes = append(nodes, nd)
 	}
-	return int(lv), nodes, nil
+	return level, nodes, r.done("adopt")
 }
 
 // ownerShard maps a configuration fingerprint to its hash-range shard:
@@ -408,8 +442,3 @@ func ownerShard(hash uint64, shards int) int {
 	}
 	return s
 }
-
-// ownerWorker maps a shard to the worker process serving it: shards are
-// dealt round-robin, so worker w serves every shard s with
-// s % workerCount == w.
-func ownerWorker(shard, workerCount int) int { return shard % workerCount }

@@ -1,8 +1,10 @@
 package distexplore
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +47,7 @@ type ownedNode struct {
 // protocol and root, the visited-set shards this worker replicates, and
 // the frontier levels awaiting expansion. Jobs survive connection loss — a
 // coordinator that re-dials resumes against the same state, and because
-// expansion is pure and dedup/adopt are guarded by per-level caches, every
+// expansion is pure and dedup/adopt are guarded (per chunk, per node), every
 // RPC is idempotent under replay.
 type job struct {
 	pr          model.Protocol
@@ -57,13 +59,15 @@ type job struct {
 	replicas    int
 
 	// visited is this worker's slice of the global visited set: every
-	// canonical key whose hash lands in a shard this worker replicates,
-	// interned by fingerprint with full-key confirmation (fingerprint
-	// collisions cost a byte comparison, never correctness). Keys arrive in
-	// wire (string) form and are stored in the interner's per-shard arenas;
-	// a dedup hit allocates nothing. Replicas of one shard apply the same
-	// dedup batches in the same order, so their slices are identical at
-	// every level boundary.
+	// binary canonical key whose hash lands in a shard this worker
+	// replicates, interned by fingerprint with full-key confirmation
+	// (fingerprint collisions cost a byte comparison, never correctness).
+	// Keys arrive as wireKeys and are copied into the interner's per-shard
+	// arenas; a dedup hit allocates nothing, and because the interner has
+	// one key namespace the expand phase probes it with the successor
+	// configuration itself. Replicas of one shard apply the same dedup
+	// batches in the same order, so their slices are identical at every
+	// chunk boundary.
 	visited *model.Interner
 
 	// frontier holds adopted-but-unexpanded nodes, keyed by depth, in
@@ -71,32 +75,46 @@ type job struct {
 	// served are globally finished and pruned lazily (pruneBelow).
 	frontier map[int][]ownedNode
 
-	// levelCache keeps the successor configurations this worker computed
-	// during the current level's expansion and also replicates, so
-	// adopting them back does not pay a schedule replay. cacheLevel tracks
-	// which level the cache belongs to; a repeated expand at the same
-	// level (failover hands a promoted standby extra shards) accumulates
-	// into it rather than resetting.
-	levelCache map[string]*model.Config
+	// levelCache keeps, by fingerprint, the successor configurations this
+	// worker computed during the current level's expansion and also
+	// replicates, so adopting them back does not pay a schedule replay (a
+	// fingerprint collision fails adopt's key comparison and replays).
+	// cacheLevel tracks which level the cache belongs to; a later expand at
+	// the same level (the next chunk, or a failover handing a promoted
+	// standby extra shards) accumulates into it rather than resetting.
+	levelCache map[uint64]*model.Config
 	cacheLevel int
 
-	// Idempotency guards for the state-mutating RPCs: the level most
-	// recently applied, with the dedup response cached. A replayed request
-	// (the coordinator retried after a lost response) is answered from
-	// cache instead of being re-applied. Expansion needs no guard — it is
-	// pure over the frontier and recomputed on every call.
-	lastDedup, lastAdopt int
-	lastDedupResp        []byte
+	// Idempotency guards for the state-mutating RPCs. A dedup is named by
+	// its chunk — (level, lo), several per level — and the last one applied
+	// is kept with its response, so a replayed request (the coordinator
+	// retried after a lost response) is answered from cache instead of
+	// being re-applied. Adopted nodes arrive in ascending global index, so
+	// adoptNext — one past the highest index adopted — makes adoption
+	// idempotent per node: a replayed request, or a level's batch that
+	// overlaps what a rejoin backfill already delivered, applies only what
+	// is new. Expansion needs no guard — it is pure over the frontier and
+	// recomputed on every call.
+	lastDedup     chunkID
+	lastDedupResp []byte
+	adoptNext     uint64
 
 	// candScratch is the expand phase's candidate buffer, recycled across
-	// levels (encodeLevelCandidates serializes it before the next reuse);
-	// succScratch is the per-node successor buffer beside it.
+	// calls (encodeCandidates serializes it before the next reuse);
+	// succScratch is the per-node successor buffer beside it, and emitted
+	// maps a fingerprint to the candidate that first carried it in the
+	// current call.
 	candScratch []candidate
 	succScratch []explore.Successor
+	emitted     map[uint64]int
 }
 
-func (j *job) visitedAdd(hash uint64, key string) (fresh bool) {
-	_, fresh = j.visited.InternKey(hash, key)
+// chunkID names one budget-sized slice of a level: the level and the global
+// index its parent range starts at.
+type chunkID struct{ level, lo int }
+
+func (j *job) visitedAdd(k wireKey) (fresh bool) {
+	_, fresh = j.visited.InternKey(k.Hash, k.Key)
 	return fresh
 }
 
@@ -285,43 +303,44 @@ func (w *Worker) dispatch(typ byte, payload []byte) (byte, []byte) {
 		if err := w.initJob(req); err != nil {
 			return fail(err)
 		}
-		return frameOK, nil
+		return frameOK, model.AppendUvarint(nil, wireVersion)
 
 	case frameExpand:
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: expand without an active job"))
 		}
-		level, shards, err := decodeLevelIndices(payload)
+		req, err := decodeExpandReq(payload)
 		if err != nil {
 			return fail(err)
 		}
-		return frameExpandResp, w.expandLevel(level, shards)
+		resp, err := w.expandLevel(req)
+		if err != nil {
+			return fail(err)
+		}
+		return frameExpandResp, resp
 
 	case frameDedup:
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: dedup without an active job"))
 		}
-		level, groups, err := decodeShardGroups(payload)
+		level, lo, groups, err := decodeDedupReq(payload)
 		if err != nil {
 			return fail(err)
 		}
-		if level == w.job.lastDedup {
+		if (chunkID{level, lo}) == w.job.lastDedup {
 			return frameDedupResp, w.job.lastDedupResp
 		}
-		return frameDedupResp, w.dedupLevel(level, groups)
+		return frameDedupResp, w.dedupChunk(chunkID{level, lo}, groups)
 
 	case frameAdopt:
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: adopt without an active job"))
 		}
-		level, nodes, err := decodeAdoptReq(payload)
+		_, nodes, err := decodeAdoptReq(payload)
 		if err != nil {
 			return fail(err)
 		}
-		if level == w.job.lastAdopt {
-			return frameOK, nil // replayed request; already applied
-		}
-		if err := w.adoptLevel(level, nodes); err != nil {
+		if err := w.adoptNodes(nodes); err != nil {
 			return fail(err)
 		}
 		return frameOK, nil
@@ -367,112 +386,131 @@ func (w *Worker) initJob(req *initReq) error {
 		replicas:    req.Replicas,
 		visited:     model.NewInterner(),
 		frontier:    make(map[int][]ownedNode),
+		levelCache:  make(map[uint64]*model.Config),
 		cacheLevel:  -1,
-		lastDedup:   -1,
-		lastAdopt:   -1,
+		lastDedup:   chunkID{level: -1},
+		emitted:     make(map[uint64]int),
 	}
 	return nil
 }
 
-// expandLevel expands the frontier nodes of the requested shards at the
-// given depth through the shared engine core, returning the encoded
-// candidate list. Expansion is pure — the frontier is left in place and
-// the same request (or a different shard subset after a failover
-// promotion) can be recomputed at any time, which is what makes the expand
-// phase retryable with no idempotency log. Successors landing in shards
-// this worker replicates are cached so adoption does not replay their
-// schedules.
-func (w *Worker) expandLevel(level int, shards []uint64) []byte {
+// expandLevel expands one chunk of a level — the frontier nodes of the
+// requested shards with a global index in [Lo, Hi) — through the shared
+// engine core, returning the encoded candidate list. Expansion is pure —
+// the frontier is left in place and the same request (or a different shard
+// subset after a failover promotion) can be recomputed at any time, which
+// is what makes the expand phase retryable with no idempotency log.
+//
+// Two kinds of successor are dropped here, where they are born, because
+// dedup would call them seen anyway: one whose key this same call already
+// emitted (from a smaller (parent, successor) position, so the survivor is
+// the one the merge order puts first), and one that lands in a shard this
+// worker replicates and is already in its visited slice. Only this call's
+// own emissions count for the first rule, never levelCache membership: an
+// earlier call at this level — another chunk, or the shards this worker led
+// before a failover handed it more — may have emitted the key from a larger
+// parent index than a node expanded now. Surviving successors that land in
+// a replicated shard are cached so adoption does not replay their schedules.
+func (w *Worker) expandLevel(req *expandReq) ([]byte, error) {
 	j := w.job
-	j.pruneBelow(level)
-	if j.cacheLevel != level {
-		if j.levelCache == nil {
-			j.levelCache = make(map[string]*model.Config)
-		} else {
-			clear(j.levelCache) // keep the buckets, drop the entries
+	j.pruneBelow(req.Level)
+	if j.cacheLevel != req.Level {
+		clear(j.levelCache) // keep the buckets, drop the entries
+		j.cacheLevel = req.Level
+	}
+	want := make([]bool, j.shards)
+	for _, s := range req.Shards {
+		if s >= j.shards {
+			return nil, fmt.Errorf("distexplore: expand names shard %d of %d", s, j.shards)
 		}
-		j.cacheLevel = level
+		want[s] = true
 	}
-	want := make(map[int]bool, len(shards))
-	for _, s := range shards {
-		want[int(s)] = true
-	}
+	clear(j.emitted)
 	cands := j.candScratch[:0]
-	for _, nd := range j.frontier[level] {
+	nodes := j.frontier[req.Level]
+	first := sort.Search(len(nodes), func(i int) bool { return nodes[i].idx >= uint64(req.Lo) })
+	for _, nd := range nodes[first:] {
+		if nd.idx >= uint64(req.Hi) {
+			break
+		}
 		if !want[nd.shard] {
 			continue
 		}
 		j.succScratch = explore.AppendSuccessors(j.pr, nd.cfg, j.skip, j.succScratch)
 		for si, s := range j.succScratch {
-			h := s.Cfg.Hash()
-			key := s.Cfg.Key()
-			if j.replicatesHash(h) {
-				j.levelCache[key] = s.Cfg
+			id := identityOf(s.Cfg)
+			if j.replicatesHash(id.Hash) {
+				if _, seen := j.visited.Lookup(s.Cfg); seen {
+					continue
+				}
+				j.levelCache[id.Hash] = s.Cfg
 			}
-			cands = append(cands, candidate{
-				Parent:  nd.idx,
-				SuccIdx: uint64(si),
-				Hash:    h,
-				Key:     key,
-				Via:     s.Via,
-			})
+			if firstOccurrence(j.emitted, cands, id) {
+				cands = append(cands, candidate{Parent: nd.idx, SuccIdx: uint64(si), wireKey: id, Via: s.Via})
+			}
 		}
 	}
 	j.candScratch = cands
-	return encodeLevelCandidates(level, cands)
+	return encodeCandidates(req.Level, cands), nil
 }
 
-// dedupLevel filters per-shard candidate batches against this worker's
-// visited slices, returning per shard the indices of first-seen
+// dedupChunk filters per-shard batches of candidate identities against this
+// worker's visited slices, returning per shard the indices of first-seen
 // configurations. The coordinator sends each shard's candidates pre-sorted
 // in global merge order and sends the identical groups to every replica of
 // the shard, so all replicas compute the same answer and "first seen here"
 // coincides with "first seen by the sequential engine".
-func (w *Worker) dedupLevel(level int, groups []shardGroup) []byte {
+func (w *Worker) dedupChunk(id chunkID, groups []shardGroup) []byte {
 	j := w.job
-	j.pruneBelow(level)
+	j.pruneBelow(id.level)
 	out := make([]shardIndices, 0, len(groups))
 	for _, g := range groups {
 		fresh := shardIndices{Shard: g.Shard}
-		for i, c := range g.Cands {
-			if j.visitedAdd(c.Hash, c.Key) {
+		for i, k := range g.Keys {
+			if j.visitedAdd(k) {
 				fresh.Fresh = append(fresh.Fresh, uint64(i))
 			}
 		}
 		out = append(out, fresh)
 	}
-	resp := encodeShardIndices(level, out)
-	j.lastDedup, j.lastDedupResp = level, resp
+	resp := encodeDedupResp(id.level, id.lo, out)
+	j.lastDedup, j.lastDedupResp = id, resp
 	return resp
 }
 
-// adoptLevel materializes admitted nodes into this worker's frontier:
+// adoptNodes materializes admitted nodes into this worker's frontier:
 // from the expansion cache when the worker computed the configuration
 // itself this level, otherwise by replaying the node's schedule from the
 // root. Every materialization is verified against the transmitted
-// canonical key, so a protocol-resolution or replay divergence surfaces as
-// a loud error instead of silent state corruption.
-func (w *Worker) adoptLevel(level int, nodes []adoptNode) error {
+// identity, so a protocol-resolution or replay divergence surfaces as a
+// loud error instead of silent state corruption.
+func (w *Worker) adoptNodes(nodes []adoptNode) error {
 	j := w.job
 	for _, nd := range nodes {
-		shard := ownerShard(model.HashKey(nd.Key), j.shards)
+		if nd.Index < j.adoptNext {
+			continue // replayed or already backfilled; applied once
+		}
+		shard := ownerShard(nd.Hash, j.shards)
 		if !j.replicatesShard(shard) {
 			return fmt.Errorf("distexplore: node %d routed to worker %d, which does not replicate shard %d", nd.Index, j.workerIndex, shard)
 		}
-		cfg, ok := j.levelCache[nd.Key]
-		if !ok {
+		cfg := j.levelCache[nd.Hash]
+		if cfg == nil || !bytes.Equal(cfg.KeyBytes(), nd.Key) {
 			var err error
 			cfg, err = model.ApplySchedule(j.pr, j.root, nd.Schedule)
 			if err != nil {
 				return fmt.Errorf("distexplore: replaying schedule for node %d: %w", nd.Index, err)
 			}
+			if !bytes.Equal(cfg.KeyBytes(), nd.Key) {
+				return fmt.Errorf("distexplore: node %d integrity failure: replayed key diverges from transmitted key (protocol mismatch between cluster members?)", nd.Index)
+			}
 		}
-		if cfg.Key() != nd.Key {
-			return fmt.Errorf("distexplore: node %d integrity failure: replayed key diverges from transmitted key (protocol mismatch between cluster members?)", nd.Index)
+		if cfg.Hash() != nd.Hash {
+			return fmt.Errorf("distexplore: node %d integrity failure: transmitted fingerprint is not its key's", nd.Index)
 		}
-		j.visitedAdd(cfg.Hash(), nd.Key) // root adoption path; no-op after dedup
+		j.visitedAdd(nd.wireKey) // root adoption path; no-op after dedup
 		j.frontier[int(nd.Depth)] = append(j.frontier[int(nd.Depth)], ownedNode{idx: nd.Index, shard: shard, cfg: cfg})
+		j.adoptNext = nd.Index + 1
 	}
-	j.lastAdopt = level
 	return nil
 }

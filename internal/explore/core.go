@@ -68,7 +68,7 @@ func (c *core) admit(cfg *model.Config, parent int32, via model.Event) {
 // worker count.
 //
 // The pool speculates: it may expand nodes the budget then discards. The
-// ledger bounds that slack to one chunk (specChunk), and a node is merged
+// ledger bounds that slack to one chunk (SpecChunk), and a node is merged
 // only while the ledger is not sealed — the per-node test the sequential
 // oracle makes — so the nodes whose successors are merged, and everything
 // observable, are the oracle's whatever the chunking.
@@ -93,7 +93,7 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 			hi := end
 			var exps [][]Successor
 			if opt.Workers > 1 && !led.Sealed() && !opt.DepthCapped(depth) {
-				hi = lo + specChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, opt.Workers)
+				hi = lo + SpecChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, opt.Workers)
 				exps = expandLevel(c.pr, c.skip, c.cfgs[lo:hi], opt.Workers, &pool)
 			}
 			for u := lo; u < hi; u++ {
@@ -120,13 +120,15 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 	return led.Complete()
 }
 
-// specChunk sizes the next pooled expansion of a level with remaining
-// nodes left: as many nodes as the budget's room is expected to pay for at
-// the table's running rate of admissions per expanded node (count over
-// expanded, so at least one), floored at a few nodes per worker so the
-// pool stays busy, and capped at the level's remainder — which is the
-// whole answer while the budget is far.
-func specChunk(remaining, room, expanded, count, workers int) int {
+// SpecChunk sizes the next speculative expansion of a level with remaining
+// nodes left, for every engine that expands ahead of the ledger (walk's
+// pool here, the distexplore coordinator's workers): as many nodes as the
+// budget's room is expected to pay for at the table's running rate of
+// admissions per expanded node (count over expanded, so at least one),
+// floored at a few nodes per worker so the workers stay busy, and capped at
+// the level's remainder — which is the whole answer while the budget is
+// far.
+func SpecChunk(remaining, room, expanded, count, workers int) int {
 	n := float64(room)
 	if expanded > 0 {
 		n *= float64(expanded) / float64(count)

@@ -6,26 +6,15 @@ import (
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/modeltest"
 	"github.com/flpsim/flp/internal/protocols"
 )
-
-// stepCounter wraps a protocol so every Step bumps an atomic counter: the
-// number of protocol steps an exploration paid for, merged or discarded.
-type stepCounter struct {
-	model.Protocol
-	steps *atomic.Int64
-}
-
-func (p stepCounter) Step(pid model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
-	p.steps.Add(1)
-	return p.Protocol.Step(pid, s, m)
-}
 
 // TestSpeculationBoundedByOneChunk pins the level path's speculation to
 // the ledger. At budgets that cut a level in the middle, the pooled walk
 // may step the protocol more often than the sequential oracle only by the
 // nodes of one chunk it expanded and then had to discard: at most the
-// largest chunk specChunk cuts once the budget level is reached (its first
+// largest chunk SpecChunk cuts once the budget level is reached (its first
 // one — room only shrinks from there) times the most events any visited
 // node has. Expanding the whole level first, as walk once did, overshoots
 // this bound several times over at the larger budgets.
@@ -49,7 +38,7 @@ func TestSpeculationBoundedByOneChunk(t *testing.T) {
 		for _, budget := range []int{60, 400, 1000} {
 			t.Run(fmt.Sprintf("%s%d@%d", k.name, k.n, budget), func(t *testing.T) {
 				var steps atomic.Int64
-				pr := stepCounter{base, &steps}
+				pr := modeltest.StepCounter{Protocol: base, Steps: &steps}
 				root := model.MustInitial(pr, in)
 
 				// The oracle run also yields the shape of the level the
@@ -81,7 +70,7 @@ func TestSpeculationBoundedByOneChunk(t *testing.T) {
 				for _, w := range []int{2, 8} {
 					steps.Store(0)
 					Explore(pr, root, Options{MaxConfigs: budget, Workers: w}, nil, nil)
-					chunk := specChunk(count-lo, budget-count, lo, count, w)
+					chunk := SpecChunk(count-lo, budget-count, lo, count, w)
 					if got, limit := steps.Load(), sequential+int64(chunk*maxEvents); got > limit {
 						t.Errorf("workers=%d: %d protocol steps, sequential %d + one chunk (%d nodes × %d events) = %d",
 							w, got, sequential, chunk, maxEvents, limit)
@@ -107,8 +96,8 @@ func TestSpecChunk(t *testing.T) {
 		{5, 3, 400, 900, 2, 5},                   // the floor is capped by the level
 		{500, 1 << 62, 1 << 40, 1 << 41, 2, 500}, // no overflow at huge bounds
 	} {
-		if got := specChunk(tc.remaining, tc.room, tc.expanded, tc.count, tc.workers); got != tc.want {
-			t.Errorf("specChunk(%d, %d, %d, %d, %d) = %d, want %d",
+		if got := SpecChunk(tc.remaining, tc.room, tc.expanded, tc.count, tc.workers); got != tc.want {
+			t.Errorf("SpecChunk(%d, %d, %d, %d, %d) = %d, want %d",
 				tc.remaining, tc.room, tc.expanded, tc.count, tc.workers, got, tc.want)
 		}
 	}

@@ -15,6 +15,7 @@ package model_test
 // (map internals, testing harness) cannot produce false failures below it.
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
@@ -88,13 +89,14 @@ func TestAllocsConfigHash(t *testing.T) {
 	}
 }
 
-// TestAllocsInternKey pins the wire-key dedup path used by the distributed
-// engine's visited-set shards: a fingerprint-plus-string lookup against an
-// interner that has already seen the key must not allocate at all.
+// TestAllocsInternKey pins the transmitted-key dedup path used by the
+// distributed engine's visited-set shards: a fingerprint-plus-key lookup
+// against an interner that has already seen the key must not allocate at
+// all.
 func TestAllocsInternKey(t *testing.T) {
 	pr, c, e := internFixture(t)
 	nc := model.MustApply(pr, c, e)
-	h, key := nc.Hash(), nc.Key()
+	h, key := nc.Hash(), nc.KeyBytes()
 	it := model.NewInterner()
 	it.InternKey(h, key)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -102,6 +104,63 @@ func TestAllocsInternKey(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("dedup-hit InternKey allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestAllocsInternKeySmallJob pins the arena growth rule: a visited set of
+// 400 transmitted keys — one budgeted distributed job — spreads over every
+// interner shard, and with fixed 64 KiB arena chunks it cleared 4 MiB to
+// hold well under 100 KB of keys. Chunks that start at 1 KiB and double
+// keep the whole interner below 256 KiB. The same entries must answer
+// Lookup and Intern by configuration: one key namespace.
+func TestAllocsInternKeySmallJob(t *testing.T) {
+	factory, _ := protocols.Lookup("paxos")
+	pr, err := factory(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 400
+	seen := model.NewInterner()
+	cfgs := []*model.Config{model.MustInitial(pr, model.Inputs{model.V0, model.V1, model.V1})}
+	seen.Intern(cfgs[0])
+	for i := 0; i < len(cfgs) && len(cfgs) < want; i++ {
+		for _, e := range model.Events(cfgs[i]) {
+			if nc := model.Expand(pr, cfgs[i], e); nc != nil && len(cfgs) < want {
+				if _, fresh := seen.Intern(nc); fresh {
+					cfgs = append(cfgs, nc)
+				}
+			}
+		}
+	}
+	if len(cfgs) != want {
+		t.Fatalf("walk found %d configurations, want %d", len(cfgs), want)
+	}
+	keyBytes := 0
+	for _, c := range cfgs {
+		c.Hash()
+		keyBytes += len(c.KeyBytes())
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	it := model.NewInterner()
+	for _, c := range cfgs {
+		if _, fresh := it.InternKey(c.Hash(), c.KeyBytes()); !fresh {
+			t.Fatal("distinct configuration reported as seen")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const ceiling = 256 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= ceiling {
+		t.Fatalf("interning %d keys (%d key bytes) allocated %d bytes, ceiling %d", want, keyBytes, got, ceiling)
+	}
+	for _, c := range cfgs {
+		if _, ok := it.Lookup(c); !ok {
+			t.Fatal("a key interned through InternKey is not found by configuration")
+		}
+		if _, fresh := it.Intern(c); fresh {
+			t.Fatal("Intern re-admitted a configuration InternKey already holds")
+		}
 	}
 }
 

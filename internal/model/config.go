@@ -22,13 +22,13 @@ import (
 //     compares it with bytes.Equal and the fingerprint is the FNV-1a hash
 //     of exactly these bytes. No escaping, no intermediate strings.
 //   - Key, the string form: every field escaped with enc.Escape and
-//     '|'-terminated. This is the human-readable debug and wire view —
-//     traces, fixtures, and the distexplore protocol carry it unchanged.
+//     '|'-terminated. This is the human-readable view — traces, fixtures
+//     and debugging output carry it; nothing routes, dedups or hashes on it.
 //
 // Both encodings are injective over the field sequence, so they induce the
-// same equality partition; HashKey recovers the binary fingerprint from the
-// string form, which keeps c.Hash() == HashKey(c.Key()) — the contract
-// hash-range sharding rests on.
+// same equality partition (explore/keydiff_test.go sweeps the bijection).
+// The hash contract is Hash() == FNV-1a(KeyBytes()), in process and on the
+// distexplore wire alike.
 //
 // Keys and the fingerprint are computed lazily and cached through atomics,
 // so a Config may be shared freely across goroutines (the parallel explorer
@@ -153,10 +153,10 @@ func (c *Config) DecidedCount() int {
 
 // Key returns the canonical string encoding of the configuration: every
 // field escaped and '|'-terminated. Two configurations represent the same
-// system state iff their keys are equal. This is the debug and wire view —
-// the binary KeyBytes carries the same identity without the escaping cost,
-// and is what the exploration hot path uses. Key is safe for concurrent
-// use.
+// system state iff their keys are equal. This is the trace, fixture and
+// debug view — the binary KeyBytes carries the same identity without the
+// escaping cost, and is what every engine, the interner and the distexplore
+// wire use. Key is safe for concurrent use.
 func (c *Config) Key() string {
 	if k := c.key.Load(); k != nil {
 		return *k
@@ -277,14 +277,6 @@ const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
 
 func fnvBytes(h uint64, b []byte) uint64 {
 	for _, c := range b {

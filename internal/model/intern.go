@@ -10,11 +10,16 @@ import (
 // fingerprint's low bits.
 const internShardCount = 64
 
-// internArenaChunk is the allocation unit of a shard's key arena. Interned
-// keys are copied into these chunks back to back, so a visited set of a
-// million configurations costs a few thousand allocations of key storage
-// rather than a million.
-const internArenaChunk = 1 << 16
+// A shard's key arena is a chain of chunks that interned keys are copied
+// into back to back. Chunks double from internArenaMin to internArenaMax:
+// a visited set of a million configurations still costs a few thousand
+// allocations of key storage rather than a million, and one of a few
+// hundred (a budgeted distributed job, spread over every shard) clears
+// kilobytes rather than megabytes.
+const (
+	internArenaMin = 1 << 10
+	internArenaMax = 1 << 16
+)
 
 // Interner assigns stable small integer identities to configurations: two
 // configurations receive the same ID iff they are Equal. Identity is
@@ -32,10 +37,10 @@ const internArenaChunk = 1 << 16
 // on a lock. IDs are unique across shards and reflect interning order only
 // within a shard.
 //
-// One interner holds one key namespace: entries made by Intern/InternTag
-// carry binary keys, entries made by InternKey carry wire-form string
-// keys. The two encodings of one configuration are different byte strings,
-// so never mix the two styles in a single interner.
+// One interner holds one key namespace, the binary canonical key:
+// Intern/InternTag take it from the configuration, InternKey from a holder
+// of a transmitted key. An entry made either way is found by Lookup, Tag
+// and every later Intern of an Equal configuration.
 type Interner struct {
 	shards [internShardCount]internShard
 }
@@ -81,15 +86,13 @@ func (sh *internShard) insertLocked(h uint64, key []byte, tag uint64) internEntr
 }
 
 // copyToArena stores one key's bytes in the shard arena and returns the
-// stable sub-slice. The tail of a chunk too small for the next key is
+// stable sub-slice. A full chunk is followed by one twice its size, up to
+// internArenaMax; the tail of a chunk too small for the next key is
 // abandoned — bounded waste for allocation-free steady state.
-func (sh *internShard) copyToArena(key string) []byte {
+func (sh *internShard) copyToArena(key []byte) []byte {
 	if cap(sh.arena)-len(sh.arena) < len(key) {
-		size := internArenaChunk
-		if len(key) > size {
-			size = len(key)
-		}
-		sh.arena = make([]byte, 0, size)
+		size := min(max(2*cap(sh.arena), internArenaMin), internArenaMax)
+		sh.arena = make([]byte, 0, max(size, len(key)))
 	}
 	off := len(sh.arena)
 	sh.arena = append(sh.arena, key...)
@@ -138,39 +141,22 @@ func (it *Interner) InternTag(c *Config, tag uint64) (got uint64, fresh bool) {
 	return tag, true
 }
 
-// InternKey interns by precomputed fingerprint and wire-form canonical key
-// string, for holders of transmitted keys with no Config to materialize —
-// the distributed explorer's visited-set shards dedup exactly this way. A
-// dedup hit costs zero allocations (the incoming string is compared
-// in place against the stored bytes); a fresh key is copied into the
-// shard's arena.
+// InternKey interns by precomputed fingerprint and binary canonical key,
+// for holders of transmitted keys with no Config to materialize — the
+// distributed explorer's visited-set shards dedup exactly this way. A
+// dedup hit costs zero allocations; a fresh key is copied into the shard's
+// arena, so the caller's buffer (a received frame) is not retained.
 //
-// h must be HashKey(key). Keys interned here are a different namespace
-// from Intern/InternTag's binary keys — use a dedicated interner.
-func (it *Interner) InternKey(h uint64, key string) (id uint64, fresh bool) {
+// h must be the FNV-1a fingerprint of key, i.e. Hash() of the
+// configuration whose KeyBytes() key is.
+func (it *Interner) InternKey(h uint64, key []byte) (id uint64, fresh bool) {
 	sh := &it.shards[h&(internShardCount-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, e := range sh.buckets[h] {
-		if equalBytesString(e.key, key) {
-			return e.id, false
-		}
+	if e, ok := sh.lookupLocked(h, key); ok {
+		return e.id, false
 	}
 	return sh.insertLocked(h, sh.copyToArena(key), 0).id, true
-}
-
-// equalBytesString is bytes.Equal against a string without converting
-// either side.
-func equalBytesString(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		if b[i] != s[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Tag returns the auxiliary value recorded for c by InternTag.

@@ -8,18 +8,23 @@ import (
 // This file is the wire layer of the model: a compact, canonical binary
 // encoding for the values that cross process boundaries in the distributed
 // explorer (package distexplore) — messages, events, schedules, and input
-// assignments — together with the stable hash contract that hash-range
-// partitioning rests on.
+// assignments.
 //
 // Configurations themselves never cross the wire as state dumps: process
-// states are protocol-defined opaque values (only their canonical Key is
+// states are protocol-defined opaque values (only their canonical key is
 // visible to the model), so a configuration is transmitted as identity plus
-// provenance — its canonical Key (the identity every visited-set decision
-// is made on) and the Schedule that reaches it from the root. Any party
-// holding the protocol and the root can rematerialize the configuration by
-// replaying the schedule, and verify the result against the transmitted
-// key. This keeps the wire format protocol-agnostic: nothing here needs to
-// change when a new Protocol implementation is added.
+// provenance — its binary canonical key, Config.KeyBytes (the identity
+// every visited-set decision is made on, here as in process), and the
+// Schedule that reaches it from the root. Any party holding the protocol
+// and the root can rematerialize the configuration by replaying the
+// schedule, and verify the result against the transmitted key. This keeps
+// the wire format protocol-agnostic: nothing here needs to change when a
+// new Protocol implementation is added.
+//
+// The hash contract that hash-range partitioning rests on is the one the
+// interner already has: Config.Hash() is the FNV-1a hash of KeyBytes(),
+// everywhere. A party that holds only a transmitted key is sent the
+// fingerprint beside it and never derives one from another encoding.
 
 // maxWirePID bounds decoded process identifiers; real protocols have a
 // handful of processes, so anything larger is a corrupt or hostile frame.
@@ -27,86 +32,6 @@ const maxWirePID = 1 << 20
 
 // maxWireLen bounds decoded string and slice lengths, for the same reason.
 const maxWireLen = 1 << 28
-
-// HashKey returns the 64-bit fingerprint of a canonical configuration key
-// in its string (wire) form. It is the stable hash contract of the model —
-// for every configuration c,
-//
-//	c.Hash() == HashKey(c.Key())
-//
-// so any party holding only the canonical key (a remote visited-set shard,
-// for example) routes and buckets exactly like a party holding the
-// configuration. TestHashKeyContract pins this.
-//
-// The fingerprint is the FNV-1a hash of the *binary* canonical key
-// (uvarint-length-prefixed raw fields), which the string form determines
-// exactly: escaped fields contain no '|', so every '|' is a field
-// terminator, and unescaping recovers the raw field bytes. HashKey streams
-// that decoding — per field it hashes the uvarint of the unescaped length,
-// then the unescaped bytes — without allocating.
-func HashKey(key string) uint64 {
-	h := fnvOffset64
-	for start := 0; start < len(key); {
-		end := start
-		for end < len(key) && key[end] != '|' {
-			end++
-		}
-		if end == len(key) && end == start {
-			break // trailing terminator: not a field
-		}
-		h = fnvKeyField(h, key[start:end])
-		start = end + 1
-	}
-	if h == 0 {
-		h = fnvOffset64
-	}
-	return h
-}
-
-// fnvKeyField folds one escaped field into the binary-key FNV stream:
-// uvarint of the unescaped length, then the unescaped bytes. Unescaping
-// inverts enc.Escape ("\\"→'\\', "\p"→'|', "\c"→','); a malformed trailing
-// backslash is hashed literally, keeping HashKey total and deterministic on
-// arbitrary input.
-func fnvKeyField(h uint64, f string) uint64 {
-	n := len(f)
-	for i := 0; i < len(f); i++ {
-		if f[i] == '\\' && i+1 < len(f) {
-			n--
-			i++
-		}
-	}
-	// Inline uvarint encoding of n into the hash stream.
-	for v := uint64(n); ; {
-		b := byte(v)
-		v >>= 7
-		if v != 0 {
-			b |= 0x80
-		}
-		h ^= uint64(b)
-		h *= fnvPrime64
-		if v == 0 {
-			break
-		}
-	}
-	for i := 0; i < len(f); i++ {
-		c := f[i]
-		if c == '\\' && i+1 < len(f) {
-			i++
-			switch f[i] {
-			case 'p':
-				c = '|'
-			case 'c':
-				c = ','
-			default: // '\\' and any unknown escape: the escaped byte itself
-				c = f[i]
-			}
-		}
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // AppendMessage appends the wire encoding of m to b.
 func AppendMessage(b []byte, m Message) []byte {
@@ -193,8 +118,8 @@ func ConsumeSchedule(b []byte) (Schedule, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("schedule length: %w", err)
 	}
-	if count > maxWireLen {
-		return nil, 0, fmt.Errorf("schedule length %d exceeds limit", count)
+	if count > uint64(len(b)-n) { // every event is at least two bytes
+		return nil, 0, fmt.Errorf("schedule length %d exceeds the %d bytes that remain", count, len(b)-n)
 	}
 	s := make(Schedule, 0, count)
 	off := n
@@ -242,9 +167,12 @@ func ConsumeInputs(b []byte) (Inputs, int, error) {
 	return in, n + int(count), nil
 }
 
+// consumeUvarint accepts only the shortest encoding of a value — the one
+// AppendUvarint writes — so a payload that decodes re-encodes to the same
+// bytes.
 func consumeUvarint(b []byte) (uint64, int, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
 		return 0, 0, fmt.Errorf("truncated or malformed uvarint")
 	}
 	return v, n, nil
@@ -276,7 +204,7 @@ func consumeString(b []byte) (string, int, error) {
 }
 
 // AppendString appends a length-prefixed string to b. Exposed for the
-// distributed explorer's frame payloads, which embed canonical keys.
+// distributed explorer's frame payloads.
 func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)

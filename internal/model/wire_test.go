@@ -4,39 +4,7 @@ import (
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
-	"github.com/flpsim/flp/internal/protocols"
 )
-
-// TestHashKeyContract pins the stable hash contract the distributed
-// explorer's hash-range partitioning rests on: Config.Hash() must equal
-// HashKey(Config.Key()) for every reachable configuration, so a remote
-// shard holding only the canonical key routes exactly like a local engine
-// holding the configuration.
-func TestHashKeyContract(t *testing.T) {
-	pr := protocols.NewNaiveMajority(3)
-	c := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	seen := 0
-	var walk func(cfg *model.Config, depth int)
-	walk = func(cfg *model.Config, depth int) {
-		if seen >= 200 || depth > 4 {
-			return
-		}
-		seen++
-		if got, want := cfg.Hash(), model.HashKey(cfg.Key()); got != want {
-			t.Fatalf("hash contract broken: Config.Hash()=%d, HashKey(Key)=%d", got, want)
-		}
-		for _, e := range model.Events(cfg) {
-			if e.IsNull() && model.IsNoOp(pr, cfg, e) {
-				continue
-			}
-			walk(model.MustApply(pr, cfg, e), depth+1)
-		}
-	}
-	walk(c, 0)
-	if seen < 10 {
-		t.Fatalf("walk visited only %d configurations", seen)
-	}
-}
 
 func TestMessageWireRoundTrip(t *testing.T) {
 	cases := []model.Message{

@@ -6,6 +6,7 @@ package modeltest
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
@@ -64,4 +65,18 @@ func CheckConformance(t *testing.T, pr model.Protocol, inputs model.Inputs, step
 		}
 		cfg = nc
 	}
+}
+
+// StepCounter wraps a protocol so every Step bumps an atomic counter: the
+// number of protocol steps an exploration paid for, whether their results
+// were kept or discarded.
+type StepCounter struct {
+	model.Protocol
+	Steps *atomic.Int64
+}
+
+// Step implements model.Protocol.
+func (p StepCounter) Step(pid model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
+	p.Steps.Add(1)
+	return p.Protocol.Step(pid, s, m)
 }
