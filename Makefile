@@ -11,11 +11,12 @@ test:
 	$(GO) test ./...
 
 # Race coverage for the concurrent engine: the parallel explorer, the
-# config key/hash atomics, the interner, and the shared valency cache.
-# The three named packages carry the concurrency stress tests; the final
-# sweep covers the rest of the tree.
+# config key/hash atomics, the interner, the shared valency cache, and the
+# protocol states, whose vote and inbox slices sibling configurations share
+# across pool workers. The named packages carry the concurrency stress
+# tests; the final sweep covers the rest of the tree.
 test-race:
-	$(GO) test -race ./internal/explore ./internal/model ./internal/adversary ./internal/distexplore
+	$(GO) test -race ./internal/explore ./internal/model ./internal/adversary ./internal/distexplore ./internal/protocols/... ./internal/protogen/...
 	$(GO) test -race -short ./...
 
 # The distributed engine end to end: the full differential/fault suite,
@@ -132,12 +133,15 @@ bench-store:
 bench-checkpoint:
 	$(GO) run ./cmd/flpbench -experiment E25
 
-# The allocation guardrail: the AllocsPerRun pins (in distexplore: one
-# budgeted loopback run against the sequential engine) plus the hot-path
-# benchmarks the EXPERIMENTS.md numbers are regenerated from.
+# The allocation guardrail: the AllocsPerRun and bytes-per-successor pins
+# (in distexplore: one budgeted loopback run against the sequential engine)
+# plus the hot-path benchmarks the EXPERIMENTS.md numbers are regenerated
+# from: three on the naivemajority(3) fixture, then one successor of every
+# registry kernel (ns, B and allocs per successor).
 bench-alloc:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
+	$(GO) test -bench 'BenchmarkExpand' -benchtime 20x -run '^$$' ./internal/explore
 
 vet:
 	$(GO) vet ./...

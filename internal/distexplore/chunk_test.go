@@ -358,9 +358,13 @@ func TestWireBytesPerConfig(t *testing.T) {
 // coordinator and all three workers, they share the process — as a multiple
 // of the sequential engine on the same task. The cluster keys, ships and
 // rematerializes what the oracle only builds once, so the multiple is above
-// one: 4.5 measured (4.3 under -race). It was 29.5 when the whole last level
-// was expanded, every candidate carried an escaped string key, and every job
-// cleared a 64 KiB arena in each interner shard it touched.
+// one: 5.5 measured, with and without -race (5.07 MB against 0.92 MB). The
+// frames, dedup tables and replays that make up most of the cluster's bytes
+// do not shrink when a successor does, so a cheaper model step raises the
+// multiple while both sides fall; read the logged byte counts with it. It
+// was 29.5 when the whole last level was expanded, every candidate carried
+// an escaped string key, and every job cleared a 64 KiB arena in each
+// interner shard it touched.
 func TestAllocsClusterBudgeted(t *testing.T) {
 	k := budgetKernels[1]
 	pr, err := RegistryProvider(k.name, k.n)
@@ -380,7 +384,7 @@ func TestAllocsClusterBudgeted(t *testing.T) {
 	})
 	var cluster uint64
 	clusterRun(t, &frameTap{Transport: NewLoopback()}, k.name, k.n, k.budget, func(run func()) { cluster = allocated(run) })
-	const ceiling = 5.0
+	const ceiling = 6.0
 	ratio := float64(cluster) / float64(sequential)
 	t.Logf("cluster %d bytes, sequential %d bytes: %.2f×", cluster, sequential, ratio)
 	if ratio > ceiling {

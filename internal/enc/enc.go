@@ -104,17 +104,47 @@ func (b *Builder) StrSet(set map[string]bool) *Builder {
 	return b
 }
 
+// AppendInt appends a decimal integer field to dst: what Builder.Int and
+// Builder.Uint8 write, for key builders that assemble a key in a byte
+// buffer they size themselves.
+func AppendInt(dst []byte, v int) []byte {
+	return append(strconv.AppendInt(dst, int64(v), 10), Sep...)
+}
+
+// AppendBool appends a boolean field to dst, as Builder.Bool writes it.
+func AppendBool(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, '1', Sep[0])
+	}
+	return append(dst, '0', Sep[0])
+}
+
 // String returns the accumulated key.
 func (b *Builder) String() string { return b.sb.String() }
 
-// escaper rewrites the separator characters; built once — a
-// strings.Replacer compiles its lookup table lazily on first use and is
-// safe for concurrent use, and Escape runs on every key construction.
-var escaper = strings.NewReplacer("\\", "\\\\", Sep, "\\p", listSep, "\\c")
+// AppendEscaped appends Escape(s) to dst without building the string.
+func AppendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\\':
+			dst = append(dst, '\\', '\\')
+		case Sep[0]:
+			dst = append(dst, '\\', 'p')
+		case listSep[0]:
+			dst = append(dst, '\\', 'c')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
 
 // Escape makes an arbitrary string safe for use as a key field by escaping
 // the separator characters. It is injective: distinct inputs produce
-// distinct outputs.
+// distinct outputs. A string with nothing to escape is returned as is.
 func Escape(s string) string {
-	return escaper.Replace(s)
+	if !strings.ContainsAny(s, "\\"+Sep+listSep) {
+		return s
+	}
+	return string(AppendEscaped(make([]byte, 0, len(s)+8), s))
 }

@@ -103,3 +103,25 @@ func TestCompositeKeyUnambiguous(t *testing.T) {
 		t.Errorf("field boundary ambiguity: %q", a.String())
 	}
 }
+
+// The append-style helpers write exactly what the Builder and Escape do.
+func TestAppendHelpersMatchBuilder(t *testing.T) {
+	f := func(i int, u uint8, v bool, s string) bool {
+		var b Builder
+		b.Int(i).Uint8(u).Bool(v).Str(Escape(s))
+		got := AppendInt(nil, i)
+		got = AppendInt(got, int(u))
+		got = AppendBool(got, v)
+		got = append(AppendEscaped(got, s), Sep...)
+		return string(got) == b.String()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if got, want := string(AppendEscaped([]byte("x"), `a|b,c\d`)), `xa\pb\cc\\d`; got != want || Escape(`a|b,c\d`) != want[1:] {
+		t.Errorf("AppendEscaped = %q, Escape = %q, want %q", got, Escape(`a|b,c\d`), want)
+	}
+	if Escape("plain") != "plain" {
+		t.Errorf("Escape(plain) = %q", Escape("plain"))
+	}
+}

@@ -9,10 +9,13 @@ package explore_test
 // if each piece still looks fine alone.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // exploreAllocsPerConfig runs a full budgeted exploration and returns
@@ -33,15 +36,16 @@ func exploreAllocsPerConfig(t *testing.T, workers int) float64 {
 }
 
 // TestAllocsExploreSequential pins the sequential engine. The measured
-// cost on the waitall(3) fixture is 80.3 allocs per visited configuration
-// (89.2 under -race, which the Makefile's race targets run this file
-// with), dominated by successor materialization: protocol state, states
-// slice, buffer entries, key build — across every expanded candidate, not
-// just the admitted ones. The ceiling is the race figure plus one: no room
-// for a map-backed buffer (105) or per-candidate string keys (3-4× more).
+// cost on the waitall(3) fixture is 37.4 allocs per visited configuration,
+// the same under -race (which the Makefile's race targets run this file
+// with), dominated by successor materialization — protocol state, its key,
+// the process and buffer-entry slices, the key build — across every
+// expanded candidate, not just the admitted ones. The ceiling is that plus
+// one, rounded up: no room for a map or a formatted key anywhere on the
+// path (80.3 when votes were maps and keys went through fmt).
 func TestAllocsExploreSequential(t *testing.T) {
 	per := exploreAllocsPerConfig(t, 1)
-	const ceiling = 91
+	const ceiling = 39
 	if per > ceiling {
 		t.Fatalf("sequential Explore allocates %.1f/config, ceiling %d", per, ceiling)
 	}
@@ -50,10 +54,10 @@ func TestAllocsExploreSequential(t *testing.T) {
 // TestAllocsExploreParallel pins the parallel engine to the same budget
 // plus pool overhead: with successor buffers recycled across levels, the
 // level-synchronous engine must stay within a few percent of sequential,
-// not a multiple of it. Measured 82.6, 91.7 under -race.
+// not a multiple of it. Measured 39.7, with and without -race.
 func TestAllocsExploreParallel(t *testing.T) {
 	per := exploreAllocsPerConfig(t, 4)
-	const ceiling = 93
+	const ceiling = 41
 	if per > ceiling {
 		t.Fatalf("parallel Explore allocates %.1f/config, ceiling %d", per, ceiling)
 	}
@@ -62,9 +66,9 @@ func TestAllocsExploreParallel(t *testing.T) {
 // TestAllocsBuildAtlas pins the edge-recording walk of the same core: node
 // table and CSR growth, interning, the inline successor buffer, plus the
 // predecessor CSR and the two backward passes. Measured on the waitall(3)
-// fixture: 81.6 allocs per atlas node, the same at every run because one
-// worker expands inline, and 90.9 under -race, which the Makefile's race
-// targets run this test with; the ceiling is that plus one, so it is the
+// fixture: 38.9 allocs per atlas node, the same at every run because one
+// worker expands inline, and the same under -race, which the Makefile's
+// race targets run this test with; the ceiling is that plus one, so it is the
 // local, sub-second stand-in for the benchmark's alloc_mb_per_op bound on
 // the atlas-building workloads.
 func TestAllocsBuildAtlas(t *testing.T) {
@@ -76,7 +80,7 @@ func TestAllocsBuildAtlas(t *testing.T) {
 		t.Fatal("BuildAtlas refused within budget")
 	}
 	per := testing.AllocsPerRun(5, func() { explore.BuildAtlas(pr, root, opt) }) / float64(atlas.Len())
-	const ceiling = 92
+	const ceiling = 40
 	if per > ceiling {
 		t.Fatalf("BuildAtlas allocates %.1f/node, ceiling %d", per, ceiling)
 	}
@@ -99,5 +103,96 @@ func TestAllocsExploreBudgeted(t *testing.T) {
 	seq, par := run(1), run(4)
 	if par > 1.15*seq {
 		t.Fatalf("budgeted Explore allocates %.0f at 4 workers, %.0f sequentially (%.2f×, ceiling 1.15×)", par, seq, par/seq)
+	}
+}
+
+// firstConfigs returns the configurations a sequential exploration of pr
+// from in admits under a budget of n, in visit order.
+func firstConfigs(pr model.Protocol, in model.Inputs, n int) []*model.Config {
+	var nodes []*model.Config
+	explore.Explore(pr, model.MustInitial(pr, in), explore.Options{MaxConfigs: n, Workers: 1}, nil,
+		func(c *model.Config, _ int, _ func() model.Schedule) bool {
+			nodes = append(nodes, c)
+			return false
+		})
+	return nodes
+}
+
+// TestAllocsBytesPerSuccessor pins the bytes one generated successor costs
+// at explore-wide's own shape: AppendSuccessors over the 1,000
+// configurations a budgeted exploration of onethird(4) admits from the
+// all-zero inputs. The guards above count objects; this change-sensitive
+// number is bytes — a child buffer that copies its parent's messages
+// instead of pointing at them, or a state that clones its inbox instead of
+// sharing it, allocates hardly any more objects and twice the bytes (2,080
+// per successor before buffers shared message records and states carried
+// their keys). Measured 999, 1,003 under -race.
+func TestAllocsBytesPerSuccessor(t *testing.T) {
+	pr := registryFixture(t, "onethird")
+	nodes := firstConfigs(pr, make(model.Inputs, pr.N()), 1000)
+	buf := make([]explore.Successor, 0, 64)
+	succs := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range nodes {
+		buf = explore.AppendSuccessors(pr, c, nil, buf)
+		succs += len(buf)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(succs)
+	t.Logf("%d successors of %d configurations: %.0f bytes each", succs, len(nodes), per)
+	const ceiling = 1050
+	if len(nodes) != 1000 || per > ceiling {
+		t.Fatalf("a successor allocates %.0f bytes over %d configurations, ceiling %d over 1000", per, len(nodes), ceiling)
+	}
+}
+
+// expandKernels sizes every registry protocol for BenchmarkExpand: the four
+// explore-wide kernels at the benchmark's own sizes, the rest at three.
+var expandKernels = map[string]int{
+	"2pc": 3, "3pc": 3, "trivial0": 3, "waitall": 3,
+	"naivemajority": 4, "onethird": 4, "paxos": 3, "benor": 3,
+}
+
+// BenchmarkExpand is the cost of one generated successor — protocol step,
+// child configuration, fingerprint: AppendSuccessors over the first 300
+// configurations of each registry kernel, reported per successor. It is the
+// per-kernel view of explore.successors_ns and alloc_mb_per_op on
+// explore-wide; `make bench-alloc` and CI (at -benchtime 1x) run it.
+func BenchmarkExpand(b *testing.B) {
+	for _, name := range protocols.Names() {
+		n, ok := expandKernels[name]
+		if !ok {
+			b.Fatalf("registry protocol %q has no size; extend expandKernels", name)
+		}
+		factory, _ := protocols.Lookup(name)
+		pr, err := factory(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s%d", name, n), func(b *testing.B) {
+			in := make(model.Inputs, n)
+			for p := range in {
+				in[p] = model.Value(p % 2)
+			}
+			nodes := firstConfigs(pr, in, 300)
+			var buf []explore.Successor
+			succs := 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range nodes {
+					buf = explore.AppendSuccessors(pr, c, nil, buf)
+					succs += len(buf)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			per := float64(succs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/succ")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/succ")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/succ")
+		})
 	}
 }

@@ -35,7 +35,7 @@ func (e *ProtocolError) Error() string {
 //
 // Sent messages have their From field stamped with e.P.
 func Apply(pr Protocol, c *Config, e Event) (*Config, error) {
-	nc, _, err := ApplyTraced(pr, c, e)
+	nc, _, err := step(pr, c, e, false)
 	return nc, err
 }
 
@@ -43,35 +43,49 @@ func Apply(pr Protocol, c *Config, e Event) (*Config, error) {
 // the step (with From stamped), for callers that maintain send-order
 // bookkeeping on top of the untimed buffer.
 func ApplyTraced(pr Protocol, c *Config, e Event) (*Config, []Message, error) {
-	return step(pr, c, e, false)
+	nc, recs, err := step(pr, c, e, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	sends := make([]Message, len(recs))
+	for i := range recs {
+		sends[i] = recs[i].msg
+	}
+	return nc, sends, nil
 }
 
-// step is the one place a protocol is stepped into a new configuration.
-// With dropNoOp set, a null event that leaves c unchanged (IsNoOp) yields
-// (nil, nil, nil) instead of a copy of c, decided from the same Step call
-// that would have produced the child.
-func step(pr Protocol, c *Config, e Event, dropNoOp bool) (*Config, []Message, error) {
+// step is the one place a protocol is stepped into a new configuration. It
+// returns the child and the records of the messages sent (From stamped), in
+// send order. With dropNoOp set, a null event that leaves c unchanged
+// (IsNoOp) yields (nil, nil, nil) instead of a copy of c, decided from the
+// same Step call that would have produced the child.
+//
+// The successor state's Key() is called here, once: it settles the no-op
+// test against the key the parent carries, and travels with the state into
+// the child and every configuration that inherits it.
+func step(pr Protocol, c *Config, e Event, dropNoOp bool) (*Config, []msgRec, error) {
 	if int(e.P) < 0 || int(e.P) >= c.N() {
 		return nil, nil, &ProtocolError{Protocol: pr.Name(), P: e.P, Reason: "no such process"}
 	}
 	if e.Msg != nil && !Applicable(c, e) {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotApplicable, e)
 	}
-	old := c.State(e.P)
-	ns, sends := pr.Step(e.P, old, e.Msg)
-	if dropNoOp && e.Msg == nil && unchanged(old, ns, sends) {
-		return nil, nil, nil
-	}
+	old := &c.procs[e.P]
+	ns, sends := pr.Step(e.P, old.state, e.Msg)
 	if ns == nil {
 		return nil, nil, &ProtocolError{Protocol: pr.Name(), P: e.P, Reason: "Step returned nil state"}
 	}
-	if o := old.Output(); o.Decided() && ns.Output() != o {
+	skey := ns.Key()
+	if dropNoOp && e.Msg == nil && len(sends) == 0 && skey == old.skey {
+		return nil, nil, nil
+	}
+	if o := old.state.Output(); o.Decided() && ns.Output() != o {
 		return nil, nil, &ProtocolError{
 			Protocol: pr.Name(), P: e.P,
 			Reason: fmt.Sprintf("output register is write-once: was %s, Step changed it to %s", o, ns.Output()),
 		}
 	}
-	stamped := make([]Message, len(sends))
+	recs := make([]msgRec, len(sends))
 	for i, m := range sends {
 		if int(m.To) < 0 || int(m.To) >= c.N() {
 			return nil, nil, &ProtocolError{
@@ -80,9 +94,9 @@ func step(pr Protocol, c *Config, e Event, dropNoOp bool) (*Config, []Message, e
 			}
 		}
 		m.From = e.P
-		stamped[i] = m
+		recs[i].msg = m
 	}
-	return c.withStep(e.P, ns, e.Msg, stamped), stamped, nil
+	return c.withStep(e.P, ns, skey, e.Msg, recs), recs, nil
 }
 
 // MustApply is Apply but panics on error, for contexts (explorer internals,
@@ -116,11 +130,5 @@ func IsNoOp(pr Protocol, c *Config, e Event) bool {
 		return false // consuming a message always changes the buffer
 	}
 	ns, sends := pr.Step(e.P, c.State(e.P), nil)
-	return unchanged(c.State(e.P), ns, sends)
-}
-
-// unchanged reports whether a null step from old to ns that sent sends
-// changed nothing.
-func unchanged(old, ns State, sends []Message) bool {
-	return ns != nil && len(sends) == 0 && ns.Key() == old.Key()
+	return ns != nil && len(sends) == 0 && ns.Key() == c.procs[e.P].skey
 }

@@ -15,57 +15,69 @@ import (
 // A Buffer is immutable: one slice of distinct messages with their
 // multiplicities, sorted by Message.Key, built once by with and never
 // written again. That is what lets every configuration share it across
-// goroutines, lets events point at its entries, and makes the canonical
+// goroutines, lets events point at its messages, and makes the canonical
 // encoding a linear scan. The zero value is the empty buffer.
 type Buffer struct {
 	es   []bufEntry
 	size int // total multiplicity
 }
 
-// bufEntry is one distinct message of a buffer. key is msg.Key(), computed
-// once when the message first enters a buffer and carried from parent to
-// child from then on.
+// bufEntry is one distinct message of a buffer and its multiplicity. The
+// message lives in a record shared with every other buffer that holds it,
+// so a child buffer copies 16 bytes per entry of its parent.
 type bufEntry struct {
-	key   string
-	msg   Message
+	rec   *msgRec
 	count int
+}
+
+// msgRec is a sent message and its key (msg.Key()). The step that sends a
+// message allocates its record — one slice for all the sends of the step —
+// and with fills in the key when the record first enters a buffer; from
+// then on the record is immutable and is shared by that buffer and all its
+// descendants. Delivery events point at msg.
+type msgRec struct {
+	key string
+	msg Message
 }
 
 // with returns the buffer that holds b's messages less one copy of *remove
 // (nil, or a message not in b, removes nothing) plus one copy of every
-// message in sends: the buffer half of a step, in one allocation.
-func (b *Buffer) with(remove *Message, sends []Message) Buffer {
-	nb := Buffer{es: make([]bufEntry, 0, len(b.es)+len(sends)), size: b.size}
-	for _, e := range b.es {
-		if remove != nil && e.msg == *remove {
-			remove = nil
+// message in sends: the buffer half of a step, in one allocation. Records
+// of sends that are new to the buffer are keyed here and retained.
+func (b *Buffer) with(remove *Message, sends []msgRec) Buffer {
+	nb := Buffer{es: make([]bufEntry, len(b.es), len(b.es)+len(sends)), size: b.size}
+	copy(nb.es, b.es)
+	if remove != nil {
+		if i := b.find(remove); i >= 0 {
 			nb.size--
-			if e.count--; e.count == 0 {
-				continue
+			if nb.es[i].count--; nb.es[i].count == 0 {
+				nb.es = append(nb.es[:i], nb.es[i+1:]...)
 			}
 		}
-		nb.es = append(nb.es, e)
 	}
-	for _, m := range sends {
+	for j := range sends {
+		r := &sends[j]
 		nb.size++
-		if i := nb.find(m); i >= 0 {
+		if i := nb.find(&r.msg); i >= 0 {
 			nb.es[i].count++
 			continue
 		}
-		k := m.Key()
-		i := sort.Search(len(nb.es), func(i int) bool { return nb.es[i].key >= k })
+		r.key = r.msg.Key()
+		i := sort.Search(len(nb.es), func(i int) bool { return nb.es[i].rec.key >= r.key })
 		nb.es = append(nb.es, bufEntry{})
 		copy(nb.es[i+1:], nb.es[i:])
-		nb.es[i] = bufEntry{key: k, msg: m, count: 1}
+		nb.es[i] = bufEntry{rec: r, count: 1}
 	}
 	return nb
 }
 
-// find returns the index of m's entry, or -1. Message.Key is injective, so
-// comparing the structs is comparing the keys without formatting one.
-func (b *Buffer) find(m Message) int {
+// find returns the index of *m's entry, or -1. Message.Key is injective, so
+// comparing the structs is comparing the keys without formatting one; an
+// event enumerated from this buffer or an ancestor points at the record
+// itself, which the address test settles without reading the message.
+func (b *Buffer) find(m *Message) int {
 	for i := range b.es {
-		if b.es[i].msg == m {
+		if r := b.es[i].rec; &r.msg == m || r.msg == *m {
 			return i
 		}
 	}
@@ -73,11 +85,11 @@ func (b *Buffer) find(m Message) int {
 }
 
 // Contains reports whether at least one copy of m is in the buffer.
-func (b *Buffer) Contains(m Message) bool { return b.find(m) >= 0 }
+func (b *Buffer) Contains(m Message) bool { return b.find(&m) >= 0 }
 
 // Count returns the multiplicity of m.
 func (b *Buffer) Count(m Message) int {
-	if i := b.find(m); i >= 0 {
+	if i := b.find(&m); i >= 0 {
 		return b.es[i].count
 	}
 	return 0
@@ -91,7 +103,7 @@ func (b *Buffer) Len() int { return b.size }
 func (b *Buffer) Messages() []Message {
 	msgs := make([]Message, len(b.es))
 	for i := range b.es {
-		msgs[i] = b.es[i].msg
+		msgs[i] = b.es[i].rec.msg
 	}
 	return msgs
 }
@@ -103,19 +115,19 @@ func (b *Buffer) Messages() []Message {
 func (b *Buffer) MessagesTo(p PID) []Message {
 	var msgs []Message
 	for i := range b.es {
-		if b.es[i].msg.To == p {
-			msgs = append(msgs, b.es[i].msg)
+		if b.es[i].rec.msg.To == p {
+			msgs = append(msgs, b.es[i].rec.msg)
 		}
 	}
 	return msgs
 }
 
 // appendDeliveries appends one delivery event per distinct message
-// addressed to p, in canonical order, pointing at b's entries.
+// addressed to p, in canonical order, pointing at b's message records.
 func (b *Buffer) appendDeliveries(evs []Event, p PID) []Event {
 	for i := range b.es {
-		if b.es[i].msg.To == p {
-			evs = append(evs, Event{P: p, Msg: &b.es[i].msg})
+		if b.es[i].rec.msg.To == p {
+			evs = append(evs, Event{P: p, Msg: &b.es[i].rec.msg})
 		}
 	}
 	return evs
@@ -127,7 +139,7 @@ func (b *Buffer) Equal(o *Buffer) bool {
 		return false
 	}
 	for i := range b.es {
-		if b.es[i].msg != o.es[i].msg || b.es[i].count != o.es[i].count {
+		if br, or := b.es[i].rec, o.es[i].rec; b.es[i].count != o.es[i].count || (br != or && br.msg != or.msg) {
 			return false
 		}
 	}
@@ -146,7 +158,7 @@ func (b *Buffer) AppendKey(dst []byte) []byte {
 	for i := range b.es {
 		dst = strconv.AppendInt(dst, int64(b.es[i].count), 10)
 		dst = append(dst, 'x')
-		dst = append(dst, b.es[i].key...)
+		dst = append(dst, b.es[i].rec.key...)
 		dst = append(dst, ';')
 	}
 	return dst
@@ -156,7 +168,7 @@ func (b *Buffer) AppendKey(dst []byte) []byte {
 func (b *Buffer) KeyLen() int {
 	n := 0
 	for i := range b.es {
-		n += 2 + len(b.es[i].key)
+		n += 2 + len(b.es[i].rec.key)
 		for c := b.es[i].count; c > 0; c /= 10 {
 			n++
 		}
@@ -171,7 +183,7 @@ func (b *Buffer) String() string {
 	}
 	parts := make([]string, 0, len(b.es))
 	for i := range b.es {
-		s := b.es[i].msg.String()
+		s := b.es[i].rec.msg.String()
 		if c := b.es[i].count; c > 1 {
 			s += "×" + strconv.Itoa(c)
 		}

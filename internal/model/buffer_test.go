@@ -14,7 +14,16 @@ import (
 
 // send and remove drive the immutable buffer the way a step does: *b is
 // replaced by the buffer with the messages added or one copy taken out.
-func send(b *Buffer, ms ...Message) { *b = b.with(nil, ms) }
+func send(b *Buffer, ms ...Message) { *b = b.with(nil, recsOf(ms)) }
+
+// recsOf allocates the records of one step's sends, as step does.
+func recsOf(ms []Message) []msgRec {
+	recs := make([]msgRec, len(ms))
+	for i, m := range ms {
+		recs[i].msg = m
+	}
+	return recs
+}
 
 func remove(b *Buffer, m Message) bool {
 	had := b.Contains(m)
@@ -150,6 +159,56 @@ func TestBufferChildIndependence(t *testing.T) {
 	}
 	if child.Count(msg("a")) != 3 || !child.Contains(msg("b")) || other.Count(msg("a")) != 1 {
 		t.Errorf("children wrong: %v and %v", &child, &other)
+	}
+}
+
+// Buffers share message records down the generations: a child's count
+// bump, a child's removal of the last copy and a grandchild's re-send of a
+// removed message leave every ancestor's Key and Count as they were.
+func TestBufferSharedRecordsImmutable(t *testing.T) {
+	parent := new(Buffer)
+	send(parent, msg("a"), msg("b"))
+	parentKey := parent.Key()
+	type snap struct {
+		b   *Buffer
+		key string
+		a   int
+	}
+	var gens []snap
+	check := func(step string) {
+		t.Helper()
+		if parent.Key() != parentKey || parent.Count(msg("a")) != 1 || parent.Count(msg("b")) != 1 || parent.Len() != 2 {
+			t.Fatalf("%s changed the parent: %v", step, parent)
+		}
+		for _, g := range gens {
+			if g.b.Key() != g.key || g.b.Count(msg("a")) != g.a {
+				t.Fatalf("%s changed an ancestor: %v, was %s", step, g.b, g.key)
+			}
+		}
+	}
+	keep := func(b Buffer) *Buffer {
+		gens = append(gens, snap{&b, b.Key(), b.Count(msg("a"))})
+		return &b
+	}
+
+	bumped := keep(parent.with(nil, recsOf([]Message{msg("a")})))
+	check("count bump")
+	if bumped.Count(msg("a")) != 2 || bumped.es[0].rec != parent.es[0].rec {
+		t.Errorf("bumped child: count %d, shares record %v", bumped.Count(msg("a")), bumped.es[0].rec == parent.es[0].rec)
+	}
+	a := msg("a")
+	gone := keep(parent.with(&a, nil))
+	check("removal to zero")
+	if gone.Contains(msg("a")) || gone.Len() != 1 {
+		t.Errorf("child after removal: %v", gone)
+	}
+	resent := keep(gone.with(nil, recsOf([]Message{msg("a"), msg("a")})))
+	check("grandchild re-send")
+	if resent.Count(msg("a")) != 2 || resent.Key() != bumped.Key() || !resent.Equal(bumped) {
+		t.Errorf("grandchild %v, want the same multiset as %v", resent, bumped)
+	}
+	if resent.es[0].rec == parent.es[0].rec {
+		t.Error("a re-sent message reuses the record of the copy that was removed")
 	}
 }
 
@@ -290,7 +349,7 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 				sends[i] = pick(r)
 				ref[sends[i]]++
 			}
-			*b = b.with(rm, sends)
+			*b = b.with(rm, recsOf(sends))
 
 			wantKey, wantLen := ref.key()
 			want := ref.messages()

@@ -34,21 +34,25 @@ import (
 // so a Config may be shared freely across goroutines (the parallel explorer
 // does). Concurrent computations of the same key are idempotent; the last
 // store wins and all stores are equal.
+//
+// The per-process state keys are not lazy: every process's State.Key() is
+// built once, by whoever put the state there (Initial, or the step that
+// produced it), and travels with the state from parent to child. A step
+// changes one process, so a child costs one State.Key() call and its
+// configuration key is N appends of strings it already holds.
 type Config struct {
-	states []State
-	buf    Buffer
-	key    atomic.Pointer[string] // lazily computed canonical key (string view)
-	bkey   atomic.Pointer[[]byte] // lazily computed binary canonical key
-	hash   atomic.Uint64          // lazily computed fingerprint; 0 = unset
+	procs []proc
+	buf   Buffer
+	key   atomic.Pointer[string] // lazily computed canonical key (string view)
+	bkey  atomic.Pointer[[]byte] // lazily computed binary canonical key
+	hash  atomic.Uint64          // lazily computed fingerprint; 0 = unset
+}
 
-	// Incremental-key hints, set by withStep when the parent's binary key
-	// was already materialized: exactly one state field (parentP) and the
-	// buffer field differ from parentKey, so KeyBytes copies every other
-	// field verbatim instead of rebuilding N state keys. parentKey is the
-	// parent's flat key buffer, not the parent Config — no ancestor chain
-	// is retained through it.
-	parentKey []byte
-	parentP   int32
+// proc is one process of a configuration: its state and that state's key
+// (skey == state.Key(), always).
+type proc struct {
+	state State
+	skey  string
 }
 
 // Initial returns the initial configuration of pr for the given input
@@ -61,7 +65,7 @@ func Initial(pr Protocol, in Inputs) (*Config, error) {
 	if len(in) != n {
 		return nil, fmt.Errorf("model: %d inputs for %d processes", len(in), n)
 	}
-	states := make([]State, n)
+	procs := make([]proc, n)
 	for p := 0; p < n; p++ {
 		if !in[p].Valid() {
 			return nil, fmt.Errorf("model: invalid input %d for process %d", in[p], p)
@@ -73,9 +77,9 @@ func Initial(pr Protocol, in Inputs) (*Config, error) {
 		if s.Output() != None {
 			return nil, fmt.Errorf("model: protocol %q starts process %d already decided; the output register must start at b", pr.Name(), p)
 		}
-		states[p] = s
+		procs[p] = proc{s, s.Key()}
 	}
-	return &Config{states: states}, nil
+	return &Config{procs: procs}, nil
 }
 
 // MustInitial is Initial but panics on error, for tests and examples with
@@ -89,17 +93,17 @@ func MustInitial(pr Protocol, in Inputs) *Config {
 }
 
 // N returns the number of processes.
-func (c *Config) N() int { return len(c.states) }
+func (c *Config) N() int { return len(c.procs) }
 
 // State returns the internal state of process p.
-func (c *Config) State(p PID) State { return c.states[p] }
+func (c *Config) State(p PID) State { return c.procs[p].state }
 
 // Buffer returns the message buffer. Callers must not mutate it; use Apply
 // to take steps.
 func (c *Config) Buffer() *Buffer { return &c.buf }
 
 // Output returns the output register content of process p.
-func (c *Config) Output(p PID) Output { return c.states[p].Output() }
+func (c *Config) Output(p PID) Output { return c.procs[p].state.Output() }
 
 // DecisionValues returns the set of decision values present in c: the
 // values v such that some process is in a decision state with y_p = v.
@@ -107,8 +111,8 @@ func (c *Config) Output(p PID) Output { return c.states[p].Output() }
 // more than one element (condition 1 of partial correctness).
 func (c *Config) DecisionValues() []Value {
 	var seen0, seen1 bool
-	for _, s := range c.states {
-		switch s.Output() {
+	for i := range c.procs {
+		switch c.procs[i].state.Output() {
 		case Decided0:
 			seen0 = true
 		case Decided1:
@@ -143,8 +147,8 @@ func (c *Config) Decided() (decided bool, v Value, ok bool) {
 // DecidedCount returns how many processes have decided.
 func (c *Config) DecidedCount() int {
 	n := 0
-	for _, s := range c.states {
-		if s.Output().Decided() {
+	for i := range c.procs {
+		if c.procs[i].state.Output().Decided() {
 			n++
 		}
 	}
@@ -162,8 +166,8 @@ func (c *Config) Key() string {
 		return *k
 	}
 	var b enc.Builder
-	for _, s := range c.states {
-		b.Str(enc.Escape(s.Key()))
+	for i := range c.procs {
+		b.Str(enc.Escape(c.procs[i].skey))
 	}
 	b.Str(enc.Escape(c.buf.Key()))
 	k := b.String()
@@ -209,67 +213,23 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// buildKeyBytes materializes the binary key, preferring the incremental
-// path: when the parent's key is available, every state field except the
-// stepped process is copied verbatim and only the changed state and the
-// buffer are re-encoded.
+// buildKeyBytes materializes the binary key from the carried state keys
+// and the buffer's carried message keys: no State.Key() or Message.Key()
+// call, one allocation.
 func (c *Config) buildKeyBytes() []byte {
 	bufLen := c.buf.KeyLen()
-	if c.parentKey != nil {
-		if b, ok := c.keyBytesFromParent(bufLen); ok {
-			return b
-		}
-	}
-	var scratch [8]string
-	fields := scratch[:0]
-	for _, s := range c.states {
-		fields = append(fields, s.Key())
-	}
 	size := uvarintLen(uint64(bufLen)) + bufLen
-	for _, f := range fields {
-		size += uvarintLen(uint64(len(f))) + len(f)
+	for i := range c.procs {
+		k := c.procs[i].skey
+		size += uvarintLen(uint64(len(k))) + len(k)
 	}
 	b := make([]byte, 0, size)
-	for _, f := range fields {
-		b = appendKeyField(b, f)
+	for i := range c.procs {
+		b = appendKeyField(b, c.procs[i].skey)
 	}
 	b = binary.AppendUvarint(b, uint64(bufLen))
 	b = c.buf.AppendKey(b)
 	return b
-}
-
-// keyBytesFromParent assembles the binary key from the parent's: fields
-// before and after the stepped process are byte ranges of parentKey; only
-// the stepped state's key and the buffer key are rebuilt. ok=false on a
-// malformed parent key (never produced by this package), falling back to
-// the full build.
-func (c *Config) keyBytesFromParent(bufLen int) ([]byte, bool) {
-	pk, p, n := c.parentKey, int(c.parentP), len(c.states)
-	// Walk the n state fields, recording the stepped field's byte span.
-	off, pStart, pEnd := 0, -1, -1
-	for i := 0; i < n; i++ {
-		l, un := binary.Uvarint(pk[off:])
-		if un <= 0 || off+un+int(l) > len(pk) {
-			return nil, false
-		}
-		if i == p {
-			pStart, pEnd = off, off+un+int(l)
-		}
-		off += un + int(l)
-	}
-	if pStart < 0 || off > len(pk) {
-		return nil, false
-	}
-	newField := c.states[p].Key()
-	size := pStart + uvarintLen(uint64(len(newField))) + len(newField) +
-		(off - pEnd) + uvarintLen(uint64(bufLen)) + bufLen
-	b := make([]byte, 0, size)
-	b = append(b, pk[:pStart]...)
-	b = appendKeyField(b, newField)
-	b = append(b, pk[pEnd:off]...)
-	b = binary.AppendUvarint(b, uint64(bufLen))
-	b = c.buf.AppendKey(b)
-	return b, true
 }
 
 // FNV-1a constants, used for the configuration fingerprint.
@@ -323,29 +283,22 @@ func (c *Config) Equal(o *Config) bool {
 func (c *Config) String() string {
 	var sb strings.Builder
 	sb.WriteString("[")
-	for p, s := range c.states {
+	for p := range c.procs {
 		if p > 0 {
 			sb.WriteString(" ")
 		}
-		fmt.Fprintf(&sb, "p%d:y=%s", p, s.Output())
+		fmt.Fprintf(&sb, "p%d:y=%s", p, c.procs[p].state.Output())
 	}
 	fmt.Fprintf(&sb, " | buf:%d msg]", c.buf.Len())
 	return sb.String()
 }
 
 // withStep returns the configuration that results from replacing process
-// p's state and updating the buffer. Internal constructor used by Apply.
-// When the parent's binary key is already materialized (every frontier
-// node's is by the time it is expanded), the child records it plus the
-// stepped process, so its own key build copies the unchanged state fields
-// instead of recomputing them.
-func (c *Config) withStep(p PID, ns State, remove *Message, sends []Message) *Config {
-	states := make([]State, len(c.states))
-	copy(states, c.states)
-	states[p] = ns
-	nc := &Config{states: states, buf: c.buf.with(remove, sends)}
-	if pk := c.bkey.Load(); pk != nil {
-		nc.parentKey, nc.parentP = *pk, int32(p)
-	}
-	return nc
+// p's state (skey is ns.Key()) and updating the buffer. Internal
+// constructor used by step.
+func (c *Config) withStep(p PID, ns State, skey string, remove *Message, sends []msgRec) *Config {
+	procs := make([]proc, len(c.procs))
+	copy(procs, c.procs)
+	procs[p] = proc{ns, skey}
+	return &Config{procs: procs, buf: c.buf.with(remove, sends)}
 }

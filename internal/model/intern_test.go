@@ -119,12 +119,26 @@ func sameSnapshot(a, b map[model.Message]int) bool {
 	return true
 }
 
+// carriesStateKeys checks the carried-key invariant: the key a configuration
+// holds beside each state is that state's Key().
+func carriesStateKeys(t *testing.T, what string, c *model.Config) {
+	t.Helper()
+	for p := 0; p < c.N(); p++ {
+		if got, want := c.CarriedStateKey(model.PID(p)), c.State(model.PID(p)).Key(); got != want {
+			t.Fatalf("%s: process %d carries state key %q, State.Key() is %q", what, p, got, want)
+		}
+	}
+}
+
 // TestWithStepNoAliasing drives every applicable event out of a family of
 // configurations and checks that producing (and further extending) a
-// successor never mutates the parent or a sibling: states and buffers are
-// copied, not shared. This is the property the interner and the parallel
-// explorer rest on — an interned configuration must never change after the
-// fact.
+// successor never mutates the parent or a sibling: what they share — the
+// untouched states, their keys, the message records — is never written.
+// This is the property the interner and the parallel explorer rest on — an
+// interned configuration must never change after the fact. Parent and
+// children alike carry their states' keys, and an event enumerated from
+// the parent before its descendants existed still names a message of the
+// parent afterwards.
 func TestWithStepNoAliasing(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
 	for _, walk := range [][]byte{{}, {0}, {1, 2}, {0, 3, 1}, {2, 2, 2, 2}, {5, 1, 4, 2, 8}} {
@@ -135,17 +149,28 @@ func TestWithStepNoAliasing(t *testing.T) {
 			parentStates[p] = parent.State(model.PID(p)).Key()
 		}
 
+		carriesStateKeys(t, "parent", parent)
+
 		// Derive every effectful successor, then extend each successor
 		// further; neither derivation may disturb the parent or siblings.
 		var children []*model.Config
 		var childSnaps []map[model.Message]int
+		var via []model.Event
+		var sent []model.Message // what each delivery event named when enumerated
 		for _, e := range model.Events(parent) {
 			if e.IsNull() && model.IsNoOp(pr, parent, e) {
 				continue
 			}
 			child := model.MustApply(pr, parent, e)
+			carriesStateKeys(t, "child", child)
 			children = append(children, child)
 			childSnaps = append(childSnaps, bufferSnapshot(child))
+			via = append(via, e)
+			if e.Msg != nil {
+				sent = append(sent, *e.Msg)
+			} else {
+				sent = append(sent, model.Message{})
+			}
 		}
 		for _, child := range children {
 			for _, e := range model.Events(child) {
@@ -167,6 +192,13 @@ func TestWithStepNoAliasing(t *testing.T) {
 		for i, child := range children {
 			if !sameSnapshot(childSnaps[i], bufferSnapshot(child)) {
 				t.Fatalf("walk %v: extending one sibling mutated another's buffer", walk)
+			}
+			e := via[i]
+			if e.Msg != nil && (*e.Msg != sent[i] || !model.Applicable(parent, e)) {
+				t.Fatalf("walk %v: event %s taken from the parent no longer names its message %s", walk, e, sent[i])
+			}
+			if again := model.MustApply(pr, parent, e); !again.Equal(child) {
+				t.Fatalf("walk %v: re-applying %s to the parent gives a different child", walk, e)
 			}
 		}
 	}

@@ -27,9 +27,11 @@ type Message struct {
 // Key returns the canonical encoding of the message, used as its identity
 // in the buffer multiset.
 func (m Message) Key() string {
-	var b enc.Builder
-	b.Int(int(m.To)).Int(int(m.From)).Str(enc.Escape(m.Body))
-	return b.String()
+	b := make([]byte, 0, 48)
+	b = enc.AppendInt(b, int(m.To))
+	b = enc.AppendInt(b, int(m.From))
+	b = append(enc.AppendEscaped(b, m.Body), enc.Sep...)
+	return string(b)
 }
 
 func (m Message) String() string {

@@ -302,6 +302,68 @@ func TestIsNoOp(t *testing.T) {
 	}
 }
 
+// countingProto is echoProto with every State.Key() and Step call counted.
+type countingProto struct {
+	echoProto
+	keys, steps int
+}
+
+type countedState struct {
+	*echoState
+	keys *int
+}
+
+func (s countedState) Key() string {
+	*s.keys++
+	return s.echoState.Key()
+}
+
+func (p *countingProto) Init(q model.PID, input model.Value) model.State {
+	return countedState{p.echoProto.Init(q, input).(*echoState), &p.keys}
+}
+
+func (p *countingProto) Step(q model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
+	p.steps++
+	ns, sends := p.echoProto.Step(q, s.(countedState).echoState, m)
+	return countedState{ns.(*echoState), &p.keys}, sends
+}
+
+// On the expansion path a state's Key() is built once, by the step that
+// produced the state (Initial, for the first N): no-op tests, both
+// canonical encodings, the fingerprint, equality and interning all run on
+// the key the configuration carries.
+func TestStateKeyBuiltOncePerStep(t *testing.T) {
+	pr := &countingProto{echoProto: echoProto{n: 3}}
+	root := model.MustInitial(pr, model.Inputs{model.V0, model.V1, model.V1})
+	if pr.keys != 3 {
+		t.Fatalf("Initial built %d state keys for 3 processes", pr.keys)
+	}
+	seen := model.NewInterner()
+	level := []*model.Config{root}
+	for depth := 0; depth < 4; depth++ {
+		var next []*model.Config
+		for _, c := range level {
+			for _, e := range model.Events(c) {
+				nc := model.Expand(pr, c, e)
+				if nc == nil {
+					continue
+				}
+				nc.Hash()
+				nc.KeyBytes()
+				_ = nc.Key()
+				nc.Equal(c)
+				if _, fresh := seen.Intern(nc); fresh {
+					next = append(next, nc)
+				}
+			}
+		}
+		level = next
+	}
+	if pr.steps == 0 || pr.keys != 3+pr.steps {
+		t.Errorf("%d Step calls built %d state keys (3 of them in Initial), want one per Step", pr.steps, pr.keys)
+	}
+}
+
 func TestEventIdentity(t *testing.T) {
 	m := model.Message{To: 1, From: 0, Body: "v"}
 	e1 := model.Deliver(m)

@@ -2,9 +2,6 @@ package protocols
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
@@ -48,36 +45,27 @@ type benOrState struct {
 	me    model.PID
 	x     model.Value
 	round int
-	phase int // 1 or 2
-	// inbox maps "t|r" (t ∈ {R, P}, r the round) to the votes received.
-	inbox map[string]votes
+	phase int   // 1 or 2
+	inbox inbox // reports (kind 'R') and proposals (kind 'P') per open round
 	out   model.Output
 }
 
 func (s *benOrState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.x)).Int(s.round).Int(s.phase).Uint8(uint8(s.out))
-	keys := make([]string, 0, len(s.inbox))
-	for k := range s.inbox {
-		keys = append(keys, k)
+	b := make([]byte, 0, 96)
+	b = enc.AppendInt(b, int(s.me))
+	b = enc.AppendInt(b, int(s.x))
+	b = enc.AppendInt(b, s.round)
+	b = enc.AppendInt(b, s.phase)
+	b = enc.AppendInt(b, int(s.out))
+	for _, sl := range s.inbox {
+		b = append(b, sl.kind, '|')
+		b = enc.AppendInt(b, sl.round)
+		b = append(sl.got.appendKey(b), '|')
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.Str(k).Str(s.inbox[k].key())
-	}
-	return b.String()
+	return string(b)
 }
 
 func (s *benOrState) Output() model.Output { return s.out }
-
-func (s *benOrState) clone() *benOrState {
-	ns := *s
-	ns.inbox = make(map[string]votes, len(s.inbox))
-	for k, v := range s.inbox {
-		ns.inbox[k] = v
-	}
-	return &ns
-}
 
 // NewBenOrDeterministic returns a Ben-Or instance for n processes with the
 // given coin tape.
@@ -95,7 +83,7 @@ func (bo *BenOrDeterministic) N() int { return bo.Procs }
 
 // Init implements model.Protocol.
 func (bo *BenOrDeterministic) Init(p model.PID, input model.Value) model.State {
-	return &benOrState{me: p, x: input, round: 0, phase: 1, inbox: map[string]votes{}}
+	return &benOrState{me: p, x: input, round: 0, phase: 1}
 }
 
 // Coin returns the tape's flip for (p, r). The combination is finalized
@@ -112,33 +100,29 @@ func (bo *BenOrDeterministic) Coin(p model.PID, r int) model.Value {
 	return model.Value(x & 1)
 }
 
-func inboxKey(t string, r int) string { return t + "|" + strconv.Itoa(r) }
-
-func benOrBody(t string, r int, v model.Value) string {
-	return fmt.Sprintf("%s|%d|%d", t, r, v)
-}
+// The two message kinds: R|round|estimate and P|round|proposal.
+const (
+	benOrReport  = 'R'
+	benOrPropose = 'P'
+)
 
 // Step implements model.Protocol.
 func (bo *BenOrDeterministic) Step(p model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
-	st := s.(*benOrState).clone()
+	st := *s.(*benOrState) // inbox is shared with s and replaced, never written
 	var sends []model.Message
 
 	// First step: enter round 1 and report.
 	if st.round == 0 {
 		st.round = 1
 		st.phase = 1
-		sends = append(sends, model.Broadcast(p, bo.Procs, benOrBody("R", 1, st.x))...)
+		sends = append(sends, model.Broadcast(p, bo.Procs, roundBody(benOrReport, 1, st.x))...)
 	}
 
 	if m != nil {
-		fields := strings.Split(m.Body, "|")
-		if len(fields) == 3 && (fields[0] == "R" || fields[0] == "P") {
-			r := atoi(fields[1])
-			v := model.Value(atoi(fields[2]))
-			if r >= st.round { // stale rounds are irrelevant
-				k := inboxKey(fields[0], r)
-				st.inbox[k] = st.inbox[k].with(m.From, v)
-			}
+		kind, r, v, ok := parseRoundBody(m.Body)
+		ok = ok && (kind == benOrReport && v.Valid() || kind == benOrPropose && (v.Valid() || v == benOrBot))
+		if ok && r >= st.round { // stale rounds are irrelevant
+			st.inbox = st.inbox.with(kind, r, m.From, v)
 		}
 	}
 
@@ -148,7 +132,7 @@ func (bo *BenOrDeterministic) Step(p model.PID, s model.State, m *model.Message)
 	need := bo.Procs - bo.Faults()
 	for {
 		if st.phase == 1 {
-			reports := st.inbox[inboxKey("R", st.round)]
+			reports := st.inbox.get(benOrReport, st.round)
 			if len(reports) < need {
 				break
 			}
@@ -159,10 +143,10 @@ func (bo *BenOrDeterministic) Step(p model.PID, s model.State, m *model.Message)
 				proposal = model.V1
 			}
 			st.phase = 2
-			sends = append(sends, model.Broadcast(p, bo.Procs, benOrBody("P", st.round, proposal))...)
+			sends = append(sends, model.Broadcast(p, bo.Procs, roundBody(benOrPropose, st.round, proposal))...)
 			continue
 		}
-		props := st.inbox[inboxKey("P", st.round)]
+		props := st.inbox.get(benOrPropose, st.round)
 		if len(props) < need {
 			break
 		}
@@ -188,13 +172,8 @@ func (bo *BenOrDeterministic) Step(p model.PID, s model.State, m *model.Message)
 		// Next round; prune stale inbox entries to keep states small.
 		st.round++
 		st.phase = 1
-		for k := range st.inbox {
-			parts := strings.SplitN(k, "|", 2)
-			if atoi(parts[1]) < st.round {
-				delete(st.inbox, k)
-			}
-		}
-		sends = append(sends, model.Broadcast(p, bo.Procs, benOrBody("R", st.round, st.x))...)
+		st.inbox = st.inbox.since(st.round)
+		sends = append(sends, model.Broadcast(p, bo.Procs, roundBody(benOrReport, st.round, st.x))...)
 	}
-	return st, sends
+	return &st, sends
 }

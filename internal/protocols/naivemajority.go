@@ -3,7 +3,6 @@ package protocols
 import (
 	"fmt"
 
-	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
 )
 
@@ -35,11 +34,7 @@ type naiveState struct {
 	out   model.Output
 }
 
-func (s *naiveState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.input)).Bool(s.sent).Str(s.got.key()).Uint8(uint8(s.out))
-	return b.String()
-}
+func (s *naiveState) Key() string { return collectKey(s.me, s.input, s.sent, s.got, s.out) }
 
 func (s *naiveState) Output() model.Output { return s.out }
 
@@ -55,7 +50,7 @@ func (nm *NaiveMajority) N() int { return nm.Procs }
 
 // Init implements model.Protocol.
 func (nm *NaiveMajority) Init(p model.PID, input model.Value) model.State {
-	return &naiveState{me: p, input: input, got: votes{p: input}}
+	return &naiveState{me: p, input: input, got: votes{{p, input}}}
 }
 
 // Step implements model.Protocol.

@@ -2,7 +2,6 @@ package protocols
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
@@ -34,34 +33,24 @@ type otrState struct {
 	me    model.PID
 	x     model.Value
 	round int
-	inbox map[string]votes // "r" → estimates received for round r
+	inbox inbox // estimates received, one slot (kind 'E') per open round
 	out   model.Output
 }
 
 func (s *otrState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.x)).Int(s.round).Uint8(uint8(s.out))
-	keys := make([]string, 0, len(s.inbox))
-	for k := range s.inbox {
-		keys = append(keys, k)
+	b := make([]byte, 0, 64)
+	b = enc.AppendInt(b, int(s.me))
+	b = enc.AppendInt(b, int(s.x))
+	b = enc.AppendInt(b, s.round)
+	b = enc.AppendInt(b, int(s.out))
+	for _, sl := range s.inbox {
+		b = enc.AppendInt(b, sl.round)
+		b = append(sl.got.appendKey(b), '|')
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.Str(k).Str(s.inbox[k].key())
-	}
-	return b.String()
+	return string(b)
 }
 
 func (s *otrState) Output() model.Output { return s.out }
-
-func (s *otrState) clone() *otrState {
-	ns := *s
-	ns.inbox = make(map[string]votes, len(s.inbox))
-	for k, v := range s.inbox {
-		ns.inbox[k] = v
-	}
-	return &ns
-}
 
 // Name implements model.Protocol.
 func (o *OneThirdRule) Name() string { return fmt.Sprintf("onethird(n=%d)", o.Procs) }
@@ -71,36 +60,32 @@ func (o *OneThirdRule) N() int { return o.Procs }
 
 // Init implements model.Protocol.
 func (o *OneThirdRule) Init(p model.PID, input model.Value) model.State {
-	return &otrState{me: p, x: input, inbox: map[string]votes{}}
+	return &otrState{me: p, x: input}
 }
 
 // threshold returns the "more than 2N/3" count.
 func (o *OneThirdRule) threshold() int { return 2*o.Procs/3 + 1 }
 
-func otrBody(r int, v model.Value) string { return fmt.Sprintf("E|%d|%d", r, v) }
+const otrEstimate = 'E' // the one message kind: E|round|estimate
 
 // Step implements model.Protocol.
 func (o *OneThirdRule) Step(p model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
-	st := s.(*otrState).clone()
+	st := *s.(*otrState) // inbox is shared with s and replaced, never written
 	var sends []model.Message
 
 	if st.round == 0 {
 		st.round = 1
-		sends = append(sends, model.Broadcast(p, o.Procs, otrBody(1, st.x))...)
+		sends = append(sends, model.Broadcast(p, o.Procs, roundBody(otrEstimate, 1, st.x))...)
 	}
 
 	if m != nil {
-		var r int
-		var v int
-		if n, _ := fmt.Sscanf(m.Body, "E|%d|%d", &r, &v); n == 2 && r >= st.round {
-			k := fmt.Sprintf("%d", r)
-			st.inbox[k] = st.inbox[k].with(m.From, model.Value(v))
+		if kind, r, v, ok := parseRoundBody(m.Body); ok && kind == otrEstimate && v.Valid() && r >= st.round {
+			st.inbox = st.inbox.with(otrEstimate, r, m.From, v)
 		}
 	}
 
 	for {
-		k := fmt.Sprintf("%d", st.round)
-		got := st.inbox[k]
+		got := st.inbox.get(otrEstimate, st.round)
 		if len(got) < o.threshold() {
 			break
 		}
@@ -121,14 +106,8 @@ func (o *OneThirdRule) Step(p model.PID, s model.State, m *model.Message) (model
 		}
 		// Next round; prune stale entries.
 		st.round++
-		for kk := range st.inbox {
-			var rr int
-			fmt.Sscanf(kk, "%d", &rr)
-			if rr < st.round {
-				delete(st.inbox, kk)
-			}
-		}
-		sends = append(sends, model.Broadcast(p, o.Procs, otrBody(st.round, st.x))...)
+		st.inbox = st.inbox.since(st.round)
+		sends = append(sends, model.Broadcast(p, o.Procs, roundBody(otrEstimate, st.round, st.x))...)
 	}
-	return st, sends
+	return &st, sends
 }

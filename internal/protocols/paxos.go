@@ -2,7 +2,6 @@ package protocols
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -74,38 +73,39 @@ type paxosState struct {
 	curBal    int  // current ballot, -1 before the first step
 	proposing bool // true in phase 1 (collecting promises) or phase 2
 	inPhase2  bool
-	promises  []promise // for curBal, sorted by from
+	promises  []promise // for curBal, sorted by from; replaced, never written in place
 	gaveUp    bool      // MaxBallot exceeded
 
 	// Learner: acceptors seen accepting (learnBal, learnVal).
 	learnBal int
 	learnVal model.Value
-	learnSet map[int]bool
+	learnSet pidSet
 }
 
 func (s *paxosState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.input)).Uint8(uint8(s.out))
-	b.Int(s.promised).Int(s.accBal).Uint8(uint8(s.accVal))
-	b.Int(s.curBal).Bool(s.proposing).Bool(s.inPhase2).Bool(s.gaveUp)
+	b := make([]byte, 0, 96)
+	b = enc.AppendInt(b, int(s.me))
+	b = enc.AppendInt(b, int(s.input))
+	b = enc.AppendInt(b, int(s.out))
+	b = enc.AppendInt(b, s.promised)
+	b = enc.AppendInt(b, s.accBal)
+	b = enc.AppendInt(b, int(s.accVal))
+	b = enc.AppendInt(b, s.curBal)
+	b = enc.AppendBool(b, s.proposing)
+	b = enc.AppendBool(b, s.inPhase2)
+	b = enc.AppendBool(b, s.gaveUp)
 	for _, pr := range s.promises {
-		b.Int(int(pr.from)).Int(pr.vbal).Uint8(uint8(pr.vval))
+		b = enc.AppendInt(b, int(pr.from))
+		b = enc.AppendInt(b, pr.vbal)
+		b = enc.AppendInt(b, int(pr.vval))
 	}
-	b.Int(s.learnBal).Uint8(uint8(s.learnVal)).IntSet(s.learnSet)
-	return b.String()
+	b = enc.AppendInt(b, s.learnBal)
+	b = enc.AppendInt(b, int(s.learnVal))
+	b = append(s.learnSet.appendKey(b), '|')
+	return string(b)
 }
 
 func (s *paxosState) Output() model.Output { return s.out }
-
-func (s *paxosState) clone() *paxosState {
-	ns := *s
-	ns.promises = append([]promise(nil), s.promises...)
-	ns.learnSet = make(map[int]bool, len(s.learnSet))
-	for k, v := range s.learnSet {
-		ns.learnSet[k] = v
-	}
-	return &ns
-}
 
 // NewPaxosSynod returns an unbounded-ballot synod for n processes.
 func NewPaxosSynod(n int) *PaxosSynod { return &PaxosSynod{Procs: n} }
@@ -132,7 +132,6 @@ func (px *PaxosSynod) Init(p model.PID, input model.Value) model.State {
 	return &paxosState{
 		me: p, input: input,
 		promised: -1, accBal: -1, curBal: -1, learnBal: -1,
-		learnSet: map[int]bool{},
 	}
 }
 
@@ -151,7 +150,8 @@ func (px *PaxosSynod) nextBallot(p model.PID, above int) int {
 
 // Step implements model.Protocol.
 func (px *PaxosSynod) Step(p model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
-	st := s.(*paxosState).clone()
+	st := new(paxosState)
+	*st = *s.(*paxosState) // promises and learnSet are shared with s and replaced, never written
 	var sends []model.Message
 
 	// First step: open ballot p (round 0).
@@ -161,7 +161,7 @@ func (px *PaxosSynod) Step(p model.PID, s model.State, m *model.Message) (model.
 			st.gaveUp = true
 		} else {
 			st.proposing = true
-			sends = append(sends, model.Broadcast(p, px.Procs, pxPrepare+"|"+strconv.Itoa(st.curBal))...)
+			sends = append(sends, model.Broadcast(p, px.Procs, pxBody(pxPrepare, st.curBal))...)
 		}
 	}
 
@@ -171,25 +171,27 @@ func (px *PaxosSynod) Step(p model.PID, s model.State, m *model.Message) (model.
 	return st, sends
 }
 
+// handle applies one delivered message to st. A body that is not one of the
+// five forms above — unknown kind, wrong field count, a field that is not a
+// decimal integer, a value that is not 0 or 1 — is consumed and ignored.
 func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []model.Message {
-	fields := strings.Split(m.Body, "|")
+	kind, f, n := parsePaxos(m.Body)
 	var sends []model.Message
-	switch fields[0] {
-	case pxPrepare:
-		b := atoi(fields[1])
+	switch {
+	case kind == pxPrepare && n == 1:
+		b := f[0]
 		if b > st.promised {
 			st.promised = b
-			body := fmt.Sprintf("%s|%d|%d|%d", pxPromise, b, st.accBal, st.accVal)
+			body := pxBody(pxPromise, b, st.accBal, int(st.accVal))
 			sends = append(sends, model.Message{To: px.owner(b), Body: body})
 		} else {
 			sends = append(sends, px.nack(b, st))
 		}
 
-	case pxPromise:
-		b := atoi(fields[1])
+	case kind == pxPromise && n == 3 && isValue(f[2]):
+		b := f[0]
 		if st.proposing && !st.inPhase2 && b == st.curBal {
-			pr := promise{from: m.From, vbal: atoi(fields[2]), vval: model.Value(atoi(fields[3]))}
-			st.addPromise(pr)
+			st.addPromise(promise{from: m.From, vbal: f[1], vval: model.Value(f[2])})
 			if len(st.promises) >= px.Quorum() {
 				v := st.input
 				best := -1
@@ -200,14 +202,13 @@ func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []mo
 					}
 				}
 				st.inPhase2 = true
-				body := fmt.Sprintf("%s|%d|%d", pxAccept, st.curBal, v)
+				body := pxBody(pxAccept, st.curBal, int(v))
 				sends = append(sends, model.Broadcast(p, px.Procs, body)...)
 			}
 		}
 
-	case pxNack:
-		b := atoi(fields[1])
-		hb := atoi(fields[2])
+	case kind == pxNack && n == 2:
+		b, hb := f[0], f[1]
 		if st.proposing && b == st.curBal {
 			next := px.nextBallot(p, maxInt(hb, st.curBal))
 			st.promises = nil
@@ -217,33 +218,31 @@ func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []mo
 				st.gaveUp = true
 			} else {
 				st.curBal = next
-				sends = append(sends, model.Broadcast(p, px.Procs, pxPrepare+"|"+strconv.Itoa(next))...)
+				sends = append(sends, model.Broadcast(p, px.Procs, pxBody(pxPrepare, next))...)
 			}
 		}
 
-	case pxAccept:
-		b := atoi(fields[1])
-		v := model.Value(atoi(fields[2]))
+	case kind == pxAccept && n == 2 && isValue(f[1]):
+		b, v := f[0], model.Value(f[1])
 		if b >= st.promised {
 			st.promised = b
 			st.accBal = b
 			st.accVal = v
-			body := fmt.Sprintf("%s|%d|%d", pxAccepted, b, v)
+			body := pxBody(pxAccepted, b, int(v))
 			sends = append(sends, model.Broadcast(p, px.Procs, body)...)
 		} else {
 			sends = append(sends, px.nack(b, st))
 		}
 
-	case pxAccepted:
-		b := atoi(fields[1])
-		v := model.Value(atoi(fields[2]))
+	case kind == pxAccepted && n == 2 && isValue(f[1]):
+		b, v := f[0], model.Value(f[1])
 		if b > st.learnBal {
 			st.learnBal = b
 			st.learnVal = v
-			st.learnSet = map[int]bool{}
+			st.learnSet = nil
 		}
 		if b == st.learnBal {
-			st.learnSet[int(m.From)] = true
+			st.learnSet = st.learnSet.with(m.From)
 			if len(st.learnSet) >= px.Quorum() && !st.out.Decided() {
 				st.out = model.OutputOf(st.learnVal)
 			}
@@ -253,27 +252,62 @@ func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []mo
 }
 
 func (px *PaxosSynod) nack(b int, st *paxosState) model.Message {
-	body := fmt.Sprintf("%s|%d|%d", pxNack, b, st.promised)
-	return model.Message{To: px.owner(b), Body: body}
+	return model.Message{To: px.owner(b), Body: pxBody(pxNack, b, st.promised)}
 }
 
+// addPromise records pr, keeping one promise per sender in sender order, in
+// a fresh slice.
 func (st *paxosState) addPromise(pr promise) {
-	for _, q := range st.promises {
-		if q.from == pr.from {
-			return
-		}
+	i := 0
+	for i < len(st.promises) && st.promises[i].from < pr.from {
+		i++
 	}
-	st.promises = append(st.promises, pr)
-	sort.Slice(st.promises, func(i, j int) bool { return st.promises[i].from < st.promises[j].from })
+	if i < len(st.promises) && st.promises[i].from == pr.from {
+		return
+	}
+	st.promises = insertAt(st.promises, i, pr)
 }
 
-func atoi(s string) int {
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		panic(fmt.Sprintf("protocols: malformed paxos message field %q", s))
+// pxBody encodes a message body: the kind and its decimal fields.
+func pxBody(kind string, fields ...int) string {
+	b := make([]byte, 0, 32)
+	b = append(b, kind...)
+	for _, f := range fields {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(f), 10)
 	}
-	return n
+	return string(b)
 }
+
+// parsePaxos splits a body into its kind and its one to three decimal
+// fields; n is 0 when the body has another shape.
+func parsePaxos(body string) (kind string, f [3]int, n int) {
+	i := strings.IndexByte(body, '|')
+	if i < 0 {
+		return "", f, 0
+	}
+	kind, rest := body[:i], body[i+1:]
+	for n < len(f) {
+		field := rest
+		j := strings.IndexByte(rest, '|')
+		if j >= 0 {
+			field = rest[:j]
+		}
+		v, err := strconv.Atoi(field)
+		if err != nil {
+			return "", f, 0
+		}
+		f[n] = v
+		n++
+		if j < 0 {
+			return kind, f, n
+		}
+		rest = rest[j+1:]
+	}
+	return "", f, 0
+}
+
+func isValue(v int) bool { return v == 0 || v == 1 }
 
 func maxInt(a, b int) int {
 	if a > b {

@@ -42,8 +42,8 @@ type tpc3State struct {
 
 	// Coordinator.
 	phase tpc3Phase
-	got   votes        // votes collected (including own)
-	acks  map[int]bool // participants that acknowledged PRECOMMIT
+	got   votes  // votes collected (including own)
+	acks  pidSet // participants that acknowledged PRECOMMIT
 
 	// Participant.
 	sentVote bool
@@ -51,23 +51,19 @@ type tpc3State struct {
 }
 
 func (s *tpc3State) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.input)).Uint8(uint8(s.out))
-	b.Uint8(uint8(s.phase)).Str(s.got.key()).IntSet(s.acks)
-	b.Bool(s.sentVote).Bool(s.prepared)
-	return b.String()
+	b := make([]byte, 0, 64)
+	b = enc.AppendInt(b, int(s.me))
+	b = enc.AppendInt(b, int(s.input))
+	b = enc.AppendInt(b, int(s.out))
+	b = enc.AppendInt(b, int(s.phase))
+	b = append(s.got.appendKey(b), '|')
+	b = append(s.acks.appendKey(b), '|')
+	b = enc.AppendBool(b, s.sentVote)
+	b = enc.AppendBool(b, s.prepared)
+	return string(b)
 }
 
 func (s *tpc3State) Output() model.Output { return s.out }
-
-func (s *tpc3State) clone() *tpc3State {
-	ns := *s
-	ns.acks = make(map[int]bool, len(s.acks))
-	for k, v := range s.acks {
-		ns.acks[k] = v
-	}
-	return &ns
-}
 
 // NewThreePhaseCommit returns a 3PC instance for n processes.
 func NewThreePhaseCommit(n int) *ThreePhaseCommit { return &ThreePhaseCommit{Procs: n} }
@@ -80,23 +76,24 @@ func (t *ThreePhaseCommit) N() int { return t.Procs }
 
 // Init implements model.Protocol.
 func (t *ThreePhaseCommit) Init(p model.PID, input model.Value) model.State {
-	s := &tpc3State{me: p, input: input, got: votes{}, acks: map[int]bool{}}
+	s := &tpc3State{me: p, input: input}
 	if p == Coordinator {
-		s.got = votes{p: input}
+		s.got = votes{{p, input}}
 	}
 	return s
 }
 
 // Step implements model.Protocol.
 func (t *ThreePhaseCommit) Step(p model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
-	st := s.(*tpc3State).clone()
+	st := new(tpc3State)
+	*st = *s.(*tpc3State) // got and acks are shared with s and replaced, never written
 	var sends []model.Message
 
 	if p == Coordinator {
 		if m != nil {
 			switch {
 			case m.Body == bodyAck:
-				st.acks[int(m.From)] = true
+				st.acks = st.acks.with(m.From)
 			default:
 				if v, ok := parseVote(m.Body); ok {
 					st.got = st.got.with(m.From, v)

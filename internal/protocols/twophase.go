@@ -3,7 +3,6 @@ package protocols
 import (
 	"fmt"
 
-	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
 )
 
@@ -44,11 +43,7 @@ type tpcState struct {
 	out   model.Output
 }
 
-func (s *tpcState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.input)).Bool(s.sent).Str(s.got.key()).Uint8(uint8(s.out))
-	return b.String()
-}
+func (s *tpcState) Key() string { return collectKey(s.me, s.input, s.sent, s.got, s.out) }
 
 func (s *tpcState) Output() model.Output { return s.out }
 
@@ -63,9 +58,9 @@ func (t *TwoPhaseCommit) N() int { return t.Procs }
 
 // Init implements model.Protocol.
 func (t *TwoPhaseCommit) Init(p model.PID, input model.Value) model.State {
-	s := &tpcState{me: p, input: input, got: votes{}}
+	s := &tpcState{me: p, input: input}
 	if p == Coordinator {
-		s.got = votes{p: input}
+		s.got = votes{{p, input}}
 	}
 	return s
 }

@@ -3,7 +3,6 @@ package protocols
 import (
 	"fmt"
 
-	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
 )
 
@@ -29,11 +28,7 @@ type waitAllState struct {
 	out   model.Output
 }
 
-func (s *waitAllState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.input)).Bool(s.sent).Str(s.got.key()).Uint8(uint8(s.out))
-	return b.String()
-}
+func (s *waitAllState) Key() string { return collectKey(s.me, s.input, s.sent, s.got, s.out) }
 
 func (s *waitAllState) Output() model.Output { return s.out }
 
@@ -49,7 +44,7 @@ func (w *WaitAll) N() int { return w.Procs }
 // Init implements model.Protocol. A process's own vote is counted from the
 // start; only the broadcast is deferred to its first step.
 func (w *WaitAll) Init(p model.PID, input model.Value) model.State {
-	return &waitAllState{me: p, input: input, got: votes{p: input}}
+	return &waitAllState{me: p, input: input, got: votes{{p, input}}}
 }
 
 // Step implements model.Protocol.

@@ -1,9 +1,7 @@
 package protogen
 
 import (
-	"sort"
 	"strconv"
-	"strings"
 
 	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
@@ -36,40 +34,62 @@ const benorHalted = 3 // phase value marking a capped-out process
 
 const benorBot model.Value = 2 // ⊥ in proposal messages
 
-// voteSet maps senders to the value they reported or proposed in one
-// (kind, round) slot. Immutable: with returns a copy.
-type voteSet map[model.PID]model.Value
+// vote is one sender's report or proposal.
+type vote struct {
+	pid model.PID
+	val model.Value
+}
+
+// voteSet is the votes received in one (kind, round) slot, at most one per
+// sender, in sender order. Immutable: with returns a copy, so states share
+// it freely.
+type voteSet []vote
 
 func (v voteSet) with(p model.PID, val model.Value) voteSet {
-	nv := make(voteSet, len(v)+1)
-	for k, x := range v {
-		nv[k] = x
+	i := 0
+	for i < len(v) && v[i].pid < p {
+		i++
 	}
-	nv[p] = val
-	return nv
+	if i < len(v) && v[i].pid == p {
+		nv := append(voteSet(nil), v...)
+		nv[i].val = val
+		return nv
+	}
+	return insertAt(v, i, vote{p, val})
+}
+
+// insertAt returns a copy of s with x inserted at index i, in one
+// allocation; s is not written.
+func insertAt[S ~[]E, E any](s S, i int, x E) S {
+	ns := make(S, len(s)+1)
+	copy(ns, s[:i])
+	ns[i] = x
+	copy(ns[i+1:], s[i:])
+	return ns
 }
 
 func (v voteSet) count(val model.Value) int {
 	c := 0
 	for _, x := range v {
-		if x == val {
+		if x.val == val {
 			c++
 		}
 	}
 	return c
 }
 
-func (v voteSet) key() string {
-	pids := make([]int, 0, len(v))
-	for p := range v {
-		pids = append(pids, int(p))
-	}
-	sort.Ints(pids)
-	var b enc.Builder
-	for _, p := range pids {
-		b.Int(p).Uint8(uint8(v[model.PID(p)]))
-	}
-	return b.String()
+// slot is the votes received of one kind ('R' or 'P') for one round.
+type slot struct {
+	kind  byte
+	round int
+	got   voteSet
+}
+
+// before reports whether s's key "kind|round" sorts before (kind, round)'s.
+// Rounds the protocol sends are at most MaxRound ≤ 8, one digit, so the
+// numeric order is the order of the keys as strings.
+func (s *slot) before(kind byte, round int) bool {
+	return s.kind < kind || (s.kind == kind && s.round < round)
 }
 
 type benorState struct {
@@ -78,33 +98,66 @@ type benorState struct {
 	round int // 0 = not started; 1..MaxRound active
 	phase int // 1, 2, or benorHalted
 	out   model.Output
-	// inbox maps "R|r" / "P|r" to the votes received for that slot.
-	inbox map[string]voteSet
+	// inbox holds the open slots in key order. Immutable like voteSet: a
+	// step that changes it builds a new list.
+	inbox []slot
 }
 
 func (s *benorState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.x)).Int(s.round).Int(s.phase).Uint8(uint8(s.out))
-	keys := make([]string, 0, len(s.inbox))
-	for k := range s.inbox {
-		keys = append(keys, k)
+	b := make([]byte, 0, 96)
+	b = enc.AppendInt(b, int(s.me))
+	b = enc.AppendInt(b, int(s.x))
+	b = enc.AppendInt(b, s.round)
+	b = enc.AppendInt(b, s.phase)
+	b = enc.AppendInt(b, int(s.out))
+	for _, sl := range s.inbox {
+		b = append(b, sl.kind, '|')
+		b = enc.AppendInt(b, sl.round)
+		for _, x := range sl.got {
+			b = enc.AppendInt(b, int(x.pid))
+			b = enc.AppendInt(b, int(x.val))
+		}
+		b = append(b, '|')
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.Str(k).Str(s.inbox[k].key())
-	}
-	return b.String()
+	return string(b)
 }
 
 func (s *benorState) Output() model.Output { return s.out }
 
-func (s *benorState) clone() *benorState {
-	ns := *s
-	ns.inbox = make(map[string]voteSet, len(s.inbox))
-	for k, v := range s.inbox {
-		ns.inbox[k] = v
+// votes returns the votes of slot (kind, round); nil when there are none.
+func (s *benorState) votes(kind byte, round int) voteSet {
+	for i := range s.inbox {
+		if s.inbox[i].kind == kind && s.inbox[i].round == round {
+			return s.inbox[i].got
+		}
 	}
-	return &ns
+	return nil
+}
+
+// record stores p's vote in slot (kind, round), in a new slot list.
+func (s *benorState) record(kind byte, round int, p model.PID, val model.Value) {
+	in := s.inbox
+	i := 0
+	for i < len(in) && in[i].before(kind, round) {
+		i++
+	}
+	if i < len(in) && in[i].kind == kind && in[i].round == round {
+		s.inbox = append([]slot(nil), in...)
+		s.inbox[i].got = in[i].got.with(p, val)
+		return
+	}
+	s.inbox = insertAt(in, i, slot{kind, round, voteSet{{p, val}}})
+}
+
+// prune drops the slots of rounds before round, in a new slot list.
+func (s *benorState) prune(round int) {
+	var kept []slot
+	for _, sl := range s.inbox {
+		if sl.round >= round {
+			kept = append(kept, sl)
+		}
+	}
+	s.inbox = kept
 }
 
 // Name implements model.Protocol.
@@ -115,7 +168,7 @@ func (g *benorProto) N() int { return g.sp.N }
 
 // Init implements model.Protocol.
 func (g *benorProto) Init(p model.PID, input model.Value) model.State {
-	return &benorState{me: p, x: input, round: 0, phase: 1, inbox: map[string]voteSet{}}
+	return &benorState{me: p, x: input, round: 0, phase: 1}
 }
 
 // coin is the deterministic tape: the flip for (p, r) under this spec's
@@ -125,10 +178,39 @@ func (g *benorProto) coin(p model.PID, r int) model.Value {
 	return model.Value(mix64(g.sp.Seed^(uint64(p)+1)*0x9e3779b97f4a7c15^(uint64(r)+1)*0xbf58476d1ce4e5b9) & 1)
 }
 
-func benorSlot(kind string, r int) string { return kind + "|" + strconv.Itoa(r) }
+// benorBody encodes "K|r|v": kind letter, decimal round, one-digit value.
+func benorBody(kind byte, r int, v model.Value) string {
+	b := make([]byte, 0, 24)
+	b = append(b, kind, '|')
+	b = strconv.AppendInt(b, int64(r), 10)
+	b = append(b, '|', '0'+byte(v))
+	return string(b)
+}
 
-func benorBody(kind string, r int, v model.Value) string {
-	return kind + "|" + strconv.Itoa(r) + "|" + strconv.Itoa(int(v))
+// parseBenorBody accepts exactly what benorBody writes for rounds below
+// 10⁹: kind R or P, a round of plain digits with no leading zero, a value
+// of 0 or 1 (or ⊥ in a proposal), and nothing after it.
+func parseBenorBody(body string) (kind byte, r int, v model.Value, ok bool) {
+	n := len(body)
+	if n < 5 || n > 13 || body[1] != '|' || body[n-2] != '|' || (body[0] != 'R' && body[0] != 'P') {
+		return 0, 0, 0, false
+	}
+	digits := body[2 : n-2]
+	if digits[0] == '0' && len(digits) > 1 {
+		return 0, 0, 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return 0, 0, 0, false
+		}
+		r = r*10 + int(d)
+	}
+	v = model.Value(body[n-1] - '0')
+	if !v.Valid() && !(v == benorBot && body[0] == 'P') {
+		return 0, 0, 0, false
+	}
+	return body[0], r, v, true
 }
 
 // Step implements model.Protocol. The structure follows the registry's
@@ -140,25 +222,20 @@ func (g *benorProto) Step(p model.PID, s model.State, m *model.Message) (model.S
 	if st.phase == benorHalted {
 		return st, nil // capped out; deliveries are consumed silently
 	}
-	next := st.clone()
+	next := new(benorState)
+	*next = *st // inbox is shared with st and replaced, never written
 	var sends []model.Message
 
 	// First step: enter round 1 and report.
 	if next.round == 0 {
 		next.round = 1
 		next.phase = 1
-		sends = append(sends, model.Broadcast(p, g.sp.N, benorBody("R", 1, next.x))...)
+		sends = append(sends, model.Broadcast(p, g.sp.N, benorBody('R', 1, next.x))...)
 	}
 
 	if m != nil {
-		fields := strings.SplitN(m.Body, "|", 3)
-		if len(fields) == 3 && (fields[0] == "R" || fields[0] == "P") {
-			if r, err := strconv.Atoi(fields[1]); err == nil && r >= next.round {
-				if v, err := strconv.Atoi(fields[2]); err == nil {
-					slot := benorSlot(fields[0], r)
-					next.inbox[slot] = next.inbox[slot].with(m.From, model.Value(v))
-				}
-			}
+		if kind, r, v, ok := parseBenorBody(m.Body); ok && r >= next.round {
+			next.record(kind, r, m.From, v)
 		}
 	}
 
@@ -166,7 +243,7 @@ func (g *benorProto) Step(p model.PID, s model.State, m *model.Message) (model.S
 	// can complete several phases in one delivery).
 	for {
 		if next.phase == 1 {
-			reports := next.inbox[benorSlot("R", next.round)]
+			reports := next.votes('R', next.round)
 			if len(reports) < g.sp.WaitNeed {
 				break
 			}
@@ -177,10 +254,10 @@ func (g *benorProto) Step(p model.PID, s model.State, m *model.Message) (model.S
 				proposal = model.V1
 			}
 			next.phase = 2
-			sends = append(sends, model.Broadcast(p, g.sp.N, benorBody("P", next.round, proposal))...)
+			sends = append(sends, model.Broadcast(p, g.sp.N, benorBody('P', next.round, proposal))...)
 			continue
 		}
-		props := next.inbox[benorSlot("P", next.round)]
+		props := next.votes('P', next.round)
 		if len(props) < g.sp.WaitNeed {
 			break
 		}
@@ -204,19 +281,14 @@ func (g *benorProto) Step(p model.PID, s model.State, m *model.Message) (model.S
 		}
 		if next.round >= g.sp.MaxRound {
 			next.phase = benorHalted
-			next.inbox = map[string]voteSet{}
+			next.inbox = nil
 			break
 		}
 		// Next round; prune stale inbox slots to keep states small.
 		next.round++
 		next.phase = 1
-		for k := range next.inbox {
-			parts := strings.SplitN(k, "|", 2)
-			if r, err := strconv.Atoi(parts[1]); err == nil && r < next.round {
-				delete(next.inbox, k)
-			}
-		}
-		sends = append(sends, model.Broadcast(p, g.sp.N, benorBody("R", next.round, next.x))...)
+		next.prune(next.round)
+		sends = append(sends, model.Broadcast(p, g.sp.N, benorBody('R', next.round, next.x))...)
 	}
 	return next, sends
 }

@@ -27,9 +27,13 @@ type tableState struct {
 }
 
 func (s *tableState) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.input)).Int(s.phase).Int(s.reg).Uint8(uint8(s.out))
-	return b.String()
+	b := make([]byte, 0, 32)
+	b = enc.AppendInt(b, int(s.me))
+	b = enc.AppendInt(b, int(s.input))
+	b = enc.AppendInt(b, s.phase)
+	b = enc.AppendInt(b, s.reg)
+	b = enc.AppendInt(b, int(s.out))
+	return string(b)
 }
 
 func (s *tableState) Output() model.Output { return s.out }
