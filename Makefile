@@ -134,14 +134,17 @@ bench-checkpoint:
 	$(GO) run ./cmd/flpbench -experiment E25
 
 # The allocation guardrail: the AllocsPerRun and bytes-per-successor pins
-# (in distexplore: one budgeted loopback run against the sequential engine)
+# (in distexplore: bytes per configuration of one budgeted loopback run)
 # plus the hot-path benchmarks the EXPERIMENTS.md numbers are regenerated
 # from: three on the naivemajority(3) fixture, then one successor of every
-# registry kernel (ns, B and allocs per successor).
+# registry kernel (ns, B and allocs per successor), then one pass of the
+# explore-wide pool through the engine at 1 and GOMAXPROCS workers (ns, B
+# and allocs per pass).
 bench-alloc:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
 	$(GO) test -bench 'BenchmarkExpand' -benchtime 20x -run '^$$' ./internal/explore
+	$(GO) test -bench 'BenchmarkExplorePool' -benchtime 5x -run '^$$' ./internal/explore
 
 vet:
 	$(GO) vet ./...

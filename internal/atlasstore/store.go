@@ -225,7 +225,7 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 			s.refused.Add(1)
 			return nil, false
 		}
-		a, err := explore.LoadAtlas(pr, root, opt, art.Snap)
+		a, err := explore.LoadAtlas(pr, root, art.Snap)
 		if err != nil {
 			s.drop(path, err)
 		} else {
@@ -258,7 +258,7 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 		}
 		return nil, false
 	}
-	a, ok := b.Finish(opt)
+	a, ok := b.Finish()
 	if !ok {
 		return nil, false
 	}
@@ -329,7 +329,7 @@ func (s *Store) Deepen(pr model.Protocol, root *model.Config, opt explore.Option
 		// Exhausted under the depth bound: finish into a real atlas so the
 		// persisted artifact carries distance columns and GetAtlas can
 		// warm-load it.
-		a, ok := b.Finish(explore.Options{MaxConfigs: opt.MaxConfigs, Workers: opt.Workers})
+		a, ok := b.Finish()
 		if !ok {
 			return nil, st, fmt.Errorf("atlasstore: complete builder refused to finish")
 		}

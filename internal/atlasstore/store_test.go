@@ -1,13 +1,16 @@
 package atlasstore_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"github.com/flpsim/flp/internal/atlasstore"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/modeltest"
 	"github.com/flpsim/flp/internal/protocols"
 )
 
@@ -247,6 +250,71 @@ func TestStoreDeepenPinsExpansion(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Hits != 1 {
 		t.Fatalf("stats = %+v, want one hit", st)
+	}
+}
+
+// TestStoreDeepenLooksUpAcrossResume: a resumed Deepen extends rows that
+// were decoded from the artifact, where the engine's successor-row lookup
+// (Lemma 1's diamond) can match events by message value only. It must still
+// fire there — past one step per restored node, the resumed call steps the
+// protocol exactly as often as a builder that never left memory, which is
+// fewer times than the nodes it expands have events — re-expand nothing,
+// and leave the artifact a one-shot run leaves, byte for byte.
+func TestStoreDeepenLooksUpAcrossResume(t *testing.T) {
+	base, root := fixture(t)
+	var steps atomic.Int64
+	pr := modeltest.StepCounter{Protocol: base, Steps: &steps}
+	const d, k = 3, 2
+	shallow := explore.Options{MaxConfigs: testBudget, MaxDepth: d}
+	deep := explore.Options{MaxConfigs: testBudget, MaxDepth: d + k}
+
+	oneshot := openStore(t, t.TempDir())
+	if _, _, err := oneshot.Deepen(pr, root, deep); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openStore(t, t.TempDir())
+	_, first, err := s.Deepen(pr, root, shallow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps.Store(0)
+	_, second, err := openStore(t, s.Dir()).Deepen(pr, root, deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := int(steps.Load())
+	if reexpanded := second.NewlyExpanded - (second.Expanded - first.Expanded); !second.Resumed || reexpanded != 0 {
+		t.Fatalf("resumed Deepen re-expanded %d nodes (resumed=%v)", reexpanded, second.Resumed)
+	}
+
+	// The same two calls on a builder that never left memory, whose rows
+	// share message records with its configurations: decoding must not
+	// cost the resumed call a single lookup.
+	b := explore.NewAtlasBuilder(pr, root)
+	b.Extend(shallow)
+	steps.Store(0)
+	b.Extend(deep)
+	inMemory := int(steps.Load())
+	events := 0
+	for _, c := range b.Configs()[first.Expanded:second.Expanded] {
+		events += len(model.Events(c))
+	}
+	if taken := resumed - (first.Nodes - 1); taken != inMemory || taken >= events {
+		t.Fatalf("resumed Deepen stepped the protocol %d times past its replay, a live builder %d times, for the %d events of the nodes expanded",
+			taken, inMemory, events)
+	}
+
+	got, err := os.ReadFile(artifactPath(t, s.Dir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(artifactPath(t, oneshot.Dir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed artifact (%d bytes) differs from the one-shot artifact (%d bytes)", len(got), len(want))
 	}
 }
 

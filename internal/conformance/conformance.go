@@ -19,8 +19,8 @@ type Options struct {
 	// MaxConfigs 0 means DefaultMaxConfigs (400, not the exploration
 	// package's 200000); Workers is owned by the harness and ignored.
 	Explore explore.Options
-	// ParWorkers is the worker count of the parallel in-process leg.
-	// 0 means 8; 1 degenerates the leg into a second oracle run.
+	// ParWorkers is the worker count of the parallel in-process leg
+	// (the in-process engine also runs a leg at one worker). 0 means 8.
 	ParWorkers int
 	// DistWorkers, Shards, Replicas shape the distributed legs.
 	// 0 means 3 workers, 4 shards, replication factor 2.
@@ -86,10 +86,12 @@ type step struct {
 	path  string
 }
 
-// inProcStream collects the visit stream of an in-process exploration.
-func inProcStream(pr model.Protocol, root *model.Config, opt explore.Options) (bool, int, []step) {
+// inProcStream collects the visit stream of an in-process exploration:
+// engine is explore.ReferenceExplore or explore.ExploreFiltered.
+func inProcStream(engine func(model.Protocol, *model.Config, explore.Options, func(model.Event) bool, explore.Visit) (bool, int),
+	pr model.Protocol, root *model.Config, opt explore.Options) (bool, int, []step) {
 	var steps []step
-	complete, visited := explore.Explore(pr, root, opt, nil, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
+	complete, visited := engine(pr, root, opt, nil, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
 		steps = append(steps, step{key: cfg.Key(), depth: depth, path: path().String()})
 		return false
 	})
@@ -209,17 +211,18 @@ func Check(name string, inputs model.Inputs, opt Options) error {
 		return fmt.Errorf("conformance: %q: %w", name, err)
 	}
 
-	// Sequential oracle.
-	seqOpt := opt.Explore
-	seqOpt.Workers = 1
-	oc, ov, oracle := inProcStream(pr, root, seqOpt)
+	// Sequential oracle: the reference loop, which shares neither the
+	// in-process engine's core nor its diamond rule.
+	oc, ov, oracle := inProcStream(explore.ReferenceExplore, pr, root, opt.Explore)
 
-	// Parallel in-process engine.
-	parOpt := opt.Explore
-	parOpt.Workers = opt.ParWorkers
-	pc, pv, par := inProcStream(pr, root, parOpt)
-	if d := compareStreams(name, fmt.Sprintf("parallel(workers=%d)", opt.ParWorkers), oc, ov, oracle, pc, pv, par); d != nil {
-		return d
+	// In-process engine, inline and on the pool.
+	for _, w := range []int{1, opt.ParWorkers} {
+		parOpt := opt.Explore
+		parOpt.Workers = w
+		pc, pv, par := inProcStream(explore.ExploreFiltered, pr, root, parOpt)
+		if d := compareStreams(name, fmt.Sprintf("in-process(workers=%d)", w), oc, ov, oracle, pc, pv, par); d != nil {
+			return d
+		}
 	}
 
 	task := distexplore.Task{

@@ -1,7 +1,8 @@
 // Package conformance is the cross-engine differential harness: it takes
 // one protocol instance and runs the same exploration through every
-// engine the repository has — the sequential oracle, the parallel
-// in-process engine, the distributed engine over loopback (fault-free and
+// engine the repository has — the sequential oracle
+// (explore.ReferenceExplore), the in-process engine at one worker and on
+// the pool, the distributed engine over loopback (fault-free and
 // under a scripted FaultyTransport kill), and the one-pass valency atlas —
 // asserting that every observable is byte-identical: completion flag,
 // visit count, the full visit stream (configuration keys, depths, witness

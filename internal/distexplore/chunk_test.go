@@ -210,7 +210,8 @@ func TestRejoinInsideChunkedLevel(t *testing.T) {
 // TestClusterSpeculationBoundedByOneChunk is speculation_test.go of package
 // explore, for the cluster: at budgets that cut a level in the middle, the
 // workers may step the protocol for expansion more often than the
-// sequential oracle only by the nodes of one chunk the coordinator had
+// sequential oracle (explore.ReferenceExplore, which like the workers steps
+// every event it expands) only by the nodes of one chunk the coordinator had
 // expanded and then could not admit from — at most the first chunk cut at
 // the budget level (room only shrinks from there) times the most events any
 // visited node has. Expanding the whole level first overshot that by
@@ -239,7 +240,7 @@ func TestClusterSpeculationBoundedByOneChunk(t *testing.T) {
 			var steps atomic.Int64
 			pr := modeltest.StepCounter{Protocol: base, Steps: &steps}
 			var depths, events []int
-			complete, _ := explore.Explore(pr, model.MustInitial(pr, in), explore.Options{MaxConfigs: budget, Workers: 1}, nil,
+			complete, _ := explore.ReferenceExplore(pr, model.MustInitial(pr, in), explore.Options{MaxConfigs: budget}, nil,
 				func(c *model.Config, depth int, _ func() model.Schedule) bool {
 					depths = append(depths, depth)
 					events = append(events, len(model.Events(c)))
@@ -355,16 +356,17 @@ func TestWireBytesPerConfig(t *testing.T) {
 }
 
 // TestAllocsClusterBudgeted pins what one budgeted loopback run allocates —
-// coordinator and all three workers, they share the process — as a multiple
-// of the sequential engine on the same task. The cluster keys, ships and
-// rematerializes what the oracle only builds once, so the multiple is above
-// one: 5.5 measured, with and without -race (5.07 MB against 0.92 MB). The
-// frames, dedup tables and replays that make up most of the cluster's bytes
-// do not shrink when a successor does, so a cheaper model step raises the
-// multiple while both sides fall; read the logged byte counts with it. It
-// was 29.5 when the whole last level was expanded, every candidate carried
-// an escaped string key, and every job cleared a 64 KiB arena in each
-// interner shard it touched.
+// coordinator and all three workers, they share the process — in bytes per
+// admitted configuration: 12,687 measured, with and without -race (5.07 MB
+// for paxos(3)'s 400 configurations), ceiling that plus 6 %. The cluster keys, ships
+// and rematerializes what the in-process engine only builds once, and none
+// of those frames, dedup tables and replays shrink when the in-process
+// engine gets cheaper, so the multiple of explore.Explore at one worker is
+// logged for reading, not pinned (it was a 6.0× ceiling, and read 5.5× until
+// Explore stopped stepping commuting diamonds). The run allocated 29.5×
+// when the whole last level was expanded, every candidate carried an
+// escaped string key, and every job cleared a 64 KiB arena in each interner
+// shard it touched.
 func TestAllocsClusterBudgeted(t *testing.T) {
 	k := budgetKernels[1]
 	pr, err := RegistryProvider(k.name, k.n)
@@ -383,11 +385,12 @@ func TestAllocsClusterBudgeted(t *testing.T) {
 		explore.Explore(pr, model.MustInitial(pr, alternatingInputs(k.n)), explore.Options{MaxConfigs: k.budget, Workers: 1}, nil, visit)
 	})
 	var cluster uint64
-	clusterRun(t, &frameTap{Transport: NewLoopback()}, k.name, k.n, k.budget, func(run func()) { cluster = allocated(run) })
-	const ceiling = 6.0
-	ratio := float64(cluster) / float64(sequential)
-	t.Logf("cluster %d bytes, sequential %d bytes: %.2f×", cluster, sequential, ratio)
-	if ratio > ceiling {
-		t.Errorf("one cluster run allocates %.2f× the sequential engine, ceiling %.2f×", ratio, ceiling)
+	visited := clusterRun(t, &frameTap{Transport: NewLoopback()}, k.name, k.n, k.budget, func(run func()) { cluster = allocated(run) })
+	const ceiling = 13450
+	per := cluster / uint64(visited)
+	t.Logf("cluster %d bytes over %d configurations = %d each; in process %d bytes (%.2f×)",
+		cluster, visited, per, sequential, float64(cluster)/float64(sequential))
+	if per > ceiling {
+		t.Errorf("one cluster run allocates %d bytes per configuration, ceiling %d", per, ceiling)
 	}
 }

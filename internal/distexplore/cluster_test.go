@@ -40,9 +40,7 @@ func seqStream(t *testing.T, tk Task) (complete bool, visited int, steps []step)
 			t.Fatal(err)
 		}
 	}
-	opt := tk.Options
-	opt.Workers = 1
-	complete, visited = explore.Explore(pr, c, opt, tk.Avoid, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
+	complete, visited = explore.ReferenceExplore(pr, c, tk.Options, explore.AvoidFilter(tk.Avoid), func(cfg *model.Config, depth int, path func() model.Schedule) bool {
 		steps = append(steps, step{key: cfg.Key(), depth: depth, path: path().String()})
 		return false
 	})
@@ -278,7 +276,7 @@ func TestDistributedEarlyStop(t *testing.T) {
 	c := model.MustInitial(pr, task.Inputs)
 	const stopAt = 40
 	var seqSteps []step
-	seqC, seqV := explore.Explore(pr, c, explore.Options{Workers: 1}, nil,
+	seqC, seqV := explore.ReferenceExplore(pr, c, explore.Options{}, nil,
 		func(cfg *model.Config, depth int, path func() model.Schedule) bool {
 			seqSteps = append(seqSteps, step{cfg.Key(), depth, path().String()})
 			return len(seqSteps) == stopAt

@@ -35,17 +35,19 @@ func exploreAllocsPerConfig(t *testing.T, workers int) float64 {
 	return allocs / float64(visited)
 }
 
-// TestAllocsExploreSequential pins the sequential engine. The measured
-// cost on the waitall(3) fixture is 37.4 allocs per visited configuration,
-// the same under -race (which the Makefile's race targets run this file
-// with), dominated by successor materialization — protocol state, its key,
-// the process and buffer-entry slices, the key build — across every
-// expanded candidate, not just the admitted ones. The ceiling is that plus
-// one, rounded up: no room for a map or a formatted key anywhere on the
-// path (80.3 when votes were maps and keys went through fmt).
+// TestAllocsExploreSequential pins the engine at one worker (the core,
+// expanding inline). The measured cost on the waitall(3) fixture is 21.4
+// allocs per visited configuration, the same under -race (which the
+// Makefile's race targets run this file with), dominated by successor
+// materialization — protocol state, its key, the process and buffer-entry
+// slices, the key build — for every candidate the protocol is stepped for,
+// not just the admitted ones. The ceiling is that plus one, rounded up: no
+// room for a map or a formatted key anywhere on the path (80.3 when votes
+// were maps and keys went through fmt), nor for stepping the candidates the
+// diamond rule reads off successor rows (37.4 when every event was stepped).
 func TestAllocsExploreSequential(t *testing.T) {
 	per := exploreAllocsPerConfig(t, 1)
-	const ceiling = 39
+	const ceiling = 23
 	if per > ceiling {
 		t.Fatalf("sequential Explore allocates %.1f/config, ceiling %d", per, ceiling)
 	}
@@ -54,10 +56,10 @@ func TestAllocsExploreSequential(t *testing.T) {
 // TestAllocsExploreParallel pins the parallel engine to the same budget
 // plus pool overhead: with successor buffers recycled across levels, the
 // level-synchronous engine must stay within a few percent of sequential,
-// not a multiple of it. Measured 39.7, with and without -race.
+// not a multiple of it. Measured 23.4, with and without -race.
 func TestAllocsExploreParallel(t *testing.T) {
 	per := exploreAllocsPerConfig(t, 4)
-	const ceiling = 41
+	const ceiling = 25
 	if per > ceiling {
 		t.Fatalf("parallel Explore allocates %.1f/config, ceiling %d", per, ceiling)
 	}
@@ -66,7 +68,7 @@ func TestAllocsExploreParallel(t *testing.T) {
 // TestAllocsBuildAtlas pins the edge-recording walk of the same core: node
 // table and CSR growth, interning, the inline successor buffer, plus the
 // predecessor CSR and the two backward passes. Measured on the waitall(3)
-// fixture: 38.9 allocs per atlas node, the same at every run because one
+// fixture: 22.2 allocs per atlas node, the same at every run because one
 // worker expands inline, and the same under -race, which the Makefile's
 // race targets run this test with; the ceiling is that plus one, so it is the
 // local, sub-second stand-in for the benchmark's alloc_mb_per_op bound on
@@ -80,7 +82,7 @@ func TestAllocsBuildAtlas(t *testing.T) {
 		t.Fatal("BuildAtlas refused within budget")
 	}
 	per := testing.AllocsPerRun(5, func() { explore.BuildAtlas(pr, root, opt) }) / float64(atlas.Len())
-	const ceiling = 40
+	const ceiling = 24
 	if per > ceiling {
 		t.Fatalf("BuildAtlas allocates %.1f/node, ceiling %d", per, ceiling)
 	}
@@ -89,8 +91,8 @@ func TestAllocsBuildAtlas(t *testing.T) {
 // TestAllocsExploreBudgeted pins what the pool may waste when the budget
 // cuts a wide level: at explore-wide's own shape — onethird(4) from the
 // all-zero inputs, 1000 configurations — four workers must allocate within
-// 15% of the sequential oracle. Successors expanded and then discarded are
-// the only way to exceed that (2.3-2.6× when walk expanded whole levels),
+// 15% of one worker expanding inline. Successors expanded and then discarded
+// are the only way to exceed that (2.3-2.6× when walk expanded whole levels),
 // so this is the local, sub-second stand-in for alloc_mb_per_op on
 // explore-wide.
 func TestAllocsExploreBudgeted(t *testing.T) {
@@ -106,8 +108,8 @@ func TestAllocsExploreBudgeted(t *testing.T) {
 	}
 }
 
-// firstConfigs returns the configurations a sequential exploration of pr
-// from in admits under a budget of n, in visit order.
+// firstConfigs returns the configurations an exploration of pr from in
+// admits under a budget of n, in visit order.
 func firstConfigs(pr model.Protocol, in model.Inputs, n int) []*model.Config {
 	var nodes []*model.Config
 	explore.Explore(pr, model.MustInitial(pr, in), explore.Options{MaxConfigs: n, Workers: 1}, nil,
@@ -193,6 +195,42 @@ func BenchmarkExpand(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/succ")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/succ")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/succ")
+		})
+	}
+}
+
+// BenchmarkExplorePool is one pass of the benchmark's explore-wide pool —
+// every input vector of naivemajority(4), onethird(4), paxos(3) and
+// benor(3), 48 explorations of 1,000 configurations each — inline and on
+// the pool at GOMAXPROCS workers: ns, B and allocs per pass. It is the
+// engine-level view of ops_per_s and alloc_mb_per_op on explore-wide;
+// `make bench-alloc` and CI (at -benchtime 1x) run it.
+func BenchmarkExplorePool(b *testing.B) {
+	type op struct {
+		pr   model.Protocol
+		root *model.Config
+	}
+	var ops []op
+	for _, k := range []string{"naivemajority", "onethird", "paxos", "benor"} {
+		factory, _ := protocols.Lookup(k)
+		pr, err := factory(expandKernels[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, in := range model.AllInputs(pr.N()) {
+			ops = append(ops, op{pr, model.MustInitial(pr, in)})
+		}
+	}
+	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, o := range ops {
+					if _, visited := explore.Explore(o.pr, o.root, explore.Options{MaxConfigs: 1000, Workers: w}, nil, nil); visited != 1000 {
+						b.Fatalf("visited %d configurations, want 1000", visited)
+					}
+				}
+			}
 		})
 	}
 }

@@ -40,7 +40,6 @@ type Atlas struct {
 	// a configuration containing decision value 0 / 1, or -1 when none is
 	// reachable. These are the decision bits: has0 = Dist0 ≥ 0.
 	core
-	opt Options
 
 	// Predecessor adjacency in CSR form: node v's in-edges are
 	// predFrom[predStart[v]:predStart[v+1]]; predEdge holds each in-edge's
@@ -81,7 +80,7 @@ func BuildAtlas(pr model.Protocol, root *model.Config, opt Options) (*Atlas, boo
 	}
 	b := NewAtlasBuilder(pr, root)
 	b.Extend(opt)
-	return b.Finish(opt) // refuses a builder the budget stopped: no truncated atlases
+	return b.Finish() // refuses a builder the budget stopped: no truncated atlases
 }
 
 // buildPred inverts the successor CSR into the predecessor CSR by the

@@ -185,12 +185,12 @@ func (b *AtlasBuilder) Extend(opt Options) (newlyExpanded int) {
 // the two backward passes. ok=false when the frontier is not empty. The
 // builder hands its node table to the atlas and must not be used
 // afterwards.
-func (b *AtlasBuilder) Finish(opt Options) (*Atlas, bool) {
+func (b *AtlasBuilder) Finish() (*Atlas, bool) {
 	if !b.g.Complete {
 		return nil, false
 	}
 	b.finished = true
-	a := &Atlas{core: b.core, opt: opt.withDefaults()}
+	a := &Atlas{core: b.core}
 	a.buildPred()
 	a.g.Dist0 = a.distToValue(model.V0)
 	a.g.Dist1 = a.distToValue(model.V1)
@@ -205,7 +205,7 @@ func RestoreAtlasBuilder(pr model.Protocol, root *model.Config, snap *AtlasSnaps
 	if err := snap.validateFor(root); err != nil {
 		return nil, err
 	}
-	b := &AtlasBuilder{core: core{pr: pr, index: model.NewInterner(), cfgs: make([]*model.Config, snap.Len()), g: *snap}}
+	b := &AtlasBuilder{core: core{pr: pr, index: model.NewInterner(), cfgs: make([]*model.Config, snap.Len()), g: *snap, edges: true}}
 	// The builder grows past the snapshot: its keys are recomputed on the
 	// next Snapshot, its distances by Finish.
 	b.g.Keys, b.g.Dist0, b.g.Dist1 = nil, nil, nil
@@ -233,7 +233,7 @@ func RestoreAtlasBuilder(pr model.Protocol, root *model.Config, snap *AtlasSnaps
 // and every lazily materialized configuration is verified against its
 // stored key, so a stale or corrupt snapshot fails loudly instead of
 // answering wrongly.
-func LoadAtlas(pr model.Protocol, root *model.Config, opt Options, snap *AtlasSnapshot) (*Atlas, error) {
+func LoadAtlas(pr model.Protocol, root *model.Config, snap *AtlasSnapshot) (*Atlas, error) {
 	if !snap.Complete {
 		return nil, fmt.Errorf("explore: cannot load a partial snapshot as an atlas")
 	}
@@ -243,7 +243,7 @@ func LoadAtlas(pr model.Protocol, root *model.Config, opt Options, snap *AtlasSn
 	if len(snap.Dist0) != len(snap.Depth) {
 		return nil, fmt.Errorf("explore: snapshot lacks distance columns")
 	}
-	a := &Atlas{core: core{pr: pr, cfgs: make([]*model.Config, snap.Len()), g: *snap}, opt: opt.withDefaults()}
+	a := &Atlas{core: core{pr: pr, cfgs: make([]*model.Config, snap.Len()), g: *snap, edges: true}}
 	a.cfgs[0] = root
 	a.buildPred()
 	return a, nil

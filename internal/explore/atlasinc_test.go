@@ -105,7 +105,7 @@ func TestAtlasBuilderMatchesBuildAtlas(t *testing.T) {
 						t.Fatalf("inputs %s workers %d: expanded %d nodes, want %d", inp, workers, n, want.Len())
 					}
 					snapshotsEqual(t, "builder vs BuildAtlas", want.Snapshot(), b.Snapshot())
-					got, ok := b.Finish(opt)
+					got, ok := b.Finish()
 					if !ok {
 						t.Fatalf("inputs %s workers %d: Finish refused a complete builder", inp, workers)
 					}
@@ -225,7 +225,7 @@ func TestAtlasBuilderSnapshotRestore(t *testing.T) {
 		t.Fatal("BuildAtlas refused within budget")
 	}
 	snapshotsEqual(t, "restored vs BuildAtlas", want.Snapshot(), restored.Snapshot())
-	got, ok := restored.Finish(budget)
+	got, ok := restored.Finish()
 	if !ok {
 		t.Fatal("Finish refused a complete restored builder")
 	}
@@ -247,7 +247,7 @@ func TestLoadAtlasMatchesBuilt(t *testing.T) {
 				if !ok {
 					t.Fatalf("inputs %s: BuildAtlas refused within budget", inp)
 				}
-				got, err := explore.LoadAtlas(pr, root, opt, want.Snapshot())
+				got, err := explore.LoadAtlas(pr, root, want.Snapshot())
 				if err != nil {
 					t.Fatalf("inputs %s: LoadAtlas: %v", inp, err)
 				}
@@ -281,7 +281,7 @@ func TestLoadAtlasRejectsPartialAndForeign(t *testing.T) {
 	dOpt := opt
 	dOpt.MaxDepth = 2
 	b.Extend(dOpt)
-	if _, err := explore.LoadAtlas(pr, root, opt, b.Snapshot()); err == nil {
+	if _, err := explore.LoadAtlas(pr, root, b.Snapshot()); err == nil {
 		t.Error("LoadAtlas accepted a partial snapshot")
 	}
 
@@ -290,7 +290,7 @@ func TestLoadAtlasRejectsPartialAndForeign(t *testing.T) {
 		t.Fatal("BuildAtlas refused within budget")
 	}
 	other := model.MustInitial(pr, model.Inputs{1, 1, 1})
-	if _, err := explore.LoadAtlas(pr, other, opt, a.Snapshot()); err == nil {
+	if _, err := explore.LoadAtlas(pr, other, a.Snapshot()); err == nil {
 		t.Error("LoadAtlas accepted a snapshot of a different root")
 	}
 	if _, err := explore.RestoreAtlasBuilder(pr, other, a.Snapshot()); err == nil {

@@ -8,35 +8,39 @@ import (
 )
 
 // core is the one level-synchronous breadth-first engine of this package.
-// ExploreFiltered at Workers > 1, AtlasBuilder.Extend and (through the
-// builder) BuildAtlas all run walk over one node table; the fused
-// sequential loop in ExploreFiltered is deliberately not built on it — it
-// is the oracle the conformance and determinism suites compare this code
-// against.
+// ExploreFiltered at every worker count, AtlasBuilder.Extend and (through
+// the builder) BuildAtlas all run walk over one node table; ReferenceExplore
+// (reach.go) is deliberately not built on it — it is the oracle the
+// conformance and determinism suites compare this code against.
 //
 // The node table is struct-of-arrays keyed by dense node id in admission
 // order: cfgs beside the graph columns of g, which is the exported
 // AtlasSnapshot so that a builder, a finished atlas and a persisted
-// snapshot hand the same value around instead of copying columns. A walk
-// records successor edges exactly when g.SuccStart is non-nil.
+// snapshot hand the same value around instead of copying columns.
+//
+// Every walk records successor rows in g's CSR as nodes close, because
+// expand reads them (the diamond rule). A walk that keeps edges keeps them
+// all — they are the atlas. One that does not keeps the rows of the
+// previous and the current level only, which is where the rule looks:
+// rowBase is the node whose row g.SuccStart[0] opens, 0 when edges are kept.
 type core struct {
 	pr   model.Protocol
 	skip func(model.Event) bool
 	// index maps configurations to node ids (the interner tag is the id);
 	// it is nil on a store-loaded atlas, which answers from g.Keys.
-	index *model.Interner
-	cfgs  []*model.Config
-	g     AtlasSnapshot
+	index   *model.Interner
+	cfgs    []*model.Config
+	g       AtlasSnapshot
+	edges   bool
+	rowBase int
 }
 
 // newCore returns a core holding just the root, nothing expanded.
 func newCore(pr model.Protocol, root *model.Config, skip func(model.Event) bool, edges bool) core {
-	c := core{pr: pr, skip: skip, index: model.NewInterner()}
+	c := core{pr: pr, skip: skip, index: model.NewInterner(), edges: edges}
 	c.index.InternTag(root, 0)
 	c.admit(root, -1, model.Event{})
-	if edges {
-		c.g.SuccStart = []int32{0} // CSR sentinel: node u's edges are SuccStart[u]:SuccStart[u+1]
-	}
+	c.g.SuccStart = []int32{0} // CSR sentinel: node u's edges are SuccStart[u]:SuccStart[u+1]
 	return c
 }
 
@@ -76,25 +80,30 @@ func (c *core) admit(cfg *model.Config, parent int32, via model.Event) {
 // A walk that records edges stops at the first node it may not expand in
 // full (depth cap or budget), because CSR rows close in node order — the
 // table is then at a clean node boundary a later walk resumes from. A walk
-// that records none carries on, so every admitted node is still visited.
+// that records none carries on, so every admitted node is still visited;
+// its rows stay a closed prefix all the same, because the only row it can
+// leave open is the one that seals the ledger, after which nothing expands.
 func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
-	edges := c.g.SuccStart != nil
 	led := NewLedger(opt)
 	led.Count = c.Len()
-	var pool succPool
-	var inline []Successor
+	var pool candPool
+	var inline []cand
 	end := from
 	for end < len(c.cfgs) && c.g.Depth[end] == c.g.Depth[from] {
 		end++
 	}
-	for start := from; start < end; start, end = end, len(c.cfgs) {
+	prev := from
+	for start := from; start < end; prev, start, end = start, end, len(c.cfgs) {
+		if !c.edges {
+			c.dropRowsBefore(prev)
+		}
 		depth := int(c.g.Depth[start])
 		for lo := start; lo < end; {
 			hi := end
-			var exps [][]Successor
+			var exps [][]cand
 			if opt.Workers > 1 && !led.Sealed() && !opt.DepthCapped(depth) {
 				hi = lo + SpecChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, opt.Workers)
-				exps = expandLevel(c.pr, c.skip, c.cfgs[lo:hi], opt.Workers, &pool)
+				exps = c.expandLevel(lo, hi, opt.Workers, &pool)
 			}
 			for u := lo; u < hi; u++ {
 				if visit != nil && visit(c.cfgs[u], depth, func() model.Schedule { return c.pathTo(u) }) {
@@ -105,11 +114,11 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 					if exps != nil {
 						closed = c.merge(u, exps[u-lo], led)
 					} else {
-						inline = AppendSuccessors(c.pr, c.cfgs[u], c.skip, inline)
+						inline = c.expand(u, u, inline)
 						closed = c.merge(u, inline, led)
 					}
 				}
-				if edges && !closed {
+				if c.edges && !closed {
 					return false
 				}
 			}
@@ -118,6 +127,129 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 		}
 	}
 	return led.Complete()
+}
+
+// cand is one entry of an expanded node's successor row on its way to
+// merge, in one of three forms: a configuration built by a protocol step
+// (cfg set), which merge interns; a target the diamond rule read off closed
+// rows (cfg nil, to the node id); or a target it will read off the row of a
+// sibling that closes only during the merge of this chunk (cfg nil, to the
+// sibling's id complemented).
+type cand struct {
+	via model.Event
+	cfg *model.Config
+	to  int32
+}
+
+// expand enumerates node u's successor row in canonical event order, under
+// the same event filtering as AppendSuccessors, stepping the protocol only
+// where Lemma 1 does not already name the answer. Let C be u's tree parent
+// and e = (p, ·) the event with u = e(C). An event e′ = (q, ·) of u with
+// q ≠ p finds process q in the state it had at C, so:
+//
+//   - a null e′ missing from C's row was a no-op at C and is one at u;
+//   - an e′ in C's row leads to the sibling D′ = e′(C), and e′(u) = e(D′)
+//     (Figure 1's commuting diamond) is the target D′'s row lists under e.
+//
+// Rows before lo are closed and may be read here; a sibling in [lo, u) is
+// left for merge, which closes rows in id order (inline expansion passes
+// lo = u: everything before u is closed). Whatever the rows cannot answer —
+// u's own process, a message e sent, the root, a sibling not before u, a
+// row no longer kept — goes through model.Expand as before, so the rule
+// only ever removes work. It is the one place that reads rows by event;
+// identity is the shared message record first and the message value
+// second, since a sibling may descend from another parent and a restored
+// builder's rows were decoded.
+func (c *core) expand(u, lo int, dst []cand) []cand {
+	dst = dst[:0]
+	cfg, via := c.cfgs[u], c.g.ParentVia[u]
+	var pvia []model.Event
+	var pto []int32
+	inherit := false
+	if par := c.g.Parent[u]; par >= 0 {
+		pvia, pto, inherit = c.row(int(par))
+	}
+	for _, e := range model.Events(cfg) {
+		if c.skip != nil && c.skip(e) {
+			continue
+		}
+		if inherit && e.P != via.P {
+			i := findEvent(pvia, e)
+			if i < 0 && e.Msg == nil {
+				continue
+			}
+			if i >= 0 && int(pto[i]) < u {
+				if sib := pto[i]; int(sib) >= lo {
+					dst = append(dst, cand{via: e, to: ^sib})
+					continue
+				} else if to, ok := c.rowTarget(int(sib), via); ok {
+					dst = append(dst, cand{via: e, to: to})
+					continue
+				}
+			}
+		}
+		if nc := model.Expand(c.pr, cfg, e); nc != nil {
+			nc.Hash()
+			dst = append(dst, cand{via: e, cfg: nc})
+		}
+	}
+	return dst
+}
+
+// row returns node u's successor row — events and targets at matching
+// indices — when it is closed and still kept.
+func (c *core) row(u int) (via []model.Event, to []int32, ok bool) {
+	i := u - c.rowBase
+	if i < 0 || i+1 >= len(c.g.SuccStart) {
+		return nil, nil, false
+	}
+	a, b := c.g.SuccStart[i], c.g.SuccStart[i+1]
+	return c.g.SuccVia[a:b], c.g.SuccTo[a:b], true
+}
+
+// rowTarget returns the node that e leads to from node u, by u's row.
+func (c *core) rowTarget(u int, e model.Event) (int32, bool) {
+	if via, to, ok := c.row(u); ok {
+		if i := findEvent(via, e); i >= 0 {
+			return to[i], true
+		}
+	}
+	return 0, false
+}
+
+// findEvent returns the index of e in a row's events, or -1.
+func findEvent(row []model.Event, e model.Event) int {
+	for i := range row {
+		if row[i].Msg == e.Msg && row[i].P == e.P {
+			return i
+		}
+	}
+	if e.Msg != nil {
+		for i := range row {
+			if r := row[i]; r.P == e.P && r.Msg != nil && *r.Msg == *e.Msg {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// dropRowsBefore discards the rows of nodes before u, sliding the kept
+// ones to the front of the columns so a walk without edges holds two
+// levels of rows however long it runs.
+func (c *core) dropRowsBefore(u int) {
+	k := u - c.rowBase
+	if k <= 0 {
+		return
+	}
+	off := c.g.SuccStart[k]
+	c.g.SuccTo = c.g.SuccTo[:copy(c.g.SuccTo, c.g.SuccTo[off:])]
+	c.g.SuccVia = c.g.SuccVia[:copy(c.g.SuccVia, c.g.SuccVia[off:])]
+	c.g.SuccStart = c.g.SuccStart[:copy(c.g.SuccStart, c.g.SuccStart[k:])]
+	for i := range c.g.SuccStart {
+		c.g.SuccStart[i] -= off
+	}
+	c.rowBase = u
 }
 
 // SpecChunk sizes the next speculative expansion of a level with remaining
@@ -140,53 +272,70 @@ func SpecChunk(remaining, room, expanded, count, workers int) int {
 }
 
 // merge folds node u's successors into the table in canonical event order
-// and reports whether u's successor list was taken in full. The budget
-// rule is the one policy that depends on what the walk records. Without
-// edges, first-seen configurations are admitted until the ledger is full
-// and the rest of the list is dropped. With edges a half-recorded row
-// would be unusable, so a node whose distinct fresh successors do not all
-// fit is not merged at all; counting them costs a pre-scan, which runs
-// only when the raw successor count could overflow.
-func (c *core) merge(u int, succs []Successor, led *Ledger) bool {
-	edges := c.g.SuccStart != nil
-	if edges && len(c.cfgs)+len(succs) > led.MaxConfigs && len(c.cfgs)+c.freshAmong(succs) > led.MaxConfigs {
+// and reports whether u's successor list was taken in full, closing u's
+// row when it was. The budget rule is the one policy that depends on what
+// the walk keeps. Without edges, first-seen configurations are admitted
+// until the ledger is full and the rest of the list is dropped. With edges
+// a half-recorded row would be unusable, so a node whose distinct fresh
+// successors do not all fit is not merged at all; counting them costs a
+// pre-scan, which runs only when the raw successor count could overflow.
+//
+// Targets expand left to a sibling inside the chunk are settled first: that
+// sibling's row closed earlier in this id-ordered merge. One that still
+// does not list u's tree event is stepped here instead.
+func (c *core) merge(u int, succs []cand, led *Ledger) bool {
+	for i := range succs {
+		if s := &succs[i]; s.cfg == nil && s.to < 0 {
+			if to, ok := c.rowTarget(int(^s.to), c.g.ParentVia[u]); ok {
+				s.to = to
+			} else {
+				s.cfg = model.Expand(c.pr, c.cfgs[u], s.via)
+			}
+		}
+	}
+	if c.edges && len(c.cfgs)+len(succs) > led.MaxConfigs && len(c.cfgs)+c.freshAmong(succs) > led.MaxConfigs {
 		led.Truncated = true
 		return false
 	}
 	for _, s := range succs {
-		id := int32(len(c.cfgs))
-		if got, fresh := c.index.InternTag(s.Cfg, uint64(id)); !fresh {
-			id = int32(got)
-		} else if led.Admit() {
-			c.admit(s.Cfg, int32(u), s.Via)
-		} else {
-			return false
+		id := s.to
+		if s.cfg != nil {
+			id = int32(len(c.cfgs))
+			if got, fresh := c.index.InternTag(s.cfg, uint64(id)); !fresh {
+				id = int32(got)
+			} else if led.Admit() {
+				c.admit(s.cfg, int32(u), s.via)
+			} else {
+				return false
+			}
+		} else if id < 0 {
+			continue // the step above found a no-op
 		}
-		if edges {
-			// Edges to already-admitted configurations are recorded too:
-			// valency is a reachability property, and the breadth-first
-			// tree alone does not carry cross-edge reachability.
-			c.g.SuccTo = append(c.g.SuccTo, id)
-			c.g.SuccVia = append(c.g.SuccVia, s.Via)
-		}
+		// Edges to already-admitted configurations are recorded too:
+		// valency is a reachability property, and the breadth-first tree
+		// alone does not carry cross-edge reachability.
+		c.g.SuccTo = append(c.g.SuccTo, id)
+		c.g.SuccVia = append(c.g.SuccVia, s.via)
 	}
-	if edges {
-		c.g.SuccStart = append(c.g.SuccStart, int32(len(c.g.SuccTo)))
-	}
+	c.g.SuccStart = append(c.g.SuccStart, int32(len(c.g.SuccTo)))
 	return true
 }
 
 // freshAmong counts the distinct configurations in succs not yet admitted
 // — the budget cost of expanding their node — without interning anything.
-func (c *core) freshAmong(succs []Successor) int {
+// Entries the diamond rule resolved name admitted nodes and cost nothing.
+func (c *core) freshAmong(succs []cand) int {
 	fresh := 0
 	for i := range succs {
-		if _, known := c.index.Tag(succs[i].Cfg); known {
+		if succs[i].cfg == nil {
+			continue
+		}
+		if _, known := c.index.Tag(succs[i].cfg); known {
 			continue
 		}
 		dup := false
 		for j := 0; j < i; j++ {
-			if succs[j].Cfg.Equal(succs[i].Cfg) {
+			if succs[j].cfg != nil && succs[j].cfg.Equal(succs[i].cfg) {
 				dup = true
 				break
 			}

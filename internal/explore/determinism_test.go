@@ -10,11 +10,14 @@ import (
 	"github.com/flpsim/flp/internal/protogen"
 )
 
-// The parallel engine's contract is byte-identical results for every
-// worker count. These differential tests pin that contract for each seed
-// protocol: every report the checker stack produces must be deeply equal
-// between Workers: 1 (the sequential oracle) and Workers: 8, including
-// witness schedules, visit counts, and truncation flags.
+// The engine's contract is byte-identical results for every worker count,
+// equal to the reference loop's. These differential tests pin that contract
+// for each seed protocol: every report the checker stack produces must be
+// deeply equal between Workers: 1 (the core, inline) and Workers: 8 (the
+// pool), including witness schedules, visit counts, and truncation flags;
+// and the raw visit streams, node tables and counts are held to
+// explore.ReferenceExplore — the sequential oracle, which shares neither
+// the core's loop nor its diamond rule.
 
 // determinismCases covers every seed protocol. Unbounded state spaces
 // (paxos, benor) and large finite ones (3pc, onethird) run under a budget,
@@ -66,6 +69,9 @@ func determinismCases(t *testing.T) []struct {
 func caseRoot(pr model.Protocol) *model.Config {
 	return model.MustInitial(pr, model.Inputs{0, 1, 1, 0}[:pr.N()])
 }
+
+// exploreFunc is the signature ReferenceExplore and ExploreFiltered share.
+type exploreFunc func(model.Protocol, *model.Config, explore.Options, func(model.Event) bool, explore.Visit) (bool, int)
 
 func withWorkers(opt explore.Options, w int) explore.Options {
 	opt.Workers = w
@@ -137,7 +143,7 @@ func TestBuilderPrefixMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := caseRoot(tc.pr)
 			var oracle []step
-			complete, _ := explore.Explore(tc.pr, c, withWorkers(tc.opt, 1), nil,
+			complete, _ := explore.ReferenceExplore(tc.pr, c, tc.opt, nil,
 				func(cfg *model.Config, depth int, path func() model.Schedule) bool {
 					st := step{key: string(cfg.KeyBytes()), depth: int32(depth)}
 					if depth > 0 {
@@ -208,17 +214,13 @@ func TestParallelLemma3MatchesSequential(t *testing.T) {
 
 // TestParallelGeneratedProtocolsMatchSequential runs the same
 // differential over generated protocols: a spread of protogen seeds per
-// template, visit streams and valency compared between Workers 1 and 8.
+// template, visit streams held to the reference loop at every worker count
+// (matchReference), valency compared between Workers 1 and 8.
 // The generator reaches transition-table shapes (sparse tables, dead
 // phases, asymmetric decision rules) that no hand-written seed protocol
 // exercises, so this is where worker-count nondeterminism around unusual
 // fan-out would surface first.
 func TestParallelGeneratedProtocolsMatchSequential(t *testing.T) {
-	type step struct {
-		key   string
-		depth int
-		path  string
-	}
 	for _, tmpl := range []string{protogen.TemplateTable, protogen.TemplateBenOr} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			d := protogen.DefaultDials(3)
@@ -235,26 +237,7 @@ func TestParallelGeneratedProtocolsMatchSequential(t *testing.T) {
 				}
 				c := model.MustInitial(pr, in)
 				opt := explore.Options{MaxConfigs: 1500}
-				stream := func(workers int) (bool, []step) {
-					var out []step
-					complete, _ := explore.Explore(pr, c, withWorkers(opt, workers), nil,
-						func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-							out = append(out, step{key: cfg.Key(), depth: depth, path: path().String()})
-							return false
-						})
-					return complete, out
-				}
-				seqComplete, seq := stream(1)
-				parComplete, par := stream(8)
-				if seqComplete != parComplete || len(seq) != len(par) {
-					t.Fatalf("stream shape diverged: sequential (%d, complete=%v), 8 workers (%d, complete=%v)",
-						len(seq), seqComplete, len(par), parComplete)
-				}
-				for i := range seq {
-					if seq[i] != par[i] {
-						t.Fatalf("visit %d diverged:\n sequential: %+v\n 8 workers:  %+v", i, seq[i], par[i])
-					}
-				}
+				matchReference(t, sp.Name(), pr, c, opt, nil)
 				seqV := explore.Classify(pr, c, withWorkers(opt, 1))
 				parV := explore.Classify(pr, c, withWorkers(opt, 8))
 				if !reflect.DeepEqual(seqV, parV) {
@@ -266,39 +249,14 @@ func TestParallelGeneratedProtocolsMatchSequential(t *testing.T) {
 }
 
 // TestParallelExploreOrderMatchesSequential compares the raw visit
-// streams of every case: configuration keys, depths, and reconstructed
-// paths must agree position by position, and so must the count and the
-// completeness flag — which is stronger than any aggregate report.
+// streams of every case with the reference loop's (matchReference):
+// configuration keys, depths, and reconstructed paths must agree position by
+// position, and so must the count and the completeness flag — which is
+// stronger than any aggregate report.
 func TestParallelExploreOrderMatchesSequential(t *testing.T) {
-	type step struct {
-		key   string
-		depth int
-		path  string
-	}
 	for _, tc := range determinismCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			c := caseRoot(tc.pr)
-			stream := func(workers int) (out []step, complete bool, visited int) {
-				complete, visited = explore.Explore(tc.pr, c, withWorkers(tc.opt, workers), nil,
-					func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-						out = append(out, step{key: cfg.Key(), depth: depth, path: path().String()})
-						return false
-					})
-				return out, complete, visited
-			}
-			seq, seqComplete, seqVisited := stream(1)
-			for _, w := range []int{2, 3, 8} {
-				par, parComplete, parVisited := stream(w)
-				if len(seq) != len(par) || seqComplete != parComplete || seqVisited != parVisited {
-					t.Fatalf("workers=%d: %d visits (count %d, complete=%v), sequential %d (count %d, complete=%v)",
-						w, len(par), parVisited, parComplete, len(seq), seqVisited, seqComplete)
-				}
-				for i := range seq {
-					if seq[i] != par[i] {
-						t.Fatalf("workers=%d: visit %d diverged:\n sequential: %+v\n parallel:   %+v", w, i, seq[i], par[i])
-					}
-				}
-			}
+			matchReference(t, tc.name, tc.pr, caseRoot(tc.pr), tc.opt, nil)
 		})
 	}
 }

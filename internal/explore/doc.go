@@ -29,30 +29,53 @@
 //
 // # Parallel exploration
 //
-// The package has one level-synchronous breadth-first core (core.go) and
-// one sequential loop kept apart from it as the reference.
+// The package has one level-synchronous breadth-first core (core.go),
+// which every [Options] value routes to, and one plain sequential loop
+// kept apart from it as the reference ([ReferenceExplore]).
 //
-// [Options.Workers] > 1 (the default is GOMAXPROCS) runs [Explore] on the
-// core: each frontier level is a contiguous range of the node table;
-// workers expand its nodes concurrently, a chunk at a time — event
-// enumeration, no-op filtering, successor application, and hash
-// precomputation are all pure — and a single coordinator then merges the
-// per-node successor lists back in canonical (node index, event order)
-// order. A chunk is the whole level while the budget is far and shrinks to
-// what the budget's room can still admit as it nears, so the pool never
-// expands more than one chunk the budget then throws away. Because visiting,
+// [Explore] runs on the core at every worker count: each frontier level is
+// a contiguous range of the node table. With [Options.Workers] > 1 (the
+// default is GOMAXPROCS) workers expand its nodes concurrently, a chunk at
+// a time — event enumeration, no-op filtering, successor application, and
+// hash precomputation are all pure — and a single coordinator then merges
+// the per-node successor lists back in canonical (node index, event order)
+// order; with one worker the coordinator expands each node itself. A chunk
+// is the whole level while the budget is far and shrinks to what the
+// budget's room can still admit as it nears, so the pool never expands more
+// than one chunk the budget then throws away. Because visiting,
 // deduplication, budgeting, and witness selection all happen on the
 // coordinator in that fixed order, every observable — the visit stream,
 // reachable counts, truncation flags, valency witnesses, reports — is
 // byte-identical at every worker count. [AtlasBuilder.Extend] and
-// [BuildAtlas] are the same core with successor edges recorded, at any
-// worker count (one worker expands inline instead of on the pool).
+// [BuildAtlas] are the same core with successor edges kept.
 //
-// Workers <= 1 runs Explore's fused sequential loop instead. It shares the
-// event filter, the admission [Ledger] and the interner with the core but
-// not the loop: it is the oracle the differential tests in this package,
-// package conformance and the benchmark's golden digests compare every
-// other engine against.
+// Expansion computes with Lemma 1 instead of re-deriving it. The core
+// records every merged node's successor row (event → child id). For a node
+// D reached from its tree parent C by e = (p, ·), an event e′ = (q, ·) of D
+// with q ≠ p acts on the state q had at C: a null e′ missing from C's row
+// was a no-op there and is one at D, so it is dropped without a protocol
+// step; an e′ in C's row leads to the sibling D′ = e′(C), and when D′ was
+// expanded before D the target e′(D) = e(D′) — Figure 1's commuting diamond
+// — is read off D′'s row: no step, no child configuration, no key, no
+// interner probe, only the edge. Whatever the rows cannot answer — D's own
+// process, a message e itself sent, the root, a sibling not before D, a row
+// no longer kept — is stepped exactly as before, so the rule only removes
+// work; the node set, the edge set, the admission order and every artifact
+// are unchanged. Pool workers read only rows closed before their chunk and
+// leave a sibling inside it to the coordinator's in-order merge, so the
+// rule needs no lock and the result no chunking. Events match by shared
+// message record first and by message value second (a sibling may descend
+// from another parent; a restored builder's rows were decoded). Walks that
+// keep edges have every row; walks that do not keep the previous and the
+// current level's, where siblings are.
+//
+// [ReferenceExplore] is the oracle: the fused sequential loop that steps
+// the protocol for every event of every expanded node and looks nothing
+// up. It shares the event filter, the admission [Ledger] and the interner
+// with the core but neither its loop nor its rule, and no option selects
+// it; the differential tests in this package (diamondrule_test.go re-derives
+// every edge the core records with a protocol step), package conformance
+// and package distexplore compare every engine against it.
 //
 // Deduplication uses [model.Interner]: a sharded table keyed by the cached
 // 64-bit FNV-1a hash of the canonical key, with hash hits confirmed by full
@@ -62,7 +85,7 @@
 //
 // Tuning: worker counts above GOMAXPROCS only add coordination overhead,
 // and tiny state spaces (the commit protocols' 12–20 configurations) are
-// faster sequentially — set Workers: 1 there, or when single-threaded
+// faster inline — set Workers: 1 there, or when single-threaded
 // reproducibility of *timing* (not results; those never vary) matters.
 // Valency caches ([NewCache], [NewSmartCache]) are safe for concurrent use;
 // see the Cache type's thread-safety contract.

@@ -5,13 +5,15 @@ import (
 )
 
 // This file holds what every exploration engine shares: the engines of
-// this package (the level-synchronous core in core.go and the sequential
-// oracle loop in reach.go) and the distributed engine of package
-// distexplore. All are the same breadth-first algorithm — expand frontier
-// nodes in canonical order, deduplicate successors against a visited set,
-// admit first-seen configurations under a budget — differing only in where
-// the work runs. Expansion (AppendSuccessors) and admission accounting
-// (Ledger) live here so that the rules they encode exist once.
+// this package (the level-synchronous core in core.go and the reference
+// loop in reach.go) and the distributed engine of package distexplore. All
+// are the same breadth-first algorithm — expand frontier nodes in canonical
+// order, deduplicate successors against a visited set, admit first-seen
+// configurations under a budget — differing only in where the work runs.
+// Step-only expansion (AppendSuccessors: what the reference loop and the
+// cluster's workers run, and what core.expand does for every event its row
+// lookups cannot answer) and admission accounting (Ledger) live here so
+// that the rules they encode exist once.
 
 // Successor is one expansion product: the applied event together with the
 // resulting configuration, its fingerprint precomputed.

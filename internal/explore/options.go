@@ -18,8 +18,8 @@ type Options struct {
 	MaxDepth int
 	// Workers is the number of goroutines expanding frontier nodes
 	// *within one process*. 0 (the default) means runtime.GOMAXPROCS(0);
-	// 1 or a negative value forces the sequential engine. Any worker
-	// count produces byte-identical results — same visit order, same
+	// 1 or a negative value expands inline on the coordinator, with no
+	// pool. Any worker count produces byte-identical results — same visit order, same
 	// counts, same witness schedules — because successors are merged into
 	// the frontier in canonical order by a single coordinator (see
 	// doc.go).

@@ -39,46 +39,49 @@ func (p *panicProto) Step(pid model.PID, s model.State, m *model.Message) (model
 
 // TestExpandLevelPanicDeterminism pins the re-raise rule of the parallel
 // expansion pool: when multiple nodes of one level panic, the surfaced
-// panic value is the one the sequential engine would have hit first,
-// regardless of worker count or scheduling — for every caller of the
-// level-synchronous core, whose inline (one worker) and pooled expansion
-// must agree with each other and with the sequential Explore.
+// panic value is the one the reference loop hits first, regardless of
+// worker count or scheduling — for every caller of the level-synchronous
+// core, whose inline (one worker) and pooled expansion must agree with each
+// other and with ReferenceExplore. At the deeper thresholds the panicking
+// level's nodes have siblings, so the core reads part of their rows off
+// closed rows instead of stepping: a step it skips must not be the one that
+// would have panicked first.
 func TestExpandLevelPanicDeterminism(t *testing.T) {
-	pr := &panicProto{n: 2, boomAt: 2}
-	c := model.MustInitial(pr, model.Inputs{0, 0})
+	for _, boomAt := range []int{2, 3, 4} {
+		pr := &panicProto{n: 2, boomAt: boomAt}
+		c := model.MustInitial(pr, model.Inputs{0, 0})
 
-	// At level 1 the frontier is [(1 step, 0 steps), (0 steps, 1 step)];
-	// expanding either node pushes a process to 2 steps, so both panic.
-	engines := []struct {
-		name string
-		run  func(workers int)
-	}{
-		{"Explore", func(w int) { explore.Explore(pr, c, explore.Options{Workers: w}, nil, nil) }},
-		{"BuildAtlas", func(w int) { explore.BuildAtlas(pr, c, explore.Options{Workers: w}) }},
-		{"split Extend", func(w int) {
-			b := explore.NewAtlasBuilder(pr, c)
-			b.Extend(explore.Options{Workers: w, MaxDepth: 1}) // the root only: no panic yet
-			b.Extend(explore.Options{Workers: w})
-		}},
-	}
-	const want = "panicproto: p0 reached 2 steps"
-	for _, eng := range engines {
-		recovered := func(workers int) (v interface{}) {
+		// At the level just below the threshold the frontier holds every
+		// split of boomAt-1 steps between the two processes; expanding its
+		// first and last node pushes a process over, so several nodes panic.
+		engines := []struct {
+			name string
+			run  func(workers int)
+		}{
+			{"Explore", func(w int) { explore.Explore(pr, c, explore.Options{Workers: w}, nil, nil) }},
+			{"BuildAtlas", func(w int) { explore.BuildAtlas(pr, c, explore.Options{Workers: w}) }},
+			{"split Extend", func(w int) {
+				b := explore.NewAtlasBuilder(pr, c)
+				b.Extend(explore.Options{Workers: w, MaxDepth: boomAt - 1}) // no panic yet
+				b.Extend(explore.Options{Workers: w})
+			}},
+		}
+		recovered := func(run func()) (v interface{}) {
 			defer func() { v = recover() }()
-			eng.run(workers)
+			run()
 			return nil
 		}
-		seq := recovered(1)
-		if seq == nil {
-			t.Fatalf("%s: one worker did not panic", eng.name)
+		want := fmt.Sprintf("panicproto: p0 reached %d steps", boomAt)
+		if ref := recovered(func() { explore.ReferenceExplore(pr, c, explore.Options{}, nil, nil) }); ref != want {
+			t.Fatalf("boomAt=%d: the reference loop surfaced %v, want %q", boomAt, ref, want)
 		}
-		if seq != want {
-			t.Fatalf("%s: one worker surfaced %v, want %q", eng.name, seq, want)
-		}
-		for _, w := range []int{2, 8} {
-			for trial := 0; trial < 20; trial++ { // panic selection must not depend on scheduling
-				if got := recovered(w); got != seq {
-					t.Fatalf("%s workers=%d trial %d: surfaced panic %v, one worker surfaced %v", eng.name, w, trial, got, seq)
+		for _, eng := range engines {
+			for _, w := range []int{1, 2, 8} {
+				for trial := 0; trial < 20; trial++ { // panic selection must not depend on scheduling
+					if got := recovered(func() { eng.run(w) }); got != want {
+						t.Fatalf("boomAt=%d, %s workers=%d trial %d: surfaced panic %v, the reference loop surfaced %q",
+							boomAt, eng.name, w, trial, got, want)
+					}
 				}
 			}
 		}

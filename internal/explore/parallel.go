@@ -3,30 +3,28 @@ package explore
 import (
 	"sync"
 	"sync/atomic"
-
-	"github.com/flpsim/flp/internal/model"
 )
 
-// succPool recycles the per-level allocations of the level-synchronous
+// candPool recycles the per-level allocations of the level-synchronous
 // engines: the outer successor-list slice (one slot per frontier node) and
 // the per-node successor buffers. One pool serves one exploration, owned by
 // the coordinator; buffers are handed out before a level's workers start
 // and taken back after the level is merged, so no worker ever touches the
 // free list concurrently. In steady state a level costs zero successor
 // allocations beyond frontier growth itself.
-type succPool struct {
-	exps [][]Successor // level-indexed scratch, reused every level
-	free [][]Successor // recycled successor buffers, len 0, cap > 0
+type candPool struct {
+	exps [][]cand // level-indexed scratch, reused every level
+	free [][]cand // recycled successor buffers, len 0, cap > 0
 }
 
 // level returns a successor-list slice of length n with recycled buffers
-// pre-distributed into its slots (nil where the free list ran dry —
-// AppendSuccessors grows those into fresh buffers that future levels then
-// recycle). The slice aliases the pool's scratch: it is valid until the
-// next level call, which is exactly the coordinator's merge window.
-func (p *succPool) level(n int) [][]Successor {
+// pre-distributed into its slots (nil where the free list ran dry — expand
+// grows those into fresh buffers that future levels then recycle). The
+// slice aliases the pool's scratch: it is valid until the next level call,
+// which is exactly the coordinator's merge window.
+func (p *candPool) level(n int) [][]cand {
 	if cap(p.exps) < n {
-		p.exps = make([][]Successor, n)
+		p.exps = make([][]cand, n)
 	}
 	out := p.exps[:n]
 	for i := range out {
@@ -42,7 +40,7 @@ func (p *succPool) level(n int) [][]Successor {
 
 // recycle takes a merged level's buffers back, clearing every entry so
 // recycled slots do not retain dead configurations across levels.
-func (p *succPool) recycle(out [][]Successor) {
+func (p *candPool) recycle(out [][]cand) {
 	for i, s := range out {
 		out[i] = nil
 		if cap(s) == 0 {
@@ -50,34 +48,37 @@ func (p *succPool) recycle(out [][]Successor) {
 		}
 		s = s[:cap(s)]
 		for j := range s {
-			s[j] = Successor{}
+			s[j] = cand{}
 		}
 		p.free = append(p.free, s[:0])
 	}
 }
 
-// expandLevel expands every configuration of one breadth-first level on a
-// pool of workers and returns the successor lists indexed like level.
-// Expansion is pure, so the only coordination is work distribution: an
-// atomic cursor hands out node indices, which keeps fast workers busy when
-// node costs are uneven. Each slot of the returned slice carries a
-// recycled buffer from p that AppendSuccessors appends into; the caller
-// must hand the slice back with p.recycle once merged.
+// expandLevel expands nodes [lo, hi) of one breadth-first level on a pool
+// of workers and returns their successor lists, indexed from lo. Expansion
+// is pure and reads only the table as it stood before the chunk — rows
+// before lo included, none of which the coordinator touches until every
+// worker is done — so the only coordination is work distribution: an atomic
+// cursor hands out nodes, which keeps fast workers busy when node costs are
+// uneven. Each slot of the returned slice carries a recycled buffer from p
+// that expand appends into; the caller must hand the slice back with
+// p.recycle once merged.
 //
 // A panic in any worker (a protocol contract violation surfacing through
-// MustApply) is re-raised on the caller's goroutine once the pool has
+// model.Expand) is re-raised on the caller's goroutine once the pool has
 // drained. When several nodes of the level panic, the one at the lowest
 // frontier index is re-raised — the node the sequential engine would have
 // reached first — so the surfaced failure is byte-identical at every
 // worker count.
-func expandLevel(pr model.Protocol, skip func(model.Event) bool, level []*model.Config, workers int, p *succPool) [][]Successor {
-	out := p.level(len(level))
-	if len(level) == 1 {
-		out[0] = AppendSuccessors(pr, level[0], skip, out[0])
+func (c *core) expandLevel(lo, hi, workers int, p *candPool) [][]cand {
+	n := hi - lo
+	out := p.level(n)
+	if n == 1 {
+		out[0] = c.expand(lo, lo, out[0])
 		return out
 	}
-	if workers > len(level) {
-		workers = len(level)
+	if workers > n {
+		workers = n
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -98,11 +99,11 @@ func expandLevel(pr model.Protocol, skip func(model.Event) bool, level []*model.
 			}()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(level) {
+				if i >= n {
 					return
 				}
 				cur = i
-				out[i] = AppendSuccessors(pr, level[i], skip, out[i])
+				out[i] = c.expand(lo+i, lo, out[i])
 			}
 		}(w)
 	}

@@ -26,28 +26,18 @@ func Explore(pr model.Protocol, c *model.Config, opt Options, avoid *model.Event
 	return ExploreFiltered(pr, c, opt, AvoidFilter(avoid), visit)
 }
 
-// node is one entry of the sequential engine's breadth-first frontier.
-// Parent links let path reconstruction walk back to the root without
-// storing schedules.
-type node struct {
-	cfg    *model.Config
-	depth  int
-	parent int
-	via    model.Event
-}
-
 // ExploreFiltered is Explore with an arbitrary event filter: events for
 // which skip returns true are never applied. A nil skip admits everything.
 // The Lemma 2 proof walk uses it to explore runs in which a whole process
 // takes no steps.
 //
-// With Options.Workers > 1 the exploration runs on the level-synchronous
-// core (core.go): node expansion — event enumeration, protocol steps, and
-// successor fingerprinting, the dominant costs — runs on a worker pool one
-// breadth-first level at a time, while a single coordinator merges
-// successors into the frontier in canonical order. Results are
-// byte-identical to the sequential loop below, which is kept separate on
-// purpose: it is the oracle every other engine is compared against. skip
+// The exploration runs on the level-synchronous core (core.go) at every
+// worker count. With Options.Workers > 1, node expansion — event
+// enumeration, protocol steps, and successor fingerprinting, the dominant
+// costs — runs on a worker pool one breadth-first level at a time, while a
+// single coordinator merges successors into the frontier in canonical
+// order; with one worker the same coordinator expands each node inline.
+// Results are byte-identical either way, and to ReferenceExplore. skip
 // must be safe for concurrent calls (the filters used by the checkers are
 // pure functions of the event); pr must honour the Protocol contract of
 // being deterministic and side-effect free, which also makes it safe to
@@ -58,53 +48,68 @@ type node struct {
 // processes; it shares AppendSuccessors and Ledger with this package,
 // which is what keeps its results byte-identical too.
 func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(model.Event) bool, visit Visit) (complete bool, visited int) {
-	opt = opt.withDefaults()
+	w := newCore(pr, c, skip, false)
+	return w.walk(0, opt.withDefaults(), visit), w.Len()
+}
 
-	if opt.Workers <= 1 {
-		led := NewLedger(opt)
-		nodes := []node{{cfg: c, depth: 0, parent: -1}}
-		seen := model.NewInterner()
-		seen.Intern(c)
-		pathOf := func(i int) func() model.Schedule {
-			return func() model.Schedule {
-				return treePath(i, nodes[i].depth, func(j int) (int, model.Event) { return nodes[j].parent, nodes[j].via })
-			}
-		}
+// node is one entry of the reference engine's breadth-first frontier.
+// Parent links let path reconstruction walk back to the root without
+// storing schedules.
+type node struct {
+	cfg    *model.Config
+	depth  int
+	parent int
+	via    model.Event
+}
 
-		// Sequential engine: expansion and merging are fused so the event
-		// loop can break the moment a fresh successor overflows the budget,
-		// skipping the protocol steps and fingerprints for the rest of the
-		// node's events.
-		for i := 0; i < len(nodes); i++ {
-			n := nodes[i]
-			if visit != nil && visit(n.cfg, n.depth, pathOf(i)) {
-				return false, len(nodes)
-			}
-			if !led.ShouldExpand(n.depth) {
-				continue
-			}
-			if led.Sealed() {
-				continue
-			}
-			for _, e := range model.Events(n.cfg) {
-				nc := successor(pr, n.cfg, e, skip)
-				if nc == nil {
-					continue
-				}
-				if _, fresh := seen.Intern(nc); !fresh {
-					continue
-				}
-				if !led.Admit() {
-					break
-				}
-				nodes = append(nodes, node{cfg: nc, depth: n.depth + 1, parent: i, via: e})
-			}
+// ReferenceExplore is ExploreFiltered as a plain sequential loop: one
+// protocol step per applicable event of every expanded node, one interner
+// probe per successor, nothing looked up. No Options value routes to it
+// (Workers is ignored). It exists as the oracle: it shares the event
+// filter, the admission Ledger and the interner with the core but neither
+// its loop nor its diamond rule, and the differential tests of this
+// package, package conformance and package distexplore hold every engine
+// to its visit stream and counts.
+func ReferenceExplore(pr model.Protocol, c *model.Config, opt Options, skip func(model.Event) bool, visit Visit) (complete bool, visited int) {
+	led := NewLedger(opt)
+	nodes := []node{{cfg: c, depth: 0, parent: -1}}
+	seen := model.NewInterner()
+	seen.Intern(c)
+	pathOf := func(i int) func() model.Schedule {
+		return func() model.Schedule {
+			return treePath(i, nodes[i].depth, func(j int) (int, model.Event) { return nodes[j].parent, nodes[j].via })
 		}
-		return led.Complete(), len(nodes)
 	}
 
-	w := newCore(pr, c, skip, false)
-	return w.walk(0, opt, visit), w.Len()
+	// Expansion and merging are fused so the event loop can break the
+	// moment a fresh successor overflows the budget, skipping the protocol
+	// steps and fingerprints for the rest of the node's events.
+	for i := 0; i < len(nodes); i++ {
+		n := nodes[i]
+		if visit != nil && visit(n.cfg, n.depth, pathOf(i)) {
+			return false, len(nodes)
+		}
+		if !led.ShouldExpand(n.depth) {
+			continue
+		}
+		if led.Sealed() {
+			continue
+		}
+		for _, e := range model.Events(n.cfg) {
+			nc := successor(pr, n.cfg, e, skip)
+			if nc == nil {
+				continue
+			}
+			if _, fresh := seen.Intern(nc); !fresh {
+				continue
+			}
+			if !led.Admit() {
+				break
+			}
+			nodes = append(nodes, node{cfg: nc, depth: n.depth + 1, parent: i, via: e})
+		}
+	}
+	return led.Complete(), len(nodes)
 }
 
 // Reachable reports whether target is reachable from c (by configuration
