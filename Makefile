@@ -13,10 +13,11 @@ test:
 # Race coverage for the concurrent engine: the parallel explorer, the
 # config key/hash atomics, the interner, the shared valency cache, and the
 # protocol states, whose vote and inbox slices sibling configurations share
-# across pool workers. The named packages carry the concurrency stress
-# tests; the final sweep covers the rest of the tree.
+# across pool workers, and the send-order tracker with its copy-on-deliver
+# oracle. The named packages carry the concurrency stress tests; the final
+# sweep covers the rest of the tree.
 test-race:
-	$(GO) test -race ./internal/explore ./internal/model ./internal/adversary ./internal/distexplore ./internal/protocols/... ./internal/protogen/...
+	$(GO) test -race ./internal/explore ./internal/model ./internal/fifo/... ./internal/adversary/... ./internal/distexplore ./internal/protocols/... ./internal/protogen/...
 	$(GO) test -race -short ./...
 
 # The distributed engine end to end: the full differential/fault suite,
@@ -139,12 +140,14 @@ bench-checkpoint:
 # from: three on the naivemajority(3) fixture, then one successor of every
 # registry kernel (ns, B and allocs per successor), then one pass of the
 # explore-wide pool through the engine at 1 and GOMAXPROCS workers (ns, B
-# and allocs per pass).
+# and allocs per pass), then one lemma-pipeline adversary op per kernel.
+# In adversary the pin is bytes per directed probe step.
 bench-alloc:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore ./internal/adversary
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
 	$(GO) test -bench 'BenchmarkExpand' -benchtime 20x -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkExplorePool' -benchtime 5x -run '^$$' ./internal/explore
+	$(GO) test -bench 'BenchmarkAdversaryOp' -benchtime 12x -benchmem -run '^$$' ./internal/adversary
 
 vet:
 	$(GO) vet ./...

@@ -21,6 +21,7 @@ package asyncnet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/flpsim/flp/internal/fifo"
@@ -100,6 +101,10 @@ func (net *Net) processLoop(p model.PID, input model.Value, h *procHandle) {
 			resp.err = fmt.Errorf("asyncnet: process %d: Step returned nil state", p)
 		case state.Output().Decided() && next.Output() != state.Output():
 			resp.err = fmt.Errorf("asyncnet: process %d: write-once output register violated", p)
+		case slices.ContainsFunc(sends, func(m model.Message) bool { return m.To < 0 || int(m.To) >= net.pr.N() }):
+			// As model.Apply rejects it; the send-order tracker indexes its
+			// queues by destination.
+			resp.err = fmt.Errorf("asyncnet: process %d: sent a message to a nonexistent process", p)
 		default:
 			state = next
 			stamped := make([]model.Message, len(sends))

@@ -167,6 +167,29 @@ func TestNetRejectsBadSteps(t *testing.T) {
 	}
 }
 
+// strayDest sends a message to process `to` on every step.
+type strayDest struct {
+	model.Protocol
+	to model.PID
+}
+
+func (sp strayDest) Step(p model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
+	return s, []model.Message{{To: sp.to, Body: "stray"}}
+}
+
+func TestNetRejectsSendsToNonexistentProcess(t *testing.T) {
+	for _, to := range []model.PID{-1, 2} {
+		net, err := asyncnet.New(strayDest{protocols.NewWaitAll(2), to}, model.Inputs{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Step(0, nil); err == nil {
+			t.Errorf("send to process %d accepted", to)
+		}
+		net.Close()
+	}
+}
+
 func TestNetInputValidation(t *testing.T) {
 	if _, err := asyncnet.New(protocols.NewWaitAll(3), model.Inputs{0}); err == nil {
 		t.Error("mismatched inputs accepted")

@@ -137,6 +137,14 @@ func TestDiamondRuleEdgesAreSteps(t *testing.T) {
 			}
 		})
 	}
+	eachKernelAndFixture(t, audit)
+}
+
+// eachKernelAndFixture calls fn for every registry protocol (at its
+// expandKernels size, alternating inputs) and for each of the 20 committed
+// protogen fixtures (its own inputs).
+func eachKernelAndFixture(t *testing.T, fn func(name string, pr model.Protocol, in model.Inputs)) {
+	t.Helper()
 	for _, name := range protocols.Names() {
 		factory, _ := protocols.Lookup(name)
 		pr, err := factory(expandKernels[name])
@@ -147,7 +155,7 @@ func TestDiamondRuleEdgesAreSteps(t *testing.T) {
 		for p := range in {
 			in[p] = model.Value(p & 1)
 		}
-		audit(name, pr, in)
+		fn(name, pr, in)
 	}
 	files, fixtures, err := conformance.LoadDir("../../testdata/protogen")
 	if err != nil {
@@ -166,7 +174,7 @@ func TestDiamondRuleEdgesAreSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		audit(files[i], pr, in)
+		fn(files[i], pr, in)
 	}
 }
 

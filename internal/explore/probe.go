@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"slices"
+
 	"github.com/flpsim/flp/internal/fifo"
 	"github.com/flpsim/flp/internal/model"
 )
@@ -40,32 +42,40 @@ func (po ProbeOptions) withDefaults() ProbeOptions {
 // two of them finding different values is a fast bivalence certificate.
 //
 // Witnesses found are exact (they are concrete schedules); not finding a
-// value proves nothing.
+// value proves nothing. The family and its order — crash subsets smallest
+// first, then FIFO, LIFO and one sender-priority discipline per live
+// process, then every rotation — decide which witness is returned, and the
+// adversary's stage schedules follow from that, so they are part of the
+// contract.
 func ProbeValencies(pr model.Protocol, c *model.Config, popt ProbeOptions) (wit0, wit1 model.Schedule, found0, found1 bool) {
 	popt = popt.withDefaults()
 	n := c.N()
 
-	record := func(sigma model.Schedule, vals []model.Value) {
-		for _, v := range vals {
-			if v == model.V0 && !found0 {
-				found0 = true
-				wit0 = append(model.Schedule(nil), sigma...)
-			}
-			if v == model.V1 && !found1 {
-				found1 = true
-				wit1 = append(model.Schedule(nil), sigma...)
-			}
+	// record keeps the first witness of each value; sigma is the run's
+	// reused buffer, so what is kept is copied.
+	record := func(sigma model.Schedule, has0, has1 bool) {
+		if has0 && !found0 {
+			found0 = true
+			wit0 = append(model.Schedule(nil), sigma...)
+		}
+		if has1 && !found1 {
+			found1 = true
+			wit1 = append(model.Schedule(nil), sigma...)
 		}
 	}
-	record(model.Schedule{}, c.DecisionValues())
+	decided := c.DecisionValues()
+	record(nil, slices.Contains(decided, model.V0), slices.Contains(decided, model.V1))
 	if found0 && found1 {
 		return
 	}
 
+	run := newProbeRun(pr, c, popt.MaxSteps)
+	live := make([]model.PID, 0, n)
+	order := make([]model.PID, 0, n)
 	for _, crashed := range crashSubsets(n, popt.MaxCrash) {
-		var live []model.PID
+		live = live[:0]
 		for p := 0; p < n; p++ {
-			if !crashed[model.PID(p)] {
+			if !slices.Contains(crashed, model.PID(p)) {
 				live = append(live, model.PID(p))
 			}
 		}
@@ -73,14 +83,14 @@ func ProbeValencies(pr model.Protocol, c *model.Config, popt ProbeOptions) (wit0
 		// sender-priority disciplines let one process's traffic overtake
 		// everyone else's, which is what steers racy protocols (Paxos)
 		// toward the value that process is pushing.
-		picks := []pickFunc{pickFIFO, pickLIFO}
+		picks := []pickFunc{(*fifo.Tracker).Oldest, (*fifo.Tracker).Newest}
 		for _, q := range live {
 			picks = append(picks, pickSenderFirst(q))
 		}
 		for _, pick := range picks {
-			for off := 0; off < len(live); off++ {
-				sigma, vals := fairRun(pr, c, rotate(live, off), popt.MaxSteps, pick)
-				record(sigma, vals)
+			for off := range live {
+				order = append(append(order[:0], live[off:]...), live[:off]...)
+				record(run.fair(order, pick))
 				if found0 && found1 {
 					return
 				}
@@ -93,148 +103,119 @@ func ProbeValencies(pr model.Protocol, c *model.Config, popt ProbeOptions) (wit0
 // pickFunc selects which pending message to deliver to p next.
 type pickFunc func(t *fifo.Tracker, p model.PID) (model.Message, bool)
 
-func pickFIFO(t *fifo.Tracker, p model.PID) (model.Message, bool) { return t.Oldest(p) }
-
-func pickLIFO(t *fifo.Tracker, p model.PID) (model.Message, bool) {
-	pending := t.PendingList(p)
-	if len(pending) == 0 {
-		return model.Message{}, false
-	}
-	return pending[len(pending)-1], true
-}
-
 // pickSenderFirst prefers the oldest pending message sent by q, falling
 // back to plain FIFO.
 func pickSenderFirst(q model.PID) pickFunc {
 	return func(t *fifo.Tracker, p model.PID) (model.Message, bool) {
-		for _, m := range t.PendingList(p) {
-			if m.From == q {
-				return m, true
-			}
+		if m, ok := t.OldestFrom(p, q); ok {
+			return m, true
 		}
 		return t.Oldest(p)
 	}
 }
 
-// fairRun schedules the given processes round-robin from c, delivering to
-// each the pending message chosen by pick (or taking an effectful null
-// step), and stops at the first decision, at quiescence, or after maxSteps
-// events. It returns the schedule and the decision values present when it
-// stopped.
-//
-// The run is executed on a mutable state slice plus a FIFO tracker rather
-// than through immutable configurations: probes never compare
-// configurations, so paying for buffer copies and canonical keys on every
-// step — the dominant cost at hundreds of steps per run and dozens of runs
-// per probe — would buy nothing.
-func fairRun(pr model.Protocol, c *model.Config, order []model.PID, maxSteps int, pick pickFunc) (model.Schedule, []model.Value) {
-	tracker := fifo.NewFromConfig(c)
-	n := c.N()
-	states := make([]model.State, n)
-	for p := 0; p < n; p++ {
-		states[p] = c.State(model.PID(p))
-	}
+// probeRun is the mutable state every run of one ProbeValencies call
+// executes on: a state slice plus a send-order tracker rather than
+// immutable configurations. Probes never compare configurations, so paying
+// for buffer copies and canonical keys on every step — the dominant cost at
+// hundreds of steps per run and dozens of runs per probe — would buy
+// nothing; a step costs one Protocol.Step, one boxed message and an
+// in-place queue edit. Each run resets the state to c and reuses the
+// storage of the one before.
+type probeRun struct {
+	pr       model.Protocol
+	c        *model.Config
+	maxSteps int
+	start    *fifo.Tracker  // c's buffer in canonical order, built once
+	tracker  *fifo.Tracker  // the current run's queues
+	states   []model.State  // the current run's process states
+	sigma    model.Schedule // the current run's schedule; valid until the next run
+}
 
-	decisions := func() []model.Value {
-		var vals []model.Value
-		var seen0, seen1 bool
-		for p := 0; p < n; p++ {
-			if o := states[p].Output(); o.Decided() {
-				if o == model.Decided0 && !seen0 {
-					seen0 = true
-					vals = append(vals, model.V0)
-				}
-				if o == model.Decided1 && !seen1 {
-					seen1 = true
-					vals = append(vals, model.V1)
-				}
-			}
+func newProbeRun(pr model.Protocol, c *model.Config, maxSteps int) *probeRun {
+	return &probeRun{
+		pr: pr, c: c, maxSteps: maxSteps,
+		start:   fifo.NewFromConfig(c),
+		tracker: fifo.New(),
+		states:  make([]model.State, c.N()),
+	}
+}
+
+// fair schedules the given processes round-robin from c, delivering to each
+// the pending message chosen by pick (or taking an effectful null step),
+// and stops at the first decision, at quiescence, or after maxSteps events.
+// It returns the schedule and the decision values present when it stopped.
+func (r *probeRun) fair(order []model.PID, pick pickFunc) (sigma model.Schedule, has0, has1 bool) {
+	r.tracker.CopyFrom(r.start)
+	for p := range r.states {
+		r.states[p] = r.c.State(model.PID(p))
+	}
+	r.sigma = r.sigma[:0]
+	r.run(order, pick)
+	for _, s := range r.states {
+		switch s.Output() {
+		case model.Decided0:
+			has0 = true
+		case model.Decided1:
+			has1 = true
 		}
-		return vals
 	}
+	return r.sigma, has0, has1
+}
 
-	var sigma model.Schedule
-	for len(sigma) < maxSteps {
+func (r *probeRun) run(order []model.PID, pick pickFunc) {
+	for len(r.sigma) < r.maxSteps {
 		progressed := false
 		for _, p := range order {
-			var e model.Event
-			var msg *model.Message
-			if m, ok := pick(tracker, p); ok {
-				mc := m
-				msg = &mc
-				e = model.Deliver(m)
-			} else {
-				e = model.NullEvent(p)
+			e := model.NullEvent(p)
+			if m, ok := pick(r.tracker, p); ok {
+				e = model.Deliver(m) // the one box per delivery: Step and the schedule share it
 			}
-			ns, sends := pr.Step(p, states[p], msg)
+			ns, sends := r.pr.Step(p, r.states[p], e.Msg)
 			if ns == nil {
-				return sigma, decisions() // contract violation: stop the run
+				return // contract violation: stop the run
 			}
-			if msg == nil && len(sends) == 0 && ns.Key() == states[p].Key() {
+			if e.Msg == nil && len(sends) == 0 && ns.Key() == r.states[p].Key() {
 				continue // no-op null step: skip without recording
 			}
 			for i := range sends {
 				sends[i].From = p
 			}
-			if err := tracker.Advance(e, sends); err != nil {
-				return sigma, decisions()
+			if err := r.tracker.Advance(e, sends); err != nil {
+				return
 			}
-			states[p] = ns
-			sigma = append(sigma, e)
+			r.states[p] = ns
+			r.sigma = append(r.sigma, e)
 			progressed = true
-			if ns.Output().Decided() {
-				return sigma, decisions()
-			}
-			if len(sigma) >= maxSteps {
-				break
+			if ns.Output().Decided() || len(r.sigma) >= r.maxSteps {
+				return
 			}
 		}
 		if !progressed {
-			break // quiescent: nothing left to do
+			return // quiescent: nothing left to do
 		}
 	}
-	return sigma, decisions()
 }
 
 // crashSubsets enumerates all subsets of {0..n-1} of size ≤ maxCrash,
-// smallest first (the empty set — no crashes — is probed first).
-func crashSubsets(n, maxCrash int) []map[model.PID]bool {
-	var subsets []map[model.PID]bool
-	for size := 0; size <= maxCrash && size < n; size++ {
-		combine(n, size, func(members []int) {
-			s := make(map[model.PID]bool, len(members))
-			for _, m := range members {
-				s[model.PID(m)] = true
-			}
-			subsets = append(subsets, s)
-		})
+// smallest first (the empty set — no crashes — is probed first), each size
+// in lexicographic order: every subset is extended by each larger member.
+func crashSubsets(n, maxCrash int) [][]model.PID {
+	subsets := [][]model.PID{nil}
+	for i := 0; i < len(subsets); i++ {
+		s := subsets[i]
+		if len(s) == maxCrash || len(s) == n-1 {
+			break // sizes only grow from here
+		}
+		next := model.PID(0)
+		if len(s) > 0 {
+			next = s[len(s)-1] + 1
+		}
+		for p := next; int(p) < n; p++ {
+			subsets = append(subsets, append(slices.Clone(s), p))
+		}
 	}
 	return subsets
-}
-
-// combine calls fn with every size-k combination of {0..n-1}.
-func combine(n, k int, fn func([]int)) {
-	idx := make([]int, k)
-	var rec func(start, pos int)
-	rec = func(start, pos int) {
-		if pos == k {
-			fn(idx)
-			return
-		}
-		for i := start; i < n; i++ {
-			idx[pos] = i
-			rec(i+1, pos+1)
-		}
-	}
-	rec(0, 0)
-}
-
-func rotate(ps []model.PID, off int) []model.PID {
-	out := make([]model.PID, len(ps))
-	for i := range ps {
-		out[i] = ps[(i+off)%len(ps)]
-	}
-	return out
 }
 
 // ClassifySmart classifies c by first probing for cheap bivalence

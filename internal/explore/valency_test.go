@@ -160,6 +160,12 @@ func TestSmartCacheCertifiesPaxosBivalence(t *testing.T) {
 	}
 	verifyWitness(t, pr, c, info.Witness0, model.V0)
 	verifyWitness(t, pr, c, info.Witness1, model.V1)
+	// The case only the probe answers (ROADMAP 5(b)): breadth-first
+	// classification at the adversary's own budget sees no decision at all
+	// in Paxos's unbounded reachable set, from this or any stage candidate.
+	if bfs := explore.Classify(pr, c, explore.Options{MaxConfigs: 1500}); bfs.Valency == explore.Bivalent || bfs.Complete {
+		t.Errorf("budgeted Classify alone: valency %v complete=%v; the probe is no longer the only route", bfs.Valency, bfs.Complete)
+	}
 }
 
 func TestClassifySmartPaxosValidity(t *testing.T) {

@@ -1,6 +1,7 @@
 package fifo
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
@@ -127,6 +128,87 @@ func TestNewFromConfigMirrorsBuffer(t *testing.T) {
 	}
 }
 
+// TestNewFromConfigEnqueuesEveryInstance pins the seeding order on a buffer
+// that holds duplicates: Count(m) instances per distinct message, distinct
+// messages in the buffer's canonical order, sequence numbers from zero.
+func TestNewFromConfigEnqueuesEveryInstance(t *testing.T) {
+	pr := chattyProto{}
+	c := model.MustInitial(pr, model.Inputs{model.V0, model.V0})
+	// Both processes broadcast "hello" twice: two equal instances each way.
+	for _, e := range []model.Event{model.NullEvent(0), model.NullEvent(0), model.NullEvent(1), model.NullEvent(1)} {
+		c = model.MustApply(pr, c, e)
+	}
+	tr := NewFromConfig(c)
+	var want []model.Message
+	for _, m := range c.Buffer().Messages() {
+		if c.Buffer().Count(m) != 2 {
+			t.Fatalf("buffer holds %d of %v, want 2", c.Buffer().Count(m), m)
+		}
+		want = append(want, m, m)
+	}
+	var got []model.Message
+	for p := model.PID(0); p < 2; p++ {
+		got = append(got, tr.PendingList(p)...)
+	}
+	slices.SortStableFunc(want, func(a, b model.Message) int { return int(a.To) - int(b.To) })
+	if !slices.Equal(got, want) {
+		t.Errorf("queues hold %v, want %v", got, want)
+	}
+	if tr.Pending() != 4 {
+		t.Errorf("Pending = %d, want 4", tr.Pending())
+	}
+	if s, _ := tr.OldestSeq(want[0].To); s != 0 {
+		t.Errorf("first enqueued instance has seq %d, want 0", s)
+	}
+}
+
+// TestInPlaceDeliveryAliasing pins what in-place queues must not change: a
+// PendingList taken before a Deliver or Advance keeps its contents, and a
+// Clone taken before in-place operations on either side stays independent
+// — including operations that append into capacity a delivery freed.
+func TestInPlaceDeliveryAliasing(t *testing.T) {
+	tr := New()
+	a, b, c, d := msg(0, 1, "a"), msg(0, 2, "b"), msg(0, 1, "c"), msg(0, 2, "d")
+	for _, m := range []model.Message{a, b, c} {
+		tr.Send(m)
+	}
+	before := tr.PendingList(0)
+	cl := tr.Clone()
+
+	if err := tr.Deliver(b); err != nil { // middle: shifts c down in place
+		t.Fatal(err)
+	}
+	tr.Send(d) // lands in the slot the shift vacated
+
+	if err := tr.Advance(model.Deliver(a), nil); err != nil { // head: reslice
+		t.Fatal(err)
+	}
+	if want := []model.Message{a, b, c}; !slices.Equal(before, want) {
+		t.Errorf("PendingList taken before the deliveries now reads %v, want %v", before, want)
+	}
+	if got, want := cl.PendingList(0), []model.Message{a, b, c}; !slices.Equal(got, want) {
+		t.Errorf("clone reads %v after deliveries on the original, want %v", got, want)
+	}
+	if got, want := tr.PendingList(0), []model.Message{c, d}; !slices.Equal(got, want) {
+		t.Errorf("original reads %v, want %v", got, want)
+	}
+
+	// And the other way round: in-place edits on the clone.
+	if err := cl.Deliver(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Deliver(c); err != nil {
+		t.Fatal(err)
+	}
+	cl.Send(a)
+	if got, want := tr.PendingList(0), []model.Message{c, d}; !slices.Equal(got, want) {
+		t.Errorf("original reads %v after deliveries on the clone, want %v", got, want)
+	}
+	if got, want := cl.PendingList(0), []model.Message{b, a}; !slices.Equal(got, want) {
+		t.Errorf("clone reads %v, want %v", got, want)
+	}
+}
+
 // senderProto broadcasts once; used to populate a buffer.
 type senderProto struct{}
 
@@ -149,4 +231,21 @@ func (senderProto) Step(p model.PID, s model.State, _ *model.Message) (model.Sta
 		return senderState{sent: true}, model.BroadcastOthers(p, 2, "hello")
 	}
 	return st, nil
+}
+
+// chattyProto broadcasts the same message on every null step, so its buffer
+// holds equal instances.
+type chattyProto struct{ senderProto }
+
+type chattyState int
+
+func (s chattyState) Key() string          { return string(rune('0' + s)) }
+func (s chattyState) Output() model.Output { return model.None }
+
+func (chattyProto) Init(model.PID, model.Value) model.State { return chattyState(0) }
+func (chattyProto) Step(p model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
+	if m != nil {
+		return s, nil
+	}
+	return s.(chattyState) + 1, model.BroadcastOthers(p, 2, "hello")
 }

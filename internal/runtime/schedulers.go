@@ -26,14 +26,14 @@ func (rf RandomFair) Next(s *Sim) (model.Event, bool) {
 	// Collect processes with something effectful to do and pick uniformly.
 	var candidates []model.Event
 	for _, p := range live {
-		pending := s.Tracker().PendingList(p)
+		pending := s.Tracker().PendingTo(p)
 		wantNull := rf.NullProb > 0 && s.Rand().Float64() < rf.NullProb
 		if null := model.NullEvent(p); wantNull && s.Effectful(null) {
 			candidates = append(candidates, null)
 			continue
 		}
-		if len(pending) > 0 {
-			m := pending[s.Rand().Intn(len(pending))]
+		if pending > 0 {
+			m := s.Tracker().At(p, s.Rand().Intn(pending))
 			candidates = append(candidates, model.Deliver(m))
 			continue
 		}

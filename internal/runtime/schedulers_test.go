@@ -98,6 +98,54 @@ func TestRandomFairSchedulesAdmissible(t *testing.T) {
 	}
 }
 
+// listRandomFair is RandomFair as first written: it copies each live
+// process's pending list to draw one index from it.
+type listRandomFair struct{ runtime.RandomFair }
+
+func (rf listRandomFair) Next(s *runtime.Sim) (model.Event, bool) {
+	var candidates []model.Event
+	for _, p := range s.LiveProcesses() {
+		pending := s.Tracker().PendingList(p)
+		wantNull := rf.NullProb > 0 && s.Rand().Float64() < rf.NullProb
+		if null := model.NullEvent(p); wantNull && s.Effectful(null) {
+			candidates = append(candidates, null)
+		} else if len(pending) > 0 {
+			candidates = append(candidates, model.Deliver(pending[s.Rand().Intn(len(pending))]))
+		} else if s.Effectful(null) {
+			candidates = append(candidates, null)
+		}
+	}
+	if len(candidates) == 0 {
+		return model.Event{}, false
+	}
+	return candidates[s.Rand().Intn(len(candidates))], true
+}
+
+// TestRandomFairSeededSchedulesStable pins the scheduler's draw sequence:
+// reading one pending message in place must consume the random source
+// exactly as indexing a copied list did, so every seeded schedule stands.
+func TestRandomFairSeededSchedulesStable(t *testing.T) {
+	pr := protocols.NewPaxosSynod(3)
+	for _, nullProb := range []float64{0, 0.3} {
+		for seed := int64(1); seed <= 10; seed++ {
+			opt := runtime.RunOptions{RecordSchedule: true, MaxSteps: 400, Seed: seed}
+			rf := runtime.RandomFair{NullProb: nullProb}
+			got, err := runtime.Run(pr, model.Inputs{0, 1, 1}, rf, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runtime.Run(pr, model.Inputs{0, 1, 1}, listRandomFair{rf}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Schedule.String() != want.Schedule.String() || len(got.Schedule) == 0 {
+				t.Errorf("null probability %v, seed %d: schedule\n  %s\nwith a copied pending list\n  %s",
+					nullProb, seed, got.Schedule, want.Schedule)
+			}
+		}
+	}
+}
+
 // TestDelayedSchedulerNeverStepsVictim checks the Delayed wrapper's
 // contract on recorded schedules: the victim takes no step, yet the run
 // remains admissible for everyone else.
