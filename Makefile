@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus bench bench-parallel bench-valency bench-serve bench-scaling bench-store bench-checkpoint bench-alloc bench-e2e vet
+.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus bench bench-parallel bench-valency bench-alloc bench-e2e vet
 
 all: build test
 
@@ -105,34 +105,6 @@ bench-parallel:
 # budgeted BFS per configuration, and the warmed-cache read path.
 bench-valency:
 	$(GO) test -bench 'BenchmarkValencyPerConfig|BenchmarkAtlasCensus|BenchmarkAtlasWarmedCache' -benchmem -run '^$$' ./internal/explore
-
-# The serving-layer guardrail: concurrent mixed workload vs pool size,
-# p50/p99 latency and cache hit rate, written to BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/flpbench -experiment E22
-
-# The multi-core scaling table: census kernels at workers 1/2/4/8, written
-# to BENCH_scaling.json with gomaxprocs/numcpu recorded so single-core
-# artifacts cannot masquerade as scaling evidence. CI runs the same path in
-# -smoke mode on its 4-vCPU matrix legs; run this on a multi-core box for
-# the real numbers (SCALEFLAGS=-smoke for the quick variant).
-bench-scaling:
-	$(GO) run ./cmd/flpbench -experiment E23 $(SCALEFLAGS)
-
-# The persistent-store guardrail: cold build-and-persist vs warm
-# single-read load vs frontier resume, written to BENCH_atlasstore.json
-# (warm must beat cold by ≥5x on the E2 kernel; incremental rows pin that
-# resume re-expands nothing). STOREFLAGS=-smoke drops the wide-frontier
-# onethird kernel for quick CI legs.
-bench-store:
-	$(GO) run ./cmd/flpbench -experiment E24 $(STOREFLAGS)
-
-# The crash-recovery guardrail: baseline vs checkpointed runs (overhead
-# of the level-boundary write-behind) and crash-then-resume recovery
-# time, written to BENCH_checkpoint.json. Counts must agree with the
-# sequential engine in every scenario.
-bench-checkpoint:
-	$(GO) run ./cmd/flpbench -experiment E25
 
 # The allocation guardrail: the AllocsPerRun and bytes-per-successor pins
 # (in distexplore: bytes per configuration of one budgeted loopback run)

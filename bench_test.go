@@ -124,10 +124,6 @@ func BenchmarkE18Election(b *testing.B) {
 	})
 }
 
-func BenchmarkE19DistExplore(b *testing.B) {
-	benchExperiment(b, experiments.E19DistExplore)
-}
-
 func BenchmarkRegisterWorkload(b *testing.B) {
 	scripts := [][]flp.ScriptOp{
 		{flp.WriteOp(1), flp.ReadOp(), flp.WriteOp(2)},

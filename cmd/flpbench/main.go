@@ -1,6 +1,7 @@
-// Command flpbench regenerates every table in EXPERIMENTS.md: one
+// Command flpbench regenerates the E1–E18 tables in EXPERIMENTS.md: one
 // experiment per artifact of the paper (Lemmas 1-3, Theorems 1-2, the
-// commit window, and the contrast/escape systems the paper cites).
+// commit window, and the contrast/escape systems the paper cites). Engine
+// performance is measured by `go run ./bench`, not here.
 //
 // Usage:
 //
@@ -10,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,19 +23,10 @@ import (
 
 func main() {
 	var (
-		id         = flag.String("experiment", "all", "experiment id (E1..E25) or 'all'")
+		id         = flag.String("experiment", "all", "experiment id (E1..E18) or 'all'")
 		scale      = flag.Int("scale", 1, "multiply trial counts")
 		seed       = flag.Int64("seed", 1, "base seed")
 		workers    = flag.Int("workers", 0, "exploration workers: sets GOMAXPROCS, the default worker count of every exploration (0 = leave as is)")
-		distout    = flag.String("distbench-out", "BENCH_distexplore.json", "file E19 writes its engine-comparison timings to ('' disables)")
-		valout     = flag.String("valbench-out", "BENCH_valency.json", "file E20 writes its atlas-vs-per-config timings to ('' disables)")
-		failout    = flag.String("failbench-out", "BENCH_failover.json", "file E21 writes its replication/failover timings to ('' disables)")
-		serveout   = flag.String("servebench-out", "BENCH_serve.json", "file E22 writes its serving-layer latencies to ('' disables)")
-		scaleout   = flag.String("scalebench-out", "BENCH_scaling.json", "file E23 writes its worker-scaling table to ('' disables)")
-		storeout   = flag.String("storebench-out", "BENCH_atlasstore.json", "file E24 writes its cold/warm/incremental store timings to ('' disables)")
-		ckout      = flag.String("ckbench-out", "BENCH_checkpoint.json", "file E25 writes its checkpoint-overhead and recovery timings to ('' disables)")
-		atlasDir   = flag.String("atlas-dir", "", "root directory for E24's persistent atlas stores, kept afterwards for inspection ('' = throwaway temp directories)")
-		smoke      = flag.Bool("smoke", false, "E23/E24 smoke mode: drop the wide-frontier kernels so CI matrix legs finish in seconds")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -58,7 +49,7 @@ func main() {
 	}
 
 	if *id != "all" {
-		tab, err := runOne(*id, sizes, outs{dist: *distout, val: *valout, fail: *failout, serve: *serveout, scale: *scaleout, store: *storeout, ck: *ckout, atlasDir: *atlasDir, smoke: *smoke})
+		tab, err := experiments.RunByID(*id, sizes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "flpbench: %v\n", err)
 			os.Exit(1)
@@ -69,17 +60,7 @@ func main() {
 	start := time.Now()
 	for _, r := range experiments.Suite(sizes) {
 		t0 := time.Now()
-		// The full suite keeps its seconds-scale turnaround: E23 runs its
-		// small kernels only here, and leaves BENCH_scaling.json alone so a
-		// smoke table never overwrites the committed full sweep. The
-		// wide-frontier kernel is minutes of wall clock by design — reach
-		// it with -experiment E23 (make bench-scaling).
-		o := outs{dist: *distout, val: *valout, fail: *failout, serve: *serveout, scale: *scaleout, store: *storeout, ck: *ckout, atlasDir: *atlasDir, smoke: *smoke}
-		if r.ID == "E23" {
-			o.smoke = true
-			o.scale = ""
-		}
-		tab, err := runOne(r.ID, sizes, o)
+		tab, err := r.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "flpbench: %s: %v\n", r.ID, err)
 			os.Exit(1)
@@ -123,102 +104,4 @@ func profiles(cpu, mem string) func() {
 			}
 		}
 	}
-}
-
-// outs bundles the machine-readable output paths of the benchmark
-// experiments, plus the E23 smoke switch.
-type outs struct {
-	dist, val, fail, serve, scale, store, ck string
-	atlasDir                                 string
-	smoke                                    bool
-}
-
-// runOne dispatches one experiment. E19-E25 are special-cased so their
-// machine-readable comparisons land in BENCH_distexplore.json,
-// BENCH_valency.json, BENCH_failover.json, BENCH_serve.json,
-// BENCH_scaling.json, BENCH_atlasstore.json, and BENCH_checkpoint.json
-// alongside the printed tables.
-func runOne(id string, sizes experiments.Sizes, o outs) (*experiments.Table, error) {
-	switch id {
-	case "E19":
-		tab, bench, err := experiments.E19DistExploreBench()
-		if err != nil {
-			return nil, err
-		}
-		if err := writeJSON(o.dist, bench); err != nil {
-			return nil, err
-		}
-		return tab, nil
-	case "E20":
-		tab, bench, err := experiments.E20ValencyAtlasBench()
-		if err != nil {
-			return nil, err
-		}
-		if err := writeJSON(o.val, bench); err != nil {
-			return nil, err
-		}
-		return tab, nil
-	case "E21":
-		tab, bench, err := experiments.E21FailoverBench()
-		if err != nil {
-			return nil, err
-		}
-		if err := writeJSON(o.fail, bench); err != nil {
-			return nil, err
-		}
-		return tab, nil
-	case "E22":
-		tab, bench, err := experiments.E22ServeBench()
-		if err != nil {
-			return nil, err
-		}
-		if err := writeJSON(o.serve, bench); err != nil {
-			return nil, err
-		}
-		return tab, nil
-	case "E23":
-		tab, bench, err := experiments.E23ScalingBench(o.smoke)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeJSON(o.scale, bench); err != nil {
-			return nil, err
-		}
-		return tab, nil
-	case "E24":
-		tab, bench, err := experiments.E24AtlasStoreBench(o.smoke, o.atlasDir)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeJSON(o.store, bench); err != nil {
-			return nil, err
-		}
-		return tab, nil
-	case "E25":
-		tab, bench, err := experiments.E25CheckpointBench()
-		if err != nil {
-			return nil, err
-		}
-		if err := writeJSON(o.ck, bench); err != nil {
-			return nil, err
-		}
-		return tab, nil
-	}
-	return experiments.RunByID(id, sizes)
-}
-
-// writeJSON writes v to path, unless path is empty (disabled).
-func writeJSON(path string, v any) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", path)
-	return nil
 }

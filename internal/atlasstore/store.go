@@ -51,7 +51,7 @@ type shelf struct {
 	noun, onCorrupt string
 
 	mu    sync.Mutex
-	locks map[string]*sync.Mutex
+	locks map[string]*pathLock
 
 	// corrupt counts files that failed validation and were deleted.
 	corrupt atomic.Int64
@@ -63,7 +63,7 @@ func openShelf(dir, noun, onCorrupt string) (*shelf, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("atlasstore: %s%w", noun, err)
 	}
-	return &shelf{dir: dir, logf: log.Printf, noun: noun, onCorrupt: onCorrupt, locks: make(map[string]*sync.Mutex)}, nil
+	return &shelf{dir: dir, logf: log.Printf, noun: noun, onCorrupt: onCorrupt, locks: make(map[string]*pathLock)}, nil
 }
 
 // SetLog redirects the store's diagnostics (corruption, I/O failures);
@@ -78,17 +78,34 @@ func (s *shelf) SetLog(f func(format string, args ...any)) {
 // Dir returns the store's root directory.
 func (s *shelf) Dir() string { return s.dir }
 
-// lock serializes work on one file; the returned func releases it.
+// pathLock is one file's lock; holders counts those holding or waiting
+// for it and is guarded by shelf.mu.
+type pathLock struct {
+	sync.Mutex
+	holders int
+}
+
+// lock serializes work on one file; the returned func releases it. The
+// map holds an entry only while someone holds or waits for that file's
+// lock, so a long-lived store keeps no memory of paths it once touched.
 func (s *shelf) lock(path string) func() {
 	s.mu.Lock()
 	l, ok := s.locks[path]
 	if !ok {
-		l = &sync.Mutex{}
+		l = &pathLock{}
 		s.locks[path] = l
 	}
+	l.holders++
 	s.mu.Unlock()
 	l.Lock()
-	return l.Unlock
+	return func() {
+		l.Unlock()
+		s.mu.Lock()
+		if l.holders--; l.holders == 0 {
+			delete(s.locks, path)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // read returns the file's bytes, ok=false when it is absent or unreadable

@@ -239,10 +239,15 @@ func TestStoreDeepenPinsExpansion(t *testing.T) {
 		t.Fatalf("repeat Deepen stats = %+v, want a zero-expansion resume", st3)
 	}
 
-	// Deepening to exhaustion completes and the artifact then serves
-	// GetAtlas warm.
-	if _, st4, err := s.Deepen(pr, root, budget); err != nil || !st4.Complete {
+	// Deepening to exhaustion completes, still without re-expanding a
+	// stored node, and the artifact then serves GetAtlas warm.
+	_, st4, err := s.Deepen(pr, root, budget)
+	if err != nil || !st4.Complete {
 		t.Fatalf("Deepen to exhaustion: stats %+v, err %v", st4, err)
+	}
+	if all := explore.NewAtlasBuilder(pr, root).Extend(budget); stD.NewlyExpanded+stDK.NewlyExpanded+st4.NewlyExpanded != all {
+		t.Fatalf("three Deepen calls expanded %d+%d+%d nodes, one exhaustive build %d",
+			stD.NewlyExpanded, stDK.NewlyExpanded, st4.NewlyExpanded, all)
 	}
 	s2 := openStore(t, s.Dir())
 	if _, ok := s2.GetAtlas(pr, root, budget); !ok {

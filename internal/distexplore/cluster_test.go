@@ -364,21 +364,31 @@ func TestRetryAfterConnLoss(t *testing.T) {
 	compareStreams(t, "conn-loss", seqC, seqV, seq, distC, distV, dist)
 }
 
-// TestCountReachableParity checks the counting entry point end to end.
+// TestCountReachableParity checks the counting entry point end to end: the
+// census kernels summed over every input vector, three workers × six
+// shards, against the in-process engine inline and on the pool.
 func TestCountReachableParity(t *testing.T) {
-	pr := protocols.NewWaitAll(3)
-	c := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	seqCount, seqExact := explore.CountReachable(pr, c, explore.Options{Workers: 1})
 	lb := NewLoopback()
 	addrs, _ := startWorkers(t, lb, []string{"c0", "c1", "c2"})
 	cl := dialCluster(t, lb, addrs, RPCOptions{})
-	count, exact, err := cl.CountReachable(Task{Protocol: "waitall", N: 3, Inputs: model.Inputs{0, 1, 1}, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != seqCount || exact != seqExact {
-		t.Errorf("CountReachable diverged: sequential (%d, %v), distributed (%d, %v)",
-			seqCount, seqExact, count, exact)
+	for _, name := range []string{"waitall", "naivemajority", "2pc"} {
+		pr, err := RegistryProvider(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range model.AllInputs(3) {
+			c := model.MustInitial(pr, in)
+			seqCount, seqExact := explore.CountReachable(pr, c, explore.Options{Workers: 1})
+			parCount, parExact := explore.CountReachable(pr, c, explore.Options{})
+			count, exact, err := cl.CountReachable(Task{Protocol: name, N: 3, Inputs: in, Shards: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if count != seqCount || exact != seqExact || parCount != seqCount || parExact != seqExact {
+				t.Errorf("%s inputs %s: CountReachable diverged: sequential (%d, %v), pool (%d, %v), distributed (%d, %v)",
+					name, in, seqCount, seqExact, parCount, parExact, count, exact)
+			}
+		}
 	}
 }
 

@@ -48,13 +48,13 @@ type RPCOptions struct {
 	// in-process (InProcessTransport — loopback, and fault wrappers
 	// around it), Compress is ignored and frames stay plain, because
 	// deflating bytes that never leave the process is pure CPU loss
-	// (E21: 302ms compressed vs 183ms plain on the loopback failover
-	// scenario). Real network transports (TCP) negotiate as before.
+	// (302ms compressed vs 183ms plain on a loopback failover run). Real
+	// network transports (TCP) negotiate as before.
 	Compress bool
 	// CompressForce negotiates compression regardless of the transport's
 	// locality — the override for measuring compression itself (the
-	// differential tests and E21's compressed scenarios) or for an
-	// in-process transport proxying to somewhere expensive after all.
+	// differential tests) or for an in-process transport proxying to
+	// somewhere expensive after all.
 	CompressForce bool
 	// RejoinWait, when positive, converts a shard-coverage loss (every
 	// replica of some shard dead) from a hard abort into a bounded wait: the
@@ -802,6 +802,39 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 		return func() model.Schedule { return scheduleOf(i) }
 	}
 
+	// adoptedLevels walks the admitted node table the way the run adopted
+	// it: one batch per level, in admission order, depth-capped levels
+	// skipped because the run never adopted them. Each level's nodes that
+	// pass keep (schedules are built for those only) go to send; a level
+	// with none is not sent. from is the config table to take identities
+	// from.
+	adoptedLevels := func(from []*model.Config, keep func(wireKey) bool, send func(depth int, adopts []adoptNode) error) error {
+		for lo := 0; lo < len(nodes); {
+			hi, d := lo, nodes[lo].depth
+			for hi < len(nodes) && nodes[hi].depth == d {
+				hi++
+			}
+			if !eopt.DepthCapped(d) {
+				adopts := make([]adoptNode, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					if id := identityOf(from[i]); keep(id) {
+						adopts = append(adopts, adoptNode{
+							Index: uint64(i), Depth: uint64(d),
+							wireKey: id, Schedule: scheduleOf(i),
+						})
+					}
+				}
+				if len(adopts) > 0 {
+					if err := send(d, adopts); err != nil {
+						return err
+					}
+				}
+			}
+			lo = hi
+		}
+		return nil
+	}
+
 	// backfillWorker replays the admitted node table into one freshly
 	// re-initialized replacement worker: every level's nodes for the shards
 	// it replicates, re-adopted in admission order. Adoption interns each
@@ -810,34 +843,10 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	// replica carries at this chunk boundary — the nodes earlier chunks of
 	// the running level admitted included, which the level's own adopt
 	// phase then finds already applied (adoption is idempotent per node).
-	// Depth-capped levels are skipped just as the original run never
-	// adopted them.
 	backfillWorker := func(w int) error {
-		for lo := 0; lo < len(nodes); {
-			hi, d := lo, nodes[lo].depth
-			for hi < len(nodes) && nodes[hi].depth == d {
-				hi++
-			}
-			if !eopt.DepthCapped(d) {
-				var mine []adoptNode
-				for i := lo; i < hi; i++ {
-					id := identityOf(cfgs[i])
-					if rs.replicates(w, ownerShard(id.Hash, shards)) {
-						mine = append(mine, adoptNode{
-							Index: uint64(i), Depth: uint64(d),
-							wireKey: id, Schedule: scheduleOf(i),
-						})
-					}
-				}
-				if len(mine) > 0 {
-					if err := cl.expectOK(w, frameAdopt, encodeAdoptReq(d, mine)); err != nil {
-						return err
-					}
-				}
-			}
-			lo = hi
-		}
-		return nil
+		return adoptedLevels(cfgs,
+			func(id wireKey) bool { return rs.replicates(w, ownerShard(id.Hash, shards)) },
+			func(d int, mine []adoptNode) error { return cl.expectOK(w, frameAdopt, encodeAdoptReq(d, mine)) })
 	}
 
 	// rejoinShard waits up to RejoinWait for a replacement process to
@@ -956,28 +965,13 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 		// entirely when the budget is sealed: no expansion will ever run
 		// again, so no worker needs state.
 		if !led.Sealed() {
-			for lo := 0; lo < len(nodes); {
-				hi, d := lo, nodes[lo].depth
-				for hi < len(nodes) && nodes[hi].depth == d {
-					hi++
-				}
-				if !eopt.DepthCapped(d) {
-					adopts := make([]adoptNode, 0, hi-lo)
-					for i := lo; i < hi; i++ {
-						// wcfgs holds the restored config table; safe to read
-						// here because nothing has been enqueued to the
-						// write-behind yet (its first job comes from the
-						// level loop below).
-						adopts = append(adopts, adoptNode{
-							Index: uint64(i), Depth: uint64(d),
-							wireKey: identityOf(wcfgs[i]), Schedule: scheduleOf(i),
-						})
-					}
-					if aerr := cl.adoptPhase(rs, d, adopts); aerr != nil {
-						return false, 0, aerr
-					}
-				}
-				lo = hi
+			// wcfgs holds the restored config table; safe to read here
+			// because nothing has been enqueued to the write-behind yet
+			// (its first job comes from the level loop below).
+			aerr := adoptedLevels(wcfgs, func(wireKey) bool { return true },
+				func(d int, adopts []adoptNode) error { return cl.adoptPhase(rs, d, adopts) })
+			if aerr != nil {
+				return false, 0, aerr
 			}
 		}
 		// Replay the completed prefix's visits so callers observe the same

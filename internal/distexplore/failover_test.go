@@ -52,21 +52,31 @@ func killRun(t *testing.T, task Task, workers []string, victim, level int, opt R
 }
 
 // TestFailoverKillEachWorkerEachLevel is the acceptance sweep: W=3 workers,
-// 6 shards, R=2, and every (victim, kill level) pair. Each run must end
-// byte-identical to the sequential oracle despite losing a different worker
-// at a different depth.
+// 6 shards, R=2, and every (victim, kill level) pair on the census kernel,
+// then every victim at level 3 of paxos(3) at a budget that cuts it. Each
+// run must end byte-identical to the sequential oracle despite losing a
+// different worker at a different depth.
 func TestFailoverKillEachWorkerEachLevel(t *testing.T) {
-	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
-		Options: explore.Options{MaxConfigs: 300}, Shards: 6, Replicas: 2}
-	seqC, seqV, seq := seqStream(t, task)
 	workers := []string{"k0", "k1", "k2"}
-	for victim := range workers {
-		for level := 0; level <= 4; level++ {
-			label := fmt.Sprintf("kill-w%d-at-level%d", victim, level)
-			t.Run(label, func(t *testing.T) {
-				distC, distV, dist := killRun(t, task, workers, victim, level, failoverOptions())
-				compareStreams(t, label, seqC, seqV, seq, distC, distV, dist)
-			})
+	for _, tc := range []struct {
+		prefix string
+		task   Task
+		levels []int
+	}{
+		{"", Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
+			Options: explore.Options{MaxConfigs: 300}, Shards: 6, Replicas: 2}, []int{0, 1, 2, 3, 4}},
+		{"paxos-", Task{Protocol: "paxos", N: 3, Inputs: model.Inputs{0, 1, 1},
+			Options: explore.Options{MaxConfigs: 1500}, Shards: 6, Replicas: 2}, []int{3}},
+	} {
+		seqC, seqV, seq := seqStream(t, tc.task)
+		for victim := range workers {
+			for _, level := range tc.levels {
+				label := fmt.Sprintf("%skill-w%d-at-level%d", tc.prefix, victim, level)
+				t.Run(label, func(t *testing.T) {
+					distC, distV, dist := killRun(t, tc.task, workers, victim, level, failoverOptions())
+					compareStreams(t, label, seqC, seqV, seq, distC, distV, dist)
+				})
+			}
 		}
 	}
 }
@@ -260,8 +270,8 @@ func TestCompressionWithFailover(t *testing.T) {
 // in-process transport (loopback, bare or wrapped in a fault injector)
 // never negotiates — every connection stays plain — while CompressForce
 // overrides, and redials after a severed connection stay plain too. This
-// is the regression test for the loopback compression loss measured in
-// E21 (compression is pure CPU cost when bytes never leave the process).
+// is the regression test for the loopback compression loss (compression
+// is pure CPU cost when bytes never leave the process).
 func TestAdaptiveCompressionLoopback(t *testing.T) {
 	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
 		Options: explore.Options{MaxConfigs: 300}, Shards: 3, Replicas: 2}

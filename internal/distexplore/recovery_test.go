@@ -1,7 +1,7 @@
 package distexplore
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,30 +91,69 @@ func resumeRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore) (bool, 
 	return c, v, s, cl.RunStats()
 }
 
+// hookCrashRun crashes the coordinator the way flpcluster's -kill-at-level
+// does: the checkpoint hook fails the run at the given level, right after
+// that boundary's checkpoint was flushed for it.
+func hookCrashRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore, level int) {
+	t.Helper()
+	lb := NewLoopback()
+	addrs, _ := startWorkers(t, lb, []string{"h0", "h1", "h2"})
+	cl := dialCluster(t, lb, addrs, failoverOptions())
+	task.Checkpoints = cks
+	crash := errors.New("injected coordinator crash")
+	task.CheckpointHook = func(l int) error {
+		if l >= level {
+			return crash
+		}
+		return nil
+	}
+	if _, _, err := cl.Explore(task, nil); !errors.Is(err, crash) {
+		t.Fatalf("checkpoint hook at level %d: run ended with %v, want the injected crash", level, err)
+	}
+}
+
 // TestCheckpointResumeCoordKillEachLevel is the chaos sweep: the
-// coordinator is killed at each level of the census kernel, then restarted
-// with resume on a fresh cluster. Every restart must be byte-identical to
-// the uninterrupted run, and the expansion counters must show zero
-// re-expanded nodes before the checkpointed level.
+// coordinator is killed at each level of the census kernel — by the
+// transport, in the middle of the level's frames, or by the checkpoint hook,
+// right at the boundary — then restarted with resume on a fresh cluster.
+// Every restart must be byte-identical to the uninterrupted run, and the
+// expansion counters must show zero re-expanded nodes before the
+// checkpointed level.
 func TestCheckpointResumeCoordKillEachLevel(t *testing.T) {
 	task := recoveryTask()
 	seqC, seqV, seq := seqStream(t, task)
 	cleanC, cleanV, clean, cleanStats := cleanCheckpointedRun(t, task, openCheckpoints(t, t.TempDir()))
 	compareStreams(t, "clean-checkpointed", seqC, seqV, seq, cleanC, cleanV, clean)
 
-	for killLevel := 1; killLevel <= 4; killLevel++ {
-		t.Run(fmt.Sprintf("coordkill-at-level%d", killLevel), func(t *testing.T) {
+	type crashCase struct {
+		name        string
+		crash       func(*testing.T, Task, *atlasstore.CheckpointStore, int)
+		level       int
+		resumeLevel int // the last boundary durable when the crash hits; -1: none
+	}
+	// A transport kill at level L lands among L's frames, after the L-1
+	// boundary was written — and level-1 frames fly before the first
+	// boundary write. A hook crash at L has L's own boundary on disk.
+	cases := []crashCase{
+		{"coordkill-at-level1", crashRun, 1, -1},
+		{"coordkill-at-level2", crashRun, 2, 1},
+		{"coordkill-at-level3", crashRun, 3, 2},
+		{"coordkill-at-level4", crashRun, 4, 3},
+		{"hook-at-level3", hookCrashRun, 3, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cks := openCheckpoints(t, dir)
-			crashRun(t, task, cks, killLevel)
+			tc.crash(t, task, cks, tc.level)
 
-			wantResume := killLevel >= 2 // level-1 frames fly before the first boundary write
+			wantResume := tc.resumeLevel >= 0
 			if got := len(ckptFiles(t, dir)) > 0; got != wantResume {
-				t.Fatalf("after crash at level %d: checkpoint on disk = %v, want %v", killLevel, got, wantResume)
+				t.Fatalf("after crash at level %d: checkpoint on disk = %v, want %v", tc.level, got, wantResume)
 			}
 
 			distC, distV, dist, st := resumeRun(t, task, cks)
-			compareStreams(t, fmt.Sprintf("resume-after-kill%d", killLevel), seqC, seqV, seq, distC, distV, dist)
+			compareStreams(t, "resume-after-"+tc.name, seqC, seqV, seq, distC, distV, dist)
 
 			// The expansion-counter pin: the resumed run's total equals the
 			// uninterrupted run's, and everything before the checkpointed
@@ -123,8 +162,8 @@ func TestCheckpointResumeCoordKillEachLevel(t *testing.T) {
 				t.Errorf("expanded total %d, want %d", st.ExpandedNodes, cleanStats.ExpandedNodes)
 			}
 			if wantResume {
-				if st.ResumedLevel != killLevel-1 {
-					t.Errorf("resumed at level %d, want %d (the last completed boundary)", st.ResumedLevel, killLevel-1)
+				if st.ResumedLevel != tc.resumeLevel {
+					t.Errorf("resumed at level %d, want %d (the last completed boundary)", st.ResumedLevel, tc.resumeLevel)
 				}
 				if st.ResumedNodes == 0 {
 					t.Error("resume restored zero nodes")

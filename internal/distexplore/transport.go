@@ -30,8 +30,8 @@ type Listener interface {
 
 // InProcessTransport marks transports whose connections never cross a
 // machine boundary — bytes move through memory, so wire size is free and
-// frame compression is pure CPU loss (the E21 failover benchmark measures
-// 302ms compressed vs 183ms plain on loopback). The coordinator consults
+// frame compression is pure CPU loss (measured once on a loopback failover
+// run: 302ms compressed vs 183ms plain). The coordinator consults
 // this marker to decide whether Compress should actually negotiate; see
 // RPCOptions.Compress and CompressForce. Wrapping transports (fault
 // injectors) implement it by delegating to what they wrap.

@@ -68,13 +68,6 @@ func Suite(s Sizes) []Runner {
 		{"E16", func() (*Table, error) { return E16ReliableBroadcast(s.E16Seeds) }},
 		{"E17", func() (*Table, error) { return E17Multivalued(s.E17Seeds) }},
 		{"E18", func() (*Table, error) { return E18Election(0) }},
-		{"E19", E19DistExplore},
-		{"E20", E20ValencyAtlas},
-		{"E21", E21Failover},
-		{"E22", E22Serve},
-		{"E23", E23Scaling},
-		{"E24", E24AtlasStore},
-		{"E25", E25Checkpoint},
 	}
 }
 

@@ -440,159 +440,11 @@ func TestE18ElectionShape(t *testing.T) {
 	}
 }
 
-func TestE19DistExploreShape(t *testing.T) {
-	tab, bench, err := experiments.E19DistExploreBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 || len(bench.Rows) != 2 {
-		t.Fatalf("E19 has %d table rows / %d bench rows, want 2/2", len(tab.Rows), len(bench.Rows))
-	}
-	for i, r := range bench.Rows {
-		if !r.CountsAgree {
-			t.Errorf("row %d (%s): engine counts diverged", i, r.Kernel)
-		}
-		if r.Configs <= 0 {
-			t.Errorf("row %d (%s): no configurations counted", i, r.Kernel)
-		}
-		if got, _ := tab.Cell(i, "counts agree"); got != "true" {
-			t.Errorf("row %d: table reports counts agree = %q", i, got)
-		}
-	}
-}
-
-func TestE20ValencyAtlasShape(t *testing.T) {
-	tab, bench, err := experiments.E20ValencyAtlasBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 || len(bench.Rows) != 3 {
-		t.Fatalf("E20 has %d table rows / %d bench rows, want 3/3", len(tab.Rows), len(bench.Rows))
-	}
-	for i, r := range bench.Rows {
-		// Correctness only — the timing ratio is asserted by the acceptance
-		// run, not the unit test (CI machines are too noisy to gate on).
-		if !r.Agree {
-			t.Errorf("row %d (%s): census tallies diverged between per-config and atlas", i, r.Kernel)
-		}
-		if r.Configs <= 0 {
-			t.Errorf("row %d (%s): no configurations classified", i, r.Kernel)
-		}
-		if got, _ := tab.Cell(i, "agree"); got != "true" {
-			t.Errorf("row %d: table reports agree = %q", i, got)
-		}
-	}
-}
-
-func TestE21FailoverShape(t *testing.T) {
-	tab, bench, err := experiments.E21FailoverBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 5 || len(bench.Rows) != 5 {
-		t.Fatalf("E21 has %d table rows / %d bench rows, want 5/5", len(tab.Rows), len(bench.Rows))
-	}
-	sawKill := false
-	for i, r := range bench.Rows {
-		// Correctness only — timings are machine-dependent. The scenario
-		// sweep itself is the assertion: every scenario, including the
-		// scripted worker kill, must reproduce the sequential count.
-		if !r.CountsAgree {
-			t.Errorf("row %d (%s): count diverged from the sequential engine", i, r.Scenario)
-		}
-		if r.Configs <= 0 {
-			t.Errorf("row %d (%s): no configurations counted", i, r.Scenario)
-		}
-		if r.Fault != "none" {
-			sawKill = true
-			if r.Replicas < 2 {
-				t.Errorf("row %d (%s): fault scenario without replication", i, r.Scenario)
-			}
-		}
-		if got, _ := tab.Cell(i, "counts agree"); got != "true" {
-			t.Errorf("row %d: table reports counts agree = %q", i, got)
-		}
-	}
-	if !sawKill {
-		t.Error("E21 has no fault-injection scenario")
-	}
-}
-
-func TestE22ServeShape(t *testing.T) {
-	tab, bench, err := experiments.E22ServeBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 || len(bench.Rows) != 4 {
-		t.Fatalf("E22 has %d table rows / %d bench rows, want 4/4", len(tab.Rows), len(bench.Rows))
-	}
-	for i, r := range bench.Rows {
-		// Correctness and accounting only — latencies are machine-dependent.
-		// E22ServeBench itself fails if any request returns a non-done job.
-		if want := bench.Clients * 4; r.Requests != want {
-			t.Errorf("row %d (pool %d): %d requests completed, want %d", i, r.Pool, r.Requests, want)
-		}
-		if r.P99MS < r.P50MS {
-			t.Errorf("row %d (pool %d): p99 %.2fms below p50 %.2fms", i, r.Pool, r.P99MS, r.P50MS)
-		}
-		// Concurrent identical queries must amortize: with 8 clients asking
-		// the same questions, most atlas lookups are hits or merges.
-		if r.CacheHitRate <= 0.5 {
-			t.Errorf("row %d (pool %d): cache hit rate %.2f, want > 0.5", i, r.Pool, r.CacheHitRate)
-		}
-	}
-	// The warm repeat re-serves memoized classifications; it must beat the
-	// cold census outright. The 5x acceptance ratio is asserted on the
-	// flpbench artifact, not here (CI machines are too noisy to gate on).
-	if bench.WarmSpeedup <= 1 {
-		t.Errorf("warm census speedup %.1fx, want > 1x (cold %.2fms, warm %.2fms)",
-			bench.WarmSpeedup, bench.ColdCensusMS, bench.WarmCensusMS)
-	}
-}
-
-func TestE24AtlasStoreShape(t *testing.T) {
-	// Smoke mode drops the wide-frontier onethird row; the kernel rows and
-	// the finite incremental row carry every correctness bit this test
-	// cares about.
-	tab, bench, err := experiments.E24AtlasStoreBench(true, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bench.Rows) != 2 || len(bench.Incremental) != 1 {
-		t.Fatalf("E24 has %d kernel rows / %d incremental rows, want 2/1", len(bench.Rows), len(bench.Incremental))
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("E24 table has %d rows, want 3", len(tab.Rows))
-	}
-	for i, r := range bench.Rows {
-		// Correctness and accounting only — the 5x warm-over-cold ratio is
-		// asserted on the flpbench artifact, not here (CI machines are too
-		// noisy to gate on).
-		if !r.Agree {
-			t.Errorf("row %d (%s): warm store censuses diverged from fresh builds", i, r.Kernel)
-		}
-		if r.Lineages <= 0 || r.Configs <= 0 {
-			t.Errorf("row %d (%s): lineages=%d configs=%d, want both > 0", i, r.Kernel, r.Lineages, r.Configs)
-		}
-		if r.WarmMS <= 0 || r.ColdMS <= 0 {
-			t.Errorf("row %d (%s): cold=%.3fms warm=%.3fms, want both > 0", i, r.Kernel, r.ColdMS, r.WarmMS)
-		}
-	}
-	for i, r := range bench.Incremental {
-		if !r.Pinned {
-			t.Errorf("incremental row %d (%s): resume re-expanded stored nodes or diverged", i, r.Protocol)
-		}
-		if r.Nodes <= 0 {
-			t.Errorf("incremental row %d (%s): no nodes at the target depth", i, r.Protocol)
-		}
-	}
-}
-
 func TestSuiteAndRunByID(t *testing.T) {
 	s := experiments.DefaultSizes()
 	suite := experiments.Suite(s)
-	if len(suite) != 25 {
-		t.Fatalf("suite has %d experiments, want 25", len(suite))
+	if len(suite) != 18 {
+		t.Fatalf("suite has %d experiments, want 18", len(suite))
 	}
 	ids := map[string]bool{}
 	for _, r := range suite {
@@ -603,8 +455,11 @@ func TestSuiteAndRunByID(t *testing.T) {
 			t.Errorf("suite missing %s", id)
 		}
 	}
-	if _, err := experiments.RunByID("E99", s); err == nil {
-		t.Error("unknown experiment id accepted")
+	// The suite is the paper's experiments and ends at E18.
+	for _, id := range []string{"E19", "E99"} {
+		if _, err := experiments.RunByID(id, s); err == nil {
+			t.Errorf("unknown experiment id %s accepted", id)
+		}
 	}
 	// Run one small experiment through the dispatcher.
 	tab, err := experiments.RunByID("E8", s)
@@ -632,52 +487,5 @@ func TestTableHelpers(t *testing.T) {
 	out := tab.String()
 	if !strings.Contains(out, "T — test") || !strings.Contains(out, "note 7") {
 		t.Errorf("rendered table missing pieces:\n%s", out)
-	}
-}
-
-func TestE25CheckpointShape(t *testing.T) {
-	tab, bench, err := experiments.E25CheckpointBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 6 || len(bench.Rows) != 6 {
-		t.Fatalf("E25 has %d table rows / %d bench rows, want 6/6", len(tab.Rows), len(bench.Rows))
-	}
-	sawResume := false
-	for i, r := range bench.Rows {
-		// Correctness only — timings and overhead percentages are
-		// machine-dependent. The invariant is the FLP repo's oldest:
-		// checkpointing and resume may change wall time, never counts.
-		if !r.CountsAgree {
-			t.Errorf("row %d (%s / %s): count diverged from the sequential engine", i, r.Kernel, r.Scenario)
-		}
-		if r.Configs <= 0 {
-			t.Errorf("row %d (%s): no configurations counted", i, r.Scenario)
-		}
-		switch {
-		case r.ResumedLvl >= 0:
-			sawResume = true
-			if r.Restored == 0 {
-				t.Errorf("row %d (%s): resumed run restored zero nodes", i, r.Scenario)
-			}
-			if r.LiveExpand >= r.TotalExpand {
-				t.Errorf("row %d (%s): resume re-expanded the restored prefix: live %d of %d",
-					i, r.Scenario, r.LiveExpand, r.TotalExpand)
-			}
-		default:
-			if r.LiveExpand != r.TotalExpand {
-				t.Errorf("row %d (%s): fresh run has live %d != total %d expansions",
-					i, r.Scenario, r.LiveExpand, r.TotalExpand)
-			}
-		}
-		if r.Scenario == "checkpointed (every level boundary)" && r.Checkpoints == 0 {
-			t.Errorf("row %d (%s): checkpointed run recorded no boundaries", i, r.Scenario)
-		}
-		if got, _ := tab.Cell(i, "counts agree"); got != "true" {
-			t.Errorf("row %d: table reports counts agree = %q", i, got)
-		}
-	}
-	if !sawResume {
-		t.Error("E25 has no crash-and-resume scenario")
 	}
 }

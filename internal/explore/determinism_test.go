@@ -22,7 +22,7 @@ import (
 // determinismCases covers every seed protocol. Unbounded state spaces
 // (paxos, benor) and large finite ones (3pc, onethird) run under a budget,
 // which additionally exercises truncation determinism at the boundary. The
-// last six are the explore-wide shapes at budgets that cut a level in the
+// last seven are the explore-wide shapes at budgets that cut a level in the
 // middle, where the level path expands in ledger-sized chunks.
 func determinismCases(t *testing.T) []struct {
 	name string
@@ -61,6 +61,7 @@ func determinismCases(t *testing.T) []struct {
 		{"paxos-budget60", mk("paxos", 3), explore.Options{MaxConfigs: 60}},
 		{"paxos-budget400", mk("paxos", 3), explore.Options{MaxConfigs: 400}},
 		{"paxos-budget1000", mk("paxos", 3), explore.Options{MaxConfigs: 1000}},
+		{"onethird4-budget1000", mk("onethird", 4), explore.Options{MaxConfigs: 1000}},
 	}
 }
 
@@ -155,7 +156,7 @@ func TestBuilderPrefixMatchesSequential(t *testing.T) {
 			half := tc.opt
 			half.MaxConfigs = (len(oracle) + 1) / 2
 			half.MaxDepth = tc.opt.MaxDepth / 2
-			for _, w := range []int{1, 2, 8} {
+			for _, w := range []int{1, 2, 4, 8} {
 				atlas, ok := explore.BuildAtlas(tc.pr, c, withWorkers(tc.opt, w))
 				if ok != (complete && tc.opt.MaxDepth == 0) || (ok && atlas.Len() != len(oracle)) {
 					t.Fatalf("workers=%d: BuildAtlas ok=%v, oracle visited %d (complete=%v)", w, ok, len(oracle), complete)

@@ -42,7 +42,7 @@ func visitStream(engine exploreFunc, pr model.Protocol, root *model.Config, opt 
 func matchReference(t *testing.T, ctx string, pr model.Protocol, root *model.Config, opt explore.Options, skip func(model.Event) bool) []visitStep {
 	t.Helper()
 	ref, refComplete, refVisited := visitStream(explore.ReferenceExplore, pr, root, opt, skip)
-	for _, w := range []int{1, 2, 3, 8} {
+	for _, w := range []int{1, 2, 3, 4, 8} {
 		got, complete, visited := visitStream(explore.ExploreFiltered, pr, root, withWorkers(opt, w), skip)
 		if complete != refComplete || visited != refVisited || len(got) != len(ref) {
 			t.Fatalf("%s workers=%d: (complete, visited) = (%v, %d) over %d visits, reference (%v, %d) over %d",

@@ -177,34 +177,37 @@ func TestAdversaryMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestConcurrentCensusSharesAtlases pins the cache contract end to end:
-// N concurrent identical censuses over 2^n roots cost exactly 2^n atlas
-// builds between them — everything else is a hit or a merged wait.
+// TestConcurrentCensusSharesAtlases pins the cache contract end to end,
+// at every pool size from one worker to one per client: N concurrent
+// identical censuses over 2^n roots cost exactly 2^n atlas builds between
+// them — everything else is a hit or a merged wait.
 func TestConcurrentCensusSharesAtlases(t *testing.T) {
-	s, hs := newTestServer(t, Options{Workers: 4, QueueDepth: 32})
 	const clients = 8
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var view struct {
-				State JobState `json:"state"`
-			}
-			postJSON(t, hs.URL+"/v1/census?wait=1",
-				CensusRequest{Protocol: "naivemajority", N: 3}, &view)
-			if view.State != StateDone {
-				t.Errorf("job state %q", view.State)
-			}
-		}()
-	}
-	wg.Wait()
-	hits, misses, merged := s.AtlasCache().Stats()
-	if misses != 8 {
-		t.Fatalf("%d clients × 8 roots ran %d builds, want 8", clients, misses)
-	}
-	if hits+merged != clients*8-8 {
-		t.Fatalf("hits+merged = %d, want %d", hits+merged, clients*8-8)
+	for _, pool := range []int{1, 2, 4, 8} {
+		s, hs := newTestServer(t, Options{Workers: pool, QueueDepth: 32})
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var view struct {
+					State JobState `json:"state"`
+				}
+				postJSON(t, hs.URL+"/v1/census?wait=1",
+					CensusRequest{Protocol: "naivemajority", N: 3}, &view)
+				if view.State != StateDone {
+					t.Errorf("pool %d: job state %q", pool, view.State)
+				}
+			}()
+		}
+		wg.Wait()
+		hits, misses, merged := s.AtlasCache().Stats()
+		if misses != 8 {
+			t.Fatalf("pool %d: %d clients × 8 roots ran %d builds, want 8", pool, clients, misses)
+		}
+		if hits+merged != clients*8-8 {
+			t.Fatalf("pool %d: hits+merged = %d, want %d", pool, hits+merged, clients*8-8)
+		}
 	}
 }
 
