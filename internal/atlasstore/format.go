@@ -204,17 +204,29 @@ func openFrame(b []byte, magic [8]byte, version uint32) (*reader, error) {
 // stored as indices into it.
 type eventDict struct {
 	events []model.Event
-	idx    map[string]int32
+	idx    map[eventID]int32
+}
+
+// eventID is an event's identity as a comparable value — the fields
+// model.Event.Key renders — so that looking an edge's label up allocates
+// nothing.
+type eventID struct {
+	p, to, from model.PID
+	deliver     bool
+	body        string
 }
 
 // column returns evs as dictionary indices, adding unseen events.
 func (d *eventDict) column(evs []model.Event) []int32 {
 	if d.idx == nil {
-		d.idx = make(map[string]int32)
+		d.idx = make(map[eventID]int32)
 	}
 	out := make([]int32, len(evs))
 	for i, e := range evs {
-		k := e.Key()
+		k := eventID{p: e.P}
+		if e.Msg != nil {
+			k = eventID{p: e.P, to: e.Msg.To, from: e.Msg.From, deliver: true, body: e.Msg.Body}
+		}
 		j, ok := d.idx[k]
 		if !ok {
 			j = int32(len(d.events))

@@ -107,7 +107,7 @@ func (l *trackingListener) killConns() {
 
 // startWorkers launches n workers on the transport and returns their
 // addresses plus the tracking listeners.
-func startWorkers(t *testing.T, tr Transport, addrs []string) ([]string, []*trackingListener) {
+func startWorkers(t testing.TB, tr Transport, addrs []string) ([]string, []*trackingListener) {
 	t.Helper()
 	var out []string
 	var ls []*trackingListener
@@ -125,7 +125,7 @@ func startWorkers(t *testing.T, tr Transport, addrs []string) ([]string, []*trac
 	return out, ls
 }
 
-func dialCluster(t *testing.T, tr Transport, addrs []string, opt RPCOptions) *Cluster {
+func dialCluster(t testing.TB, tr Transport, addrs []string, opt RPCOptions) *Cluster {
 	t.Helper()
 	cl, err := Dial(tr, addrs, opt)
 	if err != nil {

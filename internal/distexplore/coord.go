@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -201,14 +200,18 @@ func (e *WorkerError) Error() string {
 var ErrInterrupted = errors.New("distexplore: exploration interrupted at a level boundary")
 
 // workerConn is the coordinator's view of one worker: its address, the
-// current connection (re-dialed on demand after failures), the
-// compression agreement negotiated on that connection, and the worker's
-// private jitter PRNG (calls to one worker are serialized, so no lock).
+// current connection (nil while down; re-dialed on demand after failures),
+// the compression agreement negotiated on that connection, and the worker's
+// private jitter PRNG (calls to one worker are serialized, so no lock). req
+// is the buffer its dedup and adopt requests are encoded into: phases never
+// overlap and one returns only after its calls have, so each overwrites the
+// last.
 type workerConn struct {
-	addr     string
-	conn     net.Conn
+	addr string
+	framer
 	compress bool
 	rng      *rand.Rand
+	req      []byte
 }
 
 // Cluster is a coordinator's handle on a set of workers. It drives the
@@ -307,7 +310,7 @@ func (cl *Cluster) redial(w int) error {
 	wc.conn = c
 	wc.compress = false
 	if cl.opt.CompressForce || (cl.opt.Compress && !transportInProcess(cl.tr)) {
-		ok, err := negotiateCompression(c, cl.opt.RPCTimeout)
+		ok, err := negotiateCompression(&wc.framer, cl.opt.RPCTimeout)
 		if err != nil {
 			c.Close()
 			wc.conn = nil
@@ -322,12 +325,12 @@ func (cl *Cluster) redial(w int) error {
 // reports whether the peer accepted the flate codec. A frameErr answer
 // means the peer predates the hello frame; that is not an error — the
 // connection continues with plain frames.
-func negotiateCompression(c net.Conn, timeout time.Duration) (bool, error) {
+func negotiateCompression(f *framer, timeout time.Duration) (bool, error) {
 	deadline := time.Now().Add(timeout)
-	if err := writeFrame(c, deadline, frameHello, encodeHello([]string{codecFlate}), false); err != nil {
+	if err := f.write(deadline, frameHello, encodeHello([]string{codecFlate}), false); err != nil {
 		return false, err
 	}
-	rtyp, rpayload, err := readFrame(c, deadline)
+	rtyp, rpayload, err := f.read(deadline, nil)
 	if err != nil {
 		return false, err
 	}
@@ -366,13 +369,15 @@ func (cl *Cluster) call(w int, typ byte, payload []byte) (byte, []byte, error) {
 			}
 		}
 		deadline := time.Now().Add(cl.opt.RPCTimeout)
-		if err := writeFrame(wc.conn, deadline, typ, payload, wc.compress); err != nil {
+		if err := wc.write(deadline, typ, payload, wc.compress); err != nil {
 			lastErr = err
 			wc.conn.Close()
 			wc.conn = nil
 			continue
 		}
-		rtyp, rpayload, err := readFrame(wc.conn, deadline)
+		// A fresh payload per response: the candidate keys decoded from an
+		// expand response alias it until their level is adopted.
+		rtyp, rpayload, err := wc.read(deadline, nil)
 		if err != nil {
 			lastErr = err
 			wc.conn.Close()
@@ -473,14 +478,25 @@ func (cl *Cluster) replicatedFanout(rs *replicaSet, typ byte, wantResp byte, pay
 }
 
 // nodeRec is the coordinator's record of one admitted configuration:
-// enough to reconstruct schedules (parent links) and drive the level loop,
-// without holding the configuration itself — configurations live on the
-// owning workers, and are only materialized here when a visit callback
-// needs them.
+// enough to reconstruct schedules (parent links), drive the level loop and
+// tell which workers hold it (the fingerprint names its shard), without
+// holding the configuration itself — configurations live on the owning
+// workers, and are only materialized here when a visit callback needs them.
 type nodeRec struct {
 	parent int
 	depth  int
 	via    model.Event
+	hash   uint64
+}
+
+// scheduleTo reads the schedule from the root to node i off the parent
+// links.
+func scheduleTo(nodes []nodeRec, i int) model.Schedule {
+	sigma := make(model.Schedule, nodes[i].depth)
+	for k := len(sigma) - 1; k >= 0; k, i = k-1, nodes[i].parent {
+		sigma[k] = nodes[i].via
+	}
+	return sigma
 }
 
 // expandPhase collects one chunk's candidates — the level's nodes with a
@@ -586,7 +602,9 @@ func (cl *Cluster) dedupPhase(rs *replicaSet, ch chunkID, all []candidate) ([]ca
 			}
 		}
 		if len(mine) > 0 {
-			payloads[w] = encodeDedupReq(ch.level, ch.lo, mine)
+			wc := cl.workers[w]
+			wc.req = appendDedupReq(wc.req[:0], ch.level, ch.lo, mine)
+			payloads[w] = wc.req
 		}
 	}
 	resps, err := cl.replicatedFanout(rs, frameDedup, frameDedupResp, payloads)
@@ -653,11 +671,42 @@ func (cl *Cluster) dedupPhase(rs *replicaSet, ch chunkID, all []candidate) ([]ca
 	return fresh, nil
 }
 
+// adoptRequest encodes worker w's share of one level's adopt batch into its
+// request buffer: the nodes whose shards it replicates, each with its parent's
+// index and the event from it, and — once per distinct parent, which is a
+// comparison with the last one listed because nodes in admission order have
+// non-decreasing parents — the root schedule of every parent w does not
+// hold. Which those are the coordinator reads off the parent's fingerprint:
+// a worker holds exactly the nodes of the shards it replicates. It returns
+// nil when w replicates none of the nodes' shards.
+func (cl *Cluster) adoptRequest(rs *replicaSet, w, level int, nodes []nodeRec, adopts []adoptNode) []byte {
+	var mine []adoptNode
+	var foreign []foreignParent
+	for _, nd := range adopts {
+		if !rs.replicates(w, ownerShard(nd.Hash, rs.shards)) {
+			continue
+		}
+		mine = append(mine, nd)
+		if nd.Depth == 0 || rs.replicates(w, ownerShard(nodes[nd.Parent].hash, rs.shards)) {
+			continue
+		}
+		if len(foreign) == 0 || foreign[len(foreign)-1].Index != nd.Parent {
+			foreign = append(foreign, foreignParent{Index: nd.Parent, Schedule: scheduleTo(nodes, int(nd.Parent))})
+		}
+	}
+	if len(mine) == 0 {
+		return nil
+	}
+	wc := cl.workers[w]
+	wc.req = appendAdoptReq(wc.req[:0], level, foreign, mine)
+	return wc.req
+}
+
 // adoptPhase hands one level's admitted nodes to every live replica of
 // their shards. A worker lost during adoption is tolerated as long as each
 // adopted shard keeps a live replica (which, having stayed live, has
 // acknowledged its batch).
-func (cl *Cluster) adoptPhase(rs *replicaSet, level int, adopts []adoptNode) error {
+func (cl *Cluster) adoptPhase(rs *replicaSet, level int, nodes []nodeRec, adopts []adoptNode) error {
 	if len(adopts) == 0 {
 		return nil
 	}
@@ -670,14 +719,8 @@ func (cl *Cluster) adoptPhase(rs *replicaSet, level int, adopts []adoptNode) err
 		if !rs.live(w) {
 			continue
 		}
-		var mine []adoptNode
-		for _, nd := range adopts {
-			if rs.replicates(w, ownerShard(nd.Hash, rs.shards)) {
-				mine = append(mine, nd)
-			}
-		}
-		if len(mine) > 0 {
-			payloads[w] = encodeAdoptReq(level, mine)
+		if p := cl.adoptRequest(rs, w, level, nodes, adopts); p != nil {
+			payloads[w] = p
 		}
 	}
 	if _, err := cl.replicatedFanout(rs, frameAdopt, frameOK, payloads); err != nil {
@@ -768,7 +811,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	defer cl.shutdown(rs)
 
 	led := explore.NewLedger(eopt)
-	nodes := []nodeRec{{parent: -1, depth: 0}}
+	nodes := []nodeRec{{parent: -1, depth: 0, hash: root.Hash()}}
 	// Configurations are materialized at the coordinator whenever the run
 	// itself consumes them: visit callbacks and rejoin backfills (which
 	// replay admitted state to replacement workers). Checkpoint snapshots
@@ -787,28 +830,15 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	// by the channel send.
 	wcfgs := []*model.Config{root}
 
-	scheduleOf := func(i int) model.Schedule {
-		var rev model.Schedule
-		for j := i; nodes[j].parent >= 0; j = nodes[j].parent {
-			rev = append(rev, nodes[j].via)
-		}
-		sigma := make(model.Schedule, len(rev))
-		for k := range rev {
-			sigma[k] = rev[len(rev)-1-k]
-		}
-		return sigma
-	}
 	pathOf := func(i int) func() model.Schedule {
-		return func() model.Schedule { return scheduleOf(i) }
+		return func() model.Schedule { return scheduleTo(nodes, i) }
 	}
 
 	// adoptedLevels walks the admitted node table the way the run adopted
 	// it: one batch per level, in admission order, depth-capped levels
-	// skipped because the run never adopted them. Each level's nodes that
-	// pass keep (schedules are built for those only) go to send; a level
-	// with none is not sent. from is the config table to take identities
-	// from.
-	adoptedLevels := func(from []*model.Config, keep func(wireKey) bool, send func(depth int, adopts []adoptNode) error) error {
+	// skipped because the run never adopted them. from is the config table
+	// to take identities from.
+	adoptedLevels := func(from []*model.Config, send func(depth int, adopts []adoptNode) error) error {
 		for lo := 0; lo < len(nodes); {
 			hi, d := lo, nodes[lo].depth
 			for hi < len(nodes) && nodes[hi].depth == d {
@@ -817,17 +847,13 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 			if !eopt.DepthCapped(d) {
 				adopts := make([]adoptNode, 0, hi-lo)
 				for i := lo; i < hi; i++ {
-					if id := identityOf(from[i]); keep(id) {
-						adopts = append(adopts, adoptNode{
-							Index: uint64(i), Depth: uint64(d),
-							wireKey: id, Schedule: scheduleOf(i),
-						})
-					}
+					adopts = append(adopts, adoptNode{
+						Index: uint64(i), Depth: uint64(d), wireKey: identityOf(from[i]),
+						Parent: uint64(max(nodes[i].parent, 0)), Via: nodes[i].via,
+					})
 				}
-				if len(adopts) > 0 {
-					if err := send(d, adopts); err != nil {
-						return err
-					}
+				if err := send(d, adopts); err != nil {
+					return err
 				}
 			}
 			lo = hi
@@ -837,16 +863,21 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 
 	// backfillWorker replays the admitted node table into one freshly
 	// re-initialized replacement worker: every level's nodes for the shards
-	// it replicates, re-adopted in admission order. Adoption interns each
-	// key into the worker's visited slice and rebuilds its frontier, so
-	// after the backfill the replacement holds exactly the state a live
-	// replica carries at this chunk boundary — the nodes earlier chunks of
-	// the running level admitted included, which the level's own adopt
-	// phase then finds already applied (adoption is idempotent per node).
+	// it replicates, re-adopted in admission order with the frame the level
+	// loop sends. Adoption interns each key into the worker's visited slice
+	// and rebuilds its frontier, so after the backfill the replacement holds
+	// exactly the state a live replica carries at this chunk boundary — the
+	// nodes earlier chunks of the running level admitted included, which the
+	// level's own adopt phase then finds already applied (adoption is
+	// idempotent per node).
 	backfillWorker := func(w int) error {
-		return adoptedLevels(cfgs,
-			func(id wireKey) bool { return rs.replicates(w, ownerShard(id.Hash, shards)) },
-			func(d int, mine []adoptNode) error { return cl.expectOK(w, frameAdopt, encodeAdoptReq(d, mine)) })
+		return adoptedLevels(cfgs, func(d int, adopts []adoptNode) error {
+			req := cl.adoptRequest(rs, w, d, nodes, adopts)
+			if req == nil {
+				return nil
+			}
+			return cl.expectOK(w, frameAdopt, req)
+		})
 	}
 
 	// rejoinShard waits up to RejoinWait for a replacement process to
@@ -944,6 +975,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 						parent: int(ck.Snap.Parent[i]),
 						depth:  int(ck.Snap.Depth[i]),
 						via:    ck.Snap.ParentVia[i],
+						hash:   wcfgs[i].Hash(),
 					}
 				}
 				led.Count = len(nodes)
@@ -968,8 +1000,9 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 			// wcfgs holds the restored config table; safe to read here
 			// because nothing has been enqueued to the write-behind yet
 			// (its first job comes from the level loop below).
-			aerr := adoptedLevels(wcfgs, func(wireKey) bool { return true },
-				func(d int, adopts []adoptNode) error { return cl.adoptPhase(rs, d, adopts) })
+			aerr := adoptedLevels(wcfgs, func(d int, adopts []adoptNode) error {
+				return cl.adoptPhase(rs, d, nodes, adopts)
+			})
 			if aerr != nil {
 				return false, 0, aerr
 			}
@@ -989,7 +1022,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	} else {
 		// Adopt the root into every replica of its owning shard so level 0
 		// has a frontier wherever it may be needed.
-		err = cl.adoptPhase(rs, 0, []adoptNode{{wireKey: identityOf(root)}})
+		err = cl.adoptPhase(rs, 0, nodes, []adoptNode{{wireKey: identityOf(root)}})
 		if err != nil {
 			return false, 0, err
 		}
@@ -1109,12 +1142,13 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 					if !led.Admit() {
 						continue
 					}
-					nodes = append(nodes, nodeRec{parent: i, depth: level + 1, via: c.Via})
+					nodes = append(nodes, nodeRec{parent: i, depth: level + 1, via: c.Via, hash: c.Hash})
 					if needCfgs {
 						cfgs = append(cfgs, model.MustApply(pr, cfgs[i], c.Via))
 					}
 					adopts = append(adopts, adoptNode{
 						Index: uint64(len(nodes) - 1), Depth: uint64(level + 1), wireKey: c.wireKey,
+						Parent: uint64(i), Via: c.Via,
 					})
 				}
 			}
@@ -1122,14 +1156,10 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 
 		// Phase 3: hand the admitted nodes to their owning shards — unless
 		// they can never be expanded (sealed budget, or the next level sits
-		// at the depth cap), in which case no worker needs them and their
-		// schedules are never built.
+		// at the depth cap), in which case no worker needs them.
 		if len(adopts) > 0 && !led.Sealed() && !eopt.DepthCapped(level+1) {
-			for i := range adopts {
-				adopts[i].Schedule = scheduleOf(int(adopts[i].Index))
-			}
 			if perr := withRejoin(func() error {
-				return cl.adoptPhase(rs, level+1, adopts)
+				return cl.adoptPhase(rs, level+1, nodes, adopts)
 			}); perr != nil {
 				return false, 0, perr
 			}

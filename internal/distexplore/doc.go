@@ -33,10 +33,13 @@
 //     The coordinator settles freshness from the primary's answer, checks
 //     the standbys agree, and admits the fresh candidates in global order
 //     under the shared explore.Ledger budget, assigning node indices.
-//   - Adopt, once per level: each admitted node (identity + schedule from
-//     the root) goes to every live replica of its shard, which takes the
-//     configuration from what it expanded this level or rematerializes it
-//     by replay, and verifies the key.
+//   - Adopt, once per level: each admitted node (identity + its parent's
+//     index and the event from it) goes to every live replica of its shard,
+//     which takes the configuration from what it expanded this level or
+//     steps it once from the parent — held in the previous level's frontier
+//     when the replica replicates the parent's shard, otherwise shipped in
+//     the same frame as a root schedule, once per distinct parent — and
+//     verifies key and fingerprint.
 //
 // A configuration's identity on the wire is what it is in process: the
 // binary canonical key (model.Config.KeyBytes) with its fingerprint, the

@@ -45,51 +45,64 @@ const (
 // unbounded memory.
 const maxFramePayload = 1 << 28 // 256 MiB
 
-// writeFrame sends one frame, honouring the deadline (zero means none).
-// When compress is true and the payload clears the size threshold, the
-// payload is deflated and the frame marked with frameCompressedBit — only
-// if compression actually wins; incompressible payloads go out raw.
-func writeFrame(c net.Conn, deadline time.Time, typ byte, payload []byte, compress bool) error {
+// framer reads and writes frames on one connection. It holds the two
+// header scratch arrays, so a frame costs no allocation beyond its payload
+// (and not that when the reader lends a buffer). Requests and responses
+// alternate on a connection, so one goroutine at a time reads and one writes.
+type framer struct {
+	conn       net.Conn
+	rhdr, whdr [5]byte
+}
+
+// write sends one frame, honouring the deadline (zero means none). When
+// compress is true and the payload clears the size threshold, the payload
+// is deflated and the frame marked with frameCompressedBit — only if
+// compression actually wins; incompressible payloads go out raw.
+func (f *framer) write(deadline time.Time, typ byte, payload []byte, compress bool) error {
 	if compress && len(payload) >= compressThreshold {
 		if z, err := deflate(payload); err == nil && len(z) < len(payload) {
 			typ |= frameCompressedBit
 			payload = z
 		}
 	}
-	if err := c.SetWriteDeadline(deadline); err != nil {
+	if err := f.conn.SetWriteDeadline(deadline); err != nil {
 		return err
 	}
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := c.Write(hdr); err != nil {
+	binary.BigEndian.PutUint32(f.whdr[:], uint32(len(payload)))
+	f.whdr[4] = typ
+	if _, err := f.conn.Write(f.whdr[:]); err != nil {
 		return err
 	}
 	if len(payload) == 0 {
 		return nil
 	}
-	_, err := c.Write(payload)
+	_, err := f.conn.Write(payload)
 	return err
 }
 
-// readFrame receives one frame, honouring the deadline (zero means none).
-func readFrame(c net.Conn, deadline time.Time) (byte, []byte, error) {
-	if err := c.SetReadDeadline(deadline); err != nil {
+// read receives one frame, honouring the deadline (zero means none). The
+// payload is read into buf's storage when that is large enough and into a
+// fresh slice otherwise; a caller that is done with each payload before it
+// reads the next passes the last one back, and one that keeps what it
+// decoded (decoded keys alias the payload) passes nil.
+func (f *framer) read(deadline time.Time, buf []byte) (byte, []byte, error) {
+	if err := f.conn.SetReadDeadline(deadline); err != nil {
 		return 0, nil, err
 	}
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(c, hdr); err != nil {
+	if _, err := io.ReadFull(f.conn, f.rhdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
+	n, typ := binary.BigEndian.Uint32(f.rhdr[:]), f.rhdr[4]
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("distexplore: frame payload %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c, payload); err != nil {
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
+	if _, err := io.ReadFull(f.conn, payload); err != nil {
 		return 0, nil, err
 	}
-	typ := hdr[4]
 	if typ&frameCompressedBit != 0 {
 		raw, err := inflate(payload)
 		if err != nil {

@@ -10,7 +10,7 @@ import (
 // frameTap wraps a Transport and shows a test every frame on the
 // coordinator's side of the connections it dials: out sees (and may
 // replace the payload of) each request before it is sent to the worker at
-// addr, in sees each response. Both run under one mutex, so the callbacks may keep plain
+// addr, in sees each of that worker's responses. Both run under one mutex, so the callbacks may keep plain
 // counters although the coordinator fans requests out concurrently. Frames
 // are reassembled from the byte streams, so a frame is one frame however
 // many Write or Read calls carry it.
@@ -18,7 +18,7 @@ type frameTap struct {
 	Transport
 	mu  sync.Mutex
 	out func(addr string, typ byte, payload []byte) []byte
-	in  func(typ byte, payload []byte)
+	in  func(addr string, typ byte, payload []byte)
 }
 
 // InProcess forwards the wrapped transport's locality, so tapping Loopback
@@ -85,7 +85,7 @@ func (c *tapConn) Read(p []byte) (int, error) {
 		}
 		c.tap.mu.Lock()
 		if c.tap.in != nil {
-			c.tap.in(typ, payload)
+			c.tap.in(c.addr, typ, payload)
 		}
 		c.tap.mu.Unlock()
 		c.rbuf = append([]byte(nil), rest...)

@@ -11,15 +11,17 @@ import (
 
 // RPC payloads. A configuration crosses the wire as its identity — the
 // fingerprint and the binary canonical key it is the FNV-1a hash of
-// (wireKey) — plus, for adoption, the schedule reaching it from the root;
+// (wireKey) — plus, for adoption, the one step reaching it from its parent;
 // see the wire-layer rationale in internal/model/wire.go. Every request
 // that belongs to a level starts with that level as a uvarint, which is
-// what FaultPlan's scripted kills read.
+// what FaultPlan's scripted kills read. The encoders of the large payloads
+// append to a buffer their caller owns and reuses.
 //
 // There is one wire format. wireVersion travels in the init exchange both
 // ways, and a member that speaks another version (or predates versions) is
 // refused there with an error naming both sides — never mis-decoded later.
-const wireVersion = 2
+// Version 3 made adoption parent-relative (adoptNode).
+const wireVersion = 3
 
 // reader consumes one payload front to back. The first failure sticks and
 // empties the buffer, so a decoder reads its fields unconditionally and
@@ -106,7 +108,7 @@ type wireKey struct {
 func identityOf(c *model.Config) wireKey { return wireKey{Hash: c.Hash(), Key: c.KeyBytes()} }
 
 // wireKeySize and eventSize bound what appendWireKey and model.AppendEvent
-// add, so an encoder sizes its payload once instead of growing it.
+// add, so an encoder grows its buffer once.
 func wireKeySize(k wireKey) int { return 8 + binary.MaxVarintLen32 + len(k.Key) }
 
 func eventSize(e model.Event) int {
@@ -114,6 +116,17 @@ func eventSize(e model.Event) int {
 		return 1 + binary.MaxVarintLen32
 	}
 	return 1 + 4*binary.MaxVarintLen32 + len(e.Msg.Body)
+}
+
+// grow returns b with room for n more bytes. It is slices.Grow, which
+// under -race allocates the n bytes a second time (the compiler does not
+// elide the make it appends there) and would make the allocation guard read
+// differently with the detector on.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	return append(make([]byte, 0, len(b)+n), b...)
 }
 
 func appendWireKey(b []byte, k wireKey) []byte {
@@ -268,14 +281,14 @@ func firstOccurrence(first map[uint64]int, kept []candidate, k wireKey) bool {
 	return true
 }
 
-// encodeCandidates is the expand response: the level and the candidates the
+// appendCandidates is the expand response: the level and the candidates the
 // worker did not drop at the source.
-func encodeCandidates(level int, cands []candidate) []byte {
+func appendCandidates(b []byte, level int, cands []candidate) []byte {
 	size := 2 * binary.MaxVarintLen32
 	for _, c := range cands {
 		size += 2*binary.MaxVarintLen64 + wireKeySize(c.wireKey) + eventSize(c.Via)
 	}
-	b := model.AppendUvarint(make([]byte, 0, size), uint64(level))
+	b = model.AppendUvarint(grow(b, size), uint64(level))
 	b = model.AppendUvarint(b, uint64(len(cands)))
 	for _, c := range cands {
 		b = model.AppendUvarint(b, c.Parent)
@@ -312,9 +325,9 @@ type shardGroup struct {
 	Keys  []wireKey
 }
 
-// encodeDedupReq frames one chunk's groups; (level, lo) names the chunk and
+// appendDedupReq frames one chunk's groups; (level, lo) names the chunk and
 // is echoed by the answer.
-func encodeDedupReq(level, lo int, groups []shardGroup) []byte {
+func appendDedupReq(b []byte, level, lo int, groups []shardGroup) []byte {
 	size := 3 * binary.MaxVarintLen32
 	for _, g := range groups {
 		size += 2 * binary.MaxVarintLen32
@@ -322,7 +335,7 @@ func encodeDedupReq(level, lo int, groups []shardGroup) []byte {
 			size += wireKeySize(k)
 		}
 	}
-	b := model.AppendUvarint(make([]byte, 0, size), uint64(level))
+	b = model.AppendUvarint(grow(b, size), uint64(level))
 	b = model.AppendUvarint(b, uint64(lo))
 	b = model.AppendUvarint(b, uint64(len(groups)))
 	for _, g := range groups {
@@ -386,47 +399,77 @@ func decodeDedupResp(b []byte) (level, lo int, groups []shardIndices, err error)
 
 // adoptNode is one admitted configuration being handed to its owning
 // shard: identity (wireKey), placement (global index and depth), and
-// provenance (schedule from the root, by which the owner rematerializes
-// the configuration, verifying the key).
+// provenance — the global index of its parent and the event that steps the
+// parent into it, by which the owner rematerializes the configuration,
+// verifying the key. At depth 0 the node is the job root and the
+// provenance is unused.
 type adoptNode struct {
 	Index uint64
 	Depth uint64
 	wireKey
+	Parent uint64
+	Via    model.Event
+}
+
+// foreignParent is a parent the receiver of an adopt request does not hold
+// — it lies in a shard the receiver does not replicate — as the schedule
+// reaching it from the job root. A request lists each such parent once,
+// whatever the number of its children, in ascending index order.
+type foreignParent struct {
+	Index    uint64
 	Schedule model.Schedule
 }
 
-func encodeAdoptReq(level int, nodes []adoptNode) []byte {
-	size := 2 * binary.MaxVarintLen32
-	for _, nd := range nodes {
-		size += 2*binary.MaxVarintLen64 + wireKeySize(nd.wireKey) + binary.MaxVarintLen32
-		for _, e := range nd.Schedule {
+// appendAdoptReq frames one worker's share of a level's adopt batch.
+func appendAdoptReq(b []byte, level int, foreign []foreignParent, nodes []adoptNode) []byte {
+	size := 3 * binary.MaxVarintLen32
+	for _, fp := range foreign {
+		size += binary.MaxVarintLen64 + binary.MaxVarintLen32
+		for _, e := range fp.Schedule {
 			size += eventSize(e)
 		}
 	}
-	b := model.AppendUvarint(make([]byte, 0, size), uint64(level))
+	for _, nd := range nodes {
+		size += 3*binary.MaxVarintLen64 + wireKeySize(nd.wireKey) + eventSize(nd.Via)
+	}
+	b = model.AppendUvarint(grow(b, size), uint64(level))
+	b = model.AppendUvarint(b, uint64(len(foreign)))
+	for _, fp := range foreign {
+		b = model.AppendUvarint(b, fp.Index)
+		b = model.AppendSchedule(b, fp.Schedule)
+	}
 	b = model.AppendUvarint(b, uint64(len(nodes)))
 	for _, nd := range nodes {
 		b = model.AppendUvarint(b, nd.Index)
 		b = model.AppendUvarint(b, nd.Depth)
 		b = appendWireKey(b, nd.wireKey)
-		b = model.AppendSchedule(b, nd.Schedule)
+		b = model.AppendUvarint(b, nd.Parent)
+		b = model.AppendEvent(b, nd.Via)
 	}
 	return b
 }
 
-func decodeAdoptReq(b []byte) (level int, nodes []adoptNode, err error) {
+func decodeAdoptReq(b []byte) (level int, foreign []foreignParent, nodes []adoptNode, err error) {
 	r := reader{b: b}
 	level = r.num("adopt level")
+	foreign = make([]foreignParent, r.count("adopt foreign parent count"))
+	for i := range foreign {
+		foreign[i] = foreignParent{
+			Index:    r.uvarint("adopt foreign parent index"),
+			Schedule: consume(&r, "adopt foreign parent schedule", model.ConsumeSchedule),
+		}
+	}
 	nodes = make([]adoptNode, r.count("adopt count"))
 	for i := range nodes {
 		nodes[i] = adoptNode{
-			Index:    r.uvarint("adopt index"),
-			Depth:    r.uvarint("adopt depth"),
-			wireKey:  r.key("adopt key"),
-			Schedule: consume(&r, "adopt schedule", model.ConsumeSchedule),
+			Index:   r.uvarint("adopt index"),
+			Depth:   r.uvarint("adopt depth"),
+			wireKey: r.key("adopt key"),
+			Parent:  r.uvarint("adopt parent"),
+			Via:     consume(&r, "adopt event", model.ConsumeEvent),
 		}
 	}
-	return level, nodes, r.done("adopt")
+	return level, foreign, nodes, r.done("adopt")
 }
 
 // ownerShard maps a configuration fingerprint to its hash-range shard:

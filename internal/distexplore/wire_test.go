@@ -3,6 +3,7 @@ package distexplore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ var payloadShapes = []struct {
 	}},
 	{"expand response", frameExpandResp, func(b []byte) ([]byte, int, error) {
 		level, cands, err := decodeCandidates(b)
-		return encodeCandidates(level, cands), cap(cands), err
+		return appendCandidates(nil, level, cands), cap(cands), err
 	}},
 	{"dedup", frameDedup, func(b []byte) ([]byte, int, error) {
 		level, lo, groups, err := decodeDedupReq(b)
@@ -43,7 +44,7 @@ var payloadShapes = []struct {
 		for _, g := range groups {
 			n = max(n, cap(g.Keys))
 		}
-		return encodeDedupReq(level, lo, groups), n, err
+		return appendDedupReq(nil, level, lo, groups), n, err
 	}},
 	{"dedup response", frameDedupResp, func(b []byte) ([]byte, int, error) {
 		level, lo, groups, err := decodeDedupResp(b)
@@ -54,12 +55,12 @@ var payloadShapes = []struct {
 		return encodeDedupResp(level, lo, groups), n, err
 	}},
 	{"adopt", frameAdopt, func(b []byte) ([]byte, int, error) {
-		level, nodes, err := decodeAdoptReq(b)
-		n := cap(nodes)
-		for _, nd := range nodes {
-			n = max(n, cap(nd.Schedule))
+		level, foreign, nodes, err := decodeAdoptReq(b)
+		n := max(cap(foreign), cap(nodes))
+		for _, fp := range foreign {
+			n = max(n, cap(fp.Schedule))
 		}
-		return encodeAdoptReq(level, nodes), n, err
+		return appendAdoptReq(nil, level, foreign, nodes), n, err
 	}},
 }
 
@@ -68,11 +69,11 @@ var payloadShapes = []struct {
 // (level, count) it used to reach make([]T, 0, 1<<62) and kill the process
 // with "makeslice: cap out of range".
 var hostileCounts = [][]byte{
-	hostile(3, 1<<62),
-	hostile(3, 0, 1<<62),             // (level, lo, count)
-	hostile(3, 0, 9, 1<<62),          // (level, lo, hi, count)
-	hostile(3, 0, 1, 0, 1<<62),       // (level, lo, one group, shard, count)
-	hostile(3, 1, 0, 0, 0, 0, 1<<62), // adopt: one node with a hostile schedule length
+	hostile(3, 1<<62),          // (level, count); adopt: a hostile foreign-parent count
+	hostile(3, 0, 1<<62),       // (level, lo, count); adopt: no foreign parent, a hostile node count
+	hostile(3, 0, 9, 1<<62),    // (level, lo, hi, count)
+	hostile(3, 0, 1, 0, 1<<62), // (level, lo, one group, shard, count)
+	hostile(3, 1, 7, 1<<62),    // adopt: one foreign parent, node 7, with a hostile schedule length
 	hostile(3, 1<<40),
 }
 
@@ -146,20 +147,33 @@ func TestMixedVersionRefusedAtInit(t *testing.T) {
 	req := initReq{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}, Shards: 2, WorkerCount: 1, Replicas: 1}
 	current := req.encode()
 	versionless := current[:len(current)-1] // the version is the last uvarint, one byte
-	older := append(append([]byte(nil), versionless...), 1)
-	for name, payload := range map[string][]byte{"no version": versionless, "version 1": older} {
-		rtyp, msg := NewWorker(nil).dispatch(frameInit, payload)
-		if rtyp != frameErr || !strings.Contains(string(msg), "wire version") {
-			t.Errorf("worker, coordinator with %s: answered 0x%02x %q, want a wire-version error", name, rtyp, msg)
+	// namesBoth reports whether a refusal names the peer's version (when it
+	// sent one) and this side's.
+	namesBoth := func(msg string, peer int) bool {
+		return strings.Contains(msg, "wire version") && strings.Contains(msg, fmt.Sprintf("version %d", wireVersion)) &&
+			(peer == 0 || strings.Contains(msg, fmt.Sprintf("wire version %d", peer)))
+	}
+	for peer, name := range []string{"no version", "version 1", "version 2"} {
+		payload := versionless
+		if peer > 0 {
+			payload = append(append([]byte(nil), versionless...), byte(peer))
+		}
+		rtyp, msg := NewWorker(nil).dispatch(frameInit, payload, new([]byte))
+		if rtyp != frameErr || !namesBoth(string(msg), peer) {
+			t.Errorf("worker, coordinator with %s: answered 0x%02x %q, want a wire-version error naming both", name, rtyp, msg)
 		}
 	}
-	if rtyp, ack := NewWorker(nil).dispatch(frameInit, current); rtyp != frameOK || checkInitAck(ack) != nil {
+	if rtyp, ack := NewWorker(nil).dispatch(frameInit, current, new([]byte)); rtyp != frameOK || checkInitAck(ack) != nil {
 		t.Errorf("worker refused its own version: 0x%02x %q", rtyp, ack)
 	}
 
 	// A stand-in for another release's worker: it acknowledges every
 	// request the way that release would acknowledge init.
-	for name, ack := range map[string][]byte{"no version": nil, "version 1": {1}} {
+	for peer, name := range []string{"no version", "version 1", "version 2"} {
+		var ack []byte
+		if peer > 0 {
+			ack = []byte{byte(peer)}
+		}
 		lb := NewLoopback()
 		l, err := lb.Listen("old")
 		if err != nil {
@@ -172,11 +186,11 @@ func TestMixedVersionRefusedAtInit(t *testing.T) {
 				if err != nil {
 					return
 				}
-				for {
-					if _, _, err := readFrame(conn, time.Time{}); err != nil {
+				for f := (&framer{conn: conn}); ; {
+					if _, _, err := f.read(time.Time{}, nil); err != nil {
 						break
 					}
-					if writeFrame(conn, time.Time{}, frameOK, ack, false) != nil {
+					if f.write(time.Time{}, frameOK, ack, false) != nil {
 						break
 					}
 				}
@@ -186,8 +200,8 @@ func TestMixedVersionRefusedAtInit(t *testing.T) {
 		cl := dialCluster(t, lb, []string{"old"}, failoverOptions())
 		_, _, err = cl.Explore(Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}}, nil)
 		var we *WorkerError
-		if !errors.As(err, &we) || !strings.Contains(we.Msg, "wire version") {
-			t.Errorf("coordinator, worker with %s: want a wire-version WorkerError, got %v", name, err)
+		if !errors.As(err, &we) || !namesBoth(we.Msg, peer) {
+			t.Errorf("coordinator, worker with %s: want a wire-version WorkerError naming both, got %v", name, err)
 		}
 	}
 }
@@ -221,7 +235,7 @@ func realFrames(t testing.TB) map[byte][][]byte {
 		frames[typ] = append(frames[typ], append([]byte(nil), p...))
 		return p
 	}
-	tap.in = func(typ byte, p []byte) { frames[typ] = append(frames[typ], append([]byte(nil), p...)) }
+	tap.in = func(_ string, typ byte, p []byte) { frames[typ] = append(frames[typ], append([]byte(nil), p...)) }
 	var addrs []string
 	for _, a := range []string{"f0", "f1", "f2"} {
 		l, err := tap.Listen(a)

@@ -2,8 +2,8 @@ package distexplore
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,7 +67,7 @@ type job struct {
 	// one key namespace the expand phase probes it with the successor
 	// configuration itself. Replicas of one shard apply the same dedup
 	// batches in the same order, so their slices are identical at every
-	// chunk boundary.
+	// chunk boundary. The interner is the Worker's, emptied for this job.
 	visited *model.Interner
 
 	// frontier holds adopted-but-unexpanded nodes, keyed by depth, in
@@ -77,8 +77,8 @@ type job struct {
 
 	// levelCache keeps, by fingerprint, the successor configurations this
 	// worker computed during the current level's expansion and also
-	// replicates, so adopting them back does not pay a schedule replay (a
-	// fingerprint collision fails adopt's key comparison and replays).
+	// replicates, so adopting them back does not pay a step (a fingerprint
+	// collision fails adopt's key comparison and steps the parent).
 	// cacheLevel tracks which level the cache belongs to; a later expand at
 	// the same level (the next chunk, or a failover handing a promoted
 	// standby extra shards) accumulates into it rather than resetting.
@@ -100,7 +100,7 @@ type job struct {
 	adoptNext     uint64
 
 	// candScratch is the expand phase's candidate buffer, recycled across
-	// calls (encodeCandidates serializes it before the next reuse);
+	// calls (appendCandidates serializes it before the next reuse);
 	// succScratch is the per-node successor buffer beside it, and emitted
 	// maps a fingerprint to the candidate that first carried it in the
 	// current call.
@@ -152,6 +152,10 @@ type Worker struct {
 
 	mu  sync.Mutex
 	job *job
+	// visited backs every job's visited set in turn: frameInit empties it
+	// (the tables and one arena chunk per shard stay) instead of building
+	// another.
+	visited *model.Interner
 
 	// draining is set by Drain: every connection finishes its in-flight
 	// request, writes the response, and closes. handlers tracks live
@@ -169,7 +173,7 @@ type Worker struct {
 // Drain closes idle connections immediately but lets a connection that is
 // mid-request answer before closing.
 type connState struct {
-	conn net.Conn
+	framer
 	mu   sync.Mutex
 	busy bool
 }
@@ -180,7 +184,7 @@ func NewWorker(provider ProtocolProvider) *Worker {
 	if provider == nil {
 		provider = RegistryProvider
 	}
-	return &Worker{provider: provider}
+	return &Worker{provider: provider, visited: model.NewInterner()}
 }
 
 // workerWriteTimeout bounds response writes so a stalled coordinator
@@ -194,7 +198,7 @@ func (w *Worker) Serve(l Listener) error {
 		if err != nil {
 			return err
 		}
-		cs := &connState{conn: conn}
+		cs := &connState{framer: framer{conn: conn}}
 		w.connMu.Lock()
 		if w.conns == nil {
 			w.conns = make(map[*connState]struct{})
@@ -237,7 +241,11 @@ func (w *Worker) RequestsServed() int64 { return w.served.Load() }
 // strictly in order; the job state is locked per request because a
 // re-dialed connection may take over from a dying one. The hello frame is
 // handled here rather than in dispatch because the negotiated codec is
-// per-connection state, not job state.
+// per-connection state, not job state. So are the two payload buffers: req
+// is overwritten by the next request — dispatch copies what the job keeps —
+// and resp by the next expand response; they are the connection's, not the
+// worker's, because the dying connection may still be writing its response
+// while the re-dialed one dispatches.
 func (w *Worker) handle(cs *connState) {
 	defer w.handlers.Done()
 	defer func() {
@@ -247,9 +255,11 @@ func (w *Worker) handle(cs *connState) {
 		cs.conn.Close()
 	}()
 	compress := false
+	var req, resp []byte
 	for {
-		typ, payload, err := readFrame(cs.conn, time.Time{})
-		if err != nil {
+		var typ byte
+		var err error
+		if typ, req, err = cs.read(time.Time{}, req); err != nil {
 			return // connection gone; the coordinator will re-dial or abort
 		}
 		cs.mu.Lock()
@@ -258,12 +268,12 @@ func (w *Worker) handle(cs *connState) {
 		var rtyp byte
 		var rpayload []byte
 		if typ == frameHello {
-			rtyp, rpayload, compress = w.hello(payload)
+			rtyp, rpayload, compress = w.hello(req)
 		} else {
-			rtyp, rpayload = w.dispatch(typ, payload)
+			rtyp, rpayload = w.dispatch(typ, req, &resp)
 		}
 		w.served.Add(1)
-		werr := writeFrame(cs.conn, time.Now().Add(workerWriteTimeout), rtyp, rpayload, compress)
+		werr := cs.write(time.Now().Add(workerWriteTimeout), rtyp, rpayload, compress)
 		cs.mu.Lock()
 		cs.busy = false
 		cs.mu.Unlock()
@@ -289,8 +299,12 @@ func (w *Worker) hello(payload []byte) (byte, []byte, bool) {
 // dispatch applies one request to the worker state and returns the
 // response frame. Failures are reported as frameErr, which the
 // coordinator treats as permanent (it aborts the exploration with a
-// diagnostic rather than retrying or failing over).
-func (w *Worker) dispatch(typ byte, payload []byte) (byte, []byte) {
+// diagnostic rather than retrying or failing over). Nothing the job keeps
+// aliases payload once dispatch returns: keys are copied into the visited
+// arena and events decode their bodies into fresh strings. An expand
+// response, the one large answer, is encoded into *resp, the calling
+// connection's buffer.
+func (w *Worker) dispatch(typ byte, payload []byte, resp *[]byte) (byte, []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	fail := func(err error) (byte, []byte) { return frameErr, []byte(err.Error()) }
@@ -313,11 +327,10 @@ func (w *Worker) dispatch(typ byte, payload []byte) (byte, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		resp, err := w.expandLevel(req)
-		if err != nil {
+		if *resp, err = w.expandLevel(req, (*resp)[:0]); err != nil {
 			return fail(err)
 		}
-		return frameExpandResp, resp
+		return frameExpandResp, *resp
 
 	case frameDedup:
 		if w.job == nil {
@@ -336,11 +349,11 @@ func (w *Worker) dispatch(typ byte, payload []byte) (byte, []byte) {
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: adopt without an active job"))
 		}
-		_, nodes, err := decodeAdoptReq(payload)
+		_, foreign, nodes, err := decodeAdoptReq(payload)
 		if err != nil {
 			return fail(err)
 		}
-		if err := w.adoptNodes(nodes); err != nil {
+		if err := w.adoptNodes(foreign, nodes); err != nil {
 			return fail(err)
 		}
 		return frameOK, nil
@@ -376,6 +389,7 @@ func (w *Worker) initJob(req *initReq) error {
 			return fmt.Errorf("distexplore: applying root prefix: %w", err)
 		}
 	}
+	w.visited.Reset()
 	w.job = &job{
 		pr:          pr,
 		root:        root,
@@ -384,7 +398,7 @@ func (w *Worker) initJob(req *initReq) error {
 		workerCount: req.WorkerCount,
 		workerIndex: req.WorkerIndex,
 		replicas:    req.Replicas,
-		visited:     model.NewInterner(),
+		visited:     w.visited,
 		frontier:    make(map[int][]ownedNode),
 		levelCache:  make(map[uint64]*model.Config),
 		cacheLevel:  -1,
@@ -410,8 +424,9 @@ func (w *Worker) initJob(req *initReq) error {
 // earlier call at this level — another chunk, or the shards this worker led
 // before a failover handed it more — may have emitted the key from a larger
 // parent index than a node expanded now. Surviving successors that land in
-// a replicated shard are cached so adoption does not replay their schedules.
-func (w *Worker) expandLevel(req *expandReq) ([]byte, error) {
+// a replicated shard are cached so adoption does not step to them again. The
+// response is appended to resp.
+func (w *Worker) expandLevel(req *expandReq, resp []byte) ([]byte, error) {
 	j := w.job
 	j.pruneBelow(req.Level)
 	if j.cacheLevel != req.Level {
@@ -421,7 +436,7 @@ func (w *Worker) expandLevel(req *expandReq) ([]byte, error) {
 	want := make([]bool, j.shards)
 	for _, s := range req.Shards {
 		if s >= j.shards {
-			return nil, fmt.Errorf("distexplore: expand names shard %d of %d", s, j.shards)
+			return resp, fmt.Errorf("distexplore: expand names shard %d of %d", s, j.shards)
 		}
 		want[s] = true
 	}
@@ -451,7 +466,7 @@ func (w *Worker) expandLevel(req *expandReq) ([]byte, error) {
 		}
 	}
 	j.candScratch = cands
-	return encodeCandidates(req.Level, cands), nil
+	return appendCandidates(resp, req.Level, cands), nil
 }
 
 // dedupChunk filters per-shard batches of candidate identities against this
@@ -478,14 +493,50 @@ func (w *Worker) dedupChunk(id chunkID, groups []shardGroup) []byte {
 	return resp
 }
 
-// adoptNodes materializes admitted nodes into this worker's frontier:
-// from the expansion cache when the worker computed the configuration
-// itself this level, otherwise by replaying the node's schedule from the
-// root. Every materialization is verified against the transmitted
-// identity, so a protocol-resolution or replay divergence surfaces as a
-// loud error instead of silent state corruption.
-func (w *Worker) adoptNodes(nodes []adoptNode) error {
+// adoptNodes materializes admitted nodes into this worker's frontier: from
+// the expansion cache when the worker computed the configuration itself
+// this level, otherwise by one step from the node's parent — found in the
+// previous level's frontier when this worker replicates the parent's shard,
+// and otherwise among the foreign parents shipped with the request, each
+// replayed from the root at most once, on first use, and forgotten when the
+// request ends. The previous level is still held: pruneBelow runs on
+// requests for a level, and a level's children are adopted before anything
+// of the next level is requested. Every materialization is verified against
+// the transmitted identity, so a protocol-resolution or replay divergence
+// surfaces as a loud error instead of silent state corruption, and a parent
+// that is neither held nor shipped is an error, never a guess.
+func (w *Worker) adoptNodes(foreign []foreignParent, nodes []adoptNode) error {
 	j := w.job
+	replayed := make([]*model.Config, len(foreign))
+	// step materializes nd from where it came: the job root at depth 0,
+	// otherwise its parent stepped by the transmitted event.
+	step := func(nd adoptNode) (*model.Config, error) {
+		if nd.Depth == 0 {
+			return j.root, nil
+		}
+		var parent *model.Config
+		held := j.frontier[int(nd.Depth)-1]
+		if i, ok := sort.Find(len(held), func(i int) int { return cmp.Compare(nd.Parent, held[i].idx) }); ok {
+			parent = held[i].cfg
+		} else if i, ok := sort.Find(len(foreign), func(i int) int { return cmp.Compare(nd.Parent, foreign[i].Index) }); ok {
+			if replayed[i] == nil {
+				cfg, err := model.ApplySchedule(j.pr, j.root, foreign[i].Schedule)
+				if err != nil {
+					return nil, fmt.Errorf("distexplore: replaying schedule for node %d, parent of node %d: %w", nd.Parent, nd.Index, err)
+				}
+				replayed[i] = cfg
+			}
+			parent = replayed[i]
+		} else {
+			return nil, fmt.Errorf("distexplore: node %d: its parent, node %d, is neither in worker %d's level %d frontier nor shipped with the request",
+				nd.Index, nd.Parent, j.workerIndex, nd.Depth-1)
+		}
+		cfg, err := model.Apply(j.pr, parent, nd.Via)
+		if err != nil {
+			return nil, fmt.Errorf("distexplore: node %d integrity failure: stepping its parent, node %d, by the transmitted event: %w", nd.Index, nd.Parent, err)
+		}
+		return cfg, nil
+	}
 	for _, nd := range nodes {
 		if nd.Index < j.adoptNext {
 			continue // replayed or already backfilled; applied once
@@ -497,12 +548,11 @@ func (w *Worker) adoptNodes(nodes []adoptNode) error {
 		cfg := j.levelCache[nd.Hash]
 		if cfg == nil || !bytes.Equal(cfg.KeyBytes(), nd.Key) {
 			var err error
-			cfg, err = model.ApplySchedule(j.pr, j.root, nd.Schedule)
-			if err != nil {
-				return fmt.Errorf("distexplore: replaying schedule for node %d: %w", nd.Index, err)
+			if cfg, err = step(nd); err != nil {
+				return err
 			}
 			if !bytes.Equal(cfg.KeyBytes(), nd.Key) {
-				return fmt.Errorf("distexplore: node %d integrity failure: replayed key diverges from transmitted key (protocol mismatch between cluster members?)", nd.Index)
+				return fmt.Errorf("distexplore: node %d integrity failure: the key materialized from node %d diverges from the transmitted key (protocol mismatch between cluster members?)", nd.Index, nd.Parent)
 			}
 		}
 		if cfg.Hash() != nd.Hash {

@@ -63,6 +63,23 @@ type internEntry struct {
 // for example) cost almost nothing until they see configurations.
 func NewInterner() *Interner { return &Interner{} }
 
+// Reset empties the interner for another run: no key interned before is
+// found and IDs start over, as in a new one. Each shard keeps its table's
+// storage and its current arena chunk, so a long-lived owner — a cluster
+// worker, job after job — refills them instead of allocating them again.
+// Callers hold no reference into the arena (InternKey hands out only IDs),
+// which is what lets the chunk be overwritten.
+func (it *Interner) Reset() {
+	for i := range it.shards {
+		sh := &it.shards[i]
+		sh.mu.Lock()
+		clear(sh.buckets)
+		sh.count = 0
+		sh.arena = sh.arena[:0]
+		sh.mu.Unlock()
+	}
+}
+
 // lookupLocked scans the shard's bucket for key; sh.mu must be held.
 func (sh *internShard) lookupLocked(h uint64, key []byte) (internEntry, bool) {
 	for _, e := range sh.buckets[h] {

@@ -344,3 +344,90 @@ func TestInternerConcurrent(t *testing.T) {
 		t.Fatalf("interner Len = %d, distinct configurations = %d", it.Len(), len(distinct))
 	}
 }
+
+// TestInternerReset pins what a long-lived owner — a cluster worker, job
+// after job — relies on when it empties its visited set instead of building
+// another: after Reset nothing interned before is found, Len is zero, the
+// same keys intern as fresh with the IDs a new interner would give them, and
+// refilling costs one allocation per key (its bucket) and nothing else — no
+// arena chunk, no table. Goroutines intern concurrently on either side of
+// the reset, which under -race checks that Reset takes the shard locks.
+func TestInternerReset(t *testing.T) {
+	pr := protocols.NewNaiveMajority(3)
+	seen := map[string]bool{}
+	var cfgs []*model.Config
+	for queue := []*model.Config{model.MustInitial(pr, model.Inputs{0, 1, 1})}; len(queue) > 0 && len(cfgs) < 120; queue = queue[1:] {
+		c := queue[0]
+		if seen[c.Key()] {
+			continue
+		}
+		seen[c.Key()] = true
+		cfgs = append(cfgs, c)
+		for _, e := range model.Events(c) {
+			if nc := model.Expand(pr, c, e); nc != nil {
+				queue = append(queue, nc)
+			}
+		}
+	}
+	internAll := func(it *model.Interner) []uint64 {
+		ids := make([]uint64, len(cfgs))
+		for i, c := range cfgs {
+			var fresh bool
+			if ids[i], fresh = it.InternKey(c.Hash(), c.KeyBytes()); !fresh {
+				t.Fatalf("configuration %d reported as seen", i)
+			}
+		}
+		return ids
+	}
+
+	it := model.NewInterner()
+	first := internAll(it)
+	it.Reset()
+	if it.Len() != 0 {
+		t.Fatalf("Len = %d after Reset, want 0", it.Len())
+	}
+	for i, c := range cfgs {
+		if _, ok := it.Lookup(c); ok {
+			t.Fatalf("configuration %d interned before Reset is still found", i)
+		}
+	}
+	for i, id := range internAll(it) {
+		if id != first[i] {
+			t.Fatalf("configuration %d got ID %d after Reset, %d in a new interner", i, id, first[i])
+		}
+	}
+	if it.Len() != len(cfgs) {
+		t.Fatalf("Len = %d after refilling, want %d", it.Len(), len(cfgs))
+	}
+
+	refill := testing.AllocsPerRun(20, func() { it.Reset(); internAll(it) })
+	fresh := testing.AllocsPerRun(20, func() { internAll(model.NewInterner()) })
+	// internAll allocates its ID slice; every key allocates its bucket.
+	if limit := float64(len(cfgs) + 1); refill > limit {
+		t.Errorf("refilling after Reset allocates %.0f times for %d keys, want at most %.0f", refill, len(cfgs), limit)
+	}
+	if fresh <= refill {
+		t.Errorf("a new interner allocates %.0f times, a reset one %.0f: Reset keeps nothing", fresh, refill)
+	}
+
+	concurrently := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range cfgs {
+					c := cfgs[(i+g*17)%len(cfgs)]
+					it.InternKey(c.Hash(), c.KeyBytes())
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	concurrently()
+	it.Reset()
+	concurrently()
+	if it.Len() != len(cfgs) {
+		t.Fatalf("Len = %d after concurrent refill, want %d", it.Len(), len(cfgs))
+	}
+}

@@ -15,9 +15,10 @@ import (
 // visible to the model), so a configuration is transmitted as identity plus
 // provenance — its binary canonical key, Config.KeyBytes (the identity
 // every visited-set decision is made on, here as in process), and the
-// Schedule that reaches it from the root. Any party holding the protocol
-// and the root can rematerialize the configuration by replaying the
-// schedule, and verify the result against the transmitted key. This keeps
+// Event that steps its parent into it, or for a parent the receiver does
+// not hold, the Schedule that reaches it from the root. Any party holding
+// the protocol and the parent (or the root) can rematerialize the
+// configuration, and verify the result against the transmitted key. This keeps
 // the wire format protocol-agnostic: nothing here needs to change when a
 // new Protocol implementation is added.
 //

@@ -102,10 +102,12 @@ func renderLabels(names, values []string) string {
 	return sb.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value for the exposition format. A Replacer
+// is safe for concurrent use, and building one per label was most of what
+// With cost.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // WriteTo renders every family in the text exposition format. Series
 // within a family are sorted by label rendering so output is stable.
