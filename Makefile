@@ -31,11 +31,11 @@ test-dist:
 # Fault injection under the race detector: the scripted kill sweep
 # (every worker × every level), kills inside a chunked level (on the adopt
 # batch that opens it and on an expand request), mixed-fault chaos seeds,
-# compression negotiation, the R=1 abort contract, coordinator kills at
-# every level boundary with checkpoint resume, and worker rejoin — the
-# recovery half of the byte-identical guarantee.
+# the R=1 abort contract, coordinator kills at every level boundary with
+# checkpoint resume, and worker rejoin — the recovery half of the
+# byte-identical guarantee.
 test-chaos:
-	$(GO) test -race -count=1 -run 'TestFailover|TestKillInside|TestReplicasOne|TestChaos|TestCompression|TestInterrupt|TestWorkerDrain|TestWorkerLost|TestRetryAfterConnLoss|TestCheckpoint|TestRejoin|TestLostShard' ./internal/distexplore
+	$(GO) test -race -count=1 -run 'TestFailover|TestKillInside|TestReplicasOne|TestChaos|TestInterrupt|TestWorkerDrain|TestWorkerLost|TestRetryAfterConnLoss|TestCheckpoint|TestRejoin|TestLostShard' ./internal/distexplore
 
 test-short:
 	$(GO) test -short ./...
@@ -61,12 +61,16 @@ serve:
 
 FUZZTIME ?= 30s
 
-# Native fuzzing: the configuration key/hash contract, and every payload
+# Native fuzzing: the configuration key/hash contract, every payload
 # decoder of the cluster protocol (error, or re-encodes to the same bytes;
-# never a panic, never a slice sized past the payload).
+# never a panic, never a slice sized past the payload), and the two disk
+# decoders, atlas artifacts and run checkpoints (corrupt error, or
+# re-encodes to equal columns; never a panic, never a column past the input).
 fuzz:
 	$(GO) test ./internal/model -fuzz FuzzConfigKeyHash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/distexplore -run '^$$' -fuzz FuzzWirePayloads -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/atlasstore -run '^$$' -fuzz FuzzDecodeArtifact -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/atlasstore -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME)
 
 # Cross-engine conformance fuzzing: random generated protocols through
 # sequential, parallel, distributed (fault-free and under a scripted

@@ -12,8 +12,7 @@
 //	flpcluster explore -cluster 127.0.0.1:9001,127.0.0.1:9002 \
 //	    -protocol naivemajority -n 3 -inputs 0,1,1 -shards 8 -replicas 2
 //	    run a distributed reachability census against live workers;
-//	    -chaos injects a deterministic fault plan, -compress negotiates
-//	    wire-level frame compression
+//	    -chaos injects a deterministic fault plan
 //
 //	flpcluster selftest -workers 3 -shards 6 -replicas 2
 //	    spin up an in-process loopback cluster and verify its results
@@ -58,7 +57,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: flpcluster <worker|explore|selftest> [flags]")
 	fmt.Fprintln(os.Stderr, "  flpcluster worker   -listen 127.0.0.1:9001")
-	fmt.Fprintln(os.Stderr, "  flpcluster explore  -cluster host:port,host:port -protocol naivemajority -n 3 [-inputs 0,1,1|all] [-shards S] [-replicas R] [-compress] [-compress-force] [-chaos spec] [-checkpoint-dir D [-resume]] [-rejoin-wait DUR] [-kill-at-level L]")
+	fmt.Fprintln(os.Stderr, "  flpcluster explore  -cluster host:port,host:port -protocol naivemajority -n 3 [-inputs 0,1,1|all] [-shards S] [-replicas R] [-chaos spec] [-checkpoint-dir D [-resume]] [-rejoin-wait DUR] [-kill-at-level L]")
 	fmt.Fprintln(os.Stderr, "  flpcluster selftest [-workers 3] [-shards 6] [-replicas 2] [-protocol naivemajority] [-n 3] [-budget B]")
 	fmt.Fprintln(os.Stderr, "  chaos spec: comma-separated keys seed=N drop=P delay=P delayfor=DUR trunc=P kill=WORKER@LEVEL")
 	os.Exit(2)
@@ -106,21 +105,19 @@ func isClosedErr(err error) bool {
 func runExplore(args []string) {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	var (
-		cluster       = fs.String("cluster", "", "comma-separated worker addresses (required)")
-		name          = fs.String("protocol", "naivemajority", "protocol to explore")
-		n             = fs.Int("n", 3, "number of processes")
-		inputs        = fs.String("inputs", "all", "input vector like 0,1,1 — or 'all' for a census over every vector")
-		shards        = fs.Int("shards", 0, "visited-set shards (0 = one per worker)")
-		replicas      = fs.Int("replicas", 0, "replicas per shard (0 = default 2; 1 disables failover)")
-		budget        = fs.Int("budget", 0, "max configurations per exploration (0 = default)")
-		depth         = fs.Int("depth", 0, "max schedule depth (0 = unlimited)")
-		compress      = fs.Bool("compress", false, "offer wire-level frame compression (adaptive: skipped on in-process transports)")
-		compressForce = fs.Bool("compress-force", false, "negotiate frame compression regardless of transport locality")
-		chaos         = fs.String("chaos", "", "deterministic fault plan, e.g. seed=1,drop=0.02,kill=1@3")
-		ckDir         = fs.String("checkpoint-dir", "", "directory for durable level-boundary checkpoints ('' = checkpointing off)")
-		resume        = fs.Bool("resume", false, "restart from the newest matching checkpoint in -checkpoint-dir instead of from scratch")
-		rejoinWait    = fs.Duration("rejoin-wait", 0, "how long to wait for a replacement worker when a shard loses its last replica (0 = abort immediately)")
-		killAtLevel   = fs.Int("kill-at-level", 0, "SIGKILL this coordinator right after writing the level-N boundary checkpoint (crash injection for recovery drills)")
+		cluster     = fs.String("cluster", "", "comma-separated worker addresses (required)")
+		name        = fs.String("protocol", "naivemajority", "protocol to explore")
+		n           = fs.Int("n", 3, "number of processes")
+		inputs      = fs.String("inputs", "all", "input vector like 0,1,1 — or 'all' for a census over every vector")
+		shards      = fs.Int("shards", 0, "visited-set shards (0 = one per worker)")
+		replicas    = fs.Int("replicas", 0, "replicas per shard (0 = default 2; 1 disables failover)")
+		budget      = fs.Int("budget", 0, "max configurations per exploration (0 = default)")
+		depth       = fs.Int("depth", 0, "max schedule depth (0 = unlimited)")
+		chaos       = fs.String("chaos", "", "deterministic fault plan, e.g. seed=1,drop=0.02,kill=1@3")
+		ckDir       = fs.String("checkpoint-dir", "", "directory for durable level-boundary checkpoints ('' = checkpointing off)")
+		resume      = fs.Bool("resume", false, "restart from the newest matching checkpoint in -checkpoint-dir instead of from scratch")
+		rejoinWait  = fs.Duration("rejoin-wait", 0, "how long to wait for a replacement worker when a shard loses its last replica (0 = abort immediately)")
+		killAtLevel = fs.Int("kill-at-level", 0, "SIGKILL this coordinator right after writing the level-N boundary checkpoint (crash injection for recovery drills)")
 	)
 	fs.Parse(args)
 	if *cluster == "" {
@@ -148,9 +145,7 @@ func runExplore(args []string) {
 			fmt.Fprintf(os.Stderr, "flpcluster: "+format+"\n", args...)
 		})
 	}
-	cl, err := distexplore.Dial(tr, addrs, distexplore.RPCOptions{
-		Compress: *compress, CompressForce: *compressForce, RejoinWait: *rejoinWait,
-	})
+	cl, err := distexplore.Dial(tr, addrs, distexplore.RPCOptions{RejoinWait: *rejoinWait})
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -27,10 +27,18 @@ func keyedColumn(events *[]model.Event, idx map[string]int32, evs []model.Event)
 	return out
 }
 
-// registrySnapshot explores a registry protocol at three processes (four
-// where it needs them) under a budget and returns what the store would
-// persist.
+// registrySnapshot explores a registry protocol from registryRoot under a
+// budget and returns what the store would persist.
 func registrySnapshot(t testing.TB, name string) (model.Protocol, *model.Config, *explore.AtlasSnapshot) {
+	pr, root := registryRoot(t, name)
+	b := explore.NewAtlasBuilder(pr, root)
+	b.Extend(explore.Options{MaxConfigs: 2000})
+	return pr, root, b.Snapshot()
+}
+
+// registryRoot instantiates a registry protocol at three processes (four
+// where it needs them) with alternating inputs.
+func registryRoot(t testing.TB, name string) (model.Protocol, *model.Config) {
 	factory, _ := protocols.Lookup(name)
 	pr, err := factory(3)
 	if err != nil {
@@ -42,10 +50,7 @@ func registrySnapshot(t testing.TB, name string) (model.Protocol, *model.Config,
 	for p := range in {
 		in[p] = model.Value(p & 1)
 	}
-	root := model.MustInitial(pr, in)
-	b := explore.NewAtlasBuilder(pr, root)
-	b.Extend(explore.Options{MaxConfigs: 2000})
-	return pr, root, b.Snapshot()
+	return pr, model.MustInitial(pr, in)
 }
 
 // TestEventDictBytesUnchanged holds the event dictionary of every registry

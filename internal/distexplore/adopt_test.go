@@ -206,7 +206,6 @@ func TestAdoptionIsOneStepThroughBackfill(t *testing.T) {
 		var ft *FaultyTransport
 		opt := failoverOptions()
 		opt.RejoinWait = 15 * time.Second
-		opt.RejoinPoll = 5 * time.Millisecond
 		cl, audit := countedCluster(t, task.Protocol, task.N, func(tr Transport) Transport {
 			ft = NewFaultyTransport(tr, FaultPlan{KillAddr: "a1", KillLevel: 2})
 			return ft

@@ -195,7 +195,6 @@ func TestRejoinInsideChunkedLevel(t *testing.T) {
 	addrs, listeners := startWorkers(t, ft, workers)
 	opt := failoverOptions()
 	opt.RejoinWait = 15 * time.Second
-	opt.RejoinPoll = 5 * time.Millisecond
 	cl := dialCluster(t, ft, addrs, opt)
 	distC, distV, dist := distStream(t, cl, task)
 	compareStreams(t, "rejoin-inside-chunked-level", seqC, seqV, seq, distC, distV, dist)

@@ -28,33 +28,10 @@ type RPCOptions struct {
 	// reported errors are permanent and never retried. Default 2.
 	Retries int
 	// RetryBackoff is the base of the retry backoff: the backoff ceiling
-	// doubles from it on each attempt. Default 50ms.
+	// doubles from it on each attempt, up to maxRetryBackoff (or
+	// RetryBackoff, if larger). It is also the interval between
+	// replacement-worker dial attempts during a RejoinWait. Default 50ms.
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the backoff ceiling so repeated retries never
-	// sleep unboundedly long. Default 2s.
-	RetryBackoffMax time.Duration
-	// Seed seeds the per-worker PRNGs behind retry jitter (full jitter:
-	// each retry sleeps uniform in [0, ceiling)). A fixed seed keeps
-	// retry schedules reproducible in tests; distinct coordinator seeds
-	// keep real clusters from synchronizing their retries. 0 means seed 1.
-	Seed int64
-	// Compress offers wire-level frame compression in the per-connection
-	// hello exchange. Workers that accept it receive and send large frames
-	// deflated; a peer that answers the hello with an error gets plain
-	// frames.
-	//
-	// The offer is adaptive: on transports that declare themselves
-	// in-process (InProcessTransport — loopback, and fault wrappers
-	// around it), Compress is ignored and frames stay plain, because
-	// deflating bytes that never leave the process is pure CPU loss
-	// (302ms compressed vs 183ms plain on a loopback failover run). Real
-	// network transports (TCP) negotiate as before.
-	Compress bool
-	// CompressForce negotiates compression regardless of the transport's
-	// locality — the override for measuring compression itself (the
-	// differential tests) or for an in-process transport proxying to
-	// somewhere expensive after all.
-	CompressForce bool
 	// RejoinWait, when positive, converts a shard-coverage loss (every
 	// replica of some shard dead) from a hard abort into a bounded wait: the
 	// coordinator polls the dead workers' addresses until a replacement
@@ -65,13 +42,11 @@ type RPCOptions struct {
 	// aborts with the usual coverage-loss diagnostic, extended with how long
 	// it waited. 0 (the default) preserves the abort-immediately behaviour.
 	RejoinWait time.Duration
-	// RejoinPoll is the interval between replacement-worker dial attempts
-	// during a RejoinWait. Default 100ms.
-	RejoinPoll time.Duration
-	// Provider resolves protocol names at the coordinator; it must agree
-	// with the workers' provider. Default: the built-in registry.
-	Provider ProtocolProvider
 }
+
+// maxRetryBackoff caps the retry backoff ceiling so repeated retries never
+// sleep unboundedly long.
+const maxRetryBackoff = 2 * time.Second
 
 func (o RPCOptions) withDefaults() RPCOptions {
 	if o.RPCTimeout <= 0 {
@@ -87,21 +62,6 @@ func (o RPCOptions) withDefaults() RPCOptions {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = 2 * time.Second
-	}
-	if o.RetryBackoffMax < o.RetryBackoff {
-		o.RetryBackoffMax = o.RetryBackoff
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.RejoinPoll <= 0 {
-		o.RejoinPoll = 100 * time.Millisecond
-	}
-	if o.Provider == nil {
-		o.Provider = RegistryProvider
 	}
 	return o
 }
@@ -128,8 +88,8 @@ func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Dur
 // Task describes one distributed exploration: everything a worker needs to
 // reconstruct the job locally, plus the exploration bounds.
 type Task struct {
-	// Protocol and N name the protocol instance; both coordinator and
-	// workers resolve it through their providers.
+	// Protocol and N name the protocol instance; the coordinator resolves
+	// it through RegistryProvider, each worker through its own provider.
 	Protocol string
 	N        int
 	// Inputs are the initial values defining the root configuration.
@@ -201,17 +161,15 @@ var ErrInterrupted = errors.New("distexplore: exploration interrupted at a level
 
 // workerConn is the coordinator's view of one worker: its address, the
 // current connection (nil while down; re-dialed on demand after failures),
-// the compression agreement negotiated on that connection, and the worker's
-// private jitter PRNG (calls to one worker are serialized, so no lock). req
-// is the buffer its dedup and adopt requests are encoded into: phases never
-// overlap and one returns only after its calls have, so each overwrites the
-// last.
+// and the worker's private jitter PRNG (calls to one worker are serialized,
+// so no lock). req is the buffer its dedup and adopt requests are encoded
+// into: phases never overlap and one returns only after its calls have, so
+// each overwrites the last.
 type workerConn struct {
 	addr string
 	framer
-	compress bool
-	rng      *rand.Rand
-	req      []byte
+	rng *rand.Rand
+	req []byte
 }
 
 // Cluster is a coordinator's handle on a set of workers. It drives the
@@ -266,9 +224,11 @@ func Dial(tr Transport, addrs []string, opt RPCOptions) (*Cluster, error) {
 	}
 	cl := &Cluster{tr: tr, opt: opt.withDefaults()}
 	for i, a := range addrs {
+		// Worker i's retry jitter comes from its own PRNG seeded 1+i, so a
+		// retry schedule replays exactly.
 		cl.workers = append(cl.workers, &workerConn{
 			addr: a,
-			rng:  rand.New(rand.NewSource(cl.opt.Seed + int64(i))),
+			rng:  rand.New(rand.NewSource(1 + int64(i))),
 		})
 	}
 	for i := range cl.workers {
@@ -308,44 +268,7 @@ func (cl *Cluster) redial(w int) error {
 		return fmt.Errorf("distexplore: dialing worker %d (%s): %w", w, wc.addr, err)
 	}
 	wc.conn = c
-	wc.compress = false
-	if cl.opt.CompressForce || (cl.opt.Compress && !transportInProcess(cl.tr)) {
-		ok, err := negotiateCompression(&wc.framer, cl.opt.RPCTimeout)
-		if err != nil {
-			c.Close()
-			wc.conn = nil
-			return fmt.Errorf("distexplore: hello exchange with worker %d (%s): %w", w, wc.addr, err)
-		}
-		wc.compress = ok
-	}
 	return nil
-}
-
-// negotiateCompression runs the hello exchange on a fresh connection and
-// reports whether the peer accepted the flate codec. A frameErr answer
-// means the peer predates the hello frame; that is not an error — the
-// connection continues with plain frames.
-func negotiateCompression(f *framer, timeout time.Duration) (bool, error) {
-	deadline := time.Now().Add(timeout)
-	if err := f.write(deadline, frameHello, encodeHello([]string{codecFlate}), false); err != nil {
-		return false, err
-	}
-	rtyp, rpayload, err := f.read(deadline, nil)
-	if err != nil {
-		return false, err
-	}
-	switch rtyp {
-	case frameHelloResp:
-		codec, _, err := model.ConsumeString(rpayload)
-		if err != nil {
-			return false, fmt.Errorf("bad hello response: %w", err)
-		}
-		return codec == codecFlate, nil
-	case frameErr:
-		return false, nil // old peer: no hello frame, no compression
-	default:
-		return false, fmt.Errorf("unexpected hello response frame 0x%02x", rtyp)
-	}
 }
 
 // call performs one RPC against worker w: bounded retries with capped,
@@ -361,7 +284,7 @@ func (cl *Cluster) call(w int, typ byte, payload []byte) (byte, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cl.opt.Retries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(backoffDelay(cl.opt.RetryBackoff, cl.opt.RetryBackoffMax, attempt, wc.rng))
+			time.Sleep(backoffDelay(cl.opt.RetryBackoff, max(maxRetryBackoff, cl.opt.RetryBackoff), attempt, wc.rng))
 		}
 		if wc.conn == nil {
 			if lastErr = cl.redial(w); lastErr != nil {
@@ -369,7 +292,7 @@ func (cl *Cluster) call(w int, typ byte, payload []byte) (byte, []byte, error) {
 			}
 		}
 		deadline := time.Now().Add(cl.opt.RPCTimeout)
-		if err := wc.write(deadline, typ, payload, wc.compress); err != nil {
+		if err := wc.write(deadline, typ, payload); err != nil {
 			lastErr = err
 			wc.conn.Close()
 			wc.conn = nil
@@ -768,7 +691,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 		rs.ckDesc = "checkpointing disabled"
 	}
 
-	pr, err := cl.opt.Provider(t.Protocol, t.N)
+	pr, err := RegistryProvider(t.Protocol, t.N)
 	if err != nil {
 		return false, 0, err
 	}
@@ -881,8 +804,8 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	}
 
 	// rejoinShard waits up to RejoinWait for a replacement process to
-	// answer on a dead replica's address, then re-initializes and backfills
-	// it. Reviving is safe precisely because the replacement is rebuilt
+	// answer on a dead replica's address, dialing every RetryBackoff, then
+	// re-initializes and backfills it. Reviving is safe precisely because the replacement is rebuilt
 	// from scratch: frameInit discards whatever stale state the address
 	// held, and the backfill re-derives live-replica state from the
 	// coordinator's own admitted table.
@@ -906,7 +829,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 			if time.Now().After(deadline) {
 				return false
 			}
-			time.Sleep(cl.opt.RejoinPoll)
+			time.Sleep(cl.opt.RetryBackoff)
 		}
 	}
 

@@ -84,9 +84,8 @@
 // either with a seeded, deterministic fault plan — dropped connections,
 // delayed or truncated frames, a scripted worker kill at a scripted level
 // — which is how the failover tests prove the byte-identical contract
-// under failure. Frames above a size threshold may be deflate-compressed
-// when the per-connection hello exchange negotiates it (compress.go). There
-// is one payload format (wire.go): the init exchange carries its version
+// under failure. Frames go out as they are encoded, with nothing negotiated
+// per connection. There is one payload format (wire.go): the init exchange carries its version
 // both ways and refuses a member that speaks another, and every decoder
 // bounds the counts it reads by the bytes that remain, so a corrupt frame
 // is an error answer (a WorkerError at the coordinator), never a panic.

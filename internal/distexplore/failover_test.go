@@ -211,153 +211,6 @@ func TestChaosNeverWrong(t *testing.T) {
 	}
 }
 
-// TestCompressionDifferential negotiates frame compression and checks the
-// results are still byte-identical — compression must be invisible above
-// the wire. TCP exercises the real socket framing.
-func TestCompressionDifferential(t *testing.T) {
-	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
-		Options: explore.Options{MaxConfigs: 400}, Shards: 3, Replicas: 2}
-	seqC, seqV, seq := seqStream(t, task)
-	for _, tr := range []struct {
-		name string
-		tr   Transport
-	}{{"loopback", NewLoopback()}, {"tcp", TCP{}}} {
-		t.Run(tr.name, func(t *testing.T) {
-			names := []string{"z0", "z1", "z2"}
-			if tr.name == "tcp" {
-				names = []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
-			}
-			addrs, _ := startWorkers(t, tr.tr, names)
-			// Loopback must force: adaptive negotiation correctly declines
-			// compression in-process, and this test is about the codec, not
-			// the policy. The TCP leg uses plain Compress, doubling as a
-			// check that real network transports still negotiate.
-			opt := RPCOptions{Compress: true}
-			if tr.name == "loopback" {
-				opt = RPCOptions{CompressForce: true}
-			}
-			cl := dialCluster(t, tr.tr, addrs, opt)
-			for i, wc := range cl.workers {
-				if !wc.compress {
-					t.Fatalf("worker %d did not negotiate compression on %s", i, tr.name)
-				}
-			}
-			distC, distV, dist := distStream(t, cl, task)
-			compareStreams(t, "compress-"+tr.name, seqC, seqV, seq, distC, distV, dist)
-		})
-	}
-}
-
-// TestCompressionWithFailover composes the two new mechanisms: compressed
-// frames and a scripted kill. The fault injector must see through the
-// compressed level prefix, and the promoted standby must negotiate its own
-// compressed connection.
-func TestCompressionWithFailover(t *testing.T) {
-	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
-		Options: explore.Options{MaxConfigs: 300}, Shards: 4, Replicas: 2}
-	seqC, seqV, seq := seqStream(t, task)
-	workers := []string{"c0", "c1", "c2"}
-	ft := NewFaultyTransport(NewLoopback(), FaultPlan{KillAddr: workers[2], KillLevel: 2})
-	addrs, _ := startWorkers(t, ft, workers)
-	opt := failoverOptions()
-	opt.CompressForce = true // loopback: adaptive negotiation would decline
-	cl := dialCluster(t, ft, addrs, opt)
-	distC, distV, dist := distStream(t, cl, task)
-	compareStreams(t, "compress-failover", seqC, seqV, seq, distC, distV, dist)
-}
-
-// TestAdaptiveCompressionLoopback pins the adaptive policy: Compress on an
-// in-process transport (loopback, bare or wrapped in a fault injector)
-// never negotiates — every connection stays plain — while CompressForce
-// overrides, and redials after a severed connection stay plain too. This
-// is the regression test for the loopback compression loss (compression
-// is pure CPU cost when bytes never leave the process).
-func TestAdaptiveCompressionLoopback(t *testing.T) {
-	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
-		Options: explore.Options{MaxConfigs: 300}, Shards: 3, Replicas: 2}
-
-	t.Run("bare", func(t *testing.T) {
-		lb := NewLoopback()
-		addrs, _ := startWorkers(t, lb, []string{"a0", "a1", "a2"})
-		cl := dialCluster(t, lb, addrs, RPCOptions{Compress: true})
-		for i, wc := range cl.workers {
-			if wc.compress {
-				t.Fatalf("worker %d negotiated compression on loopback", i)
-			}
-		}
-		if _, _, err := cl.Explore(task, nil); err != nil {
-			t.Fatalf("explore: %v", err)
-		}
-		for i, wc := range cl.workers {
-			if wc.compress {
-				t.Fatalf("worker %d compressed after exploration (redial negotiated?)", i)
-			}
-		}
-	})
-
-	t.Run("wrapped", func(t *testing.T) {
-		// The fault injector drops connections, forcing redials; and it
-		// delegates InProcess to the loopback it wraps, so every redial
-		// must also decline to negotiate.
-		ft := NewFaultyTransport(NewLoopback(), FaultPlan{Seed: 3, DropProb: 0.05})
-		if !transportInProcess(ft) {
-			t.Fatal("fault-wrapped loopback does not report in-process")
-		}
-		addrs, _ := startWorkers(t, ft, []string{"b0", "b1", "b2"})
-		opt := failoverOptions()
-		opt.Compress = true
-		opt.RPCTimeout = 500 * time.Millisecond
-		opt.Retries = 6
-		cl := dialCluster(t, ft, addrs, opt)
-		if _, _, err := cl.Explore(task, nil); err != nil {
-			t.Logf("explore aborted loudly under faults (acceptable): %v", err)
-		}
-		for i, wc := range cl.workers {
-			if wc.compress {
-				t.Fatalf("worker %d negotiated compression through the fault wrapper", i)
-			}
-		}
-	})
-
-	t.Run("force", func(t *testing.T) {
-		lb := NewLoopback()
-		addrs, _ := startWorkers(t, lb, []string{"f0", "f1", "f2"})
-		cl := dialCluster(t, lb, addrs, RPCOptions{CompressForce: true})
-		for i, wc := range cl.workers {
-			if !wc.compress {
-				t.Fatalf("worker %d: CompressForce did not negotiate on loopback", i)
-			}
-		}
-	})
-
-	t.Run("tcp-still-negotiates", func(t *testing.T) {
-		addrs, _ := startWorkers(t, TCP{}, []string{"127.0.0.1:0"})
-		cl := dialCluster(t, TCP{}, addrs, RPCOptions{Compress: true})
-		if !cl.workers[0].compress {
-			t.Fatal("TCP with Compress did not negotiate compression")
-		}
-	})
-}
-
-// TestChooseCodec pins the hello negotiation table, including the
-// old-peer/unknown-codec fallbacks to plain frames.
-func TestChooseCodec(t *testing.T) {
-	for _, tc := range []struct {
-		offered []string
-		want    string
-	}{
-		{nil, ""},
-		{[]string{}, ""},
-		{[]string{codecFlate}, codecFlate},
-		{[]string{"zstd-nonexistent"}, ""},
-		{[]string{"zstd-nonexistent", codecFlate}, codecFlate},
-	} {
-		if got := chooseCodec(tc.offered); got != tc.want {
-			t.Errorf("chooseCodec(%v) = %q, want %q", tc.offered, got, tc.want)
-		}
-	}
-}
-
 // TestBackoffDelay pins the retry backoff's shape: full jitter within a
 // capped exponential ceiling, deterministic per seed, and actually jittered
 // (not a constant).

@@ -102,10 +102,6 @@ func NewFaultyTransport(inner Transport, plan FaultPlan) *FaultyTransport {
 // handling lives.
 func (ft *FaultyTransport) Listen(addr string) (Listener, error) { return ft.inner.Listen(addr) }
 
-// InProcess implements InProcessTransport by asking the wrapped
-// transport: injecting faults does not move the bytes off-machine.
-func (ft *FaultyTransport) InProcess() bool { return transportInProcess(ft.inner) }
-
 // Dial implements Transport. Dials to a killed worker fail, exactly as
 // dials to a crashed process would.
 func (ft *FaultyTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
@@ -260,25 +256,15 @@ func (fc *faultConn) deliver(frame []byte) error {
 }
 
 // frameLevel extracts the level prefix from request frames that carry one
-// (expand, dedup, adopt), inflating compressed payloads first. Frames
-// without a level — init, hello, shutdown, responses — report false.
+// (expand, dedup, adopt). Frames without a level — init, shutdown,
+// responses — report false.
 func frameLevel(frame []byte) (int, bool) {
-	typ := frame[4]
-	payload := frame[5:]
-	if typ&frameCompressedBit != 0 {
-		raw, err := inflate(payload)
-		if err != nil {
-			return 0, false
-		}
-		typ &^= frameCompressedBit
-		payload = raw
-	}
-	switch typ {
+	switch frame[4] {
 	case frameExpand, frameDedup, frameAdopt:
 	default:
 		return 0, false
 	}
-	level, _, err := consumeUvarintPrefix(payload)
+	level, _, err := consumeUvarintPrefix(frame[5:])
 	if err != nil {
 		return 0, false
 	}

@@ -25,20 +25,13 @@ const (
 	frameDedup    byte = 0x03 // dedup candidates against the worker's visited shards
 	frameAdopt    byte = 0x04 // adopt admitted nodes into the worker's frontier
 	frameShutdown byte = 0x05 // end the job, releasing worker state
-	frameHello    byte = 0x06 // capability negotiation; payload lists offered codecs
 
 	frameOK         byte = 0x81 // empty acknowledgement
 	frameErr        byte = 0x82 // worker-side failure; payload is the message
 	frameExpandResp byte = 0x83
 	frameDedupResp  byte = 0x84
-	frameHelloResp  byte = 0x85 // payload is the accepted codec name ("" = none)
 
-	// frameCompressedBit marks a frame whose payload is compressed with the
-	// negotiated codec; the receiver strips the bit after inflating. The
-	// bit is only ever set after a successful hello exchange, so a peer
-	// that has never heard of compression also never sees it — which is the
-	// whole interop story (see compress.go).
-	frameCompressedBit byte = 0x40
+	// Reserved: 0x06/0x85 and flag bit 0x40 were a codec handshake removed in PR 25; older peers still send 0x06.
 )
 
 // maxFramePayload guards against corrupt length prefixes allocating
@@ -54,17 +47,8 @@ type framer struct {
 	rhdr, whdr [5]byte
 }
 
-// write sends one frame, honouring the deadline (zero means none). When
-// compress is true and the payload clears the size threshold, the payload
-// is deflated and the frame marked with frameCompressedBit — only if
-// compression actually wins; incompressible payloads go out raw.
-func (f *framer) write(deadline time.Time, typ byte, payload []byte, compress bool) error {
-	if compress && len(payload) >= compressThreshold {
-		if z, err := deflate(payload); err == nil && len(z) < len(payload) {
-			typ |= frameCompressedBit
-			payload = z
-		}
-	}
+// write sends one frame, honouring the deadline (zero means none).
+func (f *framer) write(deadline time.Time, typ byte, payload []byte) error {
 	if err := f.conn.SetWriteDeadline(deadline); err != nil {
 		return err
 	}
@@ -102,13 +86,6 @@ func (f *framer) read(deadline time.Time, buf []byte) (byte, []byte, error) {
 	payload := buf[:n]
 	if _, err := io.ReadFull(f.conn, payload); err != nil {
 		return 0, nil, err
-	}
-	if typ&frameCompressedBit != 0 {
-		raw, err := inflate(payload)
-		if err != nil {
-			return 0, nil, fmt.Errorf("distexplore: inflating frame 0x%02x: %w", typ, err)
-		}
-		return typ &^ frameCompressedBit, raw, nil
 	}
 	return typ, payload, nil
 }

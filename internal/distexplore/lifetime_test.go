@@ -56,8 +56,6 @@ type stallTransport struct {
 	retried []byte // the next expand response from addr: the same request, answered again
 }
 
-func (st *stallTransport) InProcess() bool { return transportInProcess(st.Transport) }
-
 func (st *stallTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	c, err := st.Transport.Dial(addr, timeout)
 	if err != nil || addr != st.addr {

@@ -254,7 +254,6 @@ func TestRejoinReplacementWorker(t *testing.T) {
 	addrs, _ := startWorkers(t, ft, workers)
 	opt := failoverOptions()
 	opt.RejoinWait = 15 * time.Second
-	opt.RejoinPoll = 5 * time.Millisecond
 	cl := dialCluster(t, ft, addrs, opt)
 
 	// The replacement arrives 250ms after the kill window opens. The worker
@@ -282,7 +281,6 @@ func TestRejoinTimeoutDiagnostic(t *testing.T) {
 	addrs, _ := startWorkers(t, ft, workers)
 	opt := failoverOptions()
 	opt.RejoinWait = 200 * time.Millisecond
-	opt.RejoinPoll = 10 * time.Millisecond
 	cl := dialCluster(t, ft, addrs, opt)
 	_, _, err := cl.Explore(task, nil)
 	if err == nil {

@@ -21,10 +21,6 @@ type frameTap struct {
 	in  func(addr string, typ byte, payload []byte)
 }
 
-// InProcess forwards the wrapped transport's locality, so tapping Loopback
-// does not switch frame compression on.
-func (ft *frameTap) InProcess() bool { return transportInProcess(ft.Transport) }
-
 func (ft *frameTap) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	c, err := ft.Transport.Dial(addr, timeout)
 	if err != nil {

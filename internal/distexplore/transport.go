@@ -29,23 +29,12 @@ type Listener interface {
 }
 
 // InProcessTransport marks transports whose connections never cross a
-// machine boundary — bytes move through memory, so wire size is free and
-// frame compression is pure CPU loss (measured once on a loopback failover
-// run: 302ms compressed vs 183ms plain). The coordinator consults
-// this marker to decide whether Compress should actually negotiate; see
-// RPCOptions.Compress and CompressForce. Wrapping transports (fault
-// injectors) implement it by delegating to what they wrap.
+// machine boundary. Nothing in this package consults it any more; it and
+// (*Loopback).InProcess survive only because the benchmark harness (bench/)
+// still asserts them, and go when that harness stops.
 type InProcessTransport interface {
 	// InProcess reports whether connections stay inside one process.
 	InProcess() bool
-}
-
-// transportInProcess reports whether tr declares itself in-process.
-// Transports without the marker — TCP among them — are assumed to cross
-// the network.
-func transportInProcess(tr Transport) bool {
-	ip, ok := tr.(InProcessTransport)
-	return ok && ip.InProcess()
 }
 
 // TCP is the production transport: plain TCP sockets.
@@ -84,9 +73,7 @@ func NewLoopback() *Loopback {
 	return &Loopback{endpoints: make(map[string]*loopListener)}
 }
 
-// InProcess implements InProcessTransport: loopback connections are
-// in-memory pipes, so the coordinator skips compression negotiation
-// unless forced.
+// InProcess implements InProcessTransport, which only bench/ still asks.
 func (lb *Loopback) InProcess() bool { return true }
 
 type loopListener struct {

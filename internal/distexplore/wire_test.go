@@ -190,7 +190,7 @@ func TestMixedVersionRefusedAtInit(t *testing.T) {
 					if _, _, err := f.read(time.Time{}, nil); err != nil {
 						break
 					}
-					if f.write(time.Time{}, frameOK, ack, false) != nil {
+					if f.write(time.Time{}, frameOK, ack) != nil {
 						break
 					}
 				}
@@ -203,6 +203,63 @@ func TestMixedVersionRefusedAtInit(t *testing.T) {
 		if !errors.As(err, &we) || !namesBoth(we.Msg, peer) {
 			t.Errorf("coordinator, worker with %s: want a wire-version WorkerError naming both, got %v", name, err)
 		}
+	}
+}
+
+// TestMixedVersionOldHandshake pins what a worker of this release does with
+// the codec handshake frame (0x06) a previous release's coordinator sent on
+// every fresh connection when started with the flag that asked for it: it
+// answers frameErr, which that coordinator read as "old peer, plain frames",
+// keeps the job it holds, and goes on serving the same connection — init
+// included.
+func TestMixedVersionOldHandshake(t *testing.T) {
+	lb := NewLoopback()
+	l, err := lb.Listen("m0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go NewWorker(nil).Serve(l)
+	conn, err := lb.Dial("m0", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f := &framer{conn: conn}
+	rpc := func(typ byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		if err := f.write(deadline, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, resp, err := f.read(deadline, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rtyp, resp
+	}
+
+	req := initReq{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}, Shards: 1, WorkerCount: 1, Replicas: 1}
+	if rtyp, ack := rpc(frameInit, req.encode()); rtyp != frameOK || checkInitAck(ack) != nil {
+		t.Fatalf("init: 0x%02x %q", rtyp, ack)
+	}
+	pr, _ := RegistryProvider(req.Protocol, req.N)
+	root := model.MustInitial(pr, req.Inputs)
+	if rtyp, msg := rpc(frameAdopt, appendAdoptReq(nil, 0, nil, []adoptNode{{wireKey: identityOf(root)}})); rtyp != frameOK {
+		t.Fatalf("adopt: 0x%02x %q", rtyp, msg)
+	}
+	expand := (&expandReq{Level: 0, Lo: 0, Hi: 1, Shards: []int{0}}).encode()
+	_, before := rpc(frameExpand, expand)
+
+	// The old offer: a count of one codec, then its name.
+	if rtyp, msg := rpc(0x06, model.AppendString(model.AppendUvarint(nil, 1), "flate")); rtyp != frameErr {
+		t.Fatalf("frame 0x06 answered 0x%02x %q, want frameErr", rtyp, msg)
+	}
+	if rtyp, after := rpc(frameExpand, expand); rtyp != frameExpandResp || !bytes.Equal(after, before) {
+		t.Fatalf("after frame 0x06 the job expands differently: 0x%02x, %d bytes, want %d", rtyp, len(after), len(before))
+	}
+	if rtyp, ack := rpc(frameInit, req.encode()); rtyp != frameOK || checkInitAck(ack) != nil {
+		t.Fatalf("init after frame 0x06: 0x%02x %q", rtyp, ack)
 	}
 }
 

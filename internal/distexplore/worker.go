@@ -15,7 +15,8 @@ import (
 )
 
 // ProtocolProvider resolves a protocol name and process count to a live
-// Protocol instance. Coordinator and workers must resolve identically —
+// Protocol instance. A worker's provider must resolve exactly as the
+// coordinator's RegistryProvider does —
 // protocols are deterministic code, so shipping the *name* and
 // reconstructing locally is what keeps configurations replayable from
 // schedules on any cluster member.
@@ -239,13 +240,11 @@ func (w *Worker) RequestsServed() int64 { return w.served.Load() }
 
 // handle runs one connection's request loop. Requests are processed
 // strictly in order; the job state is locked per request because a
-// re-dialed connection may take over from a dying one. The hello frame is
-// handled here rather than in dispatch because the negotiated codec is
-// per-connection state, not job state. So are the two payload buffers: req
-// is overwritten by the next request — dispatch copies what the job keeps —
-// and resp by the next expand response; they are the connection's, not the
-// worker's, because the dying connection may still be writing its response
-// while the re-dialed one dispatches.
+// re-dialed connection may take over from a dying one. The two payload
+// buffers are per connection: req is overwritten by the next request —
+// dispatch copies what the job keeps — and resp by the next expand response;
+// they are the connection's, not the worker's, because the dying connection
+// may still be writing its response while the re-dialed one dispatches.
 func (w *Worker) handle(cs *connState) {
 	defer w.handlers.Done()
 	defer func() {
@@ -254,7 +253,6 @@ func (w *Worker) handle(cs *connState) {
 		w.connMu.Unlock()
 		cs.conn.Close()
 	}()
-	compress := false
 	var req, resp []byte
 	for {
 		var typ byte
@@ -265,15 +263,9 @@ func (w *Worker) handle(cs *connState) {
 		cs.mu.Lock()
 		cs.busy = true
 		cs.mu.Unlock()
-		var rtyp byte
-		var rpayload []byte
-		if typ == frameHello {
-			rtyp, rpayload, compress = w.hello(req)
-		} else {
-			rtyp, rpayload = w.dispatch(typ, req, &resp)
-		}
+		rtyp, rpayload := w.dispatch(typ, req, &resp)
 		w.served.Add(1)
-		werr := cs.write(time.Now().Add(workerWriteTimeout), rtyp, rpayload, compress)
+		werr := cs.write(time.Now().Add(workerWriteTimeout), rtyp, rpayload)
 		cs.mu.Lock()
 		cs.busy = false
 		cs.mu.Unlock()
@@ -281,19 +273,6 @@ func (w *Worker) handle(cs *connState) {
 			return
 		}
 	}
-}
-
-// hello answers a capability negotiation: accept flate when offered.
-// Compression of *our* responses starts immediately; the coordinator
-// starts compressing its requests only after reading this response, so
-// neither side ever sends a compressed frame the peer has not agreed to.
-func (w *Worker) hello(payload []byte) (byte, []byte, bool) {
-	offered, err := decodeHello(payload)
-	if err != nil {
-		return frameErr, []byte(err.Error()), false
-	}
-	codec := chooseCodec(offered)
-	return frameHelloResp, model.AppendString(nil, codec), codec == codecFlate
 }
 
 // dispatch applies one request to the worker state and returns the
