@@ -41,7 +41,9 @@ test-short:
 	$(GO) test -short ./...
 
 # The serving layer under the race detector: job queue, drain state
-# machine, singleflight atlas cache, and the stdlib Prometheus encoder.
+# machine, the hit path that answers a cached valency at admission
+# (TestCachedValency*), singleflight atlas cache, and the stdlib
+# Prometheus encoder.
 test-serve:
 	$(GO) test -race -count=1 ./internal/serve ./internal/keyedcache ./internal/promtext
 	$(GO) test -race -run 'TestAtlasCache|TestTryWarmSharesBuilds' -count=1 ./internal/explore
@@ -116,14 +118,19 @@ bench-valency:
 # from: three on the naivemajority(3) fixture, then one successor of every
 # registry kernel (ns, B and allocs per successor), then one pass of the
 # explore-wide pool through the engine at 1 and GOMAXPROCS workers (ns, B
-# and allocs per pass), then one lemma-pipeline adversary op per kernel.
-# In adversary the pin is bytes per directed probe step.
+# and allocs per pass), then one lemma-pipeline adversary op per kernel,
+# then one cached valency answered over a loopback socket with the job
+# journal on disk (serve-mixed's hot request).
+# In adversary the pin is bytes per directed probe step; in protogen,
+# zero allocations to validate a valid table; in serve, the allocations
+# of one hot request through Handler().
 bench-alloc:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore ./internal/adversary
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore ./internal/adversary ./internal/protogen ./internal/serve
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
 	$(GO) test -bench 'BenchmarkExpand' -benchtime 20x -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkExplorePool' -benchtime 5x -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkAdversaryOp' -benchtime 12x -benchmem -run '^$$' ./internal/adversary
+	$(GO) test -bench 'BenchmarkServeHotValency' -benchmem -run '^$$' ./internal/serve
 
 vet:
 	$(GO) vet ./...

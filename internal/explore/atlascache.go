@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/flpsim/flp/internal/keyedcache"
 	"github.com/flpsim/flp/internal/model"
@@ -23,6 +24,9 @@ import (
 type AtlasCache struct {
 	c       *keyedcache.Cache[*Atlas]
 	backend AtlasBackend
+	// cachedHits counts Cached's hits, which keyedcache.Get does not count;
+	// Stats folds them into the hit total.
+	cachedHits atomic.Int64
 }
 
 // NewAtlasCache returns an empty atlas cache.
@@ -74,6 +78,19 @@ func (ac *AtlasCache) GetStats(pr model.Protocol, root *model.Config, opt Option
 	return a, a != nil, hit
 }
 
+// Cached returns the atlas covering root under opt only when it is already
+// in memory: it never builds and never consults the backend. A memoized
+// refusal, or a build still in flight, reports false. A returned atlas
+// counts one hit in Stats, as the same lookup through Get would.
+func (ac *AtlasCache) Cached(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
+	a, _, ok := ac.c.Get(AtlasKey(pr, root, opt))
+	if !ok || a == nil {
+		return nil, false
+	}
+	ac.cachedHits.Add(1)
+	return a, true
+}
+
 func (ac *AtlasCache) lookup(pr model.Protocol, root *model.Config, opt Options) (*Atlas, error, bool) {
 	return ac.c.Do(AtlasKey(pr, root, opt), func() (*Atlas, error) {
 		var atlas *Atlas
@@ -97,4 +114,7 @@ func (ac *AtlasCache) Len() int { return ac.c.Len() }
 // Stats returns cumulative lookup counters: hits answered from memory,
 // misses that ran (or refused) a build, and merged lookups that waited on
 // a concurrent caller's in-flight build.
-func (ac *AtlasCache) Stats() (hits, misses, merged int64) { return ac.c.Stats() }
+func (ac *AtlasCache) Stats() (hits, misses, merged int64) {
+	hits, misses, merged = ac.c.Stats()
+	return hits + ac.cachedHits.Load(), misses, merged
+}

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/flpsim/flp/internal/explore"
@@ -333,6 +334,62 @@ func TestAtlasCacheBackend(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("backend called %d times, want 2", calls)
+	}
+}
+
+// TestAtlasCacheCached pins the memory-only lookup the serving layer answers
+// at admission with: it never builds and never asks the backend, it misses
+// on an absent key, a memoized refusal and a build in flight, and each atlas
+// it returns counts exactly one hit.
+func TestAtlasCacheCached(t *testing.T) {
+	pr := registryFixture(t, "naivemajority")
+	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
+	opt := explore.Options{MaxConfigs: atlasTestBudget}
+	tiny := explore.Options{MaxConfigs: 2}
+	slow := explore.Options{MaxConfigs: atlasTestBudget + 1}
+
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	ac := explore.NewAtlasCache()
+	ac.SetBackend(backendFunc(func(p model.Protocol, c *model.Config, o explore.Options) (*explore.Atlas, bool) {
+		calls.Add(1)
+		if o.MaxConfigs == slow.MaxConfigs {
+			close(entered)
+			<-release
+		}
+		return explore.BuildAtlas(p, c, o)
+	}))
+	stats := func() [3]int64 {
+		h, mi, me := ac.Stats()
+		return [3]int64{h, mi, me}
+	}
+
+	if _, ok := ac.Cached(pr, root, opt); ok || calls.Load() != 0 || stats() != [3]int64{} {
+		t.Fatalf("Cached on an empty cache: ok=%v, backend calls %d, stats %v", ok, calls.Load(), stats())
+	}
+	built, _ := ac.Get(pr, root, opt)
+	if a, ok := ac.Cached(pr, root, opt); !ok || a != built {
+		t.Fatal("Cached missed an atlas Get had built")
+	}
+	if got := stats(); got != [3]int64{1, 1, 0} {
+		t.Fatalf("after one build and one Cached hit: stats %v, want [1 1 0]", got)
+	}
+
+	ac.Get(pr, root, tiny) // memoized refusal
+	if _, ok := ac.Cached(pr, root, tiny); ok {
+		t.Fatal("Cached reported a memoized refusal as an atlas")
+	}
+
+	done := make(chan struct{})
+	go func() { defer close(done); ac.Get(pr, root, slow) }()
+	<-entered
+	if _, ok := ac.Cached(pr, root, slow); ok {
+		t.Fatal("Cached reported a build in flight as an atlas")
+	}
+	close(release)
+	<-done
+	if got, want := stats(), [3]int64{1, 3, 0}; got != want || calls.Load() != 3 {
+		t.Fatalf("stats %v with %d backend calls, want %v with 3: Cached must not count misses or call the backend", got, calls.Load(), want)
 	}
 }
 

@@ -106,9 +106,10 @@ func TestNameRoundTrip(t *testing.T) {
 }
 
 // TestValidateRejects pins the validator against each invariant breach the
-// shrinker and fixture loader count on it to catch.
+// shrinker and fixture loader count on it to catch, and the text of each
+// table-entry error.
 func TestValidateRejects(t *testing.T) {
-	base := protogen.Derive(7, protogen.DefaultDials(3))
+	base := protogen.Derive(7, protogen.DefaultDials(3)) // 3 phases, 2 regs, alphabet 2
 	breach := func(mutate func(*protogen.Spec)) error {
 		sp := base
 		sp.Table = append([]protogen.Transition(nil), base.Table...)
@@ -118,27 +119,38 @@ func TestValidateRejects(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*protogen.Spec)
+		want   string // the exact error text; "" checks only that Validate refuses
 	}{
-		{"version", func(sp *protogen.Spec) { sp.V = 99 }},
-		{"n-too-small", func(sp *protogen.Spec) { sp.N = 1 }},
-		{"table-size", func(sp *protogen.Spec) { sp.Table = sp.Table[:len(sp.Table)-1] }},
+		{"version", func(sp *protogen.Spec) { sp.V = 99 }, ""},
+		{"n-too-small", func(sp *protogen.Spec) { sp.N = 1 }, ""},
+		{"table-size", func(sp *protogen.Spec) { sp.Table = sp.Table[:len(sp.Table)-1] }, ""},
 		{"next-backwards", func(sp *protogen.Spec) {
 			sp.Table[len(sp.Table)-1] = protogen.Transition{Next: 0, Reg: 0}
 			sp.Table[len(sp.Table)-1].Next = -1
-		}},
+		}, "protogen: entry (phase 2, reg 1, sym 2): Next=-1 out of range [2, 3]"},
+		{"reg", func(sp *protogen.Spec) {
+			sp.Table[1] = protogen.Transition{Next: 1, Reg: 9}
+		}, "protogen: entry (phase 0, reg 0, sym 1): Reg=9 out of range [0, 2)"},
+		{"decision", func(sp *protogen.Spec) {
+			sp.Table[2] = protogen.Transition{Next: 1, Decide: 9}
+		}, "protogen: entry (phase 0, reg 0, sym 2): unknown decision 9"},
 		{"send-without-advance", func(sp *protogen.Spec) {
 			sp.Table[0] = protogen.Transition{Next: 0, Reg: 0, Sends: []protogen.Send{{Target: 0, Sym: 0}}}
-		}},
+		}, "protogen: entry (phase 0, reg 0, sym 0): sends without a phase advance would unbound the message buffer"},
 		{"send-target", func(sp *protogen.Spec) {
 			sp.Table[0] = protogen.Transition{Next: 1, Reg: 0, Sends: []protogen.Send{{Target: 99, Sym: 0}}}
-		}},
+		}, "protogen: entry (phase 0, reg 0, sym 0): send target 99 invalid for N=3"},
 		{"send-symbol", func(sp *protogen.Spec) {
 			sp.Table[0] = protogen.Transition{Next: 1, Reg: 0, Sends: []protogen.Send{{Target: 0, Sym: 99}}}
-		}},
+		}, "protogen: entry (phase 0, reg 0, sym 0): send symbol 99 out of range [0, 2)"},
 	}
 	for _, tc := range cases {
-		if err := breach(tc.mutate); err == nil {
+		err := breach(tc.mutate)
+		switch {
+		case err == nil:
 			t.Errorf("%s: Validate accepted an invalid spec", tc.name)
+		case tc.want != "" && err.Error() != tc.want:
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
 	}
 
@@ -146,6 +158,21 @@ func TestValidateRejects(t *testing.T) {
 	bo.DecideNeed = 9
 	if err := bo.Validate(); err == nil {
 		t.Error("benor threshold above N accepted")
+	}
+}
+
+// TestAllocsValidateDerivedTable pins that validating a valid table spec
+// allocates nothing: every resolution of a gen: name validates its table,
+// and an error label formatted per entry once cost 40 % of resolving one.
+func TestAllocsValidateDerivedTable(t *testing.T) {
+	d := protogen.DefaultDials(3)
+	d.Phases, d.Regs, d.Alphabet = 5, 3, 3 // 60 entries
+	sp := protogen.Derive(11, d)
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sp.Validate() }); allocs != 0 {
+		t.Fatalf("Validate on a valid %d-entry table allocates %.1f/op, want 0", len(sp.Table), allocs)
 	}
 }
 

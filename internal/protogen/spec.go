@@ -232,31 +232,39 @@ func (sp Spec) validateTable() error {
 		for r := 0; r < sp.Regs; r++ {
 			for s := 0; s <= sp.Alphabet; s++ {
 				tr := sp.Table[sp.tableIndex(h, r, s)]
-				at := fmt.Sprintf("entry (phase %d, reg %d, sym %d)", h, r, s)
 				if tr.Next < h || tr.Next > sp.Phases {
-					return fmt.Errorf("protogen: %s: Next=%d out of range [%d, %d]", at, tr.Next, h, sp.Phases)
+					return entryError(h, r, s, "Next=%d out of range [%d, %d]", tr.Next, h, sp.Phases)
 				}
 				if tr.Reg < 0 || tr.Reg >= sp.Regs {
-					return fmt.Errorf("protogen: %s: Reg=%d out of range [0, %d)", at, tr.Reg, sp.Regs)
+					return entryError(h, r, s, "Reg=%d out of range [0, %d)", tr.Reg, sp.Regs)
 				}
 				if tr.Decide >= decisionCount {
-					return fmt.Errorf("protogen: %s: unknown decision %d", at, tr.Decide)
+					return entryError(h, r, s, "unknown decision %d", tr.Decide)
 				}
 				if len(tr.Sends) > 0 && tr.Next <= h {
-					return fmt.Errorf("protogen: %s: sends without a phase advance would unbound the message buffer", at)
+					return entryError(h, r, s, "sends without a phase advance would unbound the message buffer")
 				}
 				for _, sd := range tr.Sends {
 					if sd.Sym < 0 || sd.Sym >= sp.Alphabet {
-						return fmt.Errorf("protogen: %s: send symbol %d out of range [0, %d)", at, sd.Sym, sp.Alphabet)
+						return entryError(h, r, s, "send symbol %d out of range [0, %d)", sd.Sym, sp.Alphabet)
 					}
 					if sd.Target < TargetNext || sd.Target >= sp.N {
-						return fmt.Errorf("protogen: %s: send target %d invalid for N=%d", at, sd.Target, sp.N)
+						return entryError(h, r, s, "send target %d invalid for N=%d", sd.Target, sp.N)
 					}
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// entryError reports a failed check on the table entry (phase, reg, sym).
+// The entry's label is formatted only here, on failure: validateTable runs
+// once per resolution of a gen: name, and a valid table must cost no
+// allocation.
+func entryError(phase, reg, sym int, format string, args ...any) error {
+	at := fmt.Sprintf("entry (phase %d, reg %d, sym %d)", phase, reg, sym)
+	return fmt.Errorf("protogen: %s: %s", at, fmt.Sprintf(format, args...))
 }
 
 func (sp Spec) validateBenOr() error {

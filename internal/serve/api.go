@@ -109,14 +109,33 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// protocolKey names one resolution in Server.protocols.
+type protocolKey struct {
+	name string
+	n    int
+}
+
 // resolveProtocol looks a protocol up exactly as the CLIs do — registry
-// names plus self-describing gen: names.
-func resolveProtocol(name string, n int) (model.Protocol, error) {
+// names plus self-describing gen: names — and keeps what resolved, so each
+// (name, n) pays its lookup once: a gen: name re-derives and re-validates
+// its whole table on every resolution. Failures are not kept. Protocols
+// are immutable; the engines and the atlas cache already share them
+// across goroutines.
+func (s *Server) resolveProtocol(name string, n int) (model.Protocol, error) {
+	key := protocolKey{name, n}
+	if pr, ok := s.protocols.Load(key); ok {
+		return pr.(model.Protocol), nil
+	}
 	factory, ok := protocols.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown protocol %q", name)
 	}
-	return factory(n)
+	pr, err := factory(n)
+	if err != nil {
+		return nil, err
+	}
+	s.protocols.Store(key, pr)
+	return pr, nil
 }
 
 // unboundedProtocol mirrors the CLIs' special-casing of protocols whose
@@ -147,7 +166,7 @@ func parseInputs(raw []int, n int) (model.Inputs, error) {
 // per-root loop, with each root classified through the shared atlas cache.
 func (s *Server) censusJob(req CensusRequest) jobFunc {
 	return func(pub func(string), canceled func() bool) (any, error) {
-		pr, err := resolveProtocol(req.Protocol, req.N)
+		pr, err := s.resolveProtocol(req.Protocol, req.N)
 		if err != nil {
 			return nil, err
 		}
@@ -182,37 +201,84 @@ func (s *Server) censusJob(req CensusRequest) jobFunc {
 	}
 }
 
+// valencyQuery is a valency request resolved onto the engine.
+type valencyQuery struct {
+	pr   model.Protocol
+	in   model.Inputs
+	root *model.Config
+	opt  explore.Options
+}
+
+// resolveValency resolves req's protocol, inputs and root configuration.
+func (s *Server) resolveValency(req ValencyRequest) (valencyQuery, error) {
+	pr, err := s.resolveProtocol(req.Protocol, req.N)
+	if err != nil {
+		return valencyQuery{}, err
+	}
+	in, err := parseInputs(req.Inputs, pr.N())
+	if err != nil {
+		return valencyQuery{}, err
+	}
+	c, err := model.Initial(pr, in)
+	if err != nil {
+		return valencyQuery{}, err
+	}
+	opt := explore.Options{MaxConfigs: req.Budget, MaxDepth: req.Depth, Workers: req.Workers}
+	return valencyQuery{pr: pr, in: in, root: c, opt: opt}, nil
+}
+
+// progress is the one event a valency job publishes.
+func (q valencyQuery) progress() string {
+	return fmt.Sprintf("classifying %s root %s", q.pr.Name(), q.in)
+}
+
+// result renders the root's classification as the API answer.
+func (q valencyQuery) result(info explore.ValencyInfo) *ValencyResult {
+	res := &ValencyResult{
+		Protocol: q.pr.Name(), Inputs: q.in.String(),
+		Valency: info.Valency.String(), Exact: info.Exact,
+		Visited: info.Visited, Complete: info.Complete,
+	}
+	if len(info.Witness0) > 0 {
+		res.Witness0 = info.Witness0.String()
+	}
+	if len(info.Witness1) > 0 {
+		res.Witness1 = info.Witness1.String()
+	}
+	return res
+}
+
 // valencyJob builds the job body for a single-root classification.
 func (s *Server) valencyJob(req ValencyRequest) jobFunc {
 	return func(pub func(string), canceled func() bool) (any, error) {
-		pr, err := resolveProtocol(req.Protocol, req.N)
+		q, err := s.resolveValency(req)
 		if err != nil {
 			return nil, err
 		}
-		in, err := parseInputs(req.Inputs, pr.N())
-		if err != nil {
-			return nil, err
-		}
-		c, err := model.Initial(pr, in)
-		if err != nil {
-			return nil, err
-		}
-		opt := explore.Options{MaxConfigs: req.Budget, MaxDepth: req.Depth, Workers: req.Workers}
-		pub(fmt.Sprintf("classifying %s root %s", pr.Name(), in))
-		info := explore.ClassifyRootCached(pr, c, opt, s.atlases)
-		res := &ValencyResult{
-			Protocol: pr.Name(), Inputs: in.String(),
-			Valency: info.Valency.String(), Exact: info.Exact,
-			Visited: info.Visited, Complete: info.Complete,
-		}
-		if len(info.Witness0) > 0 {
-			res.Witness0 = info.Witness0.String()
-		}
-		if len(info.Witness1) > 0 {
-			res.Witness1 = info.Witness1.String()
-		}
-		return res, nil
+		pub(q.progress())
+		return q.result(explore.ClassifyRootCached(q.pr, q.root, q.opt, s.atlases)), nil
 	}
+}
+
+// cachedValency answers req at admission when the root's atlas is already
+// in the shared cache's memory: the result and progress event valencyJob
+// would produce, read off that atlas as ClassifyRootCached reads it. A
+// request that does not resolve, or whose atlas is absent, refused or
+// still building, reports false and is queued as before.
+func (s *Server) cachedValency(req ValencyRequest) (json.RawMessage, string, bool) {
+	q, err := s.resolveValency(req)
+	if err != nil {
+		return nil, "", false
+	}
+	atlas, ok := s.atlases.Cached(q.pr, q.root, q.opt)
+	if !ok {
+		return nil, "", false
+	}
+	raw, err := json.Marshal(q.result(atlas.InfoAt(0)))
+	if err != nil {
+		return nil, "", false
+	}
+	return raw, q.progress(), true
 }
 
 // adversaryJob builds the job body for a Theorem 1 construction. For
@@ -223,7 +289,7 @@ func (s *Server) valencyJob(req ValencyRequest) jobFunc {
 // short at a rotation boundary.
 func (s *Server) adversaryJob(req AdversaryRequest) jobFunc {
 	return func(pub func(string), canceled func() bool) (any, error) {
-		pr, err := resolveProtocol(req.Protocol, req.N)
+		pr, err := s.resolveProtocol(req.Protocol, req.N)
 		if err != nil {
 			return nil, err
 		}
@@ -335,18 +401,30 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v a
 }
 
 // submit decodes a request body, admits the job, and answers 202 with the
-// job's initial view — or 503 + Retry-After when draining or full.
-func submit[R any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, kind JobKind, mk func(R) jobFunc) {
+// job's initial view — or 503 + Retry-After when draining or full. cached,
+// when non-nil, is asked first: a request it answers from memory becomes a
+// job that is done on admission, with no queue slot, so a full queue does
+// not refuse it.
+func submit[R any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, kind JobKind, mk func(R) jobFunc,
+	cached func(R) (result json.RawMessage, progress string, ok bool)) {
 	var req R
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.writeJSON(w, endpoint, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
 		return
 	}
-	j, err := s.queue.Submit(kind, req, mk(req))
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, endpoint, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-		return
+	var j *Job
+	if cached != nil && !s.queue.Draining() {
+		if result, progress, ok := cached(req); ok {
+			j = s.queue.answered(kind, progress, result)
+		}
+	}
+	if j == nil {
+		var err error
+		if j, err = s.queue.Submit(kind, req, mk(req)); err != nil {
+			w.Header().Set("Retry-After", "1")
+			s.writeJSON(w, endpoint, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+			return
+		}
 	}
 	if r.URL.Query().Get("wait") == "1" {
 		select {
@@ -361,15 +439,18 @@ func submit[R any](s *Server, w http.ResponseWriter, r *http.Request, endpoint s
 }
 
 func (s *Server) handleCensus(w http.ResponseWriter, r *http.Request) {
-	submit(s, w, r, "census", KindCensus, s.censusJob)
+	submit(s, w, r, "census", KindCensus, s.censusJob, nil)
 }
 
+// handleValency is the only endpoint with a cached answer: a valency is one
+// atlas read, while a census reads 2^n atlases and an adversary run is a
+// search.
 func (s *Server) handleValency(w http.ResponseWriter, r *http.Request) {
-	submit(s, w, r, "valency", KindValency, s.valencyJob)
+	submit(s, w, r, "valency", KindValency, s.valencyJob, s.cachedValency)
 }
 
 func (s *Server) handleAdversary(w http.ResponseWriter, r *http.Request) {
-	submit(s, w, r, "adversary", KindAdversary, s.adversaryJob)
+	submit(s, w, r, "adversary", KindAdversary, s.adversaryJob, nil)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -143,7 +143,7 @@ func (j *Job) publish(msg string) {
 	j.wake()
 	j.mu.Unlock()
 	if j.jnl != nil {
-		j.jnl.append(journalRecord{Rec: recEvent, ID: j.ID, Seq: ev.Seq, Msg: ev.Msg})
+		j.jnl.append(journalRecord{Rec: recEvent, ID: j.ID, Seq: ev.Seq, Msg: ev.Msg}, false)
 	}
 }
 
@@ -180,7 +180,7 @@ func (j *Job) finish(state JobState, result any, err error) {
 				rec.Result = raw
 			}
 		}
-		j.jnl.append(rec)
+		j.jnl.append(rec, true)
 	}
 }
 
@@ -206,7 +206,16 @@ type jobQueue struct {
 
 	m   *metrics
 	jnl *journal // nil without -atlas-dir
+
+	// reserved is the highest ID number this lifetime's reserve records
+	// cover; reserveMu serializes writing them.
+	reserveMu sync.Mutex
+	reserved  atomic.Int64
 }
+
+// idReserve is how many job IDs one reserve record covers: one fsync per
+// that many answers from memory.
+const idReserve = 1024
 
 // newJobQueue starts workers goroutines servicing a queue of the given
 // depth.
@@ -217,6 +226,9 @@ func newJobQueue(workers, depth int, m *metrics, jnl *journal) *jobQueue {
 		jobs:  make(map[string]*Job),
 		m:     m,
 		jnl:   jnl,
+	}
+	if jnl != nil {
+		q.seq.Store(jnl.reserved)
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -257,7 +269,7 @@ func (q *jobQueue) Submit(kind JobKind, req any, run jobFunc) (*Job, error) {
 		if raw, err := json.Marshal(req); err == nil {
 			rec.Req = raw
 		}
-		q.jnl.append(rec)
+		q.jnl.append(rec, true)
 	}
 	select {
 	case q.queue <- j:
@@ -269,10 +281,49 @@ func (q *jobQueue) Submit(kind JobKind, req any, run jobFunc) (*Job, error) {
 		q.mu.Unlock()
 		if q.jnl != nil {
 			q.jnl.append(journalRecord{Rec: recTerminal, ID: j.ID, State: StateCanceled,
-				Error: ErrQueueFull.Error()})
+				Error: ErrQueueFull.Error()}, true)
 		}
 		return nil, ErrQueueFull
 	}
+}
+
+// answered registers a job that is done on arrival — a query answered from
+// memory at admission — under the usual ID. It takes no queue slot and no
+// pool worker. Its whole lifecycle is one terminal record that carries the
+// kind and the progress event, and the job is built from that record
+// through the same fold replay uses, so a restart answers for it exactly
+// as this lifetime does. The record is not fsynced: a crash can lose it,
+// and the ID then answers 404, while the answer itself is one cache lookup
+// away. Callers check the drain flag first.
+func (q *jobQueue) answered(kind JobKind, progress string, result json.RawMessage) *Job {
+	n := q.seq.Add(1)
+	rec := journalRecord{Rec: recTerminal, ID: fmt.Sprintf("%s-%d", kind, n), Kind: kind,
+		Msg: progress, State: StateDone, Result: result, Time: time.Now()}
+	if q.jnl != nil {
+		q.reserve(n)
+		q.jnl.append(rec, false)
+	}
+	j := q.addTerminal(replayedFrom(rec))
+	q.m.jobsTotal.With(string(kind), string(StateDone)).Inc()
+	q.m.jobDuration.With(string(kind)).Observe(0)
+	return j
+}
+
+// reserve makes sure a durable reserve record covers ID number n before an
+// unsynced record carries it, so that a restart, which numbers past every
+// reserve record, never issues an ID again whose record a crash lost.
+func (q *jobQueue) reserve(n int64) {
+	if n <= q.reserved.Load() {
+		return
+	}
+	q.reserveMu.Lock()
+	defer q.reserveMu.Unlock()
+	if n <= q.reserved.Load() {
+		return
+	}
+	upTo := n + idReserve
+	q.jnl.append(journalRecord{Rec: recReserve, Seq: int(upTo)}, true)
+	q.reserved.Store(upTo)
 }
 
 // readmit re-enqueues one non-terminal job replayed from the journal under
@@ -309,10 +360,10 @@ func (q *jobQueue) readmit(rj *replayedJob, run jobFunc) bool {
 	}
 }
 
-// replayTerminal registers one finished job replayed from the journal: its
-// status, result, and event history answer exactly as before the restart,
-// but nothing re-runs.
-func (q *jobQueue) replayTerminal(rj *replayedJob) {
+// addTerminal registers one finished job from its journal form — replayed
+// at restart, or answered at admission: its status, result, and event
+// history answer exactly as the journal records them, and nothing runs.
+func (q *jobQueue) addTerminal(rj *replayedJob) *Job {
 	j := &Job{
 		ID:       rj.id,
 		Kind:     rj.kind,
@@ -334,6 +385,7 @@ func (q *jobQueue) replayTerminal(rj *replayedJob) {
 	q.mu.Lock()
 	q.jobs[j.ID] = j
 	q.mu.Unlock()
+	return j
 }
 
 // bumpSeq advances the ID counter past a replayed job's numeric suffix so
@@ -392,7 +444,7 @@ func (q *jobQueue) runJob(j *Job) {
 	j.wake()
 	j.mu.Unlock()
 	if q.jnl != nil {
-		q.jnl.append(journalRecord{Rec: recStarted, ID: j.ID})
+		q.jnl.append(journalRecord{Rec: recStarted, ID: j.ID}, false)
 	}
 	q.m.inflight.Inc()
 	defer q.m.inflight.Dec()

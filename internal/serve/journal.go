@@ -33,11 +33,19 @@ import (
 //	started   {id, time}                 — a pool worker picked the job up
 //	event     {id, seq, msg, time}       — one progress event
 //	terminal  {id, state, error?, result?, time} — final state, fsynced
+//	terminal  {id, kind, msg, state, result, time} — a valency answered from
+//	          memory at admission, never queued: its whole history (the one
+//	          progress event in msg, then done) in one record, not fsynced
+//	reserve   {seq, time}                — job IDs numbered up to seq may be
+//	          issued to such answers; fsynced before the first of them
 //
 // A crash can leave a partial final line; replay truncates the file at the
 // first unparseable byte and continues with what was durable. Records for
 // unknown job IDs (their accepted line fell in the truncated region) are
-// dropped with a log line.
+// dropped with a log line, except a terminal record carrying its kind,
+// which needs no accepted line. A crash can lose such a record, so a
+// restarted server numbers its jobs past every reserve record too: an ID
+// whose record was lost answers 404 and is never issued again.
 
 // Journal record type tags.
 const (
@@ -45,6 +53,7 @@ const (
 	recStarted  = "started"
 	recEvent    = "event"
 	recTerminal = "terminal"
+	recReserve  = "reserve"
 )
 
 // journalRecord is the one-line wire form of every record type; unused
@@ -76,6 +85,10 @@ type journal struct {
 	mu sync.Mutex
 	f  *os.File
 
+	// reserved is the highest job ID number a replayed reserve record
+	// covers.
+	reserved int64
+
 	writes, resumes, corrupt, skips atomic.Int64
 	recCounts                       map[string]*atomic.Int64 // by record type
 }
@@ -105,7 +118,7 @@ func openJournal(path string, logf func(string, ...any)) (*journal, []*replayedJ
 		path: path,
 		logf: logf,
 		recCounts: map[string]*atomic.Int64{
-			recAccepted: {}, recStarted: {}, recEvent: {}, recTerminal: {},
+			recAccepted: {}, recStarted: {}, recEvent: {}, recTerminal: {}, recReserve: {},
 		},
 	}
 
@@ -148,52 +161,87 @@ func (j *journal) replay(data []byte) ([]*replayedJob, int) {
 			break
 		}
 		off += nl + 1
-		rj := byID[rec.ID]
-		if rj == nil && rec.Rec != recAccepted {
-			j.logf("serve: job journal: dropping %s record for unknown job %q", rec.Rec, rec.ID)
+		if rec.Rec == recReserve {
+			j.reserved = max(j.reserved, int64(rec.Seq))
 			continue
 		}
-		switch rec.Rec {
-		case recAccepted:
-			if rj != nil {
-				j.logf("serve: job journal: duplicate accepted record for job %q ignored", rec.ID)
+		rj := byID[rec.ID]
+		switch {
+		case rj == nil:
+			if rj = replayedFrom(rec); rj == nil {
+				j.logf("serve: job journal: dropping %s record for unknown job %q", rec.Rec, rec.ID)
 				continue
 			}
-			rj = &replayedJob{id: rec.ID, kind: rec.Kind, req: rec.Req,
-				state: StateQueued, created: rec.Time}
 			byID[rec.ID] = rj
 			order = append(order, rj)
-		case recStarted:
-			rj.state = StateRunning
-			rj.started = rec.Time
-		case recEvent:
-			rj.events = append(rj.events, Event{Seq: rec.Seq, Time: rec.Time, Msg: rec.Msg})
-			if rec.Seq >= rj.seq {
-				rj.seq = rec.Seq + 1
-			}
-		case recTerminal:
-			rj.state = rec.State
-			rj.errMsg = rec.Error
-			rj.result = rec.Result
-			rj.finished = rec.Time
-			// finish() appends the terminal marker event in memory rather
-			// than through publish, so reconstruct it here the same way.
-			rj.events = append(rj.events, Event{Seq: rj.seq, Time: rec.Time, Msg: "job " + string(rec.State)})
-			rj.seq++
-		default:
+		case rec.Rec == recAccepted:
+			j.logf("serve: job journal: duplicate accepted record for job %q ignored", rec.ID)
+		case !rj.apply(rec):
 			j.logf("serve: job journal: unknown record type %q for job %q ignored", rec.Rec, rec.ID)
 		}
 	}
 	return order, off
 }
 
-// append writes one record. Admission and terminal records are fsynced —
-// those are the durability points clients observe (a 202 means the job
-// survives a crash; a result once readable stays readable). Progress
-// records are best-effort appends: losing a tail of them costs replayed
-// events, never correctness, since a re-admitted job re-runs anyway.
-func (j *journal) append(rec journalRecord) {
-	rec.Time = time.Now()
+// replayedFrom starts a job's reconstruction from the first record
+// journaled for it: its accepted record, or, for a job answered from
+// memory at admission, the terminal record carrying its kind that is its
+// whole history — the one progress event in msg, then the terminal state.
+// Any other first record belongs to a job whose accepted line was lost,
+// and yields nil.
+func replayedFrom(rec journalRecord) *replayedJob {
+	switch {
+	case rec.Rec == recAccepted:
+		return &replayedJob{id: rec.ID, kind: rec.Kind, req: rec.Req,
+			state: StateQueued, created: rec.Time}
+	case rec.Rec == recTerminal && rec.Kind != "":
+		rj := &replayedJob{id: rec.ID, kind: rec.Kind, created: rec.Time, started: rec.Time}
+		rj.apply(journalRecord{Rec: recEvent, Msg: rec.Msg, Time: rec.Time})
+		rj.apply(rec)
+		return rj
+	}
+	return nil
+}
+
+// apply folds one started, event or terminal record into the job, and
+// reports false for any other record type.
+func (rj *replayedJob) apply(rec journalRecord) bool {
+	switch rec.Rec {
+	case recStarted:
+		rj.state = StateRunning
+		rj.started = rec.Time
+	case recEvent:
+		rj.events = append(rj.events, Event{Seq: rec.Seq, Time: rec.Time, Msg: rec.Msg})
+		if rec.Seq >= rj.seq {
+			rj.seq = rec.Seq + 1
+		}
+	case recTerminal:
+		rj.state = rec.State
+		rj.errMsg = rec.Error
+		rj.result = rec.Result
+		rj.finished = rec.Time
+		// finish() appends the terminal marker event in memory rather
+		// than through publish, so reconstruct it here the same way.
+		rj.events = append(rj.events, Event{Seq: rj.seq, Time: rec.Time, Msg: "job " + string(rec.State)})
+		rj.seq++
+	default:
+		return false
+	}
+	return true
+}
+
+// append writes one record, stamped with the current time unless the
+// caller already stamped it, and fsyncs it when sync is set. Callers sync
+// the durability points clients observe: a queued job's admission (a 202
+// means the job survives a crash) and its terminal record (a result once
+// readable stays readable). Progress records are best-effort appends:
+// losing a tail of them costs replayed events, never correctness, since a
+// re-admitted job re-runs anyway. So is the one record of a job answered
+// from memory at admission: losing it costs the ID, never a wrong answer.
+func (j *journal) append(rec journalRecord, sync bool) {
+	if rec.Time.IsZero() {
+		rec.Time = time.Now()
+	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		j.logf("serve: job journal: encoding %s record for job %s: %v", rec.Rec, rec.ID, err)
@@ -206,7 +254,7 @@ func (j *journal) append(rec journalRecord) {
 		j.logf("serve: job journal: appending %s record for job %s: %v (continuing without it)", rec.Rec, rec.ID, err)
 		return
 	}
-	if rec.Rec == recAccepted || rec.Rec == recTerminal {
+	if sync {
 		if err := j.f.Sync(); err != nil {
 			j.logf("serve: job journal: fsync after %s record for job %s: %v", rec.Rec, rec.ID, err)
 		}

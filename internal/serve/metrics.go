@@ -27,7 +27,7 @@ func newMetrics(ac *explore.AtlasCache, store *atlasstore.Store, jnl *journal) *
 		jobsTotal: promtext.NewCounterVec(reg, "flpserve_jobs_total",
 			"Jobs finished, by kind and terminal state.", "kind", "state"),
 		jobDuration: promtext.NewHistogramVec(reg, "flpserve_job_duration_seconds",
-			"Job run duration (start to terminal state) in seconds.", nil, "kind"),
+			"Job run duration (start to terminal state) in seconds; 0 for a valency answered from memory at admission.", nil, "kind"),
 		queueDepth: promtext.NewGauge(reg, "flpserve_queue_depth",
 			"Jobs waiting in the admission queue."),
 		inflight: promtext.NewGauge(reg, "flpserve_jobs_inflight",
@@ -59,7 +59,7 @@ func newMetrics(ac *explore.AtlasCache, store *atlasstore.Store, jnl *journal) *
 		ck.With(func() int64 { return jnl.stats().Skips }, "skip")
 		recs := promtext.NewCounterFuncVec(reg, "flpserve_journal_records_total",
 			"Job-journal records appended this server lifetime, by record type.", "type")
-		for _, rt := range []string{recAccepted, recStarted, recEvent, recTerminal} {
+		for _, rt := range []string{recAccepted, recStarted, recEvent, recTerminal, recReserve} {
 			rt := rt
 			recs.With(func() int64 { return jnl.recordsTotal(rt) }, rt)
 		}

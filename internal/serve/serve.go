@@ -26,6 +26,7 @@ package serve
 import (
 	"net/http"
 	"path/filepath"
+	"sync"
 
 	"github.com/flpsim/flp/internal/atlasstore"
 	"github.com/flpsim/flp/internal/explore"
@@ -46,7 +47,9 @@ type Options struct {
 	// from disk instead of rebuilding. It also enables the durable job
 	// journal (jobs.journal under the same root): admitted jobs survive a
 	// server crash — finished ones keep answering status and event
-	// queries, unfinished ones are re-admitted and re-run on restart.
+	// queries, unfinished ones are re-admitted and re-run on restart. The
+	// exception is a valency answered from memory at admission: a crash
+	// may lose its one unsynced record, and its ID then answers 404.
 	// Empty means memory-only, nothing survives.
 	AtlasDir string
 	// Log receives operational log lines (journal recovery, corruption
@@ -75,6 +78,8 @@ type Server struct {
 	m       *metrics
 	queue   *jobQueue
 	mux     *http.ServeMux
+	// protocols maps protocolKey to the model.Protocol it resolved to.
+	protocols sync.Map
 }
 
 // New builds a server. The embedded atlas cache is fresh; every job this
@@ -158,7 +163,7 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) recoverJob(rj *replayedJob) {
 	if rj.state.terminal() {
 		s.jnl.noteSkip()
-		s.queue.replayTerminal(rj)
+		s.queue.addTerminal(rj)
 		return
 	}
 	run, err := s.jobBody(rj.kind, rj.req)
@@ -167,7 +172,7 @@ func (s *Server) recoverJob(rj *replayedJob) {
 		s.logf("serve: job journal: cannot rebuild %s job %s: %v", rj.kind, rj.id, err)
 		rj.state = StateFailed
 		rj.errMsg = "unrecoverable after restart: " + err.Error()
-		s.queue.replayTerminal(rj)
+		s.queue.addTerminal(rj)
 		return
 	}
 	if s.queue.readmit(rj, run) {
