@@ -21,12 +21,13 @@ test-race:
 	$(GO) test -race -short ./...
 
 # The distributed engine end to end: the full differential/fault suite,
-# then a 1-coordinator/3-worker loopback cluster cross-checked against
-# the sequential engine on two protocols.
+# then flpcheck's census over a 1-coordinator/3-worker/6-shard loopback
+# cluster on two protocols, which exits 1 unless every input vector's
+# count matches the local engine's.
 test-dist:
 	$(GO) test ./internal/distexplore
-	$(GO) run ./cmd/flpcluster selftest -workers 3 -shards 6 -protocol naivemajority
-	$(GO) run ./cmd/flpcluster selftest -workers 3 -shards 6 -protocol 2pc
+	$(GO) run ./cmd/flpcheck -protocol naivemajority -cluster loopback:3 -cluster-shards 6 -skip-lemma3 -skip-agreement
+	$(GO) run ./cmd/flpcheck -protocol 2pc -cluster loopback:3 -cluster-shards 6 -skip-lemma3 -skip-agreement
 
 # Fault injection under the race detector: the scripted kill sweep
 # (every worker × every level), kills inside a chunked level (on the adopt

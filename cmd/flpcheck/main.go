@@ -150,7 +150,7 @@ func runConformance(name string, n, budget int) {
 // runClusterCensus cross-checks the distributed engine against the local
 // one: a per-input reachability census over a worker cluster (in-process
 // loopback or live TCP workers started with `flpcluster worker`) must
-// reproduce the local counts exactly.
+// reproduce the local counts exactly, and a mismatch exits 1.
 func runClusterCensus(pr flp.Protocol, name string, budget int, spec string, shards, replicas int, unbounded bool, ckDir string, resume bool) {
 	fmt.Println("== Distributed reachability census ==")
 	if unbounded {
@@ -175,7 +175,7 @@ func runClusterCensus(pr flp.Protocol, name string, budget int, spec string, sha
 			fmt.Fprintf(os.Stderr, "flpcheck: "+format+"\n", args...)
 		})
 	}
-	fmt.Printf("  cluster: %d workers (%s), shards=%d, replicas=%d\n", len(addrs), strings.Join(addrs, ", "), shards, replicas)
+	fmt.Printf("  cluster: %d workers (%s), shards=%d, replicas=%d\n", len(addrs), strings.Join(addrs, ", "), shards, distexplore.ReplicaCount(replicas, len(addrs)))
 	for _, in := range flp.AllInputs(pr.N()) {
 		c, err := flp.Initial(pr, in)
 		if err != nil {
@@ -190,10 +190,11 @@ func runClusterCensus(pr flp.Protocol, name string, budget int, spec string, sha
 		if err != nil {
 			fatalf("%v", err)
 		}
-		status := "matches local engine"
 		if count != localCount || exact != localExact {
-			status = fmt.Sprintf("MISMATCH: local engine found %d (exact=%v)", localCount, localExact)
+			fatalf("distributed census MISMATCH on inputs %s: cluster found %d configurations (exact=%v), local engine %d (exact=%v)",
+				in, count, exact, localCount, localExact)
 		}
+		status := "matches local engine"
 		if st := cl.RunStats(); cks != nil && st.ResumedLevel >= 0 {
 			status += fmt.Sprintf(" (resumed at level %d, %d nodes restored)", st.ResumedLevel, st.ResumedNodes)
 		}

@@ -14,9 +14,8 @@
 //	    run a distributed reachability census against live workers;
 //	    -chaos injects a deterministic fault plan
 //
-//	flpcluster selftest -workers 3 -shards 6 -replicas 2
-//	    spin up an in-process loopback cluster and verify its results
-//	    against the sequential engine (used by `make test-dist`)
+// A loopback cluster checked against the sequential engine is
+// `flpcheck -cluster loopback:W` (used by `make test-dist`).
 package main
 
 import (
@@ -33,7 +32,6 @@ import (
 	"github.com/flpsim/flp/internal/distexplore"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
-	"github.com/flpsim/flp/internal/protocols"
 )
 
 func main() {
@@ -45,20 +43,17 @@ func main() {
 		runWorker(os.Args[2:])
 	case "explore":
 		runExplore(os.Args[2:])
-	case "selftest":
-		runSelftest(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
-		fatalf("unknown subcommand %q (want worker, explore, or selftest)", os.Args[1])
+		fatalf("unknown subcommand %q (want worker or explore)", os.Args[1])
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: flpcluster <worker|explore|selftest> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: flpcluster <worker|explore> [flags]")
 	fmt.Fprintln(os.Stderr, "  flpcluster worker   -listen 127.0.0.1:9001")
 	fmt.Fprintln(os.Stderr, "  flpcluster explore  -cluster host:port,host:port -protocol naivemajority -n 3 [-inputs 0,1,1|all] [-shards S] [-replicas R] [-chaos spec] [-checkpoint-dir D [-resume]] [-rejoin-wait DUR] [-kill-at-level L]")
-	fmt.Fprintln(os.Stderr, "  flpcluster selftest [-workers 3] [-shards 6] [-replicas 2] [-protocol naivemajority] [-n 3] [-budget B]")
 	fmt.Fprintln(os.Stderr, "  chaos spec: comma-separated keys seed=N drop=P delay=P delayfor=DUR trunc=P kill=WORKER@LEVEL")
 	os.Exit(2)
 }
@@ -172,7 +167,7 @@ func runExplore(args []string) {
 		ins = []model.Inputs{in}
 	}
 	fmt.Printf("distributed reachability census: %s n=%d, %d workers, shards=%d, replicas=%d\n",
-		*name, *n, len(addrs), *shards, effectiveReplicas(*replicas, len(addrs)))
+		*name, *n, len(addrs), *shards, distexplore.ReplicaCount(*replicas, len(addrs)))
 	done := 0
 	for _, in := range ins {
 		task := distexplore.Task{
@@ -261,86 +256,6 @@ func parseChaos(spec string, addrs []string) (distexplore.FaultPlan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// runSelftest boots a full cluster over the loopback transport inside this
-// process and checks its census against the sequential engine — a smoke
-// test of the whole stack (framing, sharding, merge, adoption) with no
-// network dependency.
-func runSelftest(args []string) {
-	fs := flag.NewFlagSet("selftest", flag.ExitOnError)
-	var (
-		workers  = fs.Int("workers", 3, "worker count")
-		shards   = fs.Int("shards", 6, "visited-set shards")
-		replicas = fs.Int("replicas", 0, "replicas per shard (0 = default 2)")
-		name     = fs.String("protocol", "naivemajority", "protocol to explore")
-		n        = fs.Int("n", 3, "number of processes")
-		budget   = fs.Int("budget", 0, "max configurations (0 = default)")
-	)
-	fs.Parse(args)
-
-	factory, ok := protocols.Lookup(*name)
-	if !ok {
-		fatalf("unknown protocol %q", *name)
-	}
-	pr, err := factory(*n)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	lb := distexplore.NewLoopback()
-	var addrs []string
-	for i := 0; i < *workers; i++ {
-		l, err := lb.Listen(fmt.Sprintf("selftest-w%d", i))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer l.Close()
-		go distexplore.NewWorker(nil).Serve(l)
-		addrs = append(addrs, l.Addr())
-	}
-	cl, err := distexplore.Dial(lb, addrs, distexplore.RPCOptions{})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer cl.Close()
-
-	fmt.Printf("selftest: %s n=%d over loopback cluster (%d workers × %d shards, %d replicas) vs sequential\n",
-		*name, *n, *workers, *shards, effectiveReplicas(*replicas, *workers))
-	failures := 0
-	for _, in := range model.AllInputs(*n) {
-		opt := explore.Options{MaxConfigs: *budget, Workers: 1}
-		seqCount, seqExact := explore.CountReachable(pr, model.MustInitial(pr, in), opt)
-		count, exact, err := cl.CountReachable(distexplore.Task{
-			Protocol: *name, N: *n, Inputs: in, Shards: *shards, Replicas: *replicas,
-			Options: explore.Options{MaxConfigs: *budget},
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		status := "ok"
-		if count != seqCount || exact != seqExact {
-			status = fmt.Sprintf("MISMATCH (sequential %d exact=%v)", seqCount, seqExact)
-			failures++
-		}
-		fmt.Printf("  inputs %s: %d configurations (exact=%v) — %s\n", in, count, exact, status)
-	}
-	if failures > 0 {
-		fatalf("selftest failed: %d input vectors diverged", failures)
-	}
-	fmt.Println("selftest passed: distributed census identical to the sequential engine")
-}
-
-// effectiveReplicas mirrors the engine's Task.Replicas resolution, for
-// banner output only.
-func effectiveReplicas(replicas, workers int) int {
-	if replicas <= 0 {
-		replicas = distexplore.DefaultReplicas
-	}
-	if replicas > workers {
-		replicas = workers
-	}
-	return replicas
 }
 
 func parseInputs(s string, n int) (model.Inputs, error) {

@@ -249,7 +249,8 @@ func TestBackoffDelay(t *testing.T) {
 // TestShardReplicaAssignment pins the deterministic replica chains the
 // failover contract depends on: shard s lives on workers (s+r) mod W, the
 // chain never repeats a worker, and every worker can compute its own
-// replica set locally from (shard, W, R) alone.
+// replica set locally from (shard, W, R) alone. R is a Task.Replicas value,
+// resolved by ReplicaCount as the coordinator resolves it.
 func TestShardReplicaAssignment(t *testing.T) {
 	for _, tc := range []struct {
 		shard, workers, replicas int
@@ -261,17 +262,20 @@ func TestShardReplicaAssignment(t *testing.T) {
 		{1, 4, 3, []int{1, 2, 3}},
 		{3, 2, 5, []int{1, 0}}, // R clamped to W
 		{0, 1, 1, []int{0}},
-		{4, 3, 0, []int{1}}, // R clamped up to 1
+		{4, 3, 0, []int{1, 2}}, // 0 means DefaultReplicas
+		{4, 3, -1, []int{1}},   // R clamped up to 1
+		{0, 1, 0, []int{0}},    // DefaultReplicas clamped to W
 	} {
-		got := shardReplicas(tc.shard, tc.workers, tc.replicas)
+		r := ReplicaCount(tc.replicas, tc.workers)
+		got := shardReplicas(tc.shard, tc.workers, r)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("shardReplicas(%d, %d, %d) = %v, want %v",
+			t.Errorf("shardReplicas(%d, %d, ReplicaCount(%d)) = %v, want %v",
 				tc.shard, tc.workers, tc.replicas, got, tc.want)
 		}
 		for _, w := range got {
-			if !workerReplicatesShard(w, tc.shard, tc.workers, tc.replicas) {
+			if !workerReplicatesShard(w, tc.shard, tc.workers, r) {
 				t.Errorf("workerReplicatesShard(%d, %d, %d, %d) = false, but %d is in chain %v",
-					w, tc.shard, tc.workers, tc.replicas, w, got)
+					w, tc.shard, tc.workers, r, w, got)
 			}
 		}
 	}

@@ -325,3 +325,26 @@ func TestLostShardDiagnosticNamesCheckpoint(t *testing.T) {
 		t.Error("resume did not restore the checkpoint the diagnostic named")
 	}
 }
+
+// TestCkWriterFences pins the write-behind's contract: a flush writes the
+// newest boundary enqueued before it and nothing older after it, a discard
+// drops what is pending, and close writes what is left.
+func TestCkWriterFences(t *testing.T) {
+	var wrote []int
+	w := newCkWriter()
+	save := func(i int) func() { return func() { wrote = append(wrote, i) } }
+	for i := 1; i <= 3; i++ {
+		w.enqueue(save(i))
+	}
+	w.flush()
+	if len(wrote) == 0 || wrote[len(wrote)-1] != 3 {
+		t.Fatalf("after a flush the writes are %v, want the newest boundary, 3, last", wrote)
+	}
+	w.enqueue(save(4))
+	w.discard()
+	w.enqueue(save(5))
+	w.close()
+	if got := wrote[len(wrote)-2:]; got[0] != 3 || got[1] != 5 {
+		t.Fatalf("writes %v: a discarded boundary was written, or close lost the pending one", wrote)
+	}
+}

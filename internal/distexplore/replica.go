@@ -17,19 +17,25 @@ import "fmt"
 // zero: each shard on two workers, so any single worker loss is survivable.
 const DefaultReplicas = 2
 
+// ReplicaCount resolves a Task.Replicas value on a cluster of the given
+// number of workers: 0 means DefaultReplicas, and the result is clamped
+// into [1, workers]. It is the one place the rule is written; placement
+// below takes its result, which the workers also check at init.
+func ReplicaCount(replicas, workers int) int {
+	if replicas == 0 {
+		replicas = DefaultReplicas
+	}
+	return min(max(replicas, 1), workers)
+}
+
 // shardReplicas returns the ordered replica chain of one shard: the
 // workers (shard+r) mod workerCount for r = 0..replicas-1, without
-// duplicates (replicas is capped at workerCount, so the chain never wraps
-// onto itself). Index 0 is the shard's home worker — the primary while it
-// lives. Both the coordinator and the workers derive placement from this
-// one function, so they can never disagree about who holds what.
+// duplicates (replicas is a ReplicaCount, at most workerCount, so the chain
+// never wraps onto itself). Index 0 is the shard's home worker — the
+// primary while it lives. Both the coordinator and the workers derive
+// placement from this one function, so they can never disagree about who
+// holds what.
 func shardReplicas(shard, workerCount, replicas int) []int {
-	if replicas > workerCount {
-		replicas = workerCount
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
 	chain := make([]int, replicas)
 	for r := 0; r < replicas; r++ {
 		chain[r] = (shard + r) % workerCount
@@ -40,12 +46,6 @@ func shardReplicas(shard, workerCount, replicas int) []int {
 // workerReplicatesShard reports whether the given worker appears in the
 // shard's replica chain.
 func workerReplicatesShard(worker, shard, workerCount, replicas int) bool {
-	if replicas > workerCount {
-		replicas = workerCount
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
 	// worker == (shard+r) mod W for some r in [0, replicas).
 	d := (worker - shard%workerCount + workerCount) % workerCount
 	return d < replicas
@@ -65,21 +65,11 @@ type replicaSet struct {
 	replicas int
 	dead     []bool
 	lostErr  []error // per worker: the transport error that killed it
-
-	// level and ckDesc feed the coverage-loss diagnostic: the level being
-	// processed when coverage was lost, and a description of the last good
-	// checkpoint (or why there is none). Both are maintained by Explore.
-	level  int
-	ckDesc string
 }
 
+// newReplicaSet takes the replication factor already resolved by
+// ReplicaCount.
 func newReplicaSet(shards, workers, replicas int) *replicaSet {
-	if replicas > workers {
-		replicas = workers
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
 	return &replicaSet{
 		shards:   shards,
 		workers:  workers,
@@ -159,7 +149,8 @@ func (e *shardLostError) Unwrap() error { return e.cause }
 // and the last good checkpoint (if any), and surfaces the transport error
 // that killed the last copy — preserving the "lost … unrecoverable"
 // language the R=1 path has always reported.
-func (rs *replicaSet) lostShard(shard int) error {
+func (r *run) lostShard(shard int) error {
+	rs := r.rs
 	chain := rs.replicasOf(shard)
 	var last error
 	for _, w := range chain {
@@ -172,6 +163,6 @@ func (rs *replicaSet) lostShard(shard int) error {
 		cause: last,
 		msg: fmt.Sprintf(
 			"distexplore: shard %d has no live replica left at level %d (chain %v, replication %d; %s): %v",
-			shard, rs.level, chain, rs.replicas, rs.ckDesc, last),
+			shard, r.level, chain, rs.replicas, r.ckDesc, last),
 	}
 }

@@ -32,6 +32,26 @@ func RegistryProvider(name string, n int) (model.Protocol, error) {
 	return factory(n)
 }
 
+// jobRoot resolves a job's protocol through provider and builds its root:
+// the initial configuration of inputs advanced by prefix. The coordinator
+// and every worker derive the root this one way.
+func jobRoot(provider ProtocolProvider, name string, n int, inputs model.Inputs, prefix model.Schedule) (model.Protocol, *model.Config, error) {
+	pr, err := provider(name, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	root, err := model.Initial(pr, inputs)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(prefix) > 0 {
+		if root, err = model.ApplySchedule(pr, root, prefix); err != nil {
+			return nil, nil, fmt.Errorf("distexplore: applying root prefix: %w", err)
+		}
+	}
+	return pr, root, nil
+}
+
 // ownedNode is one frontier configuration held by this worker: its global
 // node index (assigned by the coordinator in deterministic merge order),
 // the shard it belongs to, and the materialized configuration. With
@@ -355,18 +375,9 @@ func (w *Worker) initJob(req *initReq) error {
 		return fmt.Errorf("distexplore: invalid replication factor %d for %d workers",
 			req.Replicas, req.WorkerCount)
 	}
-	pr, err := w.provider(req.Protocol, req.N)
+	pr, root, err := jobRoot(w.provider, req.Protocol, req.N, req.Inputs, req.Prefix)
 	if err != nil {
 		return err
-	}
-	root, err := model.Initial(pr, req.Inputs)
-	if err != nil {
-		return err
-	}
-	if len(req.Prefix) > 0 {
-		if root, err = model.ApplySchedule(pr, root, req.Prefix); err != nil {
-			return fmt.Errorf("distexplore: applying root prefix: %w", err)
-		}
 	}
 	w.visited.Reset()
 	w.job = &job{

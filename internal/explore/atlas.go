@@ -318,7 +318,7 @@ func (a *Atlas) descendWhere(u int32, dist []int32, usable func(model.Event) boo
 
 // PathTo returns a shortest schedule from the root to node id, recovered
 // from the breadth-first tree's parent pointers.
-func (a *Atlas) PathTo(id int32) model.Schedule { return a.pathTo(int(id)) }
+func (a *Atlas) PathTo(id int32) model.Schedule { return a.g.PathTo(int(id)) }
 
 // InfoAt returns node id's full classification with witness schedules, in
 // the same shape Classify produces. Valency, exactness, and witness

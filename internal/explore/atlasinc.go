@@ -59,6 +59,14 @@ func (s *AtlasSnapshot) Len() int { return len(s.Depth) }
 // nodes [Expanded, Len) are the stored frontier.
 func (s *AtlasSnapshot) Expanded() int { return len(s.SuccStart) - 1 }
 
+// PathTo returns the shortest schedule from the root to node i, read off
+// the breadth-first tree's Parent and ParentVia columns.
+func (s *AtlasSnapshot) PathTo(i int) model.Schedule {
+	return treePath(i, int(s.Depth[i]), func(j int) (int, model.Event) {
+		return int(s.Parent[j]), s.ParentVia[j]
+	})
+}
+
 // validateFor checks the cross-array invariants a well-formed snapshot
 // satisfies, so a mangled artifact surfaces as an error instead of an
 // index panic deep in replay, and that the snapshot describes root.

@@ -106,7 +106,7 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 				exps = c.expandLevel(lo, hi, opt.Workers, &pool)
 			}
 			for u := lo; u < hi; u++ {
-				if visit != nil && visit(c.cfgs[u], depth, func() model.Schedule { return c.pathTo(u) }) {
+				if visit != nil && visit(c.cfgs[u], depth, func() model.Schedule { return c.g.PathTo(u) }) {
 					return false
 				}
 				closed := false
@@ -345,13 +345,6 @@ func (c *core) freshAmong(succs []cand) int {
 		}
 	}
 	return fresh
-}
-
-// pathTo returns the shortest schedule from the root to node id.
-func (c *core) pathTo(id int) model.Schedule {
-	return treePath(id, int(c.g.Depth[id]), func(i int) (int, model.Event) {
-		return int(c.g.Parent[i]), c.g.ParentVia[i]
-	})
 }
 
 // treePath rebuilds the root-to-node schedule of node i, which sits at the

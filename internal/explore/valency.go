@@ -288,12 +288,19 @@ func (vc *Cache) atlasInfo(c *model.Config) (ValencyInfo, bool) {
 // (witness schedules may differ; lengths do not, both being shortest), so
 // warming never changes a caller-observable classification, only its cost.
 // Several atlases may be attached; they are consulted in attachment order.
+// Attaching an atlas that is already attached is a no-op — the build cache
+// hands out one shared *Atlas per key, so pointer identity is the dedup.
 // Safe for concurrent use.
 func (vc *Cache) Warm(atlas *Atlas) {
 	vc.warmMu.Lock()
 	defer vc.warmMu.Unlock()
 	var next []*Atlas
 	if cur := vc.atlases.Load(); cur != nil {
+		for _, a := range *cur {
+			if a == atlas {
+				return
+			}
+		}
 		next = append(next, *cur...)
 	}
 	next = append(next, atlas)
@@ -325,27 +332,8 @@ func (vc *Cache) TryWarm(root *model.Config) bool {
 	if !ok {
 		return false
 	}
-	vc.warmOnce(atlas)
+	vc.Warm(atlas)
 	return true
-}
-
-// warmOnce attaches atlas unless that very atlas is already attached —
-// the TryWarm path hands out one shared *Atlas per key, so pointer
-// identity is the dedup.
-func (vc *Cache) warmOnce(atlas *Atlas) {
-	vc.warmMu.Lock()
-	defer vc.warmMu.Unlock()
-	var next []*Atlas
-	if cur := vc.atlases.Load(); cur != nil {
-		for _, a := range *cur {
-			if a == atlas {
-				return
-			}
-		}
-		next = append(next, *cur...)
-	}
-	next = append(next, atlas)
-	vc.atlases.Store(&next)
 }
 
 // Stats returns cache hit/miss counters. Safe for concurrent use.

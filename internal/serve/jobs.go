@@ -78,9 +78,10 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 
-	done chan struct{} // closed once the state is terminal
-	run  jobFunc
-	jnl  *journal // nil without -atlas-dir: in-memory lifecycle only
+	done      chan struct{} // closed once the state is terminal
+	finishing bool          // under mu: claimed by the finish call that settles the state
+	run       jobFunc
+	jnl       *journal // nil without -atlas-dir: in-memory lifecycle only
 }
 
 // JobView is the JSON rendering of a job's current status.
@@ -153,28 +154,26 @@ func (j *Job) wake() {
 	j.notify = make(chan struct{})
 }
 
-// finish moves the job to a terminal state exactly once. The terminal
-// journal record is the second durability point after admission: once a
-// result is readable, it stays readable across restarts.
+// finish moves the job to a terminal state exactly once: the first call
+// claims it, and any later or concurrent one returns at once. The terminal
+// journal record is the second durability point after admission, so it is
+// appended and fsynced before the state is published: once a waiter or a
+// GET can read a result, it stays readable across restarts.
 func (j *Job) finish(state JobState, result any, err error) {
 	j.mu.Lock()
-	if j.state.terminal() {
+	if j.finishing || j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.state = state
-	j.result = result
-	if err != nil {
-		j.errMsg = err.Error()
-	}
-	j.finished = time.Now()
-	j.events = append(j.events, Event{Seq: len(j.events), Time: j.finished, Msg: "job " + string(state)})
-	j.wake()
-	close(j.done)
-	errMsg := j.errMsg
+	j.finishing = true
 	j.mu.Unlock()
+	var errMsg string
+	if err != nil {
+		errMsg = err.Error()
+	}
+	finished := time.Now()
 	if j.jnl != nil {
-		rec := journalRecord{Rec: recTerminal, ID: j.ID, State: state, Error: errMsg}
+		rec := journalRecord{Rec: recTerminal, ID: j.ID, State: state, Error: errMsg, Time: finished}
 		if result != nil {
 			if raw, err := json.Marshal(result); err == nil {
 				rec.Result = raw
@@ -182,6 +181,15 @@ func (j *Job) finish(state JobState, result any, err error) {
 		}
 		j.jnl.append(rec, true)
 	}
+	j.mu.Lock()
+	j.state = state
+	j.result = result
+	j.errMsg = errMsg
+	j.finished = finished
+	j.events = append(j.events, Event{Seq: len(j.events), Time: finished, Msg: "job " + string(state)})
+	j.wake()
+	close(j.done)
+	j.mu.Unlock()
 }
 
 // Submission failures, mapped to 503 by the API layer.

@@ -3,11 +3,13 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The journal suite pins the restart semantics of tentpole part 3: with
@@ -172,6 +174,49 @@ func TestServerJournalCorruptTail(t *testing.T) {
 	}
 	if after.Size() >= before.Size() {
 		t.Errorf("damaged tail not truncated: %d bytes before restart, %d after", before.Size(), after.Size())
+	}
+}
+
+// TestFinishJournalsBeforePublishing pins the finish order: a job's terminal
+// state becomes observable only after its terminal record is in the journal.
+// The test holds the journal's lock so that append blocks; until it is
+// released, Done stays open and GET reports the job still running.
+func TestFinishJournalsBeforePublishing(t *testing.T) {
+	s, hs := newTestServer(t, Options{Workers: 1, AtlasDir: t.TempDir(), Log: t.Logf})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	j, err := s.queue.Submit(KindCensus, nil, func(func(string), func() bool) (any, error) {
+		close(entered) // the started record is already appended
+		<-release
+		return "answer", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	s.jnl.mu.Lock()
+	close(release)
+	select {
+	case <-j.Done():
+		s.jnl.mu.Unlock()
+		t.Fatal("job published a terminal state before its terminal record was journaled")
+	case <-time.After(100 * time.Millisecond):
+	}
+	var view JobView
+	getJSON(t, hs.URL+"/v1/jobs/"+j.ID, &view)
+	s.jnl.mu.Unlock()
+	if view.State.terminal() {
+		t.Fatalf("GET reported %q while the terminal record was still unwritten", view.State)
+	}
+
+	<-j.Done()
+	if got := s.jnl.recordsTotal(recTerminal); got != 1 {
+		t.Fatalf("%d terminal records after finish, want 1", got)
+	}
+	j.finish(StateFailed, nil, errors.New("second finish"))
+	if j.State() != StateDone || s.jnl.recordsTotal(recTerminal) != 1 {
+		t.Fatalf("a second finish changed the job: state %q, %d terminal records", j.State(), s.jnl.recordsTotal(recTerminal))
 	}
 }
 
