@@ -46,7 +46,7 @@ test-short:
 # (TestCachedValency*), singleflight atlas cache, and the stdlib
 # Prometheus encoder.
 test-serve:
-	$(GO) test -race -count=1 ./internal/serve ./internal/keyedcache ./internal/promtext
+	$(GO) test -race -count=1 ./internal/serve ./internal/promtext
 	$(GO) test -race -run 'TestAtlasCache|TestTryWarmSharesBuilds' -count=1 ./internal/explore
 
 # The persistent atlas store under the race detector: format round-trips,
@@ -66,14 +66,14 @@ FUZZTIME ?= 30s
 
 # Native fuzzing: the configuration key/hash contract, every payload
 # decoder of the cluster protocol (error, or re-encodes to the same bytes;
-# never a panic, never a slice sized past the payload), and the two disk
-# decoders, atlas artifacts and run checkpoints (corrupt error, or
-# re-encodes to equal columns; never a panic, never a column past the input).
+# never a panic, never a slice sized past the payload), and the disk
+# decoder, whose one format holds both atlas artifacts and run checkpoints
+# (corrupt error, or re-encodes to equal columns; never a panic, never a
+# column past the input).
 fuzz:
 	$(GO) test ./internal/model -fuzz FuzzConfigKeyHash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/distexplore -run '^$$' -fuzz FuzzWirePayloads -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/atlasstore -run '^$$' -fuzz FuzzDecodeArtifact -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/atlasstore -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME)
 
 # Cross-engine conformance fuzzing: random generated protocols through
 # sequential, parallel, distributed (fault-free and under a scripted

@@ -1,13 +1,7 @@
 package atlasstore
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 
 	"github.com/flpsim/flp/internal/explore"
@@ -25,22 +19,12 @@ import (
 // produces byte-identical counts, visit order, and witness schedules,
 // re-expanding nothing before the checkpointed level.
 //
-// The artifact discipline is the atlas store's: checksummed flat binary,
-// content-addressed filename, tmp+fsync+rename writes, and corruption
-// answered by detect-log-delete so a damaged checkpoint degrades to a
-// fresh start, never a wrong resume.
-
-// ckMagic identifies a run-checkpoint artifact (distinct from atlas
-// artifacts, which use magic "FLPATLS").
-var ckMagic = [8]byte{'F', 'L', 'P', 'C', 'K', 'P', 'T', 1}
-
-// ckFormatVersion is the checkpoint layout version; a mismatch is treated
-// like corruption (delete, restart from scratch).
-const ckFormatVersion uint32 = 1
-
-// ckFlagTruncated records that the run's ledger had already observed a
-// budget or depth cutoff at the boundary.
-const ckFlagTruncated uint32 = 1 << 0
+// A checkpoint is an atlas artifact with the run-cursor flag: the node
+// columns, event dictionary, key table and CRC-32C trailer are the
+// artifact's own, with no edges, and the header carries the cursor. The
+// discipline is the atlas store's too: content-addressed filename,
+// tmp+fsync+rename writes, and corruption answered by detect-log-delete so
+// a damaged checkpoint degrades to a fresh start, never a wrong resume.
 
 // RunKey identifies one resumable exploration: the problem (protocol, n,
 // root, avoid filter) plus the bounds. Unlike atlas lineages the bounds are
@@ -100,7 +84,7 @@ type CheckpointStore struct {
 // OpenCheckpoints returns a checkpoint store rooted at dir, creating the
 // directory if needed.
 func OpenCheckpoints(dir string) (*CheckpointStore, error) {
-	sh, err := openShelf(dir, "checkpoint ", "deleting; restarting from scratch")
+	sh, err := openShelf(dir, true)
 	if err != nil {
 		return nil, err
 	}
@@ -117,35 +101,13 @@ func (s *CheckpointStore) Stats() CheckpointStats {
 	}
 }
 
-// file is the content-addressed checkpoint path: a SHA-256 over the
-// length-prefixed identity fields.
-func (s *CheckpointStore) file(key RunKey) string {
-	h := sha256.New()
-	var lenb [8]byte
-	writeField := func(p []byte) {
-		binary.LittleEndian.PutUint64(lenb[:], uint64(len(p)))
-		h.Write(lenb[:])
-		h.Write(p)
-	}
-	writeField([]byte(key.Protocol))
-	binary.LittleEndian.PutUint64(lenb[:], uint64(key.N))
-	h.Write(lenb[:])
-	writeField(key.RootKey)
-	writeField([]byte(key.Avoid))
-	binary.LittleEndian.PutUint64(lenb[:], uint64(key.MaxConfigs))
-	h.Write(lenb[:])
-	binary.LittleEndian.PutUint64(lenb[:], uint64(key.MaxDepth))
-	h.Write(lenb[:])
-	return filepath.Join(s.dir, hex.EncodeToString(h.Sum(nil))+".ckpt")
-}
-
 // Save persists a boundary checkpoint atomically (temp file, fsync,
 // rename), superseding any previous checkpoint for the key. Failures are
 // logged, never fatal.
 func (s *CheckpointStore) Save(key RunKey, ck *RunCheckpoint) {
 	path := s.file(key)
 	defer s.lock(path)()
-	if s.write(path, encodeCheckpoint(key, ck)) {
+	if s.write(path, encodeRun(key, ck)) {
 		s.writes.Add(1)
 	}
 }
@@ -164,7 +126,7 @@ func (s *CheckpointStore) Load(key RunKey) *RunCheckpoint {
 		s.skips.Add(1)
 		return nil
 	}
-	ck, err := decodeCheckpoint(key, data)
+	ck, err := decodeRun(key, data)
 	if err != nil {
 		s.drop(path, err)
 		return nil
@@ -191,114 +153,17 @@ func (s *CheckpointStore) Clear(key RunKey) {
 	}
 }
 
-// encodeCheckpoint renders a checkpoint to its on-disk bytes: fixed
-// header, identity fields, event dictionary, node columns, key table,
-// CRC-32C trailer — the atlas artifact's discipline with the checkpoint's
-// scalars in place of edge columns.
-func encodeCheckpoint(key RunKey, ck *RunCheckpoint) []byte {
-	snap := ck.Snap
-	var dict eventDict
-	parentViaIdx := dict.column(snap.ParentVia)
-
-	var b []byte
-	b = append(b, ckMagic[:]...)
-	b = binary.LittleEndian.AppendUint32(b, ckFormatVersion)
-	var flags uint32
-	if ck.Truncated {
-		flags |= ckFlagTruncated
-	}
-	b = binary.LittleEndian.AppendUint32(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.Depth))) // V
-	b = binary.LittleEndian.AppendUint64(b, uint64(ck.Start))
-	b = binary.LittleEndian.AppendUint64(b, uint64(ck.Expanded))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(dict.events))) // D
-	b = appendBytes(b, []byte(key.Protocol))
-	b = binary.LittleEndian.AppendUint64(b, uint64(key.N))
-	b = appendBytes(b, key.RootKey)
-	b = appendBytes(b, []byte(key.Avoid))
-	b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxConfigs))
-	b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxDepth))
-
-	b = dict.appendTo(b)
-	b = appendI32s(b, snap.Depth)
-	b = appendI32s(b, snap.Parent)
-	b = appendI32s(b, parentViaIdx)
-
-	b = appendKeyTable(b, snap.Keys)
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
-	return b
+// encodeRun renders a checkpoint: key's artifact with the run cursor.
+func encodeRun(key RunKey, ck *RunCheckpoint) []byte {
+	return encodeArtifact(&artifact{Key: key, Run: true, RunCheckpoint: *ck})
 }
 
-// decodeCheckpoint parses and validates on-disk bytes against the
-// requested key. Every failure is a *corruptError; the store logs, deletes,
-// and the run restarts from scratch.
-func decodeCheckpoint(key RunKey, b []byte) (*RunCheckpoint, error) {
-	r, err := openFrame(b, ckMagic, ckFormatVersion)
+// decodeRun decodes a checkpoint written for key. Every failure is a
+// *corruptError; the store logs, deletes, and the run restarts from scratch.
+func decodeRun(key RunKey, b []byte) (*RunCheckpoint, error) {
+	a, err := decodeFor(key, true, b)
 	if err != nil {
 		return nil, err
 	}
-	flags := r.u32()
-	V := r.count()
-	start := r.count()
-	expanded := r.count()
-	D := r.count()
-	protoName := string(r.blob())
-	// The identity bounds are run parameters, not file-sized counts — a
-	// budget of 10M is plausible in a file of 200 bytes — so they bypass
-	// count()'s file-length clamp and are validated by the identity
-	// cross-check below instead.
-	n := int(r.u64())
-	rootKey := r.blob()
-	avoid := string(r.blob())
-	maxConfigs := int(r.u64())
-	maxDepth := int(r.u64())
-	if r.err != nil {
-		return nil, corruptf("truncated header")
-	}
-	if V == 0 || start < 1 || start >= V {
-		return nil, corruptf("implausible counts V=%d start=%d", V, start)
-	}
-	if protoName != key.Protocol || n != key.N || !bytes.Equal(rootKey, key.RootKey) ||
-		avoid != key.Avoid || maxConfigs != key.MaxConfigs || maxDepth != key.MaxDepth {
-		return nil, corruptf("checkpoint identity does not match the requested run")
-	}
-
-	dict, err := readEventDict(r, D)
-	if err != nil {
-		return nil, err
-	}
-
-	depth := r.i32s(V)
-	parent := r.i32s(V)
-	parentViaIdx := r.i32s(V)
-	keys, err := readKeyTable(r, V)
-	if err != nil {
-		return nil, err
-	}
-	parentVia, err := viaColumn(parentViaIdx, dict)
-	if err != nil {
-		return nil, err
-	}
-	// Boundary invariant: admission order is breadth-first (depths
-	// non-decreasing) and nodes [start, V) are exactly the pending level —
-	// one contiguous run at the deepest depth, starting right after a node
-	// one level shallower.
-	for i := 1; i < V; i++ {
-		if depth[i] < depth[i-1] {
-			return nil, corruptf("node depths not in admission order at %d", i)
-		}
-	}
-	if depth[start] != depth[V-1] || depth[start-1] != depth[start]-1 {
-		return nil, corruptf("pending level [%d,%d) is not a level boundary", start, V)
-	}
-	snap := &explore.AtlasSnapshot{
-		Depth: depth, Parent: parent, ParentVia: parentVia,
-		SuccStart: []int32{0}, Keys: keys,
-	}
-	return &RunCheckpoint{
-		Snap:      snap,
-		Start:     start,
-		Truncated: flags&ckFlagTruncated != 0,
-		Expanded:  expanded,
-	}, nil
+	return &a.RunCheckpoint, nil
 }

@@ -136,7 +136,7 @@ func TestCheckpointCorruptionSweep(t *testing.T) {
 		{"truncated one byte", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
 		{"future version", func(b []byte) []byte { b[8] = 0xEE; return b }},
-		{"start flip", func(b []byte) []byte { b[24] ^= 0x04; return b }},
+		{"start flip", func(b []byte) []byte { b[96] ^= 0x04; return b }},
 		{"mid column bit flip", func(b []byte) []byte { b[len(b)/2] ^= 0x80; return b }},
 		{"checksum flip", func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }},
 		{"appended garbage", func(b []byte) []byte { return append(b, 0xDE, 0xAD) }},
@@ -177,13 +177,13 @@ func TestCheckpointCorruptionSweep(t *testing.T) {
 // or misplaced file whose name happens to match.
 func TestCheckpointIdentityMismatch(t *testing.T) {
 	key, ck := ckFixture()
-	data := encodeCheckpoint(key, ck)
+	data := encodeRun(key, ck)
 	other := key
 	other.MaxConfigs = 9999
-	if _, err := decodeCheckpoint(other, data); err == nil {
+	if _, err := decodeRun(other, data); err == nil {
 		t.Fatal("decode accepted a checkpoint whose identity does not match the requested run")
 	}
-	if _, err := decodeCheckpoint(key, data); err != nil {
+	if _, err := decodeRun(key, data); err != nil {
 		t.Fatalf("decode rejected the matching identity: %v", err)
 	}
 }
@@ -195,14 +195,14 @@ func TestCheckpointBoundaryInvariant(t *testing.T) {
 	t.Run("depths out of order", func(t *testing.T) {
 		key, ck := ckFixture()
 		ck.Snap.Depth = []int32{0, 1, 0, 1}
-		if _, err := decodeCheckpoint(key, encodeCheckpoint(key, ck)); err == nil {
+		if _, err := decodeRun(key, encodeRun(key, ck)); err == nil {
 			t.Fatal("decode accepted out-of-order depths")
 		}
 	})
 	t.Run("start mid-level", func(t *testing.T) {
 		key, ck := ckFixture()
 		ck.Start = 2 // nodes 1..3 share depth 1; starting at 2 splits the level
-		if _, err := decodeCheckpoint(key, encodeCheckpoint(key, ck)); err == nil {
+		if _, err := decodeRun(key, encodeRun(key, ck)); err == nil {
 			t.Fatal("decode accepted a start index inside a level")
 		}
 	})

@@ -8,13 +8,16 @@
 // This file is the artifact codec. The layout (DESIGN.md §9) is a fixed
 // header, an event dictionary, the struct-of-arrays node and edge columns
 // in little-endian fixed width, the dense-id → binary-canonical-key table,
-// and a CRC-32C trailer over everything preceding it. Decoding verifies
-// checksum, magic, and version before touching a single field, then
-// bounds-checks every cross-array index, so a truncated or bit-flipped
-// artifact is always an error — never a panic, never a wrong atlas.
+// and a CRC-32C trailer over everything preceding it. A run checkpoint is
+// the same artifact with the run-cursor flag, its cursor in the header and
+// no edges. Decoding verifies checksum, magic, and version before touching
+// a single field, then bounds-checks every cross-array index, so a
+// truncated or bit-flipped artifact is always an error — never a panic,
+// never a wrong atlas.
 package atlasstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -38,22 +41,27 @@ const formatVersion uint32 = 1
 // means a truncated exploration persisted with its frontier for later
 // resume. flagDists marks the presence of the two backward-distance
 // columns — set on every complete artifact the store writes (the warm
-// load path needs them), and never without flagComplete.
+// load path needs them), and never without flagComplete. flagRun marks a
+// run checkpoint: a truncated artifact with no edges whose header carries
+// the run cursor, and flagLedgerTruncated, set only beside it, records
+// that the run's ledger had already observed a budget or depth cutoff.
 const (
-	flagComplete uint32 = 1 << 0
-	flagDists    uint32 = 1 << 1
+	flagComplete        uint32 = 1 << 0
+	flagDists           uint32 = 1 << 1
+	flagRun             uint32 = 1 << 2
+	flagLedgerTruncated uint32 = 1 << 3
 )
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// artifact is the decoded form: the identity fields the store resolves
-// requests against plus the exploration snapshot itself.
+// artifact is the decoded form of either file kind: the identity the file
+// was written for, the exploration snapshot, and for a run checkpoint
+// (Run) the cursor. A lineage's identity has only Protocol, N and RootKey.
 type artifact struct {
-	ProtoName string
-	N         int
-	RootKey   []byte
-	Snap      *explore.AtlasSnapshot
+	Key RunKey
+	Run bool
+	RunCheckpoint
 }
 
 // corruptError marks artifact damage the store responds to by deleting
@@ -67,7 +75,8 @@ func corruptf(format string, args ...any) error {
 }
 
 // encodeArtifact renders an artifact to its on-disk bytes.
-func encodeArtifact(protoName string, n int, rootKey []byte, snap *explore.AtlasSnapshot) []byte {
+func encodeArtifact(a *artifact) []byte {
+	snap := a.Snap
 	// Event dictionary: every distinct via label across both event
 	// columns. parentVia[0] is the zero Event, so the null event for
 	// process 0 is always present — no sentinel index needed.
@@ -86,14 +95,27 @@ func encodeArtifact(protoName string, n int, rootKey []byte, snap *explore.Atlas
 	if hasDists {
 		flags |= flagDists
 	}
+	if a.Run {
+		flags |= flagRun
+		if a.Truncated {
+			flags |= flagLedgerTruncated
+		}
+	}
 	b = binary.LittleEndian.AppendUint32(b, flags)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.Depth)))       // V
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.SuccStart)-1)) // X
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.SuccTo)))      // E
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(dict.events)))      // D
-	b = appendBytes(b, []byte(protoName))
-	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	b = appendBytes(b, rootKey)
+	b = appendBytes(b, []byte(a.Key.Protocol))
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.Key.N))
+	b = appendBytes(b, a.Key.RootKey)
+	if a.Run {
+		b = appendBytes(b, []byte(a.Key.Avoid))
+		b = binary.LittleEndian.AppendUint64(b, uint64(a.Key.MaxConfigs))
+		b = binary.LittleEndian.AppendUint64(b, uint64(a.Key.MaxDepth))
+		b = binary.LittleEndian.AppendUint64(b, uint64(a.Start))
+		b = binary.LittleEndian.AppendUint64(b, uint64(a.Expanded))
+	}
 
 	b = dict.appendTo(b)
 	b = appendI32s(b, snap.Depth)
@@ -115,28 +137,50 @@ func encodeArtifact(protoName string, n int, rootKey []byte, snap *explore.Atlas
 // decodeArtifact parses and validates on-disk bytes. Every failure is a
 // *corruptError; the caller (Store) logs, deletes, and rebuilds.
 func decodeArtifact(b []byte) (*artifact, error) {
-	r, err := openFrame(b, magic, formatVersion)
+	r, err := openFrame(b)
 	if err != nil {
 		return nil, err
 	}
 	flags := r.u32()
 	complete := flags&flagComplete != 0
 	hasDists := flags&flagDists != 0
-	if hasDists && !complete {
+	run := flags&flagRun != 0
+	switch {
+	case hasDists && !complete:
 		return nil, corruptf("distance columns on a truncated artifact")
+	case run && complete:
+		return nil, corruptf("run cursor on a complete artifact")
+	case !run && flags&flagLedgerTruncated != 0:
+		return nil, corruptf("ledger flag without a run cursor")
 	}
 	V := r.count()
 	X := r.count()
 	E := r.count()
 	D := r.count()
-	protoName := string(r.blob())
-	n := r.count()
-	rootKey := r.blob()
+	a := &artifact{Run: run}
+	a.Key.Protocol = string(r.blob())
+	a.Key.N = r.count()
+	a.Key.RootKey = r.blob()
+	if run {
+		// The bounds are run parameters, not file-sized counts — a budget
+		// of 10M is plausible in a file of 200 bytes — so they bypass
+		// count()'s file-length clamp; the identity check against the
+		// requested run validates them.
+		a.Key.Avoid = string(r.blob())
+		a.Key.MaxConfigs = int(r.u64())
+		a.Key.MaxDepth = int(r.u64())
+		a.Start = r.count()
+		a.Expanded = r.count()
+		a.Truncated = flags&flagLedgerTruncated != 0
+	}
 	if r.err != nil {
 		return nil, corruptf("truncated header")
 	}
-	if V == 0 || X > V || n <= 0 {
-		return nil, corruptf("implausible counts V=%d X=%d n=%d", V, X, n)
+	if V == 0 || X > V || a.Key.N <= 0 {
+		return nil, corruptf("implausible counts V=%d X=%d n=%d", V, X, a.Key.N)
+	}
+	if run && (X != 0 || E != 0 || a.Start < 1 || a.Start >= V) {
+		return nil, corruptf("implausible run cursor V=%d X=%d E=%d start=%d", V, X, E, a.Start)
 	}
 
 	dict, err := readEventDict(r, D)
@@ -167,19 +211,67 @@ func decodeArtifact(b []byte) (*artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &explore.AtlasSnapshot{
+	if run {
+		if err := checkBoundary(depth, succStart, a.Start); err != nil {
+			return nil, err
+		}
+	}
+	a.Snap = &explore.AtlasSnapshot{
 		Depth: depth, Parent: parent, ParentVia: parentVia,
 		SuccStart: succStart, SuccTo: succTo, SuccVia: succVia,
 		Keys: keys, Complete: complete, Dist0: dist0, Dist1: dist1,
 	}
-	return &artifact{ProtoName: protoName, N: n, RootKey: rootKey, Snap: snap}, nil
+	return a, nil
 }
 
-// openFrame checks what both artifact kinds are framed with before a
-// single field is read — minimum length, the CRC-32C trailer over
-// everything preceding it, magic, layout version — and returns a reader
-// positioned after the version.
-func openFrame(b []byte, magic [8]byte, version uint32) (*reader, error) {
+// checkBoundary holds a run checkpoint's node table to the level-boundary
+// invariant: no node expanded, admission order breadth-first (depths
+// non-decreasing), and nodes [start, V) exactly the pending level — one
+// contiguous run at the deepest depth, starting right after a node one
+// level shallower.
+func checkBoundary(depth, succStart []int32, start int) error {
+	if succStart[0] != 0 {
+		return corruptf("edge offsets on a run checkpoint")
+	}
+	for i := 1; i < len(depth); i++ {
+		if depth[i] < depth[i-1] {
+			return corruptf("node depths not in admission order at %d", i)
+		}
+	}
+	if depth[start] != depth[len(depth)-1] || depth[start-1] != depth[start]-1 {
+		return corruptf("pending level [%d,%d) is not a level boundary", start, len(depth))
+	}
+	return nil
+}
+
+// decodeFor decodes b and checks that it is key's file of the requested
+// kind: the header must name the identity the content-addressed file name
+// was derived from, and carry the run cursor exactly when run. A mismatch
+// is only possible through corruption, tampering, or a file copied between
+// names, and is answered like corruption.
+func decodeFor(key RunKey, run bool, b []byte) (*artifact, error) {
+	a, err := decodeArtifact(b)
+	if err != nil {
+		return nil, err
+	}
+	if a.Run && !run {
+		return nil, corruptf("a run checkpoint under an atlas artifact's name")
+	}
+	if !a.Run && run {
+		return nil, corruptf("an atlas artifact under a run checkpoint's name")
+	}
+	k := a.Key
+	if k.Protocol != key.Protocol || k.N != key.N || !bytes.Equal(k.RootKey, key.RootKey) ||
+		k.Avoid != key.Avoid || k.MaxConfigs != key.MaxConfigs || k.MaxDepth != key.MaxDepth {
+		return nil, corruptf("identity does not match the file name")
+	}
+	return a, nil
+}
+
+// openFrame checks the frame before a single field is read — minimum
+// length, the CRC-32C trailer over everything preceding it, magic, layout
+// version — and returns a reader positioned after the version.
+func openFrame(b []byte) (*reader, error) {
 	if len(b) < len(magic)+4+4+4 {
 		return nil, corruptf("short file (%d bytes)", len(b))
 	}
@@ -193,15 +285,15 @@ func openFrame(b []byte, magic [8]byte, version uint32) (*reader, error) {
 	if r.err != nil || m != magic {
 		return nil, corruptf("bad magic")
 	}
-	if v := r.u32(); v != version {
-		return nil, corruptf("format version %d (want %d)", v, version)
+	if v := r.u32(); v != formatVersion {
+		return nil, corruptf("format version %d (want %d)", v, formatVersion)
 	}
 	return r, nil
 }
 
-// eventDict is the event dictionary both artifact kinds carry: every
-// distinct via label once, in first-use order, with the event columns
-// stored as indices into it.
+// eventDict is the artifact's event dictionary: every distinct via label
+// once, in first-use order, with the event columns stored as indices into
+// it.
 type eventDict struct {
 	events []model.Event
 	idx    map[eventID]int32

@@ -7,16 +7,16 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/protocols"
 )
 
-// The two disk decoders under native fuzzing, held to one invariant on
-// arbitrary bytes: a *corruptError, or a value with no column longer than
-// the input that re-encodes and decodes to equal columns; never a panic.
-// Both formats end in a CRC-32C trailer, so nearly every mutation of a seed
-// would die in openFrame. Each input is therefore decoded twice: as given,
-// and with its trailer recomputed, which lets the fuzzer reach the header,
+// The disk decoder under native fuzzing, held to one invariant on arbitrary
+// bytes: a *corruptError, or a value with no column longer than the input
+// that re-encodes and decodes to equal columns; never a panic. Both file
+// kinds — atlas artifacts and run checkpoints — are this one format, and it
+// ends in a CRC-32C trailer, so nearly every mutation of a seed would die
+// in openFrame. Each input is therefore decoded twice: as given, and with
+// its trailer recomputed, which lets the fuzzer reach the header,
 // dictionary, column and key-table checks behind the checksum.
 
 // resealed returns b with its last four bytes replaced by the CRC-32C of
@@ -39,37 +39,21 @@ func wantCorrupt(t *testing.T, err error) {
 	}
 }
 
-// checkDecoded holds a successful decode of n bytes to the invariant: no
-// column of snap is longer than n, and again — the value re-encoded and
-// decoded — succeeds and equals got.
-func checkDecoded(t *testing.T, n int, snap *explore.AtlasSnapshot, got any, again func() (any, error)) {
-	t.Helper()
-	if longest := max(len(snap.Depth), len(snap.Parent), len(snap.ParentVia), len(snap.SuccStart),
-		len(snap.SuccTo), len(snap.SuccVia), len(snap.Keys), len(snap.Dist0), len(snap.Dist1)); longest > n {
-		t.Fatalf("a column of %d entries decoded from %d bytes", longest, n)
-	}
-	back, err := again()
-	if err != nil {
-		t.Fatalf("the decoded value re-encodes to bytes that do not decode: %v", err)
-	}
-	if !reflect.DeepEqual(back, got) {
-		t.Fatalf("the decoded value re-encodes to bytes that decode to different columns")
-	}
-}
-
-// FuzzDecodeArtifact seeds with every registry protocol's atlas: complete
+// FuzzDecodeArtifact seeds with every registry protocol's atlas — complete
 // (with distance columns) where it closes within 300 configurations, and
-// truncated at 40.
+// truncated at 40 — and with ckFixture's run checkpoint, its ledger
+// truncated and not.
 func FuzzDecodeArtifact(f *testing.F) {
 	for _, name := range protocols.Names() {
 		pr, root := registryRoot(f, name)
-		if a, ok := explore.BuildAtlas(pr, root, explore.Options{MaxConfigs: 300}); ok {
-			f.Add(encodeArtifact(pr.Name(), pr.N(), root.KeyBytes(), a.Snapshot()))
+		for _, snap := range registrySeeds(pr, root) {
+			f.Add(lineageBytes(pr, root, snap))
 		}
-		b := explore.NewAtlasBuilder(pr, root)
-		b.Extend(explore.Options{MaxConfigs: 40})
-		f.Add(encodeArtifact(pr.Name(), pr.N(), root.KeyBytes(), b.Snapshot()))
 	}
+	key, ck := ckFixture()
+	f.Add(encodeRun(key, ck))
+	ck.Truncated = false
+	f.Add(encodeRun(key, ck))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range [][]byte{in, resealed(in)} {
 			art, err := decodeArtifact(b)
@@ -77,30 +61,18 @@ func FuzzDecodeArtifact(f *testing.F) {
 				wantCorrupt(t, err)
 				continue
 			}
-			checkDecoded(t, len(b), art.Snap, art, func() (any, error) {
-				return decodeArtifact(encodeArtifact(art.ProtoName, art.N, art.RootKey, art.Snap))
-			})
-		}
-	})
-}
-
-// FuzzDecodeCheckpoint seeds with ckFixture, truncated and not; inputs are
-// decoded against the fixture's key.
-func FuzzDecodeCheckpoint(f *testing.F) {
-	key, ck := ckFixture()
-	f.Add(encodeCheckpoint(key, ck))
-	ck.Truncated = false
-	f.Add(encodeCheckpoint(key, ck))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		for _, b := range [][]byte{in, resealed(in)} {
-			got, err := decodeCheckpoint(key, b)
-			if err != nil {
-				wantCorrupt(t, err)
-				continue
+			snap := art.Snap
+			if longest := max(len(snap.Depth), len(snap.Parent), len(snap.ParentVia), len(snap.SuccStart),
+				len(snap.SuccTo), len(snap.SuccVia), len(snap.Keys), len(snap.Dist0), len(snap.Dist1)); longest > len(b) {
+				t.Fatalf("a column of %d entries decoded from %d bytes", longest, len(b))
 			}
-			checkDecoded(t, len(b), got.Snap, got, func() (any, error) {
-				return decodeCheckpoint(key, encodeCheckpoint(key, got))
-			})
+			back, err := decodeArtifact(encodeArtifact(art))
+			if err != nil {
+				t.Fatalf("the decoded value re-encodes to bytes that do not decode: %v", err)
+			}
+			if !reflect.DeepEqual(back, art) {
+				t.Fatalf("the decoded value re-encodes to bytes that decode to different columns")
+			}
 		}
 	})
 }

@@ -13,7 +13,7 @@ import (
 // lock 50 times — under -race that is the mutual-exclusion check, and a
 // waiter arriving while the holder releases must find the same mutex.
 func TestShelfLocksShrink(t *testing.T) {
-	s, err := openShelf(t.TempDir(), "", "")
+	s, err := openShelf(t.TempDir(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

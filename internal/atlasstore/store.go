@@ -1,7 +1,6 @@
 package atlasstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -42,12 +41,14 @@ type Store struct {
 // shelf is the directory discipline the atlas store and the checkpoint
 // store share: one file per content-addressed key, work on one file
 // serialized on a per-path lock, writes atomic (temp file, fsync, rename),
-// and damage answered by detect-log-delete. noun prefixes the
-// diagnostics ("" for atlas artifacts, "checkpoint " for run checkpoints)
-// and onCorrupt says what deleting a damaged file leads to.
+// and damage answered by detect-log-delete. run says which kind of file
+// the shelf holds: lineage artifacts (.atlas) or run checkpoints (.ckpt).
+// noun prefixes the diagnostics and onCorrupt says what deleting a damaged
+// file leads to.
 type shelf struct {
 	dir             string
 	logf            func(format string, args ...any)
+	run             bool
 	noun, onCorrupt string
 
 	mu    sync.Mutex
@@ -57,13 +58,46 @@ type shelf struct {
 	corrupt atomic.Int64
 }
 
-// openShelf returns a shelf rooted at dir, creating the directory if
-// needed.
-func openShelf(dir, noun, onCorrupt string) (*shelf, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("atlasstore: %s%w", noun, err)
+// openShelf returns a shelf of run checkpoints (run) or lineage artifacts
+// rooted at dir, creating the directory if needed.
+func openShelf(dir string, run bool) (*shelf, error) {
+	s := &shelf{dir: dir, logf: log.Printf, run: run, onCorrupt: "deleting for rebuild", locks: make(map[string]*pathLock)}
+	if run {
+		s.noun, s.onCorrupt = "checkpoint ", "deleting; restarting from scratch"
 	}
-	return &shelf{dir: dir, logf: log.Printf, noun: noun, onCorrupt: onCorrupt, locks: make(map[string]*pathLock)}, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("atlasstore: %s%w", s.noun, err)
+	}
+	return s, nil
+}
+
+// file is the content-addressed path of key's file: a SHA-256 over the
+// identity fields. A lineage hashes the length-prefixed protocol name, the
+// process count and the root's binary canonical key; a run length-prefixes
+// the root key too and adds the avoid filter and both bounds. Registry
+// names are stable identities and gen: protocol names encode their full
+// specification, so equal digests mean equal exploration problems.
+func (s *shelf) file(key RunKey) string {
+	b := appendField(nil, []byte(key.Protocol))
+	b = binary.LittleEndian.AppendUint64(b, uint64(key.N))
+	ext := ".atlas"
+	if s.run {
+		b = appendField(b, key.RootKey)
+		b = appendField(b, []byte(key.Avoid))
+		b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxConfigs))
+		b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxDepth))
+		ext = ".ckpt"
+	} else {
+		b = append(b, key.RootKey...)
+	}
+	sum := sha256.Sum256(b)
+	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+ext)
+}
+
+// appendField appends p with a u64 length prefix.
+func appendField(b, p []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p)))
+	return append(b, p...)
 }
 
 // SetLog redirects the store's diagnostics (corruption, I/O failures);
@@ -181,7 +215,7 @@ type Stats struct {
 
 // Open returns a store rooted at dir, creating the directory if needed.
 func Open(dir string) (*Store, error) {
-	sh, err := openShelf(dir, "", "deleting for rebuild")
+	sh, err := openShelf(dir, false)
 	if err != nil {
 		return nil, err
 	}
@@ -200,22 +234,11 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// lineageFile is the content-addressed artifact path: a SHA-256 over the
-// self-describing protocol name, process count, and the root's binary
-// canonical key. Registry names are stable identities and gen: protocol
-// names encode their full specification, so equal digests mean equal
-// exploration problems.
-func (s *Store) lineageFile(pr model.Protocol, root *model.Config) string {
-	h := sha256.New()
-	name := pr.Name()
-	var lenb [8]byte
-	binary.LittleEndian.PutUint64(lenb[:], uint64(len(name)))
-	h.Write(lenb[:])
-	h.Write([]byte(name))
-	binary.LittleEndian.PutUint64(lenb[:], uint64(pr.N()))
-	h.Write(lenb[:])
-	h.Write(root.KeyBytes())
-	return filepath.Join(s.dir, hex.EncodeToString(h.Sum(nil))+".atlas")
+// lineage is the identity of pr's exploration from root: what the
+// artifact's file name and header are derived from. The bounds are
+// deliberately not part of it.
+func lineage(pr model.Protocol, root *model.Config) RunKey {
+	return RunKey{Protocol: pr.Name(), N: pr.N(), RootKey: root.KeyBytes()}
 }
 
 // GetAtlas implements explore.AtlasBackend: answer the atlas request from
@@ -231,10 +254,11 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 		s.refused.Add(1)
 		return nil, false
 	}
-	path := s.lineageFile(pr, root)
+	key := lineage(pr, root)
+	path := s.file(key)
 	defer s.lock(path)()
 
-	art := s.load(pr, root, path)
+	art := s.load(key, path)
 	if art != nil && art.Snap.Complete {
 		if art.Snap.Len() > opt.MaxConfigs {
 			// Persistent refusal, decided from the header: the exhausted
@@ -271,7 +295,7 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 		// Persist the truncated state with its frontier so the next
 		// bigger-budget request resumes instead of re-exploring.
 		if grew || !resumed {
-			s.save(path, pr, root, b.Snapshot(), resumed)
+			s.save(path, key, b.Snapshot(), resumed)
 		}
 		return nil, false
 	}
@@ -282,7 +306,7 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 	if grew || !resumed {
 		// Persist the finished atlas — distance columns included, so the
 		// next process warm-loads without running the backward passes.
-		s.save(path, pr, root, a.Snapshot(), resumed)
+		s.save(path, key, a.Snapshot(), resumed)
 	}
 	return a, true
 }
@@ -315,10 +339,11 @@ type DeepenStats struct {
 // persisted state.
 func (s *Store) Deepen(pr model.Protocol, root *model.Config, opt explore.Options) (*explore.AtlasSnapshot, DeepenStats, error) {
 	opt = opt.Normalized()
-	path := s.lineageFile(pr, root)
+	key := lineage(pr, root)
+	path := s.file(key)
 	defer s.lock(path)()
 
-	art := s.load(pr, root, path)
+	art := s.load(key, path)
 	if art != nil && art.Snap.Complete {
 		// Exhausted: nothing a deeper bound could add.
 		s.hits.Add(1)
@@ -355,7 +380,7 @@ func (s *Store) Deepen(pr model.Protocol, root *model.Config, opt explore.Option
 		snap = b.Snapshot()
 	}
 	if st.NewlyExpanded > 0 || !st.Resumed {
-		s.save(path, pr, root, snap, st.Resumed)
+		s.save(path, key, snap, st.Resumed)
 	}
 	return snap, st, nil
 }
@@ -374,22 +399,16 @@ func (s *Store) builder(pr model.Protocol, root *model.Config, path string, art 
 	return explore.NewAtlasBuilder(pr, root), false
 }
 
-// load reads and validates the lineage's artifact; nil when absent,
-// corrupt (deleted for rebuild), or not this lineage's content.
-func (s *Store) load(pr model.Protocol, root *model.Config, path string) *artifact {
+// load reads and validates the lineage's artifact; nil when absent, or
+// when corrupt or not this lineage's content (deleted for rebuild).
+func (s *Store) load(key RunKey, path string) *artifact {
 	data, ok := s.read(path)
 	if !ok {
 		return nil
 	}
-	art, err := decodeArtifact(data)
+	art, err := decodeFor(key, false, data)
 	if err != nil {
 		s.drop(path, err)
-		return nil
-	}
-	if art.ProtoName != pr.Name() || art.N != pr.N() || !bytes.Equal(art.RootKey, root.KeyBytes()) {
-		// The file's content-addressed name disagrees with its header —
-		// only possible through corruption or tampering.
-		s.drop(path, fmt.Errorf("artifact identity does not match its lineage"))
 		return nil
 	}
 	return art
@@ -397,8 +416,8 @@ func (s *Store) load(pr model.Protocol, root *model.Config, path string) *artifa
 
 // save atomically writes the artifact. replace notes that an older
 // artifact is being superseded (counted as an eviction).
-func (s *Store) save(path string, pr model.Protocol, root *model.Config, snap *explore.AtlasSnapshot, replace bool) {
-	if s.write(path, encodeArtifact(pr.Name(), pr.N(), root.KeyBytes(), snap)) && replace {
+func (s *Store) save(path string, key RunKey, snap *explore.AtlasSnapshot, replace bool) {
+	if s.write(path, encodeArtifact(&artifact{Key: key, RunCheckpoint: RunCheckpoint{Snap: snap}})) && replace {
 		s.evictions.Add(1)
 	}
 }

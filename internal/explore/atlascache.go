@@ -2,9 +2,9 @@ package explore
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
-	"github.com/flpsim/flp/internal/keyedcache"
 	"github.com/flpsim/flp/internal/model"
 )
 
@@ -22,16 +22,24 @@ import (
 // (protocol, params, root) tuple. Safe for concurrent use. Atlases are
 // immutable, so a cached atlas may be handed to any number of consumers.
 type AtlasCache struct {
-	c       *keyedcache.Cache[*Atlas]
 	backend AtlasBackend
-	// cachedHits counts Cached's hits, which keyedcache.Get does not count;
-	// Stats folds them into the hit total.
-	cachedHits atomic.Int64
+
+	mu      sync.Mutex
+	entries map[string]*atlasEntry
+
+	hits, misses, merged atomic.Int64
+}
+
+// atlasEntry is one key's slot. done is closed when the build finishes;
+// atlas is immutable after that, nil for a memoized refusal.
+type atlasEntry struct {
+	done  chan struct{}
+	atlas *Atlas
 }
 
 // NewAtlasCache returns an empty atlas cache.
 func NewAtlasCache() *AtlasCache {
-	return &AtlasCache{c: keyedcache.New[*Atlas]()}
+	return &AtlasCache{entries: make(map[string]*atlasEntry)}
 }
 
 // AtlasBackend is a second-level atlas source consulted on memory-cache
@@ -67,14 +75,14 @@ func AtlasKey(pr model.Protocol, root *model.Config, opt Options) string {
 // set exceeds opt's budget, and the refusal is memoized so repeat callers
 // skip straight to their per-configuration fallback.
 func (ac *AtlasCache) Get(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
-	a, _, _ := ac.lookup(pr, root, opt)
+	a, _ := ac.lookup(pr, root, opt)
 	return a, a != nil
 }
 
 // GetStats is Get plus whether this call was answered without a build —
 // the signal the serving layer's cache metrics are fed from.
 func (ac *AtlasCache) GetStats(pr model.Protocol, root *model.Config, opt Options) (atlas *Atlas, ok, hit bool) {
-	a, _, hit := ac.lookup(pr, root, opt)
+	a, hit := ac.lookup(pr, root, opt)
 	return a, a != nil, hit
 }
 
@@ -83,38 +91,73 @@ func (ac *AtlasCache) GetStats(pr model.Protocol, root *model.Config, opt Option
 // refusal, or a build still in flight, reports false. A returned atlas
 // counts one hit in Stats, as the same lookup through Get would.
 func (ac *AtlasCache) Cached(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
-	a, _, ok := ac.c.Get(AtlasKey(pr, root, opt))
-	if !ok || a == nil {
+	ac.mu.Lock()
+	e := ac.entries[AtlasKey(pr, root, opt)]
+	ac.mu.Unlock()
+	if e == nil {
 		return nil, false
 	}
-	ac.cachedHits.Add(1)
-	return a, true
+	select {
+	case <-e.done:
+		if e.atlas != nil {
+			ac.hits.Add(1)
+			return e.atlas, true
+		}
+	default:
+	}
+	return nil, false
 }
 
-func (ac *AtlasCache) lookup(pr model.Protocol, root *model.Config, opt Options) (*Atlas, error, bool) {
-	return ac.c.Do(AtlasKey(pr, root, opt), func() (*Atlas, error) {
-		var atlas *Atlas
-		var ok bool
-		if ac.backend != nil {
-			atlas, ok = ac.backend.GetAtlas(pr, root, opt)
-		} else {
-			atlas, ok = BuildAtlas(pr, root, opt)
+// lookup returns the key's atlas (nil for a refusal), building it on first
+// use. Exactly one build runs per key: callers that arrive while it is in
+// flight wait for it and share its result. hit is true when this call did
+// not build — a memory hit or a merged wait. A panicking build still
+// closes its slot, so waiters are released with a memoized refusal, and
+// the panic goes on up the building goroutine.
+func (ac *AtlasCache) lookup(pr model.Protocol, root *model.Config, opt Options) (atlas *Atlas, hit bool) {
+	key := AtlasKey(pr, root, opt)
+	ac.mu.Lock()
+	if e, ok := ac.entries[key]; ok {
+		ac.mu.Unlock()
+		select {
+		case <-e.done:
+			ac.hits.Add(1)
+		default:
+			ac.merged.Add(1)
+			<-e.done
 		}
-		if !ok {
-			return nil, nil // memoized refusal: nil atlas, no error
-		}
-		return atlas, nil
-	})
+		return e.atlas, true
+	}
+	e := &atlasEntry{done: make(chan struct{})}
+	ac.entries[key] = e
+	ac.mu.Unlock()
+
+	ac.misses.Add(1)
+	defer close(e.done)
+	var a *Atlas
+	var ok bool
+	if ac.backend != nil {
+		a, ok = ac.backend.GetAtlas(pr, root, opt)
+	} else {
+		a, ok = BuildAtlas(pr, root, opt)
+	}
+	if ok {
+		e.atlas = a
+	}
+	return e.atlas, false
 }
 
 // Len returns the number of cached slots (atlases plus memoized
-// refusals).
-func (ac *AtlasCache) Len() int { return ac.c.Len() }
+// refusals), builds in flight included.
+func (ac *AtlasCache) Len() int {
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	return len(ac.entries)
+}
 
 // Stats returns cumulative lookup counters: hits answered from memory,
 // misses that ran (or refused) a build, and merged lookups that waited on
 // a concurrent caller's in-flight build.
 func (ac *AtlasCache) Stats() (hits, misses, merged int64) {
-	hits, misses, merged = ac.c.Stats()
-	return hits + ac.cachedHits.Load(), misses, merged
+	return ac.hits.Load(), ac.misses.Load(), ac.merged.Load()
 }

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,5 +180,145 @@ func TestTryWarmSharesBuilds(t *testing.T) {
 	}
 	if n := len(*c1.atlases.Load()); n != 1 {
 		t.Fatalf("repeat TryWarm grew the attached-atlas list to %d", n)
+	}
+}
+
+// gatedBackend is an AtlasBackend that counts its builds and answers each
+// with a fresh atlas value once gate opens (nil gate: immediately), or
+// panics when told to.
+type gatedBackend struct {
+	builds  atomic.Int64
+	gate    chan struct{}
+	started chan struct{}
+	panics  bool
+}
+
+func (g *gatedBackend) GetAtlas(model.Protocol, *model.Config, Options) (*Atlas, bool) {
+	g.builds.Add(1)
+	if g.started != nil {
+		close(g.started)
+	}
+	if g.gate != nil {
+		<-g.gate
+	}
+	if g.panics {
+		panic("kaboom")
+	}
+	return &Atlas{}, true
+}
+
+// TestAtlasCacheMergesInFlightBuild pins the singleflight contract with
+// the build held open, so every caller piles up on it: N concurrent lookups
+// for one key run one build, all see its atlas, and the N−1 that did not
+// build are counted as hits or merged waits.
+func TestAtlasCacheMergesInFlightBuild(t *testing.T) {
+	nm := protocols.NewNaiveMajority(3)
+	root := model.MustInitial(nm, model.Inputs{0, 1, 1})
+	g := &gatedBackend{gate: make(chan struct{})}
+	ac := NewAtlasCache()
+	ac.SetBackend(g)
+
+	const N = 32
+	var wg sync.WaitGroup
+	atlases := make([]*Atlas, N)
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			atlases[i], _ = ac.Get(nm, root, Options{})
+		}(i)
+	}
+	close(g.gate)
+	wg.Wait()
+
+	if got := g.builds.Load(); got != 1 {
+		t.Fatalf("%d concurrent lookups ran %d builds, want 1", N, got)
+	}
+	for i, a := range atlases {
+		if a == nil || a != atlases[0] {
+			t.Fatalf("caller %d saw atlas %p, want the one build's %p", i, a, atlases[0])
+		}
+	}
+	hits, misses, merged := ac.Stats()
+	if misses != 1 || hits+merged != N-1 {
+		t.Fatalf("stats hits %d misses %d merged %d, want 1 miss and %d hits+merged", hits, misses, merged, N-1)
+	}
+}
+
+// TestAtlasCacheDistinctKeys pins that keys are independent: each distinct
+// budget runs its own build, later rounds are pure hits, and the atlases
+// never cross.
+func TestAtlasCacheDistinctKeys(t *testing.T) {
+	nm := protocols.NewNaiveMajority(3)
+	root := model.MustInitial(nm, model.Inputs{0, 1, 1})
+	g := &gatedBackend{}
+	ac := NewAtlasCache()
+	ac.SetBackend(g)
+	first := make([]*Atlas, 5)
+	for round := 0; round < 3; round++ {
+		for i := range first {
+			a, ok, hit := ac.GetStats(nm, root, Options{MaxConfigs: 100 + i})
+			if !ok {
+				t.Fatalf("round %d budget %d refused", round, 100+i)
+			}
+			if wantHit := round > 0; hit != wantHit {
+				t.Fatalf("round %d budget %d: hit = %v, want %v", round, 100+i, hit, wantHit)
+			}
+			if round == 0 {
+				for j := 0; j < i; j++ {
+					if first[j] == a {
+						t.Fatalf("budgets %d and %d share one atlas", 100+j, 100+i)
+					}
+				}
+				first[i] = a
+			} else if a != first[i] {
+				t.Fatalf("round %d budget %d resolved to another atlas", round, 100+i)
+			}
+		}
+	}
+	if got := g.builds.Load(); got != 5 {
+		t.Fatalf("ran %d builds for 5 distinct keys, want 5", got)
+	}
+	if ac.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", ac.Len())
+	}
+}
+
+// TestAtlasCachePanicReleasesWaiters pins that a panicking build does not
+// strand a concurrent waiter: it is answered with a refusal instead of
+// hanging, and the panic reaches the building goroutine.
+func TestAtlasCachePanicReleasesWaiters(t *testing.T) {
+	nm := protocols.NewNaiveMajority(3)
+	root := model.MustInitial(nm, model.Inputs{0, 1, 1})
+	g := &gatedBackend{gate: make(chan struct{}), started: make(chan struct{}), panics: true}
+	ac := NewAtlasCache()
+	ac.SetBackend(g)
+
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		ac.Get(nm, root, Options{})
+	}()
+	<-g.started
+	okc := make(chan bool, 1)
+	go func() {
+		_, ok := ac.Get(nm, root, Options{})
+		okc <- ok
+	}()
+	for {
+		if _, _, merged := ac.Stats(); merged == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(g.gate)
+	if ok := <-okc; ok {
+		t.Fatal("the waiter on a panicked build got an atlas")
+	}
+	if p := <-panicked; p == nil {
+		t.Fatal("the panic did not reach the building goroutine")
+	}
+	if g.builds.Load() != 1 {
+		t.Fatalf("ran %d builds, want 1", g.builds.Load())
 	}
 }
