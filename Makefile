@@ -29,33 +29,38 @@ test-dist:
 	$(GO) run ./cmd/flpcheck -protocol naivemajority -cluster loopback:3 -cluster-shards 6 -skip-lemma3 -skip-agreement
 	$(GO) run ./cmd/flpcheck -protocol 2pc -cluster loopback:3 -cluster-shards 6 -skip-lemma3 -skip-agreement
 
-# Fault injection under the race detector: the scripted kill sweep
-# (every worker × every level), kills inside a chunked level (on the adopt
-# batch that opens it and on an expand request), mixed-fault chaos seeds,
-# the R=1 abort contract, coordinator kills at every level boundary with
-# checkpoint resume, and worker rejoin — the recovery half of the
-# byte-identical guarantee.
+# Fault injection under the race detector: the oracle suite's cluster
+# factories (clean, a scripted kill, a kill inside a chunked level, a
+# coordinator crash and resume, each over the whole case table), the
+# scripted kill sweep (every worker × every level), kills inside a chunked
+# level (on the adopt batch that opens it and on an expand request),
+# mixed-fault chaos seeds, the R=1 abort contract, coordinator kills at
+# every level boundary with checkpoint resume, and worker rejoin — the
+# recovery half of the byte-identical guarantee.
 test-chaos:
-	$(GO) test -race -count=1 -run 'TestFailover|TestKillInside|TestReplicasOne|TestChaos|TestInterrupt|TestWorkerDrain|TestWorkerLost|TestRetryAfterConnLoss|TestCheckpoint|TestRejoin|TestLostShard' ./internal/distexplore
+	$(GO) test -race -count=1 -run 'TestClusterSuite|TestFailover|TestKillInside|TestReplicasOne|TestChaos|TestInterrupt|TestWorkerDrain|TestWorkerLost|TestRetryAfterConnLoss|TestCheckpoint|TestRejoin|TestLostShard' ./internal/distexplore
 
 test-short:
 	$(GO) test -short ./...
 
 # The serving layer under the race detector: job queue, drain state
 # machine, the hit path that answers a cached valency at admission
-# (TestCachedValency*), singleflight atlas cache, and the stdlib
-# Prometheus encoder.
+# (TestCachedValency*), the oracle's valency suite served queued and then
+# cached (TestValencySuite, here and for the in-process pool),
+# singleflight atlas cache, and the stdlib Prometheus encoder.
 test-serve:
 	$(GO) test -race -count=1 ./internal/serve ./internal/promtext
-	$(GO) test -race -run 'TestAtlasCache|TestTryWarmSharesBuilds' -count=1 ./internal/explore
+	$(GO) test -race -run 'TestAtlasCache|TestTryWarmSharesBuilds|TestValencySuite' -count=1 ./internal/explore
 
 # The persistent atlas store under the race detector: format round-trips,
 # corruption recovery (mangled-artifact table + byte-flip sweep), the
-# store-vs-fresh differential suite, frontier resume, and the serving
+# oracle suite through the store built cold and resumed, the atlas
+# builder's own run of that suite, frontier resume, and the serving
 # layer's restart-hit contract.
 test-store:
 	$(GO) test -race -count=1 ./internal/atlasstore
-	$(GO) test -race -count=1 -run 'TestAtlasBuilder|TestLoadAtlas|TestAtlasCacheBackend' ./internal/explore
+	$(GO) test -race -count=1 -run 'TestAtlasBuilder|TestAtlasDifferentialAgainstClassify|TestLoadAtlas|TestAtlasCacheBackend' ./internal/explore
+	$(GO) test -race -count=1 -run 'TestEngineSuite/builder' ./internal/explore
 	$(GO) test -race -count=1 -run 'TestServerAtlasDir|TestServerWithoutAtlasDir' ./internal/serve
 
 # Run exploration-as-a-service locally (ctrl-C drains gracefully).

@@ -20,10 +20,13 @@ import (
 	"strings"
 
 	"github.com/flpsim/flp"
+	"github.com/flpsim/flp/internal/adversary"
 	"github.com/flpsim/flp/internal/atlasstore"
 	"github.com/flpsim/flp/internal/conformance"
 	"github.com/flpsim/flp/internal/distexplore"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
+	"github.com/flpsim/flp/internal/protocols"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
@@ -82,7 +85,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	opt := flp.CheckOptions{MaxConfigs: *budget, Workers: *workers}
-	unbounded := *name == "paxos" || *name == "benor"
+	unbounded := protocols.Unbounded(*name)
 
 	fmt.Printf("protocol: %s\n\n", pr.Name())
 	if *conf {
@@ -138,8 +141,8 @@ func runConformance(name string, n, budget int) {
 		budget = 2000
 	}
 	for _, in := range flp.AllInputs(n) {
-		copt := conformance.Options{Explore: explore.Options{MaxConfigs: budget}, Chaos: true, ChaosSeed: 1}
-		if err := conformance.Check(name, in, copt); err != nil {
+		c := enginetest.Case{Protocol: name, N: n, Inputs: in, Options: explore.Options{MaxConfigs: budget}}
+		if err := conformance.Check(c, conformance.Options{Chaos: true, ChaosSeed: 1}); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("  inputs %s: all engines agree\n", in)
@@ -341,10 +344,7 @@ func runAdversary(pr flp.Protocol, stages, workers int, unbounded bool) {
 	fmt.Printf("== Theorem 1 adversary: %d stages ==\n", stages)
 	opt := flp.AdversaryOptions{Stages: stages, Workers: workers}
 	if unbounded {
-		probe := flp.ProbeOptions{}
-		opt.Probe = &probe
-		opt.Valency = flp.CheckOptions{MaxConfigs: 1500}
-		opt.Search = flp.CheckOptions{MaxConfigs: 2000}
+		opt = adversary.ForUnbounded(opt)
 	}
 	adv := flp.NewAdversary(pr, opt)
 	res, err := adv.Run()

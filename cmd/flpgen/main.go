@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 
 	"github.com/flpsim/flp/internal/conformance"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protogen"
@@ -69,8 +70,8 @@ func runCheck(name, inputBits string, budget int) {
 		fatalf("%v", err)
 	}
 	in := bitsInputs(sp.N, inputBits)
-	opt := conformance.Options{Explore: explore.Options{MaxConfigs: budget}, Chaos: true, ChaosSeed: 1}
-	if err := conformance.Check(name, in, opt); err != nil {
+	c := enginetest.Case{Protocol: name, N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: budget}}
+	if err := conformance.Check(c, conformance.Options{Chaos: true, ChaosSeed: 1}); err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Printf("ok: %s inputs %s agrees across all engines (budget %d)\n", name, in, budget)
@@ -113,7 +114,7 @@ func census(sp protogen.Spec, in model.Inputs, cap int) (int, bool) {
 }
 
 func mint(dir string, count int, seed uint64, budget, minC, maxC int) {
-	opt := conformance.Options{Explore: explore.Options{MaxConfigs: budget}, Chaos: true}
+	opt := conformance.Options{Chaos: true}
 	pres := presets()
 	seen := map[string]bool{}
 	s := seed
@@ -163,13 +164,17 @@ func mint(dir string, count int, seed uint64, budget, minC, maxC int) {
 		}
 		seen[sp.Name()] = true
 
-		fx := conformance.NewFixture(sp, in, budget, note)
+		fx := enginetest.NewFixture(sp, in, budget, note)
+		c, err := fx.Case()
+		if err != nil {
+			fatalf("%v", err)
+		}
 		opt.ChaosSeed = int64(s)
-		if err := fx.Check(opt); err != nil {
+		if err := conformance.Check(c, opt); err != nil {
 			fatalf("seed %d: candidate fixture failed conformance at mint time: %v", s, err)
 		}
 		name := fmt.Sprintf("%s-%03d.json", sp.Template, written)
-		if err := conformance.SaveFixture(filepath.Join(dir, name), fx); err != nil {
+		if err := enginetest.SaveFixture(filepath.Join(dir, name), fx); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("%s: seed %d census %d complete=%v\n", name, s-1, size, complete)

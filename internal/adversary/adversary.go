@@ -61,6 +61,17 @@ type Options struct {
 	Atlases *explore.AtlasCache
 }
 
+// ForUnbounded is opt as every front end runs the adversary on a protocol
+// with unbounded reachable sets (protocols.Unbounded): directed probes
+// certify bivalence, within 1,500 configurations per valency classification
+// and 2,000 per stage search.
+func ForUnbounded(opt Options) Options {
+	opt.Probe = &explore.ProbeOptions{}
+	opt.Valency = explore.Options{MaxConfigs: 1500}
+	opt.Search = explore.Options{MaxConfigs: 2000}
+	return opt
+}
+
 func (o Options) withDefaults() Options {
 	if o.Stages <= 0 {
 		o.Stages = 30

@@ -4,147 +4,54 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
-	"github.com/flpsim/flp/internal/protogen"
 )
 
-// diffFixtureN mirrors the explore package's registry fixtures: every
-// registry protocol at its smallest valid size, so a newly registered
-// protocol fails here until it gets a fixture.
-var diffFixtureN = map[string]int{
-	"trivial0":      2,
-	"waitall":       3,
-	"naivemajority": 3,
-	"2pc":           3,
-	"3pc":           3,
-	"paxos":         3,
-	"benor":         2,
-	"onethird":      4,
-}
-
-const diffBudget = 3000
-
-// diffAtlases compares a store-served atlas against a fresh BuildAtlas
-// node by node: identical valencies, witness lengths, and dense-id
-// partitions.
-func diffAtlases(t *testing.T, ctx string, want, got *explore.Atlas) {
-	t.Helper()
-	if want.Len() != got.Len() || want.Edges() != got.Edges() {
-		t.Fatalf("%s: size differs: %d/%d nodes, %d/%d edges", ctx, want.Len(), got.Len(), want.Edges(), got.Edges())
-	}
-	for id := int32(0); id < int32(want.Len()); id++ {
-		if want.ValencyAt(id) != got.ValencyAt(id) {
-			t.Fatalf("%s node %d: valency %s fresh, %s stored", ctx, id, want.ValencyAt(id), got.ValencyAt(id))
-		}
-		for _, d := range []model.Value{model.V0, model.V1} {
-			wl, wok := want.WitnessLen(id, d)
-			gl, gok := got.WitnessLen(id, d)
-			if wok != gok || wl != gl {
-				t.Fatalf("%s node %d: witness length for %v differs: %d/%v vs %d/%v", ctx, id, d, wl, wok, gl, gok)
-			}
-		}
-		gid, ok := got.IDOf(want.Config(id))
-		if !ok || gid != id {
-			t.Fatalf("%s node %d: dense-id partition differs (got %d, ok=%v)", ctx, id, gid, ok)
-		}
-	}
-}
-
-// diffOneLineage runs the full differential for one (protocol, root):
-// cold build-through-store vs fresh BuildAtlas, then warm load vs fresh,
-// then resume-from-frontier (depth d, extend to d+k, complete) vs
-// one-shot — with refusal parity when the budget does not cover the
-// lineage.
-func diffOneLineage(t *testing.T, pr model.Protocol, root *model.Config, dir string) {
-	t.Helper()
-	opt := explore.Options{MaxConfigs: diffBudget}
-	want, wantOK := explore.BuildAtlas(pr, root, opt)
-
-	cold := openStore(t, dir)
-	a, ok := cold.GetAtlas(pr, root, opt)
-	if ok != wantOK {
-		t.Fatalf("store ok=%v, BuildAtlas ok=%v — complete-or-refused parity broken", ok, wantOK)
-	}
-	if !wantOK {
-		// Refusal parity must survive the persisted truncated artifact too.
-		if _, ok := openStore(t, dir).GetAtlas(pr, root, opt); ok {
-			t.Fatal("persisted truncated artifact turned a refusal into an atlas")
-		}
-		return
-	}
-	diffAtlases(t, "cold", want, a)
-
-	warm := openStore(t, dir)
-	b, ok := warm.GetAtlas(pr, root, opt)
-	if !ok {
-		t.Fatal("warm load refused")
-	}
-	if st := warm.Stats(); st.Hits != 1 {
-		t.Fatalf("warm stats = %+v, want a hit", st)
-	}
-	diffAtlases(t, "warm", want, b)
-
-	// Resume path: depth-truncate in a fresh dir, deepen, complete. A
-	// graph exhausted within the depth bound has no frontier to resume —
-	// the follow-up is then a warm hit instead.
-	dir2 := t.TempDir()
-	s := openStore(t, dir2)
-	dOpt := opt
-	dOpt.MaxDepth = 2
-	_, stD, err := s.Deepen(pr, root, dOpt)
-	if err != nil {
-		t.Fatalf("Deepen(d): %v", err)
-	}
-	s2 := openStore(t, dir2)
-	c, ok := s2.GetAtlas(pr, root, opt)
-	if !ok {
-		t.Fatal("resume-from-frontier refused a buildable atlas")
-	}
-	if st := s2.Stats(); stD.Complete && st.Hits != 1 {
-		t.Fatalf("stats = %+v, want a hit (graph exhausted within depth bound)", st)
-	} else if !stD.Complete && st.Resumes != 1 {
-		t.Fatalf("resume stats = %+v, want a resume", st)
-	}
-	diffAtlases(t, "resumed", want, c)
-}
-
-// TestStoreDifferentialRegistry sweeps every registry protocol.
-func TestStoreDifferentialRegistry(t *testing.T) {
-	for _, name := range protocols.Names() {
-		t.Run(name, func(t *testing.T) {
-			n, ok := diffFixtureN[name]
-			if !ok {
-				t.Fatalf("registry protocol %q has no fixture size; extend diffFixtureN", name)
-			}
-			factory, ok := protocols.Lookup(name)
-			if !ok {
-				t.Fatalf("registry lost protocol %q", name)
-			}
-			pr, err := factory(n)
-			if err != nil {
-				t.Fatalf("building %s(%d): %v", name, n, err)
-			}
-			// Two representative inputs per protocol keep the sweep fast;
-			// the explore-level differential already covers all inputs.
-			for _, inp := range []model.Inputs{model.UniformInputs(n, 0), mixedInputs(n)} {
-				diffOneLineage(t, pr, model.MustInitial(pr, inp), t.TempDir())
-			}
-		})
-	}
-}
-
-// TestStoreDifferentialProtogen samples generated protocols: the store
-// must agree with fresh builds on machine-minted semantics too, where
-// the self-describing gen: name is the whole protocol identity.
-func TestStoreDifferentialProtogen(t *testing.T) {
-	for _, seed := range []uint64{1, 5, 9, 13} {
-		sp := protogen.Derive(seed, protogen.DefaultDials(3))
-		pr := protogen.MustNew(sp)
-		t.Run(pr.Name(), func(t *testing.T) {
-			root := model.MustInitial(pr, mixedInputs(pr.N()))
-			diffOneLineage(t, pr, root, t.TempDir())
+// TestStoreSuite runs the case table through the store, one fresh
+// directory per case, two ways: built cold and persisted, or resumed from
+// the truncated artifact a depth-2 Deepen wrote and persisted; either way a
+// second process then answers from disk. Where the bounds refuse an atlas,
+// the persisted artifact must refuse it too.
+func TestStoreSuite(t *testing.T) {
+	for _, way := range []string{"cold", "resumed"} {
+		t.Run(way, func(t *testing.T) {
+			enginetest.Suite(t, func(t *testing.T, c enginetest.Case, visit explore.Visit) (bool, int, error) {
+				if !c.Atlasable() {
+					return false, 0, enginetest.ErrRefused
+				}
+				pr, root := c.MustResolve(t)
+				dir := t.TempDir()
+				shallowDone := false
+				if way == "resumed" {
+					shallow := c.Options
+					shallow.MaxDepth = 2
+					_, st, err := openStore(t, dir).Deepen(pr, root, shallow)
+					if err != nil {
+						t.Fatalf("Deepen to depth 2: %v", err)
+					}
+					shallowDone = st.Complete
+				}
+				first := openStore(t, dir)
+				_, ok := first.GetAtlas(pr, root, c.Options)
+				switch st := first.Stats(); {
+				case !ok:
+				case way == "cold" && (st.Misses != 1 || st.Hits != 0):
+					t.Fatalf("cold build stats %+v, want one miss", st)
+				case way == "resumed" && shallowDone && st.Hits != 1:
+					t.Fatalf("stats %+v, want a hit: depth 2 exhausts the graph", st)
+				case way == "resumed" && !shallowDone && st.Resumes != 1:
+					t.Fatalf("stats %+v, want a resume from the depth-2 artifact", st)
+				}
+				reload := openStore(t, dir)
+				a, reloaded := reload.GetAtlas(pr, root, c.Options)
+				if st := reload.Stats(); reloaded != ok || ok && (st.Hits != 1 || st.Misses != 0) {
+					t.Fatalf("built ok=%v; reloaded ok=%v with stats %+v, want the same answer from disk", ok, reloaded, st)
+				}
+				return enginetest.WalkAtlas(pr, c.Options, a, 1, visit)
+			})
 		})
 	}
 }
@@ -157,7 +64,7 @@ func TestStoreConcurrentLineage(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	s.SetLog(nil)
-	opt := explore.Options{MaxConfigs: diffBudget}
+	opt := explore.Options{MaxConfigs: testBudget}
 
 	inputs := model.AllInputs(3)
 	var wg sync.WaitGroup
@@ -186,14 +93,4 @@ func TestStoreConcurrentLineage(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-}
-
-// mixedInputs returns the 0,1,1,... input vector used as the second
-// representative root.
-func mixedInputs(n int) model.Inputs {
-	in := make(model.Inputs, n)
-	for i := 1; i < n; i++ {
-		in[i] = 1
-	}
-	return in
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/flpsim/flp/internal/atlasstore"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
@@ -41,47 +42,6 @@ func artifactPath(t *testing.T, dir string) string {
 		t.Fatalf("want exactly one artifact in %s, got %v (err %v)", dir, matches, err)
 	}
 	return matches[0]
-}
-
-// TestStoreColdThenWarm: the first request builds and persists, the
-// second — through a fresh Store, as after a process restart — loads,
-// and both atlases answer identically.
-func TestStoreColdThenWarm(t *testing.T) {
-	pr, root := fixture(t)
-	dir := t.TempDir()
-	opt := explore.Options{MaxConfigs: testBudget}
-
-	cold := openStore(t, dir)
-	a1, ok := cold.GetAtlas(pr, root, opt)
-	if !ok {
-		t.Fatal("cold GetAtlas refused a buildable atlas")
-	}
-	if st := cold.Stats(); st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("cold stats = %+v, want one miss", st)
-	}
-
-	warm := openStore(t, dir)
-	a2, ok := warm.GetAtlas(pr, root, opt)
-	if !ok {
-		t.Fatal("warm GetAtlas refused a persisted atlas")
-	}
-	if st := warm.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("warm stats = %+v, want one hit", st)
-	}
-	if a1.Len() != a2.Len() || a1.Edges() != a2.Edges() {
-		t.Fatalf("warm atlas differs in size: %d/%d nodes, %d/%d edges", a1.Len(), a2.Len(), a1.Edges(), a2.Edges())
-	}
-	c1, c2 := a1.Census(), a2.Census()
-	for v, n := range c1 {
-		if c2[v] != n {
-			t.Fatalf("census[%s] = %d cold, %d warm", v, n, c2[v])
-		}
-	}
-	for id := int32(0); id < int32(a1.Len()); id++ {
-		if a1.ValencyAt(id) != a2.ValencyAt(id) {
-			t.Fatalf("node %d: valency %s cold, %s warm", id, a1.ValencyAt(id), a2.ValencyAt(id))
-		}
-	}
 }
 
 // TestStoreRefusals: bounds-refusals mirror BuildAtlas without touching
@@ -157,13 +117,8 @@ func TestStoreBudgetResume(t *testing.T) {
 	if st.Resumes != 1 || st.Misses != 0 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want one resume and one eviction", st)
 	}
-	if got.Len() != want.Len() || got.Edges() != want.Edges() {
-		t.Fatalf("resumed atlas differs: %d/%d nodes, %d/%d edges", got.Len(), want.Len(), got.Edges(), want.Edges())
-	}
-	for id := int32(0); id < int32(want.Len()); id++ {
-		if want.ValencyAt(id) != got.ValencyAt(id) {
-			t.Fatalf("node %d: valency %s fresh, %s resumed", id, want.ValencyAt(id), got.ValencyAt(id))
-		}
+	if err := enginetest.DiffAtlases(want, got); err != nil {
+		t.Fatalf("resumed atlas vs a fresh build: %v", err)
 	}
 	// The rewritten artifact is complete: next process warm-loads it.
 	s3 := openStore(t, dir)
@@ -177,8 +132,9 @@ func TestStoreBudgetResume(t *testing.T) {
 
 // TestStoreDeepenPinsExpansion is the incremental-deepening acceptance
 // criterion: extending a depth-d artifact to d+k expands only the new
-// depths — pinned by the expansion counter — and the result is identical
-// to a one-shot depth-(d+k) exploration.
+// depths — pinned by the expansion counter. That the result is a one-shot
+// depth-(d+k) exploration's, byte for byte, is
+// TestStoreDeepenLooksUpAcrossResume's, at the same d and k.
 func TestStoreDeepenPinsExpansion(t *testing.T) {
 	pr, root := fixture(t)
 	budget := explore.Options{MaxConfigs: testBudget}
@@ -213,18 +169,6 @@ func TestStoreDeepenPinsExpansion(t *testing.T) {
 	if stD.NewlyExpanded+stDK.NewlyExpanded != oneTotal {
 		t.Fatalf("incremental expanded %d+%d nodes, one-shot expanded %d — depth ≤ d was re-expanded",
 			stD.NewlyExpanded, stDK.NewlyExpanded, oneTotal)
-	}
-	if snapDK.Len() != oneshot.Len() || snapDK.Expanded() != oneshot.Expanded() {
-		t.Fatalf("deepened snapshot shape %d/%d differs from one-shot %d/%d",
-			snapDK.Len(), snapDK.Expanded(), oneshot.Len(), oneshot.Expanded())
-	}
-	for i := range snapDK.Depth {
-		if snapDK.Depth[i] != oneshot.Snapshot().Depth[i] {
-			t.Fatalf("node %d depth differs from one-shot", i)
-		}
-		if string(snapDK.Keys[i]) != string(oneshot.Snapshot().Keys[i]) {
-			t.Fatalf("node %d key differs from one-shot", i)
-		}
 	}
 	if snapD.Len() >= snapDK.Len() {
 		t.Fatalf("deepening did not grow the artifact: %d → %d nodes", snapD.Len(), snapDK.Len())

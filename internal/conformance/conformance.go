@@ -5,20 +5,12 @@ import (
 	"time"
 
 	"github.com/flpsim/flp/internal/distexplore"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
-	"github.com/flpsim/flp/internal/model"
 )
 
-// Options configure one conformance check. The zero value is usable and
-// deliberately small: conformance budgets stay far below the exploration
-// default because the contract under test — engines agree byte for byte —
-// holds on truncated runs exactly as on complete ones, so a fuzzing
-// iteration never needs to exhaust a large state space.
+// Options configure one conformance check. The zero value is usable.
 type Options struct {
-	// Explore carries the exploration bounds shared by every engine.
-	// MaxConfigs 0 means DefaultMaxConfigs (400, not the exploration
-	// package's 200000); Workers is owned by the harness and ignored.
-	Explore explore.Options
 	// ParWorkers is the worker count of the parallel in-process leg
 	// (the in-process engine also runs a leg at one worker). 0 means 8.
 	ParWorkers int
@@ -31,20 +23,19 @@ type Options struct {
 	// by design rather than diverging).
 	Chaos     bool
 	ChaosSeed int64
-	// ClassifySamples is how many visited configurations get an
-	// independent Classify run compared against the atlas. 0 means 8.
-	ClassifySamples int
 }
 
-// DefaultMaxConfigs is the harness's own exploration budget.
+// DefaultMaxConfigs is the exploration budget of a case that names none:
+// the contract under test — engines agree byte for byte — holds on
+// truncated runs exactly as on complete ones, so a fuzzing iteration never
+// needs to exhaust a large state space.
 const DefaultMaxConfigs = 400
 
+// classifySamples is how many atlas nodes, evenly spaced from the root, get
+// an independent Classify run in the atlas leg.
+const classifySamples = 8
+
 func (o Options) withDefaults() Options {
-	if o.Explore.MaxConfigs <= 0 {
-		o.Explore.MaxConfigs = DefaultMaxConfigs
-	}
-	o.Explore = o.Explore.Normalized()
-	o.Explore.Workers = 1
 	if o.ParWorkers <= 0 {
 		o.ParWorkers = 8
 	}
@@ -57,15 +48,12 @@ func (o Options) withDefaults() Options {
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
-	if o.ClassifySamples <= 0 {
-		o.ClassifySamples = 8
-	}
 	return o
 }
 
-// Divergence reports two engines disagreeing on an observable that the
-// byte-identical-results contract says must match. Engine names the leg
-// that disagreed with the sequential oracle.
+// Divergence reports an engine disagreeing with the reference on an
+// observable that the byte-identical-results contract says must match.
+// Engine names the leg that disagreed.
 type Divergence struct {
 	Protocol string
 	Engine   string
@@ -75,48 +63,6 @@ type Divergence struct {
 func (d *Divergence) Error() string {
 	return fmt.Sprintf("conformance: %s: engine %s diverged from the sequential oracle: %s",
 		d.Protocol, d.Engine, d.Detail)
-}
-
-// step is one visit observation. Comparing full streams position by
-// position is the strongest form of the contract: it subsumes counts,
-// orders, depths, and witness schedules at once.
-type step struct {
-	key   string
-	depth int
-	path  string
-}
-
-// inProcStream collects the visit stream of an in-process exploration:
-// engine is explore.ReferenceExplore or explore.ExploreFiltered.
-func inProcStream(engine func(model.Protocol, *model.Config, explore.Options, func(model.Event) bool, explore.Visit) (bool, int),
-	pr model.Protocol, root *model.Config, opt explore.Options) (bool, int, []step) {
-	var steps []step
-	complete, visited := engine(pr, root, opt, nil, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-		steps = append(steps, step{key: cfg.Key(), depth: depth, path: path().String()})
-		return false
-	})
-	return complete, visited, steps
-}
-
-// compareStreams returns the first divergence between the oracle stream
-// and an engine's stream, or nil when they are byte-identical.
-func compareStreams(protocol, engine string, oc bool, ov int, oracle []step, ec bool, ev int, got []step) *Divergence {
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Protocol: protocol, Engine: engine, Detail: fmt.Sprintf(format, args...)}
-	}
-	if oc != ec || ov != ev {
-		return div("(complete, visited) = (%v, %d), oracle (%v, %d)", ec, ev, oc, ov)
-	}
-	if len(oracle) != len(got) {
-		return div("visit stream length %d, oracle %d", len(got), len(oracle))
-	}
-	for i := range oracle {
-		if oracle[i] != got[i] {
-			return div("visit %d: got {key %q depth %d path %q}, oracle {key %q depth %d path %q}",
-				i, got[i].key, got[i].depth, got[i].path, oracle[i].key, oracle[i].depth, oracle[i].path)
-		}
-	}
-	return nil
 }
 
 // cluster is one throwaway worker fleet plus a dialed coordinator.
@@ -178,73 +124,72 @@ func workerNames(prefix string, n int) []string {
 	return names
 }
 
-// distStream runs the task on a cluster and collects its visit stream.
-func distStream(c *cluster, tk distexplore.Task) (bool, int, []step, error) {
-	var steps []step
-	complete, visited, err := c.cl.Explore(tk, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-		steps = append(steps, step{key: cfg.Key(), depth: depth, path: path().String()})
-		return false
-	})
-	return complete, visited, steps, err
-}
-
-// Check runs one protocol through every engine and returns nil when all
-// observables are byte-identical, a *Divergence when two engines
-// disagree, and an ordinary error when the harness itself cannot run
-// (unresolvable name, cluster setup failure). name must be a registry-
-// resolvable protocol name — a registered key like "waitall", or a
-// generated gen: name, which is self-describing — because that string is
-// all the distributed workers get to rebuild the protocol from.
-func Check(name string, inputs model.Inputs, opt Options) error {
+// Check runs case c through every engine and returns nil when each agrees
+// with the reference (enginetest.Diff), a *Divergence when one does not,
+// and an ordinary error when the harness itself cannot run (unresolvable
+// name, cluster setup or transport failure). c's protocol must resolve
+// through the registry — a registered key like "waitall", or a
+// self-describing gen: name — because that string is all the distributed
+// workers get to rebuild it from. A case that names no budget runs at
+// DefaultMaxConfigs.
+func Check(c enginetest.Case, opt Options) error {
 	opt = opt.withDefaults()
-
-	// The distributed legs rebuild the protocol from its name on every
-	// worker; resolve it locally the same way, so a bad name is a setup
-	// error here, not a confusing worker-side failure.
-	pr, err := distexplore.RegistryProvider(name, len(inputs))
-	if err != nil {
-		return fmt.Errorf("conformance: protocol %q does not resolve through the registry: %w", name, err)
+	if c.Options.MaxConfigs <= 0 {
+		c.Options.MaxConfigs = DefaultMaxConfigs
 	}
-
-	root, err := model.Initial(pr, inputs)
+	c.Options.Workers = 1
+	pr, root, err := c.Resolve()
 	if err != nil {
-		return fmt.Errorf("conformance: %q: %w", name, err)
+		return fmt.Errorf("conformance: protocol %q does not resolve through the registry: %w", c.Protocol, err)
 	}
-
-	// Sequential oracle: the reference loop, which shares neither the
-	// in-process engine's core nor its diamond rule.
-	oc, ov, oracle := inProcStream(explore.ReferenceExplore, pr, root, opt.Explore)
+	ref, err := enginetest.Reference(c)
+	if err != nil {
+		return err
+	}
+	diverged := func(engine string, got enginetest.Stream, err error) error {
+		if d := enginetest.Diff(c, ref, got, err); d != nil {
+			return &Divergence{Protocol: c.Protocol, Engine: engine, Detail: d.Error()}
+		}
+		return nil
+	}
 
 	// In-process engine, inline and on the pool.
 	for _, w := range []int{1, opt.ParWorkers} {
-		parOpt := opt.Explore
-		parOpt.Workers = w
-		pc, pv, par := inProcStream(explore.ExploreFiltered, pr, root, parOpt)
-		if d := compareStreams(name, fmt.Sprintf("in-process(workers=%d)", w), oc, ov, oracle, pc, pv, par); d != nil {
-			return d
+		eopt := c.Options
+		eopt.Workers = w
+		got, err := enginetest.Record(c.StopAt, func(visit explore.Visit) (bool, int, error) {
+			complete, visited := explore.ExploreFiltered(pr, root, eopt, explore.AvoidFilter(c.Avoid), visit)
+			return complete, visited, nil
+		})
+		if err := diverged(fmt.Sprintf("in-process(workers=%d)", w), got, err); err != nil {
+			return err
 		}
 	}
 
 	task := distexplore.Task{
-		Protocol: name, N: pr.N(), Inputs: inputs,
-		Shards: opt.Shards, Replicas: opt.Replicas,
-		Options: opt.Explore,
+		Protocol: c.Protocol, N: c.N, Inputs: c.Inputs, Prefix: c.Prefix, Avoid: c.Avoid,
+		Shards: opt.Shards, Replicas: opt.Replicas, Options: c.Options,
+	}
+	// distributed runs task on a fresh cluster; a run that fails is a
+	// harness error, not a divergence.
+	distributed := func(engine string, tr, dialTr distexplore.Transport, names []string, task distexplore.Task) error {
+		cl, err := startCluster(tr, dialTr, names)
+		if err != nil {
+			return err
+		}
+		defer cl.close()
+		got, err := enginetest.Record(c.StopAt, func(visit explore.Visit) (bool, int, error) { return cl.cl.Explore(task, visit) })
+		if err != nil {
+			return fmt.Errorf("conformance: %s leg failed: %w", engine, err)
+		}
+		return diverged(engine, got, nil)
 	}
 
 	// Distributed engine, fault-free loopback.
 	lb := distexplore.NewLoopback()
-	cl, err := startCluster(lb, lb, workerNames("cw", opt.DistWorkers))
-	if err != nil {
-		return err
-	}
-	dc, dv, dist, derr := distStream(cl, task)
-	cl.close()
-	if derr != nil {
-		return fmt.Errorf("conformance: distributed leg failed: %w", derr)
-	}
 	engine := fmt.Sprintf("distributed(w=%d,s=%d,r=%d)", opt.DistWorkers, opt.Shards, opt.Replicas)
-	if d := compareStreams(name, engine, oc, ov, oracle, dc, dv, dist); d != nil {
-		return d
+	if err := distributed(engine, lb, lb, workerNames("cw", opt.DistWorkers), task); err != nil {
+		return err
 	}
 
 	// Distributed engine under a scripted kill: the chaos victim and kill
@@ -252,8 +197,7 @@ func Check(name string, inputs model.Inputs, opt Options) error {
 	// the loss fails over instead of aborting. The kill is not required
 	// to fire — a shallow exploration may finish first — because the
 	// contract is "whatever happens, results match", not "a kill
-	// happened"; killRun-style firing assertions live in the distexplore
-	// failover suite.
+	// happened"; the distexplore failover suite asserts the firing.
 	if opt.Chaos && opt.DistWorkers >= 2 {
 		seed := opt.ChaosSeed
 		if seed == 0 {
@@ -267,101 +211,26 @@ func Check(name string, inputs model.Inputs, opt Options) error {
 			Seed: seed, KillAddr: names[victim], KillLevel: level,
 		})
 		chaosTask := task
-		if chaosTask.Replicas < 2 {
-			chaosTask.Replicas = 2
-		}
-		cl, err = startCluster(inner, ft, names)
-		if err != nil {
+		chaosTask.Replicas = max(chaosTask.Replicas, 2)
+		engine = fmt.Sprintf("distributed-chaos(kill=w%d@L%d)", victim, level)
+		if err := distributed(engine, inner, ft, names, chaosTask); err != nil {
 			return err
 		}
-		cc, cv, chaos, cerr := distStream(cl, chaosTask)
-		cl.close()
-		if cerr != nil {
-			return fmt.Errorf("conformance: chaos leg (kill worker %d at level %d) failed: %w", victim, level, cerr)
-		}
-		engine = fmt.Sprintf("distributed-chaos(kill=w%d@L%d)", victim, level)
-		if d := compareStreams(name, engine, oc, ov, oracle, cc, cv, chaos); d != nil {
-			return d
-		}
 	}
 
-	// Valency atlas. BuildAtlas is complete-or-refused and rejects depth
-	// cutoffs, so the leg applies only to depth-unbounded runs; refusal
-	// itself is an observable that must agree with the oracle's flag.
-	if opt.Explore.MaxDepth == 0 {
-		if d := checkAtlas(pr, root, name, opt, oc, ov, oracle); d != nil {
-			return d
-		}
+	// Valency atlas: its node table is the reference stream where it
+	// answers at all (complete-or-refused), and sampled nodes classify as
+	// independent Classify runs do.
+	var atlas *explore.Atlas
+	if c.Atlasable() {
+		atlas, _ = explore.BuildAtlas(pr, root, c.Options)
 	}
-	return nil
-}
-
-// checkAtlas compares the one-pass atlas against the oracle stream and
-// spot-checks its valency answers against independent Classify runs.
-func checkAtlas(pr model.Protocol, root *model.Config, name string, opt Options, oc bool, ov int, oracle []step) error {
-	atlas, ok := explore.BuildAtlas(pr, root, opt.Explore)
-	div := func(format string, args ...any) *Divergence {
-		return &Divergence{Protocol: name, Engine: "atlas", Detail: fmt.Sprintf(format, args...)}
+	stride := 1
+	if atlas != nil {
+		stride = max(1, atlas.Len()/classifySamples)
 	}
-	if ok != oc {
-		return div("BuildAtlas ok=%v, oracle complete=%v", ok, oc)
-	}
-	if !ok {
-		// Refused: the fallback classification path is the oracle engine
-		// itself, already covered; nothing more to compare.
-		return nil
-	}
-	if atlas.Len() != ov {
-		return div("atlas holds %d configurations, oracle visited %d", atlas.Len(), ov)
-	}
-	for i := range oracle {
-		id := int32(i)
-		if got := atlas.Config(id).Key(); got != oracle[i].key {
-			return div("atlas id %d holds key %q, oracle visit %d has %q", id, got, i, oracle[i].key)
-		}
-		if got := atlas.PathTo(id).String(); got != oracle[i].path {
-			return div("atlas path to id %d is %q, oracle has %q", id, got, oracle[i].path)
-		}
-	}
-
-	// Sampled cross-check: the atlas's O(V+E) valency answers against the
-	// per-configuration breadth-first classifier. Witness schedules may
-	// legitimately differ between the two (both are shortest; ties break
-	// differently), so lengths are compared, not bytes.
-	samples := opt.ClassifySamples
-	if samples > atlas.Len() {
-		samples = atlas.Len()
-	}
-	stride := atlas.Len() / samples
-	if stride == 0 {
-		stride = 1
-	}
-	for s := 0; s < samples; s++ {
-		id := int32(s * stride)
-		at := atlas.InfoAt(id)
-		cl := explore.Classify(pr, atlas.Config(id), opt.Explore)
-		if at.Valency != cl.Valency {
-			return div("id %d: atlas valency %v, Classify %v", id, at.Valency, cl.Valency)
-		}
-		if at.Exact != cl.Exact {
-			return div("id %d: atlas exact=%v, Classify exact=%v", id, at.Exact, cl.Exact)
-		}
-		for _, d := range []model.Value{model.V0, model.V1} {
-			if at.HasWitness(d) != cl.HasWitness(d) {
-				return div("id %d: atlas HasWitness(%v)=%v, Classify %v", id, d, at.HasWitness(d), cl.HasWitness(d))
-			}
-			if !at.HasWitness(d) {
-				continue
-			}
-			wl, _ := atlas.WitnessLen(id, d)
-			clLen := len(cl.Witness0)
-			if d == model.V1 {
-				clLen = len(cl.Witness1)
-			}
-			if wl != clLen {
-				return div("id %d: atlas witness length for %v is %d, Classify found %d", id, d, wl, clLen)
-			}
-		}
-	}
-	return nil
+	got, err := enginetest.Record(c.StopAt, func(visit explore.Visit) (bool, int, error) {
+		return enginetest.WalkAtlas(pr, c.Options, atlas, stride, visit)
+	})
+	return diverged("atlas", got, err)
 }

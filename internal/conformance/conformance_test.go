@@ -7,75 +7,24 @@ import (
 	"testing"
 
 	"github.com/flpsim/flp/internal/conformance"
-	"github.com/flpsim/flp/internal/distexplore"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
-// corpusDir is the committed fixture corpus, shared with cmd/flpgen.
-func corpusDir() string { return filepath.Join("..", "..", "testdata", "protogen") }
-
-func quickOptions() conformance.Options {
-	return conformance.Options{Explore: explore.Options{MaxConfigs: 250}, Chaos: true, ChaosSeed: 3}
-}
-
-func altInputs(n int) model.Inputs {
-	in := make(model.Inputs, n)
-	for p := range in {
-		in[p] = model.Value(p & 1)
-	}
-	return in
-}
-
-// TestCheckRegisteredProtocols runs the harness over hand-written registry
-// protocols: the same Check must cover generated and curated protocols
-// alike, truncated (naivemajority at a small budget) and complete
-// (waitall) explorations both.
-func TestCheckRegisteredProtocols(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		task distexplore.Task
-	}{
-		{"waitall", distexplore.Task{Protocol: "waitall", N: 3, Inputs: model.Inputs{0, 1, 1}}},
-		{"naivemajority", distexplore.Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := conformance.Check(tc.task.Protocol, tc.task.Inputs, quickOptions()); err != nil {
+// TestCheckCases runs every case of enginetest's table through the harness,
+// each with its own chaos seed: the same Check covers hand-written and
+// generated protocols, complete and truncated explorations, depth caps,
+// avoided events, prefixes and early stops.
+func TestCheckCases(t *testing.T) {
+	for i, c := range enginetest.Cases(t) {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			if err := conformance.Check(c, conformance.Options{Chaos: true, ChaosSeed: int64(i + 1)}); err != nil {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestCheckGenerated sweeps a spread of generated protocols, both
-// templates, through the full harness.
-func TestCheckGenerated(t *testing.T) {
-	for _, tmpl := range []string{protogen.TemplateTable, protogen.TemplateBenOr} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s-seed%d", tmpl, seed), func(t *testing.T) {
-				d := protogen.DefaultDials(3)
-				d.Template = tmpl
-				sp := protogen.Derive(seed, d)
-				opt := quickOptions()
-				opt.ChaosSeed = int64(seed)
-				if err := conformance.Check(sp.Name(), altInputs(sp.N), opt); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-	}
-}
-
-// TestCheckDepthBound covers the MaxDepth path: the atlas leg must be
-// skipped (BuildAtlas refuses depth cutoffs) while the stream legs still
-// agree on the truncated prefix.
-func TestCheckDepthBound(t *testing.T) {
-	sp := protogen.Derive(5, protogen.DefaultDials(3))
-	opt := quickOptions()
-	opt.Explore.MaxDepth = 3
-	if err := conformance.Check(sp.Name(), altInputs(sp.N), opt); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -83,7 +32,7 @@ func TestCheckDepthBound(t *testing.T) {
 // whose name the registry cannot resolve must fail as a harness error,
 // not a Divergence.
 func TestCheckRejectsUnresolvableName(t *testing.T) {
-	err := conformance.Check("not-in-any-registry", altInputs(2), quickOptions())
+	err := conformance.Check(enginetest.Case{Protocol: "not-in-any-registry", N: 2, Inputs: enginetest.Alternating(2)}, conformance.Options{})
 	if err == nil {
 		t.Fatal("Check accepted a name the workers cannot rebuild")
 	}
@@ -93,39 +42,13 @@ func TestCheckRejectsUnresolvableName(t *testing.T) {
 	}
 }
 
-// TestConformanceCorpus replays the committed corpus of shrunk generated
-// fixtures at worker counts 1 and 8 — the ordinary-test-suite face of the
-// fuzzer, deterministic and race-detector friendly.
-func TestConformanceCorpus(t *testing.T) {
-	names, fixtures, err := conformance.LoadDir(corpusDir())
-	if err != nil {
-		t.Fatalf("loading corpus: %v", err)
-	}
-	if len(fixtures) < 15 {
-		t.Fatalf("corpus has only %d fixtures; expected the committed set of ~20", len(fixtures))
-	}
-	for i, fx := range fixtures {
-		name := names[i]
-		chaosSeed := int64(i + 1)
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			for _, workers := range []int{1, 8} {
-				opt := conformance.Options{ParWorkers: workers, Chaos: true, ChaosSeed: chaosSeed}
-				if err := fx.Check(opt); err != nil {
-					t.Errorf("workers=%d: %v", workers, err)
-				}
-			}
-		})
-	}
-}
-
 // TestShrinkTableMinimizes drives the shrinker with a synthetic predicate
 // ("at least one process holds input 1") and checks it reaches the
 // predicate's actual minimum: every structural dial at its floor, every
 // table entry inert, a single 1 bit left.
 func TestShrinkTableMinimizes(t *testing.T) {
 	sp := protogen.Derive(9, protogen.DefaultDials(4))
-	inputs := altInputs(sp.N)
+	inputs := enginetest.Alternating(sp.N)
 	failing := func(s protogen.Spec, in model.Inputs) bool {
 		return in.Count(model.V1) >= 1
 	}
@@ -166,7 +89,7 @@ func TestShrinkTableMinimizes(t *testing.T) {
 func TestShrinkBenOrMinimizes(t *testing.T) {
 	d := protogen.Dials{Template: protogen.TemplateBenOr, N: 4, MaxRound: 3}
 	sp := protogen.Derive(13, d)
-	inputs := altInputs(sp.N)
+	inputs := enginetest.Alternating(sp.N)
 	failing := func(s protogen.Spec, in model.Inputs) bool {
 		return s.Template == protogen.TemplateBenOr
 	}
@@ -184,50 +107,12 @@ func TestShrinkBenOrMinimizes(t *testing.T) {
 // — shrinking may stall, never overshoot.
 func TestShrinkPreservesFailure(t *testing.T) {
 	sp := protogen.Derive(3, protogen.DefaultDials(3))
-	inputs := altInputs(sp.N)
+	inputs := enginetest.Alternating(sp.N)
 	// A predicate that pins a mid-size shape: exactly 3 processes.
 	failing := func(s protogen.Spec, in model.Inputs) bool { return s.N == 3 }
 	min, minIn := conformance.Shrink(sp, inputs, failing, 5000)
 	if !failing(min, minIn) {
 		t.Fatal("shrinker returned a pair that does not fail")
-	}
-}
-
-// TestFixtureRoundTrip pins the fixture file format.
-func TestFixtureRoundTrip(t *testing.T) {
-	sp := protogen.Derive(21, protogen.DefaultDials(3))
-	fx := conformance.NewFixture(sp, model.Inputs{0, 1, 1}, 300, "unit test")
-	path := filepath.Join(t.TempDir(), "sub", "fx.json")
-	if err := conformance.SaveFixture(path, fx); err != nil {
-		t.Fatal(err)
-	}
-	back, err := conformance.LoadFixture(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != fx {
-		t.Fatalf("round trip changed the fixture:\n  saved  %+v\n  loaded %+v", fx, back)
-	}
-	in, err := back.InputValues()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(in) != 3 || in[0] != model.V0 || in[1] != model.V1 || in[2] != model.V1 {
-		t.Errorf("inputs decoded as %v", in)
-	}
-	if _, err := back.Spec(); err != nil {
-		t.Errorf("spec did not decode: %v", err)
-	}
-
-	// Corrupt inputs must be rejected at load time.
-	bad := fx
-	bad.Inputs = "01x"
-	badPath := filepath.Join(t.TempDir(), "bad.json")
-	if err := conformance.SaveFixture(badPath, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conformance.LoadFixture(badPath); err == nil {
-		t.Error("fixture with non-bit inputs loaded")
 	}
 }
 
@@ -241,6 +126,9 @@ func fuzzInputs(n int, bits uint8) model.Inputs {
 	return in
 }
 
+// fuzzBudget bounds every fuzzed exploration.
+const fuzzBudget = 250
+
 // runFuzzCase is the shared body of the fuzz targets: derive, check, and
 // on divergence shrink to a minimal reproducer and dump it as a loadable
 // fixture under testdata/failures before failing.
@@ -248,8 +136,11 @@ func runFuzzCase(t *testing.T, seed uint64, d protogen.Dials, inBits uint8) {
 	t.Helper()
 	sp := protogen.Derive(seed, d)
 	inputs := fuzzInputs(sp.N, inBits)
-	opt := conformance.Options{Explore: explore.Options{MaxConfigs: 250}, Chaos: true, ChaosSeed: int64(seed) | 1}
-	err := conformance.Check(sp.Name(), inputs, opt)
+	opt := conformance.Options{Chaos: true, ChaosSeed: int64(seed) | 1}
+	check := func(sp protogen.Spec, in model.Inputs) error {
+		return conformance.Check(enginetest.Case{Protocol: sp.Name(), N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: fuzzBudget}}, opt)
+	}
+	err := check(sp, inputs)
 	if err == nil {
 		return
 	}
@@ -260,15 +151,14 @@ func runFuzzCase(t *testing.T, seed uint64, d protogen.Dials, inBits uint8) {
 		t.Fatalf("harness failure (not a divergence): %v", err)
 	}
 	diverges := func(s protogen.Spec, in model.Inputs) bool {
-		cerr := conformance.Check(s.Name(), in, opt)
 		var d2 *conformance.Divergence
-		return errors.As(cerr, &d2)
+		return errors.As(check(s, in), &d2)
 	}
 	minSp, minIn := conformance.Shrink(sp, inputs, diverges, 0)
-	fx := conformance.NewFixture(minSp, minIn, opt.Explore.MaxConfigs,
+	fx := enginetest.NewFixture(minSp, minIn, fuzzBudget,
 		fmt.Sprintf("shrunk from fuzz seed %d: %v", seed, err))
 	path := filepath.Join("testdata", "failures", fmt.Sprintf("divergence-%d.json", seed))
-	if serr := conformance.SaveFixture(path, fx); serr != nil {
+	if serr := enginetest.SaveFixture(path, fx); serr != nil {
 		t.Logf("could not save reproducer: %v", serr)
 	} else if abs, aerr := filepath.Abs(path); aerr == nil {
 		path = abs

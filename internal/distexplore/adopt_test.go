@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
@@ -179,7 +180,7 @@ func TestAdoptionIsOneStep(t *testing.T) {
 		k := budgetKernels[i+1]
 		label := fmt.Sprintf("%s(%d)@%d", k.name, k.n, k.budget)
 		cl, audit := countedCluster(t, k.name, k.n, nil, failoverOptions())
-		task := Task{Protocol: k.name, N: k.n, Inputs: alternatingInputs(k.n), Shards: 6, Replicas: 2,
+		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
 			Options: explore.Options{MaxConfigs: k.budget}}
 		if _, visited, err := cl.Explore(task, nil); err != nil || visited != k.budget {
 			t.Fatalf("%s: visited %d, %v", label, visited, err)
@@ -198,7 +199,7 @@ func TestAdoptionIsOneStep(t *testing.T) {
 // a checkpoint on a fresh cluster.
 func TestAdoptionIsOneStepThroughBackfill(t *testing.T) {
 	task := recoveryTask()
-	seqC, seqV, seq := seqStream(t, task)
+	ref := reference(t, task)
 
 	t.Run("rejoin", func(t *testing.T) {
 		task := task
@@ -212,8 +213,7 @@ func TestAdoptionIsOneStepThroughBackfill(t *testing.T) {
 		}, opt)
 		timer := time.AfterFunc(50*time.Millisecond, func() { ft.Revive("a1") })
 		defer timer.Stop()
-		distC, distV, dist := distStream(t, cl, task)
-		compareStreams(t, "rejoin", seqC, seqV, seq, distC, distV, dist)
+		mustAgree(t, "rejoin", ref, record(t, cl, task))
 		if cl.RunStats().Rejoined == 0 {
 			t.Error("run completed without the replacement worker rejoining")
 		}
@@ -226,8 +226,7 @@ func TestAdoptionIsOneStepThroughBackfill(t *testing.T) {
 		task := task
 		task.Checkpoints, task.Resume = cks, true
 		cl, audit := countedCluster(t, task.Protocol, task.N, nil, failoverOptions())
-		distC, distV, dist := distStream(t, cl, task)
-		compareStreams(t, "resume", seqC, seqV, seq, distC, distV, dist)
+		mustAgree(t, "resume", ref, record(t, cl, task))
 		if cl.RunStats().ResumedLevel < 0 {
 			t.Fatal("the run did not resume from the checkpoint")
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
@@ -26,14 +27,6 @@ var budgetKernels = []struct {
 	n, budget int
 }{
 	{"naivemajority", 3, 0}, {"paxos", 3, 400}, {"onethird", 4, 400}, {"naivemajority", 4, 400},
-}
-
-func alternatingInputs(n int) model.Inputs {
-	in := make(model.Inputs, n)
-	for p := range in {
-		in[p] = model.Value(p & 1)
-	}
-	return in
 }
 
 // TestDedupGuardIsPerChunk drives one worker by hand: a replayed dedup
@@ -122,10 +115,10 @@ func TestKillInsideChunkedLevel(t *testing.T) {
 		name      string
 		n, budget int
 	}{{"onethird", 4, 400}, {"naivemajority", 4, 400}, {"naivemajority", 4, 1000}} {
-		task := Task{Protocol: k.name, N: k.n, Inputs: alternatingInputs(k.n),
+		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n),
 			Options: explore.Options{MaxConfigs: k.budget}, Shards: 6, Replicas: 2}
-		seqC, seqV, seq := seqStream(t, task)
-		cut := seq[len(seq)-1].depth - 1 // the level whose expansion fills the budget
+		ref := reference(t, task)
+		cut := ref.Visits[len(ref.Visits)-1].Depth - 1 // the level whose expansion fills the budget
 		workers := []string{"c0", "c1", "c2"}
 		for victim := range workers {
 			for _, when := range []string{"script-before", "script-at", "first-expand", "later-expand"} {
@@ -151,8 +144,7 @@ func TestKillInsideChunkedLevel(t *testing.T) {
 					})
 					addrs, listeners := startWorkers(t, ft, workers)
 					cl := dialCluster(t, ft, addrs, failoverOptions())
-					distC, distV, dist := distStream(t, cl, task)
-					compareStreams(t, label, seqC, seqV, seq, distC, distV, dist)
+					mustAgree(t, label, ref, record(t, cl, task))
 					if *later == 0 {
 						t.Error("no level was chunked: the test does not reach what it is about")
 					}
@@ -174,9 +166,9 @@ func TestKillInsideChunkedLevel(t *testing.T) {
 // in its frontier twice and nothing is missed, and the level after is
 // expanded exactly as the oracle expands it.
 func TestRejoinInsideChunkedLevel(t *testing.T) {
-	task := Task{Protocol: "naivemajority", N: 4, Inputs: alternatingInputs(4),
+	task := Task{Protocol: "naivemajority", N: 4, Inputs: enginetest.Alternating(4),
 		Options: explore.Options{MaxConfigs: 1000}, Shards: 6, Replicas: 1}
-	seqC, seqV, seq := seqStream(t, task)
+	ref := reference(t, task)
 	workers := []string{"r0", "r1", "r2"}
 	tap := &frameTap{Transport: NewLoopback()}
 	ft := NewFaultyTransport(tap, FaultPlan{})
@@ -196,9 +188,8 @@ func TestRejoinInsideChunkedLevel(t *testing.T) {
 	opt := failoverOptions()
 	opt.RejoinWait = 15 * time.Second
 	cl := dialCluster(t, ft, addrs, opt)
-	distC, distV, dist := distStream(t, cl, task)
-	compareStreams(t, "rejoin-inside-chunked-level", seqC, seqV, seq, distC, distV, dist)
-	if killedAt < 0 || killedAt >= seq[len(seq)-1].depth-1 {
+	mustAgree(t, "rejoin-inside-chunked-level", ref, record(t, cl, task))
+	if killedAt < 0 || killedAt >= ref.Visits[len(ref.Visits)-1].Depth-1 {
 		t.Fatalf("the worker was lost at level %d, want inside a chunked level before the last expanded one", killedAt)
 	}
 	if st := cl.RunStats(); st.Rejoined == 0 {
@@ -230,7 +221,7 @@ func TestClusterSpeculationBoundedByOneChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := alternatingInputs(k.n)
+		in := enginetest.Alternating(k.n)
 		for _, budget := range []int{60, 400, 1000} {
 			// The oracle run yields the sequential step count, every
 			// node's event count in admission order, and the shape of the
@@ -319,7 +310,7 @@ func clusterRun(t *testing.T, tap *frameTap, name string, n, budget int, around 
 	t.Helper()
 	addrs, _ := startWorkers(t, tap, []string{"b0", "b1", "b2"})
 	cl := dialCluster(t, tap, addrs, failoverOptions())
-	task := Task{Protocol: name, N: n, Inputs: alternatingInputs(n), Shards: 6, Replicas: 2,
+	task := Task{Protocol: name, N: n, Inputs: enginetest.Alternating(n), Shards: 6, Replicas: 2,
 		Options: explore.Options{MaxConfigs: budget}}
 	visited := 0
 	around(func() {
@@ -386,7 +377,7 @@ func TestAllocsClusterBudgeted(t *testing.T) {
 	}
 	visit := func(*model.Config, int, func() model.Schedule) bool { return false }
 	sequential := allocated(func() {
-		explore.Explore(pr, model.MustInitial(pr, alternatingInputs(k.n)), explore.Options{MaxConfigs: k.budget, Workers: 1}, nil, visit)
+		explore.Explore(pr, model.MustInitial(pr, enginetest.Alternating(k.n)), explore.Options{MaxConfigs: k.budget, Workers: 1}, nil, visit)
 	})
 	var cluster uint64
 	visited := clusterRun(t, &frameTap{Transport: NewLoopback()}, k.name, k.n, k.budget, func(run func()) { cluster = allocated(run) })

@@ -3,76 +3,151 @@ package distexplore
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
-	"github.com/flpsim/flp/internal/protocols"
 )
 
 // The distributed engine's contract is the in-process contract extended
-// across processes: byte-identical visit streams, counts, witness
-// schedules, and truncation flags at every (workers × shards) combination,
-// over both the in-memory loopback transport and real TCP. The
-// differential tests below pin that against the sequential engine as the
-// oracle.
+// across processes, transports, worker kills and coordinator crashes:
+// byte-identical visit streams, counts, witness schedules and truncation
+// flags, held to enginetest's reference with enginetest's diff.
 
-// step is one visit observation; comparing full streams position by
-// position is stronger than any aggregate report.
-type step struct {
-	key   string
-	depth int
-	path  string
+// taskOf is case c as a task over 6 shards at R = 2.
+func taskOf(c enginetest.Case) Task {
+	return Task{Protocol: c.Protocol, N: c.N, Inputs: c.Inputs, Prefix: c.Prefix, Avoid: c.Avoid, Options: c.Options, Shards: 6, Replicas: 2}
 }
 
-func seqStream(t *testing.T, tk Task) (complete bool, visited int, steps []step) {
+// reference is the reference stream of tk's exploration.
+func reference(t *testing.T, tk Task) enginetest.Stream {
 	t.Helper()
-	pr, err := RegistryProvider(tk.Protocol, tk.N)
+	ref, err := enginetest.Reference(enginetest.Case{Protocol: tk.Protocol, N: tk.N, Inputs: tk.Inputs, Prefix: tk.Prefix, Avoid: tk.Avoid, Options: tk.Options})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := model.MustInitial(pr, tk.Inputs)
-	if len(tk.Prefix) > 0 {
-		if c, err = model.ApplySchedule(pr, c, tk.Prefix); err != nil {
-			t.Fatal(err)
-		}
-	}
-	complete, visited = explore.ReferenceExplore(pr, c, tk.Options, explore.AvoidFilter(tk.Avoid), func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-		steps = append(steps, step{key: cfg.Key(), depth: depth, path: path().String()})
-		return false
-	})
-	return complete, visited, steps
+	return ref
 }
 
-func distStream(t *testing.T, cl *Cluster, tk Task) (complete bool, visited int, steps []step) {
+// record runs tk on cl and records its stream.
+func record(t *testing.T, cl *Cluster, tk Task) enginetest.Stream {
 	t.Helper()
-	complete, visited, err := cl.Explore(tk, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-		steps = append(steps, step{key: cfg.Key(), depth: depth, path: path().String()})
-		return false
-	})
+	got, err := enginetest.Record(0, func(visit explore.Visit) (bool, int, error) { return cl.Explore(tk, visit) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return complete, visited, steps
+	return got
 }
 
-func compareStreams(t *testing.T, label string, seqC bool, seqV int, seq []step, distC bool, distV int, dist []step) {
+// mustAgree fails t unless got is the reference stream ref.
+func mustAgree(t *testing.T, label string, ref, got enginetest.Stream) {
 	t.Helper()
-	if seqC != distC || seqV != distV {
-		t.Errorf("%s: (complete, visited) diverged: sequential (%v, %d), distributed (%v, %d)",
-			label, seqC, seqV, distC, distV)
+	if err := enginetest.DiffStreams(ref, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	if len(seq) != len(dist) {
-		t.Fatalf("%s: visit stream length %d, sequential %d", label, len(dist), len(seq))
-	}
-	for i := range seq {
-		if seq[i] != dist[i] {
-			t.Fatalf("%s: visit %d diverged:\n sequential:  %+v\n distributed: %+v", label, i, seq[i], dist[i])
+}
+
+// gridCases are the cases the clean cluster runs at every shape: finite
+// protocols whole, and a budget and a depth cap that cut a level.
+var gridCases = []string{"waitall3-011", "naivemajority3-011", "2pc3-011", "paxos-budget600", "naivemajority-depth4", "naivemajority-budget137"}
+
+// TestClusterSuite runs the case table through the cluster four ways, over
+// loopback, at 6 shards and R = 2 unless a shape says otherwise:
+//   - clean, on long-lived clusters of every shape in workers {1, 4} ×
+//     shards {1, 2, 4} × replicas {1, 2}: gridCases on all twelve, and the
+//     whole table on four that take every value (one worker holding two
+//     shards, and four workers over fewer, as many and more shards,
+//     replicated and not);
+//   - with worker 1 of 3 killed by script as level 1 opens;
+//   - with worker 1 of 3 severed on an expand request inside a level the
+//     coordinator walks in several chunks, where the budget cuts one;
+//   - with the coordinator crashed as level 2 opens, checkpointing on, and
+//     the run resumed on a fresh cluster.
+func TestClusterSuite(t *testing.T) {
+	t.Parallel() // beside TestChaosNeverWrong, which mostly waits out its delays
+	t.Run("clean", func(t *testing.T) {
+		lb := NewLoopback()
+		addrs, _ := startWorkers(t, lb, []string{"w0", "w1", "w2", "w3"})
+		all := enginetest.Cases(t)
+		grid := slices.DeleteFunc(slices.Clone(all), func(c enginetest.Case) bool { return !slices.Contains(gridCases, c.Name) })
+		if len(grid) != len(gridCases) {
+			t.Fatalf("%d of the %d grid cases are in the table", len(grid), len(gridCases))
 		}
-	}
+		wide := map[[3]int]bool{{1, 2, 1}: true, {4, 1, 2}: true, {4, 2, 1}: true, {4, 4, 2}: true}
+		for _, workers := range []int{1, 4} {
+			cl := dialCluster(t, lb, addrs[:workers], RPCOptions{})
+			for _, shards := range []int{1, 2, 4} {
+				for _, replicas := range []int{1, 2} {
+					cases := grid
+					if wide[[3]int{workers, shards, replicas}] {
+						cases = all
+					}
+					t.Run(fmt.Sprintf("w%ds%dr%d", workers, shards, replicas), func(t *testing.T) {
+						enginetest.SuiteOn(t, cases, func(t *testing.T, c enginetest.Case, visit explore.Visit) (bool, int, error) {
+							tk := taskOf(c)
+							tk.Shards, tk.Replicas = shards, replicas
+							return cl.Explore(tk, visit)
+						})
+					})
+				}
+			}
+		}
+	})
+	t.Run("kill", func(t *testing.T) {
+		enginetest.Suite(t, func(t *testing.T, c enginetest.Case, visit explore.Visit) (bool, int, error) {
+			cl, fired := killCluster(t, []string{"k0", "k1", "k2"}, 1, 1, failoverOptions())
+			deepest := 0
+			complete, visited, err := cl.Explore(taskOf(c), func(cfg *model.Config, depth int, path func() model.Schedule) bool {
+				deepest = max(deepest, depth)
+				return visit(cfg, depth, path)
+			})
+			if c.StopAt == 0 && deepest >= 2 && !fired() {
+				t.Error("the run went past level 1 and worker 1 was never killed")
+			}
+			return complete, visited, err
+		})
+	})
+	t.Run("kill-inside-chunk", func(t *testing.T) {
+		enginetest.Suite(t, func(t *testing.T, c enginetest.Case, visit explore.Visit) (bool, int, error) {
+			workers := []string{"c0", "c1", "c2"}
+			tap := &frameTap{Transport: NewLoopback()}
+			ft := NewFaultyTransport(tap, FaultPlan{})
+			var listeners []*trackingListener
+			severed := false
+			watchChunks(tap, func(addr string, _ *expandReq, first bool) {
+				if !severed && addr == workers[1] && !first {
+					severed = true
+					ft.kill(addr)
+					listeners[1].killConns()
+				}
+			})
+			addrs, listeners := startWorkers(t, ft, workers)
+			return dialCluster(t, ft, addrs, failoverOptions()).Explore(taskOf(c), visit)
+		})
+	})
+	t.Run("crash-resume", func(t *testing.T) {
+		enginetest.Suite(t, func(t *testing.T, c enginetest.Case, visit explore.Visit) (bool, int, error) {
+			tk := taskOf(c)
+			tk.Checkpoints = openCheckpoints(t, t.TempDir())
+			ft := NewFaultyTransport(NewLoopback(), FaultPlan{CoordKillLevel: 2})
+			addrs, _ := startWorkers(t, ft, []string{"x0", "x1", "x2"})
+			dialCluster(t, ft, addrs, failoverOptions()).Explore(tk, nil) // ends in the crash when the run reaches level 2
+			lb := NewLoopback()
+			addrs, _ = startWorkers(t, lb, []string{"r0", "r1", "r2"})
+			cl := dialCluster(t, lb, addrs, failoverOptions())
+			tk.Resume = true
+			complete, visited, err := cl.Explore(tk, visit)
+			if ft.coordKilled() && cl.RunStats().ResumedLevel != 1 {
+				t.Errorf("crashed as level 2 opened, resumed at level %d, want 1", cl.RunStats().ResumedLevel)
+			}
+			return complete, visited, err
+		})
+	})
 }
 
 // trackingListener wraps a Listener and remembers accepted connections so
@@ -135,54 +210,6 @@ func dialCluster(t testing.TB, tr Transport, addrs []string, opt RPCOptions) *Cl
 	return cl
 }
 
-// differentialTasks covers finite protocols exactly and larger ones at a
-// budget boundary, plus depth cutoffs — the same observables the
-// in-process determinism suite pins.
-func differentialTasks() []struct {
-	name string
-	task Task
-} {
-	in3 := model.Inputs{0, 1, 1}
-	return []struct {
-		name string
-		task Task
-	}{
-		{"waitall", Task{Protocol: "waitall", N: 3, Inputs: in3}},
-		{"naivemajority", Task{Protocol: "naivemajority", N: 3, Inputs: in3}},
-		{"2pc", Task{Protocol: "2pc", N: 3, Inputs: in3}},
-		{"paxos-budget", Task{Protocol: "paxos", N: 3, Inputs: in3, Options: explore.Options{MaxConfigs: 600}}},
-		{"naivemajority-depth4", Task{Protocol: "naivemajority", N: 3, Inputs: in3, Options: explore.Options{MaxDepth: 4}}},
-		{"naivemajority-budget137", Task{Protocol: "naivemajority", N: 3, Inputs: in3, Options: explore.Options{MaxConfigs: 137}}},
-	}
-}
-
-// TestLoopbackDifferentialDeterminism is the core acceptance test: shards
-// ∈ {1, 2, 4} × worker processes ∈ {1, 4} × replicas ∈ {1, 2}, every
-// combination compared byte-for-byte against the sequential engine over
-// the loopback transport.
-func TestLoopbackDifferentialDeterminism(t *testing.T) {
-	lb := NewLoopback()
-	addrs, _ := startWorkers(t, lb, []string{"w0", "w1", "w2", "w3"})
-	for _, tc := range differentialTasks() {
-		t.Run(tc.name, func(t *testing.T) {
-			seqC, seqV, seq := seqStream(t, tc.task)
-			for _, workers := range []int{1, 4} {
-				cl := dialCluster(t, lb, addrs[:workers], RPCOptions{})
-				for _, shards := range []int{1, 2, 4} {
-					for _, replicas := range []int{1, 2} {
-						tk := tc.task
-						tk.Shards = shards
-						tk.Replicas = replicas
-						distC, distV, dist := distStream(t, cl, tk)
-						label := fmt.Sprintf("%s/w%ds%dr%d", tc.name, workers, shards, replicas)
-						compareStreams(t, label, seqC, seqV, seq, distC, distV, dist)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestTCPDifferentialDeterminism runs the same differential over real TCP
 // on localhost: the framing, deadline, and dial paths of the production
 // transport.
@@ -191,108 +218,15 @@ func TestTCPDifferentialDeterminism(t *testing.T) {
 	addrs, _ := startWorkers(t, tr, []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"})
 	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
 		Options: explore.Options{MaxConfigs: 600}}
-	seqC, seqV, seq := seqStream(t, task)
+	ref := reference(t, task)
 	for _, workers := range []int{1, 4} {
 		cl := dialCluster(t, tr, addrs[:workers], RPCOptions{})
 		for _, shards := range []int{1, 2, 4} {
 			tk := task
 			tk.Shards = shards
-			distC, distV, dist := distStream(t, cl, tk)
-			label := "tcp/w" + string(rune('0'+workers)) + "s" + string(rune('0'+shards))
-			compareStreams(t, label, seqC, seqV, seq, distC, distV, dist)
+			mustAgree(t, fmt.Sprintf("tcp/w%ds%d", workers, shards), ref, record(t, cl, tk))
 		}
 	}
-}
-
-// TestDistributedAvoidFilter pins Lemma 3's "reachable without applying e"
-// primitive: the Avoid event must suppress the same transitions in both
-// engines.
-func TestDistributedAvoidFilter(t *testing.T) {
-	pr := protocols.NewNaiveMajority(3)
-	c := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	var avoid *model.Event
-	for _, e := range model.Events(c) {
-		if e.IsNull() && model.IsNoOp(pr, c, e) {
-			continue
-		}
-		ev := e
-		avoid = &ev
-		break
-	}
-	if avoid == nil {
-		t.Fatal("no applicable event at the root")
-	}
-	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
-		Avoid: avoid, Options: explore.Options{MaxConfigs: 400}}
-	seqC, seqV, seq := seqStream(t, task)
-	lb := NewLoopback()
-	addrs, _ := startWorkers(t, lb, []string{"a0", "a1", "a2"})
-	cl := dialCluster(t, lb, addrs, RPCOptions{})
-	task.Shards = 3
-	distC, distV, dist := distStream(t, cl, task)
-	compareStreams(t, "avoid", seqC, seqV, seq, distC, distV, dist)
-}
-
-// TestDistributedPrefix pins explore-from-C jobs: the prefix schedule is
-// applied on every cluster member independently, and reconstructed witness
-// paths are still relative to the post-prefix root.
-func TestDistributedPrefix(t *testing.T) {
-	pr := protocols.NewNaiveMajority(3)
-	c := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	var prefix model.Schedule
-	cur := c
-	for len(prefix) < 2 {
-		evs := model.Events(cur)
-		advanced := false
-		for _, e := range evs {
-			if e.IsNull() && model.IsNoOp(pr, cur, e) {
-				continue
-			}
-			prefix = append(prefix, e)
-			cur = model.MustApply(pr, cur, e)
-			advanced = true
-			break
-		}
-		if !advanced {
-			t.Fatal("could not build a 2-event prefix")
-		}
-	}
-	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
-		Prefix: prefix, Options: explore.Options{MaxConfigs: 300}}
-	seqC, seqV, seq := seqStream(t, task)
-	lb := NewLoopback()
-	addrs, _ := startWorkers(t, lb, []string{"p0", "p1"})
-	cl := dialCluster(t, lb, addrs, RPCOptions{})
-	task.Shards = 4 // more shards than workers: round-robin dealing
-	distC, distV, dist := distStream(t, cl, task)
-	compareStreams(t, "prefix", seqC, seqV, seq, distC, distV, dist)
-}
-
-// TestDistributedEarlyStop checks that a stopping visit sees the identical
-// truncated stream and count as the in-process engines.
-func TestDistributedEarlyStop(t *testing.T) {
-	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}}
-	pr := protocols.NewNaiveMajority(3)
-	c := model.MustInitial(pr, task.Inputs)
-	const stopAt = 40
-	var seqSteps []step
-	seqC, seqV := explore.ReferenceExplore(pr, c, explore.Options{}, nil,
-		func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-			seqSteps = append(seqSteps, step{cfg.Key(), depth, path().String()})
-			return len(seqSteps) == stopAt
-		})
-	lb := NewLoopback()
-	addrs, _ := startWorkers(t, lb, []string{"e0", "e1", "e2"})
-	cl := dialCluster(t, lb, addrs, RPCOptions{})
-	var distSteps []step
-	distC, distV, err := cl.Explore(task, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-		distSteps = append(distSteps, step{cfg.Key(), depth, path().String()})
-		return len(distSteps) == stopAt
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareStreams(t, "early-stop", seqC, seqV, seqSteps, distC, distV, distSteps)
 }
 
 // TestWorkerLostAborts severs one worker permanently mid-run with
@@ -340,28 +274,26 @@ func TestWorkerLostAborts(t *testing.T) {
 func TestRetryAfterConnLoss(t *testing.T) {
 	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
 		Options: explore.Options{MaxConfigs: 300}}
-	seqC, seqV, seq := seqStream(t, task)
 	lb := NewLoopback()
 	addrs, ls := startWorkers(t, lb, []string{"r0", "r1"})
 	cl := dialCluster(t, lb, addrs, RPCOptions{
 		RPCTimeout: 5 * time.Second, Retries: 3, RetryBackoff: 5 * time.Millisecond,
 	})
-	var dist []step
-	cut := false
-	distC, distV, err := cl.Explore(task, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-		dist = append(dist, step{cfg.Key(), depth, path().String()})
-		if len(dist) == 25 && !cut {
-			cut = true
-			for _, l := range ls {
-				l.killConns()
+	got, err := enginetest.Record(0, func(visit explore.Visit) (bool, int, error) {
+		visits := 0
+		return cl.Explore(task, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
+			if visits++; visits == 25 {
+				for _, l := range ls {
+					l.killConns()
+				}
 			}
-		}
-		return false
+			return visit(cfg, depth, path)
+		})
 	})
 	if err != nil {
 		t.Fatalf("exploration failed despite live workers: %v", err)
 	}
-	compareStreams(t, "conn-loss", seqC, seqV, seq, distC, distV, dist)
+	mustAgree(t, "conn-loss", reference(t, task), got)
 }
 
 // TestCountReachableParity checks the counting entry point end to end: the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protogen"
@@ -30,25 +31,29 @@ func failoverOptions() RPCOptions {
 	}
 }
 
-// killRun runs the task over a FaultyTransport scripted to kill one worker
-// at one level, with fresh workers per run (a killed worker's state is
-// unusable for the next scenario).
-func killRun(t *testing.T, task Task, workers []string, victim, level int, opt RPCOptions) (bool, int, []step) {
+// killCluster dials a cluster of fresh workers (a killed worker's state is
+// unusable for the next run) over a FaultyTransport scripted to kill
+// workers[victim] at level, and reports whether the kill has fired.
+func killCluster(t *testing.T, workers []string, victim, level int, opt RPCOptions) (*Cluster, func() bool) {
 	t.Helper()
-	ft := NewFaultyTransport(NewLoopback(), FaultPlan{
-		KillAddr:  workers[victim],
-		KillLevel: level,
-	})
+	ft := NewFaultyTransport(NewLoopback(), FaultPlan{KillAddr: workers[victim], KillLevel: level})
 	addrs, _ := startWorkers(t, ft, workers)
-	cl := dialCluster(t, ft, addrs, opt)
-	c, v, s := distStream(t, cl, task)
-	ft.mu.Lock()
-	killed := ft.killed[workers[victim]]
-	ft.mu.Unlock()
-	if !killed {
+	return dialCluster(t, ft, addrs, opt), func() bool {
+		ft.mu.Lock()
+		defer ft.mu.Unlock()
+		return ft.killed[workers[victim]]
+	}
+}
+
+// killRun runs the task on a killCluster and requires the kill to fire.
+func killRun(t *testing.T, task Task, workers []string, victim, level int) enginetest.Stream {
+	t.Helper()
+	cl, fired := killCluster(t, workers, victim, level, failoverOptions())
+	got := record(t, cl, task)
+	if !fired() {
 		t.Fatalf("fault plan never fired: worker %d was not killed at level %d", victim, level)
 	}
-	return c, v, s
+	return got
 }
 
 // TestFailoverKillEachWorkerEachLevel is the acceptance sweep: W=3 workers,
@@ -68,13 +73,12 @@ func TestFailoverKillEachWorkerEachLevel(t *testing.T) {
 		{"paxos-", Task{Protocol: "paxos", N: 3, Inputs: model.Inputs{0, 1, 1},
 			Options: explore.Options{MaxConfigs: 1500}, Shards: 6, Replicas: 2}, []int{3}},
 	} {
-		seqC, seqV, seq := seqStream(t, tc.task)
+		ref := reference(t, tc.task)
 		for victim := range workers {
 			for _, level := range tc.levels {
 				label := fmt.Sprintf("%skill-w%d-at-level%d", tc.prefix, victim, level)
 				t.Run(label, func(t *testing.T) {
-					distC, distV, dist := killRun(t, tc.task, workers, victim, level, failoverOptions())
-					compareStreams(t, label, seqC, seqV, seq, distC, distV, dist)
+					mustAgree(t, label, ref, killRun(t, tc.task, workers, victim, level))
 				})
 			}
 		}
@@ -101,14 +105,13 @@ func TestFailoverGeneratedProtocols(t *testing.T) {
 		sp := protogen.Derive(tc.seed, protogen.DefaultDials(3))
 		task := Task{Protocol: sp.Name(), N: sp.N, Inputs: model.Inputs{0, 1, 1},
 			Options: explore.Options{MaxConfigs: 300}, Shards: 6, Replicas: 2}
-		seqC, seqV, seq := seqStream(t, task)
+		ref := reference(t, task)
 		workers := []string{"g0", "g1", "g2"}
 		for victim := range workers {
 			for _, level := range tc.levels {
 				label := fmt.Sprintf("seed%d-kill-w%d-at-level%d", tc.seed, victim, level)
 				t.Run(label, func(t *testing.T) {
-					distC, distV, dist := killRun(t, task, workers, victim, level, failoverOptions())
-					compareStreams(t, label, seqC, seqV, seq, distC, distV, dist)
+					mustAgree(t, label, ref, killRun(t, task, workers, victim, level))
 				})
 			}
 		}
@@ -121,7 +124,7 @@ func TestFailoverGeneratedProtocols(t *testing.T) {
 func TestFailoverTCP(t *testing.T) {
 	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
 		Options: explore.Options{MaxConfigs: 300}, Shards: 4, Replicas: 2}
-	seqC, seqV, seq := seqStream(t, task)
+	ref := reference(t, task)
 	for _, level := range []int{1, 3} {
 		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
 			ft := NewFaultyTransport(TCP{}, FaultPlan{KillLevel: level})
@@ -130,8 +133,7 @@ func TestFailoverTCP(t *testing.T) {
 			// is named after the workers are up.
 			ft.plan.KillAddr = addrs[1]
 			cl := dialCluster(t, ft, addrs, failoverOptions())
-			distC, distV, dist := distStream(t, cl, task)
-			compareStreams(t, fmt.Sprintf("tcp-kill-level%d", level), seqC, seqV, seq, distC, distV, dist)
+			mustAgree(t, fmt.Sprintf("tcp-kill-level%d", level), ref, record(t, cl, task))
 		})
 	}
 }
@@ -161,7 +163,7 @@ func TestReplicasOneKillAborts(t *testing.T) {
 func TestChaosConnDrops(t *testing.T) {
 	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
 		Options: explore.Options{MaxConfigs: 300}, Shards: 4, Replicas: 2}
-	seqC, seqV, seq := seqStream(t, task)
+	ref := reference(t, task)
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ft := NewFaultyTransport(NewLoopback(), FaultPlan{Seed: seed, DropProb: 0.08})
@@ -169,8 +171,7 @@ func TestChaosConnDrops(t *testing.T) {
 			opt := failoverOptions()
 			opt.Retries = 8
 			cl := dialCluster(t, ft, addrs, opt)
-			distC, distV, dist := distStream(t, cl, task)
-			compareStreams(t, fmt.Sprintf("drops-seed%d", seed), seqC, seqV, seq, distC, distV, dist)
+			mustAgree(t, fmt.Sprintf("drops-seed%d", seed), ref, record(t, cl, task))
 		})
 	}
 }
@@ -180,9 +181,10 @@ func TestChaosConnDrops(t *testing.T) {
 // (if retries are exhausted), but a run that reports success must be
 // byte-identical to the oracle — wrong answers are never acceptable.
 func TestChaosNeverWrong(t *testing.T) {
+	t.Parallel() // its delays leave the CPU to TestClusterSuite
 	task := Task{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1},
 		Options: explore.Options{MaxConfigs: 200}, Shards: 4, Replicas: 2}
-	seqC, seqV, seq := seqStream(t, task)
+	ref := reference(t, task)
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ft := NewFaultyTransport(NewLoopback(), FaultPlan{
@@ -197,16 +199,12 @@ func TestChaosNeverWrong(t *testing.T) {
 			opt.RPCTimeout = 200 * time.Millisecond
 			opt.Retries = 6
 			cl := dialCluster(t, ft, addrs, opt)
-			var dist []step
-			distC, distV, err := cl.Explore(task, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-				dist = append(dist, step{cfg.Key(), depth, path().String()})
-				return false
-			})
+			got, err := enginetest.Record(0, func(visit explore.Visit) (bool, int, error) { return cl.Explore(task, visit) })
 			if err != nil {
 				t.Logf("seed %d aborted loudly (acceptable): %v", seed, err)
 				return
 			}
-			compareStreams(t, fmt.Sprintf("chaos-seed%d", seed), seqC, seqV, seq, distC, distV, dist)
+			mustAgree(t, fmt.Sprintf("chaos-seed%d", seed), ref, got)
 		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 )
@@ -31,11 +32,9 @@ func TestJobsBackToBackOnOneCluster(t *testing.T) {
 	cl := dialCluster(t, lb, addrs, failoverOptions())
 	for i, k := range []int{1, 3, 1, 0} {
 		k := budgetKernels[k]
-		task := Task{Protocol: k.name, N: k.n, Inputs: alternatingInputs(k.n), Shards: 6, Replicas: 2,
+		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
 			Options: explore.Options{MaxConfigs: k.budget}}
-		seqC, seqV, seq := seqStream(t, task)
-		distC, distV, dist := distStream(t, cl, task)
-		compareStreams(t, fmt.Sprintf("job %d on the long-lived cluster", i+1), seqC, seqV, seq, distC, distV, dist)
+		mustAgree(t, fmt.Sprintf("job %d on the long-lived cluster", i+1), reference(t, task), record(t, cl, task))
 	}
 }
 
@@ -158,17 +157,15 @@ func (st *stallTransport) finish() ([]byte, error) {
 // pure).
 func TestDyingConnectionKeepsItsResponse(t *testing.T) {
 	k := budgetKernels[1]
-	task := Task{Protocol: k.name, N: k.n, Inputs: alternatingInputs(k.n), Shards: 6, Replicas: 2,
+	task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
 		Options: explore.Options{MaxConfigs: k.budget}}
-	seqC, seqV, seq := seqStream(t, task)
+	ref := reference(t, task)
 	st := &stallTransport{Transport: NewLoopback(), addr: "y1"}
 	addrs, _ := startWorkers(t, st, []string{"y0", "y1", "y2"})
 	cl := dialCluster(t, st, addrs, failoverOptions())
-	distC, distV, dist := distStream(t, cl, task)
-	compareStreams(t, "first job", seqC, seqV, seq, distC, distV, dist)
+	mustAgree(t, "first job", ref, record(t, cl, task))
 	st.arm()
-	distC, distV, dist = distStream(t, cl, task)
-	compareStreams(t, "second job, a response lost mid-frame", seqC, seqV, seq, distC, distV, dist)
+	mustAgree(t, "second job, a response lost mid-frame", ref, record(t, cl, task))
 	stalled, err := st.finish()
 	if err != nil {
 		t.Fatalf("draining the stalled response: %v", err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/flpsim/flp/internal/atlasstore"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 )
@@ -50,14 +51,13 @@ func recoveryTask() Task {
 // cleanCheckpointedRun runs the task uninterrupted with checkpointing on
 // and returns its observables plus RunStats — the oracle the crashed-and-
 // resumed runs are compared against.
-func cleanCheckpointedRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore) (bool, int, []step, RunStats) {
+func cleanCheckpointedRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore) (enginetest.Stream, RunStats) {
 	t.Helper()
 	lb := NewLoopback()
 	addrs, _ := startWorkers(t, lb, []string{"cc0", "cc1", "cc2"})
 	cl := dialCluster(t, lb, addrs, failoverOptions())
 	task.Checkpoints = cks
-	c, v, s := distStream(t, cl, task)
-	return c, v, s, cl.RunStats()
+	return record(t, cl, task), cl.RunStats()
 }
 
 // crashRun runs the task over a transport scripted to kill the coordinator
@@ -80,15 +80,14 @@ func crashRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore, killLeve
 
 // resumeRun restarts the task with -resume semantics on a fresh cluster
 // and returns its observables and stats.
-func resumeRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore) (bool, int, []step, RunStats) {
+func resumeRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore) (enginetest.Stream, RunStats) {
 	t.Helper()
 	lb := NewLoopback()
 	addrs, _ := startWorkers(t, lb, []string{"rr0", "rr1", "rr2"})
 	cl := dialCluster(t, lb, addrs, failoverOptions())
 	task.Checkpoints = cks
 	task.Resume = true
-	c, v, s := distStream(t, cl, task)
-	return c, v, s, cl.RunStats()
+	return record(t, cl, task), cl.RunStats()
 }
 
 // hookCrashRun crashes the coordinator the way flpcluster's -kill-at-level
@@ -121,9 +120,9 @@ func hookCrashRun(t *testing.T, task Task, cks *atlasstore.CheckpointStore, leve
 // checkpointed level.
 func TestCheckpointResumeCoordKillEachLevel(t *testing.T) {
 	task := recoveryTask()
-	seqC, seqV, seq := seqStream(t, task)
-	cleanC, cleanV, clean, cleanStats := cleanCheckpointedRun(t, task, openCheckpoints(t, t.TempDir()))
-	compareStreams(t, "clean-checkpointed", seqC, seqV, seq, cleanC, cleanV, clean)
+	ref := reference(t, task)
+	clean, cleanStats := cleanCheckpointedRun(t, task, openCheckpoints(t, t.TempDir()))
+	mustAgree(t, "clean-checkpointed", ref, clean)
 
 	type crashCase struct {
 		name        string
@@ -152,8 +151,8 @@ func TestCheckpointResumeCoordKillEachLevel(t *testing.T) {
 				t.Fatalf("after crash at level %d: checkpoint on disk = %v, want %v", tc.level, got, wantResume)
 			}
 
-			distC, distV, dist, st := resumeRun(t, task, cks)
-			compareStreams(t, "resume-after-"+tc.name, seqC, seqV, seq, distC, distV, dist)
+			got, st := resumeRun(t, task, cks)
+			mustAgree(t, "resume-after-"+tc.name, ref, got)
 
 			// The expansion-counter pin: the resumed run's total equals the
 			// uninterrupted run's, and everything before the checkpointed
@@ -199,7 +198,7 @@ func TestCheckpointResumeCoordKillEachLevel(t *testing.T) {
 func TestCheckpointCleanRunLeavesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	cks := openCheckpoints(t, dir)
-	_, _, _, st := cleanCheckpointedRun(t, recoveryTask(), cks)
+	_, st := cleanCheckpointedRun(t, recoveryTask(), cks)
 	if st.Checkpoints == 0 {
 		t.Error("checkpointed run recorded no boundary checkpoints")
 	}
@@ -213,7 +212,6 @@ func TestCheckpointCleanRunLeavesNoFile(t *testing.T) {
 // deleted, and the run restarts from scratch — slower, never wrong.
 func TestCheckpointCorruptRestartsFresh(t *testing.T) {
 	task := recoveryTask()
-	seqC, seqV, seq := seqStream(t, task)
 	dir := t.TempDir()
 	cks := openCheckpoints(t, dir)
 	crashRun(t, task, cks, 3)
@@ -231,8 +229,8 @@ func TestCheckpointCorruptRestartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	distC, distV, dist, st := resumeRun(t, task, cks)
-	compareStreams(t, "resume-after-corruption", seqC, seqV, seq, distC, distV, dist)
+	got, st := resumeRun(t, task, cks)
+	mustAgree(t, "resume-after-corruption", reference(t, task), got)
 	if st.ResumedLevel != -1 {
 		t.Errorf("corrupt checkpoint resumed at level %d, want a fresh start", st.ResumedLevel)
 	}
@@ -248,7 +246,6 @@ func TestCheckpointCorruptRestartsFresh(t *testing.T) {
 func TestRejoinReplacementWorker(t *testing.T) {
 	task := recoveryTask()
 	task.Replicas = 1
-	seqC, seqV, seq := seqStream(t, task)
 	workers := []string{"j0", "j1", "j2"}
 	ft := NewFaultyTransport(NewLoopback(), FaultPlan{KillAddr: workers[1], KillLevel: 2})
 	addrs, _ := startWorkers(t, ft, workers)
@@ -263,8 +260,7 @@ func TestRejoinReplacementWorker(t *testing.T) {
 	timer := time.AfterFunc(250*time.Millisecond, func() { ft.Revive(workers[1]) })
 	defer timer.Stop()
 
-	distC, distV, dist := distStream(t, cl, task)
-	compareStreams(t, "rejoin-replacement", seqC, seqV, seq, distC, distV, dist)
+	mustAgree(t, "rejoin-replacement", reference(t, task), record(t, cl, task))
 	if st := cl.RunStats(); st.Rejoined == 0 {
 		t.Error("run completed without the replacement worker rejoining")
 	}
@@ -318,9 +314,8 @@ func TestLostShardDiagnosticNamesCheckpoint(t *testing.T) {
 
 	// The checkpoint the diagnostic points at is real: a resume from it on
 	// a fresh cluster finishes the run byte-identically.
-	seqC, seqV, seq := seqStream(t, task)
-	distC, distV, dist, st := resumeRun(t, task, task.Checkpoints)
-	compareStreams(t, "resume-after-worker-loss", seqC, seqV, seq, distC, distV, dist)
+	got, st := resumeRun(t, task, task.Checkpoints)
+	mustAgree(t, "resume-after-worker-loss", reference(t, task), got)
 	if st.ResumedLevel < 0 {
 		t.Error("resume did not restore the checkpoint the diagnostic named")
 	}

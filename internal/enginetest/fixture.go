@@ -1,4 +1,4 @@
-package conformance
+package enginetest
 
 import (
 	"encoding/json"
@@ -8,14 +8,15 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
 // Fixture is one generated protocol pinned to disk: the corpus under
-// testdata/protogen is a directory of these, and the fuzz targets dump
-// shrunk reproducers in the same format. The protocol itself lives
-// entirely in Name (protogen names are self-describing), so a fixture
+// testdata/protogen is a directory of these, and the conformance fuzz
+// targets dump shrunk reproducers in the same format. The protocol itself
+// lives entirely in Name (protogen names are self-describing), so a fixture
 // stays loadable by anything that can resolve a protocol name.
 type Fixture struct {
 	// Name is the self-describing gen: protocol name.
@@ -24,8 +25,8 @@ type Fixture struct {
 	// process 0 input 0, processes 1 and 2 input 1) — human-readable and
 	// hand-editable, where a raw byte slice would JSON-encode as base64.
 	Inputs string `json:"inputs"`
-	// MaxConfigs bounds the conformance exploration for this fixture;
-	// 0 means the harness default.
+	// MaxConfigs bounds the fixture's exploration; 0 leaves the bound to
+	// whoever runs it.
 	MaxConfigs int `json:"max_configs,omitempty"`
 	// Note records where the fixture came from.
 	Note string `json:"note,omitempty"`
@@ -34,11 +35,6 @@ type Fixture struct {
 // NewFixture pins (sp, inputs) as a fixture.
 func NewFixture(sp protogen.Spec, inputs model.Inputs, maxConfigs int, note string) Fixture {
 	return Fixture{Name: sp.Name(), Inputs: inputs.String(), MaxConfigs: maxConfigs, Note: note}
-}
-
-// Spec decodes the fixture's protocol spec from its name.
-func (fx Fixture) Spec() (protogen.Spec, error) {
-	return protogen.FromName(fx.Name)
 }
 
 // InputValues decodes the fixture's input string.
@@ -51,30 +47,27 @@ func (fx Fixture) InputValues() (model.Inputs, error) {
 		case '1':
 			in = append(in, model.V1)
 		default:
-			return nil, fmt.Errorf("conformance: fixture input %q: position %d is not a bit", fx.Inputs, i)
+			return nil, fmt.Errorf("enginetest: fixture input %q: position %d is not a bit", fx.Inputs, i)
 		}
 	}
 	return in, nil
 }
 
-// Check runs the conformance harness on the fixture, applying its pinned
-// budget over opt's.
-func (fx Fixture) Check(opt Options) error {
-	sp, err := fx.Spec()
+// Case is the fixture as an unnamed case: its protocol and inputs, bounded
+// by its pinned budget.
+func (fx Fixture) Case() (Case, error) {
+	sp, err := protogen.FromName(fx.Name)
 	if err != nil {
-		return err
+		return Case{}, err
 	}
 	in, err := fx.InputValues()
 	if err != nil {
-		return err
+		return Case{}, err
 	}
 	if len(in) != sp.N {
-		return fmt.Errorf("conformance: fixture has %d inputs for %d processes", len(in), sp.N)
+		return Case{}, fmt.Errorf("enginetest: fixture has %d inputs for %d processes", len(in), sp.N)
 	}
-	if fx.MaxConfigs > 0 {
-		opt.Explore.MaxConfigs = fx.MaxConfigs
-	}
-	return Check(fx.Name, in, opt)
+	return Case{Protocol: fx.Name, N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: fx.MaxConfigs}}, nil
 }
 
 // SaveFixture writes fx as indented JSON, creating parent directories.
@@ -89,7 +82,7 @@ func SaveFixture(path string, fx Fixture) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-// LoadFixture reads one fixture and validates that it decodes.
+// LoadFixture reads one fixture and validates that it decodes to a case.
 func LoadFixture(path string) (Fixture, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -97,13 +90,10 @@ func LoadFixture(path string) (Fixture, error) {
 	}
 	var fx Fixture
 	if err := json.Unmarshal(raw, &fx); err != nil {
-		return Fixture{}, fmt.Errorf("conformance: %s: %w", path, err)
+		return Fixture{}, fmt.Errorf("enginetest: %s: %w", path, err)
 	}
-	if _, err := fx.Spec(); err != nil {
-		return Fixture{}, fmt.Errorf("conformance: %s: %w", path, err)
-	}
-	if _, err := fx.InputValues(); err != nil {
-		return Fixture{}, fmt.Errorf("conformance: %s: %w", path, err)
+	if _, err := fx.Case(); err != nil {
+		return Fixture{}, fmt.Errorf("enginetest: %s: %w", path, err)
 	}
 	return fx, nil
 }

@@ -1,26 +1,15 @@
 package explore_test
 
 import (
+	"fmt"
+	"maps"
 	"testing"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
 )
-
-// atlasFixtureN gives every registry protocol its smallest valid size, so
-// the differential below covers the whole registry and fails loudly when a
-// new protocol is registered without a fixture here.
-var atlasFixtureN = map[string]int{
-	"trivial0":      2,
-	"waitall":       3,
-	"naivemajority": 3,
-	"2pc":           3,
-	"3pc":           3,
-	"paxos":         3,
-	"benor":         2,
-	"onethird":      4,
-}
 
 // finiteFixtures are the registry protocols whose reachable sets are known
 // to fit the differential budget; the atlas MUST build for these.
@@ -39,9 +28,9 @@ const atlasTestBudget = 3000
 
 func registryFixture(t *testing.T, name string) model.Protocol {
 	t.Helper()
-	n, ok := atlasFixtureN[name]
+	n, ok := enginetest.RegistryN[name]
 	if !ok {
-		t.Fatalf("registry protocol %q has no fixture size; extend atlasFixtureN", name)
+		t.Fatalf("registry protocol %q has no size; extend enginetest.RegistryN", name)
 	}
 	factory, ok := protocols.Lookup(name)
 	if !ok {
@@ -54,137 +43,81 @@ func registryFixture(t *testing.T, name string) model.Protocol {
 	return pr
 }
 
-func schedulesEqual(a, b model.Schedule) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Same(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestAtlasDifferentialAgainstClassify is the atlas's correctness contract:
 // for every registry protocol and every initial input vector, every node of
 // the atlas must classify identically to a per-configuration Classify under
 // the same budget — same valency, same exactness, same witness presence,
-// and same (shortest) witness lengths. Worker counts 1 and 8 must build
-// byte-identical atlases. Protocols whose state spaces exceed the budget
-// must refuse to build at every worker count — the per-config fallback is
-// then the only path, and there is nothing to differ.
+// and same (shortest) witness lengths — and every other way of reaching
+// the atlas must leave the same arrays and classifications: one
+// uninterrupted Extend at one worker and at several; a builder truncated at
+// depth 3, serialized through its snapshot and restored by replaying the
+// canonical keys, then run to completion; and a load of the finished
+// atlas's snapshot, the persistence path. Protocols whose state spaces
+// exceed the budget must refuse to build at every worker count — the
+// per-config fallback is then the only path, and there is nothing to
+// differ.
 func TestAtlasDifferentialAgainstClassify(t *testing.T) {
 	for _, name := range protocols.Names() {
 		t.Run(name, func(t *testing.T) {
 			pr := registryFixture(t, name)
-			opt1 := explore.Options{MaxConfigs: atlasTestBudget, Workers: 1}
-			opt8 := explore.Options{MaxConfigs: atlasTestBudget, Workers: 8}
-			built := 0
+			opt := explore.Options{MaxConfigs: atlasTestBudget}
 			for _, inp := range model.AllInputs(pr.N()) {
 				root := model.MustInitial(pr, inp)
-				a1, ok1 := explore.BuildAtlas(pr, root, opt1)
-				a8, ok8 := explore.BuildAtlas(pr, root, opt8)
-				if ok1 != ok8 {
-					t.Fatalf("inputs %s: atlas built at 1 worker = %v but at 8 workers = %v", inp, ok1, ok8)
-				}
-				if !ok1 {
+				want, ok := explore.BuildAtlas(pr, root, opt)
+				if !ok {
 					if finiteFixtures[name] {
 						t.Fatalf("inputs %s: atlas refused to build for a finite protocol within budget %d", inp, atlasTestBudget)
+					}
+					for _, workers := range []int{1, 8} {
+						if _, ok := explore.BuildAtlas(pr, root, withWorkers(opt, workers)); ok {
+							t.Fatalf("inputs %s: atlas refused, but built at %d workers", inp, workers)
+						}
 					}
 					// Over-budget root: the remaining inputs are the same
 					// size; skip them rather than paying more failed sweeps.
 					break
 				}
-				built++
-				diffAtlasPair(t, a1, a8, inp)
-				diffAtlasVsClassify(t, pr, a1, opt1, inp)
-			}
-			if finiteFixtures[name] && built != len(model.AllInputs(pr.N())) {
-				t.Errorf("built %d atlases, want one per input vector", built)
-			}
-		})
-	}
-}
+				if _, _, err := enginetest.WalkAtlas(pr, opt, want, 1, nil); err != nil {
+					t.Fatalf("inputs %s: %v", inp, err)
+				}
+				agree := func(way string, b *explore.AtlasBuilder) {
+					snapshotsEqual(t, fmt.Sprintf("inputs %s, %s", inp, way), want.Snapshot(), b.Snapshot())
+					got, ok := b.Finish()
+					if !ok {
+						t.Fatalf("inputs %s, %s: builder incomplete within budget", inp, way)
+					}
+					if err := enginetest.DiffAtlases(want, got); err != nil {
+						t.Fatalf("inputs %s, %s: %v", inp, way, err)
+					}
+				}
+				for _, workers := range []int{1, 8} {
+					b := explore.NewAtlasBuilder(pr, root)
+					if n := b.Extend(withWorkers(opt, workers)); n != want.Len() {
+						t.Fatalf("inputs %s workers %d: expanded %d nodes, want %d", inp, workers, n, want.Len())
+					}
+					agree(fmt.Sprintf("workers %d", workers), b)
+				}
+				shallow := explore.NewAtlasBuilder(pr, root)
+				shallow.Extend(explore.Options{MaxConfigs: atlasTestBudget, MaxDepth: 3})
+				restored, err := explore.RestoreAtlasBuilder(pr, root, shallow.Snapshot())
+				if err != nil {
+					t.Fatalf("inputs %s: RestoreAtlasBuilder: %v", inp, err)
+				}
+				restored.Extend(opt)
+				agree("restored from depth 3", restored)
 
-// diffAtlasPair checks worker-count determinism: two atlases of the same
-// root must agree node for node, including recovered witness schedules.
-func diffAtlasPair(t *testing.T, a1, a8 *explore.Atlas, inp model.Inputs) {
-	t.Helper()
-	if a1.Len() != a8.Len() || a1.Edges() != a8.Edges() {
-		t.Fatalf("inputs %s: workers 1 vs 8 disagree on size: %d/%d nodes, %d/%d edges",
-			inp, a1.Len(), a8.Len(), a1.Edges(), a8.Edges())
-	}
-	for id := int32(0); id < int32(a1.Len()); id++ {
-		cfg := a1.Config(id)
-		id8, ok := a8.IDOf(cfg)
-		if !ok || id8 != id {
-			t.Fatalf("inputs %s: node %d not at the same id in the 8-worker atlas (got %d, ok=%v)", inp, id, id8, ok)
-		}
-		i1, i8 := a1.InfoAt(id), a8.InfoAt(id)
-		if i1.Valency != i8.Valency || i1.Exact != i8.Exact ||
-			!schedulesEqual(i1.Witness0, i8.Witness0) || !schedulesEqual(i1.Witness1, i8.Witness1) {
-			t.Fatalf("inputs %s node %d: workers 1 vs 8 disagree: %+v vs %+v", inp, id, i1, i8)
-		}
-		if !schedulesEqual(a1.PathTo(id), a8.PathTo(id)) {
-			t.Fatalf("inputs %s node %d: root paths differ between worker counts", inp, id)
-		}
-	}
-}
-
-// diffAtlasVsClassify compares every atlas node against per-configuration
-// Classify and replays every recovered witness.
-func diffAtlasVsClassify(t *testing.T, pr model.Protocol, a *explore.Atlas, opt explore.Options, inp model.Inputs) {
-	t.Helper()
-	for id := int32(0); id < int32(a.Len()); id++ {
-		cfg := a.Config(id)
-		got := a.InfoAt(id)
-		want := explore.Classify(pr, cfg, opt)
-		if got.Valency != want.Valency {
-			t.Fatalf("inputs %s node %d: atlas says %s, Classify says %s", inp, id, got.Valency, want.Valency)
-		}
-		// Exactness must match; Complete may not — Classify stops as soon as
-		// both decision values are seen, so a bivalent node reports
-		// Complete=false while the atlas, which exhausted the reachable set
-		// by construction, truthfully reports Complete=true.
-		if got.Exact != want.Exact {
-			t.Fatalf("inputs %s node %d: exact = %v, Classify = %v", inp, id, got.Exact, want.Exact)
-		}
-		for _, d := range []model.Value{model.V0, model.V1} {
-			if got.HasWitness(d) != want.HasWitness(d) {
-				t.Fatalf("inputs %s node %d: HasWitness(%v) = %v, Classify = %v",
-					inp, id, d, got.HasWitness(d), want.HasWitness(d))
-			}
-			wl, ok := a.WitnessLen(id, d)
-			if ok != got.HasWitness(d) {
-				t.Fatalf("inputs %s node %d: WitnessLen ok=%v but HasWitness=%v", inp, id, ok, got.HasWitness(d))
-			}
-			if !ok {
-				continue
-			}
-			// Both searches are breadth-first, so witness lengths must match
-			// exactly even though the schedules themselves may differ.
-			wantW := want.Witness0
-			gotW := got.Witness0
-			if d == model.V1 {
-				wantW, gotW = want.Witness1, got.Witness1
-			}
-			if len(gotW) != wl || len(wantW) != wl {
-				t.Fatalf("inputs %s node %d: witness(%v) lengths atlas=%d classify=%d distance=%d",
-					inp, id, d, len(gotW), len(wantW), wl)
-			}
-			// Replay: the atlas's witness must actually reach a d-decision.
-			end := model.MustApplySchedule(pr, cfg, gotW)
-			found := false
-			for _, dv := range end.DecisionValues() {
-				if dv == d {
-					found = true
+				loaded, err := explore.LoadAtlas(pr, root, want.Snapshot())
+				if err != nil {
+					t.Fatalf("inputs %s: LoadAtlas: %v", inp, err)
+				}
+				if err := enginetest.DiffAtlases(want, loaded); err != nil {
+					t.Fatalf("inputs %s: loaded vs built: %v", inp, err)
+				}
+				if !maps.Equal(want.Census(), loaded.Census()) {
+					t.Fatalf("inputs %s: census %v loaded, %v built", inp, loaded.Census(), want.Census())
 				}
 			}
-			if !found {
-				t.Fatalf("inputs %s node %d: witness(%v) replay does not reach a %v decision", inp, id, d, d)
-			}
-		}
+		})
 	}
 }
 

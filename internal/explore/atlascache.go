@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +24,27 @@ type AtlasCache struct {
 	backend AtlasBackend
 
 	mu      sync.Mutex
-	entries map[string]*atlasEntry
+	entries map[atlasKey]*atlasEntry
 
 	hits, misses, merged atomic.Int64
+}
+
+// atlasKey is the cache identity of an atlas build: the protocol's registry
+// name (self-describing for generated gen: protocols) and process count, the
+// exploration bounds, and the root's binary canonical key.
+// Options.Workers is deliberately excluded — worker count never changes
+// results (the byte-identity contract in Options), so explorations at
+// different parallelism share one cache slot.
+type atlasKey struct {
+	name                 string
+	n                    int
+	maxConfigs, maxDepth int
+	root                 string
+}
+
+func keyOf(pr model.Protocol, root *model.Config, opt Options) atlasKey {
+	opt = opt.Normalized()
+	return atlasKey{pr.Name(), pr.N(), opt.MaxConfigs, opt.MaxDepth, string(root.KeyBytes())}
 }
 
 // atlasEntry is one key's slot. done is closed when the build finishes;
@@ -39,7 +56,7 @@ type atlasEntry struct {
 
 // NewAtlasCache returns an empty atlas cache.
 func NewAtlasCache() *AtlasCache {
-	return &AtlasCache{entries: make(map[string]*atlasEntry)}
+	return &AtlasCache{entries: make(map[atlasKey]*atlasEntry)}
 }
 
 // AtlasBackend is a second-level atlas source consulted on memory-cache
@@ -58,64 +75,16 @@ type AtlasBackend interface {
 // backend is read without synchronization afterwards.
 func (ac *AtlasCache) SetBackend(b AtlasBackend) { ac.backend = b }
 
-// AtlasKey renders the cache identity of an atlas build: the protocol's
-// registry name (self-describing for generated gen: protocols) and
-// process count, the exploration bounds, and the root's canonical key.
-// Options.Workers is deliberately excluded — worker count never changes
-// results (the byte-identity contract in Options), so explorations at
-// different parallelism share one cache slot.
-func AtlasKey(pr model.Protocol, root *model.Config, opt Options) string {
-	opt = opt.Normalized()
-	return fmt.Sprintf("%s|n=%d|cfg=%d|depth=%d|%s", pr.Name(), pr.N(), opt.MaxConfigs, opt.MaxDepth, root.Key())
-}
-
-// Get returns the atlas covering root under opt, building it (once,
-// shared across concurrent callers) on first use. ok=false is BuildAtlas's
+// Get returns the atlas covering root under opt, building it on first use.
+// Exactly one build runs per key: callers that arrive while it is in flight
+// wait for it and share its result. ok=false is BuildAtlas's
 // complete-or-refused contract surfacing through the cache: the reachable
 // set exceeds opt's budget, and the refusal is memoized so repeat callers
-// skip straight to their per-configuration fallback.
+// skip straight to their per-configuration fallback. A panicking build
+// still closes its slot, so waiters are released with a memoized refusal,
+// and the panic goes on up the building goroutine.
 func (ac *AtlasCache) Get(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
-	a, _ := ac.lookup(pr, root, opt)
-	return a, a != nil
-}
-
-// GetStats is Get plus whether this call was answered without a build —
-// the signal the serving layer's cache metrics are fed from.
-func (ac *AtlasCache) GetStats(pr model.Protocol, root *model.Config, opt Options) (atlas *Atlas, ok, hit bool) {
-	a, hit := ac.lookup(pr, root, opt)
-	return a, a != nil, hit
-}
-
-// Cached returns the atlas covering root under opt only when it is already
-// in memory: it never builds and never consults the backend. A memoized
-// refusal, or a build still in flight, reports false. A returned atlas
-// counts one hit in Stats, as the same lookup through Get would.
-func (ac *AtlasCache) Cached(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
-	ac.mu.Lock()
-	e := ac.entries[AtlasKey(pr, root, opt)]
-	ac.mu.Unlock()
-	if e == nil {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		if e.atlas != nil {
-			ac.hits.Add(1)
-			return e.atlas, true
-		}
-	default:
-	}
-	return nil, false
-}
-
-// lookup returns the key's atlas (nil for a refusal), building it on first
-// use. Exactly one build runs per key: callers that arrive while it is in
-// flight wait for it and share its result. hit is true when this call did
-// not build — a memory hit or a merged wait. A panicking build still
-// closes its slot, so waiters are released with a memoized refusal, and
-// the panic goes on up the building goroutine.
-func (ac *AtlasCache) lookup(pr model.Protocol, root *model.Config, opt Options) (atlas *Atlas, hit bool) {
-	key := AtlasKey(pr, root, opt)
+	key := keyOf(pr, root, opt)
 	ac.mu.Lock()
 	if e, ok := ac.entries[key]; ok {
 		ac.mu.Unlock()
@@ -126,7 +95,7 @@ func (ac *AtlasCache) lookup(pr model.Protocol, root *model.Config, opt Options)
 			ac.merged.Add(1)
 			<-e.done
 		}
-		return e.atlas, true
+		return e.atlas, e.atlas != nil
 	}
 	e := &atlasEntry{done: make(chan struct{})}
 	ac.entries[key] = e
@@ -144,7 +113,29 @@ func (ac *AtlasCache) lookup(pr model.Protocol, root *model.Config, opt Options)
 	if ok {
 		e.atlas = a
 	}
-	return e.atlas, false
+	return e.atlas, e.atlas != nil
+}
+
+// Cached returns the atlas covering root under opt only when it is already
+// in memory: it never builds and never consults the backend. A memoized
+// refusal, or a build still in flight, reports false. A returned atlas
+// counts one hit in Stats, as the same lookup through Get would.
+func (ac *AtlasCache) Cached(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
+	ac.mu.Lock()
+	e := ac.entries[keyOf(pr, root, opt)]
+	ac.mu.Unlock()
+	if e == nil {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		if e.atlas != nil {
+			ac.hits.Add(1)
+			return e.atlas, true
+		}
+	default:
+	}
+	return nil, false
 }
 
 // Len returns the number of cached slots (atlases plus memoized

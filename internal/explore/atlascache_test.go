@@ -257,12 +257,18 @@ func TestAtlasCacheDistinctKeys(t *testing.T) {
 	first := make([]*Atlas, 5)
 	for round := 0; round < 3; round++ {
 		for i := range first {
-			a, ok, hit := ac.GetStats(nm, root, Options{MaxConfigs: 100 + i})
+			hits, misses, _ := ac.Stats()
+			a, ok := ac.Get(nm, root, Options{MaxConfigs: 100 + i})
 			if !ok {
 				t.Fatalf("round %d budget %d refused", round, 100+i)
 			}
-			if wantHit := round > 0; hit != wantHit {
-				t.Fatalf("round %d budget %d: hit = %v, want %v", round, 100+i, hit, wantHit)
+			h, m, _ := ac.Stats()
+			want := [2]int64{0, 1} // the first round builds, later ones hit
+			if round > 0 {
+				want = [2]int64{1, 0}
+			}
+			if got := [2]int64{h - hits, m - misses}; got != want {
+				t.Fatalf("round %d budget %d: (hits, misses) moved by %v, want %v", round, 100+i, got, want)
 			}
 			if round == 0 {
 				for j := 0; j < i; j++ {

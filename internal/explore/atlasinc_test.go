@@ -48,75 +48,6 @@ func snapshotsEqual(t *testing.T, ctx string, a, b *explore.AtlasSnapshot) {
 	}
 }
 
-// atlasesAgree sweeps every node of two atlases for identical
-// classifications, witness lengths, id partitions, and root paths.
-func atlasesAgree(t *testing.T, ctx string, want, got *explore.Atlas) {
-	t.Helper()
-	if want.Len() != got.Len() || want.Edges() != got.Edges() {
-		t.Fatalf("%s: size differs: %d/%d nodes, %d/%d edges", ctx, want.Len(), got.Len(), want.Edges(), got.Edges())
-	}
-	for id := int32(0); id < int32(want.Len()); id++ {
-		if want.ValencyAt(id) != got.ValencyAt(id) {
-			t.Fatalf("%s: node %d valency %s vs %s", ctx, id, want.ValencyAt(id), got.ValencyAt(id))
-		}
-		for _, d := range []model.Value{model.V0, model.V1} {
-			wl, wok := want.WitnessLen(id, d)
-			gl, gok := got.WitnessLen(id, d)
-			if wok != gok || wl != gl {
-				t.Fatalf("%s: node %d witness length for %v: %d/%v vs %d/%v", ctx, id, d, wl, wok, gl, gok)
-			}
-		}
-		cfg := want.Config(id)
-		gid, ok := got.IDOf(cfg)
-		if !ok || gid != id {
-			t.Fatalf("%s: node %d not at the same dense id (got %d, ok=%v)", ctx, id, gid, ok)
-		}
-		if !schedulesEqual(want.PathTo(id), got.PathTo(id)) {
-			t.Fatalf("%s: node %d root paths differ", ctx, id)
-		}
-		if !cfg.Equal(got.Config(id)) {
-			t.Fatalf("%s: node %d configurations differ", ctx, id)
-		}
-	}
-}
-
-// TestAtlasBuilderMatchesBuildAtlas: one uninterrupted Extend must land on
-// exactly the atlas BuildAtlas produces — same arrays, same
-// classifications — at one worker and several.
-func TestAtlasBuilderMatchesBuildAtlas(t *testing.T) {
-	for name := range finiteFixtures {
-		t.Run(name, func(t *testing.T) {
-			pr := registryFixture(t, name)
-			opt := explore.Options{MaxConfigs: atlasTestBudget}
-			for _, inp := range model.AllInputs(pr.N()) {
-				root := model.MustInitial(pr, inp)
-				want, ok := explore.BuildAtlas(pr, root, opt)
-				if !ok {
-					t.Fatalf("inputs %s: BuildAtlas refused within budget", inp)
-				}
-				for _, workers := range []int{1, 8} {
-					b := explore.NewAtlasBuilder(pr, root)
-					wopt := opt
-					wopt.Workers = workers
-					n := b.Extend(wopt)
-					if !b.Complete() {
-						t.Fatalf("inputs %s workers %d: builder incomplete within budget", inp, workers)
-					}
-					if n != want.Len() {
-						t.Fatalf("inputs %s workers %d: expanded %d nodes, want %d", inp, workers, n, want.Len())
-					}
-					snapshotsEqual(t, "builder vs BuildAtlas", want.Snapshot(), b.Snapshot())
-					got, ok := b.Finish()
-					if !ok {
-						t.Fatalf("inputs %s workers %d: Finish refused a complete builder", inp, workers)
-					}
-					atlasesAgree(t, "finished builder vs BuildAtlas", want, got)
-				}
-			}
-		})
-	}
-}
-
 // TestAtlasBuilderBudgetParity: the builder must be complete exactly when
 // BuildAtlas succeeds, at every budget — the complete-or-refused contract
 // expressed incrementally — and must stop exactly where the budget rule
@@ -197,77 +128,6 @@ func TestAtlasBuilderIncrementalDeepening(t *testing.T) {
 				step.d, step.k, n1, n2, oneTotal)
 		}
 		snapshotsEqual(t, "incremental vs one-shot", oneshot.Snapshot(), inc.Snapshot())
-	}
-}
-
-// TestAtlasBuilderSnapshotRestore: a truncated builder serialized through
-// its snapshot and restored (configurations replayed from canonical keys)
-// must continue to exactly the state an uninterrupted build reaches.
-func TestAtlasBuilderSnapshotRestore(t *testing.T) {
-	pr := registryFixture(t, "naivemajority")
-	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	budget := explore.Options{MaxConfigs: atlasTestBudget}
-
-	// Truncate at depth 3, snapshot, restore, run to completion.
-	b := explore.NewAtlasBuilder(pr, root)
-	dOpt := budget
-	dOpt.MaxDepth = 3
-	b.Extend(dOpt)
-	restored, err := explore.RestoreAtlasBuilder(pr, root, b.Snapshot())
-	if err != nil {
-		t.Fatalf("RestoreAtlasBuilder: %v", err)
-	}
-	restored.Extend(budget)
-	if !restored.Complete() {
-		t.Fatal("restored builder did not complete within budget")
-	}
-	want, ok := explore.BuildAtlas(pr, root, budget)
-	if !ok {
-		t.Fatal("BuildAtlas refused within budget")
-	}
-	snapshotsEqual(t, "restored vs BuildAtlas", want.Snapshot(), restored.Snapshot())
-	got, ok := restored.Finish()
-	if !ok {
-		t.Fatal("Finish refused a complete restored builder")
-	}
-	atlasesAgree(t, "restored vs BuildAtlas", want, got)
-}
-
-// TestLoadAtlasMatchesBuilt: an atlas round-tripped through its snapshot
-// (the persistence path) must answer every query identically — censuses,
-// valencies, witness lengths and schedules, id lookups, and lazily
-// materialized configurations.
-func TestLoadAtlasMatchesBuilt(t *testing.T) {
-	for name := range finiteFixtures {
-		t.Run(name, func(t *testing.T) {
-			pr := registryFixture(t, name)
-			opt := explore.Options{MaxConfigs: atlasTestBudget}
-			for _, inp := range model.AllInputs(pr.N()) {
-				root := model.MustInitial(pr, inp)
-				want, ok := explore.BuildAtlas(pr, root, opt)
-				if !ok {
-					t.Fatalf("inputs %s: BuildAtlas refused within budget", inp)
-				}
-				got, err := explore.LoadAtlas(pr, root, want.Snapshot())
-				if err != nil {
-					t.Fatalf("inputs %s: LoadAtlas: %v", inp, err)
-				}
-				atlasesAgree(t, "loaded vs built", want, got)
-				wantCensus, gotCensus := want.Census(), got.Census()
-				for v, n := range wantCensus {
-					if gotCensus[v] != n {
-						t.Fatalf("inputs %s: census[%s] = %d loaded, %d built", inp, v, gotCensus[v], n)
-					}
-				}
-				// Witness schedules replay on the loaded atlas too.
-				for id := int32(0); id < int32(got.Len()) && id < 16; id++ {
-					wi, gi := want.InfoAt(id), got.InfoAt(id)
-					if wi.Valency != gi.Valency || !schedulesEqual(wi.Witness0, gi.Witness0) || !schedulesEqual(wi.Witness1, gi.Witness1) {
-						t.Fatalf("inputs %s node %d: InfoAt differs between built and loaded", inp, id)
-					}
-				}
-			}
-		})
 	}
 }
 

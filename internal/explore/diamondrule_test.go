@@ -13,45 +13,28 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/flpsim/flp/internal/conformance"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
 	"github.com/flpsim/flp/internal/protocols"
 )
 
-// visitStep is one visit observation; streams of them compare position by
-// position.
-type visitStep struct {
-	key   string
-	depth int
-	path  string
-}
-
-func visitStream(engine exploreFunc, pr model.Protocol, root *model.Config, opt explore.Options, skip func(model.Event) bool) (out []visitStep, complete bool, visited int) {
-	complete, visited = engine(pr, root, opt, skip, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
-		out = append(out, visitStep{key: string(cfg.KeyBytes()), depth: depth, path: path().String()})
-		return false
-	})
-	return out, complete, visited
-}
-
-// matchReference holds ExploreFiltered, inline and on the pool, to the
-// reference loop's visit stream, count and completeness flag, and returns
-// the reference stream.
-func matchReference(t *testing.T, ctx string, pr model.Protocol, root *model.Config, opt explore.Options, skip func(model.Event) bool) []visitStep {
+// sameAsReference holds ExploreFiltered, inline and on the pool, to the
+// reference loop's stream under the same inputs, and returns that stream.
+func sameAsReference(t *testing.T, ctx string, pr model.Protocol, root *model.Config, opt explore.Options, skip func(model.Event) bool) enginetest.Stream {
 	t.Helper()
-	ref, refComplete, refVisited := visitStream(explore.ReferenceExplore, pr, root, opt, skip)
+	walk := func(engine exploreFunc, opt explore.Options) enginetest.Stream {
+		s, _ := enginetest.Record(0, func(visit explore.Visit) (bool, int, error) {
+			complete, visited := engine(pr, root, opt, skip, visit)
+			return complete, visited, nil
+		})
+		return s
+	}
+	ref := walk(explore.ReferenceExplore, opt)
 	for _, w := range []int{1, 2, 3, 4, 8} {
-		got, complete, visited := visitStream(explore.ExploreFiltered, pr, root, withWorkers(opt, w), skip)
-		if complete != refComplete || visited != refVisited || len(got) != len(ref) {
-			t.Fatalf("%s workers=%d: (complete, visited) = (%v, %d) over %d visits, reference (%v, %d) over %d",
-				ctx, w, complete, visited, len(got), refComplete, refVisited, len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s workers=%d: visit %d is %+v, reference %+v", ctx, w, i, got[i], ref[i])
-			}
+		if err := enginetest.DiffStreams(ref, walk(explore.ExploreFiltered, withWorkers(opt, w))); err != nil {
+			t.Fatalf("%s workers=%d: %v", ctx, w, err)
 		}
 	}
 	return ref
@@ -91,23 +74,19 @@ func auditRows(t *testing.T, ctx string, pr model.Protocol, b *explore.AtlasBuil
 // auditBuild builds root's graph with edges at workers 1 and 8 under opt,
 // audits every row, and holds the tables to each other and to the
 // reference stream ref (a builder stops at a node boundary where the
-// reference admits until full, so its table is a prefix).
-func auditBuild(t *testing.T, ctx string, pr model.Protocol, root *model.Config, opt explore.Options, ref []visitStep) (edges, nulls int) {
+// reference admits until full, so its table may be a prefix).
+func auditBuild(t *testing.T, ctx string, pr model.Protocol, root *model.Config, opt explore.Options, ref enginetest.Stream) (edges, nulls int) {
 	t.Helper()
 	var first *explore.AtlasSnapshot
 	for _, w := range []int{1, 8} {
 		b := explore.NewAtlasBuilder(pr, root)
 		b.Extend(withWorkers(opt, w))
 		edges, nulls = auditRows(t, fmt.Sprintf("%s workers=%d", ctx, w), pr, b)
+		got, _ := enginetest.Record(0, func(visit explore.Visit) (bool, int, error) { return walkBuilder(b, visit) })
+		if err := enginetest.DiffStreams(ref, got); err != nil {
+			t.Fatalf("%s workers=%d: builder: %v", ctx, w, err)
+		}
 		snap := b.Snapshot()
-		if snap.Len() > len(ref) {
-			t.Fatalf("%s workers=%d: builder admitted %d nodes, reference visited %d", ctx, w, snap.Len(), len(ref))
-		}
-		for i := 0; i < snap.Len(); i++ {
-			if string(snap.Keys[i]) != ref[i].key || int(snap.Depth[i]) != ref[i].depth {
-				t.Fatalf("%s workers=%d: node %d is not the reference's visit %d", ctx, w, i, i)
-			}
-		}
 		if first == nil {
 			first = snap
 		} else {
@@ -129,9 +108,9 @@ func TestDiamondRuleEdgesAreSteps(t *testing.T) {
 	audit := func(name string, pr model.Protocol, in model.Inputs) {
 		t.Run(name, func(t *testing.T) {
 			root := model.MustInitial(pr, in)
-			ref := matchReference(t, name, pr, root, opt, nil)
+			ref := sameAsReference(t, name, pr, root, opt, nil)
 			edges, nulls := auditBuild(t, name, pr, root, opt, ref)
-			t.Logf("%d configurations: %d edges re-derived, %d dropped nulls re-checked", len(ref), edges, nulls)
+			t.Logf("%d configurations: %d edges re-derived, %d dropped nulls re-checked", len(ref.Visits), edges, nulls)
 			if edges == 0 {
 				t.Fatal("no edge recorded")
 			}
@@ -157,24 +136,9 @@ func eachKernelAndFixture(t *testing.T, fn func(name string, pr model.Protocol, 
 		}
 		fn(name, pr, in)
 	}
-	files, fixtures, err := conformance.LoadDir("../../testdata/protogen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixtures) != 20 {
-		t.Fatalf("%d protogen fixtures, want 20", len(fixtures))
-	}
-	for i, fx := range fixtures {
-		factory, _ := protocols.Lookup(fx.Name)
-		pr, err := factory(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, err := fx.InputValues()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(files[i], pr, in)
+	for _, c := range enginetest.Corpus(t) {
+		pr, _ := c.MustResolve(t)
+		fn(c.Name, pr, c.Inputs)
 	}
 }
 
@@ -214,7 +178,7 @@ func TestDiamondRuleFallbacks(t *testing.T) {
 	t.Run("avoid", func(t *testing.T) {
 		for _, e := range model.Events(root) {
 			if !e.IsNull() || !model.IsNoOp(pr, root, e) {
-				matchReference(t, e.String(), pr, root, explore.Options{}, explore.AvoidFilter(&e))
+				sameAsReference(t, e.String(), pr, root, explore.Options{}, explore.AvoidFilter(&e))
 			}
 		}
 	})
@@ -223,8 +187,8 @@ func TestDiamondRuleFallbacks(t *testing.T) {
 	t.Run("dead-process", func(t *testing.T) {
 		for dead := 0; dead < pr.N(); dead++ {
 			skip := func(e model.Event) bool { return int(e.P) == dead }
-			matchReference(t, fmt.Sprintf("p%d dead", dead), pr, root, explore.Options{}, skip)
-			matchReference(t, fmt.Sprintf("wide, p%d dead", dead), wide, wideRoot, explore.Options{MaxConfigs: 700}, skip)
+			sameAsReference(t, fmt.Sprintf("p%d dead", dead), pr, root, explore.Options{}, skip)
+			sameAsReference(t, fmt.Sprintf("wide, p%d dead", dead), wide, wideRoot, explore.Options{MaxConfigs: 700}, skip)
 		}
 	})
 	// A depth cap at every level: the last level's nodes are admitted and
@@ -232,7 +196,7 @@ func TestDiamondRuleFallbacks(t *testing.T) {
 	t.Run("max-depth", func(t *testing.T) {
 		for d := 1; d <= 7; d++ {
 			opt := explore.Options{MaxDepth: d}
-			ref := matchReference(t, fmt.Sprintf("depth %d", d), pr, root, opt, nil)
+			ref := sameAsReference(t, fmt.Sprintf("depth %d", d), pr, root, opt, nil)
 			auditBuild(t, fmt.Sprintf("depth %d", d), pr, root, opt, ref)
 		}
 	})
@@ -243,9 +207,9 @@ func TestDiamondRuleFallbacks(t *testing.T) {
 		for budget := 1; budget <= 90; budget++ {
 			opt := explore.Options{MaxConfigs: budget}
 			ctx := fmt.Sprintf("budget %d", budget)
-			ref := matchReference(t, ctx, pr, root, opt, nil)
+			ref := sameAsReference(t, ctx, pr, root, opt, nil)
 			auditBuild(t, ctx, pr, root, opt, ref)
-			ref = matchReference(t, "wide, "+ctx, wide, wideRoot, opt, nil)
+			ref = sameAsReference(t, "wide, "+ctx, wide, wideRoot, opt, nil)
 			auditBuild(t, "wide, "+ctx, wide, wideRoot, opt, ref)
 		}
 	})
@@ -258,7 +222,7 @@ func TestDiamondRuleFallbacks(t *testing.T) {
 			c = model.MustApply(wide, c, evs[(3*i+1)%len(evs)])
 		}
 		opt := explore.Options{MaxConfigs: 1200}
-		ref := matchReference(t, "after five steps", wide, c, opt, nil)
+		ref := sameAsReference(t, "after five steps", wide, c, opt, nil)
 		auditBuild(t, "after five steps", wide, c, opt, ref)
 	})
 }

@@ -13,9 +13,10 @@
 //   - [CensusInitial] mechanizes Lemma 2: it classifies every initial
 //     configuration and locates a bivalent one, or, failing that, exhibits
 //     the adjacent 0-valent/1-valent pair the proof of Lemma 2 pivots on.
-//   - [CensusLemma3] and [FindBivalentExtension] mechanize Lemma 3: from a
-//     bivalent C and an applicable event e, the frontier
-//     D = e(reach(C) without e) contains a bivalent configuration.
+//   - [CensusLemma3] mechanizes Lemma 3: from a bivalent C and an
+//     applicable event e, the frontier D = e(reach(C) without e) contains a
+//     bivalent configuration. The Theorem 1 adversary (package adversary)
+//     runs its own stage search over the same frontier.
 //   - [CheckCommutativity] and [RandomDisjointSchedules] mechanize Lemma 1.
 //   - [CheckPartialCorrectness] verifies the two partial-correctness
 //     conditions: no accessible configuration has two decision values, and
@@ -73,9 +74,10 @@
 // the protocol for every event of every expanded node and looks nothing
 // up. It shares the event filter, the admission [Ledger] and the interner
 // with the core but neither its loop nor its rule, and no option selects
-// it; the differential tests in this package (diamondrule_test.go re-derives
-// every edge the core records with a protocol step), package conformance
-// and package distexplore compare every engine against it.
+// it; package enginetest holds every engine to it — the core and the
+// builder here, the cluster, the store, the conformance harness — and
+// diamondrule_test.go re-derives every edge the core records with a
+// protocol step.
 //
 // Deduplication uses [model.Interner]: a sharded table keyed by the cached
 // 64-bit FNV-1a hash of the canonical key, with hash hits confirmed by full

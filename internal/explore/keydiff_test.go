@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protogen"
@@ -65,7 +66,7 @@ func diffKeyEncodings(t *testing.T, pr model.Protocol, workers int) {
 // registered protocol at its fixture size.
 func TestKeyEncodingAgreementRegistry(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		for name := range atlasFixtureN {
+		for name := range enginetest.RegistryN {
 			name := name
 			t.Run(testName(name, workers), func(t *testing.T) {
 				t.Parallel()

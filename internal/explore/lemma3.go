@@ -36,24 +36,13 @@ type Lemma3Result struct {
 // right mode for examining several events from the same C (flpcheck's
 // Lemma 3 section) or successive stages of the adversary. With a nil
 // cache, the census classifies the whole frontier from one atlas built for
-// this call alone (or, when the state space exceeds the budget, from a
-// private per-configuration cache allocated on first use).
+// this call alone (or, when the state space exceeds the budget, through a
+// private per-configuration cache).
 func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache) (Lemma3Result, error) {
-	return lemma3(pr, c, e, opt, cache, false)
-}
-
-// FindBivalentExtension searches ℰ in breadth-first order and returns as
-// soon as a bivalent e(E) is certified — the primitive each stage of the
-// Theorem 1 adversary is built on. The returned Sigma ends with e.
-func FindBivalentExtension(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache) (Lemma3Result, error) {
-	return lemma3(pr, c, e, opt, cache, true)
-}
-
-func lemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache, stopAtFirst bool) (Lemma3Result, error) {
 	if !model.Applicable(c, e) {
 		return Lemma3Result{}, fmt.Errorf("explore: event %s not applicable to C", e)
 	}
-	classify := frontierClassifier(pr, c, opt, cache, stopAtFirst)
+	classify := frontierClassifier(pr, c, opt, cache)
 	res := Lemma3Result{Event: e, DValencies: make(map[Valency]int)}
 	complete, _ := Explore(pr, c, opt, &e, func(E *model.Config, _ int, path func() model.Schedule) bool {
 		res.FrontierSize++
@@ -69,9 +58,6 @@ func lemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cach
 		if v == Bivalent && res.Sigma == nil {
 			res.BivalentFound = true
 			res.Sigma = append(path(), e)
-			if stopAtFirst {
-				return true
-			}
 		}
 		return false
 	})
@@ -88,37 +74,25 @@ func lemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cach
 //   - a caller-supplied cache is warmed with that atlas (TryWarm is a
 //     no-op when a previous call already covered C, and remembers
 //     over-budget roots so unbounded protocols pay the failed sweep once);
-//   - with no cache, a full census builds the atlas privately;
-//   - the early-exit search (FindBivalentExtension without a cache)
-//     typically inspects a handful of members, so it skips the build and
-//     classifies per configuration — through a cache allocated only when
-//     the first classification actually runs, not one 32-shard table per
-//     call whether used or not;
-//   - when the reachable set exceeds the budget, every path falls back to
+//   - with no cache, the census builds the atlas privately;
+//   - when the reachable set exceeds the budget, either way falls back to
 //     budgeted per-configuration classification, which is the pre-atlas
 //     behaviour exactly.
-func frontierClassifier(pr model.Protocol, c *model.Config, opt Options, cache *Cache, stopAtFirst bool) func(*model.Config) Valency {
+func frontierClassifier(pr model.Protocol, c *model.Config, opt Options, cache *Cache) func(*model.Config) Valency {
 	if cache != nil {
 		cache.TryWarm(c)
 		return func(D *model.Config) Valency { return cache.Classify(D).Valency }
 	}
-	if !stopAtFirst {
-		if atlas, ok := BuildAtlas(pr, c, opt); ok {
-			return func(D *model.Config) Valency {
-				if id, ok := atlas.IDOf(D); ok {
-					return atlas.ValencyAt(id)
-				}
-				// Unreachable for a complete atlas (every D is reachable
-				// from C); classify defensively rather than crash.
-				return Classify(pr, D, opt).Valency
+	if atlas, ok := BuildAtlas(pr, c, opt); ok {
+		return func(D *model.Config) Valency {
+			if id, ok := atlas.IDOf(D); ok {
+				return atlas.ValencyAt(id)
 			}
+			// Unreachable for a complete atlas (every D is reachable
+			// from C); classify defensively rather than crash.
+			return Classify(pr, D, opt).Valency
 		}
 	}
-	var lazy *Cache
-	return func(D *model.Config) Valency {
-		if lazy == nil {
-			lazy = NewCache(pr, opt)
-		}
-		return lazy.Classify(D).Valency
-	}
+	private := NewCache(pr, opt)
+	return func(D *model.Config) Valency { return private.Classify(D).Valency }
 }

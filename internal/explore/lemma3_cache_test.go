@@ -8,9 +8,9 @@ import (
 )
 
 // TestLemma3SharesWarmedAtlas pins the sharing contract between the
-// Lemma 3 entry points and a caller-supplied cache: the first call on a
+// Lemma 3 census and a caller-supplied cache: the first call on a
 // root warms the cache with ONE atlas over reach(root), and every later
-// CensusLemma3 / FindBivalentExtension on the same (root, cache) pair
+// CensusLemma3 on the same (root, cache) pair
 // answers from that atlas — no second build, no per-configuration
 // classification. A regression here is silent (results stay correct, the
 // census just degrades to one breadth-first search per frontier member),
@@ -41,7 +41,7 @@ func TestLemma3SharesWarmedAtlas(t *testing.T) {
 	if _, err := CensusLemma3(pr, root, model.NullEvent(1), opt, cache); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FindBivalentExtension(pr, root, model.NullEvent(2), opt, cache); err != nil {
+	if _, err := CensusLemma3(pr, root, model.NullEvent(2), opt, cache); err != nil {
 		t.Fatal(err)
 	}
 	atlases = cache.atlases.Load()

@@ -147,26 +147,6 @@ func TestLemma3DeliveryEvent(t *testing.T) {
 	}
 }
 
-func TestFindBivalentExtensionStopsEarly(t *testing.T) {
-	pr := protocols.NewNaiveMajority(3)
-	c := model.MustInitial(pr, in(0, 1, 1))
-	e := model.NullEvent(0)
-	fast, err := explore.FindBivalentExtension(pr, c, e, explore.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := explore.CensusLemma3(pr, c, e, explore.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.BivalentFound {
-		t.Fatal("early-stopping search found nothing")
-	}
-	if fast.FrontierSize > full.FrontierSize {
-		t.Errorf("early search examined more (%d) than the census (%d)", fast.FrontierSize, full.FrontierSize)
-	}
-}
-
 func TestLemma3DiamondCommutes(t *testing.T) {
 	// Figure 2: every neighbor square around the committed event commutes
 	// — Lemma 1 where the Lemma 3 proof uses it.

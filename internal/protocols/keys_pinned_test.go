@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"github.com/flpsim/flp/internal/conformance"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
@@ -124,7 +124,7 @@ func TestStateKeysPinned(t *testing.T) {
 		}
 		check(name, pr, mixedInputs(n), 2000, 600)
 	}
-	files, fixtures, err := conformance.LoadDir("../../testdata/protogen")
+	files, fixtures, err := enginetest.LoadDir(enginetest.CorpusDir())
 	if err != nil {
 		t.Fatal(err)
 	}

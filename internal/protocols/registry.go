@@ -48,6 +48,12 @@ var registry = map[string]Factory{
 	},
 }
 
+// Unbounded reports whether the named protocol's reachable sets are
+// unbounded (Paxos, Ben-Or): exhaustive sweeps never settle its valencies,
+// so every front end classifies it by directed probes within small budgets
+// and skips the checks that need a finite state space.
+func Unbounded(name string) bool { return name == "paxos" || name == "benor" }
+
 // Lookup returns the factory for a registered protocol name.
 //
 // Names carrying protogen's "gen:" prefix are self-describing — the whole

@@ -16,8 +16,8 @@ import (
 // engines, and the HTTP handlers. The engine calls are exactly the ones
 // the CLIs make — census mirrors explore.CensusInitial's loop through
 // ClassifyRootCached, valency is ClassifyRootCached on one root, the
-// adversary is adversary.New(...).Run() with flpcheck's unbounded-protocol
-// probe configuration — so a served answer is byte-identical to the
+// adversary is adversary.New(...).Run(), with adversary.ForUnbounded on an
+// unbounded protocol — so a served answer is byte-identical to the
 // corresponding command-line run; the shared atlas cache changes only what
 // it costs.
 
@@ -137,11 +137,6 @@ func (s *Server) resolveProtocol(name string, n int) (model.Protocol, error) {
 	s.protocols.Store(key, pr)
 	return pr, nil
 }
-
-// unboundedProtocol mirrors the CLIs' special-casing of protocols whose
-// reachable sets are unbounded: valency there needs directed probes, not
-// exhaustive sweeps.
-func unboundedProtocol(name string) bool { return name == "paxos" || name == "benor" }
 
 // parseInputs converts a JSON input vector to the model's type.
 func parseInputs(raw []int, n int) (model.Inputs, error) {
@@ -298,12 +293,8 @@ func (s *Server) adversaryJob(req AdversaryRequest) jobFunc {
 			stages = 30
 		}
 		opt := adversary.Options{Workers: req.Workers, Atlases: s.atlases}
-		if unboundedProtocol(req.Protocol) {
-			// flpcheck's configuration for unbounded state spaces.
-			probe := explore.ProbeOptions{}
-			opt.Probe = &probe
-			opt.Valency = explore.Options{MaxConfigs: 1500}
-			opt.Search = explore.Options{MaxConfigs: 2000}
+		if protocols.Unbounded(req.Protocol) {
+			opt = adversary.ForUnbounded(opt)
 		}
 		chunk := pr.N() // one full queue rotation per chunk
 		if chunk > stages {

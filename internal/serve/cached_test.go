@@ -12,9 +12,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
-	"github.com/flpsim/flp/internal/protocols"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
@@ -112,38 +112,26 @@ func eventsOf(t *testing.T, base, id string) []string {
 }
 
 // engineAnswer is the classification the CLIs print for req, with no
-// server in the way, rendered as the API's result.
-func engineAnswer(t *testing.T, req ValencyRequest) string {
+// server in the way, rendered as the API's result, and the classification
+// itself.
+func engineAnswer(t *testing.T, req ValencyRequest) (string, explore.ValencyInfo) {
 	t.Helper()
-	factory, ok := protocols.Lookup(req.Protocol)
-	if !ok {
-		t.Fatalf("unknown protocol %q", req.Protocol)
-	}
-	pr, err := factory(req.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := make(model.Inputs, len(req.Inputs))
 	for i, v := range req.Inputs {
 		in[i] = model.Value(v)
 	}
+	pr, root := enginetest.Case{Protocol: req.Protocol, N: req.N, Inputs: in}.MustResolve(t)
 	opt := explore.Options{MaxConfigs: req.Budget, MaxDepth: req.Depth, Workers: req.Workers}
-	info := explore.ClassifyRootCached(pr, model.MustInitial(pr, in), opt, explore.NewAtlasCache())
-	want := ValencyResult{
+	info := explore.ClassifyRootCached(pr, root, opt, explore.NewAtlasCache())
+	raw, err := json.Marshal(ValencyResult{
 		Protocol: pr.Name(), Inputs: in.String(), Valency: info.Valency.String(),
 		Exact: info.Exact, Visited: info.Visited, Complete: info.Complete,
-	}
-	if len(info.Witness0) > 0 {
-		want.Witness0 = info.Witness0.String()
-	}
-	if len(info.Witness1) > 0 {
-		want.Witness1 = info.Witness1.String()
-	}
-	raw, err := json.Marshal(want)
+		Witness0: info.Witness0.String(), Witness1: info.Witness1.String(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(raw)
+	return string(raw), info
 }
 
 // resultOf returns a job view's result field as served.
@@ -180,7 +168,7 @@ func TestCachedValencyMatchesQueued(t *testing.T) {
 			t.Fatalf("%s: the hot request counted %d cache hits, want 1", req.Protocol, h-hits)
 		}
 
-		if want := engineAnswer(t, req); resultOf(t, hot) != want || resultOf(t, queued) != want {
+		if want, _ := engineAnswer(t, req); resultOf(t, hot) != want || resultOf(t, queued) != want {
 			t.Fatalf("%s: results differ from the engine's\nhot    %s\nqueued %s\nengine %s",
 				req.Protocol, resultOf(t, hot), resultOf(t, queued), want)
 		}

@@ -11,10 +11,9 @@ import (
 	"testing"
 
 	"github.com/flpsim/flp/internal/adversary"
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
-	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
-	"github.com/flpsim/flp/internal/protogen"
 )
 
 // newTestServer boots a server over httptest and hands back both handles.
@@ -107,32 +106,37 @@ func TestCensusMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestValencyMatchesEngine pins single-root classification against
-// explore.ClassifyRoot, witnesses included.
-func TestValencyMatchesEngine(t *testing.T) {
+// TestValencySuite runs every case a valency request can name through one
+// server twice: the first pass is answered by queued jobs, the second from
+// the atlases the first left in the cache, at admission, wherever the case
+// has one. Each served result must be the engine's, byte for byte, and the
+// engine's is held to the reference.
+func TestValencySuite(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
-	var view struct {
-		State  JobState      `json:"state"`
-		Result ValencyResult `json:"result"`
+	for _, path := range []string{"queued", "cached"} {
+		t.Run(path, func(t *testing.T) {
+			enginetest.ValencySuite(t, func(t *testing.T, c enginetest.Case) enginetest.Valency {
+				return servedValency(t, hs.URL, c)
+			})
+		})
 	}
-	resp := postJSON(t, hs.URL+"/v1/valency?wait=1",
-		ValencyRequest{Protocol: "naivemajority", N: 3, Inputs: []int{0, 1, 1}}, &view)
-	if resp.StatusCode != http.StatusOK || view.State != StateDone {
-		t.Fatalf("status %d, state %q", resp.StatusCode, view.State)
-	}
+}
 
-	factory, _ := protocols.Lookup("naivemajority")
-	pr, _ := factory(3)
-	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	want := explore.ClassifyRoot(pr, root, explore.Options{})
-	if view.Result.Valency != want.Valency.String() || view.Result.Exact != want.Exact ||
-		view.Result.Visited != want.Visited || view.Result.Complete != want.Complete {
-		t.Fatalf("served %+v, engine %+v", view.Result, want)
+// servedValency asks the server at base for case c's root valency, requires
+// the served result to be explore.ClassifyRootCached's rendered byte for
+// byte, and answers with that classification.
+func servedValency(t *testing.T, base string, c enginetest.Case) enginetest.Valency {
+	t.Helper()
+	req := ValencyRequest{Protocol: c.Protocol, N: c.N, Budget: c.Options.MaxConfigs, Depth: c.Options.MaxDepth}
+	for _, v := range c.Inputs {
+		req.Inputs = append(req.Inputs, int(v))
 	}
-	if view.Result.Witness0 != want.Witness0.String() || view.Result.Witness1 != want.Witness1.String() {
-		t.Fatalf("witnesses: served %q/%q, engine %q/%q",
-			view.Result.Witness0, view.Result.Witness1, want.Witness0, want.Witness1)
+	_, view := postValency(t, base, req)
+	want, info := engineAnswer(t, req)
+	if got := resultOf(t, view); got != want {
+		t.Fatalf("served %s\nengine %s", got, want)
 	}
+	return enginetest.ValencyOf(info)
 }
 
 // TestAdversaryMatchesEngine pins the served construction — produced in
@@ -270,8 +274,10 @@ func TestJobEventsStream(t *testing.T) {
 }
 
 // TestJobStatusAndErrors covers the small surfaces: unknown jobs, bad
-// bodies, unknown protocols failing the job (not the submission), the
-// protocol listing, and health.
+// bodies, unknown protocols and malformed input vectors failing the job
+// (not the submission), the protocol listing, and health. That
+// self-describing gen: names resolve through the API as through the CLIs
+// is TestValencySuite's, whose cases name 42 of them.
 func TestJobStatusAndErrors(t *testing.T) {
 	_, hs := newTestServer(t, Options{})
 
@@ -295,6 +301,10 @@ func TestJobStatusAndErrors(t *testing.T) {
 	postJSON(t, hs.URL+"/v1/census?wait=1", CensusRequest{Protocol: "no-such", N: 3}, &view)
 	if view.State != StateFailed || !strings.Contains(view.Error, "unknown protocol") {
 		t.Errorf("unknown protocol: state %q error %q", view.State, view.Error)
+	}
+	postJSON(t, hs.URL+"/v1/valency?wait=1", ValencyRequest{Protocol: "naivemajority", N: 3, Inputs: []int{0, 1}}, &view)
+	if view.State != StateFailed || !strings.Contains(view.Error, "want n=3") {
+		t.Errorf("bad inputs length: state %q error %q", view.State, view.Error)
 	}
 
 	var protos struct {
@@ -353,35 +363,5 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
 		}
-	}
-}
-
-// TestGeneratedProtocolServes confirms self-describing gen: names resolve
-// through the API exactly as through the CLIs, and that malformed input
-// vectors fail the job with a useful message.
-func TestGeneratedProtocolServes(t *testing.T) {
-	_, hs := newTestServer(t, Options{})
-	sp := protogen.Derive(7, protogen.DefaultDials(3))
-	var view struct {
-		State  JobState      `json:"state"`
-		Result ValencyResult `json:"result"`
-	}
-	postJSON(t, hs.URL+"/v1/valency?wait=1",
-		ValencyRequest{Protocol: sp.Name(), N: sp.N, Inputs: []int{0, 1, 1}}, &view)
-	if view.State != StateDone {
-		t.Fatalf("generated protocol job state %q", view.State)
-	}
-	if view.Result.Protocol != sp.Name() || view.Result.Valency == "" {
-		t.Fatalf("generated protocol result %+v", view.Result)
-	}
-
-	var bad struct {
-		State JobState `json:"state"`
-		Error string   `json:"error"`
-	}
-	postJSON(t, hs.URL+"/v1/valency?wait=1",
-		ValencyRequest{Protocol: "naivemajority", N: 3, Inputs: []int{0, 1}}, &bad)
-	if bad.State != StateFailed || !strings.Contains(bad.Error, "want n=3") {
-		t.Errorf("bad inputs length: state %q error %q", bad.State, bad.Error)
 	}
 }
