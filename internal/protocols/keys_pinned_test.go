@@ -5,51 +5,57 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"github.com/flpsim/flp/internal/deadstart"
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
 )
 
-// pinnedKeys maps a protocol (registry name, or protogen fixture file) to
-// the digest keyDigest computes for it. Minted before the slice-backed
-// votes/inbox and the carried state keys went in: a rewritten Key() builder
-// that changes one byte of any configuration's identity fails here.
+// pinnedKeys maps a protocol (registry name, protogen fixture file, or a
+// long-walk or deadstart variant) to the digest keyDigest computes for it.
+// Minted over the binary configuration key while the escaped string key and
+// enc.Builder still existed, and first pinned (over both encodings) before
+// the slice-backed votes/inbox and the carried state keys went in: a
+// rewritten State.Key() builder that changes one byte of any
+// configuration's identity fails here.
 var pinnedKeys = map[string]string{
-	"2pc":             "11a26ee5f5ff90eedb89a8c2",
-	"3pc":             "0b618f1f4590df320fd6d026",
-	"benor":           "279f5b31d2d493f23004f772",
-	"naivemajority":   "0c692248c011276e5e3541bd",
-	"onethird":        "91bb284e12c01b9ba2d93cb0",
-	"paxos":           "1684af646907aa28f8d4c83e",
-	"trivial0":        "2c5d6652852d5fbbb4f0c913",
-	"waitall":         "7877900dcf7ef59485f1b144",
-	"benor-004.json":  "f52948700909d60b4aeac7b5",
-	"benor-006.json":  "4a2c62af8e4e1959d9881749",
-	"benor-011.json":  "f52948700909d60b4aeac7b5",
-	"benor-013.json":  "9152e02a7d72fe5e4916302b",
-	"benor-018.json":  "6f1651e55190b1610ab6d242",
-	"table-000.json":  "605b8080ff00081ed5a59857",
-	"table-001.json":  "a37b323d7cc0f591ac9c4254",
-	"table-002.json":  "e5192d5b0295a7459943d498",
-	"table-003.json":  "1a486ddb6191fc5d5c10db43",
-	"table-005.json":  "38186ca2c5b013b58c4a3702",
-	"table-007.json":  "15cc0b1a886f26728bfa51cf",
-	"table-008.json":  "c2a7437dcb8c80588b705d18",
-	"table-009.json":  "0826b8976f0c9ff21466d0d0",
-	"table-010.json":  "a244c4644cda57afad0b629b",
-	"table-012.json":  "86febffa310c2cea5987e291",
-	"table-014.json":  "e2e56b625f22e2e1803dd717",
-	"table-015.json":  "6e1228fdd50c621c0146c188",
-	"table-016.json":  "8c8d981de6794b77860027b1",
-	"table-017.json":  "01ee13c45adfdfe6e68c64e1",
-	"table-019.json":  "45b2328907180acc8a7bbb9c",
-	"onethird-rounds": "8aff89fc1485b09d5509ce50",
-	"benor-rounds":    "dedf6583b08f5a7539fb7f8a",
+	"2pc":             "ff42f6aa8608195fcfa6cfa3",
+	"3pc":             "30ba021ccf1533a24d7ca27a",
+	"benor":           "45dd5367e02bc064ee65ba4c",
+	"naivemajority":   "7e50cbdbe55445e81660056f",
+	"onethird":        "f96816be8182a963a1f0038c",
+	"paxos":           "1ca8c5f778361ad6c89af79c",
+	"trivial0":        "27cf42bc2d2fada857f1a8b9",
+	"waitall":         "24c5e77407a0a7e85f8dc14f",
+	"benor-004.json":  "3fd66cb8f219426bda4d4d8c",
+	"benor-006.json":  "3a5eebb26ac700d017a2420b",
+	"benor-011.json":  "3fd66cb8f219426bda4d4d8c",
+	"benor-013.json":  "7db37665206702b63875162e",
+	"benor-018.json":  "666b6b12c292edc730e23309",
+	"table-000.json":  "b0bbbd15be1ee2b88104ff79",
+	"table-001.json":  "154ba5dd9e284aae3fedbdef",
+	"table-002.json":  "99b6eafa4b083b1bc281f2a5",
+	"table-003.json":  "fbc0d4b731316607a697ab5c",
+	"table-005.json":  "186850089edb5477ab2f79c7",
+	"table-007.json":  "bb8ab247e83d6069c07cb24b",
+	"table-008.json":  "d36d950423895547cdd5018b",
+	"table-009.json":  "50e59877515e178422ff9999",
+	"table-010.json":  "f7a2e8bd110ee22f2c1f4e95",
+	"table-012.json":  "860e9a8a6e24760c6a25415d",
+	"table-014.json":  "51f5bd6af87cabb4ce8a60be",
+	"table-015.json":  "5845e7c9e6bb6ad3ff772e0c",
+	"table-016.json":  "59216f68b87ab1281eb160f6",
+	"table-017.json":  "30f81ae3ff65310c2a7db1e7",
+	"table-019.json":  "3b2ff34125373732e43e93aa",
+	"onethird-rounds": "57a0959df4750fe2ddd03f9b",
+	"benor-rounds":    "1802c40d34b0869a38197b9d",
+	"deadstart-3":     "4278c1a6598996e55414c493",
+	"deadstart-5":     "b40209d3e858bfadc694a27b",
 }
 
-// keyDigest hashes Key() and KeyBytes() of the first bfs configurations
-// reachable from pr's initial configuration on in, in breadth-first order
+// keyDigest hashes KeyBytes() of the first bfs configurations reachable
+// from pr's initial configuration on in, in breadth-first order
 // (events in model.Events order, no-op null events skipped), followed by
 // the configurations of a walk-step pseudo-random walk from the same root,
 // which reaches the later rounds (inbox pruning, multi-digit round
@@ -57,13 +63,11 @@ var pinnedKeys = map[string]string{
 func keyDigest(pr model.Protocol, in model.Inputs, bfs, walk int) string {
 	h := sha256.New()
 	add := func(c *model.Config) {
-		h.Write([]byte(c.Key()))
-		h.Write([]byte{0})
 		h.Write(c.KeyBytes())
 		h.Write([]byte{0})
 	}
 	root := model.MustInitial(pr, in)
-	seen := map[string]bool{root.Key(): true}
+	seen := map[string]bool{string(root.KeyBytes()): true}
 	queue := []*model.Config{root}
 	for i := 0; i < len(queue); i++ {
 		c := queue[i]
@@ -73,10 +77,10 @@ func keyDigest(pr model.Protocol, in model.Inputs, bfs, walk int) string {
 				break
 			}
 			nc := model.Expand(pr, c, e)
-			if nc == nil || seen[nc.Key()] {
+			if nc == nil || seen[string(nc.KeyBytes())] {
 				continue
 			}
-			seen[nc.Key()] = true
+			seen[string(nc.KeyBytes())] = true
 			queue = append(queue, nc)
 		}
 	}
@@ -148,6 +152,10 @@ func TestStateKeysPinned(t *testing.T) {
 	// than as integers.
 	check("onethird-rounds", protocols.NewOneThirdRule(4), mixedInputs(4), 1, 6000)
 	check("benor-rounds", protocols.NewBenOrDeterministic(3, 1), mixedInputs(3), 1, 6000)
+	// The Section 4 protocol's states key their heard sets and stage-2
+	// reports field by field; pinned so a rewritten builder keeps the bytes.
+	check("deadstart-3", deadstart.New(3), mixedInputs(3), 2000, 600)
+	check("deadstart-5", deadstart.New(5), mixedInputs(5), 2000, 600)
 }
 
 // TestSharedStatesParallelExplore expands the protocols whose states share
