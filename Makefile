@@ -69,14 +69,18 @@ serve:
 
 FUZZTIME ?= 30s
 
-# Native fuzzing: the configuration key/hash contract, every payload
-# decoder of the cluster protocol (error, or re-encodes to the same bytes;
-# never a panic, never a slice sized past the payload), and the disk
-# decoder, whose one format holds both atlas artifacts and run checkpoints
-# (corrupt error, or re-encodes to equal columns; never a panic, never a
-# column past the input).
+# Native fuzzing: the configuration key/hash contract (equal keys exactly
+# for the same configuration), the field escaping message keys rest on
+# (never a separator, never a collision, never a confused field boundary),
+# every payload decoder of the cluster protocol (error, or re-encodes to
+# the same bytes; never a panic, never a slice sized past the payload), and
+# the disk decoder, whose one format holds both atlas artifacts and run
+# checkpoints (corrupt error, or re-encodes to equal columns; never a
+# panic, never a column past the input).
 fuzz:
 	$(GO) test ./internal/model -fuzz FuzzConfigKeyHash -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/enc -run '^$$' -fuzz FuzzEscapeInjective -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/enc -run '^$$' -fuzz FuzzBuilderFieldBoundaries -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/distexplore -run '^$$' -fuzz FuzzWirePayloads -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/atlasstore -run '^$$' -fuzz FuzzDecodeArtifact -fuzztime $(FUZZTIME)
 

@@ -52,11 +52,7 @@ type customState struct {
 	out flp.Output
 }
 
-func (s customState) Key() string {
-	var b enc.Builder
-	b.Uint8(uint8(s.out))
-	return b.String()
-}
+func (s customState) Key() string        { return string(enc.AppendInt(nil, int(s.out))) }
 func (s customState) Output() flp.Output { return s.out }
 
 func (p customProto) Name() string { return "custom" }

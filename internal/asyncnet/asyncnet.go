@@ -61,13 +61,15 @@ type Net struct {
 	wg      sync.WaitGroup
 }
 
-// New launches one goroutine per process of pr, each initialized with its
-// input from inputs. Call Close to terminate them.
+// New launches one goroutine per process of pr, each in its state of the
+// initial configuration on inputs. It refuses what model.Initial refuses,
+// with the same errors. Call Close to terminate the goroutines.
 func New(pr model.Protocol, inputs model.Inputs) (*Net, error) {
-	n := pr.N()
-	if len(inputs) != n {
-		return nil, fmt.Errorf("asyncnet: %d inputs for %d processes", len(inputs), n)
+	c, err := model.Initial(pr, inputs)
+	if err != nil {
+		return nil, err
 	}
+	n := c.N()
 	net := &Net{
 		pr:      pr,
 		procs:   make([]*procHandle, n),
@@ -83,16 +85,15 @@ func New(pr model.Protocol, inputs model.Inputs) (*Net, error) {
 		}
 		net.procs[p] = h
 		net.wg.Add(1)
-		go net.processLoop(model.PID(p), inputs[p], h)
+		go net.processLoop(model.PID(p), c.State(model.PID(p)), h)
 	}
 	return net, nil
 }
 
 // processLoop is the body of one process goroutine: it owns the state and
 // applies the protocol's transition function per granted step.
-func (net *Net) processLoop(p model.PID, input model.Value, h *procHandle) {
+func (net *Net) processLoop(p model.PID, state model.State, h *procHandle) {
 	defer net.wg.Done()
-	state := net.pr.Init(p, input)
 	for req := range h.req {
 		next, sends := net.pr.Step(p, state, req.msg)
 		resp := stepResp{}

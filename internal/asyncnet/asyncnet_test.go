@@ -64,16 +64,14 @@ func TestDriveMatchesSequentialRoundRobin(t *testing.T) {
 
 func TestDriveRandomPolicyAgreesAcrossSeeds(t *testing.T) {
 	pr := protocols.NewPaxosSynod(3)
-	decided, violations, err := asyncnet.DriveMany(pr, model.Inputs{0, 1, 1},
-		asyncnet.DriveOptions{MaxSteps: 100000}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decided != 20 {
-		t.Errorf("decided %d/20 concurrent Paxos runs", decided)
-	}
-	if violations != 0 {
-		t.Errorf("%d agreement violations", violations)
+	for seed := int64(0); seed < 20; seed++ {
+		res, err := asyncnet.Drive(pr, model.Inputs{0, 1, 1}, asyncnet.DriveOptions{MaxSteps: 100000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllLiveDecided || res.AgreementViolated {
+			t.Errorf("seed %d: decided=%v violated=%v", seed, res.AllLiveDecided, res.AgreementViolated)
+		}
 	}
 }
 
@@ -190,9 +188,44 @@ func TestNetRejectsSendsToNonexistentProcess(t *testing.T) {
 	}
 }
 
+// nilInit starts every process in a nil state.
+type nilInit struct{ model.Protocol }
+
+func (nilInit) Init(model.PID, model.Value) model.State { return nil }
+
+// decidedInit starts every process in the state its first step leads to,
+// which for Trivial0 has already decided.
+type decidedInit struct{ model.Protocol }
+
+func (d decidedInit) Init(p model.PID, v model.Value) model.State {
+	s, _ := d.Protocol.Step(p, d.Protocol.Init(p, v), nil)
+	return s
+}
+
+// A Net refuses every initial configuration model.Initial refuses, with
+// the same error, before any process goroutine runs.
 func TestNetInputValidation(t *testing.T) {
-	if _, err := asyncnet.New(protocols.NewWaitAll(3), model.Inputs{0}); err == nil {
-		t.Error("mismatched inputs accepted")
+	for _, tc := range []struct {
+		what string
+		pr   model.Protocol
+		in   model.Inputs
+	}{
+		{"mismatched inputs", protocols.NewWaitAll(3), model.Inputs{0}},
+		{"input value 7", protocols.NewWaitAll(3), model.Inputs{0, 7, 1}},
+		{"nil initial state", nilInit{protocols.NewWaitAll(3)}, model.Inputs{0, 1, 1}},
+		{"initially decided", decidedInit{protocols.NewTrivial0(3)}, model.Inputs{0, 1, 1}},
+	} {
+		_, want := model.Initial(tc.pr, tc.in)
+		if want == nil {
+			t.Fatalf("%s: model.Initial accepts it", tc.what)
+		}
+		net, err := asyncnet.New(tc.pr, tc.in)
+		if err == nil {
+			net.Close()
+			t.Errorf("%s accepted", tc.what)
+		} else if err.Error() != want.Error() {
+			t.Errorf("%s: error %q, model.Initial says %q", tc.what, err, want)
+		}
 	}
 }
 

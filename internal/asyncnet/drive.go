@@ -1,7 +1,6 @@
 package asyncnet
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/flpsim/flp/internal/model"
@@ -145,25 +144,4 @@ func allLiveDecided(net *Net) bool {
 		}
 	}
 	return any
-}
-
-// DriveMany runs an ensemble across consecutive seeds, mirroring
-// runtime.RunMany for the concurrent executor.
-func DriveMany(pr model.Protocol, inputs model.Inputs, opt DriveOptions, runs int) (decided, violations int, err error) {
-	base := opt.Seed
-	for i := 0; i < runs; i++ {
-		o := opt
-		o.Seed = base + int64(i)
-		res, derr := Drive(pr, inputs, o)
-		if derr != nil {
-			return decided, violations, fmt.Errorf("asyncnet: run %d: %w", i, derr)
-		}
-		if res.AllLiveDecided {
-			decided++
-		}
-		if res.AgreementViolated {
-			violations++
-		}
-	}
-	return decided, violations, nil
 }

@@ -64,9 +64,13 @@ type state struct {
 }
 
 func (s *state) Key() string {
-	var b enc.Builder
-	b.Int(int(s.me)).Uint8(uint8(s.input)).Uint8(uint8(s.out))
-	b.Bool(s.sentS1).IntSet(s.heard).Bool(s.sentS2)
+	b := make([]byte, 0, 64)
+	b = enc.AppendInt(b, int(s.me))
+	b = enc.AppendInt(b, int(s.input))
+	b = enc.AppendInt(b, int(s.out))
+	b = enc.AppendBool(b, s.sentS1)
+	b = appendInts(b, sortedKeys(s.heard))
+	b = enc.AppendBool(b, s.sentS2)
 	ids := make([]int, 0, len(s.info))
 	for id := range s.info {
 		ids = append(ids, id)
@@ -74,9 +78,23 @@ func (s *state) Key() string {
 	sort.Ints(ids)
 	for _, id := range ids {
 		inf := s.info[id]
-		b.Int(id).Uint8(uint8(inf.input)).IntSlice(inf.heard)
+		b = enc.AppendInt(b, id)
+		b = enc.AppendInt(b, int(inf.input))
+		b = appendInts(b, inf.heard)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendInts appends vs as one key field: comma-separated, in the given
+// order.
+func appendInts(b []byte, vs []int) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, enc.Sep...)
 }
 
 func (s *state) Output() model.Output { return s.out }

@@ -6,74 +6,38 @@ import (
 	"testing/quick"
 )
 
-func TestBuilderFields(t *testing.T) {
-	var b Builder
-	got := b.Int(3).Uint8(1).Bool(true).Str("abc").String()
-	want := "3|1|1|abc|"
-	if got != want {
-		t.Errorf("Builder = %q, want %q", got, want)
-	}
-}
+// escaped is AppendEscaped into a fresh buffer.
+func escaped(s string) string { return string(AppendEscaped(nil, s)) }
 
-func TestBuilderIntSlice(t *testing.T) {
-	var b Builder
-	got := b.IntSlice([]int{5, 2, 9}).String()
-	if got != "5,2,9|" {
-		t.Errorf("IntSlice = %q, want %q", got, "5,2,9|")
-	}
-	var empty Builder
-	if got := empty.IntSlice(nil).String(); got != "|" {
-		t.Errorf("empty IntSlice = %q, want %q", got, "|")
-	}
-}
-
-func TestBuilderIntSetOrderIndependent(t *testing.T) {
-	var a, b Builder
-	a.IntSet(map[int]bool{3: true, 1: true, 2: true})
-	b.IntSet(map[int]bool{2: true, 3: true, 1: true})
-	if a.String() != b.String() {
-		t.Errorf("IntSet encodings differ: %q vs %q", a.String(), b.String())
-	}
-	if a.String() != "1,2,3|" {
-		t.Errorf("IntSet = %q, want %q", a.String(), "1,2,3|")
-	}
-}
-
-func TestBuilderIntSetSkipsFalse(t *testing.T) {
-	var b Builder
-	b.IntSet(map[int]bool{1: true, 2: false, 3: true})
-	if b.String() != "1,3|" {
-		t.Errorf("IntSet with false entries = %q, want %q", b.String(), "1,3|")
-	}
-}
-
-func TestBuilderStrSet(t *testing.T) {
-	var b Builder
-	b.StrSet(map[string]bool{"z": true, "a": true, "m": false})
-	if b.String() != "a,z|" {
-		t.Errorf("StrSet = %q, want %q", b.String(), "a,z|")
+// The field encoders write exactly these bytes: the state keys pinned by
+// the protocols package were minted from them.
+func TestAppendEncodings(t *testing.T) {
+	for _, tc := range []struct{ got, want string }{
+		{string(AppendInt(nil, -12)), "-12|"},
+		{string(AppendInt(nil, 0)), "0|"},
+		{string(AppendInt([]byte("x"), 255)), "x255|"},
+		{string(AppendBool(nil, true)), "1|"},
+		{string(AppendBool([]byte("3|"), false)), "3|0|"},
+		{escaped("plain"), "plain"},
+		{escaped(""), ""},
+		{string(AppendEscaped([]byte("x"), `a|b,c\d`)), `xa\pb\cc\\d`},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("encoded %q, want %q", tc.got, tc.want)
+		}
 	}
 }
 
 func TestEscapeRemovesSeparators(t *testing.T) {
 	in := "a|b,c\\d"
-	out := Escape(in)
-	if strings.Contains(out, Sep) {
-		t.Errorf("Escape(%q) = %q still contains separator", in, out)
-	}
-	if strings.Contains(out, ",") {
-		t.Errorf("Escape(%q) = %q still contains list separator", in, out)
+	if out := escaped(in); strings.ContainsAny(out, Sep+listSep) {
+		t.Errorf("AppendEscaped(%q) = %q still contains a separator", in, out)
 	}
 }
 
 func TestEscapeInjective(t *testing.T) {
 	// Distinct strings must have distinct escapings; probe with quick.
-	f := func(a, b string) bool {
-		if a == b {
-			return true
-		}
-		return Escape(a) != Escape(b)
-	}
+	f := func(a, b string) bool { return a == b || escaped(a) != escaped(b) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
@@ -81,47 +45,23 @@ func TestEscapeInjective(t *testing.T) {
 
 func TestEscapeTrickyPairs(t *testing.T) {
 	// Pairs that naive escaping confuses.
-	pairs := [][2]string{
-		{"a|b", "a\\pb"},
-		{"a,b", "a\\cb"},
-		{"a\\", "a\\\\"},
-		{"|", "\\p"},
-	}
-	for _, p := range pairs {
-		if Escape(p[0]) == Escape(p[1]) {
-			t.Errorf("Escape collision: %q and %q both escape to %q", p[0], p[1], Escape(p[0]))
+	for _, p := range [][2]string{{"a|b", `a\pb`}, {"a,b", `a\cb`}, {`a\`, `a\\`}, {"|", `\p`}} {
+		if escaped(p[0]) == escaped(p[1]) {
+			t.Errorf("collision: %q and %q both escape to %q", p[0], p[1], escaped(p[0]))
 		}
 	}
 }
 
 func TestCompositeKeyUnambiguous(t *testing.T) {
 	// Two different field splits must never produce equal keys.
-	var a, b Builder
-	a.Str("ab").Str("c")
-	b.Str("a").Str("bc")
-	if a.String() == b.String() {
-		t.Errorf("field boundary ambiguity: %q", a.String())
+	if a, b := fields("ab", "c"), fields("a", "bc"); a == b {
+		t.Errorf("field boundary ambiguity: %q", a)
 	}
 }
 
-// The append-style helpers write exactly what the Builder and Escape do.
-func TestAppendHelpersMatchBuilder(t *testing.T) {
-	f := func(i int, u uint8, v bool, s string) bool {
-		var b Builder
-		b.Int(i).Uint8(u).Bool(v).Str(Escape(s))
-		got := AppendInt(nil, i)
-		got = AppendInt(got, int(u))
-		got = AppendBool(got, v)
-		got = append(AppendEscaped(got, s), Sep...)
-		return string(got) == b.String()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if got, want := string(AppendEscaped([]byte("x"), `a|b,c\d`)), `xa\pb\cc\\d`; got != want || Escape(`a|b,c\d`) != want[1:] {
-		t.Errorf("AppendEscaped = %q, Escape = %q, want %q", got, Escape(`a|b,c\d`), want)
-	}
-	if Escape("plain") != "plain" {
-		t.Errorf("Escape(plain) = %q", Escape("plain"))
-	}
+// fields is the key of two escaped string fields, each Sep-terminated: the
+// shape of Message.Key's body field after its integer fields.
+func fields(s1, s2 string) string {
+	k := append(AppendEscaped(nil, s1), Sep...)
+	return string(append(AppendEscaped(k, s2), Sep...))
 }

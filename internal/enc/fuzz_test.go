@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzEscapeInjective drives the invariant canonical keys rest on: Escape
-// never emits a separator and never collides on distinct inputs that share
-// a suffix/prefix relationship the replacer could confuse.
+// FuzzEscapeInjective drives the invariant Message.Key rests on:
+// AppendEscaped never emits a separator and never collides on distinct
+// inputs, including inputs that share a prefix or suffix an escaper could
+// confuse.
 func FuzzEscapeInjective(f *testing.F) {
 	seeds := []string{"", "a", "|", ",", "\\", "a|b", "x,y", "a\\|b", "\\p", "\\c", "||", "\\\\"}
 	for _, a := range seeds {
@@ -16,35 +17,30 @@ func FuzzEscapeInjective(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
-		ea, eb := Escape(a), Escape(b)
-		if strings.Contains(ea, Sep) || strings.Contains(ea, ",") {
-			t.Fatalf("Escape(%q) = %q contains a separator", a, ea)
+		ea, eb := escaped(a), escaped(b)
+		if strings.ContainsAny(ea, Sep+listSep) {
+			t.Fatalf("AppendEscaped(%q) = %q contains a separator", a, ea)
 		}
-		if a != b && ea == eb {
-			t.Fatalf("collision: Escape(%q) == Escape(%q) == %q", a, b, ea)
-		}
-		if a == b && ea != eb {
-			t.Fatalf("nondeterminism: Escape(%q) gave %q and %q", a, ea, eb)
+		if (a == b) != (ea == eb) {
+			t.Fatalf("AppendEscaped(%q) = %q, AppendEscaped(%q) = %q", a, ea, b, eb)
 		}
 	})
 }
 
-// FuzzBuilderFieldBoundaries checks that composite keys never confuse
-// field boundaries whatever strings the fields hold.
+// FuzzBuilderFieldBoundaries checks that a key built from two
+// AppendEscaped+Sep fields never confuses their boundary, whatever strings
+// the fields hold.
 func FuzzBuilderFieldBoundaries(f *testing.F) {
 	f.Add("a", "bc", "ab", "c")
 	f.Add("", "x", "x", "")
 	f.Add("p|q", "r", "p", "q|r")
+	f.Add("a\\", "|b", "a", "\\|b")
 	f.Fuzz(func(t *testing.T, a1, a2, b1, b2 string) {
 		if a1 == b1 && a2 == b2 {
 			return
 		}
-		var ka, kb Builder
-		ka.Str(Escape(a1)).Str(Escape(a2))
-		kb.Str(Escape(b1)).Str(Escape(b2))
-		if ka.String() == kb.String() {
-			t.Fatalf("field-boundary collision: (%q,%q) and (%q,%q) both key to %q",
-				a1, a2, b1, b2, ka.String())
+		if ka := fields(a1, a2); ka == fields(b1, b2) {
+			t.Fatalf("field-boundary collision: (%q,%q) and (%q,%q) both key to %q", a1, a2, b1, b2, ka)
 		}
 	})
 }

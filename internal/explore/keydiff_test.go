@@ -1,65 +1,87 @@
 package explore_test
 
-// Differential coverage for the two canonical key encodings of a
-// configuration: the binary form (Config.KeyBytes/AppendKey, what every
-// engine, the interner and the distexplore wire hash and dedup on) and the
-// escaped string form (Config.Key, what traces, fixtures and debugging
-// output carry). The encodings must induce the same equality partition —
-// no pair of configurations may agree under one encoding and disagree
-// under the other. The sweep runs every registry protocol plus generated
-// protogen protocols, at workers 1 and 8, so `go test -race` exercises the
-// concurrent key-cache fills of the parallel engine.
+// The configuration key against the definition it encodes. Section 2 of the
+// paper makes a configuration the internal state of each process plus the
+// contents of the message buffer; Config.KeyBytes (what every engine, the
+// interner and the distexplore wire hash and dedup on) must identify
+// exactly that. The sweep holds KeyBytes to modeltest.SameState in both
+// directions — equal keys only for the same configuration, and the same
+// configuration only under equal keys — over every configuration an
+// exploration visits and every successor of one, so a collision the
+// engine's own dedup would have hidden is still compared. It runs every
+// registry protocol plus generated protogen protocols, at workers 1 and 8,
+// so `go test -race` exercises the concurrent key-cache fills of the
+// parallel engine.
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/modeltest"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
 const keyDiffBudget = 800
 
 // diffKeyEncodings sweeps the reachable set (budgeted) of every input
-// vector of pr and cross-checks the two encodings at each configuration.
+// vector of pr and checks KeyBytes equality ⇔ SameState across every pair
+// of configurations met, in any sweep.
 func diffKeyEncodings(t *testing.T, pr model.Protocol, workers int) {
 	t.Helper()
 	opt := explore.Options{MaxConfigs: keyDiffBudget, Workers: workers}
-	byString := make(map[string]string) // string key → binary key
-	byBinary := make(map[string]string) // binary key → string key
+	byKey := make(map[string]*model.Config)      // KeyBytes → first configuration with it
+	byStates := make(map[string][]*model.Config) // coarse bucket → configurations of distinct keys
+	check := func(inp model.Inputs, c *model.Config) {
+		k := string(c.KeyBytes())
+		if prev, ok := byKey[k]; ok {
+			if !modeltest.SameState(prev, c) {
+				t.Fatalf("inputs %s: equal KeyBytes for different configurations\n%s\n%s", inp, prev, c)
+			}
+			return
+		}
+		// SameState implies equal process state keys and buffer size, so a
+		// configuration equal to c can only be in c's bucket.
+		b := stateBucket(c)
+		for _, o := range byStates[b] {
+			if modeltest.SameState(o, c) {
+				t.Fatalf("inputs %s: one configuration under two KeyBytes\n%s", inp, c)
+			}
+		}
+		byKey[k] = c
+		byStates[b] = append(byStates[b], c)
+	}
 	for _, inp := range model.AllInputs(pr.N()) {
 		root := model.MustInitial(pr, inp)
 		explore.Explore(pr, root, opt, nil, func(c *model.Config, _ int, _ func() model.Schedule) bool {
-			sk := c.Key()
-			bk := string(c.KeyBytes())
-			if got := c.AppendKey(nil); !bytes.Equal(got, []byte(bk)) {
+			if !bytes.Equal(c.AppendKey(nil), c.KeyBytes()) {
 				t.Fatalf("inputs %s: AppendKey diverges from KeyBytes", inp)
 			}
-			// The two encodings partition identically iff the mapping
-			// between them, accumulated across every configuration of every
-			// sweep, stays a bijection.
-			if prev, ok := byString[sk]; ok {
-				if prev != bk {
-					t.Fatalf("inputs %s: string key maps to two binary keys\nstring: %q", inp, sk)
+			check(inp, c)
+			for _, e := range model.Events(c) {
+				if nc := model.Expand(pr, c, e); nc != nil {
+					check(inp, nc)
 				}
-			} else {
-				byString[sk] = bk
-			}
-			if prev, ok := byBinary[bk]; ok {
-				if prev != sk {
-					t.Fatalf("inputs %s: binary key maps to two string keys\nfirst: %q\nsecond: %q", inp, prev, sk)
-				}
-			} else {
-				byBinary[bk] = sk
 			}
 			return false
 		})
 	}
-	if len(byString) != len(byBinary) {
-		t.Fatalf("encoding partitions differ in size: %d string keys vs %d binary keys", len(byString), len(byBinary))
+}
+
+// stateBucket groups configurations by their process state keys and buffer
+// size. It is not an encoding: unequal configurations may share a bucket.
+func stateBucket(c *model.Config) string {
+	var sb strings.Builder
+	for p := 0; p < c.N(); p++ {
+		sb.WriteString(c.State(model.PID(p)).Key())
+		sb.WriteByte(0)
 	}
+	fmt.Fprint(&sb, c.Buffer().Len())
+	return sb.String()
 }
 
 // TestKeyEncodingAgreementRegistry runs the differential over every
@@ -78,8 +100,8 @@ func TestKeyEncodingAgreementRegistry(t *testing.T) {
 
 // TestKeyEncodingAgreementProtogen runs the differential over generated
 // protocols — table automata and Ben-Or-template drawings whose state keys
-// exercise separator and escape bytes differently from the hand-written
-// registry.
+// and message bodies exercise separator and escape bytes differently from
+// the hand-written registry.
 func TestKeyEncodingAgreementProtogen(t *testing.T) {
 	specs := []protogen.Spec{
 		protogen.Derive(1, protogen.DefaultDials(3)),

@@ -50,14 +50,6 @@ func (v Valency) String() string {
 // Univalent reports whether the class is 0-valent or 1-valent.
 func (v Valency) Univalent() bool { return v == ZeroValent || v == OneValent }
 
-// ValentFor returns the univalent class for decision value d.
-func ValentFor(d model.Value) Valency {
-	if d == model.V0 {
-		return ZeroValent
-	}
-	return OneValent
-}
-
 // ValencyInfo is the result of classifying one configuration.
 type ValencyInfo struct {
 	Valency Valency

@@ -127,9 +127,6 @@ func TestValencyStrings(t *testing.T) {
 	if !explore.ZeroValent.Univalent() || !explore.OneValent.Univalent() || explore.Bivalent.Univalent() {
 		t.Error("Univalent() wrong")
 	}
-	if explore.ValentFor(model.V0) != explore.ZeroValent || explore.ValentFor(model.V1) != explore.OneValent {
-		t.Error("ValentFor wrong")
-	}
 }
 
 func TestCacheMemoizes(t *testing.T) {

@@ -146,14 +146,9 @@ func (b *Buffer) Equal(o *Buffer) bool {
 	return true
 }
 
-// Key returns the canonical encoding of the buffer contents: the distinct
-// messages in key order, each as "count x key ;". Two buffers are Equal iff
-// their Keys are identical.
-func (b *Buffer) Key() string {
-	return string(b.AppendKey(make([]byte, 0, b.KeyLen())))
-}
-
-// AppendKey appends the canonical encoding to dst; byte-identical to Key.
+// AppendKey appends the canonical encoding of the buffer contents to dst:
+// the distinct messages in key order, each as "count x key ;". Two buffers
+// are Equal iff their encodings are identical.
 func (b *Buffer) AppendKey(dst []byte) []byte {
 	for i := range b.es {
 		dst = strconv.AppendInt(dst, int64(b.es[i].count), 10)
@@ -164,7 +159,7 @@ func (b *Buffer) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// KeyLen returns len(Key()) without building the encoding.
+// KeyLen returns len(AppendKey(nil)) without building the encoding.
 func (b *Buffer) KeyLen() int {
 	n := 0
 	for i := range b.es {

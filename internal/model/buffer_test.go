@@ -34,6 +34,9 @@ func remove(b *Buffer, m Message) bool {
 // msg names a test message by one letter (or any body) addressed to p0.
 func msg(body string) Message { return Message{To: 0, From: 1, Body: body} }
 
+// bufKey is b's canonical encoding as a string.
+func bufKey(b *Buffer) string { return string(b.AppendKey(nil)) }
+
 func TestBufferOperations(t *testing.T) {
 	b := new(Buffer)
 	m := Message{To: 0, From: 1, Body: "x"}
@@ -105,8 +108,8 @@ func TestBufferMultiplicity(t *testing.T) {
 	if b.Contains(msg("y")) {
 		t.Error("a message never sent is contained")
 	}
-	if want := "5x" + x.Key() + ";"; b.Key() != want {
-		t.Errorf("Key = %q, want %q", b.Key(), want)
+	if want := "5x" + x.Key() + ";"; bufKey(b) != want {
+		t.Errorf("AppendKey = %q, want %q", bufKey(b), want)
 	}
 }
 
@@ -149,12 +152,12 @@ func TestBufferMessagesVisitAll(t *testing.T) {
 func TestBufferChildIndependence(t *testing.T) {
 	parent := new(Buffer)
 	send(parent, msg("a"), msg("a"))
-	parentKey := parent.Key()
+	parentKey := bufKey(parent)
 	child := *parent
 	send(&child, msg("b"), msg("a"))
 	other := *parent
 	remove(&other, msg("a"))
-	if parent.Key() != parentKey || parent.Count(msg("a")) != 2 || parent.Contains(msg("b")) {
+	if bufKey(parent) != parentKey || parent.Count(msg("a")) != 2 || parent.Contains(msg("b")) {
 		t.Errorf("parent changed under its children: %v", parent)
 	}
 	if child.Count(msg("a")) != 3 || !child.Contains(msg("b")) || other.Count(msg("a")) != 1 {
@@ -164,11 +167,11 @@ func TestBufferChildIndependence(t *testing.T) {
 
 // Buffers share message records down the generations: a child's count
 // bump, a child's removal of the last copy and a grandchild's re-send of a
-// removed message leave every ancestor's Key and Count as they were.
+// removed message leave every ancestor's encoding and Count as they were.
 func TestBufferSharedRecordsImmutable(t *testing.T) {
 	parent := new(Buffer)
 	send(parent, msg("a"), msg("b"))
-	parentKey := parent.Key()
+	parentKey := bufKey(parent)
 	type snap struct {
 		b   *Buffer
 		key string
@@ -177,17 +180,17 @@ func TestBufferSharedRecordsImmutable(t *testing.T) {
 	var gens []snap
 	check := func(step string) {
 		t.Helper()
-		if parent.Key() != parentKey || parent.Count(msg("a")) != 1 || parent.Count(msg("b")) != 1 || parent.Len() != 2 {
+		if bufKey(parent) != parentKey || parent.Count(msg("a")) != 1 || parent.Count(msg("b")) != 1 || parent.Len() != 2 {
 			t.Fatalf("%s changed the parent: %v", step, parent)
 		}
 		for _, g := range gens {
-			if g.b.Key() != g.key || g.b.Count(msg("a")) != g.a {
+			if bufKey(g.b) != g.key || g.b.Count(msg("a")) != g.a {
 				t.Fatalf("%s changed an ancestor: %v, was %s", step, g.b, g.key)
 			}
 		}
 	}
 	keep := func(b Buffer) *Buffer {
-		gens = append(gens, snap{&b, b.Key(), b.Count(msg("a"))})
+		gens = append(gens, snap{&b, bufKey(&b), b.Count(msg("a"))})
 		return &b
 	}
 
@@ -204,7 +207,7 @@ func TestBufferSharedRecordsImmutable(t *testing.T) {
 	}
 	resent := keep(gone.with(nil, recsOf([]Message{msg("a"), msg("a")})))
 	check("grandchild re-send")
-	if resent.Count(msg("a")) != 2 || resent.Key() != bumped.Key() || !resent.Equal(bumped) {
+	if resent.Count(msg("a")) != 2 || bufKey(resent) != bufKey(bumped) || !resent.Equal(bumped) {
 		t.Errorf("grandchild %v, want the same multiset as %v", resent, bumped)
 	}
 	if resent.es[0].rec == parent.es[0].rec {
@@ -221,14 +224,14 @@ func TestBufferEqualAndKey(t *testing.T) {
 	if !a.Equal(b) {
 		t.Error("order-insensitive Equal failed")
 	}
-	if a.Key() != b.Key() {
-		t.Errorf("keys differ for equal buffers: %q vs %q", a.Key(), b.Key())
+	if bufKey(a) != bufKey(b) {
+		t.Errorf("keys differ for equal buffers: %q vs %q", bufKey(a), bufKey(b))
 	}
-	if a.KeyLen() != len(a.Key()) || string(a.AppendKey([]byte("p"))) != "p"+a.Key() {
-		t.Errorf("KeyLen %d / AppendKey %q disagree with Key %q", a.KeyLen(), a.AppendKey(nil), a.Key())
+	if a.KeyLen() != len(bufKey(a)) || string(a.AppendKey([]byte("p"))) != "p"+bufKey(a) {
+		t.Errorf("KeyLen %d / AppendKey onto a prefix disagree with AppendKey %q", a.KeyLen(), bufKey(a))
 	}
 	send(b, msg("x"))
-	if a.Equal(b) || a.Key() == b.Key() {
+	if a.Equal(b) || bufKey(a) == bufKey(b) {
 		t.Error("buffers with different multiplicities compare equal")
 	}
 }
@@ -279,7 +282,7 @@ func TestQuickBufferAddRemoveInvariants(t *testing.T) {
 	}
 }
 
-// Property: Key is a canonical form — shuffled insertion orders agree.
+// Property: AppendKey is a canonical form — shuffled insertion orders agree.
 func TestQuickBufferKeyCanonical(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	f := func(items []string) bool {
@@ -292,7 +295,7 @@ func TestQuickBufferKeyCanonical(t *testing.T) {
 		for _, s := range shuffled {
 			send(b, msg(s))
 		}
-		return a.Key() == b.Key() && a.Equal(b)
+		return bufKey(a) == bufKey(b) && a.Equal(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -321,8 +324,8 @@ func (r refBuffer) key() (k string, size int) {
 }
 
 // Property: under random steps (remove at most one message, send a few)
-// Buffer and the reference agree on Key, Len, Count, Messages order and
-// Equal, and the encodings agree with each other.
+// Buffer and the reference agree on the encoding, Len, Count, Messages
+// order and Equal, and KeyLen agrees with the encoding.
 func TestQuickBufferMatchesReference(t *testing.T) {
 	bodies := []string{"a", "b", "a|b", "x,y", `\`, ""}
 	pick := func(r *rand.Rand) Message {
@@ -332,7 +335,7 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		b, ref := new(Buffer), refBuffer{}
 		for step := 0; step < 60; step++ {
-			prev, prevKey := *b, b.Key()
+			prev, prevKey := *b, bufKey(b)
 			var rm *Message
 			if r.Intn(2) == 0 {
 				m := pick(r)
@@ -354,7 +357,7 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 			wantKey, wantLen := ref.key()
 			want := ref.messages()
 			got := b.Messages()
-			if b.Key() != wantKey || b.Len() != wantLen || len(got) != len(want) {
+			if bufKey(b) != wantKey || b.Len() != wantLen || len(got) != len(want) {
 				return false
 			}
 			for i, m := range want {
@@ -362,10 +365,10 @@ func TestQuickBufferMatchesReference(t *testing.T) {
 					return false
 				}
 			}
-			if b.KeyLen() != len(wantKey) || string(b.AppendKey(nil)) != wantKey {
+			if b.KeyLen() != len(wantKey) {
 				return false
 			}
-			if prev.Key() != prevKey || b.Equal(&prev) != (wantKey == prevKey) {
+			if bufKey(&prev) != prevKey || b.Equal(&prev) != (wantKey == prevKey) {
 				return false
 			}
 		}

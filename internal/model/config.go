@@ -6,34 +6,29 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-
-	"github.com/flpsim/flp/internal/enc"
 )
 
 // Config is a configuration of the system: the internal state of each
-// process together with the contents of the message buffer. Configurations
-// are immutable once constructed; Apply produces new configurations.
+// process together with the contents of the message buffer (Section 2).
+// Configurations are immutable once constructed; Apply produces new
+// configurations.
 //
-// A configuration has two canonical encodings of the same field sequence
-// (one key per process state, then the buffer key):
+// A configuration has one canonical encoding, KeyBytes: its field sequence
+// (one key per process state, then the buffer key), every field
+// length-prefixed with a uvarint. Length prefixes delimit the fields, so
+// the encoding is injective, and two configurations have equal KeyBytes
+// exactly when every process state has the same key and the buffers hold
+// the same multiset — the paper's definition of the same configuration
+// (modeltest.SameState, against which the tests hold the encoding). Every
+// engine, the interner, the atlas store and the distexplore wire identify a
+// configuration by these bytes; the interner compares them with
+// bytes.Equal, and the hash contract is Hash() == FNV-1a(KeyBytes()), in
+// process and on the wire alike.
 //
-//   - KeyBytes, the binary form: every field length-prefixed with a
-//     uvarint. This is the identity the hot path runs on — the interner
-//     compares it with bytes.Equal and the fingerprint is the FNV-1a hash
-//     of exactly these bytes. No escaping, no intermediate strings.
-//   - Key, the string form: every field escaped with enc.Escape and
-//     '|'-terminated. This is the human-readable view — traces, fixtures
-//     and debugging output carry it; nothing routes, dedups or hashes on it.
-//
-// Both encodings are injective over the field sequence, so they induce the
-// same equality partition (explore/keydiff_test.go sweeps the bijection).
-// The hash contract is Hash() == FNV-1a(KeyBytes()), in process and on the
-// distexplore wire alike.
-//
-// Keys and the fingerprint are computed lazily and cached through atomics,
-// so a Config may be shared freely across goroutines (the parallel explorer
-// does). Concurrent computations of the same key are idempotent; the last
-// store wins and all stores are equal.
+// The key and the fingerprint are computed lazily and cached through
+// atomics, so a Config may be shared freely across goroutines (the parallel
+// explorer does). Concurrent computations of the same key are idempotent;
+// the last store wins and all stores are equal.
 //
 // The per-process state keys are not lazy: every process's State.Key() is
 // built once, by whoever put the state there (Initial, or the step that
@@ -43,8 +38,7 @@ import (
 type Config struct {
 	procs []proc
 	buf   Buffer
-	key   atomic.Pointer[string] // lazily computed canonical key (string view)
-	bkey  atomic.Pointer[[]byte] // lazily computed binary canonical key
+	bkey  atomic.Pointer[[]byte] // lazily computed canonical key
 	hash  atomic.Uint64          // lazily computed fingerprint; 0 = unset
 }
 
@@ -155,30 +149,9 @@ func (c *Config) DecidedCount() int {
 	return n
 }
 
-// Key returns the canonical string encoding of the configuration: every
-// field escaped and '|'-terminated. Two configurations represent the same
-// system state iff their keys are equal. This is the trace, fixture and
-// debug view — the binary KeyBytes carries the same identity without the
-// escaping cost, and is what every engine, the interner and the distexplore
-// wire use. Key is safe for concurrent use.
-func (c *Config) Key() string {
-	if k := c.key.Load(); k != nil {
-		return *k
-	}
-	var b enc.Builder
-	for i := range c.procs {
-		b.Str(enc.Escape(c.procs[i].skey))
-	}
-	b.Str(enc.Escape(c.buf.Key()))
-	k := b.String()
-	c.key.Store(&k)
-	return k
-}
-
-// KeyBytes returns the binary canonical key of the configuration: each
-// field (one per process state, then the buffer key) length-prefixed with a
-// uvarint. The encoding is injective — length prefixes delimit fields
-// unambiguously — so KeyBytes equality coincides exactly with Key equality.
+// KeyBytes returns the canonical key of the configuration: each field (one
+// per process state, then the buffer key) length-prefixed with a uvarint.
+// Two configurations have equal keys iff they are the same system state.
 // The returned slice is cached and must not be modified. KeyBytes is safe
 // for concurrent use.
 func (c *Config) KeyBytes() []byte {

@@ -80,12 +80,3 @@ func Events(c *Config) []Event {
 	}
 	return evs
 }
-
-// DeliveryEvents enumerates only the message-delivery events of c.
-func DeliveryEvents(c *Config) []Event {
-	evs := make([]Event, 0, len(c.buf.es))
-	for p := 0; p < c.N(); p++ {
-		evs = c.buf.appendDeliveries(evs, PID(p))
-	}
-	return evs
-}

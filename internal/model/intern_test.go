@@ -1,10 +1,12 @@
 package model_test
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/modeltest"
 	"github.com/flpsim/flp/internal/protocols"
 )
 
@@ -44,10 +46,10 @@ func inputsFrom(b byte, n int) model.Inputs {
 }
 
 // FuzzConfigKeyHash asserts, for arbitrary pairs of reachable
-// configurations, that the hash/intern layer agrees exactly with canonical
-// string Key equality: Equal(a, b) ⇔ Key(a) == Key(b), Equal implies equal
-// hashes, and the interner assigns equal IDs exactly to Equal
-// configurations.
+// configurations, that the key and the hash/intern layer agree exactly with
+// the definition of a configuration: equal KeyBytes ⇔ SameState(a, b) ⇔
+// Equal(a, b), SameState implies equal hashes, and the interner assigns
+// equal IDs exactly to the same configurations.
 func FuzzConfigKeyHash(f *testing.F) {
 	f.Add(byte(3), []byte{0, 1, 2}, byte(3), []byte{2, 1, 0})
 	f.Add(byte(1), []byte{}, byte(1), []byte{})
@@ -61,11 +63,14 @@ func FuzzConfigKeyHash(f *testing.F) {
 		a := walkFrom(t, pr, inputsFrom(ina, 3), wa)
 		b := walkFrom(t, pr, inputsFrom(inb, 3), wb)
 
-		keyEq := a.Key() == b.Key()
-		if eq := a.Equal(b); eq != keyEq {
-			t.Fatalf("Equal = %v but key equality = %v\n a: %s\n b: %s", eq, keyEq, a.Key(), b.Key())
+		same := modeltest.SameState(a, b)
+		if keyEq := bytes.Equal(a.KeyBytes(), b.KeyBytes()); keyEq != same {
+			t.Fatalf("KeyBytes equal = %v but SameState = %v\n a: %s\n b: %s", keyEq, same, a, b)
 		}
-		if keyEq && a.Hash() != b.Hash() {
+		if eq := a.Equal(b); eq != same {
+			t.Fatalf("Equal = %v but SameState = %v\n a: %s\n b: %s", eq, same, a, b)
+		}
+		if same && a.Hash() != b.Hash() {
 			t.Fatalf("equal configurations with different hashes: %#x vs %#x", a.Hash(), b.Hash())
 		}
 
@@ -75,11 +80,11 @@ func FuzzConfigKeyHash(f *testing.F) {
 		if !fresha {
 			t.Fatal("first Intern not fresh")
 		}
-		if freshb == keyEq {
-			t.Fatalf("Intern(b) fresh = %v with key equality = %v", freshb, keyEq)
+		if freshb == same {
+			t.Fatalf("Intern(b) fresh = %v with SameState = %v", freshb, same)
 		}
-		if (ida == idb) != keyEq {
-			t.Fatalf("interned IDs %d, %d; equal IDs = %v but key equality = %v", ida, idb, ida == idb, keyEq)
+		if (ida == idb) != same {
+			t.Fatalf("interned IDs %d, %d; equal IDs = %v but SameState = %v", ida, idb, ida == idb, same)
 		}
 		if id, again := it.Intern(a); again || id != ida {
 			t.Fatalf("re-Intern(a) = (%d, %v), want (%d, false)", id, again, ida)
@@ -88,7 +93,7 @@ func FuzzConfigKeyHash(f *testing.F) {
 			t.Fatalf("Lookup(b) = (%d, %v), want (%d, true)", id, ok, idb)
 		}
 		wantLen := 2
-		if keyEq {
+		if same {
 			wantLen = 1
 		}
 		if it.Len() != wantLen {
@@ -205,8 +210,8 @@ func TestWithStepNoAliasing(t *testing.T) {
 }
 
 // TestHashInternAgreementOnReachableSet sweeps a breadth-first prefix of
-// naivemajority's reachable set and checks hash/intern agreement with key
-// equality across every pair, including genuine duplicates reached by
+// naivemajority's reachable set and checks hash/intern agreement with
+// SameState across every pair, including genuine duplicates reached by
 // different schedules.
 func TestHashInternAgreementOnReachableSet(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
@@ -234,15 +239,15 @@ func TestHashInternAgreementOnReachableSet(t *testing.T) {
 	}
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {
-			keyEq := all[i].Key() == all[j].Key()
-			if eq := all[i].Equal(all[j]); eq != keyEq {
-				t.Fatalf("configs %d, %d: Equal = %v, key equality = %v", i, j, eq, keyEq)
+			same := modeltest.SameState(all[i], all[j])
+			if eq := all[i].Equal(all[j]); eq != same {
+				t.Fatalf("configs %d, %d: Equal = %v, SameState = %v", i, j, eq, same)
 			}
-			if (ids[i] == ids[j]) != keyEq {
-				t.Fatalf("configs %d, %d: id equality = %v, key equality = %v", i, j, ids[i] == ids[j], keyEq)
+			if (ids[i] == ids[j]) != same {
+				t.Fatalf("configs %d, %d: id equality = %v, SameState = %v", i, j, ids[i] == ids[j], same)
 			}
-			if keyEq && all[i].Hash() != all[j].Hash() {
-				t.Fatalf("configs %d, %d: equal keys, hashes %#x vs %#x", i, j, all[i].Hash(), all[j].Hash())
+			if same && all[i].Hash() != all[j].Hash() {
+				t.Fatalf("configs %d, %d: same state, hashes %#x vs %#x", i, j, all[i].Hash(), all[j].Hash())
 			}
 		}
 	}
@@ -308,7 +313,7 @@ func TestInternerConcurrent(t *testing.T) {
 	}
 	distinct := make(map[string]bool)
 	for _, c := range cfgs {
-		distinct[c.Key()] = true
+		distinct[string(c.KeyBytes())] = true
 	}
 
 	it := model.NewInterner()
@@ -358,10 +363,10 @@ func TestInternerReset(t *testing.T) {
 	var cfgs []*model.Config
 	for queue := []*model.Config{model.MustInitial(pr, model.Inputs{0, 1, 1})}; len(queue) > 0 && len(cfgs) < 120; queue = queue[1:] {
 		c := queue[0]
-		if seen[c.Key()] {
+		if seen[string(c.KeyBytes())] {
 			continue
 		}
-		seen[c.Key()] = true
+		seen[string(c.KeyBytes())] = true
 		cfgs = append(cfgs, c)
 		for _, e := range model.Events(c) {
 			if nc := model.Expand(pr, c, e); nc != nil {

@@ -1,11 +1,13 @@
 package model_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/modeltest"
 	"github.com/flpsim/flp/internal/protocols"
 )
 
@@ -90,21 +92,20 @@ func TestQuickScheduleReplayDeterminism(t *testing.T) {
 	}
 }
 
-// Property: configuration keys respect equality — a configuration rebuilt
-// along the same schedule has the same key, and along a different prefix
-// of the walk has a different decided/buffer signature or genuinely equal
-// state (checked via Equal symmetry).
+// Property: the configuration key is the definition of a configuration —
+// along a random walk, two configurations have equal KeyBytes exactly when
+// they are SameState, and Equal agrees with both and is symmetric.
 func TestQuickKeyEqualConsistency(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
 	f := func(seed int64) bool {
 		configs, _ := randomWalk(pr, model.Inputs{0, 1, 1}, 20, seed)
 		for i := range configs {
 			for j := range configs {
-				eq := configs[i].Equal(configs[j])
-				if eq != (configs[i].Key() == configs[j].Key()) {
+				same := modeltest.SameState(configs[i], configs[j])
+				if bytes.Equal(configs[i].KeyBytes(), configs[j].KeyBytes()) != same {
 					return false
 				}
-				if eq != configs[j].Equal(configs[i]) {
+				if configs[i].Equal(configs[j]) != same || configs[j].Equal(configs[i]) != same {
 					return false
 				}
 			}

@@ -1,7 +1,9 @@
 // Package modeltest provides reusable conformance checks that any
 // model.Protocol implementation must pass: determinism, non-mutation of
 // input states, and applicability of every step the harness takes. Every
-// protocol package runs these against its own implementation.
+// protocol package runs these against its own implementation. It also
+// holds SameState, the definition of configuration equality that the
+// configuration key is tested against.
 package modeltest
 
 import (
@@ -23,6 +25,22 @@ func EffectfulEvents(pr model.Protocol, cfg *model.Config) []model.Event {
 		out = append(out, e)
 	}
 	return out
+}
+
+// SameState reports whether a and b are the same configuration by the
+// paper's definition (Section 2): every process in the same internal state
+// — equal State.Key() — and the same message buffer, as multisets. It
+// reads no configuration key, so the tests can hold KeyBytes to it.
+func SameState(a, b *model.Config) bool {
+	if a.N() != b.N() || !a.Buffer().Equal(b.Buffer()) {
+		return false
+	}
+	for p := 0; p < a.N(); p++ {
+		if a.State(model.PID(p)).Key() != b.State(model.PID(p)).Key() {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckConformance drives pr through a random applicable walk and verifies

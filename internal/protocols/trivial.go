@@ -21,11 +21,7 @@ type trivialState struct {
 	out model.Output
 }
 
-func (s trivialState) Key() string {
-	var b enc.Builder
-	b.Uint8(uint8(s.out))
-	return b.String()
-}
+func (s trivialState) Key() string { return string(enc.AppendInt(nil, int(s.out))) }
 
 func (s trivialState) Output() model.Output { return s.out }
 

@@ -125,8 +125,8 @@ func (s pidSet) with(p model.PID) pidSet {
 	return insertAt(s, i, p)
 }
 
-// appendKey appends the members, comma-separated: enc.Builder.IntSet's
-// encoding without the field separator.
+// appendKey appends the members in increasing order, comma-separated,
+// without a field separator.
 func (s pidSet) appendKey(b []byte) []byte {
 	for i, p := range s {
 		if i > 0 {

@@ -239,7 +239,7 @@ func TestBenOrCoinDeterministic(t *testing.T) {
 		e := evs[i%len(evs)]
 		ca = model.MustApply(a, ca, e)
 		cb = model.MustApply(b, cb, e)
-		if ca.Key() != cb.Key() {
+		if !ca.Equal(cb) {
 			t.Fatalf("step %d: identical schedules diverged", i)
 		}
 	}

@@ -103,7 +103,9 @@ func (r *Result) DecidedValue() (model.Value, bool) {
 }
 
 // Run executes alg on n processes with inputs in under the given crash
-// pattern and crash budget f.
+// pattern and crash budget f. It refuses a pattern with more than f
+// victims, a victim or recipient outside [0, n), or a crash round outside
+// [0, alg.Rounds(n, f)].
 func Run(alg Algorithm, inputs model.Inputs, f int, cp CrashPattern) (*Result, error) {
 	n := len(inputs)
 	if n < 2 {
@@ -113,6 +115,9 @@ func Run(alg Algorithm, inputs model.Inputs, f int, cp CrashPattern) (*Result, e
 		return nil, fmt.Errorf("syncround: crash pattern kills %d processes, budget is %d", cp.Crashes(), f)
 	}
 	rounds := alg.Rounds(n, f)
+	if err := cp.validate(n, rounds); err != nil {
+		return nil, err
+	}
 	procs := make([]Process, n)
 	for p := 0; p < n; p++ {
 		procs[p] = alg.NewProcess(p, n, inputs[p])
@@ -173,6 +178,30 @@ func Run(alg Algorithm, inputs model.Inputs, f int, cp CrashPattern) (*Result, e
 	}
 	res.Agreement = len(seen) <= 1
 	return res, nil
+}
+
+// validate rejects a pattern that names a process outside [0, n) as a
+// victim or a recipient, or a crash round outside [0, rounds].
+func (cp CrashPattern) validate(n, rounds int) error {
+	for p, r := range cp.Round {
+		if p < 0 || p >= n {
+			return fmt.Errorf("syncround: crash victim %d is not a process (n=%d)", p, n)
+		}
+		if r < 0 || r > rounds {
+			return fmt.Errorf("syncround: process %d crashes in round %d, outside [0, %d]", p, r, rounds)
+		}
+	}
+	for p, to := range cp.Partial {
+		if p < 0 || p >= n {
+			return fmt.Errorf("syncround: crash victim %d is not a process (n=%d)", p, n)
+		}
+		for q := range to {
+			if q < 0 || q >= n {
+				return fmt.Errorf("syncround: process %d's final broadcast reaches %d, not a process (n=%d)", p, q, n)
+			}
+		}
+	}
+	return nil
 }
 
 // isCrashedBy reports whether p has crashed in round r or earlier.

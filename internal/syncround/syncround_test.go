@@ -144,9 +144,20 @@ func TestRunValidation(t *testing.T) {
 	if _, err := syncround.Run(syncround.FloodSet{}, model.Inputs{0}, 1, syncround.CrashPattern{}); err == nil {
 		t.Error("single-process run accepted")
 	}
-	over := syncround.CrashPattern{Round: map[int]int{0: 1, 1: 1}}
-	if _, err := syncround.Run(syncround.FloodSet{}, model.Inputs{0, 1, 1}, 1, over); err == nil {
-		t.Error("crash pattern exceeding the budget accepted")
+	// FloodSet on three processes with f = 1 runs rounds 1 and 2.
+	for what, cp := range map[string]syncround.CrashPattern{
+		"crash pattern exceeding the budget": {Round: map[int]int{0: 1, 1: 1}},
+		"victim 3":                           {Round: map[int]int{3: 1}},
+		"victim -1":                          {Round: map[int]int{-1: 0}},
+		"partial victim 5":                   {Partial: map[int]map[int]bool{5: {0: true}}},
+		"recipient 5":                        {Round: map[int]int{0: 1}, Partial: map[int]map[int]bool{0: {1: true, 5: true}}},
+		"recipient -1":                       {Round: map[int]int{0: 2}, Partial: map[int]map[int]bool{0: {-1: true}}},
+		"crash round 3":                      {Round: map[int]int{0: 3}},
+		"crash round -1":                     {Round: map[int]int{0: -1}},
+	} {
+		if _, err := syncround.Run(syncround.FloodSet{}, model.Inputs{0, 1, 1}, 1, cp); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 }
 
