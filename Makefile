@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus bench bench-parallel bench-valency bench-alloc bench-e2e vet
+.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus bench bench-parallel bench-valency alloc-guards bench-alloc bench-e2e vet
 
 all: build test
 
@@ -133,9 +133,14 @@ bench-valency:
 # journal on disk (serve-mixed's hot request).
 # In adversary the pin is bytes per directed probe step; in protogen,
 # zero allocations to validate a valid table; in serve, the allocations
-# of one hot request through Handler().
-bench-alloc:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/model ./internal/explore ./internal/distexplore ./internal/adversary ./internal/protogen ./internal/serve
+# of one hot request through Handler(). alloc-guards is the pins alone,
+# the step CI runs, over the one package list both targets share.
+ALLOC_PKGS = ./internal/model ./internal/explore ./internal/distexplore ./internal/adversary ./internal/protogen ./internal/serve
+
+alloc-guards:
+	$(GO) test -run 'TestAllocs' -count=1 $(ALLOC_PKGS)
+
+bench-alloc: alloc-guards
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
 	$(GO) test -bench 'BenchmarkExpand' -benchtime 20x -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkExplorePool' -benchtime 5x -run '^$$' ./internal/explore

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -50,14 +51,17 @@ type Atlas struct {
 	predEdge  []int32
 
 	// Store-loaded atlases (LoadAtlas) carry the persisted canonical-key
-	// table g.Keys instead of an interner, answer IDOf from a lazily built
-	// key map, and materialize configurations on demand by replaying the
-	// breadth-first tree under cfgMu. Built atlases keep index non-nil and
-	// never touch these.
-	byKeyOnce sync.Once
-	byKey     map[string]int32
-	cfgMu     sync.Mutex
+	// table g.Keys, fill the core's index from it once, on the first IDOf,
+	// and materialize configurations on demand by replaying the
+	// breadth-first tree under cfgMu. Built atlases never touch these.
+	keysOnce sync.Once
+	cfgMu    sync.Mutex
 }
+
+// loaded reports whether the atlas came from LoadAtlas. A built atlas has
+// no key table: its core never sets g.Keys (Snapshot builds one on the
+// side).
+func (a *Atlas) loaded() bool { return a.g.Keys != nil }
 
 // BuildAtlas materializes the reachable configuration graph of pr from
 // root and classifies every node, within opt's budget. It reports ok=false
@@ -187,7 +191,7 @@ func (a *Atlas) Root() *model.Config { return a.cfgs[0] }
 // keys) on first access, so callers that never touch configurations —
 // censuses, valencies, witness lengths — pay no replay at all.
 func (a *Atlas) Config(id int32) *model.Config {
-	if a.index != nil {
+	if !a.loaded() {
 		return a.cfgs[id]
 	}
 	a.cfgMu.Lock()
@@ -217,24 +221,20 @@ func (a *Atlas) materialize(id int32) *model.Config {
 
 // IDOf returns the node id of c. Every configuration reachable from the
 // root is present; ok=false means c is not reachable from the root (or is
-// the product of a different protocol).
+// the product of a different protocol). A built atlas settles a fingerprint
+// hit on the node's configuration; a loaded one, whose configurations may
+// not be materialized, on the node's persisted key. The index is read-only
+// once the atlas is finished or filled, so IDOf is safe for concurrent use.
 func (a *Atlas) IDOf(c *model.Config) (int32, bool) {
-	if a.index != nil {
-		tag, ok := a.index.Tag(c)
-		if !ok {
-			return 0, false
-		}
-		return int32(tag), true
+	if !a.loaded() {
+		return a.lookup(c)
 	}
-	a.byKeyOnce.Do(func() {
-		m := make(map[string]int32, len(a.g.Keys))
+	a.keysOnce.Do(func() {
 		for i, k := range a.g.Keys {
-			m[string(k)] = int32(i)
+			a.index.insert(model.KeyHash(k), int32(i))
 		}
-		a.byKey = m
 	})
-	id, ok := a.byKey[string(c.KeyBytes())]
-	return id, ok
+	return a.index.find(c.Hash(), func(id int32) bool { return bytes.Equal(a.g.Keys[id], c.KeyBytes()) })
 }
 
 // ValencyAt returns the exact valency class of node id.

@@ -3,11 +3,13 @@ package explore_test
 import (
 	"fmt"
 	"maps"
+	"sync"
 	"testing"
 
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/modeltest"
 	"github.com/flpsim/flp/internal/protocols"
 )
 
@@ -115,6 +117,85 @@ func TestAtlasDifferentialAgainstClassify(t *testing.T) {
 				}
 				if !maps.Equal(want.Census(), loaded.Census()) {
 					t.Fatalf("inputs %s: census %v loaded, %v built", inp, loaded.Census(), want.Census())
+				}
+			}
+		})
+	}
+}
+
+// TestAtlasIDOf holds both ways of answering IDOf — a built atlas's node
+// index, settled on configurations, and a loaded atlas's, filled once from
+// the persisted keys and settled on them — to the node ids: for every
+// finite registry protocol and input vector, 8 goroutines at once ask each
+// kind for every node by an equal configuration (the built atlas's, so
+// never the loaded atlas's own pointers) and for its Info, and for the
+// initial configurations of every input vector and of one more process,
+// which must be found exactly when a scan of the nodes by
+// modeltest.SameState finds them (the last never is). The loaded atlas is
+// fresh, so its lazy fill races its first readers.
+func TestAtlasIDOf(t *testing.T) {
+	for _, name := range protocols.Names() {
+		if !finiteFixtures[name] {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			pr := registryFixture(t, name)
+			factory, _ := protocols.Lookup(name)
+			wider, err := factory(pr.N() + 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, inp := range model.AllInputs(pr.N()) {
+				root := model.MustInitial(pr, inp)
+				built, ok := explore.BuildAtlas(pr, root, explore.Options{MaxConfigs: atlasTestBudget})
+				if !ok {
+					t.Fatalf("inputs %s: atlas refused to build", inp)
+				}
+				loaded, err := explore.LoadAtlas(pr, root, built.Snapshot())
+				if err != nil {
+					t.Fatalf("inputs %s: LoadAtlas: %v", inp, err)
+				}
+				probes := []*model.Config{model.MustInitial(wider, make(model.Inputs, wider.N()))}
+				for _, other := range model.AllInputs(pr.N()) {
+					probes = append(probes, model.MustInitial(pr, other))
+				}
+				member := make([]int32, len(probes)) // node id by scan, -1 when none
+				for i, p := range probes {
+					member[i] = -1
+					for id := int32(0); id < int32(built.Len()); id++ {
+						if modeltest.SameState(p, built.Config(id)) {
+							member[i] = id
+						}
+					}
+				}
+				if member[0] >= 0 {
+					t.Fatalf("inputs %s: a %d-process configuration is a node", inp, wider.N())
+				}
+				for kind, a := range map[string]*explore.Atlas{"built": built, "loaded": loaded} {
+					var wg sync.WaitGroup
+					for g := 0; g < 8; g++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for id := int32(0); id < int32(built.Len()); id++ {
+								cfg := built.Config(id)
+								if got, ok := a.IDOf(cfg); !ok || got != id {
+									t.Errorf("inputs %s, %s: IDOf(node %d) = (%d, %v)", inp, kind, id, got, ok)
+									return
+								}
+								if info, ok := a.Info(cfg); !ok || info.Valency != built.ValencyAt(id) {
+									t.Errorf("inputs %s, %s: Info(node %d) = (%s, %v), want %s", inp, kind, id, info.Valency, ok, built.ValencyAt(id))
+									return
+								}
+							}
+							for i, p := range probes {
+								if id, ok := a.IDOf(p); ok != (member[i] >= 0) || ok && id != member[i] {
+									t.Errorf("inputs %s, %s: IDOf(%s) = (%d, %v), the scan says node %d", inp, kind, p, id, ok, member[i])
+								}
+							}
+						}()
+					}
+					wg.Wait()
 				}
 			}
 		})

@@ -213,7 +213,7 @@ func RestoreAtlasBuilder(pr model.Protocol, root *model.Config, snap *AtlasSnaps
 	if err := snap.validateFor(root); err != nil {
 		return nil, err
 	}
-	b := &AtlasBuilder{core: core{pr: pr, index: model.NewInterner(), cfgs: make([]*model.Config, snap.Len()), g: *snap, edges: true}}
+	b := &AtlasBuilder{core: core{pr: pr, cfgs: make([]*model.Config, snap.Len()), g: *snap, edges: true}}
 	// The builder grows past the snapshot: its keys are recomputed on the
 	// next Snapshot, its distances by Finish.
 	b.g.Keys, b.g.Dist0, b.g.Dist1 = nil, nil, nil
@@ -224,7 +224,7 @@ func RestoreAtlasBuilder(pr model.Protocol, root *model.Config, snap *AtlasSnaps
 		}
 	}
 	for i, c := range b.cfgs {
-		b.index.InternTag(c, uint64(i))
+		b.index.insert(c.Hash(), int32(i))
 	}
 	return b, nil
 }

@@ -26,9 +26,10 @@ import (
 type core struct {
 	pr   model.Protocol
 	skip func(model.Event) bool
-	// index maps configurations to node ids (the interner tag is the id);
-	// it is nil on a store-loaded atlas, which answers from g.Keys.
-	index   *model.Interner
+	// index maps configurations to node ids by fingerprint, hits settled
+	// by cfgs[id].Equal. A store-loaded atlas, whose cfgs materialize
+	// lazily, fills it on first use from g.Keys instead (Atlas.IDOf).
+	index   nodeIndex
 	cfgs    []*model.Config
 	g       AtlasSnapshot
 	edges   bool
@@ -37,8 +38,7 @@ type core struct {
 
 // newCore returns a core holding just the root, nothing expanded.
 func newCore(pr model.Protocol, root *model.Config, skip func(model.Event) bool, edges bool) core {
-	c := core{pr: pr, skip: skip, index: model.NewInterner(), edges: edges}
-	c.index.InternTag(root, 0)
+	c := core{pr: pr, skip: skip, edges: edges}
 	c.admit(root, -1, model.Event{})
 	c.g.SuccStart = []int32{0} // CSR sentinel: node u's edges are SuccStart[u]:SuccStart[u+1]
 	return c
@@ -48,16 +48,22 @@ func newCore(pr model.Protocol, root *model.Config, skip func(model.Event) bool,
 func (c *core) Len() int { return len(c.cfgs) }
 
 // admit appends one node's table entries (everything except the successor
-// CSR row, which closes when the node is expanded).
+// CSR row, which closes when the node is expanded) and indexes it.
 func (c *core) admit(cfg *model.Config, parent int32, via model.Event) {
 	d := int32(0)
 	if parent >= 0 {
 		d = c.g.Depth[parent] + 1
 	}
+	c.index.insert(cfg.Hash(), int32(len(c.cfgs)))
 	c.cfgs = append(c.cfgs, cfg)
 	c.g.Depth = append(c.g.Depth, d)
 	c.g.Parent = append(c.g.Parent, parent)
 	c.g.ParentVia = append(c.g.ParentVia, via)
+}
+
+// lookup returns the id of the node whose configuration is cfg.
+func (c *core) lookup(cfg *model.Config) (int32, bool) {
+	return c.index.find(cfg.Hash(), func(id int32) bool { return c.cfgs[id].Equal(cfg) })
 }
 
 // walk advances the breadth-first trajectory from node from — the first
@@ -131,10 +137,10 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 
 // cand is one entry of an expanded node's successor row on its way to
 // merge, in one of three forms: a configuration built by a protocol step
-// (cfg set), which merge interns; a target the diamond rule read off closed
-// rows (cfg nil, to the node id); or a target it will read off the row of a
-// sibling that closes only during the merge of this chunk (cfg nil, to the
-// sibling's id complemented).
+// (cfg set), which merge looks up or admits; a target the diamond rule
+// read off closed rows (cfg nil, to the node id); or a target it will read
+// off the row of a sibling that closes only during the merge of this chunk
+// (cfg nil, to the sibling's id complemented).
 type cand struct {
 	via model.Event
 	cfg *model.Config
@@ -300,13 +306,13 @@ func (c *core) merge(u int, succs []cand, led *Ledger) bool {
 	for _, s := range succs {
 		id := s.to
 		if s.cfg != nil {
-			id = int32(len(c.cfgs))
-			if got, fresh := c.index.InternTag(s.cfg, uint64(id)); !fresh {
-				id = int32(got)
-			} else if led.Admit() {
+			var known bool
+			if id, known = c.lookup(s.cfg); !known {
+				if !led.Admit() {
+					return false
+				}
+				id = int32(len(c.cfgs))
 				c.admit(s.cfg, int32(u), s.via)
-			} else {
-				return false
 			}
 		} else if id < 0 {
 			continue // the step above found a no-op
@@ -322,7 +328,7 @@ func (c *core) merge(u int, succs []cand, led *Ledger) bool {
 }
 
 // freshAmong counts the distinct configurations in succs not yet admitted
-// — the budget cost of expanding their node — without interning anything.
+// — the budget cost of expanding their node — without admitting anything.
 // Entries the diamond rule resolved name admitted nodes and cost nothing.
 func (c *core) freshAmong(succs []cand) int {
 	fresh := 0
@@ -330,7 +336,7 @@ func (c *core) freshAmong(succs []cand) int {
 		if succs[i].cfg == nil {
 			continue
 		}
-		if _, known := c.index.Tag(succs[i].cfg); known {
+		if _, known := c.lookup(succs[i].cfg); known {
 			continue
 		}
 		dup := false

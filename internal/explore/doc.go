@@ -4,7 +4,7 @@
 // Sections 2 and 3 of the paper.
 //
 //   - [Explore] is budgeted breadth-first reachability over configurations,
-//     deduplicated by canonical key.
+//     deduplicated by configuration identity (fingerprint, then fields).
 //   - [Classify] computes the valency of a configuration: the set V of
 //     decision values of configurations reachable from it. Bivalence
 //     (|V| = 2) is certified by two concrete witness schedules and is exact
@@ -58,7 +58,7 @@
 // step; an e′ in C's row leads to the sibling D′ = e′(C), and when D′ was
 // expanded before D the target e′(D) = e(D′) — Figure 1's commuting diamond
 // — is read off D′'s row: no step, no child configuration, no key, no
-// interner probe, only the edge. Whatever the rows cannot answer — D's own
+// index probe, only the edge. Whatever the rows cannot answer — D's own
 // process, a message e itself sent, the root, a sibling not before D, a row
 // no longer kept — is stepped exactly as before, so the rule only removes
 // work; the node set, the edge set, the admission order and every artifact
@@ -72,23 +72,32 @@
 //
 // [ReferenceExplore] is the oracle: the fused sequential loop that steps
 // the protocol for every event of every expanded node and looks nothing
-// up. It shares the event filter, the admission [Ledger] and the interner
-// with the core but neither its loop nor its rule, and no option selects
+// up. It shares the event filter and the admission [Ledger] with the core
+// but neither its loop, its rule nor its index — it dedups through
+// [model.Interner], on built keys — and no option selects
 // it; package enginetest holds every engine to it — the core and the
 // builder here, the cluster, the store, the conformance harness — and
 // diamondrule_test.go re-derives every edge the core records with a
 // protocol step.
 //
-// Deduplication uses [model.Interner]: a sharded table keyed by the cached
-// 64-bit FNV-1a hash of the canonical key, with hash hits confirmed by full
-// key comparison, so a hash collision can only cost time, never a wrong
-// dedup. The expensive canonical-key construction happens inside the
-// workers; the coordinator mostly compares cached hashes.
+// Deduplication uses the core's own index over its node table: an
+// open-addressed table of (fingerprint, node id) slots with no pointers, no
+// locks and no allocation per key, written only by the coordinator. The
+// fingerprint is [model.Config.Hash], FNV-1a streamed over the
+// configuration's fields, and every fingerprint hit is confirmed by
+// [model.Config.Equal], which compares those fields, so a collision can
+// only cost time, never a wrong dedup — and no canonical key is built for a
+// configuration that is only stepped, hashed and deduplicated. Workers
+// compute the fingerprints; the coordinator compares cached ones. A
+// finished atlas's index is read-only; a store-loaded atlas fills the same
+// kind of index once, from its persisted keys, on the first IDOf.
 //
 // Tuning: worker counts above GOMAXPROCS only add coordination overhead,
 // and tiny state spaces (the commit protocols' 12–20 configurations) are
 // faster inline — set Workers: 1 there, or when single-threaded
-// reproducibility of *timing* (not results; those never vary) matters.
+// reproducibility of *timing* (not results; those never vary) matters. On
+// explore-wide's shape at 2 vCPUs the pool and inline expansion are within
+// each other's noise; the GOMAXPROCS default stands.
 // Valency caches ([NewCache], [NewSmartCache]) are safe for concurrent use;
 // see the Cache type's thread-safety contract.
 package explore

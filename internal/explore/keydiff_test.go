@@ -16,6 +16,7 @@ package explore_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -37,6 +38,13 @@ func diffKeyEncodings(t *testing.T, pr model.Protocol, workers int) {
 	byKey := make(map[string]*model.Config)      // KeyBytes → first configuration with it
 	byStates := make(map[string][]*model.Config) // coarse bucket → configurations of distinct keys
 	check := func(inp model.Inputs, c *model.Config) {
+		// The engine hashed every visited configuration before anything
+		// built its key; a successor is keyed here first, then hashed.
+		h := fnv.New64a()
+		h.Write(c.KeyBytes())
+		if got, want := c.Hash(), h.Sum64(); got != want {
+			t.Fatalf("inputs %s: Hash() = %#x, FNV-1a(KeyBytes()) = %#x\n%s", inp, got, want, c)
+		}
 		k := string(c.KeyBytes())
 		if prev, ok := byKey[k]; ok {
 			if !modeltest.SameState(prev, c) {

@@ -16,7 +16,7 @@ import (
 type Visit func(cfg *model.Config, depth int, path func() model.Schedule) (stop bool)
 
 // Explore performs budgeted breadth-first reachability from c under
-// protocol pr, deduplicating configurations by canonical key. If avoid is
+// protocol pr, deduplicating configurations by Config.Equal. If avoid is
 // non-nil, events Same as *avoid are never applied — this realizes the set
 // ℰ of "configurations reachable from C without applying e" from Lemma 3.
 //
@@ -66,8 +66,9 @@ type node struct {
 // protocol step per applicable event of every expanded node, one interner
 // probe per successor, nothing looked up. No Options value routes to it
 // (Workers is ignored). It exists as the oracle: it shares the event
-// filter, the admission Ledger and the interner with the core but neither
-// its loop nor its diamond rule, and the differential tests of this
+// filter and the admission Ledger with the core but neither its loop, its
+// diamond rule nor its dedup (a model.Interner on built keys, where the
+// core has its node index), and the differential tests of this
 // package, package conformance and package distexplore hold every engine
 // to its visit stream and counts.
 func ReferenceExplore(pr model.Protocol, c *model.Config, opt Options, skip func(model.Event) bool, visit Visit) (complete bool, visited int) {

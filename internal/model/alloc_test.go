@@ -75,17 +75,19 @@ func TestAllocsInternHit(t *testing.T) {
 	}
 }
 
-// TestAllocsConfigHash pins Config.Hash on a cold configuration: one
-// binary-key materialization from the carried state and message keys,
-// nothing proportional to the number of processes or messages. Measured
-// 13 (11 of them the step), also under -race.
+// TestAllocsConfigHash pins Config.Hash on a cold configuration: FNV-1a
+// streamed over the carried state and message keys, no key built. Measured
+// 11, all of them the step, also under -race (13 when Hash built the
+// binary key and the pointer that publishes it); the ceiling leaves room
+// for one, not for the key.
 func TestAllocsConfigHash(t *testing.T) {
 	pr, c, e := internFixture(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		nc := model.MustApply(pr, c, e)
 		nc.Hash()
 	})
-	const ceiling = 14
+	t.Logf("cold Config.Hash path: %.1f allocs/op", allocs)
+	const ceiling = 12
 	if allocs > ceiling {
 		t.Fatalf("cold Config.Hash path allocates %.1f/op, ceiling %d", allocs, ceiling)
 	}

@@ -159,6 +159,19 @@ func (b *Buffer) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// hashKey folds the bytes of AppendKey(nil) into the FNV-1a state h
+// without building them.
+func (b *Buffer) hashKey(h uint64) uint64 {
+	var digits [20]byte
+	for i := range b.es {
+		h = fnvAdd(h, strconv.AppendInt(digits[:0], int64(b.es[i].count), 10))
+		h = fnvByte(h, 'x')
+		h = fnvAdd(h, b.es[i].rec.key)
+		h = fnvByte(h, ';')
+	}
+	return h
+}
+
 // KeyLen returns len(AppendKey(nil)) without building the encoding.
 func (b *Buffer) KeyLen() int {
 	n := 0

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -19,16 +18,19 @@ import (
 // the encoding is injective, and two configurations have equal KeyBytes
 // exactly when every process state has the same key and the buffers hold
 // the same multiset — the paper's definition of the same configuration
-// (modeltest.SameState, against which the tests hold the encoding). Every
-// engine, the interner, the atlas store and the distexplore wire identify a
-// configuration by these bytes; the interner compares them with
-// bytes.Equal, and the hash contract is Hash() == FNV-1a(KeyBytes()), in
-// process and on the wire alike.
+// (modeltest.SameState, against which the tests hold the encoding). The
+// interner, the atlas store and the distexplore wire identify a
+// configuration by these bytes, and the hash contract is
+// Hash() == FNV-1a(KeyBytes()), in process and on the wire alike. The
+// exploration hot path never builds them: Hash streams FNV-1a over the
+// fields the bytes are made of, and Equal compares those fields, so a
+// configuration that is only stepped, fingerprinted and deduplicated costs
+// no key bytes.
 //
 // The key and the fingerprint are computed lazily and cached through
 // atomics, so a Config may be shared freely across goroutines (the parallel
-// explorer does). Concurrent computations of the same key are idempotent;
-// the last store wins and all stores are equal.
+// explorer does). Concurrent computations of either are idempotent; the
+// last store wins and all stores are equal.
 //
 // The per-process state keys are not lazy: every process's State.Key() is
 // built once, by whoever put the state there (Initial, or the step that
@@ -211,45 +213,82 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
+// fnvAdd folds the bytes of b into the FNV-1a state h.
+func fnvAdd[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= fnvPrime64
 	}
 	return h
 }
 
+// fnvByte folds one byte into the FNV-1a state h.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvUvarint folds the bytes of binary.AppendUvarint(nil, v) into h.
+func fnvUvarint(h, v uint64) uint64 {
+	for v >= 0x80 {
+		h = fnvByte(h, byte(v)|0x80)
+		v >>= 7
+	}
+	return fnvByte(h, byte(v))
+}
+
+// fingerprint maps an FNV-1a value to a fingerprint, reserving 0 as the
+// "unset" sentinel of the cache.
+func fingerprint(h uint64) uint64 {
+	if h == 0 {
+		return fnvOffset64
+	}
+	return h
+}
+
+// KeyHash returns the fingerprint of the configuration whose canonical key
+// is key: Hash() == KeyHash(KeyBytes()) for every configuration. It is for
+// holders of persisted keys that have no Config to ask.
+func KeyHash(key []byte) uint64 { return fingerprint(fnvAdd(fnvOffset64, key)) }
+
 // Hash returns a 64-bit fingerprint of the configuration: the FNV-1a hash
-// of its binary canonical key. Equal configurations always have equal
-// hashes; unequal configurations collide only with fingerprint
+// of its binary canonical key, streamed over the fields the key is built
+// from — per process uvarint(len(skey)) and skey, then the buffer field's
+// length and, per entry, count, 'x', message key and ';' — so the key
+// itself is never built here, cached or not. Equal configurations always
+// have equal hashes; unequal configurations collide only with fingerprint
 // probability, and every user of the hash (Equal, Interner, the explorer's
-// visited set) confirms candidate matches against the full canonical key,
-// so a collision can never conflate two distinct system states. Hash is
-// cached and safe for concurrent use.
+// node index) confirms candidate matches against the configuration's
+// fields or canonical key, so a collision can never conflate two distinct
+// system states. Hash is cached and safe for concurrent use.
 func (c *Config) Hash() uint64 {
 	if h := c.hash.Load(); h != 0 {
 		return h
 	}
-	h := fnvBytes(fnvOffset64, c.KeyBytes())
-	if h == 0 {
-		h = fnvOffset64 // reserve 0 as the "unset" sentinel
+	h := fnvOffset64
+	for i := range c.procs {
+		k := c.procs[i].skey
+		h = fnvAdd(fnvUvarint(h, uint64(len(k))), k)
 	}
+	h = fingerprint(c.buf.hashKey(fnvUvarint(h, uint64(c.buf.KeyLen()))))
 	c.hash.Store(h)
 	return h
 }
 
 // Equal reports whether two configurations are the same system state. The
-// cached fingerprints are compared first; the binary canonical keys settle
-// the (vanishingly rare) fingerprint collisions with a bytes.Equal — no
-// string is ever built here.
+// cached fingerprints are compared first; a fingerprint match is settled
+// on the fields the key encodes — every process's state key and the
+// buffer's multiset (modeltest.SameState) — so no key is built here.
 func (c *Config) Equal(o *Config) bool {
 	if c == o {
 		return true
 	}
-	if c.Hash() != o.Hash() {
+	if c.Hash() != o.Hash() || len(c.procs) != len(o.procs) {
 		return false
 	}
-	return bytes.Equal(c.KeyBytes(), o.KeyBytes())
+	for i := range c.procs {
+		if c.procs[i].skey != o.procs[i].skey {
+			return false
+		}
+	}
+	return c.buf.Equal(&o.buf)
 }
 
 // String renders the configuration compactly for traces.

@@ -37,10 +37,11 @@ const (
 // on a lock. IDs are unique across shards and reflect interning order only
 // within a shard.
 //
-// One interner holds one key namespace, the binary canonical key:
-// Intern/InternTag take it from the configuration, InternKey from a holder
-// of a transmitted key. An entry made either way is found by Lookup, Tag
-// and every later Intern of an Equal configuration.
+// One interner holds one key namespace, the binary canonical key: Intern
+// takes it from the configuration, InternKey from a holder of a
+// transmitted key. An entry made either way is found by Lookup and every
+// later Intern of an Equal configuration. (The explore package's engine
+// does not intern: it indexes its own node table by fingerprint.)
 type Interner struct {
 	shards [internShardCount]internShard
 }
@@ -55,7 +56,6 @@ type internShard struct {
 type internEntry struct {
 	key []byte
 	id  uint64
-	tag uint64
 }
 
 // NewInterner returns an empty interner. Shard tables are allocated on
@@ -92,11 +92,11 @@ func (sh *internShard) lookupLocked(h uint64, key []byte) (internEntry, bool) {
 
 // insertLocked adds an entry under h, assigning its interner-wide unique
 // id; sh.mu must be held.
-func (sh *internShard) insertLocked(h uint64, key []byte, tag uint64) internEntry {
+func (sh *internShard) insertLocked(h uint64, key []byte) internEntry {
 	if sh.buckets == nil {
 		sh.buckets = make(map[uint64][]internEntry)
 	}
-	e := internEntry{key: key, id: sh.count*internShardCount + h&(internShardCount-1), tag: tag}
+	e := internEntry{key: key, id: sh.count*internShardCount + h&(internShardCount-1)}
 	sh.count++
 	sh.buckets[h] = append(sh.buckets[h], e)
 	return e
@@ -132,30 +132,7 @@ func (it *Interner) Intern(c *Config) (id uint64, fresh bool) {
 	if e, ok := sh.lookupLocked(h, key); ok {
 		return e.id, false
 	}
-	return sh.insertLocked(h, key, 0).id, true
-}
-
-// InternTag is Intern with a caller-supplied auxiliary value: when c is
-// fresh, tag is recorded with the entry; either way the call returns the
-// tag recorded by whichever call interned c first. This is the hook the
-// explore package's valency atlas is built on — the tag carries the
-// atlas's dense graph-node id, so successor and predecessor edges to
-// already-visited configurations resolve to node ids with the same single
-// lookup that deduplicates the visited set.
-//
-// Entries interned through plain Intern carry tag 0; keep one interner per
-// tag namespace rather than mixing the two styles.
-func (it *Interner) InternTag(c *Config, tag uint64) (got uint64, fresh bool) {
-	h := c.Hash()
-	key := c.KeyBytes()
-	sh := &it.shards[h&(internShardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.lookupLocked(h, key); ok {
-		return e.tag, false
-	}
-	sh.insertLocked(h, key, tag)
-	return tag, true
+	return sh.insertLocked(h, key).id, true
 }
 
 // InternKey interns by precomputed fingerprint and binary canonical key,
@@ -173,20 +150,7 @@ func (it *Interner) InternKey(h uint64, key []byte) (id uint64, fresh bool) {
 	if e, ok := sh.lookupLocked(h, key); ok {
 		return e.id, false
 	}
-	return sh.insertLocked(h, sh.copyToArena(key), 0).id, true
-}
-
-// Tag returns the auxiliary value recorded for c by InternTag.
-func (it *Interner) Tag(c *Config) (tag uint64, ok bool) {
-	h := c.Hash()
-	key := c.KeyBytes()
-	sh := &it.shards[h&(internShardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, found := sh.lookupLocked(h, key); found {
-		return e.tag, true
-	}
-	return 0, false
+	return sh.insertLocked(h, sh.copyToArena(key)).id, true
 }
 
 // Lookup returns the ID of c if it has been interned.

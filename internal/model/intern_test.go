@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -45,11 +46,39 @@ func inputsFrom(b byte, n int) model.Inputs {
 	return in
 }
 
+// stdFNV is the hash contract's right-hand side computed by the standard
+// library: FNV-1a over the built key.
+func stdFNV(key []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(key)
+	return h.Sum64()
+}
+
+// checkHashContract holds Hash() == FNV-1a(KeyBytes()) on two fresh copies
+// of one configuration: one hashed before its key is built, one after,
+// and holds KeyHash of the key to the same value.
+func checkHashContract(t *testing.T, fresh func() *model.Config) {
+	t.Helper()
+	cold := fresh()
+	hCold := cold.Hash()
+	keyed := fresh()
+	key := keyed.KeyBytes()
+	want := stdFNV(key)
+	if hKeyed := keyed.Hash(); hCold != want || hKeyed != want {
+		t.Fatalf("Hash() = %#x before the key is built, %#x after; FNV-1a(KeyBytes()) = %#x\n%s", hCold, hKeyed, want, keyed)
+	}
+	if got := model.KeyHash(key); got != want {
+		t.Fatalf("KeyHash(KeyBytes()) = %#x, FNV-1a = %#x", got, want)
+	}
+}
+
 // FuzzConfigKeyHash asserts, for arbitrary pairs of reachable
 // configurations, that the key and the hash/intern layer agree exactly with
 // the definition of a configuration: equal KeyBytes ⇔ SameState(a, b) ⇔
-// Equal(a, b), SameState implies equal hashes, and the interner assigns
-// equal IDs exactly to the same configurations.
+// Equal(a, b), SameState implies equal hashes, the streamed hash is the
+// standard library's FNV-1a of the key whether or not the key was built
+// first, and the interner assigns equal IDs exactly to the same
+// configurations.
 func FuzzConfigKeyHash(f *testing.F) {
 	f.Add(byte(3), []byte{0, 1, 2}, byte(3), []byte{2, 1, 0})
 	f.Add(byte(1), []byte{}, byte(1), []byte{})
@@ -60,6 +89,8 @@ func FuzzConfigKeyHash(f *testing.F) {
 			t.Skip("walk too long")
 		}
 		pr := protocols.NewNaiveMajority(3)
+		checkHashContract(t, func() *model.Config { return walkFrom(t, pr, inputsFrom(ina, 3), wa) })
+		checkHashContract(t, func() *model.Config { return walkFrom(t, pr, inputsFrom(inb, 3), wb) })
 		a := walkFrom(t, pr, inputsFrom(ina, 3), wa)
 		b := walkFrom(t, pr, inputsFrom(inb, 3), wb)
 
@@ -253,40 +284,6 @@ func TestHashInternAgreementOnReachableSet(t *testing.T) {
 	}
 	if it.Len() > len(all) {
 		t.Fatalf("interner Len %d exceeds configurations interned %d", it.Len(), len(all))
-	}
-}
-
-// TestInternTag covers the auxiliary-tag hook the valency atlas is built
-// on: first-interner-wins tag semantics, Tag lookups, and independence from
-// the interner's own IDs.
-func TestInternTag(t *testing.T) {
-	pr := protocols.NewNaiveMajority(3)
-	a := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	b := walkFrom(t, pr, model.Inputs{0, 1, 1}, []byte{0})
-	aDup := model.MustInitial(pr, model.Inputs{0, 1, 1})
-
-	it := model.NewInterner()
-	if got, fresh := it.InternTag(a, 7); !fresh || got != 7 {
-		t.Fatalf("InternTag(a, 7) = (%d, %v), want (7, true)", got, fresh)
-	}
-	if got, fresh := it.InternTag(b, 9); !fresh || got != 9 {
-		t.Fatalf("InternTag(b, 9) = (%d, %v), want (9, true)", got, fresh)
-	}
-	// A duplicate keeps the first tag, whatever the caller proposes.
-	if got, fresh := it.InternTag(aDup, 1234); fresh || got != 7 {
-		t.Fatalf("InternTag(dup, 1234) = (%d, %v), want (7, false)", got, fresh)
-	}
-	if tag, ok := it.Tag(aDup); !ok || tag != 7 {
-		t.Fatalf("Tag(a) = (%d, %v), want (7, true)", tag, ok)
-	}
-	if tag, ok := it.Tag(b); !ok || tag != 9 {
-		t.Fatalf("Tag(b) = (%d, %v), want (9, true)", tag, ok)
-	}
-	if _, ok := it.Tag(walkFrom(t, pr, model.Inputs{0, 1, 1}, []byte{1})); ok {
-		t.Fatal("Tag of a never-interned configuration reported ok")
-	}
-	if it.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", it.Len())
 	}
 }
 
