@@ -83,10 +83,10 @@ type job struct {
 	// binary canonical key whose hash lands in a shard this worker
 	// replicates, interned by fingerprint with full-key confirmation
 	// (fingerprint collisions cost a byte comparison, never correctness).
-	// Keys arrive as wireKeys and are copied into the interner's per-shard
-	// arenas; a dedup hit allocates nothing, and because the interner has
-	// one key namespace the expand phase probes it with the successor
-	// configuration itself. Replicas of one shard apply the same dedup
+	// Keys arrive as wireKeys and are copied into the interner's arena; a
+	// dedup hit allocates nothing, and because the interner has one key
+	// namespace the expand phase probes it with the successor configuration
+	// itself. Replicas of one shard apply the same dedup
 	// batches in the same order, so their slices are identical at every
 	// chunk boundary. The interner is the Worker's, emptied for this job.
 	visited *model.Interner

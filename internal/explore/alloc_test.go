@@ -158,6 +158,32 @@ func TestAllocsBytesPerSuccessor(t *testing.T) {
 	}
 }
 
+// TestAllocsCacheHit pins a valency cache hit to what building the queried
+// configuration costs: Classify of a configuration Equal to a memoized one
+// but built apart from it fingerprints it and settles the hit on its
+// fields, so it allocates what its MustApply does and nothing more — no
+// key is built, nothing is copied out of the memo.
+func TestAllocsCacheHit(t *testing.T) {
+	pr := protocols.NewNaiveMajority(3)
+	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
+	e := model.Events(root)[0]
+	cache := explore.NewCache(pr, explore.Options{})
+	memoized := cache.Classify(model.MustApply(pr, root, e))
+	built := testing.AllocsPerRun(200, func() { model.MustApply(pr, root, e) })
+	hit := testing.AllocsPerRun(200, func() {
+		if got := cache.Classify(model.MustApply(pr, root, e)); got.Valency != memoized.Valency {
+			t.Fatalf("a memo hit answers %s, the memo holds %s", got.Valency, memoized.Valency)
+		}
+	})
+	t.Logf("a memo hit allocates %.1f/op; MustApply %.1f", hit, built)
+	if hit > built {
+		t.Fatalf("a memo hit allocates %.1f/op, MustApply %.1f", hit, built)
+	}
+	if hits, misses := cache.Stats(); misses != 1 || hits < 200 {
+		t.Fatalf("stats hits=%d misses=%d: the built copies were not answered from the memo", hits, misses)
+	}
+}
+
 // expandKernels sizes every registry protocol for BenchmarkExpand: the four
 // explore-wide kernels at the benchmark's own sizes, the rest at three.
 var expandKernels = map[string]int{

@@ -231,10 +231,10 @@ func (a *Atlas) IDOf(c *model.Config) (int32, bool) {
 	}
 	a.keysOnce.Do(func() {
 		for i, k := range a.g.Keys {
-			a.index.insert(model.KeyHash(k), int32(i))
+			a.index.Insert(model.KeyHash(k), int32(i))
 		}
 	})
-	return a.index.find(c.Hash(), func(id int32) bool { return bytes.Equal(a.g.Keys[id], c.KeyBytes()) })
+	return a.index.Find(c.Hash(), func(id int32) bool { return bytes.Equal(a.g.Keys[id], c.KeyBytes()) })
 }
 
 // ValencyAt returns the exact valency class of node id.

@@ -281,6 +281,34 @@ func TestCacheWarmAnswersFromAtlas(t *testing.T) {
 	if misses != 0 {
 		t.Errorf("%d per-configuration classifications ran behind a full atlas (hits=%d)", misses, hits)
 	}
+
+	// Warming again with the same atlas is a no-op; a second atlas is
+	// attached beside it and changes no answer the first one gave.
+	rootB := model.MustInitial(pr, in(1, 0, 0))
+	b, ok := explore.BuildAtlas(pr, rootB, opt)
+	if !ok {
+		t.Fatal("second atlas refused to build")
+	}
+	cache.Warm(a)
+	cache.Warm(b)
+	if n := explore.AttachedAtlases(cache); n != 2 {
+		t.Fatalf("%d atlases attached after warming a, a again and b, want 2", n)
+	}
+	if !cache.Covers(root) || !cache.Covers(rootB) {
+		t.Fatalf("covers a's root %v, b's root %v; want both", cache.Covers(root), cache.Covers(rootB))
+	}
+	for id := int32(0); id < int32(a.Len()); id++ {
+		want := a.InfoAt(id)
+		if got := cache.Classify(a.Config(id)); got.Valency != want.Valency || got.Exact != want.Exact {
+			t.Fatalf("after rewarming, node %d: cache says %s/%v, atlas says %s/%v", id, got.Valency, got.Exact, want.Valency, want.Exact)
+		}
+	}
+	if want, got := b.InfoAt(0), cache.Classify(rootB); got.Valency != want.Valency || got.Exact != want.Exact {
+		t.Fatalf("b's root: cache says %s/%v, atlas says %s/%v", got.Valency, got.Exact, want.Valency, want.Exact)
+	}
+	if _, misses := cache.Stats(); misses != 0 {
+		t.Errorf("%d per-configuration classifications ran behind two full atlases", misses)
+	}
 }
 
 // TestCacheTryWarm pins TryWarm's contract: success on coverable roots,

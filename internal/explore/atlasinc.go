@@ -224,7 +224,7 @@ func RestoreAtlasBuilder(pr model.Protocol, root *model.Config, snap *AtlasSnaps
 		}
 	}
 	for i, c := range b.cfgs {
-		b.index.insert(c.Hash(), int32(i))
+		b.index.Insert(c.Hash(), int32(i))
 	}
 	return b, nil
 }

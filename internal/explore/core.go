@@ -29,7 +29,7 @@ type core struct {
 	// index maps configurations to node ids by fingerprint, hits settled
 	// by cfgs[id].Equal. A store-loaded atlas, whose cfgs materialize
 	// lazily, fills it on first use from g.Keys instead (Atlas.IDOf).
-	index   nodeIndex
+	index   model.Index
 	cfgs    []*model.Config
 	g       AtlasSnapshot
 	edges   bool
@@ -54,7 +54,7 @@ func (c *core) admit(cfg *model.Config, parent int32, via model.Event) {
 	if parent >= 0 {
 		d = c.g.Depth[parent] + 1
 	}
-	c.index.insert(cfg.Hash(), int32(len(c.cfgs)))
+	c.index.Insert(cfg.Hash(), int32(len(c.cfgs)))
 	c.cfgs = append(c.cfgs, cfg)
 	c.g.Depth = append(c.g.Depth, d)
 	c.g.Parent = append(c.g.Parent, parent)
@@ -63,7 +63,7 @@ func (c *core) admit(cfg *model.Config, parent int32, via model.Event) {
 
 // lookup returns the id of the node whose configuration is cfg.
 func (c *core) lookup(cfg *model.Config) (int32, bool) {
-	return c.index.find(cfg.Hash(), func(id int32) bool { return c.cfgs[id].Equal(cfg) })
+	return c.index.Find(cfg.Hash(), func(id int32) bool { return c.cfgs[id].Equal(cfg) })
 }
 
 // step takes event e on cfg, which must be admitted, and returns its
@@ -78,7 +78,7 @@ func (c *core) step(sc *scratch, cfg *model.Config, e model.Event) (cand, bool) 
 		return cand{}, false
 	}
 	s := cand{via: e}
-	if id, dup := c.index.find(d.Hash(), func(id int32) bool { return d.Same(c.cfgs[id]) }); dup {
+	if id, dup := c.index.Find(d.Hash(), func(id int32) bool { return d.Same(c.cfgs[id]) }); dup {
 		s.to = id
 	} else {
 		s.cfg = d.Build()

@@ -73,14 +73,13 @@
 // [ReferenceExplore] is the oracle: the fused sequential loop that steps
 // the protocol for every event of every expanded node and looks nothing
 // up. It shares the event filter and the admission [Ledger] with the core
-// but neither its loop, its rule nor its index — it dedups through
-// [model.Interner], on built keys — and no option selects
-// it; package enginetest holds every engine to it — the core and the
-// builder here, the cluster, the store, the conformance harness — and
-// diamondrule_test.go re-derives every edge the core records with a
-// protocol step.
+// but neither its loop, its rule nor its index — it dedups in a Go map of
+// built keys — and no option selects it; package enginetest holds every
+// engine to it — the core and the builder here, the cluster, the store,
+// the conformance harness — and diamondrule_test.go re-derives every edge
+// the core records with a protocol step.
 //
-// Deduplication uses the core's own index over its node table: an
+// Deduplication indexes the core's node table in a [model.Index]: an
 // open-addressed table of (fingerprint, node id) slots with no pointers, no
 // locks and no allocation per key, written only by the coordinator. The
 // fingerprint is [model.Config.Hash], FNV-1a streamed over the

@@ -1,55 +1,11 @@
 package explore
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
 )
-
-// TestNodeIndexCollisions drives the node index through its growth with
-// fingerprints that cannot tell nodes apart: every node under one
-// fingerprint, and every node under a distinct fingerprint equal to the
-// others modulo every table size the index reaches. After each insert find
-// must return each member's own id — only same can say which — and refuse
-// a non-member probed under a colliding fingerprint.
-func TestNodeIndexCollisions(t *testing.T) {
-	const nodes = 300 // grows the table from 16 to 1,024 slots
-	for _, tc := range []struct {
-		name string
-		fp   func(i int) uint64
-	}{
-		{"one fingerprint", func(int) uint64 { return 0x9e3779b97f4a7c15 }},
-		{"equal modulo table size", func(i int) uint64 { return uint64(i+1)<<40 | 5 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var x nodeIndex
-			vals := make([]string, 0, nodes) // node id → the node's value
-			find := func(h uint64, v string) (int32, bool) {
-				return x.find(h, func(id int32) bool { return vals[id] == v })
-			}
-			for i := 0; i < nodes; i++ {
-				vals = append(vals, fmt.Sprintf("node %d", i))
-				x.insert(tc.fp(i), int32(i))
-				for j := 0; j <= i; j++ {
-					if id, ok := find(tc.fp(j), vals[j]); !ok || id != int32(j) {
-						t.Fatalf("after %d inserts (%d slots): find(node %d) = (%d, %v)", i+1, len(x.slots), j, id, ok)
-					}
-				}
-				if id, ok := find(tc.fp(i), "not a node"); ok {
-					t.Fatalf("after %d inserts: a non-member was found as node %d", i+1, id)
-				}
-			}
-			if len(x.slots) < 2*nodes {
-				t.Fatalf("%d nodes in %d slots: the table must double at half load", nodes, len(x.slots))
-			}
-			if _, ok := (&nodeIndex{}).find(tc.fp(0), func(int32) bool { return true }); ok {
-				t.Fatal("an empty index found a node")
-			}
-		})
-	}
-}
 
 // TestAtlasIDOfConfirmsHits plants a fingerprint collision in both kinds of
 // atlas index — a configuration that is no node, indexed under its own
@@ -72,7 +28,7 @@ func TestAtlasIDOfConfirmsHits(t *testing.T) {
 		if _, ok := a.IDOf(root); !ok { // a loaded atlas fills its index here
 			t.Fatalf("%s: the root is not found", kind)
 		}
-		a.index.insert(stranger.Hash(), 0)
+		a.index.Insert(stranger.Hash(), 0)
 		if id, ok := a.IDOf(stranger); ok {
 			t.Fatalf("%s: a fingerprint hit on node %d was taken without comparing", kind, id)
 		}
@@ -132,4 +88,31 @@ func TestAllocsDuplicateCandidate(t *testing.T) {
 		return
 	}
 	t.Fatal("no delivery edge in the table")
+}
+
+// TestCacheClassifyConfirmsHits plants a memo entry for one configuration
+// under another's fingerprint and requires Classify of the other to answer
+// for itself: a fingerprint hit is settled by Config.Equal on the memoized
+// configuration, so the planted entry costs a comparison and a miss, never
+// a wrong classification.
+func TestCacheClassifyConfirmsHits(t *testing.T) {
+	pr := protocols.NewNaiveMajority(3)
+	a := model.MustInitial(pr, model.Inputs{0, 0, 0})
+	b := model.MustInitial(pr, model.Inputs{1, 1, 1})
+	vc := NewCache(pr, Options{})
+	infoA, want := Classify(pr, a, vc.opt), Classify(pr, b, vc.opt)
+	if infoA.Valency == want.Valency {
+		t.Fatalf("a and b are both %s: the plant could not be told apart", want.Valency)
+	}
+	vc.index.Insert(b.Hash(), 0)
+	vc.memo = append(vc.memo, memoEntry{cfg: a, info: infoA})
+	if got := vc.Classify(b); got.Valency != want.Valency || got.Exact != want.Exact {
+		t.Fatalf("Classify(b) = %s/%v, want b's %s/%v (a's entry is %s)", got.Valency, got.Exact, want.Valency, want.Exact, infoA.Valency)
+	}
+	if hits, misses := vc.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("stats hits=%d misses=%d, want 0, 1: a fingerprint hit was taken without comparing", hits, misses)
+	}
+	if vc.Len() != 2 {
+		t.Fatalf("Len = %d, want 2: b is memoized beside the plant", vc.Len())
+	}
 }

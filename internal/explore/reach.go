@@ -63,19 +63,18 @@ type node struct {
 }
 
 // ReferenceExplore is ExploreFiltered as a plain sequential loop: one
-// protocol step per applicable event of every expanded node, one interner
-// probe per successor, nothing looked up. No Options value routes to it
+// protocol step per applicable event of every expanded node, one map probe
+// per successor, nothing looked up. No Options value routes to it
 // (Workers is ignored). It exists as the oracle: it shares the event
 // filter and the admission Ledger with the core but neither its loop, its
-// diamond rule nor its dedup (a model.Interner on built keys, where the
-// core has its node index), and the differential tests of this
-// package, package conformance and package distexplore hold every engine
-// to its visit stream and counts.
+// diamond rule nor its dedup (a Go map of built keys, where the core has
+// its fingerprint index), and the differential tests of this package,
+// package conformance and package distexplore hold every engine to its
+// visit stream and counts.
 func ReferenceExplore(pr model.Protocol, c *model.Config, opt Options, skip func(model.Event) bool, visit Visit) (complete bool, visited int) {
 	led := NewLedger(opt)
 	nodes := []node{{cfg: c, depth: 0, parent: -1}}
-	seen := model.NewInterner()
-	seen.Intern(c)
+	seen := map[string]bool{string(c.KeyBytes()): true}
 	pathOf := func(i int) func() model.Schedule {
 		return func() model.Schedule {
 			return treePath(i, nodes[i].depth, func(j int) (int, model.Event) { return nodes[j].parent, nodes[j].via })
@@ -84,7 +83,7 @@ func ReferenceExplore(pr model.Protocol, c *model.Config, opt Options, skip func
 
 	// Expansion and merging are fused so the event loop can break the
 	// moment a fresh successor overflows the budget, skipping the protocol
-	// steps and fingerprints for the rest of the node's events.
+	// steps and key probes for the rest of the node's events.
 	for i := 0; i < len(nodes); i++ {
 		n := nodes[i]
 		if visit != nil && visit(n.cfg, n.depth, pathOf(i)) {
@@ -101,9 +100,11 @@ func ReferenceExplore(pr model.Protocol, c *model.Config, opt Options, skip func
 			if nc == nil {
 				continue
 			}
-			if _, fresh := seen.Intern(nc); !fresh {
+			k := string(nc.KeyBytes())
+			if seen[k] {
 				continue
 			}
+			seen[k] = true
 			if !led.Admit() {
 				break
 			}

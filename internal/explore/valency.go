@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -131,36 +130,34 @@ func Classify(pr model.Protocol, c *model.Config, opt Options) ValencyInfo {
 	return info
 }
 
-// cacheShardCount is the number of independently locked shards of a
-// Cache; a power of two so shard selection is a mask.
-const cacheShardCount = 32
-
-// Cache memoizes valency classifications by configuration identity,
-// resolved by 64-bit fingerprint with canonical-key confirmation. All
-// entries in one cache must be produced with the same Options for the
-// memoization to be meaningful; Cache enforces that by carrying the
-// Options itself.
+// Cache memoizes valency classifications by configuration identity:
+// fingerprints in a model.Index, every hit confirmed by Config.Equal
+// against the memoized configuration. All entries in one cache must be
+// produced with the same Options for the memoization to be meaningful;
+// Cache enforces that by carrying the Options itself.
 //
-// Thread-safety contract: every method is safe for concurrent use. The
-// entry table is sharded by configuration fingerprint and the hit/miss
-// counters are atomic. Classification itself runs outside the shard
-// locks, so concurrent Classify calls for the same configuration may each
-// compute the result; classification is deterministic, the computed
-// results are identical, and the first store wins, so all callers observe
-// one canonical ValencyInfo. A concurrent compute that loses the store
-// race still counts as a miss in Stats — misses count classifications
-// performed, hits count lookups answered from memory, where "memory"
-// includes any valency atlas attached with Warm.
+// Thread-safety contract: every method is safe for concurrent use. One
+// mutex guards the index and the memo column, and the hit/miss counters
+// are atomic. Classification itself runs outside the lock, so concurrent
+// Classify calls for the same configuration may each compute the result;
+// classification is deterministic, the computed results are identical,
+// and the first store wins, so all callers observe one canonical
+// ValencyInfo. A concurrent compute that loses the store race still counts
+// as a miss in Stats — misses count classifications performed, hits count
+// lookups answered from memory, where "memory" includes any valency atlas
+// attached with Warm.
 type Cache struct {
 	pr     model.Protocol
 	opt    Options
 	probe  *ProbeOptions
-	shards [cacheShardCount]cacheShard
+	mu     sync.Mutex
+	index  model.Index
+	memo   []memoEntry // by index id
 	hits   atomic.Int64
 	misses atomic.Int64
 
 	// atlases holds the valency atlases attached by Warm, consulted on
-	// shard misses before any per-configuration classification runs. The
+	// memo misses before any per-configuration classification runs. The
 	// slice is replaced copy-on-write under warmMu; readers load it
 	// atomically.
 	atlases atomic.Pointer[[]*Atlas]
@@ -174,22 +171,13 @@ type Cache struct {
 	builds *AtlasCache
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[uint64][]cacheEntry
-}
-
-type cacheEntry struct {
-	key  []byte // binary canonical key (Config.KeyBytes)
+type memoEntry struct {
+	cfg  *model.Config
 	info ValencyInfo
 }
 
 func newCache(pr model.Protocol, opt Options, probe *ProbeOptions) *Cache {
-	vc := &Cache{pr: pr, opt: opt.withDefaults(), probe: probe, builds: NewAtlasCache()}
-	for i := range vc.shards {
-		vc.shards[i].entries = make(map[uint64][]cacheEntry)
-	}
-	return vc
+	return &Cache{pr: pr, opt: opt.withDefaults(), probe: probe, builds: NewAtlasCache()}
 }
 
 // ShareAtlasBuilds makes vc source its TryWarm atlas builds from ac
@@ -215,46 +203,48 @@ func NewSmartCache(pr model.Protocol, opt Options, popt ProbeOptions) *Cache {
 // Classify returns the memoized classification of c.
 func (vc *Cache) Classify(c *model.Config) ValencyInfo {
 	h := c.Hash()
-	sh := &vc.shards[h&(cacheShardCount-1)]
-	key := c.KeyBytes()
-
-	sh.mu.Lock()
-	for _, e := range sh.entries[h] {
-		if bytes.Equal(e.key, key) {
-			sh.mu.Unlock()
-			vc.hits.Add(1)
-			return e.info
-		}
+	vc.mu.Lock()
+	info, ok := vc.lookup(h, c)
+	vc.mu.Unlock()
+	if ok {
+		vc.hits.Add(1)
+		return info
 	}
-	sh.mu.Unlock()
 
 	if info, ok := vc.atlasInfo(c); ok {
 		vc.hits.Add(1)
-		return vc.store(sh, h, key, info)
+		return vc.store(h, c, info)
 	}
 
 	vc.misses.Add(1)
-	var info ValencyInfo
 	if vc.probe != nil {
 		info = ClassifySmart(vc.pr, c, vc.opt, *vc.probe)
 	} else {
 		info = Classify(vc.pr, c, vc.opt)
 	}
-
-	return vc.store(sh, h, key, info)
+	return vc.store(h, c, info)
 }
 
-// store memoizes info for (h, key) unless a concurrent call stored first,
-// returning the entry every caller will observe from now on.
-func (vc *Cache) store(sh *cacheShard, h uint64, key []byte, info ValencyInfo) ValencyInfo {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.entries[h] {
-		if bytes.Equal(e.key, key) {
-			return e.info // a concurrent classification stored first
-		}
+// lookup returns the memoized classification of c, fingerprint h; vc.mu
+// must be held.
+func (vc *Cache) lookup(h uint64, c *model.Config) (ValencyInfo, bool) {
+	id, ok := vc.index.Find(h, func(id int32) bool { return vc.memo[id].cfg.Equal(c) })
+	if !ok {
+		return ValencyInfo{}, false
 	}
-	sh.entries[h] = append(sh.entries[h], cacheEntry{key: key, info: info})
+	return vc.memo[id].info, true
+}
+
+// store memoizes info for c, fingerprint h, unless a concurrent call
+// stored first, returning the entry every caller will observe from now on.
+func (vc *Cache) store(h uint64, c *model.Config, info ValencyInfo) ValencyInfo {
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	if first, ok := vc.lookup(h, c); ok {
+		return first // a concurrent classification stored first
+	}
+	vc.index.Insert(h, int32(len(vc.memo)))
+	vc.memo = append(vc.memo, memoEntry{cfg: c, info: info})
 	return info
 }
 
@@ -274,11 +264,11 @@ func (vc *Cache) atlasInfo(c *model.Config) (ValencyInfo, bool) {
 
 // Warm attaches atlas to the cache: every configuration in the atlas's
 // exhausted reachable set is answered from its backward-propagated
-// decision bits — counted as a hit, memoized into the shard table on first
-// query — instead of a per-configuration search. Atlas answers are exact
-// and agree with what Classify under the cache's options would compute
-// (witness schedules may differ; lengths do not, both being shortest), so
-// warming never changes a caller-observable classification, only its cost.
+// decision bits — counted as a hit, memoized on first query — instead of
+// a per-configuration search. Atlas answers are exact and agree with what
+// Classify under the cache's options would compute (witness schedules may
+// differ; lengths do not, both being shortest), so warming never changes a
+// caller-observable classification, only its cost.
 // Several atlases may be attached; they are consulted in attachment order.
 // Attaching an atlas that is already attached is a no-op — the build cache
 // hands out one shared *Atlas per key, so pointer identity is the dedup.
@@ -336,14 +326,7 @@ func (vc *Cache) Stats() (hits, misses int) {
 // Len returns the number of memoized configurations. Safe for concurrent
 // use.
 func (vc *Cache) Len() int {
-	n := 0
-	for i := range vc.shards {
-		sh := &vc.shards[i]
-		sh.mu.Lock()
-		for _, es := range sh.entries {
-			n += len(es)
-		}
-		sh.mu.Unlock()
-	}
-	return n
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	return len(vc.memo)
 }

@@ -112,11 +112,10 @@ func TestAllocsInternKey(t *testing.T) {
 }
 
 // TestAllocsInternKeySmallJob pins the arena growth rule: a visited set of
-// 400 transmitted keys — one budgeted distributed job — spreads over every
-// interner shard, and with fixed 64 KiB arena chunks it cleared 4 MiB to
-// hold well under 100 KB of keys. Chunks that start at 1 KiB and double
-// keep the whole interner below 256 KiB. The same entries must answer
-// Lookup and Intern by configuration: one key namespace.
+// 400 transmitted keys — one budgeted distributed job — holds well under
+// 100 KB of keys. Chunks that start at 1 KiB and double keep the whole
+// interner below 256 KiB. The same entries must answer Lookup and Intern by
+// configuration: one key namespace.
 func TestAllocsInternKeySmallJob(t *testing.T) {
 	factory, _ := protocols.Lookup("paxos")
 	pr, err := factory(3)

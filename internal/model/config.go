@@ -259,9 +259,9 @@ func KeyHash(key []byte) uint64 { return fingerprint(fnvAdd(fnvOffset64, key)) }
 // length and, per entry, count, 'x', message key and ';' — so the key
 // itself is never built here, cached or not. Equal configurations always
 // have equal hashes; unequal configurations collide only with fingerprint
-// probability, and every user of the hash (Equal, Interner, the explorer's
-// node index) confirms candidate matches against the configuration's
-// fields or canonical key, so a collision can never conflate two distinct
+// probability, and every user of the hash (Equal, and every table built on
+// Index) confirms candidate matches against the configuration's fields or
+// canonical key, so a collision can never conflate two distinct
 // system states. Hash is cached and safe for concurrent use.
 func (c *Config) Hash() uint64 {
 	if h := c.hash.Load(); h != 0 {

@@ -287,11 +287,39 @@ func TestHashInternAgreementOnReachableSet(t *testing.T) {
 	}
 }
 
+// TestInternerKeyCollision interns two different keys under one forced
+// fingerprint: the index offers each as the other's candidate, and only the
+// key comparison may tell them apart. Both are fresh, get distinct IDs and
+// are found again under their own.
+func TestInternerKeyCollision(t *testing.T) {
+	const h = 0x9e3779b97f4a7c15
+	keys := [][]byte{[]byte("first key"), []byte("second key")}
+	it := model.NewInterner()
+	var ids [2]uint64
+	for i, k := range keys {
+		var fresh bool
+		if ids[i], fresh = it.InternKey(h, k); !fresh {
+			t.Fatalf("key %q under a shared fingerprint reported as seen", k)
+		}
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("two different keys share ID %d", ids[0])
+	}
+	for i, k := range keys {
+		if id, fresh := it.InternKey(h, k); fresh || id != ids[i] {
+			t.Fatalf("key %q again = (%d, %v), want (%d, false)", k, id, fresh, ids[i])
+		}
+	}
+	if it.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", it.Len())
+	}
+}
+
 // TestInternerConcurrent hammers one interner from many goroutines over an
 // overlapping set of configurations: every goroutine must observe the same
 // ID for the same configuration, and the table must end up with exactly
-// the distinct count. Run under -race this also checks the sharded table's
-// synchronization.
+// the distinct count. Run under -race this also checks the table's
+// locking.
 func TestInternerConcurrent(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
 	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
@@ -351,9 +379,11 @@ func TestInternerConcurrent(t *testing.T) {
 // after job — relies on when it empties its visited set instead of building
 // another: after Reset nothing interned before is found, Len is zero, the
 // same keys intern as fresh with the IDs a new interner would give them, and
-// refilling costs one allocation per key (its bucket) and nothing else — no
-// arena chunk, no table. Goroutines intern concurrently on either side of
-// the reset, which under -race checks that Reset takes the shard locks.
+// refilling costs at most one allocation per key and nothing else — no
+// arena chunk, no table (the index's slots and the key column are kept, so
+// the refill itself allocates nothing). Goroutines intern concurrently on
+// either side of the reset, which under -race checks that Reset takes the
+// lock.
 func TestInternerReset(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
 	seen := map[string]bool{}
@@ -404,7 +434,7 @@ func TestInternerReset(t *testing.T) {
 
 	refill := testing.AllocsPerRun(20, func() { it.Reset(); internAll(it) })
 	fresh := testing.AllocsPerRun(20, func() { internAll(model.NewInterner()) })
-	// internAll allocates its ID slice; every key allocates its bucket.
+	// internAll allocates its ID slice; the limit allows one more per key.
 	if limit := float64(len(cfgs) + 1); refill > limit {
 		t.Errorf("refilling after Reset allocates %.0f times for %d keys, want at most %.0f", refill, len(cfgs), limit)
 	}
