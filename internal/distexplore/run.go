@@ -231,7 +231,10 @@ func (r *run) visitNode(i int) bool {
 	return r.visit != nil && r.visit(r.cfgs[i], int(r.nodes.Depth[i]), r.pathOf(i))
 }
 
-// pathOf defers node i's schedule until a visit asks for it.
+// pathOf defers node i's schedule until a visit asks for it. The run's
+// node table outlives the run, so this path answers after its visit too;
+// explore.Visit's contract does not promise that, and no caller relies on
+// it.
 func (r *run) pathOf(i int) func() model.Schedule {
 	return func() model.Schedule { return r.nodes.PathTo(i) }
 }

@@ -149,7 +149,9 @@ type AtlasBuilder struct {
 // NewAtlasBuilder returns a builder holding just the root, nothing
 // expanded.
 func NewAtlasBuilder(pr model.Protocol, root *model.Config) *AtlasBuilder {
-	return &AtlasBuilder{core: newCore(pr, root, nil, true)}
+	b := &AtlasBuilder{core: core{edges: true}}
+	b.init(pr, root, nil)
+	return b
 }
 
 // Expanded returns the number of nodes whose successor lists are closed.
@@ -198,6 +200,7 @@ func (b *AtlasBuilder) Finish() (*Atlas, bool) {
 		return nil, false
 	}
 	b.finished = true
+	b.mem = walkMem{} // the atlas expands nothing: keep no scratch alive with it
 	a := &Atlas{core: b.core}
 	a.buildPred()
 	a.g.Dist0 = a.distToValue(model.V0)

@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"github.com/flpsim/flp/internal/model"
 )
@@ -34,14 +35,84 @@ type core struct {
 	g       AtlasSnapshot
 	edges   bool
 	rowBase int
+	mem     walkMem
 }
 
-// newCore returns a core holding just the root, nothing expanded.
-func newCore(pr model.Protocol, root *model.Config, skip func(model.Event) bool, edges bool) core {
-	c := core{pr: pr, skip: skip, edges: edges}
+// walkMem is the memory walk expands in and outlives no walk's result:
+// the pool's successor buffers, the inline row, and one scratch per
+// expanding goroutine. It travels with its core — across a builder's
+// Extend calls, and with a recycled table (tables) into the next
+// exploration.
+type walkMem struct {
+	pool   candPool
+	inline []cand
+	scr    []scratch
+}
+
+// init makes an empty core hold just root, nothing expanded.
+func (c *core) init(pr model.Protocol, root *model.Config, skip func(model.Event) bool) {
+	c.pr, c.skip = pr, skip
 	c.admit(root, -1, model.Event{})
-	c.g.SuccStart = []int32{0} // CSR sentinel: node u's edges are SuccStart[u]:SuccStart[u+1]
+	c.g.SuccStart = append(c.g.SuccStart, 0) // CSR sentinel: node u's edges are SuccStart[u]:SuccStart[u+1]
+}
+
+// tables holds the cores of finished explorations (ExploreFiltered) for
+// the next one to walk on, so an exploration allocates its configurations
+// — protocol states, their keys, buffers — and, once the pool is warm,
+// next to nothing else: node columns, index slots, rows, successor buffers
+// and scratch are the last walk's. Cores a result outlives (builders,
+// atlases) never enter it.
+var tables sync.Pool
+
+// Bounds on what tables keeps. A core whose node columns hold more than
+// keepNodes is left to the collector, which bounds one pooled table at
+// about 4 MB; so is one whose columns are more than keepSlack times the
+// size of the walk that just used it, once past keepFloor, so that a small
+// exploration after a huge one never pays to empty the huge table.
+const (
+	keepNodes = 1 << 14
+	keepSlack = 8
+	keepFloor = 1 << 10
+)
+
+// acquireCore returns a core from tables, or a new one, holding just root.
+func acquireCore(pr model.Protocol, root *model.Config, skip func(model.Event) bool) *core {
+	c, _ := tables.Get().(*core)
+	if c == nil {
+		c = new(core)
+	}
+	c.init(pr, root, skip)
 	return c
+}
+
+// release empties a finished walk's core into tables and reports whether
+// it was kept. Every column that holds pointers is cleared over its whole
+// capacity — dropRowsBefore leaves rows past len — so a pooled table keeps
+// no configuration of a finished exploration alive. A walk that panicked
+// never gets here: its table is dropped, not recycled.
+func (c *core) release() (kept bool) {
+	if n := cap(c.cfgs); n > keepNodes || n > keepFloor && n > keepSlack*c.Len() {
+		return false
+	}
+	clear(c.cfgs[:cap(c.cfgs)])
+	clear(c.g.ParentVia[:cap(c.g.ParentVia)])
+	clear(c.g.SuccVia[:cap(c.g.SuccVia)])
+	m := &c.mem
+	m.pool.recycle(m.pool.exps[:cap(m.pool.exps)]) // a level a stop left unmerged
+	clear(m.inline[:cap(m.inline)])
+	for i := range m.scr {
+		clear(m.scr[i].evs[:cap(m.scr[i].evs)])
+		m.scr[i].dr.Reset()
+	}
+	c.index.Reset()
+	c.cfgs = c.cfgs[:0]
+	c.g = AtlasSnapshot{
+		Depth: c.g.Depth[:0], Parent: c.g.Parent[:0], ParentVia: c.g.ParentVia[:0],
+		SuccStart: c.g.SuccStart[:0], SuccTo: c.g.SuccTo[:0], SuccVia: c.g.SuccVia[:0],
+	}
+	c.pr, c.skip, c.rowBase = nil, nil, 0
+	tables.Put(c)
+	return true
 }
 
 // Len returns the number of admitted nodes.
@@ -117,12 +188,31 @@ type scratch struct {
 // that records none carries on, so every admitted node is still visited;
 // its rows stay a closed prefix all the same, because the only row it can
 // leave open is the one that seals the ledger, after which nothing expands.
+//
+// Every visit of one walk gets the same path func, which reads the node
+// being visited; between visits and after the walk it panics (Visit's
+// contract), so a retained path cannot read a table that has moved on to
+// another walk.
 func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 	led := NewLedger(opt)
 	led.Count = c.Len()
-	var pool candPool
-	var inline []cand
-	scr := make([]scratch, max(1, opt.Workers))
+	m := &c.mem
+	if n := max(1, opt.Workers); len(m.scr) < n {
+		m.scr = append(m.scr, make([]scratch, n-len(m.scr))...)
+	}
+	sc := &m.scr[0] // the coordinator's
+	var cur *int // the node being visited, -1 between visits
+	var path func() model.Schedule
+	if visit != nil {
+		cur = new(int)
+		*cur = -1
+		path = func() model.Schedule {
+			if *cur < 0 {
+				panic("explore: path called outside its visit")
+			}
+			return c.g.PathTo(*cur)
+		}
+	}
 	end := from
 	for end < len(c.cfgs) && c.g.Depth[end] == c.g.Depth[from] {
 		end++
@@ -138,26 +228,31 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 			var exps [][]cand
 			if opt.Workers > 1 && !led.Sealed() && !opt.DepthCapped(depth) {
 				hi = lo + SpecChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, opt.Workers)
-				exps = c.expandLevel(lo, hi, opt.Workers, &pool, scr)
+				exps = c.expandLevel(lo, hi, opt.Workers)
 			}
 			for u := lo; u < hi; u++ {
-				if visit != nil && visit(c.cfgs[u], depth, func() model.Schedule { return c.g.PathTo(u) }) {
-					return false
+				if visit != nil {
+					*cur = u
+					stop := visit(c.cfgs[u], depth, path)
+					*cur = -1
+					if stop {
+						return false
+					}
 				}
 				closed := false
 				if led.ShouldExpand(depth) && !led.Sealed() {
 					if exps != nil {
-						closed = c.merge(u, exps[u-lo], led, &scr[0])
+						closed = c.merge(u, exps[u-lo], led, sc)
 					} else {
-						inline = c.expand(u, u, &scr[0], inline)
-						closed = c.merge(u, inline, led, &scr[0])
+						m.inline = c.expand(u, u, sc, m.inline)
+						closed = c.merge(u, m.inline, led, sc)
 					}
 				}
 				if c.edges && !closed {
 					return false
 				}
 			}
-			pool.recycle(exps)
+			m.pool.recycle(exps)
 			lo = hi
 		}
 	}

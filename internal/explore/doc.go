@@ -102,7 +102,13 @@
 // reproducibility of *timing* (not results; those never vary) matters. On
 // explore-wide's shape at 2 vCPUs the pool and inline expansion are within
 // each other's noise (inline sees every duplicate before building it, the
-// pool about half); the GOMAXPROCS default stands.
+// pool about half); the GOMAXPROCS default stands. There is nothing to tune
+// about memory: an exploration allocates its configurations, and its node
+// table, index, successor rows and buffers and expansion scratch are
+// recycled from the last finished exploration through a sync.Pool, up to a
+// fixed cap of 16,384 nodes per table (a table far larger than the walk
+// that used it is dropped, not kept). So a Visit's path is valid only
+// during its visit; called later it panics.
 // Valency caches ([NewCache], [NewSmartCache]) are safe for concurrent use;
 // see the Cache type's thread-safety contract.
 package explore

@@ -40,7 +40,8 @@ func TestAtlasIDOfConfirmsHits(t *testing.T) {
 // no keys and the comparison closure stays on the stack.
 func TestAllocsNodeIndexHit(t *testing.T) {
 	pr := protocols.NewOneThirdRule(4)
-	c := newCore(pr, model.MustInitial(pr, make(model.Inputs, 4)), nil, false)
+	c := new(core)
+	c.init(pr, model.MustInitial(pr, make(model.Inputs, 4)), nil)
 	c.walk(0, Options{MaxConfigs: 200, Workers: 1}, nil)
 	last := c.Len() - 1
 	dup := model.MustApply(pr, c.cfgs[c.g.Parent[last]], c.g.ParentVia[last]) // equal to the node, not the node
@@ -62,7 +63,8 @@ func TestAllocsNodeIndexHit(t *testing.T) {
 // more: no Config, process slice, buffer entries, records or message keys.
 func TestAllocsDuplicateCandidate(t *testing.T) {
 	pr := protocols.NewOneThirdRule(4)
-	c := newCore(pr, model.MustInitial(pr, make(model.Inputs, 4)), nil, false)
+	c := new(core)
+	c.init(pr, model.MustInitial(pr, make(model.Inputs, 4)), nil)
 	c.walk(0, Options{MaxConfigs: 200, Workers: 1}, nil)
 	for u := c.Len() - 1; u > 0; u-- {
 		parent, e := c.cfgs[c.g.Parent[u]], c.g.ParentVia[u]

@@ -7,11 +7,11 @@ import (
 
 // candPool recycles the per-level allocations of the level-synchronous
 // engines: the outer successor-list slice (one slot per frontier node) and
-// the per-node successor buffers. One pool serves one exploration, owned by
-// the coordinator; buffers are handed out before a level's workers start
-// and taken back after the level is merged, so no worker ever touches the
-// free list concurrently. In steady state a level costs zero successor
-// allocations beyond frontier growth itself.
+// the per-node successor buffers. One pool serves one core at a time (its
+// walkMem), owned by the coordinator; buffers are handed out before a
+// level's workers start and taken back after the level is merged, so no
+// worker ever touches the free list concurrently. In steady state a level
+// costs zero successor allocations beyond frontier growth itself.
 type candPool struct {
 	exps [][]cand // level-indexed scratch, reused every level
 	free [][]cand // recycled successor buffers, len 0, cap > 0
@@ -60,9 +60,9 @@ func (p *candPool) recycle(out [][]cand) {
 // before lo, configurations and the index included, none of which the
 // coordinator touches until every worker is done — so the only
 // coordination is work distribution: an atomic cursor hands out nodes,
-// which keeps fast workers busy when node costs are uneven. Each slot of the returned slice carries a recycled buffer from p
+// which keeps fast workers busy when node costs are uneven. Each slot of the returned slice carries a recycled buffer from c.mem.pool
 // that expand appends into; the caller must hand the slice back with
-// p.recycle once merged.
+// c.mem.pool.recycle once merged.
 //
 // A panic in any worker (a protocol contract violation surfacing through
 // a step) is re-raised on the caller's goroutine once the pool has
@@ -70,9 +70,9 @@ func (p *candPool) recycle(out [][]cand) {
 // frontier index is re-raised — the node the sequential engine would have
 // reached first — so the surfaced failure is byte-identical at every
 // worker count.
-func (c *core) expandLevel(lo, hi, workers int, p *candPool, scr []scratch) [][]cand {
+func (c *core) expandLevel(lo, hi, workers int) [][]cand {
 	n := hi - lo
-	out := p.level(n)
+	out, scr := c.mem.pool.level(n), c.mem.scr
 	if n == 1 {
 		out[0] = c.expand(lo, lo, &scr[0], out[0])
 		return out

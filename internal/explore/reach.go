@@ -9,6 +9,14 @@ import (
 // reconstructs the schedule from the root to this configuration on demand.
 // Returning stop=true ends the exploration early.
 //
+// path is valid only during its visit: call it there, or keep the schedule
+// it returns, never the func. An exploration hands every visit the same
+// func, reading a table it recycles once it returns; called after its
+// visit, path panics between visits and after the exploration, and answers
+// for the configuration being visited during a later visit. Every engine
+// that takes a Visit — the cluster's run included — is held to this
+// contract, not to whatever its own path happens to allow.
+//
 // Visit callbacks are always invoked from a single goroutine (the
 // exploration coordinator), in deterministic breadth-first order,
 // regardless of Options.Workers; they may freely mutate caller state
@@ -43,13 +51,19 @@ func Explore(pr model.Protocol, c *model.Config, opt Options, avoid *model.Event
 // being deterministic and side-effect free, which also makes it safe to
 // call from several workers.
 //
+// The walk's node table, index, successor rows and buffers come from the
+// last finished exploration and go back for the next (core.go's tables):
+// an exploration allocates its configurations, little else.
+//
 // The distributed engine (package distexplore) runs the same algorithm
 // with the frontier partitioned by configuration hash range across worker
 // processes; it shares AppendSuccessors and Ledger with this package,
 // which is what keeps its results byte-identical too.
 func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(model.Event) bool, visit Visit) (complete bool, visited int) {
-	w := newCore(pr, c, skip, false)
-	return w.walk(0, opt.withDefaults(), visit), w.Len()
+	w := acquireCore(pr, c, skip)
+	complete, visited = w.walk(0, opt.withDefaults(), visit), w.Len()
+	w.release()
+	return complete, visited
 }
 
 // node is one entry of the reference engine's breadth-first frontier.

@@ -63,8 +63,10 @@ type draftMem struct {
 }
 
 // Reset recycles the drafter's memory. Every draft it has made is invalid
-// afterwards.
+// afterwards, and the drafter keeps none of its configurations or states
+// alive.
 func (dr *Drafter) Reset() {
+	dr.d = Draft{}
 	dr.mem = draftMem{dr.mem.entries[:0], dr.mem.spans[:0], dr.mem.keys[:0]}
 }
 
