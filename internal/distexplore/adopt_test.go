@@ -75,7 +75,7 @@ func (a *adoptAudit) request(addr string, typ byte, p []byte) []byte {
 			w.cacheLevel, w.cached = q.Level, map[string]bool{}
 		}
 	case frameAdopt:
-		_, foreign, nodes, err := decodeAdoptReq(p)
+		_, foreign, nodes, err := decodeAdoptReq(p, nil, nil)
 		if err != nil || w == nil {
 			break
 		}
@@ -103,7 +103,7 @@ func (a *adoptAudit) response(addr string, typ byte, p []byte) {
 	if typ != frameExpandResp || w == nil {
 		return
 	}
-	_, cands, err := decodeCandidates(p)
+	_, cands, err := decodeCandidates(p, nil)
 	if err != nil {
 		return
 	}
@@ -188,6 +188,39 @@ func TestAdoptionIsOneStep(t *testing.T) {
 		audit.check(t, label)
 		if audit.adoptSteps != want {
 			t.Errorf("%s: %d adopt steps, pinned %d", label, audit.adoptSteps, want)
+		}
+	}
+}
+
+// TestExpandIsOneStepPerEvent holds the workers' expand phases to the
+// reference loop's cost: one Protocol.Step per (expanded node, event). A
+// worker drafts every step and builds only the successors it keeps, so the
+// drafting defers the build, never the step — the workers take every step
+// the in-process core's diamond rule reads off closed rows instead, which is
+// what keeps them an independent cross-check of that rule. Every step the
+// workers take outside adoption is an expand step, in a clean run each
+// expanded node is expanded by one worker once, and the expanded nodes are
+// the first ExpandedNodes in visit order.
+func TestExpandIsOneStepPerEvent(t *testing.T) {
+	for _, k := range budgetKernels {
+		label := fmt.Sprintf("%s(%d)@%d", k.name, k.n, k.budget)
+		cl, audit := countedCluster(t, k.name, k.n, nil, failoverOptions())
+		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+			Options: explore.Options{MaxConfigs: k.budget}}
+		var events []int
+		if _, _, err := cl.Explore(task, func(c *model.Config, _ int, _ func() model.Schedule) bool {
+			events = append(events, len(model.Events(c)))
+			return false
+		}); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := int64(0)
+		for _, n := range events[:cl.RunStats().ExpandedNodes] {
+			want += int64(n)
+		}
+		if got := audit.steps.Load() - audit.adoptSteps; got != want {
+			t.Errorf("%s: the workers took %d protocol steps expanding %d nodes, want %d, one per (node, event)",
+				label, got, cl.RunStats().ExpandedNodes, want)
 		}
 	}
 }

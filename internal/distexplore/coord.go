@@ -163,11 +163,33 @@ var ErrInterrupted = errors.New("distexplore: exploration interrupted at a level
 // so no lock). req is the buffer its dedup and adopt requests are encoded
 // into: phases never overlap and one returns only after its calls have, so
 // each overwrites the last.
+//
+// The buffers responses are read into belong to the connection too, and
+// outlive runs. Every response but an expand's is decoded before the next
+// call to the worker, into resp. An expand response's candidates alias the
+// buffer they were read into until their chunk is admitted, and an expand
+// re-issued to a promoted standby reaches a worker a second time within one
+// chunk, so the chunk's n-th expand call to the worker reads into
+// expands[n]; expandPhase starts the count over (nexp) for each chunk.
 type workerConn struct {
 	addr string
 	framer
-	rng *rand.Rand
-	req []byte
+	rng     *rand.Rand
+	req     []byte
+	resp    []byte
+	expands [][]byte
+	nexp    int
+}
+
+// readBuf returns the buffer the response to a typ request is read into.
+func (wc *workerConn) readBuf(typ byte) *[]byte {
+	if typ != frameExpand {
+		return &wc.resp
+	}
+	if wc.nexp == len(wc.expands) {
+		wc.expands = append(wc.expands, nil)
+	}
+	return &wc.expands[wc.nexp]
 }
 
 // Cluster is a coordinator's handle on a set of workers. It drives the
@@ -184,6 +206,10 @@ type Cluster struct {
 	workers     []*workerConn
 	interrupted atomic.Bool
 	stats       RunStats
+
+	// mem is what a run works in and no result outlives, handed from one
+	// run to the next (run.go).
+	mem runMem
 }
 
 // RunStats are recovery-relevant counters of the most recent Explore call,
@@ -296,14 +322,17 @@ func (cl *Cluster) call(w int, typ byte, payload []byte) (byte, []byte, error) {
 			wc.conn = nil
 			continue
 		}
-		// A fresh payload per response: the candidate keys decoded from an
-		// expand response alias it until their level is adopted.
-		rtyp, rpayload, err := wc.read(deadline, nil)
+		buf := wc.readBuf(typ)
+		rtyp, rpayload, err := wc.read(deadline, *buf)
 		if err != nil {
 			lastErr = err
 			wc.conn.Close()
 			wc.conn = nil
 			continue
+		}
+		*buf = rpayload
+		if typ == frameExpand {
+			wc.nexp++
 		}
 		if rtyp == frameErr {
 			return 0, nil, &WorkerError{Worker: w, Addr: wc.addr, Msg: string(rpayload)}
@@ -350,13 +379,15 @@ func (cl *Cluster) expectOK(w int, typ byte, payload []byte) error {
 	return nil
 }
 
-// replicatedFanout sends each listed worker its payload concurrently and
-// sorts the outcomes by failure mode: transport losses mark the worker
-// dead in rs (the caller fails over or aborts on coverage), while
-// worker-reported errors and malformed responses abort immediately —
-// lowest worker index wins for determinism. Responses of the surviving
-// workers are returned by index.
-func (cl *Cluster) replicatedFanout(rs *replicaSet, typ byte, wantResp byte, payloads map[int][]byte) (map[int][]byte, error) {
+// replicatedFanout sends each worker with a non-nil payload (payloads is
+// indexed by worker) its payload concurrently and sorts the outcomes by
+// failure mode: transport losses mark the worker dead in rs (the caller
+// fails over or aborts on coverage), while worker-reported errors and
+// malformed responses abort immediately — lowest worker index wins for
+// determinism. The responses are returned by worker index, nil for a worker
+// that was sent nothing or was lost (an empty acknowledgement may read as
+// nil too).
+func (cl *Cluster) replicatedFanout(rs *replicaSet, typ byte, wantResp byte, payloads [][]byte) ([][]byte, error) {
 	resps := make([][]byte, len(cl.workers))
 	errs := make([]error, len(cl.workers))
 	var wg sync.WaitGroup
@@ -381,7 +412,6 @@ func (cl *Cluster) replicatedFanout(rs *replicaSet, typ byte, wantResp byte, pay
 		}(w, p)
 	}
 	wg.Wait()
-	out := make(map[int][]byte)
 	for w := range cl.workers {
 		if errs[w] != nil {
 			var we *WorkerError
@@ -389,13 +419,9 @@ func (cl *Cluster) replicatedFanout(rs *replicaSet, typ byte, wantResp byte, pay
 				return nil, errs[w] // permanent: state is broken, not lost
 			}
 			rs.markLost(w, errs[w])
-			continue
-		}
-		if resps[w] != nil {
-			out[w] = resps[w]
 		}
 	}
-	return out, nil
+	return resps, nil
 }
 
 // Explore runs the distributed breadth-first exploration described by t
@@ -411,6 +437,7 @@ func (cl *Cluster) Explore(t Task, visit explore.Visit) (complete bool, visited 
 	if err != nil {
 		return false, 0, err
 	}
+	defer r.release() // last: the write-behind below has drained by then
 	if err := cl.fanout(r.initWorker); err != nil {
 		return false, 0, err
 	}

@@ -19,10 +19,11 @@
 // phases and is admitted before the next is sized, so once the ledger seals
 // nothing further is expanded, keyed or shipped; a third ends the level:
 //
-//   - Expand: each shard's primary expands that shard's frontier nodes
-//     inside the chunk through explore.AppendSuccessors and returns
-//     candidates tagged with (parent global index, successor index) — their
-//     position in the canonical order. Expansion is pure, so a shard whose
+//   - Expand: each shard's primary steps every event of that shard's
+//     frontier nodes inside the chunk once, drafting and keying each
+//     successor before it is built (model.Drafter), and returns candidates
+//     tagged with (parent global index, successor index) — their position
+//     in the canonical order. Expansion is pure, so a shard whose
 //     primary dies mid-phase is simply re-issued to the next live replica,
 //     which recomputes the identical candidates from its replicated
 //     frontier.
@@ -50,7 +51,10 @@
 // shard it replicates and is already in its visited slice; the coordinator
 // keeps the first occurrence of a key per chunk in merge order. None of
 // them can be the occurrence the sequential engine admits, so admission
-// order, edges and paths are unchanged (DESIGN.md §4 has the argument).
+// order, edges and paths are unchanged (DESIGN.md §4 has the argument). A
+// worker builds only the successors it emits into a shard it replicates,
+// the ones adoption takes back from it; every other one costs its step and
+// its key, written into scratch.
 //
 // Because admission decisions are made only at the coordinator, in the
 // same canonical order as the in-process engines, and through the same

@@ -218,7 +218,7 @@ func TestWorkerKeepsNothingOfTheRequest(t *testing.T) {
 	next := uint64(1)
 	parents := []uint64{0}
 	for level := 0; level < 3; level++ {
-		_, cands, err := decodeCandidates(send(frameExpand, (&expandReq{Level: level, Lo: int(parents[0]), Hi: int(next), Shards: []int{0}}).encode()))
+		_, cands, err := decodeCandidates(send(frameExpand, (&expandReq{Level: level, Lo: int(parents[0]), Hi: int(next), Shards: []int{0}}).encode()), nil)
 		if err != nil || len(cands) == 0 {
 			t.Fatalf("level %d: %d candidates, %v", level, len(cands), err)
 		}
@@ -226,13 +226,13 @@ func TestWorkerKeepsNothingOfTheRequest(t *testing.T) {
 		for _, c := range cands {
 			group[0].Keys = append(group[0].Keys, c.wireKey)
 		}
-		_, _, answer, err := decodeDedupResp(send(frameDedup, appendDedupReq(nil, level, int(parents[0]), group)))
+		_, _, answer, err := decodeDedupResp(send(frameDedup, appendDedupReq(nil, level, int(parents[0]), group)), nil)
 		if err != nil || len(answer) != 1 || len(answer[0].Fresh) == 0 {
 			t.Fatalf("level %d: dedup answered %+v, %v", level, answer, err)
 		}
 		// The same keys as another chunk: interned from a payload that has
 		// since been overwritten, they must all be found.
-		if _, _, again, _ := decodeDedupResp(send(frameDedup, appendDedupReq(nil, level, int(next), group))); len(again[0].Fresh) != 0 {
+		if _, _, again, _ := decodeDedupResp(send(frameDedup, appendDedupReq(nil, level, int(next), group)), nil); len(again[0].Fresh) != 0 {
 			t.Fatalf("level %d: %d keys interned from an overwritten payload are no longer found", level, len(again[0].Fresh))
 		}
 		var adopts []adoptNode
@@ -244,5 +244,107 @@ func TestWorkerKeepsNothingOfTheRequest(t *testing.T) {
 			next++
 		}
 		send(frameAdopt, appendAdoptReq(nil, level+1, nil, adopts))
+	}
+}
+
+// TestClusterVisitPathOnlyDuringVisit holds the one path func a run hands
+// every visit to explore.Visit's contract, as TestVisitPathOnlyDuringVisit
+// holds the in-process engine to it: called inside its visit it answers the
+// reference's schedule, and kept past its visit — after the run ran to its
+// end, or after a visit stopped it — it panics instead of reading a node
+// table the cluster's next run overwrites. The runs share one cluster, so
+// each but the first walks on the tables of the one before.
+func TestClusterVisitPathOnlyDuringVisit(t *testing.T) {
+	lb := NewLoopback()
+	addrs, _ := startWorkers(t, lb, []string{"v0", "v1", "v2"})
+	cl := dialCluster(t, lb, addrs, failoverOptions())
+	k := budgetKernels[1]
+	whole := enginetest.Case{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Options: explore.Options{MaxConfigs: k.budget}}
+	stopped := whole
+	stopped.StopAt = 57
+	const msg = "distexplore: path called outside its visit"
+	for _, c := range []enginetest.Case{whole, stopped, whole} {
+		want, err := enginetest.Reference(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk := taskOf(c)
+		tk.Shards, tk.Replicas = 6, 2
+		var kept func() model.Schedule
+		got, err := enginetest.Record(c.StopAt, func(visit explore.Visit) (bool, int, error) {
+			return cl.Explore(tk, func(cfg *model.Config, depth int, path func() model.Schedule) bool {
+				kept = path
+				return visit(cfg, depth, path) // Record calls path inside the visit
+			})
+		})
+		if err == nil {
+			err = enginetest.DiffStreams(want, got)
+		}
+		if err != nil {
+			t.Fatalf("stopAt=%d: %v", c.StopAt, err)
+		}
+		if v := pathPanic(kept); v != msg {
+			t.Fatalf("stopAt=%d: a path kept past its visit answered (panic %v), want panic %q", c.StopAt, v, msg)
+		}
+	}
+}
+
+// pathPanic calls path and returns what it panicked with, or nil.
+func pathPanic(path func() model.Schedule) (v any) {
+	defer func() { v = recover() }()
+	path()
+	return nil
+}
+
+// TestFailoverKeepsExpandBuffers is what makes the coordinator's per-call
+// expand buffers (workerConn.expands) necessary: a chunk's candidates alias
+// the response they were read from until the chunk is admitted, and an
+// expand re-issued to a promoted standby reaches a worker that has already
+// answered an expand of the same chunk. Jobs run first on the long-lived
+// cluster, so every buffer has grown past what a response of the last job
+// needs and is reused in place; then a worker is severed on an expand
+// request of a deep level of that job, by the fault transport. Were the
+// standby's second response read into the buffer of its first, the first's
+// candidate keys would be overwritten before dedup and adoption read them.
+// The run must equal the oracle, byte for byte, and the re-issue must have
+// happened.
+func TestFailoverKeepsExpandBuffers(t *testing.T) {
+	workers := []string{"f0", "f1", "f2"}
+	tap := &frameTap{Transport: NewLoopback()}
+	ft := NewFaultyTransport(tap, FaultPlan{})
+	var listeners []*trackingListener
+	armed, severed := false, false
+	calls := map[string]int{} // expand calls per (worker, chunk) of the armed job
+	watchChunks(tap, func(addr string, q *expandReq, _ bool) {
+		if !armed {
+			return
+		}
+		calls[fmt.Sprintf("%s %d/%d", addr, q.Level, q.Lo)]++
+		if !severed && addr == workers[1] && q.Level == 4 {
+			severed = true
+			ft.kill(addr)
+			listeners[1].killConns()
+		}
+	})
+	addrs, listeners := startWorkers(t, ft, workers)
+	cl := dialCluster(t, ft, addrs, failoverOptions())
+	for i, k := range []int{3, 1, 2, 1} {
+		k := budgetKernels[k]
+		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+			Options: explore.Options{MaxConfigs: k.budget}}
+		tap.mu.Lock()
+		armed = i == 3
+		tap.mu.Unlock()
+		mustAgree(t, fmt.Sprintf("job %d on the long-lived cluster", i+1), reference(t, task), record(t, cl, task))
+	}
+	if !severed {
+		t.Fatal("the worker was never lost: the test does not reach what it is about")
+	}
+	reissued := false
+	for _, n := range calls {
+		reissued = reissued || n > 1
+	}
+	if !reissued {
+		t.Error("no worker was asked twice for one chunk: the test does not reach what it is about")
 	}
 }

@@ -1,10 +1,10 @@
 package distexplore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/flpsim/flp/internal/atlasstore"
 	"github.com/flpsim/flp/internal/explore"
@@ -25,6 +25,7 @@ type run struct {
 	root  *model.Config
 	rs    *replicaSet
 	led   *explore.Ledger
+	m     *runMem
 
 	// The admitted node table: the tree columns of a truncated snapshot —
 	// what a checkpoint saves and a resume restores; its key column stays
@@ -46,7 +47,49 @@ type run struct {
 	// The coverage-loss diagnostic's level and last good checkpoint.
 	level  int
 	ckDesc string
+
+	// visiting is the node being visited, -1 between visits; path is the
+	// one path func every visit gets, which reads it.
+	visiting int
+	path     func() model.Schedule
 }
+
+// runMem is the memory a run works in and no result outlives, which the
+// Cluster hands from one run to the next: the node table's columns, the
+// walking level's adopt records and the admitted keys they carry, and the
+// slices of the expand, merge, dedup and adopt phases. Nothing outside the
+// run reads it after Explore returns — a visit's path is valid only during
+// its visit (explore.Visit) and the checkpoint write-behind drains first —
+// so the next run overwrites it.
+type runMem struct {
+	depth, parent []int32
+	via           []model.Event
+	hashes        []uint64
+	cfgs          []*model.Config
+
+	adopts []adoptNode
+	keys   []byte // the admitted keys of adopts, back to back
+
+	done     []bool   // expand: by shard, answered
+	assign   [][]int  // expand: by worker, the shards it is asked for
+	payloads [][]byte // by worker
+	all      []candidate
+	first    map[uint64]int // mergeOrder
+	byShard  [][]int        // dedup: by shard, positions in all
+	groups   []shardGroup   // dedup: by shard
+	mine     []shardGroup   // dedup: one worker's groups
+	answers  [][]shardIndices
+	isFresh  []bool
+	nodes    []adoptNode // adopt: one worker's nodes
+	foreign  []foreignParent
+	paths    model.Schedule // the foreign parents' schedules, back to back
+	touched  []bool         // adopt: by shard
+}
+
+// keepNodes bounds what runMem keeps: the columns of a run that admitted
+// more nodes are left to the collector, so a long-lived cluster that once
+// ran a huge job does not hold its table for every small one after it.
+const keepNodes = 1 << 16
 
 // errStopped is a visit callback's deliberate stop; result reports no error.
 var errStopped = errors.New("distexplore: visit stopped the run")
@@ -65,25 +108,51 @@ func (cl *Cluster) newRun(t Task, visit explore.Visit) (*run, error) {
 	if shards <= 0 {
 		shards = W
 	}
+	m := &cl.mem
+	if m.first == nil {
+		m.first = make(map[uint64]int)
+	}
 	r := &run{
 		cl: cl, t: t, eopt: t.Options.Normalized(), visit: visit, pr: pr, root: root,
 		rs: newReplicaSet(shards, W, ReplicaCount(t.Replicas, W)),
+		m:  m,
 		nodes: explore.AtlasSnapshot{
-			Depth: []int32{0}, Parent: []int32{-1}, ParentVia: []model.Event{{}},
+			Depth: append(m.depth[:0], 0), Parent: append(m.parent[:0], -1), ParentVia: append(m.via[:0], model.Event{}),
 			SuccStart: []int32{0}, // no successor edges: a truncated snapshot
 		},
-		hashes: []uint64{root.Hash()},
-		wcfgs:  []*model.Config{root},
-		ckDesc: "checkpointing disabled",
+		hashes:   append(m.hashes[:0], root.Hash()),
+		wcfgs:    []*model.Config{root},
+		ckDesc:   "checkpointing disabled",
+		visiting: -1,
 	}
 	r.led = explore.NewLedger(r.eopt)
 	if visit != nil || cl.opt.RejoinWait > 0 {
-		r.cfgs = []*model.Config{root}
+		r.cfgs = append(m.cfgs[:0], root)
+	}
+	if visit != nil {
+		r.path = func() model.Schedule {
+			if r.visiting < 0 {
+				panic("distexplore: path called outside its visit")
+			}
+			return r.nodes.PathTo(r.visiting)
+		}
 	}
 	if t.Checkpoints != nil {
 		r.ckDesc = fmt.Sprintf("no checkpoint written yet in %s", t.Checkpoints.Dir())
 	}
 	return r, nil
+}
+
+// release hands the node table's columns to the Cluster for the next run,
+// unless they outgrew keepNodes, with the configurations cleared so that
+// the Cluster keeps no finished run's configurations alive.
+func (r *run) release() {
+	clear(r.cfgs[:cap(r.cfgs)])
+	m := r.m
+	m.depth, m.parent, m.via, m.hashes, m.cfgs = r.nodes.Depth, r.nodes.Parent, r.nodes.ParentVia, r.hashes, r.cfgs
+	if cap(r.nodes.Depth) > keepNodes {
+		m.depth, m.parent, m.via, m.hashes, m.cfgs = nil, nil, nil, nil, nil
+	}
 }
 
 // initWorker installs the job on worker w. Init failures are fatal even
@@ -139,13 +208,15 @@ func (r *run) walkLevel(start int) (next int, err error) {
 	if err := r.boundary(start, end); err != nil {
 		return start, err
 	}
-	var adopts []adoptNode
+	adopts := r.m.adopts[:0]
+	r.m.keys = r.m.keys[:0]
 	for lo, hi := start, start; lo < end; lo = hi {
 		var fresh []candidate
-		if hi, fresh, err = r.expandChunk(lo, end); err != nil {
-			return start, err
+		if hi, fresh, err = r.expandChunk(lo, end); err == nil {
+			adopts, err = r.admitChunk(lo, hi, fresh, adopts)
 		}
-		if adopts, err = r.admitChunk(lo, hi, fresh, adopts); err != nil {
+		r.m.adopts = adopts
+		if err != nil {
 			return start, err
 		}
 	}
@@ -177,7 +248,7 @@ func (r *run) expandChunk(lo, end int) (hi int, fresh []candidate, err error) {
 	}
 	r.cl.stats.ExpandedNodes += hi - lo
 	r.cl.stats.LiveExpanded += hi - lo
-	all = mergeOrder(all)
+	all = mergeOrder(all, r.m.first)
 	err = r.withRejoin(func() (err error) {
 		fresh, err = r.dedupPhase(ch, all)
 		return err
@@ -212,8 +283,13 @@ func (r *run) admitChunk(lo, hi int, fresh []candidate, adopts []adoptNode) ([]a
 }
 
 // admit appends candidate c, a fresh successor of node parent, to the node
-// table and returns its adopt record.
+// table and returns its adopt record, which carries a copy of c's key: c's
+// aliases the response it was read from, which the next chunk overwrites.
 func (r *run) admit(parent int, c candidate) adoptNode {
+	m := r.m
+	k0 := len(m.keys)
+	m.keys = append(m.keys, c.Key...)
+	c.Key = m.keys[k0:len(m.keys):len(m.keys)]
 	i, depth := r.nodes.Len(), r.nodes.Depth[parent]+1
 	r.nodes.Depth = append(r.nodes.Depth, depth)
 	r.nodes.Parent = append(r.nodes.Parent, int32(parent))
@@ -226,17 +302,17 @@ func (r *run) admit(parent int, c candidate) adoptNode {
 }
 
 // visitNode calls the visit callback on node i and reports whether it asked
-// to stop.
+// to stop. The path it hands the visit defers node i's schedule until asked
+// for, and holds to explore.Visit's contract: it panics between visits and
+// after the run, whose node table the Cluster's next run overwrites.
 func (r *run) visitNode(i int) bool {
-	return r.visit != nil && r.visit(r.cfgs[i], int(r.nodes.Depth[i]), r.pathOf(i))
-}
-
-// pathOf defers node i's schedule until a visit asks for it. The run's
-// node table outlives the run, so this path answers after its visit too;
-// explore.Visit's contract does not promise that, and no caller relies on
-// it.
-func (r *run) pathOf(i int) func() model.Schedule {
-	return func() model.Schedule { return r.nodes.PathTo(i) }
+	if r.visit == nil {
+		return false
+	}
+	r.visiting = i
+	stop := r.visit(r.cfgs[i], int(r.nodes.Depth[i]), r.path)
+	r.visiting = -1
+	return stop
 }
 
 // result settles how the run ended. Completion and a visit's stop clear the
@@ -259,45 +335,60 @@ func (r *run) result(start int, err error) (complete bool, visited int, _ error)
 // re-issued to the next live replica — expansion is pure on the workers, so
 // the promoted standby recomputes the identical candidate set from its
 // replicated frontier. The loop ends when every shard has answered, or a
-// shard runs out of live replicas.
+// shard runs out of live replicas. The candidates' keys alias the workers'
+// expand buffers (workerConn), which the next chunk reuses.
 func (r *run) expandPhase(ch chunkID, hi int) ([]candidate, error) {
-	rs := r.rs
-	done := make([]bool, rs.shards)
-	var all []candidate
+	rs, m := r.rs, r.m
+	m.done = resize(m.done, rs.shards)
+	clear(m.done)
+	m.assign = resize(m.assign, rs.workers)
+	m.payloads = resize(m.payloads, rs.workers)
+	for _, wc := range r.cl.workers {
+		wc.nexp = 0
+	}
+	m.all = m.all[:0]
 	for {
-		assign := make(map[int][]int)
+		pending := false
+		for w := range m.assign {
+			m.assign[w] = m.assign[w][:0]
+		}
 		for s := 0; s < rs.shards; s++ {
-			if done[s] {
+			if m.done[s] {
 				continue
 			}
 			w, ok := rs.primary(s)
 			if !ok {
 				return nil, r.lostShard(s)
 			}
-			assign[w] = append(assign[w], s)
+			m.assign[w] = append(m.assign[w], s)
+			pending = true
 		}
-		if len(assign) == 0 {
-			return all, nil
+		if !pending {
+			return m.all, nil
 		}
-		payloads := make(map[int][]byte, len(assign))
-		for w, ss := range assign {
-			payloads[w] = (&expandReq{Level: ch.level, Lo: ch.lo, Hi: hi, Shards: ss}).encode()
+		for w, ss := range m.assign {
+			m.payloads[w] = nil
+			if len(ss) > 0 {
+				m.payloads[w] = (&expandReq{Level: ch.level, Lo: ch.lo, Hi: hi, Shards: ss}).encode()
+			}
 		}
-		resps, err := r.cl.replicatedFanout(rs, frameExpand, frameExpandResp, payloads)
+		resps, err := r.cl.replicatedFanout(rs, frameExpand, frameExpandResp, m.payloads)
 		if err != nil {
 			return nil, err
 		}
 		for w, resp := range resps {
-			lv, cands, err := decodeCandidates(resp)
-			if err != nil {
+			if resp == nil {
+				continue
+			}
+			var lv int
+			if lv, m.all, err = decodeCandidates(resp, m.all); err != nil {
 				return nil, &WorkerError{Worker: w, Addr: r.cl.workers[w].addr, Msg: fmt.Sprintf("malformed expand response: %v", err)}
 			}
 			if lv != ch.level {
 				return nil, fmt.Errorf("distexplore: worker %d answered expand for level %d, want %d", w, lv, ch.level)
 			}
-			all = append(all, cands...)
-			for _, s := range assign[w] {
-				done[s] = true
+			for _, s := range m.assign[w] {
+				m.done[s] = true
 			}
 		}
 		// Workers that failed were marked lost; their shards are still
@@ -312,15 +403,12 @@ func (r *run) expandPhase(ch chunkID, hi int) ([]candidate, error) {
 // dedup would call every later one seen, whatever it says of the first.
 // Per-shard groups preserve this order, so "first fresh in the group" equals
 // "first fresh globally" per configuration (a key's candidates all land in
-// one shard).
-func mergeOrder(all []candidate) []candidate {
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Parent != all[j].Parent {
-			return all[i].Parent < all[j].Parent
-		}
-		return all[i].SuccIdx < all[j].SuccIdx
+// one shard). first is scratch, emptied here.
+func mergeOrder(all []candidate, first map[uint64]int) []candidate {
+	slices.SortFunc(all, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.Parent, b.Parent), cmp.Compare(a.SuccIdx, b.SuccIdx))
 	})
-	first := make(map[uint64]int, len(all))
+	clear(first)
 	kept := all[:0]
 	for _, c := range all {
 		if firstOccurrence(first, kept, c.wireKey) {
@@ -338,54 +426,60 @@ func mergeOrder(all []candidate) []candidate {
 // corruption, not silently resolved. Lost workers are tolerated as long as
 // each candidate-bearing shard keeps one live replica whose answer arrived.
 func (r *run) dedupPhase(ch chunkID, all []candidate) ([]candidate, error) {
-	rs := r.rs
-	byShard := make([][]int, rs.shards) // positions in all
-	groups := make([]shardGroup, rs.shards)
+	rs, m := r.rs, r.m
+	m.byShard = resize(m.byShard, rs.shards)
+	m.groups = resize(m.groups, rs.shards)
+	for s := range m.groups {
+		m.byShard[s] = m.byShard[s][:0]
+		m.groups[s] = shardGroup{Shard: s, Keys: m.groups[s].Keys[:0]}
+	}
 	for i, c := range all {
 		s := ownerShard(c.Hash, rs.shards)
-		byShard[s] = append(byShard[s], i)
-		groups[s] = shardGroup{Shard: s, Keys: append(groups[s].Keys, c.wireKey)}
+		m.byShard[s] = append(m.byShard[s], i)
+		m.groups[s].Keys = append(m.groups[s].Keys, c.wireKey)
 	}
-	payloads := make(map[int][]byte)
+	m.payloads = resize(m.payloads, rs.workers)
+	clear(m.payloads)
 	for w := 0; w < rs.workers; w++ {
 		if !rs.live(w) {
 			continue
 		}
-		var mine []shardGroup
-		for s, g := range groups {
+		m.mine = m.mine[:0]
+		for s, g := range m.groups {
 			if len(g.Keys) > 0 && rs.replicates(w, s) {
-				mine = append(mine, g)
+				m.mine = append(m.mine, g)
 			}
 		}
-		if len(mine) > 0 {
+		if len(m.mine) > 0 {
 			wc := r.cl.workers[w]
-			wc.req = appendDedupReq(wc.req[:0], ch.level, ch.lo, mine)
-			payloads[w] = wc.req
+			wc.req = appendDedupReq(wc.req[:0], ch.level, ch.lo, m.mine)
+			m.payloads[w] = wc.req
 		}
 	}
-	resps, err := r.cl.replicatedFanout(rs, frameDedup, frameDedupResp, payloads)
+	resps, err := r.cl.replicatedFanout(rs, frameDedup, frameDedupResp, m.payloads)
 	if err != nil {
 		return nil, err
 	}
-	freshBy := make(map[int]map[int][]uint64, len(resps))
+	m.answers = resize(m.answers, rs.workers)
 	for w, resp := range resps {
-		lv, lo, answers, err := decodeDedupResp(resp)
+		m.answers[w] = m.answers[w][:0]
+		if resp == nil {
+			continue
+		}
+		lv, lo, answers, err := decodeDedupResp(resp, m.answers[w])
 		if err != nil {
 			return nil, &WorkerError{Worker: w, Addr: r.cl.workers[w].addr, Msg: fmt.Sprintf("malformed dedup response: %v", err)}
 		}
 		if (chunkID{lv, lo}) != ch {
 			return nil, fmt.Errorf("distexplore: worker %d answered dedup for level %d chunk %d, want level %d chunk %d", w, lv, lo, ch.level, ch.lo)
 		}
-		m := make(map[int][]uint64, len(answers))
-		for _, g := range answers {
-			m[g.Shard] = g.Fresh
-		}
-		freshBy[w] = m
+		m.answers[w] = answers
 	}
 
-	isFresh := make([]bool, len(all))
+	m.isFresh = resize(m.isFresh, len(all))
+	clear(m.isFresh)
 	for s := 0; s < rs.shards; s++ {
-		if len(byShard[s]) == 0 {
+		if len(m.byShard[s]) == 0 {
 			continue
 		}
 		chosen := []uint64(nil)
@@ -394,10 +488,11 @@ func (r *run) dedupPhase(ch chunkID, all []candidate) ([]candidate, error) {
 			if !rs.live(w) {
 				continue
 			}
-			f, ok := freshBy[w][s]
-			if !ok {
+			i := slices.IndexFunc(m.answers[w], func(g shardIndices) bool { return g.Shard == s })
+			if i < 0 {
 				return nil, fmt.Errorf("distexplore: worker %d omitted shard %d from its dedup answer", w, s)
 			}
+			f := m.answers[w][i].Fresh
 			if chosenW < 0 {
 				chosen, chosenW = f, w
 				continue
@@ -412,15 +507,15 @@ func (r *run) dedupPhase(ch chunkID, all []candidate) ([]candidate, error) {
 			return nil, r.lostShard(s)
 		}
 		for _, i := range chosen {
-			if i >= uint64(len(byShard[s])) {
+			if i >= uint64(len(m.byShard[s])) {
 				return nil, fmt.Errorf("distexplore: worker %d dedup index %d out of range for shard %d", chosenW, i, s)
 			}
-			isFresh[byShard[s][i]] = true
+			m.isFresh[m.byShard[s][i]] = true
 		}
 	}
 	fresh := all[:0]
 	for i, c := range all {
-		if isFresh[i] {
+		if m.isFresh[i] {
 			fresh = append(fresh, c)
 		}
 	}
@@ -436,9 +531,8 @@ func (r *run) dedupPhase(ch chunkID, all []candidate) ([]candidate, error) {
 // a worker holds exactly the nodes of the shards it replicates. It returns
 // nil when w replicates none of the nodes' shards.
 func (r *run) adoptRequest(w, level int, adopts []adoptNode) []byte {
-	rs := r.rs
-	var mine []adoptNode
-	var foreign []foreignParent
+	rs, m := r.rs, r.m
+	mine, foreign, paths := m.nodes[:0], m.foreign[:0], m.paths[:0]
 	for _, nd := range adopts {
 		if !rs.replicates(w, ownerShard(nd.Hash, rs.shards)) {
 			continue
@@ -448,15 +542,30 @@ func (r *run) adoptRequest(w, level int, adopts []adoptNode) []byte {
 			continue
 		}
 		if len(foreign) == 0 || foreign[len(foreign)-1].Index != nd.Parent {
-			foreign = append(foreign, foreignParent{Index: nd.Parent, Schedule: r.nodes.PathTo(int(nd.Parent))})
+			p0 := len(paths)
+			paths = r.appendPath(paths, int(nd.Parent))
+			foreign = append(foreign, foreignParent{Index: nd.Parent, Schedule: paths[p0:len(paths):len(paths)]})
 		}
 	}
+	m.nodes, m.foreign, m.paths = mine, foreign, paths
 	if len(mine) == 0 {
 		return nil
 	}
 	wc := r.cl.workers[w]
 	wc.req = appendAdoptReq(wc.req[:0], level, foreign, mine)
 	return wc.req
+}
+
+// appendPath appends the schedule reaching node i from the root, which
+// AtlasSnapshot.PathTo returns, to dst.
+func (r *run) appendPath(dst model.Schedule, i int) model.Schedule {
+	n := len(dst)
+	dst = resize(dst, n+int(r.nodes.Depth[i]))
+	for k := len(dst) - 1; k >= n; k-- {
+		dst[k] = r.nodes.ParentVia[i]
+		i = int(r.nodes.Parent[i])
+	}
+	return dst
 }
 
 // adoptPhase hands one level's admitted nodes to every live replica of
@@ -467,25 +576,24 @@ func (r *run) adoptPhase(level int, adopts []adoptNode) error {
 	if len(adopts) == 0 {
 		return nil
 	}
-	rs := r.rs
-	touched := make(map[int]bool)
+	rs, m := r.rs, r.m
+	m.touched = resize(m.touched, rs.shards)
+	clear(m.touched)
 	for _, nd := range adopts {
-		touched[ownerShard(nd.Hash, rs.shards)] = true
+		m.touched[ownerShard(nd.Hash, rs.shards)] = true
 	}
-	payloads := make(map[int][]byte)
+	m.payloads = resize(m.payloads, rs.workers)
+	clear(m.payloads)
 	for w := 0; w < rs.workers; w++ {
-		if !rs.live(w) {
-			continue
-		}
-		if p := r.adoptRequest(w, level, adopts); p != nil {
-			payloads[w] = p
+		if rs.live(w) {
+			m.payloads[w] = r.adoptRequest(w, level, adopts)
 		}
 	}
-	if _, err := r.cl.replicatedFanout(rs, frameAdopt, frameOK, payloads); err != nil {
+	if _, err := r.cl.replicatedFanout(rs, frameAdopt, frameOK, m.payloads); err != nil {
 		return err
 	}
-	for s := range touched {
-		if _, ok := rs.primary(s); !ok {
+	for s, touched := range m.touched {
+		if _, ok := rs.primary(s); touched && !ok {
 			return r.lostShard(s)
 		}
 	}

@@ -129,6 +129,16 @@ func grow(b []byte, n int) []byte {
 	return append(make([]byte, 0, len(b)+n), b...)
 }
 
+// resize returns s with length n, keeping its elements: a decoder that
+// reuses a slice gets back, in each element, the storage of the last
+// decode's inner slices. It grows like grow does, for the same reason.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(make([]T, 0, n), s[:cap(s)]...)
+	}
+	return s[:n]
+}
+
 func appendWireKey(b []byte, k wireKey) []byte {
 	b = binary.LittleEndian.AppendUint64(b, k.Hash)
 	b = model.AppendUvarint(b, uint64(len(k.Key)))
@@ -299,11 +309,14 @@ func appendCandidates(b []byte, level int, cands []candidate) []byte {
 	return b
 }
 
-func decodeCandidates(b []byte) (level int, cands []candidate, err error) {
+// decodeCandidates appends the candidates of an expand response to cands;
+// their keys alias b.
+func decodeCandidates(b []byte, cands []candidate) (level int, _ []candidate, err error) {
 	r := reader{b: b}
 	level = r.num("candidates level")
-	cands = make([]candidate, r.count("candidates count"))
-	for i := range cands {
+	n := len(cands)
+	cands = resize(cands, n+r.count("candidates count"))
+	for i := n; i < len(cands); i++ {
 		cands[i] = candidate{
 			Parent:  r.uvarint("candidate parent"),
 			SuccIdx: r.uvarint("candidate successor index"),
@@ -348,13 +361,15 @@ func appendDedupReq(b []byte, level, lo int, groups []shardGroup) []byte {
 	return b
 }
 
-func decodeDedupReq(b []byte) (level, lo int, groups []shardGroup, err error) {
+// decodeDedupReq decodes a dedup request into groups' storage; the keys
+// alias b.
+func decodeDedupReq(b []byte, groups []shardGroup) (level, lo int, _ []shardGroup, err error) {
 	r := reader{b: b}
 	level, lo = r.num("dedup level"), r.num("dedup lo")
-	groups = make([]shardGroup, r.count("dedup groups"))
+	groups = resize(groups, r.count("dedup groups"))
 	for i := range groups {
 		groups[i].Shard = r.num("dedup shard")
-		groups[i].Keys = make([]wireKey, r.count("dedup group size"))
+		groups[i].Keys = resize(groups[i].Keys[:0], r.count("dedup group size"))
 		for j := range groups[i].Keys {
 			groups[i].Keys[j] = r.key("dedup key")
 		}
@@ -383,13 +398,14 @@ func encodeDedupResp(level, lo int, groups []shardIndices) []byte {
 	return b
 }
 
-func decodeDedupResp(b []byte) (level, lo int, groups []shardIndices, err error) {
+// decodeDedupResp decodes a dedup answer into groups' storage.
+func decodeDedupResp(b []byte, groups []shardIndices) (level, lo int, _ []shardIndices, err error) {
 	r := reader{b: b}
 	level, lo = r.num("dedup answer level"), r.num("dedup answer lo")
-	groups = make([]shardIndices, r.count("dedup answer groups"))
+	groups = resize(groups, r.count("dedup answer groups"))
 	for i := range groups {
 		groups[i].Shard = r.num("dedup answer shard")
-		groups[i].Fresh = make([]uint64, r.count("dedup answer size"))
+		groups[i].Fresh = resize(groups[i].Fresh[:0], r.count("dedup answer size"))
 		for j := range groups[i].Fresh {
 			groups[i].Fresh[j] = r.uvarint("dedup answer index")
 		}
@@ -449,17 +465,19 @@ func appendAdoptReq(b []byte, level int, foreign []foreignParent, nodes []adoptN
 	return b
 }
 
-func decodeAdoptReq(b []byte) (level int, foreign []foreignParent, nodes []adoptNode, err error) {
+// decodeAdoptReq decodes an adopt request into the storage of foreign and
+// nodes; the keys alias b.
+func decodeAdoptReq(b []byte, foreign []foreignParent, nodes []adoptNode) (level int, _ []foreignParent, _ []adoptNode, err error) {
 	r := reader{b: b}
 	level = r.num("adopt level")
-	foreign = make([]foreignParent, r.count("adopt foreign parent count"))
+	foreign = resize(foreign, r.count("adopt foreign parent count"))
 	for i := range foreign {
 		foreign[i] = foreignParent{
 			Index:    r.uvarint("adopt foreign parent index"),
 			Schedule: consume(&r, "adopt foreign parent schedule", model.ConsumeSchedule),
 		}
 	}
-	nodes = make([]adoptNode, r.count("adopt count"))
+	nodes = resize(nodes, r.count("adopt count"))
 	for i := range nodes {
 		nodes[i] = adoptNode{
 			Index:   r.uvarint("adopt index"),

@@ -35,11 +35,11 @@ var payloadShapes = []struct {
 		return q.encode(), cap(q.Shards), nil
 	}},
 	{"expand response", frameExpandResp, func(b []byte) ([]byte, int, error) {
-		level, cands, err := decodeCandidates(b)
+		level, cands, err := decodeCandidates(b, nil)
 		return appendCandidates(nil, level, cands), cap(cands), err
 	}},
 	{"dedup", frameDedup, func(b []byte) ([]byte, int, error) {
-		level, lo, groups, err := decodeDedupReq(b)
+		level, lo, groups, err := decodeDedupReq(b, nil)
 		n := cap(groups)
 		for _, g := range groups {
 			n = max(n, cap(g.Keys))
@@ -47,7 +47,7 @@ var payloadShapes = []struct {
 		return appendDedupReq(nil, level, lo, groups), n, err
 	}},
 	{"dedup response", frameDedupResp, func(b []byte) ([]byte, int, error) {
-		level, lo, groups, err := decodeDedupResp(b)
+		level, lo, groups, err := decodeDedupResp(b, nil)
 		n := cap(groups)
 		for _, g := range groups {
 			n = max(n, cap(g.Fresh))
@@ -55,7 +55,7 @@ var payloadShapes = []struct {
 		return encodeDedupResp(level, lo, groups), n, err
 	}},
 	{"adopt", frameAdopt, func(b []byte) ([]byte, int, error) {
-		level, foreign, nodes, err := decodeAdoptReq(b)
+		level, foreign, nodes, err := decodeAdoptReq(b, nil, nil)
 		n := max(cap(foreign), cap(nodes))
 		for _, fp := range foreign {
 			n = max(n, cap(fp.Schedule))

@@ -84,9 +84,9 @@ type job struct {
 	// replicates, interned by fingerprint with full-key confirmation
 	// (fingerprint collisions cost a byte comparison, never correctness).
 	// Keys arrive as wireKeys and are copied into the interner's arena; a
-	// dedup hit allocates nothing, and because the interner has one key
-	// namespace the expand phase probes it with the successor configuration
-	// itself. Replicas of one shard apply the same dedup
+	// dedup hit allocates nothing, and the expand phase probes it with a
+	// drafted successor's key (LookupKey), before the successor is built.
+	// Replicas of one shard apply the same dedup
 	// batches in the same order, so their slices are identical at every
 	// chunk boundary. The interner is the Worker's, emptied for this job.
 	visited *model.Interner
@@ -97,9 +97,10 @@ type job struct {
 	frontier map[int][]ownedNode
 
 	// levelCache keeps, by fingerprint, the successor configurations this
-	// worker computed during the current level's expansion and also
-	// replicates, so adopting them back does not pay a step (a fingerprint
-	// collision fails adopt's key comparison and steps the parent).
+	// worker emitted during the current level's expansion and also
+	// replicates — the only successors it builds — so adopting them back
+	// does not pay a step (a fingerprint collision fails adopt's key
+	// comparison and steps the parent).
 	// cacheLevel tracks which level the cache belongs to; a later expand at
 	// the same level (the next chunk, or a failover handing a promoted
 	// standby extra shards) accumulates into it rather than resetting.
@@ -119,15 +120,6 @@ type job struct {
 	lastDedup     chunkID
 	lastDedupResp []byte
 	adoptNext     uint64
-
-	// candScratch is the expand phase's candidate buffer, recycled across
-	// calls (appendCandidates serializes it before the next reuse);
-	// succScratch is the per-node successor buffer beside it, and emitted
-	// maps a fingerprint to the candidate that first carried it in the
-	// current call.
-	candScratch []candidate
-	succScratch []explore.Successor
-	emitted     map[uint64]int
 }
 
 // chunkID names one budget-sized slice of a level: the level and the global
@@ -175,8 +167,12 @@ type Worker struct {
 	job *job
 	// visited backs every job's visited set in turn: frameInit empties it
 	// (the tables and one arena chunk per shard stay) instead of building
-	// another.
+	// another. The scratch beside it outlives jobs the same way: what
+	// expandLevel works in, and the slices the dedup and adopt requests are
+	// decoded into.
 	visited *model.Interner
+	exp     expandScratch
+	req     reqScratch
 
 	// draining is set by Drain: every connection finishes its in-flight
 	// request, writes the response, and closes. handlers tracks live
@@ -188,6 +184,34 @@ type Worker struct {
 	served   atomic.Int64
 	connMu   sync.Mutex
 	conns    map[*connState]struct{}
+}
+
+// expandScratch is the memory expandLevel works in, recycled across calls:
+// the events of the node being expanded, the draft of the step being taken,
+// the keys of the call's candidates back to back, the candidates
+// (appendCandidates serializes them before the next reuse), and emitted,
+// which maps a fingerprint to the candidate that first carried it in the
+// current call.
+type expandScratch struct {
+	evs     []model.Event
+	dr      model.Drafter
+	keys    []byte
+	cands   []candidate
+	emitted map[uint64]int
+}
+
+// reqScratch holds what dedup and adopt requests are decoded into, and the
+// memory handling them needs: a decoded key aliases the request, which
+// nothing keeps once dispatch returns; the dedup answer's index lists; the
+// foreign parents replayed for one adopt request; and the buffer adoption
+// encodes a materialized configuration's key into to compare it.
+type reqScratch struct {
+	groups   []shardGroup
+	fresh    []shardIndices
+	foreign  []foreignParent
+	nodes    []adoptNode
+	replayed []*model.Config
+	key      []byte
 }
 
 // connState pairs a coordinator connection with its in-flight flag, so
@@ -205,7 +229,7 @@ func NewWorker(provider ProtocolProvider) *Worker {
 	if provider == nil {
 		provider = RegistryProvider
 	}
-	return &Worker{provider: provider, visited: model.NewInterner()}
+	return &Worker{provider: provider, visited: model.NewInterner(), exp: expandScratch{emitted: make(map[uint64]int)}}
 }
 
 // workerWriteTimeout bounds response writes so a stalled coordinator
@@ -335,7 +359,8 @@ func (w *Worker) dispatch(typ byte, payload []byte, resp *[]byte) (byte, []byte)
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: dedup without an active job"))
 		}
-		level, lo, groups, err := decodeDedupReq(payload)
+		level, lo, groups, err := decodeDedupReq(payload, w.req.groups)
+		w.req.groups = groups
 		if err != nil {
 			return fail(err)
 		}
@@ -348,7 +373,8 @@ func (w *Worker) dispatch(typ byte, payload []byte, resp *[]byte) (byte, []byte)
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: adopt without an active job"))
 		}
-		_, foreign, nodes, err := decodeAdoptReq(payload)
+		_, foreign, nodes, err := decodeAdoptReq(payload, w.req.foreign, w.req.nodes)
+		w.req.foreign, w.req.nodes = foreign, nodes
 		if err != nil {
 			return fail(err)
 		}
@@ -358,7 +384,7 @@ func (w *Worker) dispatch(typ byte, payload []byte, resp *[]byte) (byte, []byte)
 		return frameOK, nil
 
 	case frameShutdown:
-		w.job = nil
+		w.endJob()
 		return frameOK, nil
 
 	default:
@@ -379,6 +405,7 @@ func (w *Worker) initJob(req *initReq) error {
 	if err != nil {
 		return err
 	}
+	w.endJob()
 	w.visited.Reset()
 	w.job = &job{
 		pr:          pr,
@@ -393,31 +420,45 @@ func (w *Worker) initJob(req *initReq) error {
 		levelCache:  make(map[uint64]*model.Config),
 		cacheLevel:  -1,
 		lastDedup:   chunkID{level: -1},
-		emitted:     make(map[uint64]int),
 	}
 	return nil
 }
 
+// endJob drops the job and every reference the worker's scratch holds into
+// its configurations — events point into their buffers — keeping the
+// scratch's storage for the next job.
+func (w *Worker) endJob() {
+	w.job = nil
+	x := &w.exp
+	clear(x.evs[:cap(x.evs)])
+	clear(x.cands[:cap(x.cands)])
+	x.dr.Reset()
+	clear(w.req.replayed[:cap(w.req.replayed)])
+}
+
 // expandLevel expands one chunk of a level — the frontier nodes of the
-// requested shards with a global index in [Lo, Hi) — through the shared
-// engine core, returning the encoded candidate list. Expansion is pure —
-// the frontier is left in place and the same request (or a different shard
-// subset after a failover promotion) can be recomputed at any time, which
-// is what makes the expand phase retryable with no idempotency log.
+// requested shards with a global index in [Lo, Hi) — returning the encoded
+// candidate list. Expansion is pure — the frontier is left in place and the
+// same request (or a different shard subset after a failover promotion) can
+// be recomputed at any time, which is what makes the expand phase retryable
+// with no idempotency log.
 //
-// Two kinds of successor are dropped here, where they are born, because
-// dedup would call them seen anyway: one whose key this same call already
-// emitted (from a smaller (parent, successor) position, so the survivor is
-// the one the merge order puts first), and one that lands in a shard this
-// worker replicates and is already in its visited slice. Only this call's
-// own emissions count for the first rule, never levelCache membership: an
-// earlier call at this level — another chunk, or the shards this worker led
-// before a failover handed it more — may have emitted the key from a larger
-// parent index than a node expanded now. Surviving successors that land in
-// a replicated shard are cached so adoption does not step to them again. The
+// Every step is drafted (model.Drafter) and keyed from the draft, so a
+// successor is built only when it is kept. Two kinds are dropped here,
+// where they are born, because dedup would call them seen anyway: one whose
+// key this same call already emitted (from a smaller (parent, successor)
+// position, so the survivor is the one the merge order puts first), and one
+// that lands in a shard this worker replicates and is already in its
+// visited slice. Only this call's own emissions count for the first rule,
+// never levelCache membership: an earlier call at this level — another
+// chunk, or the shards this worker led before a failover handed it more —
+// may have emitted the key from a larger parent index than a node expanded
+// now. An emitted successor that lands in a replicated shard is built and
+// cached so adoption does not step to it again; the rest are never built.
+// Each (node, event) costs one Protocol.Step, as in the reference loop. The
 // response is appended to resp.
 func (w *Worker) expandLevel(req *expandReq, resp []byte) ([]byte, error) {
-	j := w.job
+	j, x := w.job, &w.exp
 	j.pruneBelow(req.Level)
 	if j.cacheLevel != req.Level {
 		clear(j.levelCache) // keep the buckets, drop the entries
@@ -430,8 +471,8 @@ func (w *Worker) expandLevel(req *expandReq, resp []byte) ([]byte, error) {
 		}
 		want[s] = true
 	}
-	clear(j.emitted)
-	cands := j.candScratch[:0]
+	clear(x.emitted)
+	x.keys, x.cands = x.keys[:0], x.cands[:0]
 	nodes := j.frontier[req.Level]
 	first := sort.Search(len(nodes), func(i int) bool { return nodes[i].idx >= uint64(req.Lo) })
 	for _, nd := range nodes[first:] {
@@ -441,22 +482,43 @@ func (w *Worker) expandLevel(req *expandReq, resp []byte) ([]byte, error) {
 		if !want[nd.shard] {
 			continue
 		}
-		j.succScratch = explore.AppendSuccessors(j.pr, nd.cfg, j.skip, j.succScratch)
-		for si, s := range j.succScratch {
-			id := identityOf(s.Cfg)
-			if j.replicatesHash(id.Hash) {
-				if _, seen := j.visited.Lookup(s.Cfg); seen {
-					continue
-				}
-				j.levelCache[id.Hash] = s.Cfg
+		x.evs = model.AppendEvents(x.evs[:0], nd.cfg)
+		si := uint64(0) // the successor's position in the parent's canonical expansion
+		for _, e := range x.evs {
+			if j.skip != nil && j.skip(e) {
+				continue
 			}
-			if firstOccurrence(j.emitted, cands, id) {
-				cands = append(cands, candidate{Parent: nd.idx, SuccIdx: uint64(si), wireKey: id, Via: s.Via})
+			if d := x.dr.Draft(j.pr, nd.cfg, e); d != nil {
+				x.offer(j, candidate{Parent: nd.idx, SuccIdx: si, Via: e}, d)
+				si++
 			}
+			x.dr.Reset()
 		}
 	}
-	j.candScratch = cands
-	return appendCandidates(resp, req.Level, cands), nil
+	return appendCandidates(resp, req.Level, x.cands), nil
+}
+
+// offer keys the drafted successor c and keeps it, unless one of
+// expandLevel's two drop rules applies.
+func (x *expandScratch) offer(j *job, c candidate, d *model.Draft) {
+	k0 := len(x.keys)
+	x.keys = d.AppendKey(x.keys)
+	c.wireKey = wireKey{Hash: d.Hash(), Key: x.keys[k0:len(x.keys):len(x.keys)]}
+	replicated := j.replicatesHash(c.Hash)
+	if replicated {
+		if _, seen := j.visited.LookupKey(c.Hash, c.Key); seen {
+			x.keys = x.keys[:k0]
+			return
+		}
+	}
+	if !firstOccurrence(x.emitted, x.cands, c.wireKey) {
+		x.keys = x.keys[:k0]
+		return
+	}
+	x.cands = append(x.cands, c)
+	if replicated {
+		j.levelCache[c.Hash] = d.Build()
+	}
 }
 
 // dedupChunk filters per-shard batches of candidate identities against this
@@ -468,15 +530,16 @@ func (w *Worker) expandLevel(req *expandReq, resp []byte) ([]byte, error) {
 func (w *Worker) dedupChunk(id chunkID, groups []shardGroup) []byte {
 	j := w.job
 	j.pruneBelow(id.level)
-	out := make([]shardIndices, 0, len(groups))
-	for _, g := range groups {
-		fresh := shardIndices{Shard: g.Shard}
+	out := resize(w.req.fresh, len(groups))
+	w.req.fresh = out
+	for gi, g := range groups {
+		fresh := shardIndices{Shard: g.Shard, Fresh: out[gi].Fresh[:0]}
 		for i, k := range g.Keys {
 			if j.visitedAdd(k) {
 				fresh.Fresh = append(fresh.Fresh, uint64(i))
 			}
 		}
-		out = append(out, fresh)
+		out[gi] = fresh
 	}
 	resp := encodeDedupResp(id.level, id.lo, out)
 	j.lastDedup, j.lastDedupResp = id, resp
@@ -497,7 +560,9 @@ func (w *Worker) dedupChunk(id chunkID, groups []shardGroup) []byte {
 // that is neither held nor shipped is an error, never a guess.
 func (w *Worker) adoptNodes(foreign []foreignParent, nodes []adoptNode) error {
 	j := w.job
-	replayed := make([]*model.Config, len(foreign))
+	replayed := resize(w.req.replayed, len(foreign))
+	w.req.replayed = replayed
+	clear(replayed)
 	// step materializes nd from where it came: the job root at depth 0,
 	// otherwise its parent stepped by the transmitted event.
 	step := func(nd adoptNode) (*model.Config, error) {
@@ -536,12 +601,12 @@ func (w *Worker) adoptNodes(foreign []foreignParent, nodes []adoptNode) error {
 			return fmt.Errorf("distexplore: node %d routed to worker %d, which does not replicate shard %d", nd.Index, j.workerIndex, shard)
 		}
 		cfg := j.levelCache[nd.Hash]
-		if cfg == nil || !bytes.Equal(cfg.KeyBytes(), nd.Key) {
+		if cfg == nil || !w.keyIs(cfg, nd.Key) {
 			var err error
 			if cfg, err = step(nd); err != nil {
 				return err
 			}
-			if !bytes.Equal(cfg.KeyBytes(), nd.Key) {
+			if !w.keyIs(cfg, nd.Key) {
 				return fmt.Errorf("distexplore: node %d integrity failure: the key materialized from node %d diverges from the transmitted key (protocol mismatch between cluster members?)", nd.Index, nd.Parent)
 			}
 		}
@@ -553,4 +618,12 @@ func (w *Worker) adoptNodes(foreign []foreignParent, nodes []adoptNode) error {
 		j.adoptNext = nd.Index + 1
 	}
 	return nil
+}
+
+// keyIs reports whether cfg's canonical key is key. The key is encoded into
+// the worker's scratch, not cached on cfg: a configuration built from a
+// draft carries none, and the frontier keeps configurations, not keys.
+func (w *Worker) keyIs(cfg *model.Config, key []byte) bool {
+	w.req.key = cfg.AppendKey(w.req.key[:0])
+	return bytes.Equal(w.req.key, key)
 }

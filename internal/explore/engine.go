@@ -10,11 +10,11 @@ import (
 // are the same breadth-first algorithm — expand frontier nodes in canonical
 // order, deduplicate successors against a visited set, admit first-seen
 // configurations under a budget — differing only in where the work runs.
-// Step-only expansion (AppendSuccessors: what the reference loop and the
-// cluster's workers run; core.step takes the same step for every event the
-// core's row lookups cannot answer, looking it up before it is built) and
-// admission accounting (Ledger) live here so that the rules they encode
-// exist once.
+// Step-only expansion (AppendSuccessors: what the reference loop runs;
+// core.step takes the same step for every event the core's row lookups
+// cannot answer, looking it up before it is built, as the cluster's workers
+// do for every event) and admission accounting (Ledger) live here so that
+// the rules they encode exist once.
 
 // Successor is one expansion product: the applied event together with the
 // resulting configuration, its fingerprint precomputed.

@@ -57,8 +57,9 @@ func Explore(pr model.Protocol, c *model.Config, opt Options, avoid *model.Event
 //
 // The distributed engine (package distexplore) runs the same algorithm
 // with the frontier partitioned by configuration hash range across worker
-// processes; it shares AppendSuccessors and Ledger with this package,
-// which is what keeps its results byte-identical too.
+// processes; it shares the canonical event order, AvoidFilter, SpecChunk
+// and Ledger with this package, which is what keeps its results
+// byte-identical too.
 func ExploreFiltered(pr model.Protocol, c *model.Config, opt Options, skip func(model.Event) bool, visit Visit) (complete bool, visited int) {
 	w := acquireCore(pr, c, skip)
 	complete, visited = w.walk(0, opt.withDefaults(), visit), w.Len()

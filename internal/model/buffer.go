@@ -122,12 +122,17 @@ func (b *Buffer) Equal(o *Buffer) bool {
 // are Equal iff their encodings are identical.
 func (b *Buffer) AppendKey(dst []byte) []byte {
 	for i := range b.es {
-		dst = strconv.AppendInt(dst, int64(b.es[i].count), 10)
-		dst = append(dst, 'x')
-		dst = append(dst, b.es[i].rec.key...)
-		dst = append(dst, ';')
+		dst = appendEntry(dst, b.es[i].count, b.es[i].rec.key)
 	}
 	return dst
+}
+
+// appendEntry appends the encoding of one entry, "count x key ;".
+func appendEntry[T string | []byte](dst []byte, count int, key T) []byte {
+	dst = strconv.AppendInt(dst, int64(count), 10)
+	dst = append(dst, 'x')
+	dst = append(dst, key...)
+	return append(dst, ';')
 }
 
 // hashKey folds the bytes of AppendKey(nil) into the FNV-1a state h

@@ -171,10 +171,23 @@ func (c *Config) KeyBytes() []byte {
 }
 
 // AppendKey appends the binary canonical key of the configuration to dst
-// and returns the extended slice. When the key is already cached this is a
-// single copy; otherwise the key is materialized (and cached) first.
+// and returns the extended slice: a copy of the cached key, or, when none
+// is cached, the key encoded from the fields straight into dst, neither
+// allocated nor cached — for a holder that compares a key once and keeps
+// the configuration, not its key.
 func (c *Config) AppendKey(dst []byte) []byte {
-	return append(dst, c.KeyBytes()...)
+	if p := c.bkey.Load(); p != nil {
+		return append(dst, *p...)
+	}
+	return c.appendKey(dst)
+}
+
+// appendKey encodes the binary key from the carried state keys and the
+// buffer's carried message keys.
+func (c *Config) appendKey(dst []byte) []byte {
+	dst = c.keys().appendKey(dst)
+	dst = binary.AppendUvarint(dst, uint64(c.buf.KeyLen()))
+	return c.buf.AppendKey(dst)
 }
 
 // appendKeyField appends one length-prefixed field of a binary key.
@@ -203,13 +216,7 @@ func (c *Config) buildKeyBytes() []byte {
 		k := c.procs[i].skey
 		size += uvarintLen(uint64(len(k))) + len(k)
 	}
-	b := make([]byte, 0, size)
-	for i := range c.procs {
-		b = appendKeyField(b, c.procs[i].skey)
-	}
-	b = binary.AppendUvarint(b, uint64(bufLen))
-	b = c.buf.AppendKey(b)
-	return b
+	return c.appendKey(make([]byte, 0, size))
 }
 
 // FNV-1a constants, used for the configuration fingerprint.
@@ -311,6 +318,14 @@ func (k procKeys) hash() uint64 {
 		h = fnvAdd(fnvUvarint(h, uint64(len(s))), s)
 	}
 	return h
+}
+
+// appendKey appends the process fields of the canonical key.
+func (k procKeys) appendKey(dst []byte) []byte {
+	for i := range k.procs {
+		dst = appendKeyField(dst, k.key(i))
+	}
+	return dst
 }
 
 // equal reports whether k and o are the same process states.

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -236,6 +237,23 @@ func (d *Draft) Hash() uint64 {
 	}
 	d.hash = fingerprint(h)
 	return d.hash
+}
+
+// AppendKey appends the child's canonical key, Build().KeyBytes(), to dst
+// without building the child, so a holder that ships or compares keys
+// keys a step it may never build.
+func (d *Draft) AppendKey(dst []byte) []byte {
+	dst = d.keys().appendKey(dst)
+	dst = binary.AppendUvarint(dst, uint64(d.keyLen))
+	es := d.parent.buf.es
+	for _, e := range d.entries {
+		if e.at < 0 {
+			dst = appendEntry(dst, int(e.count), d.key(int(-1-e.at)))
+		} else {
+			dst = appendEntry(dst, int(e.count), es[e.at].rec.key)
+		}
+	}
+	return dst
 }
 
 // Same reports whether the child is the configuration x,

@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
@@ -13,8 +14,11 @@ import (
 // of naivemajority(3) and paxos(3): the draft is a no-op exactly when
 // Expand returns nil; Hash, before and after Build, is Build().Hash(),
 // which is KeyHash and the standard library's FNV-1a of Build().KeyBytes();
-// the built child is Expand's; and Same(x) is Build().Equal(x) for x the
-// parent and each of the parent's successors.
+// AppendKey is Build().KeyBytes(), and so is the uncached
+// Build().AppendKey; an interner holding the parent and every successor
+// before the event answers LookupKey(Hash(), AppendKey(nil)) as it answers
+// Lookup(Build()); the built child is Expand's; and Same(x) is
+// Build().Equal(x) for x the parent and each of the parent's successors.
 func FuzzDraftMatchesBuild(f *testing.F) {
 	f.Add(byte(3), []byte{0, 1, 2})
 	f.Add(byte(1), []byte{})
@@ -35,6 +39,8 @@ func FuzzDraftMatchesBuild(f *testing.F) {
 			succs[i] = model.Expand(pr, c, e)
 		}
 		var dr model.Drafter
+		seen := model.NewInterner()
+		seen.Intern(c)
 		for i, e := range evs {
 			d := dr.Draft(pr, c, e)
 			if (d == nil) != (succs[i] == nil) {
@@ -43,8 +49,19 @@ func FuzzDraftMatchesBuild(f *testing.F) {
 			if d == nil {
 				continue
 			}
+			drafted := d.AppendKey(nil)
 			cold := d.Build()
+			if uncached := cold.AppendKey([]byte("p")); string(uncached) != "p"+string(drafted) {
+				t.Fatalf("%s: uncached Build().AppendKey = %q, draft AppendKey %q", e, uncached, drafted)
+			}
 			key := cold.KeyBytes()
+			if !bytes.Equal(drafted, key) {
+				t.Fatalf("%s: draft AppendKey = %q, Build().KeyBytes() = %q", e, drafted, key)
+			}
+			idKey, okKey := seen.LookupKey(d.Hash(), drafted)
+			if id, ok := seen.Lookup(cold); idKey != id || okKey != ok {
+				t.Fatalf("%s: LookupKey = (%d, %v), Lookup(Build()) = (%d, %v)", e, idKey, okKey, id, ok)
+			}
 			if h, want := cold.Hash(), stdFNV(key); h != want || model.KeyHash(key) != want {
 				t.Fatalf("%s: Build().Hash() = %#x, KeyHash = %#x, FNV-1a(KeyBytes()) = %#x", e, h, model.KeyHash(key), want)
 			}
@@ -59,6 +76,7 @@ func FuzzDraftMatchesBuild(f *testing.F) {
 					t.Fatalf("%s: Same(%s) = %v, Build().Equal = %v", e, x, d.Same(x), cold.Equal(x))
 				}
 			}
+			seen.Intern(succs[i])
 			dr.Reset()
 		}
 	})

@@ -126,6 +126,16 @@ func (it *Interner) InternKey(h uint64, key []byte) (id uint64, fresh bool) {
 	return it.intern(h, key, false)
 }
 
+// LookupKey returns the ID of the configuration whose fingerprint is h and
+// binary canonical key is key, if it has been interned: InternKey's
+// read-only twin, for a holder that keys a configuration it has not built
+// (model.Draft.AppendKey). It allocates nothing and retains nothing.
+func (it *Interner) LookupKey(h uint64, key []byte) (id uint64, ok bool) {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	return it.lookup(h, key)
+}
+
 // Lookup returns the ID of c if it has been interned.
 func (it *Interner) Lookup(c *Config) (id uint64, ok bool) {
 	h := c.Hash()
