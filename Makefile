@@ -77,8 +77,10 @@ FUZZTIME ?= 30s
 # the same bytes; never a panic, never a slice sized past the payload), and
 # the disk decoder, whose one format holds both atlas artifacts and run
 # checkpoints (corrupt error, or re-encodes to equal columns; never a
-# panic, never a column past the input), and deadstart's S2 message-body
-# parser (error or a round-trip; never a panic).
+# panic, never a column past the input), deadstart's S2 message-body
+# parser (error or a round-trip; never a panic), and the round engine's
+# sampler against its walk (every seeded FloodSet or DLS run is a path of
+# the walk).
 fuzz:
 	$(GO) test ./internal/model -fuzz FuzzConfigKeyHash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/model -run '^$$' -fuzz FuzzDraftMatchesBuild -fuzztime $(FUZZTIME)
@@ -87,6 +89,7 @@ fuzz:
 	$(GO) test ./internal/distexplore -run '^$$' -fuzz FuzzWirePayloads -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/atlasstore -run '^$$' -fuzz FuzzDecodeArtifact -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/deadstart -run '^$$' -fuzz FuzzParseS2 -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/syncround -run '^$$' -fuzz FuzzRoundSampler -fuzztime $(FUZZTIME)
 
 # Cross-engine conformance fuzzing: random generated protocols through
 # sequential, parallel, distributed (fault-free and under a scripted

@@ -1,10 +1,12 @@
 package dls_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/flpsim/flp/internal/dls"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/syncround"
 )
 
 func TestHostileAdversaryBlocksUntilGST(t *testing.T) {
@@ -119,12 +121,46 @@ func TestUnanimousValidity(t *testing.T) {
 	}
 }
 
+func TestCoordinatorHearsItself(t *testing.T) {
+	// Round 1's coordinator is p1, and N-F = 2. The adversary loses every
+	// message it can, its own messages to itself included, except one per
+	// sub-round: p0's report, p1's proposal to p0, and p0's ack. p1's own
+	// report, proposal and ack still arrive, so it has both quorums and
+	// decides in round 1, long before GST; nobody else hears the decision.
+	s, err := dls.System(dls.Options{N: 3, F: 1, GST: 10}, model.Inputs{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := ^uint64(0)
+	through := [][]uint64{
+		{all &^ (1 << 1), all, all}, // reports: p0's reaches p1
+		{all, all &^ 1, all},        // proposal: p1's reaches p0
+		{all &^ (1 << 1), all, all}, // acks: p0's reaches p1
+		{all, all, all},             // decide: reaches nobody else
+	}
+	path := s.Sample(func(c syncround.Config) syncround.Choice {
+		return syncround.Choice{Lost: through[c.Round%4]}
+	})
+	for p, pr := range path[4].Procs {
+		if v, ok := pr.Decide(); ok != (p == 1) || ok && v != model.V0 {
+			t.Errorf("after round 1: p%d decided %v (%v), want only p1, deciding p0's estimate 0", p, v, ok)
+		}
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	bad := []dls.Options{
 		{N: 1, F: 0, GST: 1},
 		{N: 4, F: 2, GST: 1}, // 2F ≥ N
 		{N: 3, F: 1, GST: 0}, // GST < 1
 		{N: 3, F: 0, GST: 1, CrashRound: map[int]int{0: 1}}, // crashes > F
+		{N: 3, F: 1, GST: 1, DropProb: -0.1},
+		{N: 3, F: 1, GST: 1, DropProb: 1.5},
+		{N: 3, F: 1, GST: 1, DropProb: math.NaN()},
+		{N: 3, F: 1, GST: 1, CrashRound: map[int]int{3: 1}},  // victim outside [0, N)
+		{N: 3, F: 1, GST: 1, CrashRound: map[int]int{-1: 1}}, // victim outside [0, N)
+		{N: 3, F: 1, GST: 1, CrashRound: map[int]int{0: -1}}, // negative crash round
+		{N: 65, F: 1, GST: 1},
 	}
 	for i, opt := range bad {
 		if _, err := dls.Run(opt, make(model.Inputs, opt.N)); err == nil {

@@ -158,6 +158,7 @@ func TestE7NoViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exhaustive := 0
 	for i := range tab.Rows {
 		if v := cellInt(t, tab, i, "agreement violations"); v != 0 {
 			t.Errorf("row %d: %d agreement violations", i, v)
@@ -169,6 +170,15 @@ func TestE7NoViolations(t *testing.T) {
 		if cellInt(t, tab, i, "rounds") != cellInt(t, tab, i, "f")+1 {
 			t.Errorf("row %d: rounds ≠ f+1", i)
 		}
+		if cellInt(t, tab, i, "checked") == 0 {
+			t.Errorf("row %d: nothing checked", i)
+		}
+		if mode, _ := tab.Cell(i, "mode"); mode == "exhaustive" {
+			exhaustive++
+		}
+	}
+	if exhaustive == 0 {
+		t.Error("no exhaustive row")
 	}
 	// The tightness note must report the truncated disagreement.
 	foundNote := false
@@ -235,13 +245,19 @@ func TestE10GSTGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exhaustive := 0
 	for i := range tab.Rows {
-		if b := cellInt(t, tab, i, "decided before GST"); b != 0 {
-			t.Errorf("row %d: %d runs decided before GST under hostile adversary", i, b)
+		if drop, _ := tab.Cell(i, "pre-GST drop"); drop == "1" {
+			if b := cellInt(t, tab, i, "decided before GST"); b != 0 {
+				t.Errorf("row %d: %d runs decided before GST under hostile adversary", i, b)
+			}
 		}
-		seeds := cellInt(t, tab, i, "seeds")
-		if d := cellInt(t, tab, i, "all decided"); d != seeds {
-			t.Errorf("row %d: %d/%d decided after GST", i, d, seeds)
+		if mode, _ := tab.Cell(i, "mode"); mode == "exhaustive" {
+			exhaustive++
+		}
+		checked := cellInt(t, tab, i, "checked")
+		if d := cellInt(t, tab, i, "all decided"); d != checked {
+			t.Errorf("row %d: %d/%d decided after GST", i, d, checked)
 		}
 		gst := cellInt(t, tab, i, "GST")
 		n := cellInt(t, tab, i, "N")
@@ -251,6 +267,9 @@ func TestE10GSTGate(t *testing.T) {
 		if v := cellInt(t, tab, i, "agreement violations"); v != 0 {
 			t.Errorf("row %d: %d agreement violations", i, v)
 		}
+	}
+	if exhaustive == 0 {
+		t.Error("no exhaustive row")
 	}
 }
 

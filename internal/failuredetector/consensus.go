@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/syncround"
 )
 
 // Options configure one run of the rotating-coordinator consensus.
@@ -31,6 +32,11 @@ func (o Options) validate() error {
 	}
 	if len(o.CrashTick) > o.F {
 		return fmt.Errorf("failuredetector: %d crashes exceed budget F=%d", len(o.CrashTick), o.F)
+	}
+	for p := range o.CrashTick {
+		if p < 0 || p >= o.N {
+			return fmt.Errorf("failuredetector: crash victim %d is not a process (N=%d)", p, o.N)
+		}
 	}
 	if o.Detector == nil {
 		return fmt.Errorf("failuredetector: no detector")
@@ -184,10 +190,6 @@ func Run(opt Options, inputs model.Inputs) (*Result, error) {
 	}
 
 	res.Ticks = tick
-	seen := map[model.Value]bool{}
-	for _, v := range res.Decisions {
-		seen[v] = true
-	}
-	res.Agreement = len(seen) <= 1
+	res.Agreement = syncround.Agree(res.Decisions)
 	return res, nil
 }

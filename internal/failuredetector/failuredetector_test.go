@@ -143,6 +143,8 @@ func TestOptionsValidation(t *testing.T) {
 		{N: 3, F: 1, Lag: 1},                       // no detector
 		{N: 3, F: 1, Detector: accurate(), Lag: 0}, // no lag
 		{N: 3, F: 0, Detector: accurate(), Lag: 1, CrashTick: map[int]int{0: 0}},
+		{N: 3, F: 1, Detector: accurate(), Lag: 1, CrashTick: map[int]int{3: 0}},  // victim outside [0, N)
+		{N: 3, F: 1, Detector: accurate(), Lag: 1, CrashTick: map[int]int{-1: 5}}, // victim outside [0, N)
 	}
 	for i, opt := range cases {
 		if _, err := fd.Run(opt, make(model.Inputs, opt.N)); err == nil {

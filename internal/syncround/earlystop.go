@@ -1,6 +1,7 @@
 package syncround
 
 import (
+	"github.com/flpsim/flp/internal/enc"
 	"github.com/flpsim/flp/internal/model"
 )
 
@@ -31,80 +32,50 @@ func (EarlyFloodSet) Name() string { return "floodset-early" }
 func (EarlyFloodSet) Rounds(_, f int) int { return f + 1 }
 
 // NewProcess implements Algorithm.
-func (EarlyFloodSet) NewProcess(_, _ int, input model.Value) Process {
-	ep := &earlyProcess{}
-	ep.w[input] = true
-	return ep
+func (EarlyFloodSet) NewProcess(p, n int, input model.Value) Process {
+	return earlyProcess{w: floodSet(1 << input)}
 }
 
 type earlyProcess struct {
-	w           [2]bool
-	prevSenders map[int]bool
-	decidedAt   int     // 0 = not yet fixed
-	earlyW      [2]bool // snapshot of w at the moment the decision fixed
+	w, earlyW floodSet // W, and W at the moment the decision fixed
+	senders   uint64   // the senders heard last round
+	decidedAt int      // 0 = not yet fixed
 }
 
 // Send implements Process.
-func (ep *earlyProcess) Send(int) string { return encodeSet(ep.w) }
+func (ep earlyProcess) Send(r int) (any, uint64) { return ep.w.Send(r) }
 
 // Recv implements Process.
-func (ep *earlyProcess) Recv(r int, payloads map[int]string) {
-	for _, payload := range payloads {
-		w := decodeSet(payload)
-		ep.w[0] = ep.w[0] || w[0]
-		ep.w[1] = ep.w[1] || w[1]
-	}
-	senders := make(map[int]bool, len(payloads))
-	for from := range payloads {
-		senders[from] = true
-	}
-	if ep.decidedAt == 0 && ep.prevSenders != nil && sameSet(senders, ep.prevSenders) {
+func (ep earlyProcess) Recv(r int, heard uint64, payloads []any) Process {
+	ep.w = ep.w.Recv(r, heard, payloads).(floodSet)
+	if ep.decidedAt == 0 && r > 1 && heard == ep.senders {
 		ep.decidedAt = r
 		ep.earlyW = ep.w
 	}
-	ep.prevSenders = senders
+	ep.senders = heard
+	return ep
+}
+
+// AppendKey implements Process.
+func (ep earlyProcess) AppendKey(b []byte) []byte {
+	b = append(b, byte(ep.w), byte(ep.earlyW))
+	return enc.AppendInt(enc.AppendInt(b, int(ep.senders)), ep.decidedAt)
 }
 
 // Decide implements Process.
-func (ep *earlyProcess) Decide() (model.Value, bool) {
-	if ep.w[0] {
-		return model.V0, true
-	}
-	if ep.w[1] {
-		return model.V1, true
-	}
-	return 0, false
-}
+func (ep earlyProcess) Decide() (model.Value, bool) { return ep.w.Decide() }
 
 // DecidedAt implements EarlyDecider.
-func (ep *earlyProcess) DecidedAt() (int, bool) {
-	if ep.decidedAt > 0 {
-		return ep.decidedAt, true
-	}
-	return 0, false
+func (ep earlyProcess) DecidedAt() (int, bool) {
+	return ep.decidedAt, ep.decidedAt > 0
 }
 
 // EarlyValue returns the decision value as fixed at DecidedAt. The
 // early-stopping argument says it equals the final Decide value — a clean
 // round means no live process holds anything this one lacks.
-func (ep *earlyProcess) EarlyValue() (model.Value, bool) {
+func (ep earlyProcess) EarlyValue() (model.Value, bool) {
 	if ep.decidedAt == 0 {
 		return 0, false
 	}
-	if ep.earlyW[0] {
-		return model.V0, true
-	}
-	return model.V1, true
-}
-
-func sameSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
+	return ep.earlyW.Decide()
 }

@@ -1,8 +1,6 @@
 package syncround
 
 import (
-	"strings"
-
 	"github.com/flpsim/flp/internal/model"
 )
 
@@ -26,33 +24,35 @@ func (FloodSet) Rounds(_, f int) int { return f + 1 }
 
 // NewProcess implements Algorithm.
 func (FloodSet) NewProcess(_, _ int, input model.Value) Process {
-	fp := &floodProcess{}
-	fp.w[input] = true
-	return fp
+	return floodSet(1 << input)
 }
 
-type floodProcess struct {
-	w [2]bool // w[v] = v ∈ W
-}
+// floodSet is a FloodSet process's W: bit v is set iff v ∈ W. It is also
+// the payload the process broadcasts.
+type floodSet uint8
 
-// Send implements Process.
-func (fp *floodProcess) Send(int) string { return encodeSet(fp.w) }
+// Send implements Process: W, to everyone.
+func (w floodSet) Send(int) (any, uint64) { return w, ^uint64(0) }
 
 // Recv implements Process.
-func (fp *floodProcess) Recv(_ int, payloads map[int]string) {
-	for _, payload := range payloads {
-		w := decodeSet(payload)
-		fp.w[0] = fp.w[0] || w[0]
-		fp.w[1] = fp.w[1] || w[1]
+func (w floodSet) Recv(_ int, heard uint64, payloads []any) Process {
+	for q, payload := range payloads {
+		if heard&(1<<q) != 0 {
+			w |= payload.(floodSet)
+		}
 	}
+	return w
 }
 
+// AppendKey implements Process.
+func (w floodSet) AppendKey(b []byte) []byte { return append(b, byte(w)) }
+
 // Decide implements Process: min(W), i.e. 0 wins when both are present.
-func (fp *floodProcess) Decide() (model.Value, bool) {
-	if fp.w[0] {
+func (w floodSet) Decide() (model.Value, bool) {
+	if w&1 != 0 {
 		return model.V0, true
 	}
-	if fp.w[1] {
+	if w&2 != 0 {
 		return model.V1, true
 	}
 	return 0, false
@@ -75,22 +75,4 @@ func (t TruncatedFloodSet) Rounds(_, _ int) int { return t.R }
 // NewProcess implements Algorithm.
 func (t TruncatedFloodSet) NewProcess(p, n int, input model.Value) Process {
 	return FloodSet{}.NewProcess(p, n, input)
-}
-
-func encodeSet(w [2]bool) string {
-	var sb strings.Builder
-	if w[0] {
-		sb.WriteByte('0')
-	}
-	if w[1] {
-		sb.WriteByte('1')
-	}
-	return sb.String()
-}
-
-func decodeSet(s string) [2]bool {
-	var w [2]bool
-	w[0] = strings.ContainsRune(s, '0')
-	w[1] = strings.ContainsRune(s, '1')
-	return w
 }

@@ -9,23 +9,38 @@
 // mid-broadcast delivers its final message to an arbitrary adversary-chosen
 // subset of recipients — that partial delivery is exactly what forces f+1
 // rounds rather than one.
+//
+// The package is also the round engine the synchronous and the
+// partial-synchrony contrasts run on (package dls is the latter): a round
+// algorithm is a pure per-process transition, an adversary is the set of
+// delivery choices a round allows (Choice), and one step serves both a
+// sampler and a walk — System.Sample takes one choice per round,
+// System.Walk takes every choice, deduplicating configurations by key one
+// round level at a time.
 package syncround
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"github.com/flpsim/flp/internal/model"
 )
 
-// Process is a synchronous round-based algorithm instance for one process.
+// Process is one process's state in a round algorithm. It is a value:
+// Recv returns the next state and leaves its receiver as it was, so a walk
+// can branch one configuration into many.
 type Process interface {
-	// Send returns the payload this process broadcasts in round r (1-based).
-	Send(r int) string
-	// Recv consumes the payloads delivered this round, keyed by sender.
-	// Its own payload is included (self-delivery is reliable).
-	Recv(r int, payloads map[int]string)
-	// Decide returns the decision after the final round.
+	// Send returns the payload this process sends in round r (1-based) and
+	// its recipients, bit q for process q.
+	Send(r int) (payload any, to uint64)
+	// Recv returns the state after round r, in which this process heard
+	// the senders in heard (bit q for process q); payloads[q] is q's
+	// payload.
+	Recv(r int, heard uint64, payloads []any) Process
+	// AppendKey appends the state's key to b: equal keys, equal futures.
+	AppendKey(b []byte) []byte
+	// Decide returns the decision, if any.
 	Decide() (model.Value, bool)
 }
 
@@ -34,7 +49,7 @@ type Algorithm interface {
 	Name() string
 	// Rounds returns the number of rounds to run for crash budget f.
 	Rounds(n, f int) int
-	// NewProcess returns process p's instance.
+	// NewProcess returns process p's initial state.
 	NewProcess(p, n int, input model.Value) Process
 }
 
@@ -90,99 +105,95 @@ type Result struct {
 
 // DecidedValue returns the survivors' common decision.
 func (r *Result) DecidedValue() (model.Value, bool) {
-	seen := map[model.Value]bool{}
-	for _, v := range r.Decisions {
-		seen[v] = true
+	if !Agree(r.Decisions) {
+		return 0, false
 	}
-	if len(seen) == 1 {
-		for v := range seen {
-			return v, true
-		}
+	for _, v := range r.Decisions {
+		return v, true
 	}
 	return 0, false
 }
 
 // Run executes alg on n processes with inputs in under the given crash
-// pattern and crash budget f. It refuses a pattern with more than f
-// victims, a victim or recipient outside [0, n), or a crash round outside
-// [0, alg.Rounds(n, f)].
+// pattern and crash budget f: a sampler over CrashSystem that takes the
+// pattern's choice each round. It refuses fewer than 2 or more than 64
+// processes, a pattern with more than f victims, a victim or recipient
+// outside [0, n), or a crash round outside [0, alg.Rounds(n, f)].
 func Run(alg Algorithm, inputs model.Inputs, f int, cp CrashPattern) (*Result, error) {
 	n := len(inputs)
-	if n < 2 {
-		return nil, fmt.Errorf("syncround: need at least 2 processes, got %d", n)
+	if n < 2 || n > 64 {
+		return nil, fmt.Errorf("syncround: need 2 to 64 processes, got %d", n)
 	}
-	if cp.Crashes() > f {
-		return nil, fmt.Errorf("syncround: crash pattern kills %d processes, budget is %d", cp.Crashes(), f)
-	}
-	rounds := alg.Rounds(n, f)
-	if err := cp.validate(n, rounds); err != nil {
+	if err := cp.validate(n, f, alg.Rounds(n, f)); err != nil {
 		return nil, err
 	}
-	procs := make([]Process, n)
-	for p := 0; p < n; p++ {
-		procs[p] = alg.NewProcess(p, n, inputs[p])
+	path := CrashSystem(alg, inputs, f).Sample(cp.Choice)
+	last := path[len(path)-1]
+	res := &Result{Algorithm: alg.Name(), N: n, F: f, Rounds: alg.Rounds(n, f),
+		Decisions: last.Decisions(), Messages: last.Messages, Procs: last.Procs}
+	for p := range cp.Round {
+		delete(res.Decisions, p) // crashed processes render no decision
 	}
-
-	res := &Result{Algorithm: alg.Name(), N: n, F: f, Rounds: rounds, Decisions: map[int]model.Value{}, Procs: procs}
-
-	for r := 1; r <= rounds; r++ {
-		// Gather each sender's payload and recipient set.
-		delivered := make([]map[int]string, n)
-		for p := 0; p < n; p++ {
-			delivered[p] = map[int]string{}
-		}
-		for p := 0; p < n; p++ {
-			cr, crashes := cp.Round[p]
-			if crashes && r > cr {
-				continue // already dead
-			}
-			if crashes && r == cr {
-				if cr == 0 {
-					continue // initially dead: never sent anything
-				}
-				// Final partial broadcast, recipients chosen by the
-				// adversary.
-				payload := procs[p].Send(r)
-				for q := range cp.Partial[p] {
-					delivered[q][p] = payload
-					res.Messages++
-				}
-				continue
-			}
-			payload := procs[p].Send(r)
-			for q := 0; q < n; q++ {
-				delivered[q][p] = payload
-				res.Messages++
-			}
-		}
-		// Processes that have crashed by round r no longer process input.
-		for p := 0; p < n; p++ {
-			if isCrashedBy(cp, p, r) {
-				continue
-			}
-			procs[p].Recv(r, delivered[p])
-		}
-	}
-
-	for p := 0; p < n; p++ {
-		if _, crashes := cp.Round[p]; crashes {
-			continue // crashed processes render no decision
-		}
-		if v, ok := procs[p].Decide(); ok {
-			res.Decisions[p] = v
-		}
-	}
-	seen := map[model.Value]bool{}
-	for _, v := range res.Decisions {
-		seen[v] = true
-	}
-	res.Agreement = len(seen) <= 1
+	res.Agreement = Agree(res.Decisions)
 	return res, nil
 }
 
-// validate rejects a pattern that names a process outside [0, n) as a
-// victim or a recipient, or a crash round outside [0, rounds].
-func (cp CrashPattern) validate(n, rounds int) error {
+// Choice is cp's choice for c's next round: the victims crashing in it,
+// each reaching only its Partial set. A process crashing in round 0 is
+// initially dead: it crashes in round 1 and reaches nobody.
+func (cp CrashPattern) Choice(c Config) Choice {
+	r := c.Round + 1
+	ch := Choice{Lost: make([]uint64, len(c.Procs))}
+	for p, cr := range cp.Round {
+		if cr == r || cr == 0 && r == 1 {
+			ch.Crash |= 1 << p
+			ch.Lost[p] = ^uint64(0)
+			if cr > 0 {
+				for q := range cp.Partial[p] {
+					ch.Lost[p] &^= 1 << q
+				}
+			}
+		}
+	}
+	return ch
+}
+
+// CrashSystem is alg on inputs against the crash adversary of budget f: in
+// each round any set of live processes may crash while the budget lasts,
+// each one's last message reaching any subset of the survivors.
+func CrashSystem(alg Algorithm, inputs model.Inputs, f int) System {
+	n := len(inputs)
+	init := Config{Procs: make([]Process, n), Alive: 1<<n - 1}
+	for p, v := range inputs {
+		init.Procs[p] = alg.NewProcess(p, n, v)
+	}
+	return System{Init: init, Rounds: alg.Rounds(n, f), Choices: func(c Config) []Choice {
+		var out []Choice
+		budget := f - (n - bits.OnesCount64(c.Alive)) // crashes left
+		for crash := uint64(0); crash < 1<<n; crash++ {
+			if crash&^c.Alive != 0 || bits.OnesCount64(crash) > budget {
+				continue
+			}
+			survivors := c.Alive &^ crash
+			base, may := Choice{Crash: crash, Lost: make([]uint64, n)}, make([]uint64, n)
+			for p := range may {
+				if crash&(1<<p) != 0 {
+					base.Lost[p], may[p] = ^survivors, survivors
+				}
+			}
+			out = append(out, Losses(base, may)...)
+		}
+		return out
+	}}
+}
+
+// validate rejects a pattern with more than f victims, one that names a
+// process outside [0, n) as a victim or a recipient, or a crash round
+// outside [0, rounds].
+func (cp CrashPattern) validate(n, f, rounds int) error {
+	if cp.Crashes() > f {
+		return fmt.Errorf("syncround: crash pattern kills %d processes, budget is %d", cp.Crashes(), f)
+	}
 	for p, r := range cp.Round {
 		if p < 0 || p >= n {
 			return fmt.Errorf("syncround: crash victim %d is not a process (n=%d)", p, n)
@@ -202,10 +213,4 @@ func (cp CrashPattern) validate(n, rounds int) error {
 		}
 	}
 	return nil
-}
-
-// isCrashedBy reports whether p has crashed in round r or earlier.
-func isCrashedBy(cp CrashPattern, p, r int) bool {
-	cr, crashes := cp.Round[p]
-	return crashes && r >= cr
 }
