@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus bench bench-parallel bench-valency alloc-guards bench-alloc bench-e2e vet
+.PHONY: all build test test-race test-short test-dist test-chaos test-serve test-store serve fuzz fuzz-conformance corpus corpus-check bench bench-parallel bench-valency alloc-guards bench-alloc bench-e2e vet
 
 all: build test
 
@@ -104,6 +104,15 @@ fuzz-conformance:
 # Re-mint the committed conformance corpus under testdata/protogen.
 corpus:
 	$(GO) run ./cmd/flpgen -out testdata/protogen -count 20
+
+# The committed corpus is what flpgen mints today: re-mint it into a
+# temporary directory and diff. Each fixture's note records the census of
+# the protocol it was minted from, so a change in what a generated name
+# builds shows up here.
+corpus-check:
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/flpgen -out $$tmp -count 20 >/dev/null && \
+	diff -r $$tmp testdata/protogen
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

@@ -27,6 +27,7 @@ import (
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
@@ -69,7 +70,15 @@ func runCheck(name, inputBits string, budget int) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	in := bitsInputs(sp.N, inputBits)
+	in := altInputs(sp.N)
+	if inputBits != "" {
+		if in, err = model.ParseInputs(inputBits); err != nil {
+			fatalf("%v", err)
+		}
+		if len(in) != sp.N {
+			fatalf("inputs %q has %d bits for %d processes", inputBits, len(in), sp.N)
+		}
+	}
 	c := enginetest.Case{Protocol: name, N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: budget}}
 	if err := conformance.Check(c, conformance.Options{Chaos: true, ChaosSeed: 1}); err != nil {
 		fatalf("%v", err)
@@ -77,14 +86,12 @@ func runCheck(name, inputBits string, budget int) {
 	fmt.Printf("ok: %s inputs %s agrees across all engines (budget %d)\n", name, in, budget)
 }
 
-func bitsInputs(n int, bits string) model.Inputs {
+// altInputs gives process p input p mod 2, the default for -check and
+// for minting.
+func altInputs(n int) model.Inputs {
 	in := make(model.Inputs, n)
 	for p := range in {
-		if bits == "" {
-			in[p] = model.Value(p & 1)
-		} else if p < len(bits) && bits[p] == '1' {
-			in[p] = model.V1
-		}
+		in[p] = model.Value(p & 1)
 	}
 	return in
 }
@@ -107,7 +114,11 @@ func presets() []protogen.Dials {
 // census measures the reachable set under the sequential engine: the size
 // and whether cap truncated it.
 func census(sp protogen.Spec, in model.Inputs, cap int) (int, bool) {
-	pr := protogen.MustNew(sp)
+	factory, _ := protocols.Lookup(sp.Name())
+	pr, err := factory(0)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	root := model.MustInitial(pr, in)
 	complete, visited := explore.Explore(pr, root, explore.Options{MaxConfigs: cap, Workers: 1}, nil, nil)
 	return visited, complete
@@ -131,7 +142,7 @@ func mint(dir string, count int, seed uint64, budget, minC, maxC int) {
 		found := false
 		for limit := s + 100000; s < limit; s++ {
 			sp = protogen.Derive(s, d)
-			in = bitsInputs(sp.N, "")
+			in = altInputs(sp.N)
 			size, complete = census(sp, in, maxC)
 			if (!complete || size >= minC) && !seen[sp.Name()] {
 				found = true

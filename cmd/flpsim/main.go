@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"github.com/flpsim/flp"
+	"github.com/flpsim/flp/internal/model"
 )
 
 func main() {
@@ -144,18 +145,7 @@ func parseInputs(s string, n int) (flp.Inputs, error) {
 	if len(s) != n {
 		return nil, fmt.Errorf("inputs %q has %d bits for %d processes", s, len(s), n)
 	}
-	in := make(flp.Inputs, n)
-	for i, c := range s {
-		switch c {
-		case '0':
-			in[i] = flp.V0
-		case '1':
-			in[i] = flp.V1
-		default:
-			return nil, fmt.Errorf("inputs %q: bad bit %q", s, c)
-		}
-	}
-	return in, nil
+	return model.ParseInputs(s)
 }
 
 func buildScheduler(s string) (flp.Scheduler, error) {

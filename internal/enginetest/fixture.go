@@ -39,16 +39,9 @@ func NewFixture(sp protogen.Spec, inputs model.Inputs, maxConfigs int, note stri
 
 // InputValues decodes the fixture's input string.
 func (fx Fixture) InputValues() (model.Inputs, error) {
-	in := make(model.Inputs, 0, len(fx.Inputs))
-	for i, ch := range fx.Inputs {
-		switch ch {
-		case '0':
-			in = append(in, model.V0)
-		case '1':
-			in = append(in, model.V1)
-		default:
-			return nil, fmt.Errorf("enginetest: fixture input %q: position %d is not a bit", fx.Inputs, i)
-		}
+	in, err := model.ParseInputs(fx.Inputs)
+	if err != nil {
+		return nil, fmt.Errorf("enginetest: fixture %w", err)
 	}
 	return in, nil
 }

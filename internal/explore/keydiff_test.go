@@ -24,6 +24,7 @@ import (
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
+	"github.com/flpsim/flp/internal/protocols"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
@@ -121,7 +122,8 @@ func TestKeyEncodingAgreementProtogen(t *testing.T) {
 			sp := sp
 			t.Run(testName(sp.Name(), workers), func(t *testing.T) {
 				t.Parallel()
-				pr, err := protogen.New(sp)
+				factory, _ := protocols.Lookup(sp.Name())
+				pr, err := factory(0)
 				if err != nil {
 					t.Fatalf("building %s: %v", sp.Name(), err)
 				}

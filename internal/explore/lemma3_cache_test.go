@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 	"github.com/flpsim/flp/internal/protogen"
 )
 
@@ -17,7 +18,11 @@ import (
 // so the test asserts on the cache internals rather than on output.
 func TestLemma3SharesWarmedAtlas(t *testing.T) {
 	sp := protogen.Derive(7, protogen.DefaultDials(3))
-	pr := protogen.MustNew(sp)
+	factory, _ := protocols.Lookup(sp.Name())
+	pr, err := factory(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	in := make(model.Inputs, sp.N)
 	for p := range in {
 		in[p] = model.Value(p & 1)

@@ -167,6 +167,22 @@ func TestInputsCount(t *testing.T) {
 	}
 }
 
+// ParseInputs inverts Inputs.String and refuses anything String cannot
+// write.
+func TestParseInputs(t *testing.T) {
+	for _, in := range append(model.AllInputs(3), model.Inputs{}, model.Inputs{model.V1}, model.AllInputs(6)[37]) {
+		got, err := model.ParseInputs(in.String())
+		if err != nil || got.String() != in.String() || len(got) != len(in) {
+			t.Errorf("ParseInputs(%q) = %v, %v", in.String(), got, err)
+		}
+	}
+	for _, s := range []string{"2", "01x", "0 1", " 01", "01\n", "a", "0-1", "١", "0\x001"} {
+		if in, err := model.ParseInputs(s); err == nil {
+			t.Errorf("ParseInputs(%q) = %v, want an error", s, in)
+		}
+	}
+}
+
 func TestInitialConfig(t *testing.T) {
 	pr := &echoProto{n: 3}
 	c := model.MustInitial(pr, model.Inputs{model.V0, model.V1, model.V0})

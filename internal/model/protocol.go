@@ -1,5 +1,7 @@
 package model
 
+import "fmt"
+
 // State is the internal state of a single process: input register, output
 // register, program counter, and internal storage. Implementations are
 // provided by protocols.
@@ -92,6 +94,19 @@ func (in Inputs) String() string {
 		b[i] = '0' + byte(v)
 	}
 	return string(b)
+}
+
+// ParseInputs is the inverse of Inputs.String: one '0' or '1' per
+// process, process 0 first, and nothing else.
+func ParseInputs(s string) (Inputs, error) {
+	in := make(Inputs, len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] != '0' && s[i] != '1' {
+			return nil, fmt.Errorf("inputs %q: position %d is not a bit", s, i)
+		}
+		in[i] = Value(s[i] - '0')
+	}
+	return in, nil
 }
 
 // AdjacentTo reports whether two input assignments differ in the input of

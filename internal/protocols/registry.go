@@ -61,7 +61,9 @@ func Unbounded(name string) bool { return name == "paxos" || name == "benor" }
 // registered. That is what lets generated protocols flow through every
 // name-keyed surface (the distributed engine's workers, the CLIs) exactly
 // like the hand-written ones: a remote worker rebuilds the protocol from
-// the task's name alone.
+// the task's name alone. A "benor" spec runs on BenOrDeterministic at the
+// spec's thresholds and round cap; a "table" spec on protogen's table
+// automaton.
 func Lookup(name string) (Factory, bool) {
 	if protogen.IsGenerated(name) {
 		return func(n int) (model.Protocol, error) {
@@ -72,7 +74,10 @@ func Lookup(name string) (Factory, bool) {
 			if n != 0 && n != sp.N {
 				return nil, fmt.Errorf("generated protocol %q is for n = %d, got n = %d", name, sp.N, n)
 			}
-			return protogen.New(sp)
+			if sp.Template == protogen.TemplateBenOr {
+				return newGeneratedBenOr(sp), nil
+			}
+			return protogen.NewTable(sp)
 		}, true
 	}
 	f, ok := registry[name]

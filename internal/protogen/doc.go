@@ -8,9 +8,10 @@
 // *space*: Derive(seed, dials) maps a 64-bit seed and a small set of
 // generation dials — process count, message alphabet size, transition-table
 // density, decision-rule shape — to a Spec, a fully explicit, serializable
-// description of a protocol, and Spec.Protocol() realizes it as a
-// model.Protocol. The map is a pure function: same seed and dials, same
-// Spec, same behaviour, on every machine and every run.
+// description of a protocol. Package protocols realizes a Spec as a
+// model.Protocol from its name (protocols.Lookup(sp.Name())); NewTable
+// builds the table template alone. The map is a pure function: same seed
+// and dials, same Spec, same behaviour, on every machine and every run.
 //
 // # Templates
 //
@@ -20,13 +21,15 @@
 //     (phase, register, received-symbol) triples. Transitions may advance
 //     the phase, rewrite the register, send messages, and write the
 //     output register.
-//   - "benor": a Ben-Or-style randomized-consensus round structure
-//     (report / propose phases with threshold rules, after Aspnes'
-//     survey of randomized asynchronous consensus) whose shared coin is a
-//     fixed pseudo-random tape keyed by the seed — the protocol is a
-//     deterministic automaton, so runs replay exactly, but the thresholds
-//     and tape vary across seeds, giving genuinely divergent valency
-//     structure rather than permutations of one protocol.
+//   - "benor": the registry's Ben-Or (protocols.BenOrDeterministic:
+//     report / propose rounds with threshold rules, after Aspnes' survey
+//     of randomized asynchronous consensus) at derived thresholds and
+//     with a round cap. This package only draws the Spec — the three
+//     thresholds, the cap and the seed that keys the coin tape;
+//     protocols.Lookup runs it on the registry automaton. The protocol is
+//     deterministic, so runs replay exactly, but the thresholds and tape
+//     vary across seeds, giving genuinely divergent valency structure
+//     rather than permutations of one protocol.
 //
 // # Validity invariants
 //
@@ -40,10 +43,11 @@
 //     already-decided state is a no-op.
 //  3. Bounded message production: a table transition may send only if it
 //     strictly increases the phase, and phases are capped, so a run
-//     produces at most N·Phases·MaxSends messages ("benor" caps rounds
-//     the same way). The reachable configuration graph of every
-//     generated protocol is therefore finite, which is what lets the
-//     conformance harness demand complete explorations at small budgets.
+//     produces at most N·Phases·MaxSends messages ("benor" caps rounds,
+//     and a process past its last round absorbs every delivery). The
+//     reachable configuration graph of every generated protocol is
+//     therefore finite, which is what lets the conformance harness
+//     demand complete explorations at small budgets.
 //  4. Canonical state keys: states encode through package enc, so
 //     configuration identity — and with it every engine's visited set —
 //     is exact.

@@ -7,8 +7,21 @@ import (
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
+	"github.com/flpsim/flp/internal/protocols"
 	"github.com/flpsim/flp/internal/protogen"
 )
+
+// build resolves sp's name through the protocol registry, which realizes
+// both templates.
+func build(t *testing.T, sp protogen.Spec) model.Protocol {
+	t.Helper()
+	factory, _ := protocols.Lookup(sp.Name())
+	pr, err := factory(0)
+	if err != nil {
+		t.Fatalf("building %s: %v", sp.Name(), err)
+	}
+	return pr
+}
 
 func altInputs(n int) model.Inputs {
 	in := make(model.Inputs, n)
@@ -185,7 +198,7 @@ func TestModelConformance(t *testing.T) {
 			d.Template = tmpl
 			for seed := uint64(1); seed <= 5; seed++ {
 				sp := protogen.Derive(seed, d)
-				pr := protogen.MustNew(sp)
+				pr := build(t, sp)
 				for walkSeed := int64(0); walkSeed < 2; walkSeed++ {
 					modeltest.CheckConformance(t, pr, altInputs(n), 80, walkSeed)
 				}
@@ -211,7 +224,7 @@ func TestFiniteStateSpace(t *testing.T) {
 			Density: 60, MaxSends: 1, MaxRound: 1}
 		for seed := uint64(1); seed <= 8; seed++ {
 			sp := protogen.Derive(seed, d)
-			pr := protogen.MustNew(sp)
+			pr := build(t, sp)
 			c := model.MustInitial(pr, altInputs(sp.N))
 			complete, visited := explore.Explore(pr, c, explore.Options{MaxConfigs: 500_000, Workers: 1}, nil, nil)
 			if !complete {
@@ -226,8 +239,8 @@ func TestFiniteStateSpace(t *testing.T) {
 func TestBenOrCoinDeterministic(t *testing.T) {
 	d := protogen.Dials{Template: protogen.TemplateBenOr, N: 3, MaxRound: 2}
 	sp := protogen.Derive(11, d)
-	a := protogen.MustNew(sp)
-	b := protogen.MustNew(sp)
+	a := build(t, sp)
+	b := build(t, sp)
 	in := altInputs(3)
 	ca := model.MustInitial(a, in)
 	cb := model.MustInitial(b, in)

@@ -23,15 +23,3 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // pct reports true with probability p/100.
 func (r *rng) pct(p int) bool { return r.intn(100) < p }
-
-// mix64 finalizes a combined key into a well-distributed 64-bit value,
-// used for the "benor" template's coin tape (the same mixer as the
-// stream, applied statelessly).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}

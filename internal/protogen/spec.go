@@ -178,7 +178,8 @@ type Spec struct {
 
 	// BenOr template fields: round cap and the three thresholds (how many
 	// round-r reports to await; how many matching reports propose a value;
-	// how many matching proposals decide it). Classic Ben-Or is
+	// how many matching proposals decide it) that the registry's Ben-Or,
+	// protocols.BenOrDeterministic, runs with. Classic Ben-Or is
 	// WaitNeed = N-f, ProposeNeed = ⌊N/2⌋+1, DecideNeed = f+1; the
 	// generator draws them freely from [1, N], so many seeds violate
 	// agreement or block — deliberately, the engines must agree on those
@@ -282,27 +283,18 @@ func (sp Spec) validateBenOr() error {
 	return nil
 }
 
-// New realizes the spec as a model.Protocol, validating it first.
-func New(sp Spec) (model.Protocol, error) {
+// NewTable realizes a "table" spec as a model.Protocol, validating it
+// first. A "benor" spec runs the registry's Ben-Or at the spec's
+// thresholds, which package protocols builds: resolve the spec's Name
+// there (protocols.Lookup), which serves both templates.
+func NewTable(sp Spec) (model.Protocol, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	name := sp.Name()
-	switch sp.Template {
-	case TemplateBenOr:
-		return &benorProto{sp: sp, name: name}, nil
-	default:
-		return &tableProto{sp: sp, name: name}, nil
+	if sp.Template != TemplateTable {
+		return nil, fmt.Errorf("protogen: NewTable given a %q spec", sp.Template)
 	}
-}
-
-// MustNew is New for known-valid specs (tests, Derive output).
-func MustNew(sp Spec) model.Protocol {
-	pr, err := New(sp)
-	if err != nil {
-		panic(err)
-	}
-	return pr
+	return &tableProto{sp: sp, name: sp.Name()}, nil
 }
 
 // Name encodes the whole spec into a protocol name the registry can
