@@ -230,13 +230,15 @@ func parseChaos(spec string, addrs []string) (distexplore.FaultPlan, error) {
 		case "seed":
 			plan.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "drop":
-			plan.DropProb, err = strconv.ParseFloat(val, 64)
+			plan.DropProb, err = parseProb(val)
 		case "delay":
-			plan.DelayProb, err = strconv.ParseFloat(val, 64)
+			plan.DelayProb, err = parseProb(val)
 		case "delayfor":
-			plan.Delay, err = time.ParseDuration(val)
+			if plan.Delay, err = time.ParseDuration(val); err == nil && plan.Delay < 0 {
+				err = fmt.Errorf("%v is negative", plan.Delay)
+			}
 		case "trunc":
-			plan.TruncateProb, err = strconv.ParseFloat(val, 64)
+			plan.TruncateProb, err = parseProb(val)
 		case "kill":
 			widx, lvl, ok := strings.Cut(val, "@")
 			if !ok {
@@ -247,7 +249,9 @@ func parseChaos(spec string, addrs []string) (distexplore.FaultPlan, error) {
 				return plan, fmt.Errorf("chaos spec: kill worker index %q out of range [0, %d)", widx, len(addrs))
 			}
 			plan.KillAddr = addrs[w]
-			plan.KillLevel, err = strconv.Atoi(lvl)
+			if plan.KillLevel, err = strconv.Atoi(lvl); err == nil && plan.KillLevel < 0 {
+				err = fmt.Errorf("level %d is negative", plan.KillLevel)
+			}
 		default:
 			return plan, fmt.Errorf("chaos spec: unknown key %q", key)
 		}
@@ -256,6 +260,15 @@ func parseChaos(spec string, addrs []string) (distexplore.FaultPlan, error) {
 		}
 	}
 	return plan, nil
+}
+
+// parseProb parses a per-frame probability, which must lie in [0, 1].
+func parseProb(val string) (float64, error) {
+	p, err := strconv.ParseFloat(val, 64)
+	if err == nil && !(p >= 0 && p <= 1) {
+		err = fmt.Errorf("%v is not a probability in [0, 1]", p)
+	}
+	return p, err
 }
 
 func parseInputs(s string, n int) (model.Inputs, error) {

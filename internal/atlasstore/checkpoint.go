@@ -38,8 +38,8 @@ type RunKey struct {
 	// RootKey is the exploration root's binary canonical key
 	// (model.Config.KeyBytes), prefix already applied.
 	RootKey []byte
-	// Avoid is the avoided event's wire key (model.Event.Key), "" when the
-	// run has no filter.
+	// Avoid is the avoided event's wire encoding (model.AppendEvent), ""
+	// when the run has no filter.
 	Avoid      string
 	MaxConfigs int
 	MaxDepth   int

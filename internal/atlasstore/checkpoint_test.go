@@ -95,8 +95,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if got.Snap.Depth[i] != ck.Snap.Depth[i] || got.Snap.Parent[i] != ck.Snap.Parent[i] {
 			t.Fatalf("node %d columns diverged", i)
 		}
-		if got.Snap.ParentVia[i].Key() != ck.Snap.ParentVia[i].Key() {
-			t.Fatalf("node %d via %q, want %q", i, got.Snap.ParentVia[i].Key(), ck.Snap.ParentVia[i].Key())
+		if !got.Snap.ParentVia[i].Same(ck.Snap.ParentVia[i]) {
+			t.Fatalf("node %d via %v, want %v", i, got.Snap.ParentVia[i], ck.Snap.ParentVia[i])
 		}
 		if !bytes.Equal(got.Snap.Keys[i], ck.Snap.Keys[i]) {
 			t.Fatalf("node %d key diverged", i)
@@ -136,7 +136,7 @@ func TestCheckpointCorruptionSweep(t *testing.T) {
 		{"truncated one byte", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
 		{"future version", func(b []byte) []byte { b[8] = 0xEE; return b }},
-		{"start flip", func(b []byte) []byte { b[96] ^= 0x04; return b }},
+		{"start flip", func(b []byte) []byte { b[39] ^= 0x04; return b }}, // the Start uvarint
 		{"mid column bit flip", func(b []byte) []byte { b[len(b)/2] ^= 0x80; return b }},
 		{"checksum flip", func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }},
 		{"appended garbage", func(b []byte) []byte { return append(b, 0xDE, 0xAD) }},

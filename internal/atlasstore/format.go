@@ -5,15 +5,18 @@
 // frontier so a later, deeper request resumes where the artifact stopped
 // instead of re-expanding anything.
 //
-// This file is the artifact codec. The layout (DESIGN.md §9) is a fixed
-// header, an event dictionary, the struct-of-arrays node and edge columns
-// in little-endian fixed width, the dense-id → binary-canonical-key table,
-// and a CRC-32C trailer over everything preceding it. A run checkpoint is
-// the same artifact with the run-cursor flag, its cursor in the header and
-// no edges. Decoding verifies checksum, magic, and version before touching
-// a single field, then bounds-checks every cross-array index, so a
-// truncated or bit-flipped artifact is always an error — never a panic,
-// never a wrong atlas.
+// This file is the artifact codec. The layout (DESIGN.md §9) is the magic,
+// the version and flags, a header of uvarint counts and identity fields,
+// an event dictionary of model.AppendEvent entries, the struct-of-arrays
+// node and edge columns in little-endian fixed width, the dense-id →
+// binary-canonical-key table, and a CRC-32C trailer over everything
+// preceding it. Everything variable-width is read with model.Reader, the
+// cluster wire's reader. A run checkpoint is the same artifact with the
+// run-cursor flag, its cursor in the header and no edges. Decoding
+// verifies checksum, magic, and version before touching a single field,
+// then bounds-checks every cross-array index, so a truncated or
+// bit-flipped artifact is always an error — never a panic, never a wrong
+// atlas.
 package atlasstore
 
 import (
@@ -21,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
@@ -35,7 +37,9 @@ var magic = [8]byte{'F', 'L', 'P', 'A', 'T', 'L', 'S', 1}
 // byte layout or any persisted semantic (key derivation, event encoding,
 // distance convention) changes; the store treats a mismatch like
 // corruption — delete and rebuild — so stale artifacts can never answer.
-const formatVersion uint32 = 1
+// Version 2 wrote the header in uvarints and the event dictionary in
+// model.AppendEvent's encoding.
+const formatVersion uint32 = 2
 
 // flagComplete marks an artifact whose reachable set is exhausted; clear
 // means a truncated exploration persisted with its frontier for later
@@ -102,22 +106,22 @@ func encodeArtifact(a *artifact) []byte {
 		}
 	}
 	b = binary.LittleEndian.AppendUint32(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.Depth)))       // V
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.SuccStart)-1)) // X
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap.SuccTo)))      // E
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(dict.events)))      // D
-	b = appendBytes(b, []byte(a.Key.Protocol))
-	b = binary.LittleEndian.AppendUint64(b, uint64(a.Key.N))
-	b = appendBytes(b, a.Key.RootKey)
+	for _, v := range []int{len(snap.Depth), len(snap.SuccStart) - 1, len(snap.SuccTo), len(dict.events)} { // V, X, E, D
+		b = model.AppendUvarint(b, uint64(v))
+	}
+	b = model.AppendString(b, a.Key.Protocol)
+	b = model.AppendUvarint(b, uint64(a.Key.N))
+	b = model.AppendBytes(b, a.Key.RootKey)
 	if a.Run {
-		b = appendBytes(b, []byte(a.Key.Avoid))
-		b = binary.LittleEndian.AppendUint64(b, uint64(a.Key.MaxConfigs))
-		b = binary.LittleEndian.AppendUint64(b, uint64(a.Key.MaxDepth))
-		b = binary.LittleEndian.AppendUint64(b, uint64(a.Start))
-		b = binary.LittleEndian.AppendUint64(b, uint64(a.Expanded))
+		b = model.AppendString(b, a.Key.Avoid)
+		for _, v := range []int{a.Key.MaxConfigs, a.Key.MaxDepth, a.Start, a.Expanded} {
+			b = model.AppendUvarint(b, uint64(v))
+		}
 	}
 
-	b = dict.appendTo(b)
+	for _, e := range dict.events {
+		b = model.AppendEvent(b, e)
+	}
 	b = appendI32s(b, snap.Depth)
 	b = appendI32s(b, snap.Parent)
 	b = appendI32s(b, parentViaIdx)
@@ -141,7 +145,7 @@ func decodeArtifact(b []byte) (*artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	flags := r.u32()
+	flags := r.Uint32("flags")
 	complete := flags&flagComplete != 0
 	hasDists := flags&flagDists != 0
 	run := flags&flagRun != 0
@@ -153,28 +157,28 @@ func decodeArtifact(b []byte) (*artifact, error) {
 	case !run && flags&flagLedgerTruncated != 0:
 		return nil, corruptf("ledger flag without a run cursor")
 	}
-	V := r.count()
-	X := r.count()
-	E := r.count()
-	D := r.count()
+	V := r.Count("node count")
+	X := r.Count("expanded count")
+	E := r.Count("edge count")
+	D := r.Count("event dictionary size")
 	a := &artifact{Run: run}
-	a.Key.Protocol = string(r.blob())
-	a.Key.N = r.count()
-	a.Key.RootKey = r.blob()
+	a.Key.Protocol = r.String("protocol")
+	a.Key.N = r.Int("n")
+	a.Key.RootKey = r.Bytes("root key")
 	if run {
 		// The bounds are run parameters, not file-sized counts — a budget
-		// of 10M is plausible in a file of 200 bytes — so they bypass
-		// count()'s file-length clamp; the identity check against the
-		// requested run validates them.
-		a.Key.Avoid = string(r.blob())
-		a.Key.MaxConfigs = int(r.u64())
-		a.Key.MaxDepth = int(r.u64())
-		a.Start = r.count()
-		a.Expanded = r.count()
+		// of 10M is plausible in a file of 200 bytes — so they are read
+		// unclamped; the identity check against the requested run
+		// validates them.
+		a.Key.Avoid = r.String("avoided event")
+		a.Key.MaxConfigs = int(r.Uvarint("max configs"))
+		a.Key.MaxDepth = int(r.Uvarint("max depth"))
+		a.Start = r.Int("pending level start")
+		a.Expanded = r.Int("expanded nodes")
 		a.Truncated = flags&flagLedgerTruncated != 0
 	}
-	if r.err != nil {
-		return nil, corruptf("truncated header")
+	if err := r.Err(); err != nil {
+		return nil, corruptf("header: %v", err)
 	}
 	if V == 0 || X > V || a.Key.N <= 0 {
 		return nil, corruptf("implausible counts V=%d X=%d n=%d", V, X, a.Key.N)
@@ -183,23 +187,22 @@ func decodeArtifact(b []byte) (*artifact, error) {
 		return nil, corruptf("implausible run cursor V=%d X=%d E=%d start=%d", V, X, E, a.Start)
 	}
 
-	dict, err := readEventDict(r, D)
-	if err != nil {
-		return nil, err
+	dict := make([]model.Event, D)
+	for i := range dict {
+		dict[i] = r.Event("event dictionary")
 	}
-
-	depth := r.i32s(V)
-	parent := r.i32s(V)
-	parentViaIdx := r.i32s(V)
-	succStart := r.i32s(X + 1)
-	succTo := r.i32s(E)
-	succViaIdx := r.i32s(E)
+	depth := readI32s(&r, "depth column", V)
+	parent := readI32s(&r, "parent column", V)
+	parentViaIdx := readI32s(&r, "parent event column", V)
+	succStart := readI32s(&r, "edge offset column", X+1)
+	succTo := readI32s(&r, "edge target column", E)
+	succViaIdx := readI32s(&r, "edge event column", E)
 	var dist0, dist1 []int32
 	if hasDists {
-		dist0 = r.i32s(V)
-		dist1 = r.i32s(V)
+		dist0 = readI32s(&r, "distance-0 column", V)
+		dist1 = readI32s(&r, "distance-1 column", V)
 	}
-	keys, err := readKeyTable(r, V)
+	keys, err := readKeyTable(&r, V)
 	if err != nil {
 		return nil, err
 	}
@@ -271,22 +274,20 @@ func decodeFor(key RunKey, run bool, b []byte) (*artifact, error) {
 // openFrame checks the frame before a single field is read — minimum
 // length, the CRC-32C trailer over everything preceding it, magic, layout
 // version — and returns a reader positioned after the version.
-func openFrame(b []byte) (*reader, error) {
+func openFrame(b []byte) (model.Reader, error) {
 	if len(b) < len(magic)+4+4+4 {
-		return nil, corruptf("short file (%d bytes)", len(b))
+		return model.Reader{}, corruptf("short file (%d bytes)", len(b))
 	}
 	body, trailer := b[:len(b)-4], b[len(b)-4:]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
-		return nil, corruptf("checksum mismatch")
+		return model.Reader{}, corruptf("checksum mismatch")
 	}
-	r := &reader{b: body}
-	var m [8]byte
-	copy(m[:], r.bytes(8))
-	if r.err != nil || m != magic {
-		return nil, corruptf("bad magic")
+	if !bytes.Equal(body[:len(magic)], magic[:]) {
+		return model.Reader{}, corruptf("bad magic")
 	}
-	if v := r.u32(); v != formatVersion {
-		return nil, corruptf("format version %d (want %d)", v, formatVersion)
+	r := model.NewReader(body[len(magic):])
+	if v := r.Uint32("format version"); v != formatVersion {
+		return model.Reader{}, corruptf("format version %d (want %d)", v, formatVersion)
 	}
 	return r, nil
 }
@@ -300,8 +301,8 @@ type eventDict struct {
 }
 
 // eventID is an event's identity as a comparable value — the fields
-// model.Event.Key renders — so that looking an edge's label up allocates
-// nothing.
+// model.AppendEvent encodes, the identity Event.Same compares — so that
+// looking an edge's label up allocates nothing.
 type eventID struct {
 	p, to, from model.PID
 	deliver     bool
@@ -330,50 +331,6 @@ func (d *eventDict) column(evs []model.Event) []int32 {
 	return out
 }
 
-// appendTo encodes the dictionary entries: a kind byte, the process, and
-// for deliveries the message.
-func (d *eventDict) appendTo(b []byte) []byte {
-	for _, e := range d.events {
-		if e.Msg == nil {
-			b = append(b, 0)
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
-		} else {
-			b = append(b, 1)
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.P)))
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.To)))
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.Msg.From)))
-			b = appendBytes(b, []byte(e.Msg.Body))
-		}
-	}
-	return b
-}
-
-// readEventDict decodes n dictionary entries.
-func readEventDict(r *reader, n int) ([]model.Event, error) {
-	dict := make([]model.Event, n)
-	for i := range dict {
-		switch kind := r.u8(); kind {
-		case 0:
-			dict[i] = model.Event{P: model.PID(r.i64())}
-		case 1:
-			p := model.PID(r.i64())
-			to := model.PID(r.i64())
-			from := model.PID(r.i64())
-			body := string(r.blob())
-			msg := model.Message{To: to, From: from, Body: body}
-			dict[i] = model.Event{P: p, Msg: &msg}
-		default:
-			if r.err == nil {
-				return nil, corruptf("unknown event kind %d", kind)
-			}
-		}
-		if r.err != nil {
-			return nil, corruptf("truncated event dictionary")
-		}
-	}
-	return dict, nil
-}
-
 // appendKeyTable encodes the dense-id → canonical-key table: len(keys)+1
 // cumulative offsets into one blob, then the blob.
 func appendKeyTable(b []byte, keys [][]byte) []byte {
@@ -390,21 +347,22 @@ func appendKeyTable(b []byte, keys [][]byte) []byte {
 }
 
 // readKeyTable decodes the key table of a V-node artifact, which ends the
-// checksummed body. r's sticky error also covers the fixed-width columns
-// read just before it.
-func readKeyTable(r *reader, V int) ([][]byte, error) {
-	keyOff := r.u64s(V + 1)
-	if r.err != nil {
-		return nil, corruptf("truncated columns")
+// checksummed body. r's sticky error also covers the columns read just
+// before it.
+func readKeyTable(r *model.Reader, V int) ([][]byte, error) {
+	p := r.Next("key offsets", 8*(V+1))
+	if err := r.Err(); err != nil {
+		return nil, corruptf("columns: %v", err)
+	}
+	keyOff := make([]uint64, V+1)
+	for i := range keyOff {
+		keyOff[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	blobLen := keyOff[V]
-	if blobLen > uint64(len(r.b)-r.off) {
-		return nil, corruptf("key blob overruns file")
+	if blobLen != uint64(r.Len()) {
+		return nil, corruptf("key blob of %d bytes, %d remain", blobLen, r.Len())
 	}
-	keyBlob := r.bytes(int(blobLen))
-	if r.err != nil || r.off != len(r.b) {
-		return nil, corruptf("trailing or missing bytes")
-	}
+	keyBlob := r.Next("key blob", int(blobLen))
 	keys := make([][]byte, V)
 	for i := range keys {
 		lo, hi := keyOff[i], keyOff[i+1]
@@ -428,11 +386,6 @@ func viaColumn(idx []int32, dict []model.Event) ([]model.Event, error) {
 	return out, nil
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
 func appendI32s(b []byte, xs []int32) []byte {
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(x))
@@ -440,98 +393,15 @@ func appendI32s(b []byte, xs []int32) []byte {
 	return b
 }
 
-// reader is a cursor over the artifact body with sticky error semantics:
-// any overrun sets err and every later read returns zero values, so decode
-// paths stay straight-line.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		if r.err == nil {
-			r.err = fmt.Errorf("overrun")
-		}
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-func (r *reader) u8() byte {
-	p := r.bytes(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *reader) u32() uint32 {
-	p := r.bytes(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-func (r *reader) u64() uint64 {
-	p := r.bytes(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-// count reads a u64 header count, clamping anything implausible (negative
-// as int, or larger than the file could possibly hold) to an error.
-func (r *reader) count() int {
-	v := r.u64()
-	if v > uint64(len(r.b)) || v > math.MaxInt32 {
-		if r.err == nil {
-			r.err = fmt.Errorf("implausible count %d", v)
-		}
-		return 0
-	}
-	return int(v)
-}
-
-// blob reads a u32-length-prefixed byte string.
-func (r *reader) blob() []byte {
-	n := r.u32()
-	if uint64(n) > uint64(len(r.b)) {
-		if r.err == nil {
-			r.err = fmt.Errorf("implausible blob length %d", n)
-		}
-		return nil
-	}
-	return r.bytes(int(n))
-}
-
-func (r *reader) i32s(n int) []int32 {
-	p := r.bytes(4 * n)
+// readI32s reads a column of n fixed-width little-endian int32s.
+func readI32s(r *model.Reader, what string, n int) []int32 {
+	p := r.Next(what, 4*n)
 	if p == nil {
 		return nil
 	}
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return out
-}
-
-func (r *reader) u64s(n int) []uint64 {
-	p := r.bytes(8 * n)
-	if p == nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	return out
 }

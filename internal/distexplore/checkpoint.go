@@ -18,7 +18,7 @@ func (r *run) openCheckpoints() {
 		MaxConfigs: r.eopt.MaxConfigs, MaxDepth: r.eopt.MaxDepth,
 	}
 	if r.t.Avoid != nil {
-		r.ckKey.Avoid = r.t.Avoid.Key()
+		r.ckKey.Avoid = string(model.AppendEvent(nil, *r.t.Avoid))
 	}
 	// Closing the write-behind drains it before Explore returns on ANY
 	// path, so every enqueued boundary is durable when the caller observes

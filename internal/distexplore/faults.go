@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"github.com/flpsim/flp/internal/model"
 )
 
 // Deterministic fault injection. FaultyTransport wraps any Transport and
@@ -264,20 +266,7 @@ func frameLevel(frame []byte) (int, bool) {
 	default:
 		return 0, false
 	}
-	level, _, err := consumeUvarintPrefix(frame[5:])
-	if err != nil {
-		return 0, false
-	}
-	return int(level), true
-}
-
-// consumeUvarintPrefix reads the leading uvarint of a payload without
-// pulling in the model package's wire helpers (faults.go stays independent
-// of payload schemas beyond the level prefix).
-func consumeUvarintPrefix(b []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("bad uvarint prefix")
-	}
-	return v, n, nil
+	r := model.NewReader(frame[5:])
+	level := r.Int("level")
+	return level, r.Err() == nil
 }

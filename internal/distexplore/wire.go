@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/flpsim/flp/internal/model"
 )
@@ -22,79 +21,6 @@ import (
 // refused there with an error naming both sides — never mis-decoded later.
 // Version 3 made adoption parent-relative (adoptNode).
 const wireVersion = 3
-
-// reader consumes one payload front to back. The first failure sticks and
-// empties the buffer, so a decoder reads its fields unconditionally and
-// checks once, in done. Counts are bounded by the bytes that remain (every
-// element of every list is at least one byte), so a hostile count can size
-// no slice past the payload's own length.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(what string, err error) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%s: %w", what, err)
-	}
-	r.b = nil
-}
-
-func (r *reader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n, err := model.ConsumeUvarint(r.b)
-	if err != nil {
-		r.fail(what, err)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// num reads a level, shard, index bound or process count into an int.
-func (r *reader) num(what string) int {
-	v := r.uvarint(what)
-	if v > math.MaxInt32 {
-		r.fail(what, fmt.Errorf("%d is out of range", v))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) count(what string) int {
-	v := r.uvarint(what)
-	if v > uint64(len(r.b)) {
-		r.fail(what, fmt.Errorf("count %d exceeds the %d bytes that remain", v, len(r.b)))
-		return 0
-	}
-	return int(v)
-}
-
-// consume runs one of the model's Consume* decoders on the front of the
-// payload.
-func consume[T any](r *reader, what string, f func([]byte) (T, int, error)) T {
-	var zero T
-	if r.err != nil {
-		return zero
-	}
-	v, n, err := f(r.b)
-	if err != nil {
-		r.fail(what, err)
-		return zero
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// done reports the sticky error, or that the payload was not used up.
-func (r *reader) done(what string) error {
-	if r.err == nil && len(r.b) > 0 {
-		r.fail(what, fmt.Errorf("%d trailing bytes", len(r.b)))
-	}
-	return r.err
-}
 
 // wireKey is a configuration's identity on the wire: Config.Hash() and
 // Config.KeyBytes(). The hash routes it to its shard and buckets it in the
@@ -140,23 +66,11 @@ func resize[T any](s []T, n int) []T {
 }
 
 func appendWireKey(b []byte, k wireKey) []byte {
-	b = binary.LittleEndian.AppendUint64(b, k.Hash)
-	b = model.AppendUvarint(b, uint64(len(k.Key)))
-	return append(b, k.Key...)
+	return model.AppendBytes(binary.LittleEndian.AppendUint64(b, k.Hash), k.Key)
 }
 
-func (r *reader) key(what string) (k wireKey) {
-	if r.err == nil && len(r.b) < 8 {
-		r.fail(what, fmt.Errorf("truncated fingerprint"))
-	}
-	if r.err != nil {
-		return k
-	}
-	k.Hash = binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	n := r.count(what)
-	k.Key, r.b = r.b[:n:n], r.b[n:]
-	return k
+func readWireKey(r *model.Reader, what string) wireKey {
+	return wireKey{Hash: r.Uint64(what), Key: r.Bytes(what)}
 }
 
 // initReq starts an exploration job on a worker. The worker reconstructs
@@ -193,38 +107,38 @@ func (q *initReq) encode() []byte {
 }
 
 func decodeInitReq(b []byte) (*initReq, error) {
-	r := reader{b: b}
+	r := model.NewReader(b)
 	var q initReq
-	q.Protocol = consume(&r, "init protocol", model.ConsumeString)
-	q.N = r.num("init n")
-	q.Inputs = consume(&r, "init inputs", model.ConsumeInputs)
-	q.Prefix = consume(&r, "init prefix", model.ConsumeSchedule)
-	switch r.num("init avoid flag") {
+	q.Protocol = r.String("init protocol")
+	q.N = r.Int("init n")
+	q.Inputs = r.Inputs("init inputs")
+	q.Prefix = r.Schedule("init prefix")
+	switch r.Int("init avoid flag") {
 	case 0:
 	case 1:
-		e := consume(&r, "init avoid", model.ConsumeEvent)
+		e := r.Event("init avoid")
 		q.Avoid = &e
 	default:
-		r.fail("init avoid flag", fmt.Errorf("not 0 or 1"))
+		r.Fail("init avoid flag", fmt.Errorf("not 0 or 1"))
 	}
 	for _, dst := range []*int{&q.Shards, &q.WorkerCount, &q.WorkerIndex, &q.Replicas} {
-		*dst = r.num("init shard layout")
+		*dst = r.Int("init shard layout")
 	}
-	if err := r.wireVersion("the coordinator"); err != nil {
+	if err := readWireVersion(&r, "the coordinator"); err != nil {
 		return nil, fmt.Errorf("init: %w", err)
 	}
-	return &q, r.done("init")
+	return &q, r.Done("init")
 }
 
-// wireVersion reads the version the peer sent at init — the last field of
-// the request, the whole acknowledgement — and holds it to the one-release
-// rule. A peer from before versions existed sent nothing there.
-func (r *reader) wireVersion(peer string) error {
+// readWireVersion reads the version the peer sent at init — the last field
+// of the request, the whole acknowledgement — and holds it to the
+// one-release rule. A peer from before versions existed sent nothing there.
+func readWireVersion(r *model.Reader, peer string) error {
 	const fix = "run one release on every cluster member"
-	if r.err == nil && len(r.b) == 0 {
+	if r.Err() == nil && r.Len() == 0 {
 		return fmt.Errorf("%s predates wire versions, this side speaks version %d; %s", peer, wireVersion, fix)
 	}
-	if v := r.num("wire version"); r.err == nil && v != wireVersion {
+	if v := r.Int("wire version"); r.Err() == nil && v != wireVersion {
 		return fmt.Errorf("%s speaks wire version %d, this side version %d; %s", peer, v, wireVersion, fix)
 	}
 	return nil
@@ -232,11 +146,11 @@ func (r *reader) wireVersion(peer string) error {
 
 // checkInitAck reads a worker's answer to init: its wire version.
 func checkInitAck(b []byte) error {
-	r := reader{b: b}
-	if err := r.wireVersion("the worker"); err != nil {
+	r := model.NewReader(b)
+	if err := readWireVersion(&r, "the worker"); err != nil {
 		return err
 	}
-	return r.done("init ack")
+	return r.Done("init ack")
 }
 
 // expandReq asks a worker to expand the frontier nodes of one level whose
@@ -259,13 +173,13 @@ func (q *expandReq) encode() []byte {
 }
 
 func decodeExpandReq(b []byte) (*expandReq, error) {
-	r := reader{b: b}
-	q := expandReq{Level: r.num("expand level"), Lo: r.num("expand lo"), Hi: r.num("expand hi")}
-	q.Shards = make([]int, r.count("expand shards"))
+	r := model.NewReader(b)
+	q := expandReq{Level: r.Int("expand level"), Lo: r.Int("expand lo"), Hi: r.Int("expand hi")}
+	q.Shards = make([]int, r.Count("expand shards"))
 	for i := range q.Shards {
-		q.Shards[i] = r.num("expand shard")
+		q.Shards[i] = r.Int("expand shard")
 	}
-	return &q, r.done("expand")
+	return &q, r.Done("expand")
 }
 
 // candidate is one successor produced by expansion, before deduplication:
@@ -312,19 +226,19 @@ func appendCandidates(b []byte, level int, cands []candidate) []byte {
 // decodeCandidates appends the candidates of an expand response to cands;
 // their keys alias b.
 func decodeCandidates(b []byte, cands []candidate) (level int, _ []candidate, err error) {
-	r := reader{b: b}
-	level = r.num("candidates level")
+	r := model.NewReader(b)
+	level = r.Int("candidates level")
 	n := len(cands)
-	cands = resize(cands, n+r.count("candidates count"))
+	cands = resize(cands, n+r.Count("candidates count"))
 	for i := n; i < len(cands); i++ {
 		cands[i] = candidate{
-			Parent:  r.uvarint("candidate parent"),
-			SuccIdx: r.uvarint("candidate successor index"),
-			wireKey: r.key("candidate key"),
-			Via:     consume(&r, "candidate event", model.ConsumeEvent),
+			Parent:  r.Uvarint("candidate parent"),
+			SuccIdx: r.Uvarint("candidate successor index"),
+			wireKey: readWireKey(&r, "candidate key"),
+			Via:     r.Event("candidate event"),
 		}
 	}
-	return level, cands, r.done("candidates")
+	return level, cands, r.Done("candidates")
 }
 
 // shardGroup is one shard's slice of a chunk's candidate identities, in
@@ -364,17 +278,17 @@ func appendDedupReq(b []byte, level, lo int, groups []shardGroup) []byte {
 // decodeDedupReq decodes a dedup request into groups' storage; the keys
 // alias b.
 func decodeDedupReq(b []byte, groups []shardGroup) (level, lo int, _ []shardGroup, err error) {
-	r := reader{b: b}
-	level, lo = r.num("dedup level"), r.num("dedup lo")
-	groups = resize(groups, r.count("dedup groups"))
+	r := model.NewReader(b)
+	level, lo = r.Int("dedup level"), r.Int("dedup lo")
+	groups = resize(groups, r.Count("dedup groups"))
 	for i := range groups {
-		groups[i].Shard = r.num("dedup shard")
-		groups[i].Keys = resize(groups[i].Keys[:0], r.count("dedup group size"))
+		groups[i].Shard = r.Int("dedup shard")
+		groups[i].Keys = resize(groups[i].Keys[:0], r.Count("dedup group size"))
 		for j := range groups[i].Keys {
-			groups[i].Keys[j] = r.key("dedup key")
+			groups[i].Keys[j] = readWireKey(&r, "dedup key")
 		}
 	}
-	return level, lo, groups, r.done("dedup")
+	return level, lo, groups, r.Done("dedup")
 }
 
 // shardIndices is one shard's dedup answer: the indices (into that shard's
@@ -400,17 +314,17 @@ func encodeDedupResp(level, lo int, groups []shardIndices) []byte {
 
 // decodeDedupResp decodes a dedup answer into groups' storage.
 func decodeDedupResp(b []byte, groups []shardIndices) (level, lo int, _ []shardIndices, err error) {
-	r := reader{b: b}
-	level, lo = r.num("dedup answer level"), r.num("dedup answer lo")
-	groups = resize(groups, r.count("dedup answer groups"))
+	r := model.NewReader(b)
+	level, lo = r.Int("dedup answer level"), r.Int("dedup answer lo")
+	groups = resize(groups, r.Count("dedup answer groups"))
 	for i := range groups {
-		groups[i].Shard = r.num("dedup answer shard")
-		groups[i].Fresh = resize(groups[i].Fresh[:0], r.count("dedup answer size"))
+		groups[i].Shard = r.Int("dedup answer shard")
+		groups[i].Fresh = resize(groups[i].Fresh[:0], r.Count("dedup answer size"))
 		for j := range groups[i].Fresh {
-			groups[i].Fresh[j] = r.uvarint("dedup answer index")
+			groups[i].Fresh[j] = r.Uvarint("dedup answer index")
 		}
 	}
-	return level, lo, groups, r.done("dedup answer")
+	return level, lo, groups, r.Done("dedup answer")
 }
 
 // adoptNode is one admitted configuration being handed to its owning
@@ -468,26 +382,26 @@ func appendAdoptReq(b []byte, level int, foreign []foreignParent, nodes []adoptN
 // decodeAdoptReq decodes an adopt request into the storage of foreign and
 // nodes; the keys alias b.
 func decodeAdoptReq(b []byte, foreign []foreignParent, nodes []adoptNode) (level int, _ []foreignParent, _ []adoptNode, err error) {
-	r := reader{b: b}
-	level = r.num("adopt level")
-	foreign = resize(foreign, r.count("adopt foreign parent count"))
+	r := model.NewReader(b)
+	level = r.Int("adopt level")
+	foreign = resize(foreign, r.Count("adopt foreign parent count"))
 	for i := range foreign {
 		foreign[i] = foreignParent{
-			Index:    r.uvarint("adopt foreign parent index"),
-			Schedule: consume(&r, "adopt foreign parent schedule", model.ConsumeSchedule),
+			Index:    r.Uvarint("adopt foreign parent index"),
+			Schedule: r.Schedule("adopt foreign parent schedule"),
 		}
 	}
-	nodes = resize(nodes, r.count("adopt count"))
+	nodes = resize(nodes, r.Count("adopt count"))
 	for i := range nodes {
 		nodes[i] = adoptNode{
-			Index:   r.uvarint("adopt index"),
-			Depth:   r.uvarint("adopt depth"),
-			wireKey: r.key("adopt key"),
-			Parent:  r.uvarint("adopt parent"),
-			Via:     consume(&r, "adopt event", model.ConsumeEvent),
+			Index:   r.Uvarint("adopt index"),
+			Depth:   r.Uvarint("adopt depth"),
+			wireKey: readWireKey(&r, "adopt key"),
+			Parent:  r.Uvarint("adopt parent"),
+			Via:     r.Event("adopt event"),
 		}
 	}
-	return level, foreign, nodes, r.done("adopt")
+	return level, foreign, nodes, r.Done("adopt")
 }
 
 // ownerShard maps a configuration fingerprint to its hash-range shard:

@@ -23,14 +23,6 @@ func Deliver(m Message) Event {
 // IsNull reports whether the event is a null delivery.
 func (e Event) IsNull() bool { return e.Msg == nil }
 
-// Key returns a canonical encoding of the event.
-func (e Event) Key() string {
-	if e.Msg == nil {
-		return fmt.Sprintf("p%d:∅", e.P)
-	}
-	return fmt.Sprintf("p%d:%s", e.P, e.Msg.Key())
-}
-
 // Same reports whether two events are the same: same process and same
 // message (or both null). This is the identity the Lemma 3 frontier is
 // built around ("reachable from C without applying e").

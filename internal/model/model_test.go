@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -404,8 +405,8 @@ func TestEventIdentity(t *testing.T) {
 	if e1.Same(model.Deliver(m2)) {
 		t.Error("different-body deliveries Same")
 	}
-	if e1.Key() == model.NullEvent(1).Key() {
-		t.Error("event keys collide")
+	if bytes.Equal(model.AppendEvent(nil, e1), model.AppendEvent(nil, model.NullEvent(1))) {
+		t.Error("event encodings collide")
 	}
 }
 
@@ -533,8 +534,8 @@ func TestStringRenderings(t *testing.T) {
 	if !strings.Contains(s.String(), "∅") || !strings.Contains(s.String(), "v") {
 		t.Errorf("Schedule.String = %q", s.String())
 	}
-	if model.NullEvent(2).Key() == "" {
-		t.Error("null event key empty")
+	if len(model.AppendEvent(nil, model.NullEvent(2))) == 0 {
+		t.Error("null event encodes empty")
 	}
 }
 

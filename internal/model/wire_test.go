@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/flpsim/flp/internal/model"
@@ -13,13 +14,9 @@ func TestMessageWireRoundTrip(t *testing.T) {
 		{To: 5, From: 3, Body: "body with | separators \\ and unicode ∅"},
 	}
 	for _, m := range cases {
-		b := model.AppendMessage(nil, m)
-		got, n, err := model.ConsumeMessage(b)
-		if err != nil {
-			t.Fatalf("decode %v: %v", m, err)
-		}
-		if n != len(b) || got != m {
-			t.Fatalf("round trip %v: got %v, consumed %d of %d", m, got, n, len(b))
+		r := model.NewReader(model.AppendMessage(nil, m))
+		if got := r.Message("message"); r.Done("message") != nil || got != m {
+			t.Fatalf("round trip %v: got %v, err %v", m, got, r.Err())
 		}
 	}
 }
@@ -31,13 +28,13 @@ func TestScheduleWireRoundTrip(t *testing.T) {
 		model.Deliver(msg),
 		model.NullEvent(2),
 	}
-	b := model.AppendSchedule(nil, s)
-	got, n, err := model.ConsumeSchedule(b)
-	if err != nil {
+	r := model.NewReader(model.AppendSchedule(nil, s))
+	got := r.Schedule("schedule")
+	if err := r.Done("schedule"); err != nil {
 		t.Fatal(err)
 	}
-	if n != len(b) || len(got) != len(s) {
-		t.Fatalf("consumed %d of %d, %d events of %d", n, len(b), len(got), len(s))
+	if len(got) != len(s) {
+		t.Fatalf("%d events of %d", len(got), len(s))
 	}
 	for i := range s {
 		if !got[i].Same(s[i]) {
@@ -48,31 +45,70 @@ func TestScheduleWireRoundTrip(t *testing.T) {
 
 func TestInputsWireRoundTrip(t *testing.T) {
 	for _, in := range model.AllInputs(4) {
-		b := model.AppendInputs(nil, in)
-		got, n, err := model.ConsumeInputs(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(b) || got.String() != in.String() {
-			t.Fatalf("round trip %s: got %s", in, got)
+		r := model.NewReader(model.AppendInputs(nil, in))
+		if got := r.Inputs("inputs"); r.Done("inputs") != nil || got.String() != in.String() {
+			t.Fatalf("round trip %s: got %s, err %v", in, got, r.Err())
 		}
 	}
 }
 
-// TestWireDecodeCorruption confirms the decoders fail loudly on truncated
-// or malformed frames instead of panicking or fabricating values.
+// TestConsumeEventRoundTrip holds the byte-slice wrapper to the reader: it
+// consumes exactly one event from the front of a longer buffer.
+func TestConsumeEventRoundTrip(t *testing.T) {
+	e := model.Deliver(model.Message{To: 2, From: 1, Body: "x"})
+	b := model.AppendEvent(nil, e)
+	got, n, err := model.ConsumeEvent(append(b, 0xFF))
+	if err != nil || n != len(b) || !got.Same(e) {
+		t.Fatalf("ConsumeEvent: %v after %d of %d bytes, err %v", got, n, len(b), err)
+	}
+}
+
+// TestWireDecodeCorruption confirms the reader fails loudly on truncated
+// or malformed payloads instead of panicking or fabricating values, and
+// that each failure names the field being read.
 func TestWireDecodeCorruption(t *testing.T) {
 	msg := model.Message{To: 1, From: 0, Body: "hello"}
-	full := model.AppendMessage(nil, msg)
-	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := model.ConsumeMessage(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d of %d decoded without error", cut, len(full))
+	whole := map[string][]byte{
+		"message":  model.AppendMessage(nil, msg),
+		"event":    model.AppendEvent(nil, model.Deliver(msg)),
+		"schedule": model.AppendSchedule(nil, model.Schedule{model.NullEvent(0), model.Deliver(msg)}),
+		"inputs":   model.AppendInputs(nil, model.Inputs{0, 1, 1}),
+	}
+	read := map[string]func(r *model.Reader){
+		"message":  func(r *model.Reader) { r.Message("message") },
+		"event":    func(r *model.Reader) { r.Event("event") },
+		"schedule": func(r *model.Reader) { r.Schedule("schedule") },
+		"inputs":   func(r *model.Reader) { r.Inputs("inputs") },
+	}
+	for name, full := range whole {
+		for cut := 0; cut < len(full); cut++ {
+			r := model.NewReader(full[:cut])
+			read[name](&r)
+			if err := r.Err(); err == nil || !strings.HasPrefix(err.Error(), name+": ") {
+				t.Fatalf("%s truncated at %d of %d: err %v", name, cut, len(full), err)
+			}
 		}
 	}
-	if _, _, err := model.ConsumeEvent([]byte{99, 0}); err == nil {
-		t.Fatal("unknown event tag decoded without error")
+	refused := []struct {
+		name string
+		in   []byte
+		read func(r *model.Reader)
+	}{
+		{"non-shortest uvarint", []byte{0x80, 0x00}, func(r *model.Reader) { r.Uvarint("u") }},
+		{"unknown event tag", []byte{99, 0}, func(r *model.Reader) { r.Event("e") }},
+		{"invalid input value", []byte{1, 7}, func(r *model.Reader) { r.Inputs("in") }},
+		{"count past the payload", []byte{5, 0}, func(r *model.Reader) { r.Count("c") }},
+		{"process id past the limit", model.AppendUvarint([]byte{0}, 1<<21), func(r *model.Reader) { r.Event("e") }},
+		{"trailing bytes", []byte{0, 0, 0}, func(r *model.Reader) { r.Event("e"); _ = r.Done("e") }},
 	}
-	if _, _, err := model.ConsumeInputs([]byte{1, 7}); err == nil {
-		t.Fatal("invalid input value decoded without error")
+	for _, c := range refused {
+		r := model.NewReader(c.in)
+		c.read(&r)
+		if r.Err() == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		}
+		if r.Len() != 0 {
+			t.Errorf("%s: the failure left %d bytes to read", c.name, r.Len())
+		}
 	}
 }

@@ -288,10 +288,3 @@ func (j *journal) recordsTotal(rec string) int64 {
 	}
 	return 0
 }
-
-// Close releases the journal file (tests reopening the same directory).
-func (j *journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}

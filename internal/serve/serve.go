@@ -141,12 +141,8 @@ func (s *Server) Drain() { s.queue.Drain() }
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.queue.Draining() }
 
-// AtlasCache exposes the shared cache (benchmarks read its stats).
+// AtlasCache exposes the shared cache (tests read its stats).
 func (s *Server) AtlasCache() *explore.AtlasCache { return s.atlases }
-
-// Store exposes the persistent atlas store, nil when Options.AtlasDir was
-// unset (memory-only cache).
-func (s *Server) Store() *atlasstore.Store { return s.store }
 
 // logf routes an operational log line per Options.Log.
 func (s *Server) logf(format string, args ...any) {
