@@ -144,14 +144,18 @@ bench-valency:
 # from: three on the naivemajority(3) fixture, then one successor of every
 # registry kernel (ns, B and allocs per successor), then one pass of the
 # explore-wide pool through the engine at 1 and GOMAXPROCS workers (ns, B
-# and allocs per pass), then one lemma-pipeline adversary op per kernel,
+# and allocs per pass), then one directed probe of paxos(3) that finds
+# both values and one that runs all 39 runs, then one lemma-pipeline
+# adversary op per kernel,
 # then one cached valency answered over a loopback socket with the job
 # journal on disk (serve-mixed's hot request).
-# In adversary the pin is bytes per directed probe step; in protogen,
-# zero allocations to validate a valid table; in serve, the allocations
-# of one hot request through Handler(). alloc-guards is the pins alone,
-# the step CI runs, over the one package list both targets share.
-ALLOC_PKGS = ./internal/model ./internal/explore ./internal/distexplore ./internal/adversary ./internal/protogen ./internal/serve
+# In adversary the pin is bytes per directed probe step; in fifo, zero
+# allocations for a send and a head delivery on a warm queue; in
+# protocols, one sends slice per Paxos step; in protogen, zero
+# allocations to validate a valid table; in serve, the allocations of one
+# hot request through Handler(). alloc-guards is the pins alone, the step
+# CI runs, over the one package list both targets share.
+ALLOC_PKGS = ./internal/model ./internal/fifo ./internal/explore ./internal/distexplore ./internal/protocols ./internal/adversary ./internal/protogen ./internal/serve
 
 alloc-guards:
 	$(GO) test -run 'TestAllocs' -count=1 $(ALLOC_PKGS)
@@ -160,8 +164,11 @@ bench-alloc: alloc-guards
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
 	$(GO) test -bench 'BenchmarkExpand' -benchtime 20x -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkExplorePool' -benchtime 5x -run '^$$' ./internal/explore
+	$(GO) test -bench 'BenchmarkProbeValencies' -benchmem -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkAdversaryOp' -benchtime 12x -benchmem -run '^$$' ./internal/adversary
 	$(GO) test -bench 'BenchmarkServeHotValency' -benchmem -run '^$$' ./internal/serve
 
+# gofmt -l lists every file that is not gofmt-clean; the tree has none.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"

@@ -99,11 +99,13 @@ func AllInputs(n int) []Inputs { return model.AllInputs(n) }
 func UniformInputs(n int, v Value) Inputs { return model.UniformInputs(n, v) }
 
 // Broadcast addresses one copy of body from p to every process.
-func Broadcast(from PID, n int, body string) []Message { return model.Broadcast(from, n, body) }
+func Broadcast(from PID, n int, body string) []Message {
+	return model.AppendBroadcast(nil, from, n, body)
+}
 
 // BroadcastOthers is Broadcast without the self-copy.
 func BroadcastOthers(from PID, n int, body string) []Message {
-	return model.BroadcastOthers(from, n, body)
+	return model.AppendBroadcastOthers(nil, from, n, body)
 }
 
 // NullEvent returns (p, ∅).

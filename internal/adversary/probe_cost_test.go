@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -71,37 +72,51 @@ func TestAdversaryScheduleStable(t *testing.T) {
 	}
 }
 
-// probeBytesPerStep runs one full probe of paxos(3) from the unanimous
+// probeBytesPerStep runs full probes of paxos(3) from the unanimous
 // initial configuration — no run can find the second value, so all 39 runs
 // execute, the duelling-proposer ones to the step bound — and returns the
-// bytes allocated per protocol step taken.
+// bytes allocated per protocol step taken by the warmest of eight. A probe
+// takes its run memory from a sync.Pool, which may hand it none: under
+// -race it drops a random quarter of what is put back, and a goroutine
+// that moved to another P misses what its last probe left, which
+// GOMAXPROCS 1 rules out.
 func probeBytesPerStep(t *testing.T, maxSteps int) float64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var steps atomic.Int64
 	pr := modeltest.StepCounter{Protocol: protocols.NewPaxosSynod(3), Steps: &steps}
 	c := model.MustInitial(pr, model.Inputs{0, 0, 0})
 	popt := explore.ProbeOptions{MaxSteps: maxSteps}
 	explore.ProbeValencies(pr, c, popt) // warm: lazy set-up is not the probe's cost
-	steps.Store(0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, f0, f1 := explore.ProbeValencies(pr, c, popt)
-	runtime.ReadMemStats(&after)
-	if !f0 || f1 {
-		t.Fatalf("probe from 000 found (0:%v, 1:%v), want only 0", f0, f1)
+	least := math.Inf(1)
+	for range 8 {
+		steps.Store(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, f0, f1 := explore.ProbeValencies(pr, c, popt)
+		runtime.ReadMemStats(&after)
+		if !f0 || f1 {
+			t.Fatalf("probe from 000 found (0:%v, 1:%v), want only 0", f0, f1)
+		}
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(steps.Load()))
 	}
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(steps.Load())
+	return least
 }
 
 // TestAllocsProbeBytesPerStep pins the cost of a directed probe step: what
-// Protocol.Step allocates, one boxed message and amortized queue growth.
-// With a tracker that copies a queue per delivery the figure grows with the
-// queue, hence with the run length; in place it does not. A no-op null
-// check builds one state key, not two (the run carries the current one),
-// but this fixture makes 32 of them in 20,184 steps, so the reading stayed
-// at 340.
+// Protocol.Step allocates — the successor state, one sends slice and the
+// message bodies — and nothing of the probe's own once its run memory is
+// warm. The delivered message goes into the run's message slab, the
+// tracker's queues reuse the slots deliveries free, and the state, key and
+// schedule buffers come back from the last probe. With a tracker that
+// copies a queue per delivery the figure grows with the queue, hence with
+// the run length; in place it does not. A no-op null check builds one
+// state key, not two (the run carries the current one), but this fixture
+// makes 32 of them in 20,184 steps. The reading was 340 with a boxed
+// message per delivery, a queue regrown behind every head delivery and
+// three slices per broadcasting Paxos step; it is 187 (190 under -race).
 func TestAllocsProbeBytesPerStep(t *testing.T) {
-	const ceiling = 357 // bytes per step at the default bound: 340 measured + 5 %
+	const ceiling = 196 // bytes per step at the default bound: 187 measured + 5 %
 	got := probeBytesPerStep(t, explore.DefaultProbeMaxSteps)
 	short := probeBytesPerStep(t, explore.DefaultProbeMaxSteps/4)
 	t.Logf("%.0f B per probe step at %d steps per run, %.0f B at %d",

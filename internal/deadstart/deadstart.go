@@ -165,7 +165,7 @@ func (pr *Protocol) Step(p model.PID, s model.State, m *model.Message) (model.St
 
 	if !st.sentS1 {
 		st.sentS1 = true
-		sends = append(sends, model.BroadcastOthers(p, pr.Procs, bodyS1)...)
+		sends = model.AppendBroadcastOthers(sends, p, pr.Procs, bodyS1)
 	}
 
 	if m != nil {
@@ -188,7 +188,7 @@ func (pr *Protocol) Step(p model.PID, s model.State, m *model.Message) (model.St
 		st.sentS2 = true
 		mine := s2info{input: st.input, heard: sortedKeys(st.heard)}
 		st.info[int(p)] = mine
-		sends = append(sends, model.BroadcastOthers(p, pr.Procs, s2Body(mine.input, mine.heard))...)
+		sends = model.AppendBroadcastOthers(sends, p, pr.Procs, s2Body(mine.input, mine.heard))
 	}
 
 	// Stage 2 complete: known-about ancestor set closed under stage-2

@@ -201,7 +201,7 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 		m.scr = append(m.scr, make([]scratch, n-len(m.scr))...)
 	}
 	sc := &m.scr[0] // the coordinator's
-	var cur *int // the node being visited, -1 between visits
+	var cur *int    // the node being visited, -1 between visits
 	var path func() model.Schedule
 	if visit != nil {
 		cur = new(int)

@@ -246,7 +246,7 @@ func (muteProto) Init(model.PID, model.Value) model.State { return muteState{} }
 func (muteProto) Step(p model.PID, s model.State, _ *model.Message) (model.State, []model.Message) {
 	st := s.(muteState)
 	if !st.sent {
-		return muteState{sent: true}, model.BroadcastOthers(p, 2, "noise")
+		return muteState{sent: true}, model.AppendBroadcastOthers(nil, p, 2, "noise")
 	}
 	return st, nil
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"slices"
+	"sync"
 
 	"github.com/flpsim/flp/internal/fifo"
 	"github.com/flpsim/flp/internal/model"
@@ -51,16 +52,17 @@ func ProbeValencies(pr model.Protocol, c *model.Config, popt ProbeOptions) (wit0
 	popt = popt.withDefaults()
 	n := c.N()
 
-	// record keeps the first witness of each value; sigma is the run's
-	// reused buffer, so what is kept is copied.
+	// record keeps the first witness of each value. sigma and the messages
+	// its deliveries point to are the run's reused memory, so what is kept
+	// is copied out; a value c has already decided keeps its nil witness.
 	record := func(sigma model.Schedule, has0, has1 bool) {
 		if has0 && !found0 {
 			found0 = true
-			wit0 = append(model.Schedule(nil), sigma...)
+			wit0 = detach(sigma)
 		}
 		if has1 && !found1 {
 			found1 = true
-			wit1 = append(model.Schedule(nil), sigma...)
+			wit1 = detach(sigma)
 		}
 	}
 	decided := c.DecisionValues()
@@ -69,7 +71,8 @@ func ProbeValencies(pr model.Protocol, c *model.Config, popt ProbeOptions) (wit0
 		return
 	}
 
-	run := newProbeRun(pr, c, popt.MaxSteps)
+	run := getProbeRun(pr, c, popt.MaxSteps)
+	defer run.release()
 	live := make([]model.PID, 0, n)
 	order := make([]model.PID, 0, n)
 	for _, crashed := range crashSubsets(n, popt.MaxCrash) {
@@ -100,6 +103,30 @@ func ProbeValencies(pr model.Protocol, c *model.Config, popt ProbeOptions) (wit0
 	return
 }
 
+// detach copies a run's schedule out of the run's memory: the events, and
+// in one slice the messages its deliveries point to. An empty schedule
+// detaches to nil.
+func detach(sigma model.Schedule) model.Schedule {
+	if len(sigma) == 0 {
+		return nil
+	}
+	out := slices.Clone(sigma)
+	delivered := 0
+	for _, e := range out {
+		if e.Msg != nil {
+			delivered++
+		}
+	}
+	msgs := make([]model.Message, 0, delivered)
+	for i, e := range out {
+		if e.Msg != nil {
+			msgs = append(msgs, *e.Msg)
+			out[i].Msg = &msgs[len(msgs)-1]
+		}
+	}
+	return out
+}
+
 // pickFunc selects which pending message to deliver to p next.
 type pickFunc func(t *fifo.Tracker, p model.PID) (model.Message, bool)
 
@@ -119,17 +146,25 @@ func pickSenderFirst(q model.PID) pickFunc {
 // immutable configurations. Probes never compare configurations, so paying
 // for buffer copies and canonical keys on every step — the dominant cost at
 // hundreds of steps per run and dozens of runs per probe — would buy
-// nothing; a step costs one Protocol.Step, one boxed message and an
-// in-place queue edit. Each run resets the state to c and reuses the
-// storage of the one before.
+// nothing. A step costs one Protocol.Step and nothing else once the run's
+// memory is warm: the delivered message is copied into the run's message
+// slab, the tracker's queues stop growing at their longest backlog, and
+// the schedule reuses its buffer. Each run resets the state to c and
+// reuses the memory of the one before; each call takes that memory from
+// probeRuns and puts it back cleared, so the memory outlives the call and
+// nothing of the call's outlives it but the witnesses record detaches.
 type probeRun struct {
 	pr       model.Protocol
 	c        *model.Config
 	maxSteps int
-	start    *fifo.Tracker  // c's buffer in canonical order, built once
+	start    *fifo.Tracker  // c's buffer in canonical order, built once per call
 	tracker  *fifo.Tracker  // the current run's queues
 	states   []model.State  // the current run's process states
 	sigma    model.Schedule // the current run's schedule; valid until the next run
+	// msgs is the message slab: sigma's deliveries point into it, and so
+	// does the message Protocol.Step is handed. A full slab is replaced,
+	// not grown, so the pointers already handed out stay valid.
+	msgs []model.Message
 	// keys[p] is states[p].Key() where keyed[p]: taken from c, or from the
 	// null step that produced the state, so a null step that changes
 	// nothing costs one key, not two; a delivery leaves it to be built.
@@ -137,15 +172,35 @@ type probeRun struct {
 	keyed []bool
 }
 
-func newProbeRun(pr model.Protocol, c *model.Config, maxSteps int) *probeRun {
-	return &probeRun{
-		pr: pr, c: c, maxSteps: maxSteps,
-		start:   fifo.NewFromConfig(c),
-		tracker: fifo.New(),
-		states:  make([]model.State, c.N()),
-		keys:    make([]string, c.N()),
-		keyed:   make([]bool, c.N()),
-	}
+// probeRuns recycles run memory across ProbeValencies calls, which the
+// adversary makes by the hundred per stage.
+var probeRuns = sync.Pool{New: func() any {
+	return &probeRun{start: fifo.New(), tracker: fifo.New()}
+}}
+
+func getProbeRun(pr model.Protocol, c *model.Config, maxSteps int) *probeRun {
+	r := probeRuns.Get().(*probeRun)
+	r.pr, r.c, r.maxSteps = pr, c, maxSteps
+	r.start.ResetTo(c)
+	n := c.N()
+	r.states = slices.Grow(r.states[:0], n)[:n]
+	r.keys = slices.Grow(r.keys[:0], n)[:n]
+	r.keyed = slices.Grow(r.keyed[:0], n)[:n]
+	return r
+}
+
+// release clears everything the call left in r — states, keys, messages,
+// queues — and returns r to probeRuns.
+func (r *probeRun) release() {
+	r.pr, r.c = nil, nil
+	r.start.Reset()
+	r.tracker.Reset()
+	clear(r.states)
+	clear(r.keys)
+	clear(r.sigma[:cap(r.sigma)])
+	clear(r.msgs[:cap(r.msgs)])
+	r.sigma, r.msgs = r.sigma[:0], r.msgs[:0]
+	probeRuns.Put(r)
 }
 
 // fair schedules the given processes round-robin from c, delivering to each
@@ -158,7 +213,7 @@ func (r *probeRun) fair(order []model.PID, pick pickFunc) (sigma model.Schedule,
 		r.states[p] = r.c.State(model.PID(p))
 		r.keys[p], r.keyed[p] = r.c.StateKey(model.PID(p)), true
 	}
-	r.sigma = r.sigma[:0]
+	r.sigma, r.msgs = r.sigma[:0], r.msgs[:0]
 	r.run(order, pick)
 	for _, s := range r.states {
 		switch s.Output() {
@@ -171,13 +226,22 @@ func (r *probeRun) fair(order []model.PID, pick pickFunc) (sigma model.Schedule,
 	return r.sigma, has0, has1
 }
 
+// box copies m into the message slab and returns its slot.
+func (r *probeRun) box(m model.Message) *model.Message {
+	if len(r.msgs) == cap(r.msgs) {
+		r.msgs = make([]model.Message, 0, max(64, 2*cap(r.msgs)))
+	}
+	r.msgs = append(r.msgs, m)
+	return &r.msgs[len(r.msgs)-1]
+}
+
 func (r *probeRun) run(order []model.PID, pick pickFunc) {
 	for len(r.sigma) < r.maxSteps {
 		progressed := false
 		for _, p := range order {
 			e := model.NullEvent(p)
 			if m, ok := pick(r.tracker, p); ok {
-				e = model.Deliver(m) // the one box per delivery: Step and the schedule share it
+				e.Msg = r.box(m) // Step and the schedule share the slot
 			}
 			ns, sends := r.pr.Step(p, r.states[p], e.Msg)
 			if ns == nil {

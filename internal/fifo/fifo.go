@@ -6,10 +6,11 @@
 // configuration equality). A Tracker mirrors a configuration's buffer with
 // sequence numbers, and is advanced alongside it.
 //
-// Queues are mutated in place: a delivery shifts or reslices the
-// destination's queue instead of rebuilding it. Nothing a Tracker hands out
-// aliases a queue — the readers return message values, PendingList and
-// Clone copy — so a delivery never shows through a value obtained earlier.
+// Queues are mutated in place: a delivery shifts the destination's queue
+// down instead of rebuilding it, so a queue stops growing once it has held
+// its longest backlog. Nothing a Tracker hands out aliases a queue — the
+// readers return message values, PendingList and Clone copy — so a
+// delivery never shows through a value obtained earlier.
 package fifo
 
 import (
@@ -41,12 +42,29 @@ func New() *Tracker { return &Tracker{} }
 // this only matters when attaching a tracker mid-run.
 func NewFromConfig(c *model.Config) *Tracker {
 	t := New()
+	t.ResetTo(c)
+	return t
+}
+
+// ResetTo makes t what NewFromConfig(c) returns, reusing the queue storage
+// t already owns.
+func (t *Tracker) ResetTo(c *model.Config) {
+	t.Reset()
 	for _, m := range c.Buffer().Messages() {
 		for i := 0; i < c.Buffer().Count(m); i++ {
 			t.Send(m)
 		}
 	}
-	return t
+}
+
+// Reset empties t, as New returns it, keeping its queue storage; the
+// storage retains no message body.
+func (t *Tracker) Reset() {
+	for p, q := range t.queues {
+		clear(q)
+		t.queues[p] = q[:0]
+	}
+	t.nextSeq = 0
 }
 
 // queue returns p's pending entries, oldest first; empty for a process no
@@ -140,23 +158,20 @@ func (t *Tracker) PendingList(p model.PID) []model.Message {
 // multiset semantics equal copies are interchangeable, and charging the
 // oldest keeps the "earliest first" admissibility discipline honest.
 //
-// The queue is edited in place — the head is resliced off, any other
-// position is closed by shifting the tail down — and the vacated slot is
-// zeroed so the queue's spare capacity retains no message body.
+// The queue is edited in place: the tail behind the delivered entry shifts
+// down one slot, the head included, so the queue keeps its backing array
+// and a later Send fills the freed slot instead of regrowing it. The
+// vacated slot is zeroed so the queue's spare capacity retains no message
+// body.
 func (t *Tracker) Deliver(m model.Message) error {
 	q := t.queue(m.To)
 	for i := range q {
 		if q[i].msg != m {
 			continue
 		}
-		if i == 0 {
-			q[0] = entry{}
-			t.queues[m.To] = q[1:]
-		} else {
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = entry{}
-			t.queues[m.To] = q[:len(q)-1]
-		}
+		copy(q[i:], q[i+1:])
+		q[len(q)-1] = entry{}
+		t.queues[m.To] = q[:len(q)-1]
 		return nil
 	}
 	return fmt.Errorf("fifo: no pending instance of %s", m)

@@ -228,7 +228,7 @@ func (senderProto) Init(model.PID, model.Value) model.State { return senderState
 func (senderProto) Step(p model.PID, s model.State, _ *model.Message) (model.State, []model.Message) {
 	st := s.(senderState)
 	if !st.sent {
-		return senderState{sent: true}, model.BroadcastOthers(p, 2, "hello")
+		return senderState{sent: true}, model.AppendBroadcastOthers(nil, p, 2, "hello")
 	}
 	return st, nil
 }
@@ -247,5 +247,5 @@ func (chattyProto) Step(p model.PID, s model.State, m *model.Message) (model.Sta
 	if m != nil {
 		return s, nil
 	}
-	return s.(chattyState) + 1, model.BroadcastOthers(p, 2, "hello")
+	return s.(chattyState) + 1, model.AppendBroadcastOthers(nil, p, 2, "hello")
 }

@@ -194,3 +194,26 @@ func BenchmarkInternHit(b *testing.B) {
 		it.Intern(nc)
 	}
 }
+
+// TestAllocsAppendBroadcast pins the one-slice-per-step contract of the
+// broadcast helpers: a broadcast into a nil slice is one allocation, and a
+// broadcast into a slice with room is none.
+func TestAllocsAppendBroadcast(t *testing.T) {
+	var sink []model.Message
+	for _, tc := range []struct {
+		name   string
+		append func(dst []model.Message) []model.Message
+	}{
+		{"AppendBroadcast", func(dst []model.Message) []model.Message { return model.AppendBroadcast(dst, 1, 5, "m") }},
+		{"AppendBroadcastOthers", func(dst []model.Message) []model.Message { return model.AppendBroadcastOthers(dst, 1, 5, "m") }},
+	} {
+		if got := testing.AllocsPerRun(100, func() { sink = tc.append(nil) }); got != 1 {
+			t.Errorf("%s into nil: %.0f allocations, want 1", tc.name, got)
+		}
+		room := make([]model.Message, 0, 8)
+		if got := testing.AllocsPerRun(100, func() { sink = tc.append(room) }); got != 0 {
+			t.Errorf("%s into a slice with room: %.0f allocations, want 0", tc.name, got)
+		}
+	}
+	_ = sink
+}

@@ -39,28 +39,41 @@ func (m Message) String() string {
 	return fmt.Sprintf("(%d←%d: %s)", m.To, m.From, m.Body)
 }
 
-// Broadcast returns one copy of a message body addressed from p to every
-// process in 0..n-1, including p itself. This models the paper's atomic
-// broadcast capability: "a process can send the same message in one step to
-// all other processes". Delivery of each copy remains independent and
-// nondeterministic.
-func Broadcast(from PID, n int, body string) []Message {
-	msgs := make([]Message, n)
+// AppendBroadcast appends one copy of a message body addressed from p to
+// every process in 0..n-1, including p itself, to dst and returns the
+// extended slice. This models the paper's atomic broadcast capability: "a
+// process can send the same message in one step to all other processes".
+// Delivery of each copy remains independent and nondeterministic. dst grows
+// at most once per call, and not at all when it has room for n more: a step
+// appends every broadcast it makes to its one sends slice.
+func AppendBroadcast(dst []Message, from PID, n int, body string) []Message {
+	dst = grow(dst, n)
 	for i := 0; i < n; i++ {
-		msgs[i] = Message{To: PID(i), From: from, Body: body}
+		dst = append(dst, Message{To: PID(i), From: from, Body: body})
 	}
-	return msgs
+	return dst
 }
 
-// BroadcastOthers is Broadcast excluding the sender itself, for protocols
-// whose processes account for their own contribution locally.
-func BroadcastOthers(from PID, n int, body string) []Message {
-	msgs := make([]Message, 0, n-1)
+// AppendBroadcastOthers is AppendBroadcast excluding the sender itself, for
+// protocols whose processes account for their own contribution locally.
+func AppendBroadcastOthers(dst []Message, from PID, n int, body string) []Message {
+	dst = grow(dst, n-1)
 	for i := 0; i < n; i++ {
-		if PID(i) == from {
-			continue
+		if PID(i) != from {
+			dst = append(dst, Message{To: PID(i), From: from, Body: body})
 		}
-		msgs = append(msgs, Message{To: PID(i), From: from, Body: body})
 	}
-	return msgs
+	return dst
+}
+
+// grow returns dst with room for n more messages: dst itself when it has
+// the room, else a copy in one allocation. It is slices.Grow without the
+// scratch slice a race-instrumented build allocates for it.
+func grow(dst []Message, n int) []Message {
+	if len(dst)+n <= cap(dst) {
+		return dst
+	}
+	grown := make([]Message, len(dst), max(len(dst)+n, 2*cap(dst)))
+	copy(grown, dst)
+	return grown
 }

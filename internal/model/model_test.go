@@ -53,7 +53,7 @@ func (p *echoProto) Step(q model.PID, s model.State, m *model.Message) (model.St
 	var sends []model.Message
 	if !ns.sent {
 		ns.sent = true
-		sends = model.BroadcastOthers(q, p.n, "v")
+		sends = model.AppendBroadcastOthers(nil, q, p.n, "v")
 	}
 	if m != nil {
 		ns.heard[int(m.From)] = true
@@ -503,18 +503,28 @@ func TestLemma1Commutativity(t *testing.T) {
 }
 
 func TestBroadcastHelpers(t *testing.T) {
-	all := model.Broadcast(1, 3, "m")
+	all := model.AppendBroadcast(nil, 1, 3, "m")
 	if len(all) != 3 {
-		t.Fatalf("Broadcast len = %d, want 3", len(all))
+		t.Fatalf("AppendBroadcast len = %d, want 3", len(all))
 	}
-	others := model.BroadcastOthers(1, 3, "m")
+	for i, m := range all {
+		if m != (model.Message{To: model.PID(i), From: 1, Body: "m"}) {
+			t.Errorf("AppendBroadcast[%d] = %v", i, m)
+		}
+	}
+	others := model.AppendBroadcastOthers(nil, 1, 3, "m")
 	if len(others) != 2 {
-		t.Fatalf("BroadcastOthers len = %d, want 2", len(others))
+		t.Fatalf("AppendBroadcastOthers len = %d, want 2", len(others))
 	}
 	for _, m := range others {
 		if m.To == 1 {
-			t.Error("BroadcastOthers included sender")
+			t.Error("AppendBroadcastOthers included sender")
 		}
+	}
+	// Appending keeps what dst held: two broadcasts share one slice.
+	both := model.AppendBroadcastOthers(all, 1, 3, "n")
+	if len(both) != 5 || both[2].Body != "m" || both[3] != (model.Message{To: 0, From: 1, Body: "n"}) {
+		t.Errorf("AppendBroadcastOthers onto a broadcast = %v", both)
 	}
 }
 

@@ -41,7 +41,9 @@ type Protocol interface {
 	// for the null delivery ∅ (receive returned nothing). It returns the
 	// successor state and the finite set of messages sent in this step.
 	// Message From fields are stamped with p by the harness; To fields
-	// must name valid processes.
+	// must name valid processes. m belongs to the caller, which may reuse
+	// it after Step returns (a directed probe's message slab does), so
+	// Step copies whatever of it it keeps.
 	Step(p PID, s State, m *Message) (State, []Message)
 }
 

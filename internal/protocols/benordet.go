@@ -141,7 +141,7 @@ func (bo *BenOrDeterministic) Step(p model.PID, s model.State, m *model.Message)
 	if st.round == 0 {
 		st.round = 1
 		st.phase = 1
-		sends = append(sends, model.Broadcast(p, bo.n, roundBody(benOrReport, 1, st.x))...)
+		sends = model.AppendBroadcast(sends, p, bo.n, roundBody(benOrReport, 1, st.x))
 	}
 
 	if m != nil {
@@ -168,7 +168,7 @@ func (bo *BenOrDeterministic) Step(p model.PID, s model.State, m *model.Message)
 				proposal = model.V1
 			}
 			st.phase = 2
-			sends = append(sends, model.Broadcast(p, bo.n, roundBody(benOrPropose, st.round, proposal))...)
+			sends = model.AppendBroadcast(sends, p, bo.n, roundBody(benOrPropose, st.round, proposal))
 			continue
 		}
 		props := st.inbox.get(benOrPropose, st.round)
@@ -202,7 +202,7 @@ func (bo *BenOrDeterministic) Step(p model.PID, s model.State, m *model.Message)
 		st.round++
 		st.phase = 1
 		st.inbox = st.inbox.since(st.round)
-		sends = append(sends, model.Broadcast(p, bo.n, roundBody(benOrReport, st.round, st.x))...)
+		sends = model.AppendBroadcast(sends, p, bo.n, roundBody(benOrReport, st.round, st.x))
 	}
 	return &st, sends
 }

@@ -60,7 +60,7 @@ func (nm *NaiveMajority) Step(p model.PID, s model.State, m *model.Message) (mod
 	var sends []model.Message
 	if !ns.sent {
 		ns.sent = true
-		sends = model.BroadcastOthers(p, nm.Procs, voteBody(st.input))
+		sends = model.AppendBroadcastOthers(sends, p, nm.Procs, voteBody(st.input))
 	}
 	if m != nil && !ns.out.Decided() {
 		// Votes beyond the first N-1 are ignored: the decision snapshot is

@@ -75,7 +75,7 @@ func (o *OneThirdRule) Step(p model.PID, s model.State, m *model.Message) (model
 
 	if st.round == 0 {
 		st.round = 1
-		sends = append(sends, model.Broadcast(p, o.Procs, roundBody(otrEstimate, 1, st.x))...)
+		sends = model.AppendBroadcast(sends, p, o.Procs, roundBody(otrEstimate, 1, st.x))
 	}
 
 	if m != nil {
@@ -107,7 +107,7 @@ func (o *OneThirdRule) Step(p model.PID, s model.State, m *model.Message) (model
 		// Next round; prune stale entries.
 		st.round++
 		st.inbox = st.inbox.since(st.round)
-		sends = append(sends, model.Broadcast(p, o.Procs, roundBody(otrEstimate, st.round, st.x))...)
+		sends = model.AppendBroadcast(sends, p, o.Procs, roundBody(otrEstimate, st.round, st.x))
 	}
 	return &st, sends
 }

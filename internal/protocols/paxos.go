@@ -161,22 +161,22 @@ func (px *PaxosSynod) Step(p model.PID, s model.State, m *model.Message) (model.
 			st.gaveUp = true
 		} else {
 			st.proposing = true
-			sends = append(sends, model.Broadcast(p, px.Procs, pxBody(pxPrepare, st.curBal))...)
+			sends = model.AppendBroadcast(sends, p, px.Procs, pxBody(pxPrepare, st.curBal))
 		}
 	}
 
 	if m != nil {
-		sends = append(sends, px.handle(p, st, m)...)
+		sends = px.handle(sends, p, st, m)
 	}
 	return st, sends
 }
 
-// handle applies one delivered message to st. A body that is not one of the
+// handle applies one delivered message to st and appends what it sends to
+// sends, so a step builds one sends slice. A body that is not one of the
 // five forms above — unknown kind, wrong field count, a field that is not a
 // decimal integer, a value that is not 0 or 1 — is consumed and ignored.
-func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []model.Message {
+func (px *PaxosSynod) handle(sends []model.Message, p model.PID, st *paxosState, m *model.Message) []model.Message {
 	kind, f, n := parsePaxos(m.Body)
-	var sends []model.Message
 	switch {
 	case kind == pxPrepare && n == 1:
 		b := f[0]
@@ -203,7 +203,7 @@ func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []mo
 				}
 				st.inPhase2 = true
 				body := pxBody(pxAccept, st.curBal, int(v))
-				sends = append(sends, model.Broadcast(p, px.Procs, body)...)
+				sends = model.AppendBroadcast(sends, p, px.Procs, body)
 			}
 		}
 
@@ -218,7 +218,7 @@ func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []mo
 				st.gaveUp = true
 			} else {
 				st.curBal = next
-				sends = append(sends, model.Broadcast(p, px.Procs, pxBody(pxPrepare, next))...)
+				sends = model.AppendBroadcast(sends, p, px.Procs, pxBody(pxPrepare, next))
 			}
 		}
 
@@ -229,7 +229,7 @@ func (px *PaxosSynod) handle(p model.PID, st *paxosState, m *model.Message) []mo
 			st.accBal = b
 			st.accVal = v
 			body := pxBody(pxAccepted, b, int(v))
-			sends = append(sends, model.Broadcast(p, px.Procs, body)...)
+			sends = model.AppendBroadcast(sends, p, px.Procs, body)
 		} else {
 			sends = append(sends, px.nack(b, st))
 		}
@@ -268,10 +268,11 @@ func (st *paxosState) addPromise(pr promise) {
 	st.promises = insertAt(st.promises, i, pr)
 }
 
-// pxBody encodes a message body: the kind and its decimal fields.
+// pxBody encodes a message body: the kind and its decimal fields. It
+// formats on a stack buffer, so the body string is its one allocation.
 func pxBody(kind string, fields ...int) string {
-	b := make([]byte, 0, 32)
-	b = append(b, kind...)
+	var buf [32]byte
+	b := append(buf[:0], kind...)
 	for _, f := range fields {
 		b = append(b, '|')
 		b = strconv.AppendInt(b, int64(f), 10)

@@ -106,17 +106,17 @@ func (t *ThreePhaseCommit) Step(p model.PID, s model.State, m *model.Message) (m
 				if st.got.count(model.V0) > 0 {
 					st.phase = tpc3Done
 					st.out = model.Decided0
-					sends = append(sends, model.BroadcastOthers(p, t.Procs, bodyAbort)...)
+					sends = model.AppendBroadcastOthers(sends, p, t.Procs, bodyAbort)
 				} else {
 					st.phase = tpc3Preparing
-					sends = append(sends, model.BroadcastOthers(p, t.Procs, bodyPrecommit)...)
+					sends = model.AppendBroadcastOthers(sends, p, t.Procs, bodyPrecommit)
 				}
 			}
 		case tpc3Preparing:
 			if len(st.acks) == t.Procs-1 {
 				st.phase = tpc3Done
 				st.out = model.Decided1
-				sends = append(sends, model.BroadcastOthers(p, t.Procs, bodyCommit)...)
+				sends = model.AppendBroadcastOthers(sends, p, t.Procs, bodyCommit)
 			}
 		}
 		return st, sends

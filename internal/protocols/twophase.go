@@ -87,7 +87,7 @@ func (t *TwoPhaseCommit) Step(p model.PID, s model.State, m *model.Message) (mod
 			if verdict == model.V0 {
 				body = bodyAbort
 			}
-			sends = model.BroadcastOthers(p, t.Procs, body)
+			sends = model.AppendBroadcastOthers(sends, p, t.Procs, body)
 			ns.out = model.OutputOf(verdict)
 		}
 		return ns, sends

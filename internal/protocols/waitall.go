@@ -54,7 +54,7 @@ func (w *WaitAll) Step(p model.PID, s model.State, m *model.Message) (model.Stat
 	var sends []model.Message
 	if !ns.sent {
 		ns.sent = true
-		sends = model.BroadcastOthers(p, w.Procs, voteBody(st.input))
+		sends = model.AppendBroadcastOthers(sends, p, w.Procs, voteBody(st.input))
 	}
 	if m != nil {
 		if v, ok := parseVote(m.Body); ok {

@@ -99,9 +99,9 @@ func (g *tableProto) Step(p model.PID, s model.State, m *model.Message) (model.S
 		body := symBody(sd.Sym)
 		switch sd.Target {
 		case TargetAll:
-			sends = append(sends, model.Broadcast(p, g.sp.N, body)...)
+			sends = model.AppendBroadcast(sends, p, g.sp.N, body)
 		case TargetOthers:
-			sends = append(sends, model.BroadcastOthers(p, g.sp.N, body)...)
+			sends = model.AppendBroadcastOthers(sends, p, g.sp.N, body)
 		case TargetSelf:
 			sends = append(sends, model.Message{To: p, From: p, Body: body})
 		case TargetNext:
