@@ -94,52 +94,10 @@ func BenchmarkE13StateSpace(b *testing.B) {
 	benchExperiment(b, experiments.E13StateSpace)
 }
 
-func BenchmarkE14ApproximateAgreement(b *testing.B) {
-	benchExperiment(b, func() (*experiments.Table, error) {
-		return experiments.E14ApproximateAgreement(10)
-	})
-}
-
-func BenchmarkE15AtomicRegister(b *testing.B) {
-	benchExperiment(b, func() (*experiments.Table, error) {
-		return experiments.E15AtomicRegister(10)
-	})
-}
-
-func BenchmarkE16ReliableBroadcast(b *testing.B) {
-	benchExperiment(b, func() (*experiments.Table, error) {
-		return experiments.E16ReliableBroadcast(10)
-	})
-}
-
 func BenchmarkE17Multivalued(b *testing.B) {
 	benchExperiment(b, func() (*experiments.Table, error) {
 		return experiments.E17Multivalued(4)
 	})
-}
-
-func BenchmarkE18Election(b *testing.B) {
-	benchExperiment(b, func() (*experiments.Table, error) {
-		return experiments.E18Election(0)
-	})
-}
-
-func BenchmarkRegisterWorkload(b *testing.B) {
-	scripts := [][]flp.ScriptOp{
-		{flp.WriteOp(1), flp.ReadOp(), flp.WriteOp(2)},
-		{flp.ReadOp(), flp.WriteOp(3), flp.ReadOp()},
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := flp.RunRegister(flp.RegisterConfig{
-			Servers: 5, Scripts: scripts, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !flp.CheckLinearizable(res.History, 0) {
-			b.Fatal("non-linearizable")
-		}
-	}
 }
 
 // BenchmarkE11ParallelExplore is the parallel-engine guardrail: the E11
@@ -304,20 +262,6 @@ func BenchmarkByzantineOM2(b *testing.B) {
 		}
 		if !res.IC1(cfg) {
 			b.Fatal("IC1 violated")
-		}
-	}
-}
-
-func BenchmarkConcurrentNetPaxos(b *testing.B) {
-	pr := flp.NewPaxosSynod(3)
-	in := flp.Inputs{0, 1, 1}
-	for i := 0; i < b.N; i++ {
-		res, err := flp.DriveNet(pr, in, flp.DriveOptions{MaxSteps: 100000, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllLiveDecided {
-			b.Fatal("concurrent paxos run did not decide")
 		}
 	}
 }

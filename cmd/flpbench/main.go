@@ -1,13 +1,14 @@
-// Command flpbench regenerates the E1–E18 tables in EXPERIMENTS.md: one
-// experiment per artifact of the paper (Lemmas 1-3, Theorems 1-2, the
-// commit window, and the contrast/escape systems the paper cites). Engine
-// performance is measured by `go run ./bench`, not here.
+// Command flpbench regenerates the E1–E13 and E17 tables in
+// EXPERIMENTS.md: one experiment per artifact of the paper (Lemmas 1-3,
+// Theorems 1-2, the commit window, and the contrast/escape systems the
+// paper cites). Engine performance is measured by `go run ./bench`, not
+// here.
 //
 // Usage:
 //
 //	flpbench                # the full suite at default scale
 //	flpbench -experiment E4 # one experiment
-//	flpbench -scale 3       # multiply trial counts by 3
+//	flpbench -scale 3       # multiply every trial and seed count by 3
 package main
 
 import (
@@ -23,8 +24,8 @@ import (
 
 func main() {
 	var (
-		id         = flag.String("experiment", "all", "experiment id (E1..E18) or 'all'")
-		scale      = flag.Int("scale", 1, "multiply trial counts")
+		id         = flag.String("experiment", "all", "experiment id (E1..E13, E17) or 'all'")
+		scale      = flag.Int("scale", 1, "multiply every trial and seed count (at least 1)")
 		seed       = flag.Int64("seed", 1, "base seed")
 		workers    = flag.Int("workers", 0, "exploration workers: sets GOMAXPROCS, the default worker count of every exploration (0 = leave as is)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -36,17 +37,12 @@ func main() {
 	}
 	defer profiles(*cpuprofile, *memprofile)()
 
-	sizes := experiments.DefaultSizes()
-	sizes.Seed = *seed
-	if *scale > 1 {
-		sizes.E1Trials *= *scale
-		sizes.E4Fair *= *scale
-		sizes.E5Runs *= *scale
-		sizes.E6Runs *= *scale
-		sizes.E7Trials *= *scale
-		sizes.E9Runs *= *scale
-		sizes.E10Seeds *= *scale
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "flpbench: -scale %d: must be at least 1\n", *scale)
+		os.Exit(1)
 	}
+	sizes := experiments.DefaultSizes().Scaled(*scale)
+	sizes.Seed = *seed
 
 	if *id != "all" {
 		tab, err := experiments.RunByID(*id, sizes)

@@ -27,11 +27,10 @@ func main() {
 		inputs   = flag.String("inputs", "", "input bits, e.g. 011 (default: alternating)")
 		sched    = flag.String("sched", "random", "scheduler: random | rr | delay:<pid>")
 		seed     = flag.Int64("seed", 1, "scheduler seed")
-		maxSteps = flag.Int("maxsteps", 50000, "step bound")
+		maxSteps = flag.Int("maxsteps", 50000, "step bound (at least 1)")
 		crash    = flag.String("crash", "", "crash injection, e.g. 0:0,2:5 (pid:afterSteps; 0 = initially dead)")
 		trace    = flag.Bool("trace", false, "print the full event schedule")
 		diagram  = flag.Bool("diagram", false, "render the run as a space-time diagram with a fairness audit")
-		conc     = flag.Bool("concurrent", false, "run on the goroutine-per-process executor instead of the sequential simulator")
 	)
 	flag.Parse()
 
@@ -43,7 +42,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	scheduler, err := buildScheduler(*sched)
+	scheduler, err := buildScheduler(*sched, *n)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -51,10 +50,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-
-	if *conc {
-		runConcurrent(pr, in, *sched, *seed, *maxSteps, crashes)
-		return
+	if *maxSteps < 1 {
+		fatalf("-maxsteps %d: must be at least 1", *maxSteps)
 	}
 	res, err := flp.Run(pr, in, scheduler, flp.RunOptions{
 		MaxSteps:       *maxSteps,
@@ -98,31 +95,6 @@ func main() {
 	}
 }
 
-func runConcurrent(pr flp.Protocol, in flp.Inputs, sched string, seed int64, maxSteps int, crashes map[flp.PID]int) {
-	res, err := flp.DriveNet(pr, in, flp.DriveOptions{
-		MaxSteps:   maxSteps,
-		Seed:       seed,
-		RoundRobin: sched == "rr",
-		CrashAfter: crashes,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("protocol:  %s (goroutine-per-process executor)\n", pr.Name())
-	fmt.Printf("inputs:    %s\n", in)
-	fmt.Printf("steps:     %d\n", res.Steps)
-	switch {
-	case res.AgreementViolated:
-		fmt.Println("outcome:   AGREEMENT VIOLATED")
-	case res.AllLiveDecided:
-		fmt.Printf("outcome:   consensus; decisions %v\n", res.Decisions)
-	case res.Quiescent:
-		fmt.Println("outcome:   BLOCKED — quiescent without a decision")
-	default:
-		fmt.Println("outcome:   UNDECIDED within the step bound")
-	}
-}
-
 func buildProtocol(name string, n int) (flp.Protocol, error) {
 	if name == "deadstart" {
 		return flp.NewInitiallyDead(n), nil
@@ -148,7 +120,7 @@ func parseInputs(s string, n int) (flp.Inputs, error) {
 	return model.ParseInputs(s)
 }
 
-func buildScheduler(s string) (flp.Scheduler, error) {
+func buildScheduler(s string, n int) (flp.Scheduler, error) {
 	switch {
 	case s == "random":
 		return flp.RandomFair{}, nil
@@ -156,8 +128,8 @@ func buildScheduler(s string) (flp.Scheduler, error) {
 		return flp.NewRoundRobin(), nil
 	case strings.HasPrefix(s, "delay:"):
 		p, err := strconv.Atoi(strings.TrimPrefix(s, "delay:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad delay victim in %q", s)
+		if err != nil || p < 0 || p >= n {
+			return nil, fmt.Errorf("bad delay victim in %q (want a pid in [0, %d))", s, n)
 		}
 		return flp.Delayed{Victim: flp.PID(p), Inner: flp.RandomFair{}}, nil
 	}

@@ -1,9 +1,6 @@
 package flp
 
-import (
-	"github.com/flpsim/flp/internal/asyncnet"
-	"github.com/flpsim/flp/internal/failuredetector"
-)
+import "github.com/flpsim/flp/internal/failuredetector"
 
 // Failure-detector types (the Chandra-Toueg escape), re-exported.
 type (
@@ -27,26 +24,4 @@ type (
 // consults the oracle.
 func RunWithDetector(opt FDOptions, inputs Inputs) (*FDResult, error) {
 	return failuredetector.Run(opt, inputs)
-}
-
-// Concurrent-executor types (process-per-goroutine), re-exported.
-type (
-	// Net is a running system of process goroutines.
-	Net = asyncnet.Net
-	// DriveOptions configure a driven concurrent execution.
-	DriveOptions = asyncnet.DriveOptions
-	// DriveResult reports a driven concurrent execution.
-	DriveResult = asyncnet.DriveResult
-)
-
-// NewNet launches one goroutine per process of pr; callers own stepping
-// and must Close it.
-func NewNet(pr Protocol, inputs Inputs) (*Net, error) {
-	return asyncnet.New(pr, inputs)
-}
-
-// DriveNet runs pr on goroutines under the packaged policies until
-// decision, quiescence, or the step bound.
-func DriveNet(pr Protocol, inputs Inputs, opt DriveOptions) (*DriveResult, error) {
-	return asyncnet.Drive(pr, inputs, opt)
 }

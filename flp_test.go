@@ -130,29 +130,6 @@ func TestFacadeEscapesAndExecutors(t *testing.T) {
 		t.Errorf("detector consensus: decided=%v agreement=%v", fres.AllLiveDecided(opt), fres.Agreement)
 	}
 
-	// Concurrent goroutine executor through the facade.
-	dres, err := flp.DriveNet(flp.NewPaxosSynod(3), flp.Inputs{0, 1, 1},
-		flp.DriveOptions{MaxSteps: 100000, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dres.AllLiveDecided || dres.AgreementViolated {
-		t.Errorf("concurrent paxos: %+v", dres)
-	}
-
-	// Manual net stepping.
-	net, err := flp.NewNet(flp.NewWaitAll(2), flp.Inputs{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if err := net.Step(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if net.Steps() != 1 {
-		t.Errorf("net steps = %d", net.Steps())
-	}
-
 	// 3PC and the diagram renderer.
 	pr := flp.NewThreePhaseCommit(3)
 	run, err := flp.Run(pr, flp.Inputs{1, 1, 1}, flp.NewRoundRobin(),
@@ -173,49 +150,6 @@ func TestFacadeEscapesAndExecutors(t *testing.T) {
 }
 
 func TestFacadeSolvableSide(t *testing.T) {
-	// ABD register + linearizability checker through the facade.
-	res, err := flp.RunRegister(flp.RegisterConfig{
-		Servers: 3,
-		Scripts: [][]flp.ScriptOp{
-			{flp.WriteOp(5), flp.ReadOp()},
-			{flp.ReadOp(), flp.WriteOp(6)},
-		},
-		Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Incomplete != 0 || !flp.CheckLinearizable(res.History, 0) {
-		t.Errorf("register: incomplete=%d linearizable=%v", res.Incomplete,
-			flp.CheckLinearizable(res.History, 0))
-	}
-
-	// Bracha broadcast through the facade.
-	bres, err := flp.RunBroadcast(flp.BroadcastConfig{
-		N: 4, F: 1, Sender: 0,
-		Byzantine: map[int]flp.ByzantineBehavior{0: flp.TwoFacedSender},
-		Seed:      5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bres.Agreement() {
-		t.Error("broadcast agreement violated")
-	}
-
-	// Approximate agreement through the facade.
-	ares, err := flp.RunApproxAgreement(flp.ApproxOptions{N: 3, F: 1, Epsilon: 2, Seed: 1},
-		[]int64{0, 100, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ares.WithinEpsilon || !ares.ValidityHolds {
-		t.Errorf("approx: %+v", ares)
-	}
-	if flp.ApproxRoundsFor(1024, 1) != 10 {
-		t.Error("ApproxRoundsFor wrong")
-	}
-
 	// Lemma 2 proof walk through the facade.
 	steps, err := flp.CheckLemma2Proof(flp.NewWaitAll(3), flp.CheckOptions{})
 	if err != nil {

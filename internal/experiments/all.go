@@ -14,9 +14,6 @@ type Sizes struct {
 	E9Runs   int
 	E10Seeds int
 	E12Seeds int
-	E14Seeds int
-	E15Seeds int
-	E16Seeds int
 	E17Seeds int
 	Seed     int64
 }
@@ -33,12 +30,24 @@ func DefaultSizes() Sizes {
 		E9Runs:   15,
 		E10Seeds: 20,
 		E12Seeds: 15,
-		E14Seeds: 20,
-		E15Seeds: 20,
-		E16Seeds: 25,
 		E17Seeds: 10,
 		Seed:     1,
 	}
+}
+
+// Scaled returns s with every trial and seed count multiplied by k.
+// E4Stages (the adversary's depth) and Seed are not counts and stay put.
+func (s Sizes) Scaled(k int) Sizes {
+	s.E1Trials *= k
+	s.E4Fair *= k
+	s.E5Runs *= k
+	s.E6Runs *= k
+	s.E7Trials *= k
+	s.E9Runs *= k
+	s.E10Seeds *= k
+	s.E12Seeds *= k
+	s.E17Seeds *= k
+	return s
 }
 
 // Runner names one experiment and how to produce its table.
@@ -63,11 +72,7 @@ func Suite(s Sizes) []Runner {
 		{"E11", E11Agreement},
 		{"E12", func() (*Table, error) { return E12FailureDetector(s.E12Seeds) }},
 		{"E13", E13StateSpace},
-		{"E14", func() (*Table, error) { return E14ApproximateAgreement(s.E14Seeds) }},
-		{"E15", func() (*Table, error) { return E15AtomicRegister(s.E15Seeds) }},
-		{"E16", func() (*Table, error) { return E16ReliableBroadcast(s.E16Seeds) }},
 		{"E17", func() (*Table, error) { return E17Multivalued(s.E17Seeds) }},
-		{"E18", func() (*Table, error) { return E18Election(0) }},
 	}
 }
 
