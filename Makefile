@@ -128,10 +128,12 @@ bench-e2e:
 
 # The parallel exploration guardrail: E2/E3 at GOMAXPROCS 1 vs 4 (the
 # default worker count follows GOMAXPROCS), plus the explicit-worker-count
-# benchmark.
+# benchmark, then the pool against inline expansion on the narrow, complete
+# graphs of lemma-pipeline's census and correctness ops.
 bench-parallel:
 	$(GO) test -bench 'BenchmarkE11ParallelExplore' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkE2InitialValency|BenchmarkE3BivalencePreservation' -cpu 1,4 -run '^$$' .
+	$(GO) test -bench 'BenchmarkExploreNarrow' -run '^$$' ./internal/explore
 
 # The valency atlas guardrail: whole-graph classification against one
 # budgeted BFS per configuration, and the warmed-cache read path.
@@ -144,7 +146,8 @@ bench-valency:
 # from: three on the naivemajority(3) fixture, then one successor of every
 # registry kernel (ns, B and allocs per successor), then one pass of the
 # explore-wide pool through the engine at 1 and GOMAXPROCS workers (ns, B
-# and allocs per pass), then one directed probe of paxos(3) that finds
+# and allocs per pass), then CheckPartialCorrectness on four narrow,
+# complete graphs at the same two worker counts, then one directed probe of paxos(3) that finds
 # both values and one that runs all 39 runs, then one lemma-pipeline
 # adversary op per kernel,
 # then one cached valency answered over a loopback socket with the job
@@ -164,6 +167,7 @@ bench-alloc: alloc-guards
 	$(GO) test -bench 'BenchmarkApplyOnly|BenchmarkConfigHash|BenchmarkInternHit' -benchmem -run '^$$' ./internal/model
 	$(GO) test -bench 'BenchmarkExpand' -benchtime 20x -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkExplorePool' -benchtime 5x -run '^$$' ./internal/explore
+	$(GO) test -bench 'BenchmarkExploreNarrow' -benchtime 100x -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkProbeValencies' -benchmem -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkAdversaryOp' -benchtime 12x -benchmem -run '^$$' ./internal/adversary
 	$(GO) test -bench 'BenchmarkServeHotValency' -benchmem -run '^$$' ./internal/serve

@@ -17,12 +17,14 @@ type Options struct {
 	// one.
 	MaxDepth int
 	// Workers is the number of goroutines expanding frontier nodes
-	// *within one process*. 0 (the default) means runtime.GOMAXPROCS(0);
-	// 1 or a negative value expands inline on the coordinator, with no
-	// pool. Any worker count produces byte-identical results — same visit order, same
-	// counts, same witness schedules — because successors are merged into
-	// the frontier in canonical order by a single coordinator (see
-	// doc.go).
+	// *within one process*: the coordinator plus up to Workers−1 helpers,
+	// goroutines the package keeps for every exploration and offers each
+	// level to when it is not busy elsewhere. 0 (the default) means
+	// runtime.GOMAXPROCS(0); 1 or a negative value expands inline on the
+	// coordinator, with no pool. Any worker count produces byte-identical
+	// results — same visit order, same counts, same witness schedules —
+	// because successors are merged into the frontier in canonical order
+	// by a single coordinator (see doc.go).
 	//
 	// Workers is orthogonal to the distributed engine's sharding: package
 	// distexplore partitions the visited set by configuration hash range

@@ -2,8 +2,10 @@ package explore_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 )
@@ -85,6 +87,44 @@ func TestExpandLevelPanicDeterminism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPoolHelpers holds the pool's helpers — process-wide goroutines every
+// pooled walk shares, not goroutines of one level — to three promises:
+// they survive the protocol panics they recover, walks leave no goroutine
+// behind but the helpers (at most Workers−1 = 7 of them here), and a walk
+// after the panics still equals the reference loop. The panicking walks run
+// at 2 workers, which offer a level to one helper, and at 8, which offer
+// it to seven.
+func TestPoolHelpers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, w := range []int{2, 8, 2, 8} {
+		for trial := 0; trial < 10; trial++ {
+			if !explodes(w) {
+				t.Fatalf("workers=%d: panicproto did not panic", w)
+			}
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+7 {
+		t.Fatalf("%d goroutines after the panicking walks, %d before: more than 7 helpers, or a walk leaked", after, before)
+	}
+	c := enginetest.Case{Name: "naivemajority3-workers8", Protocol: "naivemajority", N: 3,
+		Inputs: model.Inputs{0, 1, 1}, Options: explore.Options{Workers: 8}}
+	pr, root := c.MustResolve(t)
+	want, err := enginetest.Reference(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := enginetest.Record(c.StopAt, func(visit explore.Visit) (bool, int, error) {
+		complete, visited := explore.Explore(pr, root, c.Options, nil, visit)
+		return complete, visited, nil
+	})
+	if err == nil {
+		err = enginetest.DiffStreams(want, got)
+	}
+	if err != nil {
+		t.Fatalf("after the panicking walks: %v", err)
 	}
 }
 

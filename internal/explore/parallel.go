@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -8,10 +9,10 @@ import (
 // candPool recycles the per-level allocations of the level-synchronous
 // engines: the outer successor-list slice (one slot per frontier node) and
 // the per-node successor buffers. One pool serves one core at a time (its
-// walkMem), owned by the coordinator; buffers are handed out before a
-// level's workers start and taken back after the level is merged, so no
-// worker ever touches the free list concurrently. In steady state a level
-// costs zero successor allocations beyond frontier growth itself.
+// walkMem), owned by the coordinator; buffers are handed out before a chunk
+// is offered to the helpers and taken back after it is merged, so no helper
+// ever touches the free list. In steady state a level costs zero successor
+// allocations beyond frontier growth itself.
 type candPool struct {
 	exps [][]cand // level-indexed scratch, reused every level
 	free [][]cand // recycled successor buffers, len 0, cap > 0
@@ -54,22 +55,28 @@ func (p *candPool) recycle(out [][]cand) {
 	}
 }
 
-// expandLevel expands nodes [lo, hi) of one breadth-first level on a pool
-// of workers and returns their successor lists, indexed from lo. Expansion
-// is pure and reads only the table as it stood before the chunk — rows
-// before lo, configurations and the index included, none of which the
-// coordinator touches until every worker is done — so the only
-// coordination is work distribution: an atomic cursor hands out nodes,
-// which keeps fast workers busy when node costs are uneven. Each slot of the returned slice carries a recycled buffer from c.mem.pool
-// that expand appends into; the caller must hand the slice back with
-// c.mem.pool.recycle once merged.
+// expandLevel expands nodes [lo, hi) of one breadth-first level and returns
+// their successor lists, indexed from lo. The coordinator publishes the
+// chunk as a levelJob, offers it to up to workers−1 idle helpers without
+// blocking, and then expands nodes of it too, in scratch slot 0; an atomic
+// cursor hands out the nodes, which keeps fast expanders busy when node
+// costs are uneven, and a chunk no helper took in time is simply expanded
+// inline. Expansion is pure and reads only the table as it stood before the
+// chunk — rows before lo, configurations and the index included, none of
+// which the coordinator touches until every node is done — so the only
+// coordination is that cursor and a count of finished nodes, which the
+// coordinator waits on by yielding, not parking: once the cursor is spent
+// it waits only for nodes a helper has claimed, at most one node's
+// expansion per helper. Each slot of the returned slice carries a recycled
+// buffer from c.mem.pool that expand appends into; the caller must hand the
+// slice back with c.mem.pool.recycle once merged.
 //
-// A panic in any worker (a protocol contract violation surfacing through
-// a step) is re-raised on the caller's goroutine once the pool has
-// drained. When several nodes of the level panic, the one at the lowest
+// A panic in any expansion (a protocol contract violation surfacing
+// through a step) is re-raised on the caller's goroutine once every node
+// is done. When several nodes of the level panic, the one at the lowest
 // frontier index is re-raised — the node the sequential engine would have
 // reached first — so the surfaced failure is byte-identical at every
-// worker count.
+// worker count. A helper survives the panics it recovers.
 func (c *core) expandLevel(lo, hi, workers int) [][]cand {
 	n := hi - lo
 	out, scr := c.mem.pool.level(n), c.mem.scr
@@ -77,45 +84,115 @@ func (c *core) expandLevel(lo, hi, workers int) [][]cand {
 		out[0] = c.expand(lo, lo, &scr[0], out[0])
 		return out
 	}
-	if workers > n {
-		workers = n
+	j := &levelJob{c: c, lo: lo, n: n, out: out, scr: scr}
+	offer(j, min(workers, n)-1)
+	j.work(&scr[0])
+	for j.done.Load() < int64(n) {
+		runtime.Gosched()
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	type workerPanic struct {
-		index int // frontier index being expanded when the panic fired
-		value any
-	}
-	panics := make([]*workerPanic, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cur := -1
-			defer func() {
-				if r := recover(); r != nil {
-					panics[w] = &workerPanic{index: cur, value: r}
-				}
-			}()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				cur = i
-				out[i] = c.expand(lo+i, lo, &scr[w], out[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	var first *workerPanic
-	for _, p := range panics {
-		if p != nil && (first == nil || p.index < first.index) {
-			first = p
-		}
-	}
-	if first != nil {
-		panic(first.value)
+	if j.failed {
+		panic(j.failure)
 	}
 	return out
+}
+
+// levelJob is one chunk of a level on its way through expandLevel: nodes
+// [lo, lo+n) of c, handed out by cursor, expanded into out. Everything but
+// the atomics and the failure is fixed before the job is offered; the
+// failure is written under mu before its node counts as done. A helper
+// that takes the job after its last node was handed out touches only the
+// atomics, so a job may outlive its chunk, its walk and its core.
+type levelJob struct {
+	c      *core
+	lo, n  int
+	out    [][]cand
+	scr    []scratch    // c.mem.scr: slot 0 the coordinator's, 1… the helpers'
+	cursor atomic.Int64 // nodes handed out
+	done   atomic.Int64 // nodes expanded, or whose expansion panicked
+	slots  atomic.Int32 // helper scratch slots taken
+
+	mu      sync.Mutex
+	failed  bool
+	failAt  int // the lowest node whose expansion panicked
+	failure any
+}
+
+// work expands nodes of j in sc until none is left to hand out, going on
+// past any expansion that panics.
+func (j *levelJob) work(sc *scratch) {
+	for j.drain(sc) {
+	}
+}
+
+// drain expands nodes of j in sc until none is left to hand out or an
+// expansion panics, which it records and reports.
+func (j *levelJob) drain(sc *scratch) (panicked bool) {
+	cur := -1
+	defer func() {
+		if cur >= 0 {
+			j.fail(cur, recover())
+			panicked = true
+		}
+	}()
+	for {
+		i := int(j.cursor.Add(1)) - 1
+		if i >= j.n {
+			return false
+		}
+		cur = i
+		j.out[i] = j.c.expand(j.lo+i, j.lo, sc, j.out[i])
+		cur = -1
+		j.done.Add(1)
+	}
+}
+
+// fail records that expanding node i panicked with v, keeping the lowest
+// such node's value, and counts the node done.
+func (j *levelJob) fail(i int, v any) {
+	j.mu.Lock()
+	if !j.failed || i < j.failAt {
+		j.failed, j.failAt, j.failure = true, i, v
+	}
+	j.mu.Unlock()
+	j.done.Add(1)
+}
+
+// The helpers are process-wide goroutines that expand for every walk: an
+// idle one waits on helperJobs, unbuffered, so an offer reaches only a
+// helper that is free at that moment. They start on first use and grow to
+// the largest workers−1 any walk has asked for; they never stop, and an
+// idle one costs a parked goroutine.
+var (
+	helperJobs  = make(chan *levelJob)
+	helperCount atomic.Int32
+	helperGrow  sync.Mutex
+)
+
+// offer hands j to at most k idle helpers, starting helpers first if fewer
+// than k exist, and returns at once: helpers that are busy elsewhere, or
+// not yet waiting, are skipped.
+func offer(j *levelJob, k int) {
+	if int(helperCount.Load()) < k {
+		helperGrow.Lock()
+		for int(helperCount.Load()) < k {
+			helperCount.Add(1)
+			go help()
+		}
+		helperGrow.Unlock()
+	}
+	for ; k > 0; k-- {
+		select {
+		case helperJobs <- j:
+		default:
+			return
+		}
+	}
+}
+
+// help is a helper's life: take a job, expand in the next helper slot of
+// its scratch, wait for the next.
+func help() {
+	for j := range helperJobs {
+		j.work(&j.scr[j.slots.Add(1)])
+	}
 }
