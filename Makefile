@@ -21,13 +21,13 @@ test-race:
 	$(GO) test -race -short ./...
 
 # The distributed engine end to end: the full differential/fault suite,
-# then flpcheck's census over a 1-coordinator/3-worker/6-shard loopback
-# cluster on two protocols, which exits 1 unless every input vector's
-# count matches the local engine's.
+# then flpcluster's census over a 1-coordinator/3-worker/6-shard loopback
+# cluster on two protocols, from every input vector, which exits 1 unless
+# every count matches the local engine's.
 test-dist:
 	$(GO) test ./internal/distexplore
-	$(GO) run ./cmd/flpcheck -protocol naivemajority -cluster loopback:3 -cluster-shards 6 -skip-lemma3 -skip-agreement
-	$(GO) run ./cmd/flpcheck -protocol 2pc -cluster loopback:3 -cluster-shards 6 -skip-lemma3 -skip-agreement
+	$(GO) run ./cmd/flpcluster explore -cluster loopback:3 -shards 6 -n 3 -protocol naivemajority
+	$(GO) run ./cmd/flpcluster explore -cluster loopback:3 -shards 6 -n 3 -protocol 2pc
 
 # Fault injection under the race detector: the oracle suite's cluster
 # factories (clean, a scripted kill, a kill inside a chunked level, a

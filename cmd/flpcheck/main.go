@@ -1,13 +1,18 @@
 // Command flpcheck runs the FLP model checker against a named protocol:
 // the Lemma 2 initial-valency census, Lemma 3 frontier checks, the partial
 // correctness (agreement/nontriviality) audit, and the Theorem 1 adversary.
+// One census classifies each initial configuration once; the Lemma 2
+// proof walk, Lemma 3's bivalent root and the adversary's starting
+// configuration all read it.
 //
 // Usage:
 //
 //	flpcheck -protocol naivemajority -n 3            # full checker battery
 //	flpcheck -protocol paxos -n 3 -adversary 12      # livelock Paxos for 12 stages
-//	flpcheck -cluster loopback:3                     # cross-check the distributed engine
 //	flpcheck -list                                   # available protocols
+//
+// The distributed engine is cross-checked against the local one by
+// `flpcluster explore -cluster loopback:W`.
 package main
 
 import (
@@ -16,14 +21,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"github.com/flpsim/flp"
 	"github.com/flpsim/flp/internal/adversary"
 	"github.com/flpsim/flp/internal/atlasstore"
 	"github.com/flpsim/flp/internal/conformance"
-	"github.com/flpsim/flp/internal/distexplore"
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/protocols"
@@ -39,11 +42,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS, 1 = sequential)")
 		skipL3     = flag.Bool("skip-lemma3", false, "skip the Lemma 3 frontier census")
 		skipAgree  = flag.Bool("skip-agreement", false, "skip the partial-correctness audit")
-		cluster    = flag.String("cluster", "", "also run a distributed reachability census: 'loopback:W' spins up W in-process workers; otherwise comma-separated flpcluster worker addresses")
-		shards     = flag.Int("cluster-shards", 0, "visited-set shards for -cluster (0 = one per worker)")
-		creplicas  = flag.Int("cluster-replicas", 0, "replicas per shard for -cluster (0 = default 2; 1 disables failover)")
-		ckDir      = flag.String("checkpoint-dir", "", "durable level-boundary checkpoints for the -cluster census ('' = off)")
-		ckResume   = flag.Bool("resume", false, "resume the -cluster census from the newest matching checkpoint in -checkpoint-dir")
 		genseed    = flag.Uint64("genseed", 0, "check the generated protocol Derive(seed, DefaultDials(n)) instead of -protocol (0 = off)")
 		genspec    = flag.String("genspec", "", "check a generated protocol by its full gen: name (replays fuzzer reproducers; overrides -protocol and -n)")
 		conf       = flag.Bool("conformance", false, "run the cross-engine conformance harness on the selected protocol and exit")
@@ -92,19 +90,16 @@ func main() {
 		runConformance(*name, pr.N(), *budget)
 		return
 	}
-	var (
-		atlases *explore.AtlasCache
-		store   *atlasstore.Store
-	)
+	atlases := explore.NewAtlasCache()
+	var store *atlasstore.Store
 	if *atlasDir != "" {
 		store, err = atlasstore.Open(*atlasDir)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		atlases = explore.NewAtlasCache()
 		atlases.SetBackend(store)
 	}
-	runLemma2(pr, opt, unbounded, atlases)
+	census := runLemma2(pr, opt, unbounded, atlases)
 	if store != nil {
 		st := store.Stats()
 		fmt.Printf("  atlas store (%s): %d hits, %d misses, %d resumes, %d refused\n\n",
@@ -112,19 +107,16 @@ func main() {
 	}
 	if !unbounded {
 		fmt.Println("== Lemma 2 proof walk: adjacent univalent pairs ==")
-		runLemma2Proof(pr, opt)
+		runLemma2Proof(pr, opt, census)
 	}
 	if !*skipL3 {
-		runLemma3(pr, opt, unbounded)
+		runLemma3(pr, opt, unbounded, census.Bivalent, atlases)
 	}
 	if !*skipAgree {
 		runAgreement(pr, opt, unbounded)
 	}
 	if *stages > 0 {
-		runAdversary(pr, *stages, *workers, unbounded)
-	}
-	if *cluster != "" {
-		runClusterCensus(pr, *name, *budget, *cluster, *shards, *creplicas, unbounded, *ckDir, *ckResume)
+		runAdversary(pr, *stages, *workers, unbounded, census.Bivalent)
 	}
 }
 
@@ -150,125 +142,36 @@ func runConformance(name string, n, budget int) {
 	fmt.Printf("\n  sequential, parallel, distributed (plain and with a scripted kill), and atlas\n  engines produced byte-identical results at budget %d\n", budget)
 }
 
-// runClusterCensus cross-checks the distributed engine against the local
-// one: a per-input reachability census over a worker cluster (in-process
-// loopback or live TCP workers started with `flpcluster worker`) must
-// reproduce the local counts exactly, and a mismatch exits 1.
-func runClusterCensus(pr flp.Protocol, name string, budget int, spec string, shards, replicas int, unbounded bool, ckDir string, resume bool) {
-	fmt.Println("== Distributed reachability census ==")
-	if unbounded {
-		budget = 2000 // unbounded state spaces get the same bounded sweep as the other sections
-	}
-	tr, addrs, cleanup, err := clusterEndpoints(spec)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer cleanup()
-	cl, err := distexplore.Dial(tr, addrs, distexplore.RPCOptions{})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer cl.Close()
-	var cks *atlasstore.CheckpointStore
-	if ckDir != "" {
-		if cks, err = atlasstore.OpenCheckpoints(ckDir); err != nil {
-			fatalf("%v", err)
-		}
-		cks.SetLog(func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, "flpcheck: "+format+"\n", args...)
-		})
-	}
-	fmt.Printf("  cluster: %d workers (%s), shards=%d, replicas=%d\n", len(addrs), strings.Join(addrs, ", "), shards, distexplore.ReplicaCount(replicas, len(addrs)))
-	for _, in := range flp.AllInputs(pr.N()) {
-		c, err := flp.Initial(pr, in)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		localCount, localExact := explore.CountReachable(pr, c, explore.Options{MaxConfigs: budget})
-		count, exact, err := cl.CountReachable(distexplore.Task{
-			Protocol: name, N: pr.N(), Inputs: in, Shards: shards, Replicas: replicas,
-			Options:     explore.Options{MaxConfigs: budget},
-			Checkpoints: cks, Resume: resume,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if count != localCount || exact != localExact {
-			fatalf("distributed census MISMATCH on inputs %s: cluster found %d configurations (exact=%v), local engine %d (exact=%v)",
-				in, count, exact, localCount, localExact)
-		}
-		status := "matches local engine"
-		if st := cl.RunStats(); cks != nil && st.ResumedLevel >= 0 {
-			status += fmt.Sprintf(" (resumed at level %d, %d nodes restored)", st.ResumedLevel, st.ResumedNodes)
-		}
-		fmt.Printf("  inputs %s: %d configurations (exact=%v) — %s\n", in, count, exact, status)
-	}
-	fmt.Println()
-}
-
-// clusterEndpoints resolves a -cluster spec: "loopback:W" boots W workers
-// inside this process over in-memory pipes; anything else is a
-// comma-separated list of TCP worker addresses.
-func clusterEndpoints(spec string) (distexplore.Transport, []string, func(), error) {
-	if w, ok := strings.CutPrefix(spec, "loopback:"); ok {
-		n, err := strconv.Atoi(w)
-		if err != nil || n < 1 {
-			return nil, nil, nil, fmt.Errorf("bad -cluster spec %q: want loopback:<workers>", spec)
-		}
-		lb := distexplore.NewLoopback()
-		var addrs []string
-		var listeners []distexplore.Listener
-		for i := 0; i < n; i++ {
-			l, err := lb.Listen(fmt.Sprintf("flpcheck-w%d", i))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			listeners = append(listeners, l)
-			go distexplore.NewWorker(nil).Serve(l)
-			addrs = append(addrs, l.Addr())
-		}
-		cleanup := func() {
-			for _, l := range listeners {
-				l.Close()
-			}
-		}
-		return lb, addrs, cleanup, nil
-	}
-	return distexplore.TCP{}, strings.Split(spec, ","), func() {}, nil
-}
-
-func runLemma2(pr flp.Protocol, opt flp.CheckOptions, unbounded bool, atlases *explore.AtlasCache) {
+// runLemma2 prints the Lemma 2 table and returns its census: every
+// initial configuration classified once, from its valency atlas through
+// atlases (backed by -atlas-dir when set; per-configuration Classify when
+// the reachable set exceeds the budget) or, on an unbounded protocol, by
+// directed probes and a 2,000-configuration search.
+func runLemma2(pr flp.Protocol, opt flp.CheckOptions, unbounded bool, atlases *explore.AtlasCache) flp.InitialCensus {
 	fmt.Println("== Lemma 2: initial configuration valencies ==")
-	for _, in := range flp.AllInputs(pr.N()) {
-		c, err := flp.Initial(pr, in)
-		if err != nil {
-			fatalf("%v", err)
+	classify := func(c *flp.Config) flp.ValencyInfo { return explore.ClassifyRootCached(pr, c, opt, atlases) }
+	if unbounded {
+		classify = func(c *flp.Config) flp.ValencyInfo {
+			return flp.ClassifySmart(pr, c, flp.CheckOptions{MaxConfigs: 2000, Workers: opt.Workers}, flp.ProbeOptions{})
 		}
-		var info flp.ValencyInfo
-		switch {
-		case unbounded:
-			info = flp.ClassifySmart(pr, c, flp.CheckOptions{MaxConfigs: 2000, Workers: opt.Workers}, flp.ProbeOptions{})
-		case atlases != nil:
-			// Store-backed path: the atlas is loaded from -atlas-dir when
-			// persisted (or built and persisted), with automatic per-config
-			// fallback on refusal. Valencies and exactness are identical to
-			// flp.Classify; the explored-configuration count reports the
-			// full atlas size rather than an early-exit BFS's visit count.
-			info = explore.ClassifyRootCached(pr, c, opt, atlases)
-		default:
-			info = flp.Classify(pr, c, opt)
-		}
+	}
+	census, err := explore.Census(pr, classify, func(iv explore.InitialValency) bool {
 		exact := ""
-		if !info.Exact {
+		if !iv.Info.Exact {
 			exact = " (budget-limited)"
 		}
-		fmt.Printf("  inputs %s: %s%s, %d configurations explored\n", in, info.Valency, exact, info.Visited)
+		fmt.Printf("  inputs %s: %s%s, %d configurations explored\n", iv.Inputs, iv.Info.Valency, exact, iv.Info.Visited)
+		return true
+	})
+	if err != nil {
+		fatalf("%v", err)
 	}
 	fmt.Println()
+	return census
 }
 
-func runLemma2Proof(pr flp.Protocol, opt flp.CheckOptions) {
-	steps, err := flp.CheckLemma2Proof(pr, opt)
+func runLemma2Proof(pr flp.Protocol, opt flp.CheckOptions, census flp.InitialCensus) {
+	steps, err := census.Lemma2Proof(pr, opt)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -291,21 +194,28 @@ func runLemma2Proof(pr flp.Protocol, opt flp.CheckOptions) {
 	fmt.Println()
 }
 
-func runLemma3(pr flp.Protocol, opt flp.CheckOptions, unbounded bool) {
+// runLemma3 examines the frontiers of the census's first bivalent initial
+// configuration, one per process's null event, sharing the census's
+// atlases.
+func runLemma3(pr flp.Protocol, opt flp.CheckOptions, unbounded bool, bivalent *explore.InitialValency, atlases *explore.AtlasCache) {
 	fmt.Println("== Lemma 3: bivalence-preserving extensions ==")
-	c, in, ok := findBivalent(pr, opt, unbounded)
-	if !ok {
+	if bivalent == nil {
 		fmt.Println("  no bivalent initial configuration: the protocol escapes the theorem's hypotheses")
 		fmt.Println()
 		return
 	}
-	fmt.Printf("  bivalent initial configuration: inputs %s\n", in)
+	fmt.Printf("  bivalent initial configuration: inputs %s\n", bivalent.Inputs)
 	if unbounded {
 		fmt.Println("  (frontier census needs a finite protocol; skipped for unbounded state spaces)")
 		fmt.Println()
 		return
 	}
+	c, err := flp.Initial(pr, bivalent.Inputs)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	cache := flp.NewValencyCache(pr, opt)
+	cache.ShareAtlasBuilds(atlases)
 	for p := 0; p < pr.N(); p++ {
 		e := flp.NullEvent(flp.PID(p))
 		res, err := flp.CensusLemma3(pr, c, e, opt, cache)
@@ -340,14 +250,19 @@ func runAgreement(pr flp.Protocol, opt flp.CheckOptions, unbounded bool) {
 	fmt.Println()
 }
 
-func runAdversary(pr flp.Protocol, stages, workers int, unbounded bool) {
+// runAdversary runs the Theorem 1 construction from the census's first
+// bivalent initial configuration.
+func runAdversary(pr flp.Protocol, stages, workers int, unbounded bool, bivalent *explore.InitialValency) {
 	fmt.Printf("== Theorem 1 adversary: %d stages ==\n", stages)
 	opt := flp.AdversaryOptions{Stages: stages, Workers: workers}
 	if unbounded {
 		opt = adversary.ForUnbounded(opt)
 	}
-	adv := flp.NewAdversary(pr, opt)
-	res, err := adv.Run()
+	var res *flp.AdversaryResult
+	err := flp.ErrNoBivalentInitial
+	if bivalent != nil {
+		res, err = flp.NewAdversary(pr, opt).RunFromInputs(bivalent.Inputs)
+	}
 	if err != nil {
 		fmt.Printf("  adversary cannot proceed: %v\n", err)
 		fmt.Println("  (this is itself a finding: the protocol escapes the impossibility by violating one of its hypotheses)")
@@ -360,22 +275,6 @@ func runAdversary(pr flp.Protocol, stages, workers int, unbounded bool) {
 	fmt.Printf("  inputs %s: %d stages, %d steps, %d rotations, min steps/process %d\n",
 		res.Inputs, rep.Stages, rep.Steps, rep.Rotations, rep.MinStepsPerProcess)
 	fmt.Printf("  processes decided: %d — the run is admissible and non-deciding\n", rep.DecidedCount)
-}
-
-func findBivalent(pr flp.Protocol, opt flp.CheckOptions, unbounded bool) (*flp.Config, flp.Inputs, bool) {
-	if !unbounded {
-		return flp.FindBivalentInitial(pr, opt)
-	}
-	for _, in := range flp.AllInputs(pr.N()) {
-		c, err := flp.Initial(pr, in)
-		if err != nil {
-			return nil, nil, false
-		}
-		if flp.ClassifySmart(pr, c, flp.CheckOptions{MaxConfigs: 2000, Workers: opt.Workers}, flp.ProbeOptions{}).Valency == flp.Bivalent {
-			return c, in, true
-		}
-	}
-	return nil, nil, false
 }
 
 // profiles starts CPU profiling (when requested) and returns the function

@@ -10,12 +10,14 @@
 //	    requests and exits 0 with a summary
 //
 //	flpcluster explore -cluster 127.0.0.1:9001,127.0.0.1:9002 \
-//	    -protocol naivemajority -n 3 -inputs 0,1,1 -shards 8 -replicas 2
+//	    -protocol naivemajority -n 3 -inputs 011 -shards 8 -replicas 2
 //	    run a distributed reachability census against live workers;
 //	    -chaos injects a deterministic fault plan
 //
-// A loopback cluster checked against the sequential engine is
-// `flpcheck -cluster loopback:W` (used by `make test-dist`).
+//	flpcluster explore -cluster loopback:3 -shards 6 -protocol 2pc
+//	    the same census on 3 workers started in this process over
+//	    in-memory pipes, each count checked against the local engine's
+//	    (explore.CountReachable): a mismatch exits 1 (`make test-dist`)
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"github.com/flpsim/flp/internal/distexplore"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 func main() {
@@ -53,7 +56,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: flpcluster <worker|explore> [flags]")
 	fmt.Fprintln(os.Stderr, "  flpcluster worker   -listen 127.0.0.1:9001")
-	fmt.Fprintln(os.Stderr, "  flpcluster explore  -cluster host:port,host:port -protocol naivemajority -n 3 [-inputs 0,1,1|all] [-shards S] [-replicas R] [-chaos spec] [-checkpoint-dir D [-resume]] [-rejoin-wait DUR] [-kill-at-level L]")
+	fmt.Fprintln(os.Stderr, "  flpcluster explore  -cluster host:port,host:port|loopback:W -protocol naivemajority -n 3 [-inputs 011|all] [-shards S] [-replicas R] [-chaos spec] [-checkpoint-dir D [-resume]] [-rejoin-wait DUR] [-kill-at-level L]")
 	fmt.Fprintln(os.Stderr, "  chaos spec: comma-separated keys seed=N drop=P delay=P delayfor=DUR trunc=P kill=WORKER@LEVEL")
 	os.Exit(2)
 }
@@ -100,10 +103,10 @@ func isClosedErr(err error) bool {
 func runExplore(args []string) {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	var (
-		cluster     = fs.String("cluster", "", "comma-separated worker addresses (required)")
+		cluster     = fs.String("cluster", "", "comma-separated worker addresses, or loopback:W for W in-process workers checked against the local engine (required)")
 		name        = fs.String("protocol", "naivemajority", "protocol to explore")
 		n           = fs.Int("n", 3, "number of processes")
-		inputs      = fs.String("inputs", "all", "input vector like 0,1,1 — or 'all' for a census over every vector")
+		inputs      = fs.String("inputs", "all", "input vector like 011 (commas allowed: 0,1,1) — or 'all' for a census over every vector")
 		shards      = fs.Int("shards", 0, "visited-set shards (0 = one per worker)")
 		replicas    = fs.Int("replicas", 0, "replicas per shard (0 = default 2; 1 disables failover)")
 		budget      = fs.Int("budget", 0, "max configurations per exploration (0 = default)")
@@ -121,8 +124,20 @@ func runExplore(args []string) {
 	if *resume && *ckDir == "" {
 		fatalf("explore: -resume requires -checkpoint-dir")
 	}
-	addrs := strings.Split(*cluster, ",")
-	var tr distexplore.Transport = distexplore.TCP{}
+	ins, err := inputVectors(*inputs, *n)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	tr, addrs, loopback, err := clusterEndpoints(*cluster)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	var local func(model.Inputs) (int, bool)
+	if loopback {
+		if local, err = localCount(*name, *n, explore.Options{MaxConfigs: *budget, MaxDepth: *depth}); err != nil {
+			fatalf("%v", err)
+		}
+	}
 	if *chaos != "" {
 		plan, err := parseChaos(*chaos, addrs)
 		if err != nil {
@@ -132,7 +147,6 @@ func runExplore(args []string) {
 	}
 	var cks *atlasstore.CheckpointStore
 	if *ckDir != "" {
-		var err error
 		if cks, err = atlasstore.OpenCheckpoints(*ckDir); err != nil {
 			fatalf("%v", err)
 		}
@@ -156,16 +170,6 @@ func runExplore(args []string) {
 		cl.Interrupt()
 	}()
 
-	var ins []model.Inputs
-	if *inputs == "all" {
-		ins = model.AllInputs(*n)
-	} else {
-		in, err := parseInputs(*inputs, *n)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		ins = []model.Inputs{in}
-	}
 	fmt.Printf("distributed reachability census: %s n=%d, %d workers, shards=%d, replicas=%d\n",
 		*name, *n, len(addrs), *shards, distexplore.ReplicaCount(*replicas, len(addrs)))
 	done := 0
@@ -197,6 +201,13 @@ func runExplore(args []string) {
 		suffix := ""
 		if !exact {
 			suffix = " (budget-limited)"
+		}
+		if local != nil {
+			if want, wantExact := local(in); count != want || exact != wantExact {
+				fatalf("distributed census MISMATCH on inputs %s: cluster found %d configurations (exact=%v), local engine %d (exact=%v)",
+					in, count, exact, want, wantExact)
+			}
+			suffix += " — matches the local engine"
 		}
 		fmt.Printf("  inputs %s: %d configurations%s\n", in, count, suffix)
 		if cks != nil {
@@ -271,23 +282,63 @@ func parseProb(val string) (float64, error) {
 	return p, err
 }
 
-func parseInputs(s string, n int) (model.Inputs, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("inputs %q has %d values, want %d", s, len(parts), n)
+// inputVectors resolves -inputs: "all" is every input vector of n
+// processes; otherwise one vector in model.ParseInputs's form (011), with
+// commas allowed between the bits (0,1,1).
+func inputVectors(spec string, n int) ([]model.Inputs, error) {
+	if spec == "all" {
+		return model.AllInputs(n), nil
 	}
-	in := make(model.Inputs, n)
-	for i, p := range parts {
-		switch strings.TrimSpace(p) {
-		case "0":
-			in[i] = model.V0
-		case "1":
-			in[i] = model.V1
-		default:
-			return nil, fmt.Errorf("inputs %q: value %q is not 0 or 1", s, p)
+	in, err := model.ParseInputs(strings.ReplaceAll(spec, ",", ""))
+	if err != nil {
+		return nil, err
+	}
+	if len(in) != n {
+		return nil, fmt.Errorf("inputs %q has %d values, want %d", spec, len(in), n)
+	}
+	return []model.Inputs{in}, nil
+}
+
+// clusterEndpoints resolves -cluster: "loopback:W" boots W workers inside
+// this process over in-memory pipes, serving until it exits (loopback
+// reports it); anything else is a comma-separated list of TCP worker
+// addresses.
+func clusterEndpoints(spec string) (tr distexplore.Transport, addrs []string, loopback bool, err error) {
+	w, ok := strings.CutPrefix(spec, "loopback:")
+	if !ok {
+		return distexplore.TCP{}, strings.Split(spec, ","), false, nil
+	}
+	workers, err := strconv.Atoi(w)
+	if err != nil || workers < 1 {
+		return nil, nil, false, fmt.Errorf("bad -cluster spec %q: want loopback:<workers>", spec)
+	}
+	lb := distexplore.NewLoopback()
+	for i := 0; i < workers; i++ {
+		l, err := lb.Listen(fmt.Sprintf("loopback-w%d", i))
+		if err != nil {
+			return nil, nil, false, err
 		}
+		go distexplore.NewWorker(nil).Serve(l)
+		addrs = append(addrs, l.Addr())
 	}
-	return in, nil
+	return lb, addrs, true, nil
+}
+
+// localCount returns the in-process engine's reachability count from each
+// input vector of the named protocol, the figure a loopback cluster's
+// counts are checked against.
+func localCount(name string, n int, opt explore.Options) (func(model.Inputs) (int, bool), error) {
+	factory, ok := protocols.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown protocol %q", name)
+	}
+	pr, err := factory(n)
+	if err != nil {
+		return nil, err
+	}
+	return func(in model.Inputs) (int, bool) {
+		return explore.CountReachable(pr, model.MustInitial(pr, in), opt)
+	}, nil
 }
 
 func fatalf(format string, args ...interface{}) {

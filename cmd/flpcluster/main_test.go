@@ -38,3 +38,33 @@ func TestParseChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestInputVectors holds -inputs to model.ParseInputs's form (011), commas
+// allowed between the bits, and "all" to every vector. Each refusal names
+// what is wrong: the length, or the position that is not a bit.
+func TestInputVectors(t *testing.T) {
+	for _, spec := range []string{"011", "0,1,1"} {
+		ins, err := inputVectors(spec, 3)
+		if err != nil || len(ins) != 1 || ins[0].String() != "011" {
+			t.Errorf("%q: got %v, %v; want [011]", spec, ins, err)
+		}
+	}
+	if ins, err := inputVectors("all", 3); err != nil || len(ins) != 8 {
+		t.Errorf("all: got %d vectors, %v; want 8", len(ins), err)
+	}
+	for _, tc := range []struct{ spec, want string }{
+		{"01", "has 2 values, want 3"},
+		{"0,1,1,0", "has 4 values, want 3"},
+		{"", "has 0 values, want 3"},
+		{"0,1,2", "position 2 is not a bit"},
+		{"01x", "position 2 is not a bit"},
+		{"0, 1, 1", "position 1 is not a bit"},
+	} {
+		_, err := inputVectors(tc.spec, 3)
+		if err == nil {
+			t.Errorf("%q: accepted", tc.spec)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %q does not say %q", tc.spec, err, tc.want)
+		}
+	}
+}

@@ -189,19 +189,21 @@ func (a *Adversary) RunFromInputs(inputs model.Inputs) (*Result, error) {
 	return a.run(c, inputs)
 }
 
-// Run locates a bivalent initial configuration (Lemma 2) and constructs
-// the non-deciding run from it.
+// Run locates the first bivalent initial configuration (Lemma 2's census
+// through the adversary's valency cache, stopped there) and constructs the
+// non-deciding run from it.
 func (a *Adversary) Run() (*Result, error) {
-	for _, in := range model.AllInputs(a.pr.N()) {
-		c, err := model.Initial(a.pr, in)
-		if err != nil {
-			return nil, err
-		}
-		if a.cache.Classify(c).Valency == explore.Bivalent {
-			return a.run(c, in)
-		}
+	census, err := explore.Census(a.pr, a.cache.Classify, func(iv explore.InitialValency) bool {
+		return iv.Info.Valency != explore.Bivalent
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, ErrNoBivalentInitial
+	if census.Bivalent == nil {
+		return nil, ErrNoBivalentInitial
+	}
+	in := census.Bivalent.Inputs
+	return a.run(model.MustInitial(a.pr, in), in)
 }
 
 // Extend continues a previously constructed run for additional stages —

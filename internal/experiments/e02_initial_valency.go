@@ -17,14 +17,27 @@ func E2InitialValency() (*Table, error) {
 		Columns: []string{"protocol", "bivalent", "0-valent", "1-valent", "unresolved", "first bivalent", "exact"},
 	}
 
-	finite := []model.Protocol{
-		protocols.NewTrivial0(3),
-		protocols.NewWaitAll(3),
-		protocols.NewNaiveMajority(3),
-		protocols.NewTwoPhaseCommit(3),
+	root := func(pr model.Protocol, c *model.Config) explore.ValencyInfo {
+		return explore.ClassifyRoot(pr, c, explore.Options{})
 	}
-	for _, pr := range finite {
-		census, err := explore.CensusInitial(pr, explore.Options{})
+	// Paxos has an unbounded reachable set: bivalence certificates come
+	// from directed probes; the unanimous configurations stay formally
+	// unresolved (they are univalent by Paxos validity, but certifying
+	// univalence needs exhaustion).
+	probe := func(pr model.Protocol, c *model.Config) explore.ValencyInfo {
+		return explore.ClassifySmart(pr, c, explore.Options{MaxConfigs: 500}, explore.ProbeOptions{})
+	}
+	for _, row := range []struct {
+		pr       model.Protocol
+		classify func(model.Protocol, *model.Config) explore.ValencyInfo
+	}{
+		{protocols.NewTrivial0(3), root},
+		{protocols.NewWaitAll(3), root},
+		{protocols.NewNaiveMajority(3), root},
+		{protocols.NewTwoPhaseCommit(3), root},
+		{protocols.NewPaxosSynod(3), probe},
+	} {
+		census, err := explore.Census(row.pr, func(c *model.Config) explore.ValencyInfo { return row.classify(row.pr, c) }, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -32,34 +45,13 @@ func E2InitialValency() (*Table, error) {
 		if census.Bivalent != nil {
 			first = census.Bivalent.Inputs.String()
 		}
-		t.AddRow(pr.Name(),
+		t.AddRow(census.Protocol,
 			census.Counts[explore.Bivalent],
 			census.Counts[explore.ZeroValent],
 			census.Counts[explore.OneValent],
 			census.Counts[explore.Unknown]+census.Counts[explore.Stuck],
 			first, census.AllExact)
 	}
-
-	// Paxos has an unbounded reachable set: bivalence certificates come
-	// from directed probes; the unanimous configurations stay formally
-	// unresolved (they are univalent by Paxos validity, but certifying
-	// univalence needs exhaustion).
-	px := protocols.NewPaxosSynod(3)
-	counts := map[explore.Valency]int{}
-	first := "-"
-	for _, in := range model.AllInputs(3) {
-		c, err := model.Initial(px, in)
-		if err != nil {
-			return nil, err
-		}
-		info := explore.ClassifySmart(px, c, explore.Options{MaxConfigs: 500}, explore.ProbeOptions{})
-		counts[info.Valency]++
-		if info.Valency == explore.Bivalent && first == "-" {
-			first = in.String()
-		}
-	}
-	t.AddRow(px.Name(), counts[explore.Bivalent], counts[explore.ZeroValent],
-		counts[explore.OneValent], counts[explore.Unknown]+counts[explore.Stuck], first, false)
 
 	t.AddNote("naivemajority: 011/101/110 bivalent — the Lemma 2 prerequisite for the Theorem 1 construction")
 	t.AddNote("waitall and 2pc: all univalent — their decision is a function of inputs alone; they escape FLP by not tolerating a fault")

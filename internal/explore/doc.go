@@ -10,9 +10,11 @@
 //     (|V| = 2) is certified by two concrete witness schedules and is exact
 //     even under a budget; univalence claims additionally require the
 //     exploration to have been exhaustive.
-//   - [CensusInitial] mechanizes Lemma 2: it classifies every initial
+//   - [Census] mechanizes Lemma 2: it classifies every initial
 //     configuration and locates a bivalent one, or, failing that, exhibits
 //     the adjacent 0-valent/1-valent pair the proof of Lemma 2 pivots on.
+//     It is the one loop over initial configurations; the root classifier
+//     is its parameter ([CensusInitial] passes [ClassifyRoot]).
 //   - [CensusLemma3] mechanizes Lemma 3: from a bivalent C and an
 //     applicable event e, the frontier D = e(reach(C) without e) contains a
 //     bivalent configuration. The Theorem 1 adversary (package adversary)

@@ -42,16 +42,17 @@ type InitialCensus struct {
 // HasBivalent reports whether a bivalent initial configuration was found.
 func (ic InitialCensus) HasBivalent() bool { return ic.Bivalent != nil }
 
-// CensusInitial classifies all 2^N initial configurations of pr.
+// Census is Lemma 2's loop, the one place initial configurations are
+// classified: it classifies each of pr's 2^N initial configurations with
+// classify, in AllInputs order, and tallies the census. each, when
+// non-nil, sees every classified root and stops the census by returning
+// false; a stopped census covers only the roots classified so far.
 //
-// Each root whose reachable set fits the budget is classified from a
-// valency atlas: one graph sweep plus a backward pass — the same
-// exhaustive cost the univalent and stuck roots (the bulk of a census)
-// already paid under per-configuration search, now also yielding exact
-// classifications with shortest witnesses for both decision values at
-// bivalent roots. Roots whose state space exceeds the budget fall back to
-// budgeted Classify, unchanged.
-func CensusInitial(pr model.Protocol, opt Options) (InitialCensus, error) {
+// classify decides what the census costs and means: ClassifyRoot (the
+// CensusInitial census), ClassifyRootCached over a shared AtlasCache,
+// budgeted Classify, ClassifySmart for unbounded state spaces, or a
+// valency Cache's Classify.
+func Census(pr model.Protocol, classify func(*model.Config) ValencyInfo, each func(InitialValency) bool) (InitialCensus, error) {
 	census := InitialCensus{
 		Protocol: pr.Name(),
 		N:        pr.N(),
@@ -63,20 +64,33 @@ func CensusInitial(pr model.Protocol, opt Options) (InitialCensus, error) {
 		if err != nil {
 			return census, err
 		}
-		info := ClassifyRoot(pr, c, opt)
-		iv := InitialValency{Inputs: in, Info: info}
+		iv := InitialValency{Inputs: in, Info: classify(c)}
 		census.PerInput = append(census.PerInput, iv)
-		census.Counts[info.Valency]++
-		if !info.Exact {
-			census.AllExact = false
+		census.Counts[iv.Info.Valency]++
+		census.AllExact = census.AllExact && iv.Info.Exact
+		if iv.Info.Valency == Bivalent && census.Bivalent == nil {
+			first := iv
+			census.Bivalent = &first
 		}
-		if info.Valency == Bivalent && census.Bivalent == nil {
-			ivCopy := iv
-			census.Bivalent = &ivCopy
+		if each != nil && !each(iv) {
+			break
 		}
 	}
 	census.Adjacent = findAdjacentPair(census.PerInput)
 	return census, nil
+}
+
+// CensusInitial classifies all 2^N initial configurations of pr.
+//
+// Each root whose reachable set fits the budget is classified from a
+// valency atlas: one graph sweep plus a backward pass — the same
+// exhaustive cost the univalent and stuck roots (the bulk of a census)
+// already paid under per-configuration search, now also yielding exact
+// classifications with shortest witnesses for both decision values at
+// bivalent roots. Roots whose state space exceeds the budget fall back to
+// budgeted Classify, unchanged.
+func CensusInitial(pr model.Protocol, opt Options) (InitialCensus, error) {
+	return Census(pr, func(c *model.Config) ValencyInfo { return ClassifyRoot(pr, c, opt) }, nil)
 }
 
 // ClassifyRoot classifies one exploration root: from a valency atlas over
@@ -125,17 +139,16 @@ func findAdjacentPair(ivs []InitialValency) *AdjacentPair {
 }
 
 // FindBivalentInitial returns a bivalent initial configuration of pr,
-// scanning input assignments in order. It reports ok=false if none was
+// classifying input assignments in order with budgeted Classify and
+// stopping at the first bivalent one. It reports ok=false if none was
 // certified within the budget.
 func FindBivalentInitial(pr model.Protocol, opt Options) (*model.Config, model.Inputs, bool) {
-	for _, in := range model.AllInputs(pr.N()) {
-		c, err := model.Initial(pr, in)
-		if err != nil {
-			return nil, nil, false
-		}
-		if info := Classify(pr, c, opt); info.Valency == Bivalent {
-			return c, in, true
-		}
+	census, err := Census(pr, func(c *model.Config) ValencyInfo { return Classify(pr, c, opt) }, func(iv InitialValency) bool {
+		return iv.Info.Valency != Bivalent
+	})
+	if err != nil || census.Bivalent == nil {
+		return nil, nil, false
 	}
-	return nil, nil, false
+	in := census.Bivalent.Inputs
+	return model.MustInitial(pr, in), in, true
 }

@@ -66,14 +66,19 @@ func CheckLemma2Proof(pr model.Protocol, opt Options) ([]Lemma2ProofStep, error)
 	if err != nil {
 		return nil, err
 	}
+	return census.Lemma2Proof(pr, opt)
+}
+
+// Lemma2Proof is CheckLemma2Proof on a census already taken, so a caller
+// that has classified the initial configurations does not classify them
+// again. The census must be of pr and complete (not stopped early).
+func (ic InitialCensus) Lemma2Proof(pr model.Protocol, opt Options) ([]Lemma2ProofStep, error) {
 	var steps []Lemma2ProofStep
-	for i := range census.PerInput {
-		zero := census.PerInput[i]
+	for _, zero := range ic.PerInput {
 		if !zero.Info.Exact || zero.Info.Valency != ZeroValent {
 			continue
 		}
-		for j := range census.PerInput {
-			one := census.PerInput[j]
+		for _, one := range ic.PerInput {
 			if !one.Info.Exact || one.Info.Valency != OneValent {
 				continue
 			}

@@ -35,9 +35,7 @@ type Lemma3Result struct {
 // atlas the first call builds over reach(C) — across calls, which is the
 // right mode for examining several events from the same C (flpcheck's
 // Lemma 3 section) or successive stages of the adversary. With a nil
-// cache, the census classifies the whole frontier from one atlas built for
-// this call alone (or, when the state space exceeds the budget, through a
-// private per-configuration cache).
+// cache, the census classifies through a private one.
 func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache) (Lemma3Result, error) {
 	if !model.Applicable(c, e) {
 		return Lemma3Result{}, fmt.Errorf("explore: event %s not applicable to C", e)
@@ -65,34 +63,18 @@ func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options
 	return res, nil
 }
 
-// frontierClassifier picks how the members of D = e(ℰ) are classified.
-// Every D lies in reach(C), and the frontier's reachable sets overlap
-// almost completely, so the census case wants one valency atlas over
-// reach(C) answering all of them in O(V+E) rather than one breadth-first
-// search per member:
-//
-//   - a caller-supplied cache is warmed with that atlas (TryWarm is a
-//     no-op when a previous call already covered C, and remembers
-//     over-budget roots so unbounded protocols pay the failed sweep once);
-//   - with no cache, the census builds the atlas privately;
-//   - when the reachable set exceeds the budget, either way falls back to
-//     budgeted per-configuration classification, which is the pre-atlas
-//     behaviour exactly.
+// frontierClassifier classifies the members of D = e(ℰ) through a valency
+// cache — the caller's, or a private one. Every D lies in reach(C), and
+// the frontier's reachable sets overlap almost completely, so the cache is
+// warmed with one valency atlas over reach(C) answering all of them in
+// O(V+E) rather than one breadth-first search per member. TryWarm is a
+// no-op when a previous call already covered C and remembers over-budget
+// roots, so an unbounded protocol pays the failed sweep once and then
+// classifies per configuration within the budget.
 func frontierClassifier(pr model.Protocol, c *model.Config, opt Options, cache *Cache) func(*model.Config) Valency {
-	if cache != nil {
-		cache.TryWarm(c)
-		return func(D *model.Config) Valency { return cache.Classify(D).Valency }
+	if cache == nil {
+		cache = NewCache(pr, opt)
 	}
-	if atlas, ok := BuildAtlas(pr, c, opt); ok {
-		return func(D *model.Config) Valency {
-			if id, ok := atlas.IDOf(D); ok {
-				return atlas.ValencyAt(id)
-			}
-			// Unreachable for a complete atlas (every D is reachable
-			// from C); classify defensively rather than crash.
-			return Classify(pr, D, opt).Valency
-		}
-	}
-	private := NewCache(pr, opt)
-	return func(D *model.Config) Valency { return private.Classify(D).Valency }
+	cache.TryWarm(c)
+	return func(D *model.Config) Valency { return cache.Classify(D).Valency }
 }

@@ -14,12 +14,13 @@ import (
 type ProbeOptions struct {
 	// MaxSteps bounds each directed run. Default 600.
 	MaxSteps int
-	// MaxCrash is the largest crash-subset size probed. Each probe run
-	// fairly schedules the processes outside one crash subset; varying the
-	// subset steers the system toward different decision values. Default 1
-	// (the paper's fault bound).
-	MaxCrash int
 }
+
+// maxCrash is the largest crash-subset size probed: the paper's fault
+// bound. Each probe run fairly schedules the processes outside one crash
+// subset; varying the subset steers the system toward different decision
+// values.
+const maxCrash = 1
 
 // DefaultProbeMaxSteps is the per-run step bound applied when
 // ProbeOptions.MaxSteps is zero.
@@ -29,14 +30,11 @@ func (po ProbeOptions) withDefaults() ProbeOptions {
 	if po.MaxSteps <= 0 {
 		po.MaxSteps = DefaultProbeMaxSteps
 	}
-	if po.MaxCrash <= 0 {
-		po.MaxCrash = 1
-	}
 	return po
 }
 
 // ProbeValencies searches for decision witnesses from c by running a family
-// of deterministic fair runs: for every crash subset of size ≤ MaxCrash and
+// of deterministic fair runs: for every crash subset of size ≤ maxCrash and
 // every rotation offset, the live processes take steps round-robin, each
 // receiving its oldest pending message (FIFO). Such runs mimic well-behaved
 // executions, which decide quickly when a decision is reachable at all, so
@@ -75,7 +73,7 @@ func ProbeValencies(pr model.Protocol, c *model.Config, popt ProbeOptions) (wit0
 	defer run.release()
 	live := make([]model.PID, 0, n)
 	order := make([]model.PID, 0, n)
-	for _, crashed := range crashSubsets(n, popt.MaxCrash) {
+	for _, crashed := range crashSubsets(n, maxCrash) {
 		live = live[:0]
 		for p := 0; p < n; p++ {
 			if !slices.Contains(crashed, model.PID(p)) {
@@ -275,14 +273,14 @@ func (r *probeRun) run(order []model.PID, pick pickFunc) {
 	}
 }
 
-// crashSubsets enumerates all subsets of {0..n-1} of size ≤ maxCrash,
+// crashSubsets enumerates all subsets of {0..n-1} of size ≤ limit,
 // smallest first (the empty set — no crashes — is probed first), each size
 // in lexicographic order: every subset is extended by each larger member.
-func crashSubsets(n, maxCrash int) [][]model.PID {
+func crashSubsets(n, limit int) [][]model.PID {
 	subsets := [][]model.PID{nil}
 	for i := 0; i < len(subsets); i++ {
 		s := subsets[i]
-		if len(s) == maxCrash || len(s) == n-1 {
+		if len(s) == limit || len(s) == n-1 {
 			break // sizes only grow from here
 		}
 		next := model.PID(0)

@@ -3,6 +3,7 @@ package explore_test
 import (
 	"testing"
 
+	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
@@ -145,6 +146,52 @@ func TestCacheMemoizes(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Errorf("cache Len = %d, want 1", cache.Len())
 	}
+}
+
+// TestCacheClassifiesOnlyWhereAtlasRefuses counts where per-configuration
+// Classify still answers for a valency cache, over every atlasable root of
+// the oracle's case table (the committed protogen corpus included): a
+// cache warmed from the root's atlas answers every configuration of that
+// atlas without one classification of its own, and a root whose atlas is
+// refused is classified by budgeted Classify, with Classify's answer.
+func TestCacheClassifiesOnlyWhereAtlasRefuses(t *testing.T) {
+	covered, refused, configs := 0, 0, 0
+	for _, c := range enginetest.Cases(t) {
+		if !c.Atlasable() {
+			continue
+		}
+		pr, root := c.MustResolve(t)
+		atlases := explore.NewAtlasCache()
+		cache := explore.NewCache(pr, c.Options)
+		cache.ShareAtlasBuilds(atlases)
+		if !cache.TryWarm(root) {
+			refused++
+			got, want := cache.Classify(root), explore.Classify(pr, root, c.Options)
+			if err := enginetest.DiffValency(pr, root, enginetest.ValencyOf(want), enginetest.ValencyOf(got)); err != nil {
+				t.Errorf("%s: refused root: %v", c.Name, err)
+			}
+			if got.Visited != want.Visited {
+				t.Errorf("%s: refused root visited %d, Classify %d", c.Name, got.Visited, want.Visited)
+			}
+			if _, misses := cache.Stats(); misses != 1 {
+				t.Errorf("%s: refused root cost %d classifications, want 1", c.Name, misses)
+			}
+			continue
+		}
+		covered++
+		atlas, _ := atlases.Get(pr, root, c.Options)
+		for id := int32(0); id < int32(atlas.Len()); id++ {
+			if got, want := cache.Classify(atlas.Config(id)).Valency, atlas.ValencyAt(id); got != want {
+				t.Errorf("%s: configuration %d: cache says %s, atlas %s", c.Name, id, got, want)
+			}
+		}
+		configs += atlas.Len()
+		if _, misses := cache.Stats(); misses != 0 {
+			t.Errorf("%s: %d per-configuration classifications inside a complete atlas", c.Name, misses)
+		}
+	}
+	t.Logf("%d atlasable roots: %d covered (%d configurations answered from their atlas), %d refused (budgeted Classify)",
+		covered+refused, covered, configs, refused)
 }
 
 func TestSmartCacheCertifiesPaxosBivalence(t *testing.T) {

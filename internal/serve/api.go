@@ -13,13 +13,15 @@ import (
 )
 
 // API layer: request schemas, their translation onto the exploration
-// engines, and the HTTP handlers. The engine calls are exactly the ones
-// the CLIs make — census mirrors explore.CensusInitial's loop through
-// ClassifyRootCached, valency is ClassifyRootCached on one root, the
+// engines, and the HTTP handlers. Census is explore.Census through
+// ClassifyRootCached, valency is ClassifyRootCached on one root, and the
 // adversary is adversary.New(...).Run(), with adversary.ForUnbounded on an
-// unbounded protocol — so a served answer is byte-identical to the
-// corresponding command-line run; the shared atlas cache changes only what
-// it costs.
+// unbounded protocol. At the same budget a served census therefore equals
+// the Lemma 2 table flpcheck prints for a bounded protocol — valency,
+// exactness and visited count — and explore.CensusInitial's. flpcheck
+// classifies an unbounded protocol (protocols.Unbounded) with directed
+// probes, which a served census does not use. The shared atlas cache
+// changes only what an answer costs.
 
 // CensusRequest asks for a Lemma 2 initial-valency census: every 2^N input
 // assignment classified.
@@ -157,8 +159,9 @@ func parseInputs(raw []int, n int) (model.Inputs, error) {
 	return in, nil
 }
 
-// censusJob builds the job body for a census request: CensusInitial's
-// per-root loop, with each root classified through the shared atlas cache.
+// censusJob builds the job body for a census request: explore.Census with
+// each root classified through the shared atlas cache, publishing each
+// row as progress and stopping at a drain.
 func (s *Server) censusJob(req CensusRequest) jobFunc {
 	return func(pub func(string), canceled func() bool) (any, error) {
 		pr, err := s.resolveProtocol(req.Protocol, req.N)
@@ -166,31 +169,36 @@ func (s *Server) censusJob(req CensusRequest) jobFunc {
 			return nil, err
 		}
 		opt := explore.Options{MaxConfigs: req.Budget, MaxDepth: req.Depth, Workers: req.Workers}
-		res := &CensusResult{
-			Protocol: pr.Name(), N: pr.N(),
-			Counts: make(map[string]int), AllExact: true,
+		classify := func(c *model.Config) explore.ValencyInfo {
+			return explore.ClassifyRootCached(pr, c, opt, s.atlases)
 		}
-		for _, in := range model.AllInputs(pr.N()) {
-			if canceled() {
-				return nil, errCanceled
-			}
-			c, err := model.Initial(pr, in)
-			if err != nil {
-				return nil, err
-			}
-			info := explore.ClassifyRootCached(pr, c, opt, s.atlases)
+		cut := false
+		census, err := explore.Census(pr, classify, func(iv explore.InitialValency) bool {
+			pub(fmt.Sprintf("inputs %s: %s (%d configurations)", iv.Inputs, iv.Info.Valency, iv.Info.Visited))
+			cut = canceled()
+			return !cut
+		})
+		if err != nil {
+			return nil, err
+		}
+		if cut {
+			return nil, errCanceled
+		}
+		res := &CensusResult{
+			Protocol: census.Protocol, N: census.N,
+			Counts: make(map[string]int), AllExact: census.AllExact,
+		}
+		for _, iv := range census.PerInput {
 			res.PerInput = append(res.PerInput, CensusRow{
-				Inputs: in.String(), Valency: info.Valency.String(),
-				Exact: info.Exact, Visited: info.Visited,
+				Inputs: iv.Inputs.String(), Valency: iv.Info.Valency.String(),
+				Exact: iv.Info.Exact, Visited: iv.Info.Visited,
 			})
-			res.Counts[info.Valency.String()]++
-			if !info.Exact {
-				res.AllExact = false
-			}
-			if info.Valency == explore.Bivalent && res.Bivalent == "" {
-				res.Bivalent = in.String()
-			}
-			pub(fmt.Sprintf("inputs %s: %s (%d configurations)", in, info.Valency, info.Visited))
+		}
+		for v, k := range census.Counts {
+			res.Counts[v.String()] = k
+		}
+		if census.Bivalent != nil {
+			res.Bivalent = census.Bivalent.Inputs.String()
 		}
 		return res, nil
 	}
