@@ -95,8 +95,9 @@ fuzz:
 # sequential, parallel, distributed (fault-free and under a scripted
 # kill), and atlas engines, asserting byte-identical results. A failing
 # input is shrunk to a minimal reproducer and dumped under
-# testdata/failures/ as a loadable fixture; replay it with
-# `flpcheck -genspec <name from the fixture> -conformance`.
+# testdata/failures/ as a loadable fixture; replay it exactly with
+# `go run ./cmd/flpgen -check <name> -inputs <bits> -budget <max_configs>`,
+# the three fields of the fixture (the scripted kill follows from them).
 fuzz-conformance:
 	$(GO) test ./internal/conformance -fuzz FuzzConformanceTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -fuzz FuzzConformanceBenOr -fuzztime $(FUZZTIME)

@@ -134,7 +134,7 @@ func runConformance(name string, n, budget int) {
 	}
 	for _, in := range flp.AllInputs(n) {
 		c := enginetest.Case{Protocol: name, N: n, Inputs: in, Options: explore.Options{MaxConfigs: budget}}
-		if err := conformance.Check(c, conformance.Options{Chaos: true, ChaosSeed: 1}); err != nil {
+		if err := conformance.Check(c); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("  inputs %s: all engines agree\n", in)

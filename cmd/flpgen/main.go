@@ -80,7 +80,7 @@ func runCheck(name, inputBits string, budget int) {
 		}
 	}
 	c := enginetest.Case{Protocol: name, N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: budget}}
-	if err := conformance.Check(c, conformance.Options{Chaos: true, ChaosSeed: 1}); err != nil {
+	if err := conformance.Check(c); err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Printf("ok: %s inputs %s agrees across all engines (budget %d)\n", name, in, budget)
@@ -125,7 +125,6 @@ func census(sp protogen.Spec, in model.Inputs, cap int) (int, bool) {
 }
 
 func mint(dir string, count int, seed uint64, budget, minC, maxC int) {
-	opt := conformance.Options{Chaos: true}
 	pres := presets()
 	seen := map[string]bool{}
 	s := seed
@@ -180,8 +179,7 @@ func mint(dir string, count int, seed uint64, budget, minC, maxC int) {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		opt.ChaosSeed = int64(s)
-		if err := conformance.Check(c, opt); err != nil {
+		if err := conformance.Check(c); err != nil {
 			fatalf("seed %d: candidate fixture failed conformance at mint time: %v", s, err)
 		}
 		name := fmt.Sprintf("%s-%03d.json", sp.Template, written)

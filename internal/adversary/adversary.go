@@ -8,11 +8,12 @@
 // stage starts in a bivalent configuration C, takes p — the head of the
 // queue — and the earliest message m pending for p (or ∅ if none), and sets
 // e = (p, m). Lemma 3 guarantees a bivalent configuration is reachable from
-// C by a schedule in which e is the last event applied; the stage runs such
-// a schedule and moves p to the back of the queue. Every process therefore
-// takes infinitely many steps and receives every message sent to it — the
-// run is admissible — while every stage ends bivalent, so no decision is
-// ever reached.
+// C by a schedule in which e is the last event applied; the stage finds one
+// by walking Lemma 3's frontier D = e(ℰ) (explore.Frontier) to its first
+// undecided bivalent member, runs that schedule, and moves p to the back of
+// the queue. Every process therefore takes infinitely many steps and
+// receives every message sent to it — the run is admissible — while every
+// stage ends bivalent, so no decision is ever reached.
 //
 // On finite-state protocols the per-stage search is exact (Lemma 3 makes
 // failure impossible while the protocol meets its hypotheses). On
@@ -37,7 +38,7 @@ type Options struct {
 	// extends the non-deciding run; the paper's run is the limit of
 	// infinitely many stages.
 	Stages int
-	// Search bounds the per-stage breadth-first search for the extension
+	// Search bounds each stage's walk of the frontier for the extension
 	// schedule σ.
 	Search explore.Options
 	// Valency bounds each valency classification.
@@ -218,15 +219,8 @@ func (a *Adversary) Extend(res *Result, stages int) (*Result, error) {
 		return nil, err
 	}
 	tracker := fifo.New()
-	for _, e := range res.Schedule {
-		nc, sends, err := model.ApplyTraced(a.pr, cfg, e)
-		if err != nil {
-			return nil, fmt.Errorf("adversary: replaying prefix: %w", err)
-		}
-		if err := tracker.Advance(e, sends); err != nil {
-			return nil, fmt.Errorf("adversary: replaying prefix: %w", err)
-		}
-		cfg = nc
+	if cfg, err = advance(a.pr, cfg, tracker, res.Schedule); err != nil {
+		return nil, fmt.Errorf("adversary: replaying prefix: %w", err)
 	}
 	if !cfg.Equal(res.Final) {
 		return nil, fmt.Errorf("adversary: result prefix does not replay to its final configuration")
@@ -294,15 +288,15 @@ func (a *Adversary) stages(res *Result, cfg *model.Config, tracker *fifo.Tracker
 	return res, nil
 }
 
-// stage finds and applies a schedule σ·e from cur such that the result is
-// bivalent, advancing the tracker alongside.
+// stage is one application of Lemma 3 to the bivalent cur: it walks
+// explore.Frontier for e, stops at the first member E whose D = e(E) is
+// undecided and bivalent, and applies the schedule σ·e that reaches it,
+// advancing the tracker alongside. Examined counts the members walked, the
+// certified one included.
 func (a *Adversary) stage(cur *model.Config, e model.Event, tracker *fifo.Tracker) (Stage, *model.Config, error) {
-	examined := 0
-	var sigma model.Schedule
-	found := false
-	explore.Explore(a.pr, cur, a.opt.Search, &e, func(E *model.Config, _ int, path func() model.Schedule) bool {
-		examined++
-		D := model.MustApply(a.pr, E, e)
+	st := Stage{Committed: e}
+	_, err := explore.Frontier(a.pr, cur, e, a.opt.Search, func(_, D *model.Config, path func() model.Schedule) bool {
+		st.Examined++
 		// For a partially correct protocol, bivalent implies undecided
 		// (a configuration with a decision is univalent), so requiring
 		// DecidedCount() == 0 changes nothing within the theorem's
@@ -311,26 +305,37 @@ func (a *Adversary) stage(cur *model.Config, e model.Event, tracker *fifo.Tracke
 		// decided — such protocols escape the impossibility by giving up
 		// agreement, and the stage correctly fails on them.
 		if D.DecidedCount() == 0 && a.cache.Classify(D).Valency == explore.Bivalent {
-			sigma = append(path(), e)
-			found = true
-			return true
+			st.Sigma = append(path(), e)
+			return false
 		}
-		return false
+		return true
 	})
-	if !found {
+	if err != nil {
+		return Stage{}, nil, err
+	}
+	if st.Sigma == nil {
 		return Stage{}, nil, &StageError{Event: e}
 	}
+	cfg, err := advance(a.pr, cur, tracker, st.Sigma)
+	if err != nil {
+		return Stage{}, nil, fmt.Errorf("adversary: applying stage schedule: %w", err)
+	}
+	return st, cfg, nil
+}
 
-	cfg := cur
-	for _, ev := range sigma {
-		nc, sends, err := model.ApplyTraced(a.pr, cfg, ev)
+// advance applies sched to cfg, moving the FIFO tracker alongside: the one
+// loop by which a stage commits its σ·e and Extend replays a recorded run.
+// Verify keeps its own replay, so that it checks the run independently.
+func advance(pr model.Protocol, cfg *model.Config, tracker *fifo.Tracker, sched model.Schedule) (*model.Config, error) {
+	for _, e := range sched {
+		nc, sends, err := model.ApplyTraced(pr, cfg, e)
 		if err != nil {
-			return Stage{}, nil, fmt.Errorf("adversary: applying stage schedule: %w", err)
+			return nil, err
 		}
-		if err := tracker.Advance(ev, sends); err != nil {
-			return Stage{}, nil, fmt.Errorf("adversary: tracker out of sync: %w", err)
+		if err := tracker.Advance(e, sends); err != nil {
+			return nil, err
 		}
 		cfg = nc
 	}
-	return Stage{Committed: e, Sigma: sigma, Examined: examined}, cfg, nil
+	return cfg, nil
 }

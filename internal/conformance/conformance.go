@@ -9,21 +9,17 @@ import (
 	"github.com/flpsim/flp/internal/explore"
 )
 
-// Options configure one conformance check. The zero value is usable.
-type Options struct {
-	// ParWorkers is the worker count of the parallel in-process leg
-	// (the in-process engine also runs a leg at one worker). 0 means 8.
-	ParWorkers int
-	// DistWorkers, Shards, Replicas shape the distributed legs.
-	// 0 means 3 workers, 4 shards, replication factor 2.
-	DistWorkers, Shards, Replicas int
-	// Chaos adds a second distributed leg over a FaultyTransport scripted
-	// to kill one worker mid-run, with the victim and level drawn from
-	// ChaosSeed. Requires DistWorkers >= 2 (a kill with no standby aborts
-	// by design rather than diverging).
-	Chaos     bool
-	ChaosSeed int64
-}
+// The legs' shapes are fixed: the in-process engine runs inline and on a
+// pool of parWorkers, the distributed engine on distWorkers workers over
+// shards hash ranges at replication factor replicas, once fault-free and
+// once with one worker killed (the kill needs a standby replica, which
+// replicas = 2 provides).
+const (
+	parWorkers  = 8
+	distWorkers = 3
+	shards      = 4
+	replicas    = 2
+)
 
 // DefaultMaxConfigs is the exploration budget of a case that names none:
 // the contract under test — engines agree byte for byte — holds on
@@ -34,22 +30,6 @@ const DefaultMaxConfigs = 400
 // classifySamples is how many atlas nodes, evenly spaced from the root, get
 // an independent Classify run in the atlas leg.
 const classifySamples = 8
-
-func (o Options) withDefaults() Options {
-	if o.ParWorkers <= 0 {
-		o.ParWorkers = 8
-	}
-	if o.DistWorkers <= 0 {
-		o.DistWorkers = 3
-	}
-	if o.Shards <= 0 {
-		o.Shards = 4
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 2
-	}
-	return o
-}
 
 // Divergence reports an engine disagreeing with the reference on an
 // observable that the byte-identical-results contract says must match.
@@ -132,8 +112,11 @@ func workerNames(prefix string, n int) []string {
 // self-describing gen: name — because that string is all the distributed
 // workers get to rebuild it from. A case that names no budget runs at
 // DefaultMaxConfigs.
-func Check(c enginetest.Case, opt Options) error {
-	opt = opt.withDefaults()
+//
+// The chaos leg's victim and kill level are drawn from the root's
+// fingerprint (Config.Hash), so every check of one case — a fuzzing
+// iteration, a corpus fixture, flpgen -check — scripts the same kill.
+func Check(c enginetest.Case) error {
 	if c.Options.MaxConfigs <= 0 {
 		c.Options.MaxConfigs = DefaultMaxConfigs
 	}
@@ -154,7 +137,7 @@ func Check(c enginetest.Case, opt Options) error {
 	}
 
 	// In-process engine, inline and on the pool.
-	for _, w := range []int{1, opt.ParWorkers} {
+	for _, w := range []int{1, parWorkers} {
 		eopt := c.Options
 		eopt.Workers = w
 		got, err := enginetest.Record(c.StopAt, func(visit explore.Visit) (bool, int, error) {
@@ -168,7 +151,7 @@ func Check(c enginetest.Case, opt Options) error {
 
 	task := distexplore.Task{
 		Protocol: c.Protocol, N: c.N, Inputs: c.Inputs, Prefix: c.Prefix, Avoid: c.Avoid,
-		Shards: opt.Shards, Replicas: opt.Replicas, Options: c.Options,
+		Shards: shards, Replicas: replicas, Options: c.Options,
 	}
 	// distributed runs task on a fresh cluster; a run that fails is a
 	// harness error, not a divergence.
@@ -187,35 +170,25 @@ func Check(c enginetest.Case, opt Options) error {
 
 	// Distributed engine, fault-free loopback.
 	lb := distexplore.NewLoopback()
-	engine := fmt.Sprintf("distributed(w=%d,s=%d,r=%d)", opt.DistWorkers, opt.Shards, opt.Replicas)
-	if err := distributed(engine, lb, lb, workerNames("cw", opt.DistWorkers), task); err != nil {
+	engine := fmt.Sprintf("distributed(w=%d,s=%d,r=%d)", distWorkers, shards, replicas)
+	if err := distributed(engine, lb, lb, workerNames("cw", distWorkers), task); err != nil {
 		return err
 	}
 
-	// Distributed engine under a scripted kill: the chaos victim and kill
-	// level come from ChaosSeed, the replication factor is forced >= 2 so
-	// the loss fails over instead of aborting. The kill is not required
-	// to fire — a shallow exploration may finish first — because the
-	// contract is "whatever happens, results match", not "a kill
-	// happened"; the distexplore failover suite asserts the firing.
-	if opt.Chaos && opt.DistWorkers >= 2 {
-		seed := opt.ChaosSeed
-		if seed == 0 {
-			seed = 1
-		}
-		names := workerNames("xw", opt.DistWorkers)
-		victim := int(uint64(seed) % uint64(opt.DistWorkers))
-		level := int(uint64(seed) >> 4 % 5)
-		inner := distexplore.NewLoopback()
-		ft := distexplore.NewFaultyTransport(inner, distexplore.FaultPlan{
-			Seed: seed, KillAddr: names[victim], KillLevel: level,
-		})
-		chaosTask := task
-		chaosTask.Replicas = max(chaosTask.Replicas, 2)
-		engine = fmt.Sprintf("distributed-chaos(kill=w%d@L%d)", victim, level)
-		if err := distributed(engine, inner, ft, names, chaosTask); err != nil {
-			return err
-		}
+	// Distributed engine under a scripted kill of the victim at the level
+	// the root's fingerprint names; replication lets the loss fail over
+	// instead of aborting. The kill is not required to fire — a shallow
+	// exploration may finish first — because the contract is "whatever
+	// happens, results match", not "a kill happened"; the distexplore
+	// failover suite asserts the firing.
+	h := root.Hash()
+	names := workerNames("xw", distWorkers)
+	victim, level := int(h%distWorkers), int(h>>4%5)
+	inner := distexplore.NewLoopback()
+	ft := distexplore.NewFaultyTransport(inner, distexplore.FaultPlan{KillAddr: names[victim], KillLevel: level})
+	engine = fmt.Sprintf("distributed-chaos(kill=w%d@L%d)", victim, level)
+	if err := distributed(engine, inner, ft, names, task); err != nil {
+		return err
 	}
 
 	// Valency atlas: its node table is the reference stream where it

@@ -14,14 +14,14 @@ import (
 )
 
 // TestCheckCases runs every case of enginetest's table through the harness,
-// each with its own chaos seed: the same Check covers hand-written and
-// generated protocols, complete and truncated explorations, depth caps,
-// avoided events, prefixes and early stops.
+// each under the kill its root's fingerprint scripts: the same Check covers
+// hand-written and generated protocols, complete and truncated
+// explorations, depth caps, avoided events, prefixes and early stops.
 func TestCheckCases(t *testing.T) {
-	for i, c := range enginetest.Cases(t) {
+	for _, c := range enginetest.Cases(t) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			if err := conformance.Check(c, conformance.Options{Chaos: true, ChaosSeed: int64(i + 1)}); err != nil {
+			if err := conformance.Check(c); err != nil {
 				t.Error(err)
 			}
 		})
@@ -32,7 +32,7 @@ func TestCheckCases(t *testing.T) {
 // whose name the registry cannot resolve must fail as a harness error,
 // not a Divergence.
 func TestCheckRejectsUnresolvableName(t *testing.T) {
-	err := conformance.Check(enginetest.Case{Protocol: "not-in-any-registry", N: 2, Inputs: enginetest.Alternating(2)}, conformance.Options{})
+	err := conformance.Check(enginetest.Case{Protocol: "not-in-any-registry", N: 2, Inputs: enginetest.Alternating(2)})
 	if err == nil {
 		t.Fatal("Check accepted a name the workers cannot rebuild")
 	}
@@ -136,9 +136,8 @@ func runFuzzCase(t *testing.T, seed uint64, d protogen.Dials, inBits uint8) {
 	t.Helper()
 	sp := protogen.Derive(seed, d)
 	inputs := fuzzInputs(sp.N, inBits)
-	opt := conformance.Options{Chaos: true, ChaosSeed: int64(seed) | 1}
 	check := func(sp protogen.Spec, in model.Inputs) error {
-		return conformance.Check(enginetest.Case{Protocol: sp.Name(), N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: fuzzBudget}}, opt)
+		return conformance.Check(enginetest.Case{Protocol: sp.Name(), N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: fuzzBudget}})
 	}
 	err := check(sp, inputs)
 	if err == nil {

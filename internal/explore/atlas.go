@@ -252,18 +252,6 @@ func (a *Atlas) ValencyAt(id int32) Valency {
 	}
 }
 
-// WitnessLen returns the length of a shortest schedule from node id to a
-// configuration containing decision value d, ok=false when no d-decision is
-// reachable. It equals the witness length Classify's breadth-first search
-// finds, without materializing the schedule.
-func (a *Atlas) WitnessLen(id int32, d model.Value) (int, bool) {
-	dist := a.distFor(d)
-	if dist[id] < 0 {
-		return 0, false
-	}
-	return int(dist[id]), true
-}
-
 // Witness returns a shortest schedule from node id to a configuration
 // containing decision value d, ok=false when none is reachable. Recovery
 // walks forward edges in canonical order along strictly decreasing

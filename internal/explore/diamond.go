@@ -39,18 +39,18 @@ type DiamondReport struct {
 // When reach(C) fits the budget the squares are checked on the valency
 // atlas's recorded adjacency — every corner is an interned node and each
 // square is four id lookups instead of four configuration applications and
-// a canonical-key comparison. Over-budget state spaces fall back to the
-// direct per-square application below.
+// a canonical-key comparison. Over-budget state spaces take the direct
+// route below, one square at a time around each member Frontier hands over.
+// TestLemma3RoutesAgree holds the two routes to identical reports.
 func CheckLemma3Diamond(pr model.Protocol, c *model.Config, e model.Event, opt Options) (DiamondReport, error) {
-	if !model.Applicable(c, e) {
-		return DiamondReport{}, fmt.Errorf("explore: event %s not applicable to C", e)
+	if err := applicable(c, e); err != nil {
+		return DiamondReport{}, err
 	}
 	if atlas, ok := BuildAtlas(pr, c, opt); ok {
 		return diamondOnAtlas(atlas, e), nil
 	}
 	rep := DiamondReport{Event: e}
-	complete, _ := Explore(pr, c, opt, &e, func(C0 *model.Config, _ int, _ func() model.Schedule) bool {
-		D0 := model.MustApply(pr, C0, e)
+	complete, err := Frontier(pr, c, e, opt, func(C0, D0 *model.Config, _ func() model.Schedule) bool {
 		for _, ePrime := range model.Events(C0) {
 			if ePrime.Same(e) || ePrime.P == e.P {
 				continue
@@ -67,15 +67,15 @@ func CheckLemma3Diamond(pr model.Protocol, c *model.Config, e model.Event, opt O
 				rep.Violations++
 			}
 		}
-		return false
+		return true
 	})
 	rep.Complete = complete
-	return rep, nil
+	return rep, err
 }
 
 // diamondOnAtlas checks every Figure 2 square on recorded adjacency. The
 // atlas's out-edges are exactly the applicable non-no-op events, so the
-// squares enumerated — and their count — match the direct path's; two
+// squares enumerated — and their count — match the direct route's; two
 // routes around a square commute iff they land on the same interned node
 // id, which is configuration equality by the interner's contract.
 func diamondOnAtlas(a *Atlas, e model.Event) DiamondReport {

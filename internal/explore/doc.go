@@ -15,10 +15,13 @@
 //     the adjacent 0-valent/1-valent pair the proof of Lemma 2 pivots on.
 //     It is the one loop over initial configurations; the root classifier
 //     is its parameter ([CensusInitial] passes [ClassifyRoot]).
-//   - [CensusLemma3] mechanizes Lemma 3: from a bivalent C and an
-//     applicable event e, the frontier D = e(reach(C) without e) contains a
-//     bivalent configuration. The Theorem 1 adversary (package adversary)
-//     runs its own stage search over the same frontier.
+//   - [Frontier] is Lemma 3's loop, the one walk of the frontier
+//     D = e(ℰ), ℰ = reach(C) without e. [CensusLemma3] mechanizes the
+//     lemma on it: from a bivalent C and an applicable event e, D contains
+//     a bivalent configuration. The direct routes of [CheckLemma3Diamond]
+//     and [CheckLemma3Figure3] (Figures 2 and 3 of its proof) and each
+//     stage of the Theorem 1 adversary (package adversary) walk the same
+//     loop.
 //   - [CheckCommutativity] and [RandomDisjointSchedules] mechanize Lemma 1.
 //   - [CheckPartialCorrectness] verifies the two partial-correctness
 //     conditions: no accessible configuration has two decision values, and

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"fmt"
-
-	"github.com/flpsim/flp/internal/model"
-)
+import "github.com/flpsim/flp/internal/model"
 
 // Figure3Report summarizes the mechanized Case 2 of the Lemma 3 proof
 // (p' = p, Figure 3). There, for neighbors C0 and C1 = e'(C0) with e and
@@ -38,26 +34,28 @@ type Figure3Report struct {
 // CheckLemma3Figure3 verifies the Figure 3 commutations on every
 // same-process neighbor pair in the frontier of (c, e).
 //
-// The expensive step of the direct check is σ: one p-free forward search
-// per neighbor pair, O(V·(V+E)) across the frontier. When reach(C) fits
-// the budget, the valency atlas answers every pair's σ from a single
-// backward pass over the reverse edges restricted to p-free transitions
-// (distDecidedAvoiding), and the commutation equalities themselves are
-// still verified by concrete configuration application — the atlas finds
-// the runs, the model checks the arrows. Over-budget state spaces fall
-// back to the direct search below.
+// The expensive step is σ: one p-free forward search per member C0 of ℰ
+// that has a same-process neighbor, O(V·(V+E)) across the frontier. When
+// reach(C) fits the budget, the valency atlas answers every member's σ from
+// a single backward pass over the reverse edges restricted to p-free
+// transitions (distDecidedAvoiding), and the commutation equalities
+// themselves are still verified by concrete configuration application — the
+// atlas finds the runs, the model checks the arrows. Over-budget state
+// spaces take the direct route below: each member Frontier hands over gets
+// decidingRunAvoiding's forward search. TestLemma3RoutesAgree holds the two
+// routes to identical reports.
 func CheckLemma3Figure3(pr model.Protocol, c *model.Config, e model.Event, opt Options) (Figure3Report, error) {
-	if !model.Applicable(c, e) {
-		return Figure3Report{}, fmt.Errorf("explore: event %s not applicable to C", e)
+	if err := applicable(c, e); err != nil {
+		return Figure3Report{}, err
 	}
 	if atlas, ok := BuildAtlas(pr, c, opt); ok {
 		return figure3OnAtlas(pr, atlas, e), nil
 	}
 	rep := Figure3Report{}
 	p := e.P
-	skipP := func(ev model.Event) bool { return ev.P == p }
-
-	complete, _ := Explore(pr, c, opt, &e, func(C0 *model.Config, _ int, _ func() model.Schedule) bool {
+	complete, err := Frontier(pr, c, e, opt, func(C0, _ *model.Config, _ func() model.Schedule) bool {
+		var sigma model.Schedule
+		searched, found := false, false
 		for _, ePrime := range model.Events(C0) {
 			if ePrime.P != p || ePrime.Same(e) {
 				continue
@@ -66,50 +64,27 @@ func CheckLemma3Figure3(pr model.Protocol, c *model.Config, e model.Event, opt O
 				continue
 			}
 			rep.Pairs++
-
-			// The proof's σ: a finite deciding run from C0 in which p
-			// takes no steps.
-			var sigma model.Schedule
-			found := false
-			ExploreFiltered(pr, C0, opt, skipP, func(cfg *model.Config, _ int, path func() model.Schedule) bool {
-				if len(cfg.DecisionValues()) > 0 {
-					sigma = path()
-					found = true
-					return true
-				}
-				return false
-			})
+			if !searched {
+				sigma, found = decidingRunAvoiding(pr, C0, p, opt)
+				searched = true
+			}
 			if !found {
 				continue
 			}
 			rep.SigmaFound++
-
-			A := model.MustApplySchedule(pr, C0, sigma)
-			D0 := model.MustApply(pr, C0, e)
-			C1 := model.MustApply(pr, C0, ePrime)
-			D1 := model.MustApply(pr, C1, e)
-
-			// e(A) = σ(D0): σ avoids p, e is p's — Lemma 1.
-			if !model.MustApply(pr, A, e).Equal(model.MustApplySchedule(pr, D0, sigma)) {
-				rep.Violations++
-			}
-			// e(e'(A)) = σ(D1): same commutation through the longer arm.
-			eA := model.MustApply(pr, A, ePrime)
-			if !model.MustApply(pr, eA, e).Equal(model.MustApplySchedule(pr, D1, sigma)) {
-				rep.Violations++
-			}
+			rep.Violations += figure3Violations(pr, C0, model.MustApply(pr, C0, ePrime), e, ePrime, sigma)
 		}
-		return false
+		return true
 	})
 	rep.Complete = complete
-	return rep, nil
+	return rep, err
 }
 
 // figure3OnAtlas runs the Case 2 check with σ answered from the atlas: one
 // p-free backward pass gives every node's shortest deciding-run-without-p
 // length at once, and the run itself is recovered by p-free descent only
-// for pairs that have one. The Lemma 1 commutations are then verified on
-// concrete configurations exactly as in the direct path.
+// for members that have one. The Lemma 1 commutations are then verified on
+// concrete configurations exactly as on the direct route.
 func figure3OnAtlas(pr model.Protocol, a *Atlas, e model.Event) Figure3Report {
 	rep := Figure3Report{Complete: true}
 	p := e.P
@@ -133,23 +108,29 @@ func figure3OnAtlas(pr model.Protocol, a *Atlas, e model.Event) Figure3Report {
 				sigma = a.descendWhere(u, dist, pFree)
 				haveSigma = true
 			}
-
-			C0 := a.Config(u)
-			A := model.MustApplySchedule(pr, C0, sigma)
-			D0 := model.MustApply(pr, C0, e)
-			C1 := a.Config(a.g.SuccTo[ei])
-			D1 := model.MustApply(pr, C1, e)
-
-			// e(A) = σ(D0): σ avoids p, e is p's — Lemma 1.
-			if !model.MustApply(pr, A, e).Equal(model.MustApplySchedule(pr, D0, sigma)) {
-				rep.Violations++
-			}
-			// e(e'(A)) = σ(D1): same commutation through the longer arm.
-			eA := model.MustApply(pr, A, ePrime)
-			if !model.MustApply(pr, eA, e).Equal(model.MustApplySchedule(pr, D1, sigma)) {
-				rep.Violations++
-			}
+			rep.Violations += figure3Violations(pr, a.Config(u), a.Config(a.g.SuccTo[ei]), e, ePrime, sigma)
 		}
 	}
 	return rep
+}
+
+// figure3Violations checks Figure 3's two arrows for neighbors C0 and
+// C1 = e'(C0), with e and e' both p's events and σ a p-free deciding run
+// from C0, and returns how many of the two Lemma 1 equalities failed:
+//
+//	e(A)     = σ(D0)   with A = σ(C0), D0 = e(C0)
+//	e(e'(A)) = σ(D1)   with D1 = e(C1)
+func figure3Violations(pr model.Protocol, c0, c1 *model.Config, e, ePrime model.Event, sigma model.Schedule) int {
+	violations := 0
+	A := model.MustApplySchedule(pr, c0, sigma)
+	// e(A) = σ(D0): σ avoids p, e is p's — Lemma 1.
+	if !model.MustApply(pr, A, e).Equal(model.MustApplySchedule(pr, model.MustApply(pr, c0, e), sigma)) {
+		violations++
+	}
+	// e(e'(A)) = σ(D1): same commutation through the longer arm.
+	eA := model.MustApply(pr, A, ePrime)
+	if !model.MustApply(pr, eA, e).Equal(model.MustApplySchedule(pr, model.MustApply(pr, c1, e), sigma)) {
+		violations++
+	}
+	return violations
 }

@@ -107,21 +107,11 @@ func lemma2ProofStep(pr model.Protocol, zero, one model.Inputs, p model.PID, opt
 		return step, err
 	}
 
-	// Search for a deciding schedule from C0 in which p takes no steps.
-	skip := func(e model.Event) bool { return e.P == p }
-	var sigma model.Schedule
-	ExploreFiltered(pr, c0, opt, skip, func(cfg *model.Config, _ int, path func() model.Schedule) bool {
-		if len(cfg.DecisionValues()) > 0 {
-			sigma = path()
-			step.SigmaFound = true
-			return true
-		}
-		return false
-	})
-	if !step.SigmaFound {
+	sigma, found := decidingRunAvoiding(pr, c0, p, opt)
+	if !found {
 		return step, nil
 	}
-	step.Sigma = sigma
+	step.SigmaFound, step.Sigma = true, sigma
 
 	d0 := model.MustApplySchedule(pr, c0, sigma)
 	d1, err := model.ApplySchedule(pr, c1, sigma)
@@ -137,4 +127,20 @@ func lemma2ProofStep(pr model.Protocol, zero, one model.Inputs, p model.PID, opt
 		step.Decision = v0[0]
 	}
 	return step, nil
+}
+
+// decidingRunAvoiding is the σ of both Lemma 2's and Lemma 3's proofs (the
+// latter's Figure 3): a deciding run from c in which process p takes no
+// steps. It searches forward, breadth-first within opt, and returns the
+// schedule to the first configuration that carries a decision; found is
+// false when there is none within the budget.
+func decidingRunAvoiding(pr model.Protocol, c *model.Config, p model.PID, opt Options) (sigma model.Schedule, found bool) {
+	skip := func(e model.Event) bool { return e.P == p }
+	ExploreFiltered(pr, c, opt, skip, func(cfg *model.Config, _ int, path func() model.Schedule) bool {
+		if len(cfg.DecisionValues()) > 0 {
+			sigma, found = path(), true
+		}
+		return found
+	})
+	return sigma, found
 }

@@ -25,6 +25,42 @@ type Lemma3Result struct {
 	Complete bool
 }
 
+// Frontier is Lemma 3's loop, the one walk of D = e(ℰ): it refuses an e
+// not applicable to c, walks ℰ — the configurations reachable from c
+// without applying e — breadth-first within opt, and hands each member E to
+// each together with D = e(E) and path, E's schedule from c (valid only
+// during the call, as a Visit's path is). each stops the walk by returning
+// false. complete reports whether ℰ was exhausted within the budget; a
+// walk that each stopped reports false.
+//
+// Every Lemma 3 front end is a callback of Frontier: CensusLemma3
+// classifies every D, the direct routes of CheckLemma3Diamond and
+// CheckLemma3Figure3 check the proof's Lemma 1 commutations around every
+// E, and a stage of the Theorem 1 adversary (package adversary) stops at
+// the first undecided bivalent D.
+func Frontier(pr model.Protocol, c *model.Config, e model.Event, opt Options, each func(E, D *model.Config, path func() model.Schedule) bool) (complete bool, err error) {
+	if err := applicable(c, e); err != nil {
+		return false, err
+	}
+	complete, _ = Explore(pr, c, opt, &e, func(E *model.Config, _ int, path func() model.Schedule) bool {
+		// e is applicable to every E ∈ ℰ: for a delivery event, only e
+		// itself could consume its message, and e is excluded from ℰ's
+		// schedules; null events are always applicable. MustApply panics
+		// if the model ever breaks that.
+		return !each(E, model.MustApply(pr, E, e), path)
+	})
+	return complete, nil
+}
+
+// applicable is the refusal every Lemma 3 entry point makes before it
+// spends anything on (c, e).
+func applicable(c *model.Config, e model.Event) error {
+	if !model.Applicable(c, e) {
+		return fmt.Errorf("explore: event %s not applicable to C", e)
+	}
+	return nil
+}
+
 // CensusLemma3 examines the full frontier D for a configuration C and
 // applicable event e: it classifies e(E) for every E ∈ ℰ (up to the
 // budget), tallies the classes, and records a witness schedule to a
@@ -37,30 +73,23 @@ type Lemma3Result struct {
 // Lemma 3 section) or successive stages of the adversary. With a nil
 // cache, the census classifies through a private one.
 func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache) (Lemma3Result, error) {
-	if !model.Applicable(c, e) {
-		return Lemma3Result{}, fmt.Errorf("explore: event %s not applicable to C", e)
+	if err := applicable(c, e); err != nil {
+		return Lemma3Result{}, err
 	}
 	classify := frontierClassifier(pr, c, opt, cache)
 	res := Lemma3Result{Event: e, DValencies: make(map[Valency]int)}
-	complete, _ := Explore(pr, c, opt, &e, func(E *model.Config, _ int, path func() model.Schedule) bool {
+	complete, err := Frontier(pr, c, e, opt, func(_, D *model.Config, path func() model.Schedule) bool {
 		res.FrontierSize++
-		// e is applicable to every E ∈ ℰ: for a delivery event, only e
-		// itself could consume its message, and e is excluded from ℰ's
-		// schedules; null events are always applicable. Assert anyway.
-		if !model.Applicable(E, e) {
-			panic(fmt.Sprintf("explore: event %s not applicable to member of ℰ; model invariant broken", e))
-		}
-		D := model.MustApply(pr, E, e)
 		v := classify(D)
 		res.DValencies[v]++
 		if v == Bivalent && res.Sigma == nil {
 			res.BivalentFound = true
 			res.Sigma = append(path(), e)
 		}
-		return false
+		return true
 	})
 	res.Complete = complete
-	return res, nil
+	return res, err
 }
 
 // frontierClassifier classifies the members of D = e(ℰ) through a valency

@@ -262,6 +262,27 @@ func TestClassifyStuck(t *testing.T) {
 	}
 }
 
+func TestFrontierRejectsInapplicableAndStops(t *testing.T) {
+	pr := protocols.NewNaiveMajority(3)
+	c := model.MustInitial(pr, in(0, 1, 1))
+	ghost := model.Deliver(model.Message{To: 0, From: 1, Body: "V1"})
+	if _, err := explore.Frontier(pr, c, ghost, explore.Options{}, func(_, _ *model.Config, _ func() model.Schedule) bool { return true }); err == nil {
+		t.Error("inapplicable event accepted")
+	}
+	e := model.NullEvent(0)
+	members := 0
+	complete, err := explore.Frontier(pr, c, e, explore.Options{}, func(E, D *model.Config, path func() model.Schedule) bool {
+		members++
+		if !model.MustApplySchedule(pr, c, path()).Equal(E) || !model.MustApply(pr, E, e).Equal(D) {
+			t.Errorf("member %d: path or D = e(E) does not replay", members)
+		}
+		return members < 3
+	})
+	if err != nil || complete || members != 3 {
+		t.Errorf("stopped walk: complete=%v members=%d err=%v, want an incomplete walk of 3 members", complete, members, err)
+	}
+}
+
 func TestLemma3RejectsInapplicableEvent(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
 	c := model.MustInitial(pr, in(0, 1, 1))
