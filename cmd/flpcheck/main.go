@@ -149,13 +149,16 @@ func runConformance(name string, n, budget int) {
 // directed probes and a 2,000-configuration search.
 func runLemma2(pr flp.Protocol, opt flp.CheckOptions, unbounded bool, atlases *explore.AtlasCache) flp.InitialCensus {
 	fmt.Println("== Lemma 2: initial configuration valencies ==")
-	classify := func(c *flp.Config) flp.ValencyInfo { return explore.ClassifyRootCached(pr, c, opt, atlases) }
+	classify := func(c *flp.Config, o flp.CheckOptions) flp.ValencyInfo {
+		return explore.ClassifyRootCached(pr, c, o, atlases)
+	}
 	if unbounded {
-		classify = func(c *flp.Config) flp.ValencyInfo {
-			return flp.ClassifySmart(pr, c, flp.CheckOptions{MaxConfigs: 2000, Workers: opt.Workers}, flp.ProbeOptions{})
+		opt = flp.CheckOptions{MaxConfigs: 2000, Workers: opt.Workers}
+		classify = func(c *flp.Config, o flp.CheckOptions) flp.ValencyInfo {
+			return flp.ClassifySmart(pr, c, o, flp.ProbeOptions{})
 		}
 	}
-	census, err := explore.Census(pr, classify, func(iv explore.InitialValency) bool {
+	census, err := explore.Census(pr, opt, classify, func(iv explore.InitialValency) bool {
 		exact := ""
 		if !iv.Info.Exact {
 			exact = " (budget-limited)"

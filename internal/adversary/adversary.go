@@ -194,7 +194,7 @@ func (a *Adversary) RunFromInputs(inputs model.Inputs) (*Result, error) {
 // through the adversary's valency cache, stopped there) and constructs the
 // non-deciding run from it.
 func (a *Adversary) Run() (*Result, error) {
-	census, err := explore.Census(a.pr, a.cache.Classify, func(iv explore.InitialValency) bool {
+	census, err := explore.Census(a.pr, a.opt.Valency, a.cache.ClassifyWith, func(iv explore.InitialValency) bool {
 		return iv.Info.Valency != explore.Bivalent
 	})
 	if err != nil {

@@ -17,27 +17,30 @@ func E2InitialValency() (*Table, error) {
 		Columns: []string{"protocol", "bivalent", "0-valent", "1-valent", "unresolved", "first bivalent", "exact"},
 	}
 
-	root := func(pr model.Protocol, c *model.Config) explore.ValencyInfo {
-		return explore.ClassifyRoot(pr, c, explore.Options{})
+	root := func(pr model.Protocol, c *model.Config, opt explore.Options) explore.ValencyInfo {
+		return explore.ClassifyRoot(pr, c, opt)
 	}
 	// Paxos has an unbounded reachable set: bivalence certificates come
 	// from directed probes; the unanimous configurations stay formally
 	// unresolved (they are univalent by Paxos validity, but certifying
 	// univalence needs exhaustion).
-	probe := func(pr model.Protocol, c *model.Config) explore.ValencyInfo {
-		return explore.ClassifySmart(pr, c, explore.Options{MaxConfigs: 500}, explore.ProbeOptions{})
+	probe := func(pr model.Protocol, c *model.Config, opt explore.Options) explore.ValencyInfo {
+		return explore.ClassifySmart(pr, c, opt, explore.ProbeOptions{})
 	}
 	for _, row := range []struct {
 		pr       model.Protocol
-		classify func(model.Protocol, *model.Config) explore.ValencyInfo
+		opt      explore.Options
+		classify func(model.Protocol, *model.Config, explore.Options) explore.ValencyInfo
 	}{
-		{protocols.NewTrivial0(3), root},
-		{protocols.NewWaitAll(3), root},
-		{protocols.NewNaiveMajority(3), root},
-		{protocols.NewTwoPhaseCommit(3), root},
-		{protocols.NewPaxosSynod(3), probe},
+		{protocols.NewTrivial0(3), explore.Options{}, root},
+		{protocols.NewWaitAll(3), explore.Options{}, root},
+		{protocols.NewNaiveMajority(3), explore.Options{}, root},
+		{protocols.NewTwoPhaseCommit(3), explore.Options{}, root},
+		{protocols.NewPaxosSynod(3), explore.Options{MaxConfigs: 500}, probe},
 	} {
-		census, err := explore.Census(row.pr, func(c *model.Config) explore.ValencyInfo { return row.classify(row.pr, c) }, nil)
+		census, err := explore.Census(row.pr, row.opt, func(c *model.Config, o explore.Options) explore.ValencyInfo {
+			return row.classify(row.pr, c, o)
+		}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,10 @@ type PartialCorrectnessReport struct {
 
 // CheckPartialCorrectness explores the accessible configurations of pr
 // (from every initial configuration) and checks both partial-correctness
-// conditions. Exploration of each initial configuration is bounded by opt.
+// conditions. Exploration of each initial configuration is bounded by opt;
+// opt.Workers is spent on roots (see Options.Workers), and the report,
+// its first Violation included, is the one the roots give in AllInputs
+// order.
 func CheckPartialCorrectness(pr model.Protocol, opt Options) (PartialCorrectnessReport, error) {
 	rep := PartialCorrectnessReport{
 		Protocol:       pr.Name(),
@@ -51,34 +54,56 @@ func CheckPartialCorrectness(pr model.Protocol, opt Options) (PartialCorrectness
 		ValuesSeen:     make(map[model.Value]bool),
 		Complete:       true,
 	}
-	for _, in := range model.AllInputs(pr.N()) {
-		c, err := model.Initial(pr, in)
-		if err != nil {
-			return rep, err
-		}
-		inputs := in
-		complete, visited := Explore(pr, c, opt, nil, func(cfg *model.Config, _ int, path func() model.Schedule) bool {
-			vs := cfg.DecisionValues()
-			for _, v := range vs {
-				rep.ValuesSeen[v] = true
+	err := eachRoot(pr, opt, false, func(in model.Inputs, c *model.Config, o Options) rootCheck {
+		return checkRoot(pr, in, c, o)
+	}, func(r rootCheck) bool {
+		for v, seen := range r.seen {
+			if seen {
+				rep.ValuesSeen[model.Value(v)] = true
 			}
-			if len(vs) == 2 && rep.Violation == nil {
-				rep.AgreementHolds = false
-				rep.Violation = &AgreementViolation{
-					Inputs:   inputs,
-					Schedule: path(),
-					Deciders: decidersOf(cfg),
-				}
-			}
-			return false
-		})
-		rep.Configs += visited
-		if !complete {
-			rep.Complete = false
 		}
+		if r.violation != nil && rep.Violation == nil {
+			rep.AgreementHolds = false
+			rep.Violation = r.violation
+		}
+		rep.Configs += r.visited
+		rep.Complete = rep.Complete && r.complete
+		return true
+	})
+	if err != nil {
+		return rep, err
 	}
 	rep.Nontrivial = rep.ValuesSeen[model.V0] && rep.ValuesSeen[model.V1]
 	return rep, nil
+}
+
+// rootCheck is what one root contributes to a PartialCorrectnessReport.
+type rootCheck struct {
+	seen      [2]bool // decision values seen, by value
+	violation *AgreementViolation
+	visited   int
+	complete  bool
+}
+
+// checkRoot explores the accessible configurations of pr's root c, inputs
+// in, for CheckPartialCorrectness.
+func checkRoot(pr model.Protocol, in model.Inputs, c *model.Config, opt Options) rootCheck {
+	var r rootCheck
+	r.complete, r.visited = Explore(pr, c, opt, nil, func(cfg *model.Config, _ int, path func() model.Schedule) bool {
+		vs := cfg.DecisionValues()
+		for _, v := range vs {
+			r.seen[v] = true
+		}
+		if len(vs) == 2 && r.violation == nil {
+			r.violation = &AgreementViolation{
+				Inputs:   in,
+				Schedule: path(),
+				Deciders: decidersOf(cfg),
+			}
+		}
+		return false
+	})
+	return r
 }
 
 func decidersOf(cfg *model.Config) map[model.Value]model.PID {

@@ -348,31 +348,26 @@ func narrowProtocol(tb testing.TB, name string, n int) model.Protocol {
 }
 
 // TestAllocsPoolNarrow pins what the pool costs in bytes on a narrow graph:
-// CheckPartialCorrectness of 2pc(4), whose levels are a few configurations
-// wide, at two workers as a ratio of one worker expanding inline. The pool
-// sees fewer duplicates before building them than inline expansion does
-// (core.expand: the nodes of its own chunk are not admitted yet), so it
-// builds more; nothing else it does may allocate per node or per level.
-// Read at GOMAXPROCS 1, as the guards above are. Measured 1.19×, 1.18×
-// under -race (1.29× when every level started fresh goroutines); the
-// ceiling is that plus a margin.
+// CheckPartialCorrectness's walk of every root of 2pc(4), whose levels are
+// a few configurations wide, at two workers as a ratio of one worker
+// expanding inline. (The check itself spends its workers on roots, not
+// levels; see TestAllocsRootLoops.) The pool sees fewer duplicates before building
+// them than inline expansion does (core.expand: the nodes of its own chunk
+// are not admitted yet), so it builds more; nothing else it does may
+// allocate per node or per level. Read at GOMAXPROCS 1, as the guards
+// above are. Measured 1.19×, 1.18× under -race (1.29× when every level
+// started fresh goroutines); the ceiling is that plus a margin.
 func TestAllocsPoolNarrow(t *testing.T) {
 	pr := narrowProtocol(t, "2pc", 4)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	bytes := func(workers int) float64 {
-		opt := explore.Options{Workers: workers}
-		explore.CheckPartialCorrectness(pr, opt) // fill the pool
-		return warmest(func() float64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if rep, _ := explore.CheckPartialCorrectness(pr, opt); !rep.Complete {
+	walk := func(opt explore.Options) {
+		for _, in := range model.AllInputs(pr.N()) {
+			if !explore.CheckRoot(pr, in, opt) {
 				t.Fatal("2pc(4) did not close")
 			}
-			runtime.ReadMemStats(&after)
-			return float64(after.TotalAlloc - before.TotalAlloc)
-		})
+		}
 	}
-	inline, pool := bytes(1), bytes(2)
+	inline, pool := rootLoopBytes(walk, 1), rootLoopBytes(walk, 2)
 	t.Logf("inline %.0f B, 2 workers %.0f B (%.2f×)", inline, pool, pool/inline)
 	const ceiling = 1.25
 	if pool > ceiling*inline {
@@ -380,25 +375,95 @@ func TestAllocsPoolNarrow(t *testing.T) {
 	}
 }
 
-// BenchmarkExploreNarrow is CheckPartialCorrectness over the narrowKernels
-// — every input vector explored to the end — inline and on the pool at
-// GOMAXPROCS workers: ns, B and allocs per check. It is the engine-level
-// view of lemma-pipeline's census and correctness ops, whose levels are too
-// narrow for a pool that starts its workers per level to pay for itself;
-// `make bench-alloc`, `make bench-parallel` and CI (at -benchtime 1x) run
-// it.
+// rootLoopBytes is the bytes run allocates at workers, the least of
+// warmest's runs after one that fills the pool.
+func rootLoopBytes(run func(explore.Options), workers int) float64 {
+	opt := explore.Options{Workers: workers}
+	run(opt)
+	return warmest(func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(opt)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	})
+}
+
+// TestAllocsRootLoops pins what spending the workers on roots costs in
+// bytes: CheckPartialCorrectness of 2pc(4) and CensusInitial of 3pc(4) at
+// two workers, whose roots are walked inline on the caller and a helper,
+// as a ratio of one worker walking them in turn. Only the loop's own
+// bookkeeping (one job, a slot per root) may be added. Read at GOMAXPROCS
+// 1, as TestAllocsPoolNarrow is. Measured 1.007× and 1.005×, the same under
+// -race; roots walked on the level pool instead would read about 1.2×, as
+// TestAllocsPoolNarrow does. The ceiling is the measurement plus a margin.
+func TestAllocsRootLoops(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check, census := narrowProtocol(t, "2pc", 4), narrowProtocol(t, "3pc", 4)
+	for _, loop := range []struct {
+		name string
+		run  func(explore.Options)
+	}{
+		{"CheckPartialCorrectness(2pc(4))", func(o explore.Options) {
+			if rep, err := explore.CheckPartialCorrectness(check, o); err != nil || !rep.Complete {
+				t.Fatalf("2pc(4) did not close: %v", err)
+			}
+		}},
+		{"CensusInitial(3pc(4))", func(o explore.Options) {
+			if ic, err := explore.CensusInitial(census, o); err != nil || !ic.AllExact {
+				t.Fatalf("3pc(4) census not exact: %v", err)
+			}
+		}},
+	} {
+		inline, roots := rootLoopBytes(loop.run, 1), rootLoopBytes(loop.run, 2)
+		t.Logf("%s: 1 worker %.0f B, 2 workers %.0f B (%.3f×)", loop.name, inline, roots, roots/inline)
+		const ceiling = 1.05
+		if roots > ceiling*inline {
+			t.Fatalf("%s at 2 workers allocates %.0f B, at 1 worker %.0f B (%.3f×, ceiling %.2f×)", loop.name, roots, inline, roots/inline, ceiling)
+		}
+	}
+}
+
+// BenchmarkExploreNarrow is the three root loops of lemma-pipeline —
+// CheckPartialCorrectness, CensusInitial and FindBivalentInitial — over
+// the narrowKernels, at one worker and at GOMAXPROCS workers spent on
+// roots: ns, B and allocs per loop. It is the engine-level view of
+// lemma-pipeline's correctness, census, lemma3 and diamond ops (the last
+// two start from FindBivalentInitial); `make bench-alloc`, `make
+// bench-parallel` and CI (at -benchtime 1x) run it.
 func BenchmarkExploreNarrow(b *testing.B) {
-	for _, k := range narrowKernels {
-		pr := narrowProtocol(b, k.name, k.n)
-		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("%s%d/workers=%d", k.name, k.n, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if rep, err := explore.CheckPartialCorrectness(pr, explore.Options{Workers: w}); err != nil || !rep.Complete {
-						b.Fatalf("%s%d did not close: %v", k.name, k.n, err)
+	loops := []struct {
+		name string
+		run  func(model.Protocol, explore.Options) error
+	}{
+		{"CheckPartialCorrectness", func(pr model.Protocol, o explore.Options) error {
+			if rep, err := explore.CheckPartialCorrectness(pr, o); err != nil || !rep.Complete {
+				return fmt.Errorf("did not close: %v", err)
+			}
+			return nil
+		}},
+		{"CensusInitial", func(pr model.Protocol, o explore.Options) error {
+			_, err := explore.CensusInitial(pr, o)
+			return err
+		}},
+		{"FindBivalentInitial", func(pr model.Protocol, o explore.Options) error {
+			explore.FindBivalentInitial(pr, o)
+			return nil
+		}},
+	}
+	for _, loop := range loops {
+		for _, k := range narrowKernels {
+			pr := narrowProtocol(b, k.name, k.n)
+			for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+				b.Run(fmt.Sprintf("%s/%s%d/workers=%d", loop.name, k.name, k.n, w), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := loop.run(pr, explore.Options{Workers: w}); err != nil {
+							b.Fatalf("%s%d: %v", k.name, k.n, err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -105,23 +105,31 @@
 //
 // Tuning: the GOMAXPROCS default holds from the narrowest graphs to the
 // widest, and worker counts above GOMAXPROCS only add coordination
-// overhead. Measured at 2 vCPUs (go1.24): on explore-wide's shape the pool
-// is about 16 % faster than inline expansion (BenchmarkExplorePool, 157
-// against 188 ms a pass); on the small, complete graphs of the commit
-// protocols and the Lemma 3 census, whose levels are 4–64 configurations
-// wide, it is within about 10 % of inline (BenchmarkExploreNarrow: 2pc(4)
-// 0.95 against 0.89 ms a check, 3pc(4) 1.06 against 0.95, waitall(3) 1.56
-// against 1.44) and ahead on naivemajority(3) (1.98 against 2.09). What it
-// still pays there is the duplicates it builds — inline sees every
-// duplicate before building it, the pool only those of nodes admitted
-// before its chunk — about 1.2× inline's bytes on 2pc(4). Set Workers: 1
-// only when single-threaded reproducibility of *timing* (not results; those
-// never vary) matters. There is nothing to tune about memory: an
-// exploration allocates its configurations, and its node table, index,
-// successor rows and buffers and expansion scratch are recycled from the
-// last finished exploration through a sync.Pool, up to a fixed cap of
-// 16,384 nodes per table (a table far larger than the walk that used it is
-// dropped, not kept). So a Visit's path is valid only during its visit;
+// overhead. Measured at 2 vCPUs (go1.24): on explore-wide's shape the
+// level pool is about 16 % faster than inline expansion
+// (BenchmarkExplorePool, 157 against 188 ms a pass). The loops over every
+// initial configuration spend the workers on roots instead (see
+// Options.Workers), whose graphs are 4–64 configurations a level wide.
+// BenchmarkExploreNarrow at 2 workers against 1 (medians of three
+// interleaved runs) reads CheckPartialCorrectness at 0.64 against 1.07 ms
+// on 2pc(4), 0.70 against 1.02 on 3pc(4), 0.98 against 1.74 on
+// waitall(3) and 1.44 against 2.58 on naivemajority(3), and CensusInitial
+// at 0.84 against 1.32 ms on 2pc(4) and 1.82 against 2.98 on
+// naivemajority(3), for 1.005× one worker's bytes (TestAllocsRootLoops).
+// FindBivalentInitial may stop at any root, so it keeps at most Workers
+// roots in flight and gains less: 0.80 against 1.02 ms on
+// naivemajority(3), and nothing beyond noise on 2pc(4), whose roots take
+// about 60 µs each, less than an offered helper takes to start. The level
+// pool on those graphs read within about 10 % of inline and built about
+// 1.2× its bytes (TestAllocsPoolNarrow): inline sees every duplicate
+// before building it, the pool only those of nodes admitted before its
+// chunk. Set Workers: 1 only when single-threaded reproducibility of
+// *timing* (not results; those never vary) matters. There is nothing to
+// tune about memory: an exploration allocates its configurations, and its
+// node table, index, successor rows and buffers and expansion scratch are
+// recycled from the last finished exploration through a sync.Pool, up to a
+// fixed cap of 16,384 nodes per table (a table far larger than the walk
+// that used it is dropped, not kept). So a Visit's path is valid only during its visit;
 // called later it panics.
 // Valency caches ([NewCache], [NewSmartCache]) are safe for concurrent use;
 // see the Cache type's thread-safety contract.

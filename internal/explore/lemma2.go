@@ -44,27 +44,28 @@ func (ic InitialCensus) HasBivalent() bool { return ic.Bivalent != nil }
 
 // Census is Lemma 2's loop, the one place initial configurations are
 // classified: it classifies each of pr's 2^N initial configurations with
-// classify, in AllInputs order, and tallies the census. each, when
-// non-nil, sees every classified root and stops the census by returning
-// false; a stopped census covers only the roots classified so far.
+// classify, and tallies the census in AllInputs order. each, when non-nil,
+// sees every classified root in that order and stops the census by
+// returning false; a stopped census covers only the roots each saw.
 //
 // classify decides what the census costs and means: ClassifyRoot (the
 // CensusInitial census), ClassifyRootCached over a shared AtlasCache,
 // budgeted Classify, ClassifySmart for unbounded state spaces, or a
-// valency Cache's Classify.
-func Census(pr model.Protocol, classify func(*model.Config) ValencyInfo, each func(InitialValency) bool) (InitialCensus, error) {
+// valency Cache's ClassifyWith. It is handed the Options one root may
+// spend, which differ from opt only in Workers, since opt.Workers is
+// spent on roots (see Options.Workers); it should spend no more. It may
+// run on several goroutines at once, and up to Workers−1 roots past a
+// stop may be classified and dropped.
+func Census(pr model.Protocol, opt Options, classify func(*model.Config, Options) ValencyInfo, each func(InitialValency) bool) (InitialCensus, error) {
 	census := InitialCensus{
 		Protocol: pr.Name(),
 		N:        pr.N(),
 		Counts:   make(map[Valency]int),
 		AllExact: true,
 	}
-	for _, in := range model.AllInputs(pr.N()) {
-		c, err := model.Initial(pr, in)
-		if err != nil {
-			return census, err
-		}
-		iv := InitialValency{Inputs: in, Info: classify(c)}
+	err := eachRoot(pr, opt, each != nil, func(in model.Inputs, c *model.Config, o Options) InitialValency {
+		return InitialValency{Inputs: in, Info: classify(c, o)}
+	}, func(iv InitialValency) bool {
 		census.PerInput = append(census.PerInput, iv)
 		census.Counts[iv.Info.Valency]++
 		census.AllExact = census.AllExact && iv.Info.Exact
@@ -72,9 +73,10 @@ func Census(pr model.Protocol, classify func(*model.Config) ValencyInfo, each fu
 			first := iv
 			census.Bivalent = &first
 		}
-		if each != nil && !each(iv) {
-			break
-		}
+		return each == nil || each(iv)
+	})
+	if err != nil {
+		return census, err
 	}
 	census.Adjacent = findAdjacentPair(census.PerInput)
 	return census, nil
@@ -90,7 +92,7 @@ func Census(pr model.Protocol, classify func(*model.Config) ValencyInfo, each fu
 // bivalent roots. Roots whose state space exceeds the budget fall back to
 // budgeted Classify, unchanged.
 func CensusInitial(pr model.Protocol, opt Options) (InitialCensus, error) {
-	return Census(pr, func(c *model.Config) ValencyInfo { return ClassifyRoot(pr, c, opt) }, nil)
+	return Census(pr, opt, func(c *model.Config, o Options) ValencyInfo { return ClassifyRoot(pr, c, o) }, nil)
 }
 
 // ClassifyRoot classifies one exploration root: from a valency atlas over
@@ -143,7 +145,7 @@ func findAdjacentPair(ivs []InitialValency) *AdjacentPair {
 // stopping at the first bivalent one. It reports ok=false if none was
 // certified within the budget.
 func FindBivalentInitial(pr model.Protocol, opt Options) (*model.Config, model.Inputs, bool) {
-	census, err := Census(pr, func(c *model.Config) ValencyInfo { return Classify(pr, c, opt) }, func(iv InitialValency) bool {
+	census, err := Census(pr, opt, func(c *model.Config, o Options) ValencyInfo { return Classify(pr, c, o) }, func(iv InitialValency) bool {
 		return iv.Info.Valency != Bivalent
 	})
 	if err != nil || census.Bivalent == nil {

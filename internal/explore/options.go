@@ -16,15 +16,23 @@ type Options struct {
 	// comparisons as a silent unlimited bound without being documented as
 	// one.
 	MaxDepth int
-	// Workers is the number of goroutines expanding frontier nodes
-	// *within one process*: the coordinator plus up to Workers−1 helpers,
-	// goroutines the package keeps for every exploration and offers each
-	// level to when it is not busy elsewhere. 0 (the default) means
-	// runtime.GOMAXPROCS(0); 1 or a negative value expands inline on the
-	// coordinator, with no pool. Any worker count produces byte-identical
-	// results — same visit order, same counts, same witness schedules —
-	// because successors are merged into the frontier in canonical order
-	// by a single coordinator (see doc.go).
+	// Workers is the number of goroutines working *within one process*:
+	// the caller plus up to Workers−1 helpers, goroutines the package
+	// keeps for every call and offers work to when they are not busy
+	// elsewhere. 0 (the default) means runtime.GOMAXPROCS(0); 1 or a
+	// negative value works inline on the caller, with no helper. One
+	// exploration spends them on the nodes of each level. A call over
+	// many roots — Census and everything built on it (CensusInitial,
+	// FindBivalentInitial), and CheckPartialCorrectness — spends them on
+	// roots instead: each root is explored inline (Workers: 1) while up to
+	// Workers−1 other roots are explored beside it, and the results are
+	// consumed in AllInputs order, so up to Workers−1 roots past a stop
+	// are explored and dropped. With one worker, or a single root, each
+	// root's exploration keeps the workers for its levels. Any worker
+	// count produces byte-identical results — same visit order, same
+	// counts, same witness schedules — because successors are merged into
+	// the frontier in canonical order by a single coordinator, and roots
+	// are consumed in order by the caller (see doc.go).
 	//
 	// Workers is orthogonal to the distributed engine's sharding: package
 	// distexplore partitions the visited set by configuration hash range

@@ -157,13 +157,23 @@ func (j *levelJob) fail(i int, v any) {
 	j.done.Add(1)
 }
 
-// The helpers are process-wide goroutines that expand for every walk: an
-// idle one waits on helperJobs, unbuffered, so an offer reaches only a
-// helper that is free at that moment. They start on first use and grow to
-// the largest workers−1 any walk has asked for; they never stop, and an
-// idle one costs a parked goroutine.
+// help is what a helper does with j: expand nodes in the next helper slot
+// of its scratch until none is left to hand out.
+func (j *levelJob) help() { j.work(&j.scr[j.slots.Add(1)]) }
+
+// A job is work offered to the helpers, in one of two grains: a chunk of
+// one level (levelJob) or the roots of one root loop (rootJob). help works
+// on it until it has nothing left to hand out; it must survive the job's
+// panics and touch only the job's atomics once its last item is out.
+type job interface{ help() }
+
+// The helpers are process-wide goroutines that work for every walk and
+// every root loop: an idle one waits on helperJobs, unbuffered, so an
+// offer reaches only a helper that is free at that moment. They start on
+// first use and grow to the largest workers−1 any caller has asked for;
+// they never stop, and an idle one costs a parked goroutine.
 var (
-	helperJobs  = make(chan *levelJob)
+	helperJobs  = make(chan job)
 	helperCount atomic.Int32
 	helperGrow  sync.Mutex
 )
@@ -171,7 +181,7 @@ var (
 // offer hands j to at most k idle helpers, starting helpers first if fewer
 // than k exist, and returns at once: helpers that are busy elsewhere, or
 // not yet waiting, are skipped.
-func offer(j *levelJob, k int) {
+func offer(j job, k int) {
 	if int(helperCount.Load()) < k {
 		helperGrow.Lock()
 		for int(helperCount.Load()) < k {
@@ -189,10 +199,9 @@ func offer(j *levelJob, k int) {
 	}
 }
 
-// help is a helper's life: take a job, expand in the next helper slot of
-// its scratch, wait for the next.
+// help is a helper's life: take a job, work on it, wait for the next.
 func help() {
 	for j := range helperJobs {
-		j.work(&j.scr[j.slots.Add(1)])
+		j.help()
 	}
 }

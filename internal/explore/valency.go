@@ -202,6 +202,21 @@ func NewSmartCache(pr model.Protocol, opt Options, popt ProbeOptions) *Cache {
 
 // Classify returns the memoized classification of c.
 func (vc *Cache) Classify(c *model.Config) ValencyInfo {
+	return vc.classify(c, vc.opt)
+}
+
+// ClassifyWith is Classify spending opt.Workers in place of the cache's
+// own; every other field of opt is ignored, since the cache's bounds
+// decide what it memoizes. Its shape is Census's classify, which hands
+// each root the Workers it may spend.
+func (vc *Cache) ClassifyWith(c *model.Config, opt Options) ValencyInfo {
+	o := vc.opt
+	o.Workers = opt.Workers
+	return vc.classify(c, o)
+}
+
+// classify is Classify under opt, which is vc.opt but for Workers.
+func (vc *Cache) classify(c *model.Config, opt Options) ValencyInfo {
 	h := c.Hash()
 	vc.mu.Lock()
 	info, ok := vc.lookup(h, c)
@@ -218,9 +233,9 @@ func (vc *Cache) Classify(c *model.Config) ValencyInfo {
 
 	vc.misses.Add(1)
 	if vc.probe != nil {
-		info = ClassifySmart(vc.pr, c, vc.opt, *vc.probe)
+		info = ClassifySmart(vc.pr, c, opt, *vc.probe)
 	} else {
-		info = Classify(vc.pr, c, vc.opt)
+		info = Classify(vc.pr, c, opt)
 	}
 	return vc.store(h, c, info)
 }

@@ -33,8 +33,10 @@ type CensusRequest struct {
 	Budget int `json:"budget,omitempty"`
 	// Depth bounds schedule depth (MaxDepth); 0 means unlimited.
 	Depth int `json:"depth,omitempty"`
-	// Workers sets per-exploration parallelism. Results are identical at
-	// any value (the engines' byte-identity contract); only latency moves.
+	// Workers sets the census's parallelism, spent on roots
+	// (explore.Options.Workers). Results and progress rows are identical
+	// at any value (the engines' byte-identity contract); only latency
+	// moves.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -169,11 +171,11 @@ func (s *Server) censusJob(req CensusRequest) jobFunc {
 			return nil, err
 		}
 		opt := explore.Options{MaxConfigs: req.Budget, MaxDepth: req.Depth, Workers: req.Workers}
-		classify := func(c *model.Config) explore.ValencyInfo {
-			return explore.ClassifyRootCached(pr, c, opt, s.atlases)
+		classify := func(c *model.Config, o explore.Options) explore.ValencyInfo {
+			return explore.ClassifyRootCached(pr, c, o, s.atlases)
 		}
 		cut := false
-		census, err := explore.Census(pr, classify, func(iv explore.InitialValency) bool {
+		census, err := explore.Census(pr, opt, classify, func(iv explore.InitialValency) bool {
 			pub(fmt.Sprintf("inputs %s: %s (%d configurations)", iv.Inputs, iv.Info.Valency, iv.Info.Visited))
 			cut = canceled()
 			return !cut

@@ -356,10 +356,12 @@ func (q *jobQueue) readmit(rj *replayedJob, run jobFunc) bool {
 	q.mu.Lock()
 	q.jobs[j.ID] = j
 	q.mu.Unlock()
+	// The marker goes out before the job can reach a pool worker, so the
+	// re-run's events follow it.
+	j.publish("job re-admitted after server restart")
 	select {
 	case q.queue <- j:
 		q.m.queueDepth.Inc()
-		j.publish("job re-admitted after server restart")
 		return true
 	default:
 		j.finish(StateFailed, nil, fmt.Errorf("serve: queue full during journal recovery"))

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -211,6 +213,41 @@ func TestConcurrentCensusSharesAtlases(t *testing.T) {
 		}
 		if hits+merged != clients*8-8 {
 			t.Fatalf("pool %d: hits+merged = %d, want %d", pool, hits+merged, clients*8-8)
+		}
+	}
+}
+
+// TestCensusRowsInOrder holds a census's progress rows to AllInputs order
+// when its roots are classified on several workers: every row is published
+// in order, and a census cut by a drain publishes the rows up to its cut
+// and none after, though the workers may have classified roots past it.
+func TestCensusRowsInOrder(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	pr, err := s.resolveProtocol("naivemajority", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := explore.CensusInitial(pr, explore.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, iv := range want.PerInput {
+		rows = append(rows, fmt.Sprintf("inputs %s: %s (%d configurations)", iv.Inputs, iv.Info.Valency, iv.Info.Visited))
+	}
+	for cut := 1; cut <= len(rows); cut++ {
+		for trial := 0; trial < 5; trial++ {
+			var got []string
+			_, err := s.censusJob(CensusRequest{Protocol: "naivemajority", N: 3, Workers: 4})(
+				func(msg string) { got = append(got, msg) },
+				func() bool { return len(got) >= cut })
+			if cut < len(rows) && err != errCanceled {
+				t.Fatalf("census cut after %d rows: %v, want errCanceled", cut, err)
+			}
+			if !slices.Equal(got, rows[:cut]) {
+				t.Fatalf("census cut after %d rows published\n%s\nwant\n%s", cut,
+					strings.Join(got, "\n"), strings.Join(rows[:cut], "\n"))
+			}
 		}
 	}
 }
