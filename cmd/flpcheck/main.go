@@ -228,7 +228,35 @@ func runLemma3(pr flp.Protocol, opt flp.CheckOptions, unbounded bool, bivalent *
 		fmt.Printf("  e = %s: frontier |ℰ| = %d, bivalent member found = %v (witness |σ| = %d)\n",
 			e, res.FrontierSize, res.BivalentFound, len(res.Sigma))
 	}
+	if a, ok := atlases.Cached(pr, c, opt); ok {
+		printLemma3Atlas(a)
+	} else {
+		fmt.Println("  (reach(C) is over budget: no whole-atlas tally)")
+	}
 	fmt.Println()
+}
+
+// printLemma3Atlas prints Lemma 3 over the bivalent root's whole atlas:
+// every bivalent C, every applicable e, and the first failure's blocking
+// certificate when the lemma fails somewhere.
+func printLemma3Atlas(a *explore.Atlas) {
+	pairs, holds := 0, 0
+	var first *explore.Lemma3Failure
+	var firstEvent flp.Event
+	tallies := explore.Lemma3Atlas(a)
+	for _, t := range tallies {
+		pairs += t.Pairs
+		holds += t.Holds
+		if first == nil && len(t.Failures) > 0 {
+			first, firstEvent = &t.Failures[0], t.Event
+		}
+	}
+	fmt.Printf("  whole atlas: %d of %d configurations bivalent; Lemma 3 holds at %d of %d (bivalent C, e) pairs over %d events\n",
+		a.Census()[explore.Bivalent], a.Len(), holds, pairs, len(tallies))
+	if first != nil {
+		fmt.Printf("  %d failures, each blocked: the first, e = %s, reaches C₀ in %d events, where p%d crashes and no run decides\n",
+			pairs-holds, firstEvent, len(first.Schedule), first.P)
+	}
 }
 
 func runAgreement(pr flp.Protocol, opt flp.CheckOptions, unbounded bool) {

@@ -13,7 +13,8 @@ import (
 // D = e(reach(C) without e) contains a bivalent configuration. The census
 // is exhaustive on the finite fixture, covering every applicable event of
 // the bivalent initial configuration and of a deeper bivalent configuration
-// with messages in flight.
+// with messages in flight; the last row is the lemma at every (bivalent C,
+// applicable e) pair of the initial configuration's atlas.
 func E3BivalencePreservation() (*Table, error) {
 	t := &Table{
 		ID:      "E3",
@@ -52,6 +53,19 @@ func E3BivalencePreservation() (*Table, error) {
 			return nil, err
 		}
 	}
+	// The lemma at every pair of the whole atlas: each bivalent C of
+	// reach(011), each event applicable there.
+	atlas, ok := explore.BuildAtlas(pr, c0, explore.Options{})
+	if !ok {
+		return nil, fmt.Errorf("experiments: reach(011) has no atlas")
+	}
+	pairs, holds := 0, 0
+	for _, tl := range explore.Lemma3Atlas(atlas) {
+		pairs, holds = pairs+tl.Pairs, holds+tl.Holds
+	}
+	t.AddRow(fmt.Sprintf("whole atlas of 011 (%d bivalent C)", atlas.Census()[explore.Bivalent]),
+		fmt.Sprintf("every e: %d of %d hold", holds, pairs), "-", holds == pairs, "-", true)
+
 	// Figure 2's commutativity squares, verified around one committed
 	// event per configuration.
 	squares, violations := 0, 0
@@ -74,6 +88,7 @@ func E3BivalencePreservation() (*Table, error) {
 		return nil, err
 	}
 	t.AddNote("'bivalent in D' must be true on every row — that is Lemma 3; |σ| counts the events of the witness schedule ending in e")
+	t.AddNote("whole atlas: one backward pass per event over reach(011) decides every pair (explore.Lemma3Atlas); a failure would carry a blocking certificate")
 	t.AddNote("Figure 2 diamonds: %d neighbor commutativity squares verified around the committed events, %d violations", squares, violations)
 	t.AddNote("Figure 3 (same-process case): %d pairs, %d with a p-free deciding run σ, %d commutation violations", f3.Pairs, f3.SigmaFound, f3.Violations)
 	return t, nil

@@ -90,6 +90,10 @@ func TestE3AllFrontiersBivalent(t *testing.T) {
 			t.Errorf("row %d: frontier not exhausted on the finite fixture", i)
 		}
 	}
+	last := tab.Rows[len(tab.Rows)-1]
+	if got, want := last[0]+" / "+last[1], "whole atlas of 011 (121 bivalent C) / every e: 669 of 669 hold"; got != want {
+		t.Errorf("E3 whole-atlas row %q, want %q", got, want)
+	}
 }
 
 func TestE4AdversaryVsFair(t *testing.T) {

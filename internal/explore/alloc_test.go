@@ -355,9 +355,16 @@ func narrowProtocol(tb testing.TB, name string, n int) model.Protocol {
 // them than inline expansion does (core.expand: the nodes of its own chunk
 // are not admitted yet), so it builds more; nothing else it does may
 // allocate per node or per level. Read at GOMAXPROCS 1, as the guards
-// above are. Measured 1.19×, 1.18× under -race (1.29× when every level
-// started fresh goroutines); the ceiling is that plus a margin.
+// above are. Measured 1.19× (1.29× when every level started fresh
+// goroutines); the ceiling is that plus a margin. The ratio is read only
+// without -race: the race detector makes sync.Pool drop Puts, so the two
+// sides reuse different shares of the recycled tables and the ratio
+// wandered over 1.13–1.30× from run to run. make alloc-guards runs it
+// without -race.
 func TestAllocsPoolNarrow(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops Puts at random, so the ratio measures the pool's luck")
+	}
 	pr := narrowProtocol(t, "2pc", 4)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	walk := func(opt explore.Options) {

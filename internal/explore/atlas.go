@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"github.com/flpsim/flp/internal/model"
@@ -276,13 +278,15 @@ func (a *Atlas) distFor(d model.Value) []int32 {
 // is one closer. The backward search guarantees such an edge exists at
 // every node with dist > 0.
 func (a *Atlas) descend(u int32, dist []int32) model.Schedule {
-	return a.descendWhere(u, dist, nil)
+	sigma, _ := a.descendWhere(u, dist, nil)
+	return sigma
 }
 
 // descendWhere is descend restricted to edges accepted by usable — the
 // filter must be the one the dist array was computed under, so that a
-// usable edge one closer exists at every node with dist > 0.
-func (a *Atlas) descendWhere(u int32, dist []int32, usable func(model.Event) bool) model.Schedule {
+// usable edge one closer exists at every node with dist > 0. It also
+// returns the dist-0 node the schedule ends at.
+func (a *Atlas) descendWhere(u int32, dist []int32, usable func(model.Event) bool) (model.Schedule, int32) {
 	sigma := make(model.Schedule, 0, dist[u])
 	for dist[u] > 0 {
 		next := int32(-1)
@@ -301,7 +305,7 @@ func (a *Atlas) descendWhere(u int32, dist []int32, usable func(model.Event) boo
 		}
 		u = next
 	}
-	return sigma
+	return sigma, u
 }
 
 // PathTo returns a shortest schedule from the root to node id, recovered
@@ -369,25 +373,62 @@ func (a *Atlas) succByEvent(u int32, e model.Event) (int32, bool) {
 	return 0, false
 }
 
-// frontier returns the node ids reachable from the root without applying
-// events Same as e — the Lemma 3 set ℰ — in breadth-first order, matching
-// Explore's visit order under the same avoid filter.
-func (a *Atlas) frontier(e model.Event) []int32 {
-	seen := make([]bool, len(a.cfgs))
-	order := make([]int32, 0, len(a.cfgs))
-	seen[0] = true
-	order = append(order, 0)
-	for qi := 0; qi < len(order); qi++ {
-		u := order[qi]
+// memberSucc is succByEvent for a member u of ℰ, at which e is applicable
+// by the model's contract (see Frontier).
+func (a *Atlas) memberSucc(u int32, e model.Event) int32 {
+	d, ok := a.succByEvent(u, e)
+	if !ok {
+		panic(fmt.Sprintf("explore: event %s not applicable to member of ℰ; model invariant broken", e))
+	}
+	return d
+}
+
+// frontierWalk is Lemma 3's set ℰ on recorded adjacency: the nodes
+// reachable from node from without applying events Same as e, in
+// breadth-first order with out-edges taken in canonical order — Explore's
+// visit order from the same configuration under AvoidFilter(&e) — and the
+// breadth-first tree that order induces.
+type frontierWalk struct {
+	from  int32
+	order []int32
+	// tree is by node id: 0 for a node outside ℰ, -1 for from, and
+	// otherwise 1 + the index into g.SuccTo of the edge that first reached
+	// the node — the last event of Explore's path to it.
+	tree []int32
+}
+
+// frontier walks ℰ from node from, avoiding e. diamondOnAtlas,
+// figure3OnAtlas and CensusLemma3's atlas route all read ℰ off this one
+// walk.
+func (a *Atlas) frontier(from int32, e model.Event) frontierWalk {
+	w := frontierWalk{from: from, order: make([]int32, 0, len(a.cfgs)), tree: make([]int32, len(a.cfgs))}
+	w.tree[from] = -1
+	w.order = append(w.order, from)
+	for qi := 0; qi < len(w.order); qi++ {
+		u := w.order[qi]
 		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
 			if a.g.SuccVia[ei].Same(e) {
 				continue
 			}
-			if v := a.g.SuccTo[ei]; !seen[v] {
-				seen[v] = true
-				order = append(order, v)
+			if v := a.g.SuccTo[ei]; w.tree[v] == 0 {
+				w.tree[v] = ei + 1
+				w.order = append(w.order, v)
 			}
 		}
 	}
-	return order
+	return w
+}
+
+// path returns member v's schedule from the walk's start along the tree:
+// the schedule Explore's path reports for v under the same filter.
+func (w frontierWalk) path(a *Atlas, v int32) model.Schedule {
+	var rev model.Schedule
+	for v != w.from {
+		ei := w.tree[v] - 1
+		rev = append(rev, a.g.SuccVia[ei])
+		// The edge's tail is the node whose row holds index ei.
+		v = int32(sort.Search(len(a.g.SuccStart)-1, func(u int) bool { return a.g.SuccStart[u+1] > ei }))
+	}
+	slices.Reverse(rev)
+	return rev
 }

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"fmt"
-
-	"github.com/flpsim/flp/internal/model"
-)
+import "github.com/flpsim/flp/internal/model"
 
 // DiamondReport summarizes the Figure 2 check for one (C, e) pair: for
 // neighbor configurations C0 ∈ ℰ and C1 = e'(C0) with e' = (p', m') and
@@ -80,11 +76,8 @@ func CheckLemma3Diamond(pr model.Protocol, c *model.Config, e model.Event, opt O
 // id, which is configuration equality by the interner's contract.
 func diamondOnAtlas(a *Atlas, e model.Event) DiamondReport {
 	rep := DiamondReport{Event: e, Complete: true}
-	for _, u := range a.frontier(e) {
-		d0, ok := a.succByEvent(u, e)
-		if !ok {
-			panic(fmt.Sprintf("explore: event %s not applicable to member of ℰ; model invariant broken", e))
-		}
+	for _, u := range a.frontier(0, e).order {
+		d0 := a.memberSucc(u, e)
 		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
 			ePrime := a.g.SuccVia[ei]
 			if ePrime.Same(e) || ePrime.P == e.P {

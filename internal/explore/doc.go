@@ -15,13 +15,17 @@
 //     the adjacent 0-valent/1-valent pair the proof of Lemma 2 pivots on.
 //     It is the one loop over initial configurations; the root classifier
 //     is its parameter ([CensusInitial] passes [ClassifyRoot]).
-//   - [Frontier] is Lemma 3's loop, the one walk of the frontier
-//     D = e(ℰ), ℰ = reach(C) without e. [CensusLemma3] mechanizes the
-//     lemma on it: from a bivalent C and an applicable event e, D contains
-//     a bivalent configuration. The direct routes of [CheckLemma3Diamond]
-//     and [CheckLemma3Figure3] (Figures 2 and 3 of its proof) and each
-//     stage of the Theorem 1 adversary (package adversary) walk the same
-//     loop.
+//   - [CensusLemma3] mechanizes Lemma 3 for one pair: from a bivalent C
+//     and an applicable event e, the frontier D = e(ℰ), ℰ = reach(C)
+//     without e, contains a bivalent configuration. Where a complete
+//     atlas covers C it walks ℰ on the atlas's rows, the walk the atlas
+//     routes of [CheckLemma3Diamond] and [CheckLemma3Figure3] (Figures 2
+//     and 3 of its proof) share; elsewhere it walks [Frontier], the loop
+//     for graphs that do not close, which the direct routes of those
+//     checks and each stage of the Theorem 1 adversary (package
+//     adversary) walk too. [Lemma3Atlas] answers the lemma for every
+//     pair of an atlas at once, and turns each failure into a blocking
+//     certificate, the proof's Case 2.
 //   - [CheckCommutativity] and [RandomDisjointSchedules] mechanize Lemma 1.
 //   - [CheckPartialCorrectness] verifies the two partial-correctness
 //     conditions: no accessible configuration has two decision values, and

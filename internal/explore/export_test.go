@@ -15,3 +15,14 @@ func AttachedAtlases(vc *Cache) int {
 func CheckRoot(pr model.Protocol, in model.Inputs, opt Options) (complete bool) {
 	return checkRoot(pr, in, model.MustInitial(pr, in), opt).complete
 }
+
+// AtlasFrontier is the atlas's walk of ℰ from node from, avoiding e: its
+// members in order, each with its tree path from from.
+func AtlasFrontier(a *Atlas, from int32, e model.Event) ([]int32, []model.Schedule) {
+	w := a.frontier(from, e)
+	paths := make([]model.Schedule, len(w.order))
+	for i, v := range w.order {
+		paths[i] = w.path(a, v)
+	}
+	return w.order, paths
+}

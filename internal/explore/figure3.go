@@ -91,7 +91,7 @@ func figure3OnAtlas(pr model.Protocol, a *Atlas, e model.Event) Figure3Report {
 	pFree := func(ev model.Event) bool { return ev.P != p }
 	dist := a.distDecidedAvoiding(p)
 
-	for _, u := range a.frontier(e) {
+	for _, u := range a.frontier(0, e).order {
 		var sigma model.Schedule
 		haveSigma := false
 		for ei := a.g.SuccStart[u]; ei < a.g.SuccStart[u+1]; ei++ {
@@ -105,7 +105,7 @@ func figure3OnAtlas(pr model.Protocol, a *Atlas, e model.Event) Figure3Report {
 			}
 			rep.SigmaFound++
 			if !haveSigma {
-				sigma = a.descendWhere(u, dist, pFree)
+				sigma, _ = a.descendWhere(u, dist, pFree)
 				haveSigma = true
 			}
 			rep.Violations += figure3Violations(pr, a.Config(u), a.Config(a.g.SuccTo[ei]), e, ePrime, sigma)

@@ -67,20 +67,39 @@ func applicable(c *model.Config, e model.Event) error {
 // bivalent member. For a bivalent C of a protocol within the lemma's
 // hypotheses, BivalentFound must come back true.
 //
-// cache may be nil; passing one shares classifications — and the valency
-// atlas the first call builds over reach(C) — across calls, which is the
-// right mode for examining several events from the same C (flpcheck's
-// Lemma 3 section) or successive stages of the adversary. With a nil
-// cache, the census classifies through a private one.
+// cache may be nil; passing one shares the valency atlas the first call
+// builds over reach(C) — and any classification outside it — across calls,
+// which is the right mode for examining several events from the same C
+// (flpcheck's Lemma 3 section) or successive stages of the adversary. With
+// a nil cache, the census classifies through a private one.
+//
+// Where an attached atlas covers C, ℰ is walked on its recorded adjacency
+// and every D is read off its row (censusOnAtlas); each D so answered
+// counts as one cache hit. Frontier runs instead, classifying each D
+// through the cache, in three cases: no atlas covers C (reach(C) is over
+// the cache's budget), opt sets MaxDepth, or ℰ is larger than
+// opt.MaxConfigs, whose truncated walk only Frontier reproduces.
+// TestLemma3RoutesAgree holds the two routes to equal results.
 func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache) (Lemma3Result, error) {
 	if err := applicable(c, e); err != nil {
 		return Lemma3Result{}, err
 	}
-	classify := frontierClassifier(pr, c, opt, cache)
+	if cache == nil {
+		cache = NewCache(pr, opt)
+	}
+	cache.TryWarm(c)
+	if opt = opt.Normalized(); opt.MaxDepth == 0 {
+		if a, id, ok := cache.atlasFor(c); ok {
+			if res, ok := censusOnAtlas(a, id, e, opt.MaxConfigs); ok {
+				cache.hits.Add(int64(res.FrontierSize))
+				return res, nil
+			}
+		}
+	}
 	res := Lemma3Result{Event: e, DValencies: make(map[Valency]int)}
 	complete, err := Frontier(pr, c, e, opt, func(_, D *model.Config, path func() model.Schedule) bool {
 		res.FrontierSize++
-		v := classify(D)
+		v := cache.Classify(D).Valency
 		res.DValencies[v]++
 		if v == Bivalent && res.Sigma == nil {
 			res.BivalentFound = true
@@ -92,18 +111,125 @@ func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options
 	return res, err
 }
 
-// frontierClassifier classifies the members of D = e(ℰ) through a valency
-// cache — the caller's, or a private one. Every D lies in reach(C), and
-// the frontier's reachable sets overlap almost completely, so the cache is
-// warmed with one valency atlas over reach(C) answering all of them in
-// O(V+E) rather than one breadth-first search per member. TryWarm is a
-// no-op when a previous call already covered C and remembers over-budget
-// roots, so an unbounded protocol pays the failed sweep once and then
-// classifies per configuration within the budget.
-func frontierClassifier(pr model.Protocol, c *model.Config, opt Options, cache *Cache) func(*model.Config) Valency {
-	if cache == nil {
-		cache = NewCache(pr, opt)
+// censusOnAtlas is CensusLemma3 on recorded adjacency from node c: ℰ is
+// one frontier walk, each D = e(u) is u's row entry for e, its class is
+// the atlas's, and σ is the walk's tree path to the first member whose D
+// is bivalent. It refuses (ok=false) an ℰ larger than maxConfigs.
+func censusOnAtlas(a *Atlas, c int32, e model.Event, maxConfigs int) (res Lemma3Result, ok bool) {
+	w := a.frontier(c, e)
+	if len(w.order) > maxConfigs {
+		return Lemma3Result{}, false
 	}
-	cache.TryWarm(c)
-	return func(D *model.Config) Valency { return cache.Classify(D).Valency }
+	res = Lemma3Result{Event: e, FrontierSize: len(w.order), DValencies: make(map[Valency]int), Complete: true}
+	for _, u := range w.order {
+		v := a.ValencyAt(a.memberSucc(u, e))
+		res.DValencies[v]++
+		if v == Bivalent && res.Sigma == nil {
+			res.BivalentFound = true
+			res.Sigma = append(w.path(a, u), e)
+		}
+	}
+	return res, true
+}
+
+// Lemma3Tally is Lemma 3 over a whole atlas for one event e: the pairs
+// (C, e) with C a bivalent node at which e is applicable, how many of them
+// the lemma holds at — some configuration of D = e(ℰ) is bivalent — and a
+// blocking certificate for each of the rest.
+type Lemma3Tally struct {
+	Event    model.Event
+	Pairs    int
+	Holds    int
+	Failures []Lemma3Failure
+}
+
+// Lemma3Failure is a pair (C, e) at which Lemma 3 fails, with the
+// certificate the proof's Case 2 promises: a node C₀ in C's e-free reach
+// from which no run in which p = e.P takes no steps reaches a decision.
+// Crash p at C₀: every fair p-free run from there is admissible with one
+// fault, and none decides.
+type Lemma3Failure struct {
+	// C is the bivalent node and C0 the blocking node, both atlas ids.
+	C, C0 int32
+	P     model.PID
+	// Schedule runs from the atlas root to C₀: the root's shortest path
+	// to C, then a shortest e-free path from C.
+	Schedule model.Schedule
+}
+
+// Lemma3Atlas answers Lemma 3 for every bivalent node C of a and every
+// event e applicable at C, one tally per distinct event: each process's
+// null event and then the deliveries to it, in order of first appearance
+// on the atlas's rows.
+//
+// One backward pass per event decides every C at once: seed each node
+// whose e-successor is bivalent (for a null e with no row entry, e is a
+// no-op there and the seed is the node itself), and walk reverse edges
+// not Same as e. The lemma holds at (C, e) exactly when C is reached,
+// since ℰ is C's e-free reach. A failure's C₀ is the nearest node of that
+// reach where distDecidedAvoiding(e.P) is −1, found by a second pass over
+// the same edges; the proof's Case 2, with Lemma 1 and write-once outputs,
+// says one exists, so Lemma3Atlas panics if the model ever breaks that.
+func Lemma3Atlas(a *Atlas) []Lemma3Tally {
+	bivalent := func(id int32) bool { return a.ValencyAt(id) == Bivalent }
+	avoiding := make(map[model.PID][]int32) // distDecidedAvoiding, once per process
+	var tallies []Lemma3Tally
+	for _, e := range a.events() {
+		notE := func(ev model.Event) bool { return !ev.Same(e) }
+		holds := a.backwardBFS(func(u int32) bool {
+			d, ok := a.succByEvent(u, e)
+			return ok && bivalent(d)
+		}, notE)
+		t := Lemma3Tally{Event: e}
+		var blocked []int32
+		for c := int32(0); c < int32(a.Len()); c++ {
+			if !bivalent(c) {
+				continue
+			}
+			if _, ok := a.succByEvent(c, e); !ok {
+				continue // a delivery whose message is not pending at c
+			}
+			t.Pairs++
+			if holds[c] >= 0 {
+				t.Holds++
+				continue
+			}
+			if blocked == nil {
+				avoid, ok := avoiding[e.P]
+				if !ok {
+					avoid = a.distDecidedAvoiding(e.P)
+					avoiding[e.P] = avoid
+				}
+				blocked = a.backwardBFS(func(u int32) bool { return avoid[u] < 0 }, notE)
+			}
+			if blocked[c] < 0 {
+				panic(fmt.Sprintf("explore: Lemma 3 fails at node %d for %s with no blocking node in its reach; model invariant broken", c, e))
+			}
+			sigma, c0 := a.descendWhere(c, blocked, notE)
+			t.Failures = append(t.Failures, Lemma3Failure{C: c, C0: c0, P: e.P, Schedule: append(a.PathTo(c), sigma...)})
+		}
+		tallies = append(tallies, t)
+	}
+	return tallies
+}
+
+// events lists the atlas's distinct events: for each process, its null
+// event and then the deliveries to it, in order of first appearance on the
+// rows.
+func (a *Atlas) events() []model.Event {
+	n := a.Root().N()
+	deliveries := make([][]model.Event, n)
+	seen := make(map[model.Message]bool)
+	for _, ev := range a.g.SuccVia {
+		if !ev.IsNull() && !seen[*ev.Msg] {
+			seen[*ev.Msg] = true
+			deliveries[ev.P] = append(deliveries[ev.P], ev)
+		}
+	}
+	var out []model.Event
+	for p := range n {
+		out = append(out, model.NullEvent(model.PID(p)))
+		out = append(out, deliveries[p]...)
+	}
+	return out
 }

@@ -265,16 +265,24 @@ func (vc *Cache) store(h uint64, c *model.Config, info ValencyInfo) ValencyInfo 
 
 // atlasInfo answers c from an attached atlas, when one covers it.
 func (vc *Cache) atlasInfo(c *model.Config) (ValencyInfo, bool) {
-	atlases := vc.atlases.Load()
-	if atlases == nil {
+	a, id, ok := vc.atlasFor(c)
+	if !ok {
 		return ValencyInfo{}, false
 	}
-	for _, a := range *atlases {
-		if info, ok := a.Info(c); ok {
-			return info, true
+	return a.InfoAt(id), true
+}
+
+// atlasFor returns the first attached atlas that covers c, with c's node
+// id in it.
+func (vc *Cache) atlasFor(c *model.Config) (*Atlas, int32, bool) {
+	if atlases := vc.atlases.Load(); atlases != nil {
+		for _, a := range *atlases {
+			if id, ok := a.IDOf(c); ok {
+				return a, id, true
+			}
 		}
 	}
-	return ValencyInfo{}, false
+	return nil, 0, false
 }
 
 // Warm attaches atlas to the cache: every configuration in the atlas's
@@ -306,7 +314,7 @@ func (vc *Cache) Warm(atlas *Atlas) {
 
 // Covers reports whether an attached atlas answers c.
 func (vc *Cache) Covers(c *model.Config) bool {
-	_, ok := vc.atlasInfo(c)
+	_, _, ok := vc.atlasFor(c)
 	return ok
 }
 

@@ -364,8 +364,7 @@ func (q *jobQueue) readmit(rj *replayedJob, run jobFunc) bool {
 		q.m.queueDepth.Inc()
 		return true
 	default:
-		j.finish(StateFailed, nil, fmt.Errorf("serve: queue full during journal recovery"))
-		q.m.jobsTotal.With(string(j.Kind), string(StateFailed)).Inc()
+		q.settle(j, StateFailed, nil, fmt.Errorf("serve: queue full during journal recovery"))
 		return false
 	}
 }
@@ -437,8 +436,7 @@ func (q *jobQueue) worker() {
 			if q.draining.Load() {
 				// Admitted before the drain began, dequeued after: the
 				// drain promise is "queued jobs report canceled".
-				j.finish(StateCanceled, nil, errCanceled)
-				q.m.jobsTotal.With(string(j.Kind), string(StateCanceled)).Inc()
+				q.settle(j, StateCanceled, nil, errCanceled)
 				continue
 			}
 			q.runJob(j)
@@ -448,16 +446,16 @@ func (q *jobQueue) worker() {
 
 // runJob executes one job body and settles its terminal state.
 func (q *jobQueue) runJob(j *Job) {
+	started := time.Now()
 	j.mu.Lock()
 	j.state = StateRunning
-	j.started = time.Now()
+	j.started = started
 	j.wake()
 	j.mu.Unlock()
 	if q.jnl != nil {
 		q.jnl.append(journalRecord{Rec: recStarted, ID: j.ID}, false)
 	}
 	q.m.inflight.Inc()
-	defer q.m.inflight.Dec()
 
 	result, err := j.run(j.publish, q.draining.Load)
 	state := StateDone
@@ -467,12 +465,18 @@ func (q *jobQueue) runJob(j *Job) {
 	case err != nil:
 		state = StateFailed
 	}
-	j.finish(state, result, err)
+	q.m.inflight.Dec()
+	q.m.jobDuration.With(string(j.Kind)).Observe(time.Since(started).Seconds())
+	q.settle(j, state, result, err)
+}
+
+// settle counts j's terminal state in flpserve_jobs_total and then
+// finishes j. The order is the contract: finish wakes ?wait=1 waiters, and
+// a client that scrapes /metrics right after its answer must find its own
+// job counted (with its duration and inflight already settled by runJob).
+func (q *jobQueue) settle(j *Job, state JobState, result any, err error) {
 	q.m.jobsTotal.With(string(j.Kind), string(state)).Inc()
-	j.mu.Lock()
-	elapsed := j.finished.Sub(j.started)
-	j.mu.Unlock()
-	q.m.jobDuration.With(string(j.Kind)).Observe(elapsed.Seconds())
+	j.finish(state, result, err)
 }
 
 // Drain is the shutdown state machine: (1) stop admitting — Submit
@@ -498,8 +502,7 @@ func (q *jobQueue) cancelQueued() {
 		select {
 		case j := <-q.queue:
 			q.m.queueDepth.Dec()
-			j.finish(StateCanceled, nil, errCanceled)
-			q.m.jobsTotal.With(string(j.Kind), string(StateCanceled)).Inc()
+			q.settle(j, StateCanceled, nil, errCanceled)
 		default:
 			return
 		}

@@ -402,3 +402,27 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsCountJobBeforeAnswer scrapes /metrics right after each
+// ?wait=1 answer, many times over: the job that was just answered must
+// already be counted, its duration observed and nothing left in flight.
+// The queue counts a job before finish wakes its waiter.
+func TestMetricsCountJobBeforeAnswer(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	for i := 1; i <= 100; i++ {
+		var v JobView
+		postJSON(t, hs.URL+"/v1/census?wait=1", CensusRequest{Protocol: "2pc", N: 3}, &v)
+		if v.State != StateDone {
+			t.Fatalf("answer %d: job %s is %s", i, v.ID, v.State)
+		}
+		if got := scrapeCounter(t, hs.URL, `flpserve_jobs_total{kind="census",state="done"}`); got != float64(i) {
+			t.Fatalf("after answer %d, jobs_total counts %v census jobs done", i, got)
+		}
+		if got := scrapeCounter(t, hs.URL, `flpserve_job_duration_seconds_count{kind="census"}`); got != float64(i) {
+			t.Fatalf("after answer %d, job_duration_seconds observed %v census jobs", i, got)
+		}
+		if got := scrapeCounter(t, hs.URL, "flpserve_jobs_inflight"); got != 0 {
+			t.Fatalf("after answer %d, %v jobs in flight", i, got)
+		}
+	}
+}
