@@ -84,20 +84,8 @@ func BenchmarkE11Agreement(b *testing.B) {
 	benchExperiment(b, experiments.E11Agreement)
 }
 
-func BenchmarkE12FailureDetector(b *testing.B) {
-	benchExperiment(b, func() (*experiments.Table, error) {
-		return experiments.E12FailureDetector(8)
-	})
-}
-
 func BenchmarkE13StateSpace(b *testing.B) {
 	benchExperiment(b, experiments.E13StateSpace)
-}
-
-func BenchmarkE17Multivalued(b *testing.B) {
-	benchExperiment(b, func() (*experiments.Table, error) {
-		return experiments.E17Multivalued(4)
-	})
 }
 
 // BenchmarkE11ParallelExplore is the parallel-engine guardrail: the E11
@@ -262,20 +250,6 @@ func BenchmarkByzantineOM2(b *testing.B) {
 		}
 		if !res.IC1(cfg) {
 			b.Fatal("IC1 violated")
-		}
-	}
-}
-
-func BenchmarkDetectorConsensus(b *testing.B) {
-	in := flp.Inputs{0, 1, 1, 0, 1}
-	for i := 0; i < b.N; i++ {
-		opt := flp.FDOptions{N: 5, F: 2, Detector: flp.EventuallyAccurate{}, Lag: 3}
-		res, err := flp.RunWithDetector(opt, in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Agreement {
-			b.Fatal("detector consensus disagreed")
 		}
 	}
 }

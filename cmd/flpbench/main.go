@@ -1,8 +1,8 @@
-// Command flpbench regenerates the E1–E13 and E17 tables in
+// Command flpbench regenerates the E1–E11 and E13 tables in
 // EXPERIMENTS.md: one experiment per artifact of the paper (Lemmas 1-3,
 // Theorems 1-2, the commit window, and the contrast/escape systems the
-// paper cites). Engine performance is measured by `go run ./bench`, not
-// here.
+// paper cites). E12 and E14–E18 are retired and their numbers not
+// reused. Engine performance is measured by `go run ./bench`, not here.
 //
 // Usage:
 //
@@ -24,9 +24,9 @@ import (
 
 func main() {
 	var (
-		id         = flag.String("experiment", "all", "experiment id (E1..E13, E17) or 'all'")
+		id         = flag.String("experiment", "all", "experiment id (E1..E11, E13) or 'all'")
 		scale      = flag.Int("scale", 1, "multiply every trial and seed count (at least 1)")
-		seed       = flag.Int64("seed", 1, "base seed")
+		seed       = flag.Int64("seed", 1, "seed of the sampled runs in E1, E5 and E7; no other experiment reads it")
 		workers    = flag.Int("workers", 0, "exploration workers: sets GOMAXPROCS, the default worker count of every exploration (0 = leave as is)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -29,6 +29,7 @@ import (
 	"github.com/flpsim/flp/internal/conformance"
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
+	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
 	"github.com/flpsim/flp/internal/protogen"
 )
@@ -81,6 +82,9 @@ func main() {
 	pr, err := factory(*n)
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if err := model.CheckInputsN(pr.N()); err != nil {
+		fatalf("%v", err) // every mode loops over all 2^n roots
 	}
 	opt := flp.CheckOptions{MaxConfigs: *budget, Workers: *workers}
 	unbounded := protocols.Unbounded(*name)

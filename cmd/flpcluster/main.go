@@ -287,6 +287,9 @@ func parseProb(val string) (float64, error) {
 // commas allowed between the bits (0,1,1).
 func inputVectors(spec string, n int) ([]model.Inputs, error) {
 	if spec == "all" {
+		if err := model.CheckInputsN(n); err != nil {
+			return nil, err
+		}
 		return model.AllInputs(n), nil
 	}
 	in, err := model.ParseInputs(strings.ReplaceAll(spec, ",", ""))

@@ -41,7 +41,8 @@ func TestParseChaos(t *testing.T) {
 
 // TestInputVectors holds -inputs to model.ParseInputs's form (011), commas
 // allowed between the bits, and "all" to every vector. Each refusal names
-// what is wrong: the length, or the position that is not a bit.
+// what is wrong: the length, or the position that is not a bit; "all" at
+// an n whose vectors cannot be listed is refused too.
 func TestInputVectors(t *testing.T) {
 	for _, spec := range []string{"011", "0,1,1"} {
 		ins, err := inputVectors(spec, 3)
@@ -51,6 +52,11 @@ func TestInputVectors(t *testing.T) {
 	}
 	if ins, err := inputVectors("all", 3); err != nil || len(ins) != 8 {
 		t.Errorf("all: got %d vectors, %v; want 8", len(ins), err)
+	}
+	for _, n := range []int{-1, 1, 63, 64} {
+		if ins, err := inputVectors("all", n); err == nil || !strings.Contains(err.Error(), "needs 2 ≤ n") {
+			t.Errorf("all at n=%d: got %d vectors, %v; want a refusal", n, len(ins), err)
+		}
 	}
 	for _, tc := range []struct{ spec, want string }{
 		{"01", "has 2 values, want 3"},

@@ -96,12 +96,3 @@ func ExampleRunSync() {
 	fmt.Println(res.Rounds, res.Agreement, v)
 	// Output: 3 true 0
 }
-
-// Multivalued consensus reduces to binary instances: the paper's binary
-// restriction costs no generality.
-func ExampleRunMultivalued() {
-	opt := flp.MultivaluedOptions{N: 3, Seed: 1}
-	res, _ := flp.RunMultivalued(opt, []string{"install", "discard", "retry"})
-	fmt.Println(res.Agreement, res.Decisions[0] == res.Decisions[1])
-	// Output: true true
-}

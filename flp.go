@@ -92,7 +92,8 @@ func ApplySchedule(pr Protocol, c *Config, sigma Schedule) (*Config, error) {
 	return model.ApplySchedule(pr, c, sigma)
 }
 
-// AllInputs enumerates all 2^n input assignments.
+// AllInputs enumerates all 2^n input assignments. n must lie in
+// [2, 20], the bound every root loop checks before it lists them.
 func AllInputs(n int) []Inputs { return model.AllInputs(n) }
 
 // UniformInputs assigns v to every process.

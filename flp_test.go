@@ -120,16 +120,6 @@ func TestFacadeContrasts(t *testing.T) {
 }
 
 func TestFacadeEscapesAndExecutors(t *testing.T) {
-	// Failure-detector consensus through the facade.
-	opt := flp.FDOptions{N: 3, F: 1, Detector: flp.EventuallyAccurate{}, Lag: 2}
-	fres, err := flp.RunWithDetector(opt, flp.Inputs{0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fres.AllLiveDecided(opt) || !fres.Agreement {
-		t.Errorf("detector consensus: decided=%v agreement=%v", fres.AllLiveDecided(opt), fres.Agreement)
-	}
-
 	// 3PC and the diagram renderer.
 	pr := flp.NewThreePhaseCommit(3)
 	run, err := flp.Run(pr, flp.Inputs{1, 1, 1}, flp.NewRoundRobin(),

@@ -13,8 +13,6 @@ type Sizes struct {
 	E7Trials int
 	E9Runs   int
 	E10Seeds int
-	E12Seeds int
-	E17Seeds int
 	Seed     int64
 }
 
@@ -29,8 +27,6 @@ func DefaultSizes() Sizes {
 		E7Trials: 200,
 		E9Runs:   15,
 		E10Seeds: 20,
-		E12Seeds: 15,
-		E17Seeds: 10,
 		Seed:     1,
 	}
 }
@@ -45,8 +41,6 @@ func (s Sizes) Scaled(k int) Sizes {
 	s.E7Trials *= k
 	s.E9Runs *= k
 	s.E10Seeds *= k
-	s.E12Seeds *= k
-	s.E17Seeds *= k
 	return s
 }
 
@@ -70,9 +64,7 @@ func Suite(s Sizes) []Runner {
 		{"E9", func() (*Table, error) { return E9BenOr(s.E9Runs) }},
 		{"E10", func() (*Table, error) { return E10PartialSynchrony(s.E10Seeds) }},
 		{"E11", E11Agreement},
-		{"E12", func() (*Table, error) { return E12FailureDetector(s.E12Seeds) }},
 		{"E13", E13StateSpace},
-		{"E17", func() (*Table, error) { return E17Multivalued(s.E17Seeds) }},
 	}
 }
 

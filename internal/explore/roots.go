@@ -10,7 +10,8 @@ import (
 // and CheckPartialCorrectness: walk explores one root and returns what it
 // found, and yield consumes the results strictly in AllInputs order,
 // stopping the loop by returning false. A root whose initial configuration
-// cannot be built ends the loop with that error, as it would sequentially.
+// cannot be built ends the loop with that error, as it would sequentially;
+// an N whose roots cannot be listed (model.CheckInputsN) ends it first.
 //
 // With opt.Workers ≤ 1, or a single root, the roots are walked one after
 // another on the caller with opt itself, so each exploration keeps the
@@ -27,6 +28,9 @@ import (
 // which is the root the sequential loop would have panicked on.
 func eachRoot[R any](pr model.Protocol, opt Options, stoppable bool,
 	walk func(in model.Inputs, c *model.Config, opt Options) R, yield func(R) bool) error {
+	if err := model.CheckInputsN(pr.N()); err != nil {
+		return err
+	}
 	ins := model.AllInputs(pr.N())
 	n, workers := len(ins), opt.withDefaults().Workers
 	if workers <= 1 || n <= 1 {

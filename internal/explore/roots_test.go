@@ -11,6 +11,7 @@ import (
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // rootLoopWorkers are the worker counts the root loops are held to: the
@@ -211,5 +212,34 @@ func TestRootLoopPanicDeterminism(t *testing.T) {
 	}
 	if got, err := explore.CensusInitial(nm, explore.Options{Workers: 8}); err != nil || !reflect.DeepEqual(got, seq) {
 		t.Fatalf("after the panicking loops: census at 8 workers %+v (%v), want %+v", got, err, seq)
+	}
+}
+
+// TestRootLoopsRefuseHostileN holds both root loops to model.CheckInputsN:
+// an N below 2, or one whose 2^N roots cannot be listed, is an error before
+// any root is walked, at every worker count. Unchecked, AllInputs panics at
+// N = −1 and 63 and lists no root at N = 64.
+func TestRootLoopsRefuseHostileN(t *testing.T) {
+	walked := 0
+	classify := func(*model.Config, explore.Options) explore.ValencyInfo {
+		walked++
+		return explore.ValencyInfo{}
+	}
+	for _, n := range []int{-1, 0, 1, model.MaxInputsN + 1, 63, 64} {
+		for _, pr := range []model.Protocol{protocols.NewWaitAll(n), protocols.NewTwoPhaseCommit(n)} {
+			for _, w := range rootLoopWorkers {
+				opt := explore.Options{MaxConfigs: rootLoopBudget, Workers: w}
+				if census, err := explore.Census(pr, opt, classify, nil); err == nil {
+					t.Errorf("Census(%s, n=%d, workers %d) = %d roots, all exact %v; want an error",
+						pr.Name(), n, w, len(census.PerInput), census.AllExact)
+				}
+				if _, err := explore.CheckPartialCorrectness(pr, opt); err == nil {
+					t.Errorf("CheckPartialCorrectness(%s, n=%d, workers %d): want an error", pr.Name(), n, w)
+				}
+			}
+		}
+	}
+	if walked != 0 {
+		t.Errorf("%d roots walked at a refused N", walked)
 	}
 }

@@ -52,8 +52,25 @@ type Protocol interface {
 // vector.
 type Inputs []Value
 
+// MaxInputsN is the largest n whose input assignments a root loop lists.
+// AllInputs holds all 2^n of them at once, about 2^n · 48 bytes: 50 MB at
+// n = 20, the whole address space long before 1 << n stops counting them
+// at n = 63.
+const MaxInputsN = 20
+
+// CheckInputsN refuses an n whose input assignments cannot be listed:
+// below 2, which Initial refuses, or above MaxInputsN. A loop over
+// AllInputs(n) for an n it has not checked may panic or come back empty.
+func CheckInputsN(n int) error {
+	if n < 2 || n > MaxInputsN {
+		return fmt.Errorf("model: n = %d: a loop over all input assignments needs 2 ≤ n ≤ %d", n, MaxInputsN)
+	}
+	return nil
+}
+
 // AllInputs enumerates all 2^n input assignments for n processes, in
-// lexicographic order with process 0 as the most significant bit.
+// lexicographic order with process 0 as the most significant bit. n must
+// pass CheckInputsN.
 func AllInputs(n int) []Inputs {
 	total := 1 << n
 	all := make([]Inputs, 0, total)

@@ -122,9 +122,10 @@ type protocolKey struct {
 // resolveProtocol looks a protocol up exactly as the CLIs do — registry
 // names plus self-describing gen: names — and keeps what resolved, so each
 // (name, n) pays its lookup once: a gen: name re-derives and re-validates
-// its whole table on every resolution. Failures are not kept. Protocols
-// are immutable; the engines and the atlas cache already share them
-// across goroutines.
+// its whole table on every resolution. An n that model.CheckInputsN
+// refuses is refused on every endpoint, before any job work. Failures are
+// not kept. Protocols are immutable; the engines and the atlas cache
+// already share them across goroutines.
 func (s *Server) resolveProtocol(name string, n int) (model.Protocol, error) {
 	key := protocolKey{name, n}
 	if pr, ok := s.protocols.Load(key); ok {
@@ -136,6 +137,9 @@ func (s *Server) resolveProtocol(name string, n int) (model.Protocol, error) {
 	}
 	pr, err := factory(n)
 	if err != nil {
+		return nil, err
+	}
+	if err := model.CheckInputsN(pr.N()); err != nil {
 		return nil, err
 	}
 	s.protocols.Store(key, pr)

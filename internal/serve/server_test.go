@@ -368,6 +368,43 @@ func TestJobStatusAndErrors(t *testing.T) {
 	}
 }
 
+// TestHostileNRefused sends every endpoint a process count no root loop can
+// take, on every registered protocol (waitall, trivial0, 2pc, 3pc and benor
+// build at any n): each request must end in a refusal or a failed job, and
+// the server must still answer afterwards.
+func TestHostileNRefused(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	for _, proto := range protocols.Names() {
+		for _, n := range []int{-1, 63, 64} {
+			inputs := make([]int, max(n, 0))
+			reqs := map[string]any{
+				"census":    CensusRequest{Protocol: proto, N: n, Budget: 100},
+				"valency":   ValencyRequest{Protocol: proto, N: n, Inputs: inputs, Budget: 100},
+				"adversary": AdversaryRequest{Protocol: proto, N: n, Stages: 1},
+			}
+			for endpoint, req := range reqs {
+				var view struct {
+					State JobState `json:"state"`
+					Error string   `json:"error"`
+				}
+				resp := postJSON(t, hs.URL+"/v1/"+endpoint+"?wait=1", req, &view)
+				if resp.StatusCode != http.StatusOK {
+					continue // refused at admission
+				}
+				if view.State != StateFailed || view.Error == "" {
+					t.Errorf("%s %s n=%d: state %q error %q, want a failed job", endpoint, proto, n, view.State, view.Error)
+				}
+			}
+		}
+	}
+	var health struct {
+		Status string `json:"status"`
+	}
+	if resp := getJSON(t, hs.URL+"/healthz", &health); resp.StatusCode != http.StatusOK || health.Status != "ok" {
+		t.Errorf("healthz after hostile n: status %d %+v", resp.StatusCode, health)
+	}
+}
+
 // TestMetricsExposition checks /metrics speaks the exposition format and
 // carries the serving instruments after traffic.
 func TestMetricsExposition(t *testing.T) {
