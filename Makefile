@@ -152,14 +152,16 @@ bench-valency:
 # both values and one that runs all 39 runs, then one lemma-pipeline
 # adversary op per kernel,
 # then one cached valency answered over a loopback socket with the job
-# journal on disk (serve-mixed's hot request).
+# journal on disk (serve-mixed's hot request), then one paxos(3) atlas
+# artifact encoded and decoded (every cold save and warm load).
 # In adversary the pin is bytes per directed probe step; in fifo, zero
 # allocations for a send and a head delivery on a warm queue; in
 # protocols, one sends slice per Paxos step; in protogen, zero
 # allocations to validate a valid table; in serve, the allocations of one
-# hot request through Handler(). alloc-guards is the pins alone, the step
+# hot request through Handler(); in atlasstore, the allocations and bytes
+# of one artifact encode. alloc-guards is the pins alone, the step
 # CI runs, over the one package list both targets share.
-ALLOC_PKGS = ./internal/model ./internal/fifo ./internal/explore ./internal/distexplore ./internal/protocols ./internal/adversary ./internal/protogen ./internal/serve
+ALLOC_PKGS = ./internal/model ./internal/fifo ./internal/explore ./internal/distexplore ./internal/protocols ./internal/adversary ./internal/protogen ./internal/serve ./internal/atlasstore
 
 alloc-guards:
 	$(GO) test -run 'TestAllocs' -count=1 $(ALLOC_PKGS)
@@ -172,6 +174,7 @@ bench-alloc: alloc-guards
 	$(GO) test -bench 'BenchmarkProbeValencies' -benchmem -run '^$$' ./internal/explore
 	$(GO) test -bench 'BenchmarkAdversaryOp' -benchtime 12x -benchmem -run '^$$' ./internal/adversary
 	$(GO) test -bench 'BenchmarkServeHotValency' -benchmem -run '^$$' ./internal/serve
+	$(GO) test -bench 'BenchmarkEncodeArtifact|BenchmarkDecodeArtifact' -benchmem -run '^$$' ./internal/atlasstore
 
 # gofmt -l lists every file that is not gofmt-clean; the tree has none.
 vet:

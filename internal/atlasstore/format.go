@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
@@ -78,7 +79,8 @@ func corruptf(format string, args ...any) error {
 	return &corruptError{msg: fmt.Sprintf(format, args...)}
 }
 
-// encodeArtifact renders an artifact to its on-disk bytes.
+// encodeArtifact renders an artifact to its on-disk bytes, appended into
+// one buffer of exactly encodedSize bytes.
 func encodeArtifact(a *artifact) []byte {
 	snap := a.Snap
 	// Event dictionary: every distinct via label across both event
@@ -88,15 +90,14 @@ func encodeArtifact(a *artifact) []byte {
 	parentViaIdx := dict.column(snap.ParentVia)
 	succViaIdx := dict.column(snap.SuccVia)
 
-	var b []byte
+	b := make([]byte, 0, encodedSize(a, dict.events))
 	b = append(b, magic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, formatVersion)
 	var flags uint32
 	if snap.Complete {
 		flags |= flagComplete
 	}
-	hasDists := snap.Complete && len(snap.Dist0) == len(snap.Depth)
-	if hasDists {
+	if writesDists(snap) {
 		flags |= flagDists
 	}
 	if a.Run {
@@ -128,7 +129,7 @@ func encodeArtifact(a *artifact) []byte {
 	b = appendI32s(b, snap.SuccStart)
 	b = appendI32s(b, snap.SuccTo)
 	b = appendI32s(b, succViaIdx)
-	if hasDists {
+	if writesDists(snap) {
 		b = appendI32s(b, snap.Dist0)
 		b = appendI32s(b, snap.Dist1)
 	}
@@ -137,6 +138,53 @@ func encodeArtifact(a *artifact) []byte {
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	return b
 }
+
+// writesDists reports whether snap's artifact carries the two distance
+// columns: complete, with one distance per node.
+func writesDists(snap *explore.AtlasSnapshot) bool {
+	return snap.Complete && len(snap.Dist0) == len(snap.Depth)
+}
+
+// encodedSize is the exact length of a's encoding, dict being its event
+// dictionary: the capacity encodeArtifact gives its buffer, so that append
+// never regrows it.
+func encodedSize(a *artifact, dict []model.Event) int {
+	snap := a.Snap
+	n := len(magic) + 4 + 4 // magic, version, flags
+	// The counts V, X, E, D, then the identity.
+	for _, v := range []int{len(snap.Depth), len(snap.SuccStart) - 1, len(snap.SuccTo), len(dict)} {
+		n += uvarintLen(v)
+	}
+	n += prefixedLen(len(a.Key.Protocol)) + uvarintLen(a.Key.N) + prefixedLen(len(a.Key.RootKey))
+	if a.Run {
+		n += prefixedLen(len(a.Key.Avoid))
+		for _, v := range []int{a.Key.MaxConfigs, a.Key.MaxDepth, a.Start, a.Expanded} {
+			n += uvarintLen(v)
+		}
+	}
+	for _, e := range dict {
+		n += 1 + uvarintLen(int(e.P)) // tag, process
+		if e.Msg != nil {
+			n += uvarintLen(int(e.Msg.To)) + uvarintLen(int(e.Msg.From)) + prefixedLen(len(e.Msg.Body))
+		}
+	}
+	cols := len(snap.Depth) + len(snap.Parent) + len(snap.ParentVia) + len(snap.SuccStart) + len(snap.SuccTo) + len(snap.SuccVia)
+	if writesDists(snap) {
+		cols += len(snap.Dist0) + len(snap.Dist1)
+	}
+	n += 4 * cols
+	n += 8 * (len(snap.Keys) + 1)
+	for _, k := range snap.Keys {
+		n += len(k)
+	}
+	return n + 4 // CRC-32C trailer
+}
+
+// uvarintLen is the length of model.AppendUvarint(b, uint64(v)).
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
+// prefixedLen is the length of an n-byte string after its uvarint length.
+func prefixedLen(n int) int { return uvarintLen(n) + n }
 
 // decodeArtifact parses and validates on-disk bytes. Every failure is a
 // *corruptError; the caller (Store) logs, deletes, and rebuilds.
@@ -193,10 +241,10 @@ func decodeArtifact(b []byte) (*artifact, error) {
 	}
 	depth := readI32s(&r, "depth column", V)
 	parent := readI32s(&r, "parent column", V)
-	parentViaIdx := readI32s(&r, "parent event column", V)
+	parentViaIdx := r.Next("parent event column", 4*V)
 	succStart := readI32s(&r, "edge offset column", X+1)
 	succTo := readI32s(&r, "edge target column", E)
-	succViaIdx := readI32s(&r, "edge event column", E)
+	succViaIdx := r.Next("edge event column", 4*E)
 	var dist0, dist1 []int32
 	if hasDists {
 		dist0 = readI32s(&r, "distance-0 column", V)
@@ -347,37 +395,37 @@ func appendKeyTable(b []byte, keys [][]byte) []byte {
 }
 
 // readKeyTable decodes the key table of a V-node artifact, which ends the
-// checksummed body. r's sticky error also covers the columns read just
-// before it.
+// checksummed body, reading its V+1 offsets in place: each key aliases the
+// blob. r's sticky error also covers the columns read just before it.
 func readKeyTable(r *model.Reader, V int) ([][]byte, error) {
-	p := r.Next("key offsets", 8*(V+1))
+	off := r.Next("key offsets", 8*(V+1))
 	if err := r.Err(); err != nil {
 		return nil, corruptf("columns: %v", err)
 	}
-	keyOff := make([]uint64, V+1)
-	for i := range keyOff {
-		keyOff[i] = binary.LittleEndian.Uint64(p[8*i:])
-	}
-	blobLen := keyOff[V]
+	blobLen := binary.LittleEndian.Uint64(off[8*V:])
 	if blobLen != uint64(r.Len()) {
 		return nil, corruptf("key blob of %d bytes, %d remain", blobLen, r.Len())
 	}
 	keyBlob := r.Next("key blob", int(blobLen))
 	keys := make([][]byte, V)
+	lo := binary.LittleEndian.Uint64(off)
 	for i := range keys {
-		lo, hi := keyOff[i], keyOff[i+1]
+		hi := binary.LittleEndian.Uint64(off[8*(i+1):])
 		if lo > hi || hi > blobLen {
 			return nil, corruptf("key offsets not monotonic")
 		}
 		keys[i] = keyBlob[lo:hi]
+		lo = hi
 	}
 	return keys, nil
 }
 
-// viaColumn resolves dictionary indices to events, bounds-checked.
-func viaColumn(idx []int32, dict []model.Event) ([]model.Event, error) {
-	out := make([]model.Event, len(idx))
-	for i, j := range idx {
+// viaColumn resolves a column of little-endian int32 dictionary indices,
+// read in place from the frame, to events, bounds-checked.
+func viaColumn(idx []byte, dict []model.Event) ([]model.Event, error) {
+	out := make([]model.Event, len(idx)/4)
+	for i := range out {
+		j := int32(binary.LittleEndian.Uint32(idx[4*i:]))
 		if j < 0 || int(j) >= len(dict) {
 			return nil, corruptf("event index %d out of dictionary range %d", j, len(dict))
 		}

@@ -5,7 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/flpsim/flp/internal/explore"
@@ -315,6 +318,91 @@ func BenchmarkEncodeArtifact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(lineageBytes(pr, root, snap)) == 0 {
 			b.Fatal("empty artifact")
+		}
+	}
+}
+
+// artifactSize is the capacity encodeArtifact allocates for a: encodedSize
+// over a's own event dictionary.
+func artifactSize(a *artifact) int {
+	var dict eventDict
+	dict.column(a.Snap.ParentVia)
+	dict.column(a.Snap.SuccVia)
+	return encodedSize(a, dict.events)
+}
+
+// checkSizedOnce fails unless a encodes into the one buffer artifactSize
+// sizes, and fills it: a size short by a byte would make append regrow the
+// buffer, and a size long by one would leave a slack that could hide a
+// later shortfall.
+func checkSizedOnce(t *testing.T, what string, a *artifact) {
+	t.Helper()
+	b, size := encodeArtifact(a), artifactSize(a)
+	if len(b) != size || cap(b) != size {
+		t.Fatalf("%s: %d bytes encoded into a buffer of capacity %d, %d sized", what, len(b), cap(b), size)
+	}
+}
+
+// TestArtifactSizedOnce holds encodeArtifact to one allocation of its
+// output over every registry protocol's seed artifacts (complete with
+// distances, and truncated) and ckFixture's run checkpoint with and without
+// its ledger flag, under an avoided event, so that the run cursor, Avoid and
+// a delivery in the dictionary are all sized.
+func TestArtifactSizedOnce(t *testing.T) {
+	for _, name := range protocols.Names() {
+		pr, root := registryRoot(t, name)
+		for i, snap := range registrySeeds(pr, root) {
+			checkSizedOnce(t, fmt.Sprintf("%s seed %d (complete=%v)", name, i, snap.Complete),
+				&artifact{Key: lineage(pr, root), RunCheckpoint: RunCheckpoint{Snap: snap}})
+		}
+	}
+	key, ck := ckFixture()
+	key.Avoid = string(model.AppendEvent(nil, ck.Snap.ParentVia[2]))
+	for _, truncated := range []bool{true, false} {
+		ck.Truncated = truncated
+		checkSizedOnce(t, fmt.Sprintf("ckFixture (truncated=%v)", truncated), &artifact{Key: key, Run: true, RunCheckpoint: *ck})
+	}
+}
+
+// TestReadKeyTableInPlace holds the key table, whose offsets are read in
+// place from the frame, to its checks: keys are the blob's slices between
+// consecutive offsets, and non-monotone offsets, an offset past the blob, a
+// blob length that is not what remains, and a short offset table are all
+// corrupt.
+func TestReadKeyTableInPlace(t *testing.T) {
+	blob := []byte("abcdefghi")
+	table := func(offs ...uint64) []byte {
+		var b []byte
+		for _, o := range offs {
+			b = binary.LittleEndian.AppendUint64(b, o)
+		}
+		return append(b, blob...)
+	}
+	r := model.NewReader(table(0, 3, 4, 6, 9))
+	keys, err := readKeyTable(&r, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(keys, []byte("|")); string(got) != "abc|d|ef|ghi" {
+		t.Fatalf("keys %q, want abc|d|ef|ghi", got)
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+		V    int
+		want string
+	}{
+		{"non-monotone offsets", table(0, 4, 3, 6, 9), 4, "key offsets not monotonic"},
+		{"an offset past the blob", table(0, 3, 12, 6, 9), 4, "key offsets not monotonic"},
+		{"the first offset past the blob", table(12, 12, 9), 2, "key offsets not monotonic"},
+		{"a blob length that is not what remains", table(0, 3, 4, 6, 8), 4, "key blob of 8 bytes, 9 remain"},
+		{"a short offset table", table(0, 9)[:12], 1, "columns: key offsets"},
+	} {
+		r := model.NewReader(c.in)
+		_, err := readKeyTable(&r, c.V)
+		var ce *corruptError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want a corruptError naming %q", c.name, err, c.want)
 		}
 	}
 }

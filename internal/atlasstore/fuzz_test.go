@@ -12,12 +12,13 @@ import (
 
 // The disk decoder under native fuzzing, held to one invariant on arbitrary
 // bytes: a *corruptError, or a value with no column longer than the input
-// that re-encodes and decodes to equal columns; never a panic. Both file
-// kinds — atlas artifacts and run checkpoints — are this one format, and it
-// ends in a CRC-32C trailer, so nearly every mutation of a seed would die
-// in openFrame. Each input is therefore decoded twice: as given, and with
-// its trailer recomputed, which lets the fuzzer reach the header,
-// dictionary, column and key-table checks behind the checksum.
+// that re-encodes, into one buffer sized once, and decodes to equal
+// columns; never a panic. Both file kinds — atlas artifacts and run
+// checkpoints — are this one format, and it ends in a CRC-32C trailer, so
+// nearly every mutation of a seed would die in openFrame. Each input is
+// therefore decoded twice: as given, and with its trailer recomputed, which
+// lets the fuzzer reach the header, dictionary, column and key-table checks
+// behind the checksum.
 
 // resealed returns b with its last four bytes replaced by the CRC-32C of
 // the rest.
@@ -66,6 +67,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 				len(snap.SuccTo), len(snap.SuccVia), len(snap.Keys), len(snap.Dist0), len(snap.Dist1)); longest > len(b) {
 				t.Fatalf("a column of %d entries decoded from %d bytes", longest, len(b))
 			}
+			checkSizedOnce(t, "the decoded value's re-encoding", art)
 			back, err := decodeArtifact(encodeArtifact(art))
 			if err != nil {
 				t.Fatalf("the decoded value re-encodes to bytes that do not decode: %v", err)

@@ -20,14 +20,6 @@ type EnsembleResult struct {
 	MaxRun     int
 }
 
-// DecisionRate returns the fraction of runs that fully decided.
-func (e EnsembleResult) DecisionRate() float64 {
-	if e.Runs == 0 {
-		return 0
-	}
-	return float64(e.Decided) / float64(e.Runs)
-}
-
 // MeanSteps returns the mean step count of deciding runs.
 func (e EnsembleResult) MeanSteps() float64 {
 	if e.Decided == 0 {

@@ -41,9 +41,6 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Steps returns the total number of steps taken.
 func (s *Sim) Steps() int { return s.steps }
 
-// StepsOf returns the number of steps taken by p.
-func (s *Sim) StepsOf(p model.PID) int { return s.stepsBy[p] }
-
 // Alive reports whether p may still take steps: crashed processes (and
 // initially dead ones, which crash at step 0) never do. This is the
 // paper's crash-stop fault: a dead process is indistinguishable from a

@@ -218,8 +218,8 @@ func TestRunManyAggregation(t *testing.T) {
 	if agg.Runs != 10 || agg.Decided != 10 || agg.Blocked != 0 {
 		t.Errorf("agg = %+v", agg)
 	}
-	if agg.DecisionRate() != 1.0 {
-		t.Errorf("DecisionRate = %v", agg.DecisionRate())
+	if agg.Decided != agg.Runs {
+		t.Errorf("%d of %d runs decided, want all", agg.Decided, agg.Runs)
 	}
 	if agg.MeanSteps() <= 0 || agg.MaxRun <= 0 {
 		t.Errorf("steps stats wrong: mean=%v max=%d", agg.MeanSteps(), agg.MaxRun)
@@ -240,14 +240,14 @@ func TestRunManyCountsBlockedRuns(t *testing.T) {
 	if agg.Blocked != 5 || agg.Decided != 0 {
 		t.Errorf("agg = %+v, want all blocked", agg)
 	}
-	if agg.DecisionRate() != 0 || agg.MeanSteps() != 0 {
-		t.Errorf("rates on blocked ensemble: %v, %v", agg.DecisionRate(), agg.MeanSteps())
+	if agg.Decided != 0 || agg.Runs != 5 || agg.MeanSteps() != 0 {
+		t.Errorf("rates on blocked ensemble: %d of %d decided, mean steps %v", agg.Decided, agg.Runs, agg.MeanSteps())
 	}
 }
 
 func TestEnsembleZeroRuns(t *testing.T) {
 	var agg runtime.EnsembleResult
-	if agg.DecisionRate() != 0 || agg.MeanSteps() != 0 {
+	if agg.Decided != 0 || agg.Runs != 0 || agg.MeanSteps() != 0 {
 		t.Error("zero-run ensemble produced nonzero rates")
 	}
 }
