@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/flpsim/flp/internal/distexplore"
@@ -49,14 +50,26 @@ func (d *Divergence) Error() string {
 type cluster struct {
 	cl        *distexplore.Cluster
 	listeners []distexplore.Listener
+	workers   []*distexplore.Worker
+	serving   sync.WaitGroup
 }
 
+// close stops the fleet and returns once every worker has stopped: the
+// coordinator hangs up, each worker drains and stops accepting, and each
+// waits out its connections. Stopped this way, the Cluster and Workers hand
+// the memory they grew to the next leg's (distexplore.Cluster.Close,
+// Worker.Wait), so only the first cluster a process builds starts cold.
 func (c *cluster) close() {
 	if c.cl != nil {
 		c.cl.Close()
 	}
-	for _, l := range c.listeners {
+	for i, l := range c.listeners {
+		c.workers[i].Drain()
 		l.Close()
+	}
+	c.serving.Wait()
+	for _, w := range c.workers {
+		w.Wait()
 	}
 }
 
@@ -83,9 +96,14 @@ func startCluster(tr, dialTr distexplore.Transport, names []string) (*cluster, e
 			c.close()
 			return nil, fmt.Errorf("conformance: worker listen %q: %w", name, err)
 		}
-		c.listeners = append(c.listeners, l)
+		w := distexplore.NewWorker(nil)
+		c.listeners, c.workers = append(c.listeners, l), append(c.workers, w)
 		addrs = append(addrs, l.Addr())
-		go distexplore.NewWorker(nil).Serve(l)
+		c.serving.Add(1)
+		go func() {
+			defer c.serving.Done()
+			w.Serve(l)
+		}()
 	}
 	cl, err := distexplore.Dial(dialTr, addrs, rpcOptions())
 	if err != nil {

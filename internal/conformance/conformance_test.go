@@ -203,3 +203,19 @@ func FuzzConformanceBenOr(f *testing.F) {
 		runFuzzCase(t, seed, d, inBits)
 	})
 }
+
+// BenchmarkCheck runs one case through every leg, as each input vector of
+// flpcheck's conformance sweep and each case of flpgen's checks does: the
+// reference, the in-process engines, the atlas, and two distributed legs,
+// each on a fresh three-worker cluster that is stopped before the next.
+// With -benchmem it reads what a check allocates once the process has run
+// one: from the second check on, each leg's cluster starts with the memory
+// the last one grew.
+func BenchmarkCheck(b *testing.B) {
+	c := enginetest.Case{Protocol: "paxos", N: 3, Inputs: enginetest.Alternating(3), Options: explore.Options{MaxConfigs: 400}}
+	for i := 0; i < b.N; i++ {
+		if err := conformance.Check(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -159,26 +159,30 @@ var ErrInterrupted = errors.New("distexplore: exploration interrupted at a level
 
 // workerConn is the coordinator's view of one worker: its address, the
 // current connection (nil while down; re-dialed on demand after failures),
-// and the worker's private jitter PRNG (calls to one worker are serialized,
-// so no lock). req is the buffer its dedup and adopt requests are encoded
-// into: phases never overlap and one returns only after its calls have, so
-// each overwrites the last.
-//
-// The buffers responses are read into belong to the connection too, and
-// outlive runs. Every response but an expand's is decoded before the next
-// call to the worker, into resp. An expand response's candidates alias the
-// buffer they were read into until their chunk is admitted, and an expand
-// re-issued to a promoted standby reaches a worker a second time within one
-// chunk, so the chunk's n-th expand call to the worker reads into
-// expands[n]; expandPhase starts the count over (nexp) for each chunk.
+// the worker's private jitter PRNG, built at its first retry (calls to one
+// worker are serialized, so no lock), and the buffers its calls work in.
 type workerConn struct {
 	addr string
 	framer
-	rng     *rand.Rand
+	rng *rand.Rand
+	callBufs
+	nexp int
+}
+
+// callBufs are the buffers one worker's calls work in. req is the buffer
+// its dedup and adopt requests are encoded into: phases never overlap and
+// one returns only after its calls have, so each overwrites the last. Every
+// response but an expand's is decoded before the next call to the worker,
+// into resp. An expand response's candidates alias the buffer they were
+// read into until their chunk is admitted, and an expand re-issued to a
+// promoted standby reaches a worker a second time within one chunk, so the
+// chunk's n-th expand call to the worker reads into expands[n]; expandPhase
+// starts the count over (nexp) for each chunk. They outlive runs, and go
+// with the run memory to the next Cluster (clusterMem).
+type callBufs struct {
 	req     []byte
 	resp    []byte
 	expands [][]byte
-	nexp    int
 }
 
 // readBuf returns the buffer the response to a typ request is read into.
@@ -207,9 +211,9 @@ type Cluster struct {
 	interrupted atomic.Bool
 	stats       RunStats
 
-	// mem is what a run works in and no result outlives, handed from one
-	// run to the next (run.go).
-	mem runMem
+	// mem is what runs work in and no result outlives, handed from one run
+	// to the next (run.go): borrowed by the first run, given back by Close.
+	mem *clusterMem
 }
 
 // RunStats are recovery-relevant counters of the most recent Explore call,
@@ -247,13 +251,8 @@ func Dial(tr Transport, addrs []string, opt RPCOptions) (*Cluster, error) {
 		return nil, fmt.Errorf("distexplore: no worker addresses")
 	}
 	cl := &Cluster{tr: tr, opt: opt.withDefaults()}
-	for i, a := range addrs {
-		// Worker i's retry jitter comes from its own PRNG seeded 1+i, so a
-		// retry schedule replays exactly.
-		cl.workers = append(cl.workers, &workerConn{
-			addr: a,
-			rng:  rand.New(rand.NewSource(1 + int64(i))),
-		})
+	for _, a := range addrs {
+		cl.workers = append(cl.workers, &workerConn{addr: a})
 	}
 	for i := range cl.workers {
 		if err := cl.redial(i); err != nil {
@@ -264,8 +263,11 @@ func Dial(tr Transport, addrs []string, opt RPCOptions) (*Cluster, error) {
 	return cl, nil
 }
 
-// Close drops every worker connection. Worker processes keep running and
-// can serve future coordinators.
+// Close drops every worker connection and gives the memory the Cluster's
+// runs worked in back to the process, for the next Cluster to start warm
+// (clusterMem). Worker processes keep running and can serve future
+// coordinators. A closed Cluster may explore again: it re-dials its
+// workers on demand and borrows afresh. Close must not run during Explore.
 func (cl *Cluster) Close() error {
 	for _, wc := range cl.workers {
 		if wc.conn != nil {
@@ -273,6 +275,7 @@ func (cl *Cluster) Close() error {
 			wc.conn = nil
 		}
 	}
+	cl.giveBack()
 	return nil
 }
 
@@ -308,6 +311,11 @@ func (cl *Cluster) call(w int, typ byte, payload []byte) (byte, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cl.opt.Retries; attempt++ {
 		if attempt > 0 {
+			if wc.rng == nil {
+				// Worker w's retry jitter comes from its own PRNG seeded
+				// 1+w, so a retry schedule replays exactly.
+				wc.rng = rand.New(rand.NewSource(1 + int64(w)))
+			}
 			time.Sleep(backoffDelay(cl.opt.RetryBackoff, max(maxRetryBackoff, cl.opt.RetryBackoff), attempt, wc.rng))
 		}
 		if wc.conn == nil {

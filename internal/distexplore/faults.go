@@ -124,7 +124,11 @@ func (ft *FaultyTransport) Dial(addr string, timeout time.Duration) (net.Conn, e
 	if err != nil {
 		return nil, err
 	}
-	return &faultConn{Conn: c, ft: ft, addr: addr, rng: rand.New(rand.NewSource(seed))}, nil
+	fc := &faultConn{Conn: c, ft: ft, addr: addr}
+	if p := ft.plan; p.DropProb > 0 || p.TruncateProb > 0 || p.DelayProb > 0 {
+		fc.rng = rand.New(rand.NewSource(seed)) // only the probabilistic faults draw
+	}
+	return fc, nil
 }
 
 func (ft *FaultyTransport) kill(addr string) {
@@ -175,7 +179,7 @@ type faultConn struct {
 	net.Conn
 	ft   *FaultyTransport
 	addr string
-	rng  *rand.Rand
+	rng  *rand.Rand // nil unless the plan has a probabilistic fault
 
 	wbuf      []byte
 	wdeadline time.Time

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,10 +17,13 @@ import (
 )
 
 // A worker's visited interner outlives the job and a connection's payload
-// buffers outlive the request. The tests below hold the three things that
-// makes unsafe if done wrong: a job must not see the last job's visited
-// keys, a connection must not see another connection's bytes, and the job
-// must not keep a reference into a request it has answered.
+// buffers outlive the request; all of it, and a Cluster's run memory, goes
+// on to the next Worker, connection or Cluster in the process. The tests
+// below hold the things that makes unsafe if done wrong: a job must not see
+// the last job's visited keys, a connection must not see another
+// connection's bytes, the job must not keep a reference into a request it
+// has answered, and a cluster must not see anything of one that came before
+// it or runs beside it.
 
 // TestJobsBackToBackOnOneCluster runs four jobs on one long-lived cluster —
 // the third is the first again, so every key it dedups was interned by a
@@ -346,5 +350,287 @@ func TestFailoverKeepsExpandBuffers(t *testing.T) {
 	}
 	if !reissued {
 		t.Error("no worker was asked twice for one chunk: the test does not reach what it is about")
+	}
+}
+
+// ownedCluster is a loopback cluster whose workers the test holds. stop
+// ends it the way a shutdown does: the coordinator closed, the listeners
+// closed, every worker drained and waited — so the Cluster and every Worker
+// hand their memory back to the process, for the next cluster to borrow.
+type ownedCluster struct {
+	*Cluster
+	listeners []Listener
+	workers   []*Worker
+	serving   sync.WaitGroup
+	once      sync.Once
+}
+
+// startOwned boots one worker per address on tr, dials them, and stops the
+// cluster at the end of the test unless the test stopped it first.
+func startOwned(t testing.TB, tr Transport, addrs []string, opt RPCOptions) *ownedCluster {
+	t.Helper()
+	c := &ownedCluster{}
+	t.Cleanup(c.stop)
+	var dial []string
+	for _, a := range addrs {
+		l, err := tr.Listen(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorker(nil)
+		c.listeners, c.workers, dial = append(c.listeners, l), append(c.workers, w), append(dial, l.Addr())
+		c.serving.Add(1)
+		go func() {
+			defer c.serving.Done()
+			w.Serve(l)
+		}()
+	}
+	cl, err := Dial(tr, dial, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Cluster = cl
+	return c
+}
+
+func (c *ownedCluster) stop() {
+	c.once.Do(func() {
+		if c.Cluster != nil {
+			c.Close()
+		}
+		for _, l := range c.listeners {
+			l.Close()
+		}
+		c.serving.Wait()
+		for _, w := range c.workers {
+			w.Drain()
+			w.Wait()
+		}
+	})
+}
+
+// successionStep is one cluster of a succession: a task, and how the
+// cluster dies.
+type successionStep struct {
+	label string
+	task  Task
+	kill  bool // worker 1 is killed by script as level 3 opens
+	crash bool // the coordinator crashes as level 2 opens; a second cluster resumes
+}
+
+// succession is a run of differently shaped clusters: protocols and process
+// counts, shards 1, 4 and 6, replicas 1 and 2, an avoided event, a prefix, a
+// killed worker, and a crashed coordinator whose run another cluster
+// resumes.
+func succession(t *testing.T) []successionStep {
+	byName := map[string]enginetest.Case{}
+	for _, c := range enginetest.Cases(t) {
+		byName[c.Name] = c
+	}
+	avoid, prefix := byName["naivemajority-avoid-budget400"], byName["naivemajority-prefix2-budget300"]
+	if avoid.Avoid == nil || len(prefix.Prefix) == 0 {
+		t.Fatal("the case table lost its avoid or prefix case")
+	}
+	budget := func(name string, n, max, shards, replicas int) Task {
+		return Task{Protocol: name, N: n, Inputs: enginetest.Alternating(n), Shards: shards, Replicas: replicas,
+			Options: explore.Options{MaxConfigs: max}}
+	}
+	withShape := func(tk Task, shards, replicas int) Task {
+		tk.Shards, tk.Replicas = shards, replicas
+		return tk
+	}
+	return []successionStep{
+		{label: "paxos(3)@400, 6 shards, R=2", task: budget("paxos", 3, 400, 6, 2)},
+		{label: "naivemajority(3) whole, 1 shard, R=1", task: budget("naivemajority", 3, 0, 1, 1)},
+		{label: "naivemajority(3) avoiding an event, 4 shards, R=2", task: withShape(taskOf(avoid), 4, 2)},
+		{label: "onethird(4)@400, worker killed, 6 shards, R=2", task: budget("onethird", 4, 400, 6, 2), kill: true},
+		{label: "naivemajority(3) from a prefix, 6 shards, R=1", task: withShape(taskOf(prefix), 6, 1)},
+		{label: "naivemajority(4)@400, coordinator crashed and resumed, 6 shards, R=2", task: budget("naivemajority", 4, 400, 6, 2), crash: true},
+		{label: "2pc(3) whole, 4 shards, R=1", task: budget("2pc", 3, 0, 4, 1)},
+		{label: "paxos(3)@600, 4 shards, R=2", task: budget("paxos", 3, 600, 4, 2)},
+	}
+}
+
+// runSuccession runs every step on a fresh cluster, each stopped — closed,
+// drained and waited — before the next starts, and holds each run to the
+// reference stream, visit paths included.
+func runSuccession(t *testing.T) {
+	workers := []string{"s0", "s1", "s2"}
+	for _, st := range succession(t) {
+		ref := reference(t, st.task)
+		var got enginetest.Stream
+		switch {
+		case st.kill:
+			ft := NewFaultyTransport(NewLoopback(), FaultPlan{KillAddr: workers[1], KillLevel: 3})
+			c := startOwned(t, ft, workers, failoverOptions())
+			got = record(t, c.Cluster, st.task)
+			c.stop()
+			ft.mu.Lock()
+			killed := ft.killed[workers[1]]
+			ft.mu.Unlock()
+			if !killed {
+				t.Fatalf("%s: worker 1 was never killed", st.label)
+			}
+		case st.crash:
+			tk := st.task
+			tk.Checkpoints = openCheckpoints(t, t.TempDir())
+			ft := NewFaultyTransport(NewLoopback(), FaultPlan{CoordKillLevel: 2})
+			c := startOwned(t, ft, workers, failoverOptions())
+			if _, _, err := c.Explore(tk, nil); err == nil || !ft.coordKilled() {
+				t.Fatalf("%s: the coordinator was not killed (run ended with %v)", st.label, err)
+			}
+			c.stop()
+			tk.Resume = true
+			c = startOwned(t, NewLoopback(), workers, failoverOptions())
+			got = record(t, c.Cluster, tk)
+			if c.RunStats().ResumedLevel < 0 {
+				t.Fatalf("%s: the second cluster found no checkpoint", st.label)
+			}
+			c.stop()
+		default:
+			c := startOwned(t, NewLoopback(), workers, failoverOptions())
+			got = record(t, c.Cluster, st.task)
+			c.stop()
+		}
+		mustAgree(t, st.label, ref, got)
+	}
+}
+
+// TestSuccessiveClustersShareNothing is the hazard of handing memory from a
+// stopped Cluster, Worker or connection to the next one: every cluster of a
+// succession borrows what the one before it grew — run memory, call and
+// payload buffers, visited interners and scratch, a killed worker's and a
+// crashed coordinator's included — and must answer exactly as the reference
+// does. The second leg runs two successions at once, so two live clusters
+// borrow from and give back to the same spares.
+func TestSuccessiveClustersShareNothing(t *testing.T) {
+	t.Run("one", runSuccession)
+	t.Run("two-at-once", func(t *testing.T) {
+		for i := range 2 {
+			t.Run(fmt.Sprint(i), func(t *testing.T) {
+				t.Parallel()
+				runSuccession(t)
+			})
+		}
+	})
+}
+
+// TestClusterExploresAfterClose: Close gives the Cluster's memory back, and
+// a closed Cluster explored again re-dials, borrows afresh and answers as
+// before.
+func TestClusterExploresAfterClose(t *testing.T) {
+	lb := NewLoopback()
+	addrs, _ := startWorkers(t, lb, []string{"a0", "a1", "a2"})
+	cl := dialCluster(t, lb, addrs, failoverOptions())
+	for i, k := range []int{1, 3, 1} {
+		k := budgetKernels[k]
+		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+			Options: explore.Options{MaxConfigs: k.budget}}
+		mustAgree(t, fmt.Sprintf("run %d, closed after each", i+1), reference(t, task), record(t, cl, task))
+		if cl.mem == nil {
+			t.Fatalf("run %d: the cluster runs on no memory of its own", i+1)
+		}
+		cl.Close()
+		if cl.mem != nil {
+			t.Fatalf("run %d: Close kept the cluster's memory", i+1)
+		}
+	}
+}
+
+// rawCall sends one request frame on c and reads the response.
+func rawCall(t *testing.T, c net.Conn, typ byte, payload []byte) (byte, []byte) {
+	t.Helper()
+	f := framer{conn: c}
+	deadline := time.Now().Add(5 * time.Second)
+	if err := f.write(deadline, typ, payload); err != nil {
+		t.Fatal(err)
+	}
+	rtyp, resp, err := f.read(deadline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rtyp, resp
+}
+
+// serveOn serves w on a new loopback endpoint and returns a connection to
+// it and the listener; the loop has ended when served is closed.
+func serveOn(t *testing.T, lb *Loopback, w *Worker, addr string) (net.Conn, Listener, <-chan struct{}) {
+	t.Helper()
+	l, err := lb.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		w.Serve(l)
+	}()
+	c, err := lb.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, l, served
+}
+
+// startJob installs a naivemajority(3) job on the worker behind c.
+func startJob(t *testing.T, c net.Conn) {
+	t.Helper()
+	req := initReq{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}, Shards: 1, WorkerCount: 1, Replicas: 1}
+	if rtyp, resp := rawCall(t, c, frameInit, req.encode()); rtyp != frameOK {
+		t.Fatalf("init answered 0x%02x: %s", rtyp, resp)
+	}
+}
+
+// held reports whether w holds a job and memory for jobs.
+func (w *Worker) held() (job, mem bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.job != nil, w.mem != nil
+}
+
+var expandLevel0 = (&expandReq{Level: 0, Lo: 0, Hi: 1, Shards: []int{0}}).encode()
+
+// TestWorkerServedAgainAfterDrain: Wait after Drain drops the job a killed
+// connection left behind and gives the worker's memory back; a coordinator
+// that re-dials the worker, served again, is told it has no job.
+func TestWorkerServedAgainAfterDrain(t *testing.T) {
+	lb := NewLoopback()
+	w := NewWorker(nil)
+	c, l, served := serveOn(t, lb, w, "d0")
+	startJob(t, c)
+	c.Close() // the connection dies with the job active
+	w.Drain()
+	l.Close()
+	<-served
+	w.Wait()
+	if job, mem := w.held(); job || mem {
+		t.Fatalf("after Drain and Wait the worker holds a job: %v, memory: %v; want neither", job, mem)
+	}
+	c, l, served = serveOn(t, lb, w, "d1")
+	defer func() { c.Close(); l.Close(); <-served; w.Wait() }()
+	rtyp, resp := rawCall(t, c, frameExpand, expandLevel0)
+	if rtyp != frameErr || !strings.Contains(string(resp), "expand without an active job") {
+		t.Fatalf("a re-dialed coordinator's expand was answered 0x%02x %q, want the no-active-job error", rtyp, resp)
+	}
+}
+
+// TestWorkerWaitWithoutDrainKeepsTheJob: Wait alone hands nothing back — a
+// coordinator that re-dials finds the job it left.
+func TestWorkerWaitWithoutDrainKeepsTheJob(t *testing.T) {
+	lb := NewLoopback()
+	w := NewWorker(nil)
+	c, l, served := serveOn(t, lb, w, "e0")
+	startJob(t, c)
+	c.Close()
+	l.Close()
+	<-served
+	w.Wait()
+	if job, mem := w.held(); !job || !mem {
+		t.Fatalf("Wait without Drain left the worker holding a job: %v, memory: %v; want both", job, mem)
+	}
+	c, l, served = serveOn(t, lb, w, "e1")
+	defer func() { c.Close(); l.Close(); <-served; w.Wait() }()
+	if rtyp, resp := rawCall(t, c, frameExpand, expandLevel0); rtyp != frameExpandResp {
+		t.Fatalf("a re-dialed coordinator's expand was answered 0x%02x %q, want an expand response", rtyp, resp)
 	}
 }

@@ -60,7 +60,8 @@ type run struct {
 // slices of the expand, merge, dedup and adopt phases. Nothing outside the
 // run reads it after Explore returns — a visit's path is valid only during
 // its visit (explore.Visit) and the checkpoint write-behind drains first —
-// so the next run overwrites it.
+// so the next run overwrites it, on this Cluster or, through clusterMems,
+// on the next.
 type runMem struct {
 	depth, parent []int32
 	via           []model.Event
@@ -86,6 +87,48 @@ type runMem struct {
 	touched  []bool         // adopt: by shard
 }
 
+// clusterMem is everything a Cluster works in and outlives no run: the run
+// memory and each worker's call buffers, by worker index.
+type clusterMem struct {
+	run   runMem
+	calls []callBufs
+}
+
+// clusterMems holds the memory of closed Clusters for the next one, so a
+// cluster dialled for one job — each distributed leg of conformance.Check,
+// a replacement after a crash, a resume — starts as warm as a long-lived one
+// instead of growing every buffer again. A Cluster borrows once, at its
+// first run, and gives back in Close.
+var clusterMems spares[clusterMem]
+
+// borrow takes a clusterMem from clusterMems, or a new one, and hands its
+// call buffers to the workers.
+func (cl *Cluster) borrow() {
+	cl.mem = clusterMems.get()
+	if cl.mem == nil {
+		cl.mem = &clusterMem{run: runMem{first: make(map[uint64]int)}}
+	}
+	for i := range min(len(cl.mem.calls), len(cl.workers)) {
+		cl.workers[i].callBufs = cl.mem.calls[i]
+	}
+}
+
+// giveBack collects the workers' call buffers into the Cluster's memory and
+// hands it to clusterMems.
+func (cl *Cluster) giveBack() {
+	m := cl.mem
+	if m == nil {
+		return
+	}
+	m.calls = m.calls[:0]
+	for _, wc := range cl.workers {
+		m.calls = append(m.calls, wc.callBufs)
+		wc.callBufs = callBufs{}
+	}
+	cl.mem = nil
+	clusterMems.put(m)
+}
+
 // keepNodes bounds what runMem keeps: the columns of a run that admitted
 // more nodes are left to the collector, so a long-lived cluster that once
 // ran a huge job does not hold its table for every small one after it.
@@ -108,10 +151,10 @@ func (cl *Cluster) newRun(t Task, visit explore.Visit) (*run, error) {
 	if shards <= 0 {
 		shards = W
 	}
-	m := &cl.mem
-	if m.first == nil {
-		m.first = make(map[uint64]int)
+	if cl.mem == nil {
+		cl.borrow()
 	}
+	m := &cl.mem.run
 	r := &run{
 		cl: cl, t: t, eopt: t.Options.Normalized(), visit: visit, pr: pr, root: root,
 		rs: newReplicaSet(shards, W, ReplicaCount(t.Replicas, W)),

@@ -52,7 +52,7 @@ func TestVisitedSlope(t *testing.T) {
 			sum := 0
 			for i, w := range workers {
 				w.mu.Lock()
-				counts[i] = w.visited.Len()
+				counts[i] = w.mem.visited.Len()
 				w.mu.Unlock()
 				sum += counts[i]
 			}

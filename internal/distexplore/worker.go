@@ -165,14 +165,9 @@ type Worker struct {
 
 	mu  sync.Mutex
 	job *job
-	// visited backs every job's visited set in turn: frameInit empties it
-	// (the tables and one arena chunk per shard stay) instead of building
-	// another. The scratch beside it outlives jobs the same way: what
-	// expandLevel works in, and the slices the dedup and adopt requests are
-	// decoded into.
-	visited *model.Interner
-	exp     expandScratch
-	req     reqScratch
+	// mem is what every job works in, borrowed at the first frameInit and
+	// given back by Wait after Drain; nil before and after.
+	mem *workerMem
 
 	// draining is set by Drain: every connection finishes its in-flight
 	// request, writes the response, and closes. handlers tracks live
@@ -185,6 +180,30 @@ type Worker struct {
 	connMu   sync.Mutex
 	conns    map[*connState]struct{}
 }
+
+// workerMem is the memory a Worker's jobs work in and no job outlives.
+// visited backs every job's visited set in turn: frameInit empties it (the
+// tables and one arena chunk per shard stay) instead of building another.
+// The scratch beside it outlives jobs the same way: what expandLevel works
+// in, and the slices the dedup and adopt requests are decoded into.
+type workerMem struct {
+	visited *model.Interner
+	exp     expandScratch
+	req     reqScratch
+}
+
+// workerMems holds the memory of drained Workers for the next Worker in the
+// process, so a worker started after another stopped (each distributed leg
+// of conformance.Check starts three) is as warm as the one it replaces. A
+// Worker borrows once, at its first job, and gives back in Wait after Drain.
+var workerMems spares[workerMem]
+
+// payloadBufs are one connection's request and response payload buffers.
+type payloadBufs struct{ req, resp []byte }
+
+// connPayloads holds the payload buffers of finished connections for the
+// next connection's handler.
+var connPayloads spares[payloadBufs]
 
 // expandScratch is the memory expandLevel works in, recycled across calls:
 // the events of the node being expanded, the draft of the step being taken,
@@ -229,7 +248,7 @@ func NewWorker(provider ProtocolProvider) *Worker {
 	if provider == nil {
 		provider = RegistryProvider
 	}
-	return &Worker{provider: provider, visited: model.NewInterner(), exp: expandScratch{emitted: make(map[uint64]int)}}
+	return &Worker{provider: provider}
 }
 
 // workerWriteTimeout bounds response writes so a stalled coordinator
@@ -260,7 +279,7 @@ func (w *Worker) Serve(l Listener) error {
 // Combined with closing the listener, this lets a worker process exit
 // cleanly mid-run — with replication the coordinator promotes standbys and
 // the run continues; without it the run aborts with the usual lost-worker
-// diagnostic.
+// diagnostic. The job and the memory jobs work in are kept until Wait.
 func (w *Worker) Drain() {
 	w.draining.Store(true)
 	w.connMu.Lock()
@@ -275,8 +294,25 @@ func (w *Worker) Drain() {
 }
 
 // Wait blocks until every connection goroutine has finished (use after
-// Drain plus closing the listener).
-func (w *Worker) Wait() { w.handlers.Wait() }
+// Drain plus closing the listener). After Drain it then drops the job —
+// one a killed connection left behind too — and gives the memory jobs
+// work in back to the process, for the next Worker (workerMem); a Worker
+// served again starts with no job, so a coordinator that re-dials it is
+// told it has none. Without Drain, Wait hands nothing back: the job stays
+// for a coordinator that re-dials.
+func (w *Worker) Wait() {
+	w.handlers.Wait()
+	if !w.draining.Load() {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.endJob()
+	if w.mem != nil {
+		workerMems.put(w.mem)
+		w.mem = nil
+	}
+}
 
 // RequestsServed reports how many requests this worker has answered,
 // for shutdown summaries.
@@ -288,26 +324,32 @@ func (w *Worker) RequestsServed() int64 { return w.served.Load() }
 // buffers are per connection: req is overwritten by the next request —
 // dispatch copies what the job keeps — and resp by the next expand response;
 // they are the connection's, not the worker's, because the dying connection
-// may still be writing its response while the re-dialed one dispatches.
+// may still be writing its response while the re-dialed one dispatches. The
+// connection borrows them from connPayloads and gives them back when it
+// ends, after its last write.
 func (w *Worker) handle(cs *connState) {
 	defer w.handlers.Done()
+	b := connPayloads.get()
+	if b == nil {
+		b = new(payloadBufs)
+	}
 	defer func() {
 		w.connMu.Lock()
 		delete(w.conns, cs)
 		w.connMu.Unlock()
 		cs.conn.Close()
+		connPayloads.put(b)
 	}()
-	var req, resp []byte
 	for {
 		var typ byte
 		var err error
-		if typ, req, err = cs.read(time.Time{}, req); err != nil {
+		if typ, b.req, err = cs.read(time.Time{}, b.req); err != nil {
 			return // connection gone; the coordinator will re-dial or abort
 		}
 		cs.mu.Lock()
 		cs.busy = true
 		cs.mu.Unlock()
-		rtyp, rpayload := w.dispatch(typ, req, &resp)
+		rtyp, rpayload := w.dispatch(typ, b.req, &b.resp)
 		w.served.Add(1)
 		werr := cs.write(time.Now().Add(workerWriteTimeout), rtyp, rpayload)
 		cs.mu.Lock()
@@ -359,8 +401,8 @@ func (w *Worker) dispatch(typ byte, payload []byte, resp *[]byte) (byte, []byte)
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: dedup without an active job"))
 		}
-		level, lo, groups, err := decodeDedupReq(payload, w.req.groups)
-		w.req.groups = groups
+		level, lo, groups, err := decodeDedupReq(payload, w.mem.req.groups)
+		w.mem.req.groups = groups
 		if err != nil {
 			return fail(err)
 		}
@@ -373,8 +415,8 @@ func (w *Worker) dispatch(typ byte, payload []byte, resp *[]byte) (byte, []byte)
 		if w.job == nil {
 			return fail(fmt.Errorf("distexplore: adopt without an active job"))
 		}
-		_, foreign, nodes, err := decodeAdoptReq(payload, w.req.foreign, w.req.nodes)
-		w.req.foreign, w.req.nodes = foreign, nodes
+		_, foreign, nodes, err := decodeAdoptReq(payload, w.mem.req.foreign, w.mem.req.nodes)
+		w.mem.req.foreign, w.mem.req.nodes = foreign, nodes
 		if err != nil {
 			return fail(err)
 		}
@@ -406,7 +448,13 @@ func (w *Worker) initJob(req *initReq) error {
 		return err
 	}
 	w.endJob()
-	w.visited.Reset()
+	if w.mem == nil {
+		w.mem = workerMems.get()
+		if w.mem == nil {
+			w.mem = &workerMem{visited: model.NewInterner(), exp: expandScratch{emitted: make(map[uint64]int)}}
+		}
+	}
+	w.mem.visited.Reset()
 	w.job = &job{
 		pr:          pr,
 		root:        root,
@@ -415,7 +463,7 @@ func (w *Worker) initJob(req *initReq) error {
 		workerCount: req.WorkerCount,
 		workerIndex: req.WorkerIndex,
 		replicas:    req.Replicas,
-		visited:     w.visited,
+		visited:     w.mem.visited,
 		frontier:    make(map[int][]ownedNode),
 		levelCache:  make(map[uint64]*model.Config),
 		cacheLevel:  -1,
@@ -429,11 +477,14 @@ func (w *Worker) initJob(req *initReq) error {
 // scratch's storage for the next job.
 func (w *Worker) endJob() {
 	w.job = nil
-	x := &w.exp
+	if w.mem == nil {
+		return
+	}
+	x := &w.mem.exp
 	clear(x.evs[:cap(x.evs)])
 	clear(x.cands[:cap(x.cands)])
 	x.dr.Reset()
-	clear(w.req.replayed[:cap(w.req.replayed)])
+	clear(w.mem.req.replayed[:cap(w.mem.req.replayed)])
 }
 
 // expandLevel expands one chunk of a level — the frontier nodes of the
@@ -458,7 +509,7 @@ func (w *Worker) endJob() {
 // Each (node, event) costs one Protocol.Step, as in the reference loop. The
 // response is appended to resp.
 func (w *Worker) expandLevel(req *expandReq, resp []byte) ([]byte, error) {
-	j, x := w.job, &w.exp
+	j, x := w.job, &w.mem.exp
 	j.pruneBelow(req.Level)
 	if j.cacheLevel != req.Level {
 		clear(j.levelCache) // keep the buckets, drop the entries
@@ -530,8 +581,8 @@ func (x *expandScratch) offer(j *job, c candidate, d *model.Draft) {
 func (w *Worker) dedupChunk(id chunkID, groups []shardGroup) []byte {
 	j := w.job
 	j.pruneBelow(id.level)
-	out := resize(w.req.fresh, len(groups))
-	w.req.fresh = out
+	out := resize(w.mem.req.fresh, len(groups))
+	w.mem.req.fresh = out
 	for gi, g := range groups {
 		fresh := shardIndices{Shard: g.Shard, Fresh: out[gi].Fresh[:0]}
 		for i, k := range g.Keys {
@@ -560,8 +611,8 @@ func (w *Worker) dedupChunk(id chunkID, groups []shardGroup) []byte {
 // that is neither held nor shipped is an error, never a guess.
 func (w *Worker) adoptNodes(foreign []foreignParent, nodes []adoptNode) error {
 	j := w.job
-	replayed := resize(w.req.replayed, len(foreign))
-	w.req.replayed = replayed
+	replayed := resize(w.mem.req.replayed, len(foreign))
+	w.mem.req.replayed = replayed
 	clear(replayed)
 	// step materializes nd from where it came: the job root at depth 0,
 	// otherwise its parent stepped by the transmitted event.
@@ -624,6 +675,7 @@ func (w *Worker) adoptNodes(foreign []foreignParent, nodes []adoptNode) error {
 // the worker's scratch, not cached on cfg: a configuration built from a
 // draft carries none, and the frontier keeps configurations, not keys.
 func (w *Worker) keyIs(cfg *model.Config, key []byte) bool {
-	w.req.key = cfg.AppendKey(w.req.key[:0])
-	return bytes.Equal(w.req.key, key)
+	r := &w.mem.req
+	r.key = cfg.AppendKey(r.key[:0])
+	return bytes.Equal(r.key, key)
 }
