@@ -56,7 +56,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: flpcluster <worker|explore> [flags]")
 	fmt.Fprintln(os.Stderr, "  flpcluster worker   -listen 127.0.0.1:9001")
-	fmt.Fprintln(os.Stderr, "  flpcluster explore  -cluster host:port,host:port|loopback:W -protocol naivemajority -n 3 [-inputs 011|all] [-shards S] [-replicas R] [-chaos spec] [-checkpoint-dir D [-resume]] [-rejoin-wait DUR] [-kill-at-level L]")
+	fmt.Fprintln(os.Stderr, "  flpcluster explore  -cluster host:port,host:port|loopback:W -protocol naivemajority -n 3 [-inputs 011|all] [-shards S] [-replicas R] [-chaos spec] [-checkpoint-dir D [-resume]] [-kill-at-level L]")
 	fmt.Fprintln(os.Stderr, "  chaos spec: comma-separated keys seed=N drop=P delay=P delayfor=DUR trunc=P kill=WORKER@LEVEL")
 	os.Exit(2)
 }
@@ -114,7 +114,6 @@ func runExplore(args []string) {
 		chaos       = fs.String("chaos", "", "deterministic fault plan, e.g. seed=1,drop=0.02,kill=1@3")
 		ckDir       = fs.String("checkpoint-dir", "", "directory for durable level-boundary checkpoints ('' = checkpointing off)")
 		resume      = fs.Bool("resume", false, "restart from the newest matching checkpoint in -checkpoint-dir instead of from scratch")
-		rejoinWait  = fs.Duration("rejoin-wait", 0, "how long to wait for a replacement worker when a shard loses its last replica (0 = abort immediately)")
 		killAtLevel = fs.Int("kill-at-level", 0, "SIGKILL this coordinator right after writing the level-N boundary checkpoint (crash injection for recovery drills)")
 	)
 	fs.Parse(args)
@@ -154,7 +153,7 @@ func runExplore(args []string) {
 			fmt.Fprintf(os.Stderr, "flpcluster: "+format+"\n", args...)
 		})
 	}
-	cl, err := distexplore.Dial(tr, addrs, distexplore.RPCOptions{RejoinWait: *rejoinWait})
+	cl, err := distexplore.Dial(tr, addrs, distexplore.RPCOptions{})
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -216,11 +215,7 @@ func runExplore(args []string) {
 				fmt.Printf("    recovery: resumed at level %d (%d nodes restored); %d of %d expansions done live\n",
 					st.ResumedLevel, st.ResumedNodes, st.LiveExpanded, st.ExpandedNodes)
 			}
-			fmt.Printf("    checkpoints: %d boundary checkpoints written", st.Checkpoints)
-			if st.Rejoined > 0 {
-				fmt.Printf("; %d workers rejoined mid-run", st.Rejoined)
-			}
-			fmt.Println()
+			fmt.Printf("    checkpoints: %d boundary checkpoints written\n", st.Checkpoints)
 		}
 		done++
 	}

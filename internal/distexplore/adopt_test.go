@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
@@ -17,7 +16,7 @@ import (
 // node itself steps it once from its parent, which it holds when it
 // replicates the parent's shard and is otherwise shipped, once per request,
 // as a root schedule. The tests below count the protocol steps that costs on
-// whole runs, through a rejoin backfill and through a resume backfill, and
+// whole runs and through a resume backfill, and
 // drive one worker by hand through every way an adopt request can be wrong.
 
 // adoptAudit reads a cluster's frames off a tap and works out, from the
@@ -225,33 +224,12 @@ func TestExpandIsOneStepPerEvent(t *testing.T) {
 	}
 }
 
-// TestAdoptionIsOneStepThroughBackfill holds the two backfills to the same
-// bound — they send the level loop's frame, level by level, to workers that
-// computed nothing themselves: TestRejoinReplacementWorker's scenario (the
-// sole replica of a shard killed at level 2 and replaced), and a resume from
-// a checkpoint on a fresh cluster.
+// TestAdoptionIsOneStepThroughBackfill holds the resume backfill to the same
+// bound — it sends the level loop's frame, level by level, to workers of a
+// fresh cluster that computed nothing themselves.
 func TestAdoptionIsOneStepThroughBackfill(t *testing.T) {
 	task := recoveryTask()
 	ref := reference(t, task)
-
-	t.Run("rejoin", func(t *testing.T) {
-		task := task
-		task.Replicas = 1
-		var ft *FaultyTransport
-		opt := failoverOptions()
-		opt.RejoinWait = 15 * time.Second
-		cl, audit := countedCluster(t, task.Protocol, task.N, func(tr Transport) Transport {
-			ft = NewFaultyTransport(tr, FaultPlan{KillAddr: "a1", KillLevel: 2})
-			return ft
-		}, opt)
-		timer := time.AfterFunc(50*time.Millisecond, func() { ft.Revive("a1") })
-		defer timer.Stop()
-		mustAgree(t, "rejoin", ref, record(t, cl, task))
-		if cl.RunStats().Rejoined == 0 {
-			t.Error("run completed without the replacement worker rejoining")
-		}
-		audit.check(t, "rejoin")
-	})
 
 	t.Run("resume", func(t *testing.T) {
 		cks := openCheckpoints(t, t.TempDir())

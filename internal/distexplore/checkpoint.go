@@ -55,8 +55,15 @@ func (r *run) restore() (start int, ok bool) {
 	r.cl.stats.ResumedNodes = r.nodes.Len()
 	r.cl.stats.ResumedLevel = level
 	r.cl.stats.ExpandedNodes = ck.Expanded
-	r.ckDesc = fmt.Sprintf("last-good checkpoint: level %d in %s", level, r.t.Checkpoints.Dir())
+	r.lastGood(level)
 	return ck.Start, true
+}
+
+// lastGood names the checkpoint of level's boundary in the coverage-loss
+// diagnostic, with the operator's next command.
+func (r *run) lastGood(level int) {
+	r.ckDesc = fmt.Sprintf("last-good checkpoint: level %d in %s; rerun with Resume (flpcluster -resume)",
+		level, r.t.Checkpoints.Dir())
 }
 
 // resume brings the workers and the caller level with a restored table.
@@ -68,7 +75,7 @@ func (r *run) restore() (start int, ok bool) {
 // deterministic for resume to be transparent).
 func (r *run) resume(start int) error {
 	if !r.led.Sealed() {
-		if err := r.adoptedLevels(r.wcfgs, r.adoptPhase); err != nil {
+		if err := r.adoptedLevels(); err != nil {
 			return err
 		}
 	}
@@ -76,6 +83,34 @@ func (r *run) resume(start int) error {
 		if r.visitNode(i) {
 			return errStopped
 		}
+	}
+	return nil
+}
+
+// adoptedLevels adopts the restored node table into the workers the way the
+// run adopted it: one batch per level, in admission order, depth-capped
+// levels skipped because the run never adopted them, identities taken from
+// the replayed configurations.
+func (r *run) adoptedLevels() error {
+	n := r.nodes.Len()
+	for lo := 0; lo < n; {
+		hi, d := lo, r.nodes.Depth[lo]
+		for hi < n && r.nodes.Depth[hi] == d {
+			hi++
+		}
+		if !r.eopt.DepthCapped(int(d)) {
+			adopts := make([]adoptNode, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				adopts = append(adopts, adoptNode{
+					Index: uint64(i), Depth: uint64(d), wireKey: identityOf(r.wcfgs[i]),
+					Parent: uint64(max(r.nodes.Parent[i], 0)), Via: r.nodes.ParentVia[i],
+				})
+			}
+			if err := r.adoptPhase(int(d), adopts); err != nil {
+				return err
+			}
+		}
+		lo = hi
 	}
 	return nil
 }
@@ -107,7 +142,7 @@ func (r *run) boundary(start, end int) error {
 	}
 	r.ckw.enqueue(func() { r.save(ck, cfgs) })
 	r.cl.stats.Checkpoints++
-	r.ckDesc = fmt.Sprintf("last-good checkpoint: level %d in %s", r.level, r.t.Checkpoints.Dir())
+	r.lastGood(r.level)
 	if r.t.CheckpointHook != nil {
 		r.ckw.flush() // the hook may crash the process; the boundary must be on disk first
 		if err := r.t.CheckpointHook(r.level); err != nil {

@@ -6,9 +6,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
@@ -18,7 +18,7 @@ import (
 
 // The cluster walks a level in budget-sized chunks of parent indices and
 // drops duplicate candidates where they are born. The tests below pin what
-// that must not change (answers, under failover and rejoin in the middle of
+// that must not change (answers, under failover and resume in the middle of
 // a chunked level), what it must bound (protocol steps, wire bytes,
 // allocation), and the (level, lo) idempotency guard it needs.
 
@@ -159,18 +159,19 @@ func TestKillInsideChunkedLevel(t *testing.T) {
 	}
 }
 
-// TestRejoinInsideChunkedLevel loses the only replica of a shard (R = 1)
-// between two chunks of a level that is not the last. The replacement is
-// backfilled with everything admitted so far — the nodes the level's first
-// chunk admitted included, which no worker has adopted yet — serves the
-// remaining chunks, and then receives the level's one adopt batch, which
-// overlaps the backfill. Adoption is idempotent per node, so nothing lands
-// in its frontier twice and nothing is missed, and the level after is
-// expanded exactly as the oracle expands it.
-func TestRejoinInsideChunkedLevel(t *testing.T) {
+// TestLostShardInsideChunkedLevelResumes loses the only replica of a shard
+// (R = 1) between two chunks of a level that is not the last, with
+// checkpoints on. A lost worker is lost for the run, so the run aborts. The
+// nodes the level's first chunk admitted were never adopted and no
+// checkpoint holds them: the way back is a resume from the level's
+// boundary on a fresh cluster, which walks the level again from its first
+// chunk and must end with the oracle's stream, paths included, expanding
+// live only what lies past the restored prefix.
+func TestLostShardInsideChunkedLevelResumes(t *testing.T) {
 	task := Task{Protocol: "naivemajority", N: 4, Inputs: enginetest.Alternating(4),
 		Options: explore.Options{MaxConfigs: 1000}, Shards: 6, Replicas: 1}
 	ref := reference(t, task)
+	task.Checkpoints = openCheckpoints(t, t.TempDir())
 	workers := []string{"r0", "r1", "r2"}
 	tap := &frameTap{Transport: NewLoopback()}
 	ft := NewFaultyTransport(tap, FaultPlan{})
@@ -178,24 +179,28 @@ func TestRejoinInsideChunkedLevel(t *testing.T) {
 	var listeners []*trackingListener
 	watchChunks(tap, func(_ string, q *expandReq, first bool) {
 		if killedAt < 0 && !first {
-			// Sever the worker's connection and refuse re-dials for a while:
-			// a process that died and is replaced on the same address.
+			// Sever the worker's connection and refuse every re-dial: a
+			// process that died and stays dead.
 			killedAt = q.Level
 			ft.kill(workers[1])
 			listeners[1].killConns()
-			time.AfterFunc(50*time.Millisecond, func() { ft.Revive(workers[1]) })
 		}
 	})
 	addrs, listeners := startWorkers(t, ft, workers)
-	opt := failoverOptions()
-	opt.RejoinWait = 15 * time.Second
-	cl := dialCluster(t, ft, addrs, opt)
-	mustAgree(t, "rejoin-inside-chunked-level", ref, record(t, cl, task))
+	cl := dialCluster(t, ft, addrs, failoverOptions())
+	if _, _, err := cl.Explore(task, nil); err == nil || !strings.Contains(err.Error(), "no live replica left") {
+		t.Fatalf("losing a shard's only replica ended the run with %v, want the coverage-loss abort", err)
+	}
 	if killedAt < 0 || killedAt >= ref.Visits[len(ref.Visits)-1].Depth-1 {
 		t.Fatalf("the worker was lost at level %d, want inside a chunked level before the last expanded one", killedAt)
 	}
-	if st := cl.RunStats(); st.Rejoined == 0 {
-		t.Error("run completed without the replacement worker rejoining")
+	got, st := resumeRun(t, task, task.Checkpoints)
+	mustAgree(t, "resume-after-loss-inside-chunked-level", ref, got)
+	if st.ResumedLevel != killedAt {
+		t.Errorf("resumed at level %d, want %d, the level the shard was lost in", st.ResumedLevel, killedAt)
+	}
+	if st.LiveExpanded >= st.ExpandedNodes {
+		t.Errorf("resume re-expanded the restored prefix: live %d of %d total", st.LiveExpanded, st.ExpandedNodes)
 	}
 }
 

@@ -27,19 +27,8 @@ type RPCOptions struct {
 	Retries int
 	// RetryBackoff is the base of the retry backoff: the backoff ceiling
 	// doubles from it on each attempt, up to maxRetryBackoff (or
-	// RetryBackoff, if larger). It is also the interval between
-	// replacement-worker dial attempts during a RejoinWait. Default 50ms.
+	// RetryBackoff, if larger). Default 50ms.
 	RetryBackoff time.Duration
-	// RejoinWait, when positive, converts a shard-coverage loss (every
-	// replica of some shard dead) from a hard abort into a bounded wait: the
-	// coordinator polls the dead workers' addresses until a replacement
-	// process answers, re-initializes it, backfills the admitted state for
-	// every shard it replicates, and retries the failed phase — results stay
-	// byte-identical because the backfill reconstructs exactly the state a
-	// live replica would hold at the level boundary. On timeout the run
-	// aborts with the usual coverage-loss diagnostic, extended with how long
-	// it waited. 0 (the default) preserves the abort-immediately behaviour.
-	RejoinWait time.Duration
 }
 
 // maxRetryBackoff caps the retry backoff ceiling so repeated retries never
@@ -236,8 +225,6 @@ type RunStats struct {
 	ResumedLevel int
 	// Checkpoints is how many level-boundary checkpoints this run wrote.
 	Checkpoints int
-	// Rejoined is how many replacement workers were re-admitted mid-run.
-	Rejoined int
 }
 
 // RunStats reports the counters of the most recent Explore call. Like

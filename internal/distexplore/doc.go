@@ -74,7 +74,9 @@
 // over to their standbys and the run continues byte-identically; when a
 // shard's entire replica chain is gone (always, at R = 1) the exploration
 // aborts with a diagnostic error rather than hanging or silently
-// re-exploring. Worker-reported errors (integrity failures) abort without
+// re-exploring; with Task.Checkpoints set, the error names the last boundary
+// checkpoint written, if any, and Task.Resume is the way back.
+// Worker-reported errors (integrity failures) abort without
 // failover — an answering worker is not crashed, and promoting its standby
 // would mask real divergence.
 //

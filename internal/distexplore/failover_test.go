@@ -152,8 +152,10 @@ func TestReplicasOneKillAborts(t *testing.T) {
 	if err == nil {
 		t.Fatal("R=1 exploration succeeded despite a killed worker")
 	}
-	if !strings.Contains(err.Error(), "lost") {
-		t.Fatalf("error does not identify the lost worker: %v", err)
+	for _, want := range []string{"lost", "no live replica left", "at level", "checkpointing disabled"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("diagnostic missing %q: %v", want, err)
+		}
 	}
 }
 

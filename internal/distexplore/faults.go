@@ -37,9 +37,10 @@ type FaultPlan struct {
 
 	// KillAddr names a worker (by dial address) to kill: the first frame
 	// addressed to it that carries a level ≥ KillLevel is discarded, the
-	// connection is severed, and every later dial to the address fails —
-	// indistinguishable, from the coordinator's side, from the worker
-	// process crashing at that level. Empty means no kill.
+	// connection is severed, and every later dial to the address fails for
+	// the transport's life — indistinguishable, from the coordinator's side,
+	// from the worker process crashing at that level and never coming back.
+	// Empty means no kill.
 	KillAddr  string
 	KillLevel int
 
@@ -80,7 +81,6 @@ type FaultyTransport struct {
 
 	mu        sync.Mutex
 	killed    map[string]bool
-	revived   map[string]bool
 	dials     map[string]int
 	coordDead bool
 }
@@ -91,11 +91,10 @@ func NewFaultyTransport(inner Transport, plan FaultPlan) *FaultyTransport {
 		plan.Seed = 1
 	}
 	return &FaultyTransport{
-		inner:   inner,
-		plan:    plan,
-		killed:  make(map[string]bool),
-		revived: make(map[string]bool),
-		dials:   make(map[string]int),
+		inner:  inner,
+		plan:   plan,
+		killed: make(map[string]bool),
+		dials:  make(map[string]int),
 	}
 }
 
@@ -135,23 +134,6 @@ func (ft *FaultyTransport) kill(addr string) {
 	ft.mu.Lock()
 	ft.killed[addr] = true
 	ft.mu.Unlock()
-}
-
-// Revive clears a scripted worker kill: dials to addr succeed again and the
-// plan's KillAddr script does not re-fire for it — modeling a replacement
-// process taking over the dead worker's address. The replacement starts
-// blank; the coordinator's rejoin path re-initializes and backfills it.
-func (ft *FaultyTransport) Revive(addr string) {
-	ft.mu.Lock()
-	delete(ft.killed, addr)
-	ft.revived[addr] = true
-	ft.mu.Unlock()
-}
-
-func (ft *FaultyTransport) isRevived(addr string) bool {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.revived[addr]
 }
 
 func (ft *FaultyTransport) killCoord() {
@@ -234,7 +216,7 @@ func (fc *faultConn) deliver(frame []byte) error {
 			return fmt.Errorf("fault injection: coordinator killed at level %d", level)
 		}
 	}
-	if plan.KillAddr == fc.addr && !fc.ft.isRevived(fc.addr) {
+	if plan.KillAddr == fc.addr {
 		if level, ok := frameLevel(frame); ok && level >= plan.KillLevel {
 			fc.ft.kill(fc.addr)
 			fc.Conn.Close()

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/flpsim/flp/internal/atlasstore"
 	"github.com/flpsim/flp/internal/enginetest"
@@ -18,8 +17,8 @@ import (
 // killed at any point past a level boundary restarts from the last durable
 // checkpoint with byte-identical counts, visit order, and witness schedules,
 // re-expanding nothing before the checkpointed level (pinned by the
-// expansion counters); and a lost sole replica converts into a bounded
-// wait for a replacement worker instead of a hard abort.
+// expansion counters); and a lost sole replica aborts with a diagnostic
+// that names the checkpoint to resume from.
 
 func openCheckpoints(t *testing.T, dir string) *atlasstore.CheckpointStore {
 	t.Helper()
@@ -239,56 +238,6 @@ func TestCheckpointCorruptRestartsFresh(t *testing.T) {
 	}
 }
 
-// TestRejoinReplacementWorker pins the bounded wait-for-rejoin: at R=1 the
-// sole replica of a shard is killed mid-run, a replacement process comes up
-// on its address shortly after, and the run completes byte-identically —
-// where it previously had no option but to abort.
-func TestRejoinReplacementWorker(t *testing.T) {
-	task := recoveryTask()
-	task.Replicas = 1
-	workers := []string{"j0", "j1", "j2"}
-	ft := NewFaultyTransport(NewLoopback(), FaultPlan{KillAddr: workers[1], KillLevel: 2})
-	addrs, _ := startWorkers(t, ft, workers)
-	opt := failoverOptions()
-	opt.RejoinWait = 15 * time.Second
-	cl := dialCluster(t, ft, addrs, opt)
-
-	// The replacement arrives 250ms after the kill window opens. The worker
-	// goroutine behind the address never died — only the transport was
-	// severed — so Revive models a fresh process taking over the address,
-	// and the coordinator's frameInit wipes whatever stale state it held.
-	timer := time.AfterFunc(250*time.Millisecond, func() { ft.Revive(workers[1]) })
-	defer timer.Stop()
-
-	mustAgree(t, "rejoin-replacement", reference(t, task), record(t, cl, task))
-	if st := cl.RunStats(); st.Rejoined == 0 {
-		t.Error("run completed without the replacement worker rejoining")
-	}
-}
-
-// TestRejoinTimeoutDiagnostic pins the other side of the bounded wait: when
-// no replacement arrives, the run aborts with a diagnostic naming the
-// shard, the level, the checkpoint situation, and how long it waited.
-func TestRejoinTimeoutDiagnostic(t *testing.T) {
-	task := recoveryTask()
-	task.Replicas = 1
-	workers := []string{"t0", "t1", "t2"}
-	ft := NewFaultyTransport(NewLoopback(), FaultPlan{KillAddr: workers[1], KillLevel: 2})
-	addrs, _ := startWorkers(t, ft, workers)
-	opt := failoverOptions()
-	opt.RejoinWait = 200 * time.Millisecond
-	cl := dialCluster(t, ft, addrs, opt)
-	_, _, err := cl.Explore(task, nil)
-	if err == nil {
-		t.Fatal("run succeeded with no replacement worker")
-	}
-	for _, want := range []string{"no live replica left", "at level", "waited", "rejoin", "lost", "checkpointing disabled"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("diagnostic missing %q: %v", want, err)
-		}
-	}
-}
-
 // TestLostShardDiagnosticNamesCheckpoint pins the R=1 abort diagnostic
 // (satellite of the recovery work): it must name the shard, the level, and
 // the last good checkpoint — pointing the operator at the resume path —
@@ -310,6 +259,9 @@ func TestLostShardDiagnosticNamesCheckpoint(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("diagnostic missing %q: %v", want, err)
 		}
+	}
+	if !strings.Contains(err.Error(), "rerun with Resume (flpcluster -resume)") {
+		t.Errorf("diagnostic does not give the operator's next command: %v", err)
 	}
 
 	// The checkpoint the diagnostic points at is real: a resume from it on

@@ -52,13 +52,11 @@ func workerReplicatesShard(worker, shard, workerCount, replicas int) bool {
 }
 
 // replicaSet is the coordinator's liveness view for one exploration run:
-// the shard layout plus which workers have been declared lost. A dead
-// worker's stale state is never trusted again — re-admitting it as-is would
-// break the "every live replica saw every batch" invariant that makes
-// promotion byte-identical. The one sanctioned way back in is revive, used
-// by the rejoin path after the worker has been re-initialized from scratch
-// and backfilled with the full admitted state, which re-establishes that
-// invariant by construction.
+// the shard layout plus which workers have been declared lost. A lost worker
+// is lost for the rest of the run: re-admitting its stale state would break
+// the "every live replica saw every batch" invariant that makes promotion
+// byte-identical. A shard whose whole chain is lost aborts the run, and a
+// resume from the last checkpoint, on a fresh cluster, is the way back.
 type replicaSet struct {
 	shards   int
 	workers  int
@@ -123,32 +121,12 @@ func (rs *replicaSet) replicates(w, shard int) bool {
 	return workerReplicatesShard(w, shard, rs.workers, rs.replicas)
 }
 
-// revive clears a worker's dead mark after the rejoin path has re-initialized
-// and backfilled a replacement process on its address; from here on it is a
-// full replica again.
-func (rs *replicaSet) revive(w int) {
-	rs.dead[w] = false
-	rs.lostErr[w] = nil
-}
-
-// shardLostError is the coverage-loss abort: some shard's entire replica
-// chain is dead. It is a distinct type so the rejoin path can recognize it
-// (only coverage losses are waitable; worker-reported errors are not) and
-// carries the shard for targeted recovery.
-type shardLostError struct {
-	shard int
-	msg   string
-	cause error
-}
-
-func (e *shardLostError) Error() string { return e.msg }
-func (e *shardLostError) Unwrap() error { return e.cause }
-
 // lostShard builds the abort diagnostic for a shard whose entire replica
 // chain is dead: it names the shard, the level being processed, the chain,
 // and the last good checkpoint (if any), and surfaces the transport error
-// that killed the last copy — preserving the "lost … unrecoverable"
-// language the R=1 path has always reported.
+// that killed the last copy, which it wraps — preserving the "lost …
+// unrecoverable" language the R=1 path has always reported. Every dead
+// worker was marked lost with its error, so that cause is never nil.
 func (r *run) lostShard(shard int) error {
 	rs := r.rs
 	chain := rs.replicasOf(shard)
@@ -158,11 +136,6 @@ func (r *run) lostShard(shard int) error {
 			last = rs.lostErr[w]
 		}
 	}
-	return &shardLostError{
-		shard: shard,
-		cause: last,
-		msg: fmt.Sprintf(
-			"distexplore: shard %d has no live replica left at level %d (chain %v, replication %d; %s): %v",
-			shard, r.level, chain, rs.replicas, r.ckDesc, last),
-	}
+	return fmt.Errorf("distexplore: shard %d has no live replica left at level %d (chain %v, replication %d; %s): %w",
+		shard, r.level, chain, rs.replicas, r.ckDesc, last)
 }

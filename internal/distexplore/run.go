@@ -14,8 +14,8 @@ import (
 // run is one Cluster.Explore call: the state it owns and one method per
 // phase — init, begin (restore or adopt the root), walkLevel (boundary
 // checkpoint, then per chunk expand → merge → dedup → visit/admit, then
-// adopt) and result. Checkpoint phases are in checkpoint.go, rejoin and
-// backfill in rejoin.go.
+// adopt) and result. Checkpoint phases, the resume backfill among them, are
+// in checkpoint.go.
 type run struct {
 	cl    *Cluster
 	t     Task
@@ -31,7 +31,7 @@ type run struct {
 	// what a checkpoint saves and a resume restores; its key column stays
 	// empty, keys are the writer's — beside each node's fingerprint, which
 	// names its shard. cfgs is non-nil only when the run itself consumes
-	// configurations (visits, rejoin backfills).
+	// configurations (visits).
 	nodes  explore.AtlasSnapshot
 	hashes []uint64
 	cfgs   []*model.Config
@@ -169,10 +169,8 @@ func (cl *Cluster) newRun(t Task, visit explore.Visit) (*run, error) {
 		visiting: -1,
 	}
 	r.led = explore.NewLedger(r.eopt)
-	if visit != nil || cl.opt.RejoinWait > 0 {
-		r.cfgs = append(m.cfgs[:0], root)
-	}
 	if visit != nil {
+		r.cfgs = append(m.cfgs[:0], root)
 		r.path = func() model.Schedule {
 			if r.visiting < 0 {
 				panic("distexplore: path called outside its visit")
@@ -266,7 +264,7 @@ func (r *run) walkLevel(start int) (next int, err error) {
 	if len(adopts) == 0 || r.led.Sealed() || r.eopt.DepthCapped(r.level+1) {
 		return end, nil
 	}
-	return end, r.withRejoin(func() error { return r.adoptPhase(r.level+1, adopts) })
+	return end, r.adoptPhase(r.level+1, adopts)
 }
 
 // expandChunk sizes the level's next chunk, parent indices [lo, hi), from
@@ -282,20 +280,13 @@ func (r *run) expandChunk(lo, end int) (hi int, fresh []candidate, err error) {
 	}
 	ch := chunkID{r.level, lo}
 	hi = lo + explore.SpecChunk(end-lo, r.led.MaxConfigs-r.led.Count, lo, r.led.Count, max(r.rs.liveCount(), 1))
-	var all []candidate
-	if err := r.withRejoin(func() (err error) {
-		all, err = r.expandPhase(ch, hi)
-		return err
-	}); err != nil {
+	all, err := r.expandPhase(ch, hi)
+	if err != nil {
 		return hi, nil, err
 	}
 	r.cl.stats.ExpandedNodes += hi - lo
 	r.cl.stats.LiveExpanded += hi - lo
-	all = mergeOrder(all, r.m.first)
-	err = r.withRejoin(func() (err error) {
-		fresh, err = r.dedupPhase(ch, all)
-		return err
-	})
+	fresh, err = r.dedupPhase(ch, mergeOrder(all, r.m.first))
 	return hi, fresh, err
 }
 

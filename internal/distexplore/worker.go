@@ -113,9 +113,8 @@ type job struct {
 	// retried after a lost response) is answered from cache instead of
 	// being re-applied. Adopted nodes arrive in ascending global index, so
 	// adoptNext — one past the highest index adopted — makes adoption
-	// idempotent per node: a replayed request, or a level's batch that
-	// overlaps what a rejoin backfill already delivered, applies only what
-	// is new. Expansion needs no guard — it is pure over the frontier and
+	// idempotent per node: a replayed request applies only what is new.
+	// Expansion needs no guard — it is pure over the frontier and
 	// recomputed on every call.
 	lastDedup     chunkID
 	lastDedupResp []byte
@@ -645,7 +644,7 @@ func (w *Worker) adoptNodes(foreign []foreignParent, nodes []adoptNode) error {
 	}
 	for _, nd := range nodes {
 		if nd.Index < j.adoptNext {
-			continue // replayed or already backfilled; applied once
+			continue // replayed; applied once
 		}
 		shard := ownerShard(nd.Hash, j.shards)
 		if !j.replicatesShard(shard) {
