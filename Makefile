@@ -97,8 +97,9 @@ fuzz:
 # kill), and atlas engines, asserting byte-identical results. A failing
 # input is shrunk to a minimal reproducer and dumped under
 # testdata/failures/ as a loadable fixture; replay it exactly with
-# `go run ./cmd/flpgen -check <name> -inputs <bits> -budget <max_configs>`,
-# the three fields of the fixture (the scripted kill follows from them).
+# `go run ./cmd/flpcheck -conformance -protocol <name> -inputs <bits>
+# -budget <max_configs>`, the three fields of the fixture (the scripted
+# kill follows from them).
 fuzz-conformance:
 	$(GO) test ./internal/conformance -fuzz FuzzConformanceTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -fuzz FuzzConformanceBenOr -fuzztime $(FUZZTIME)

@@ -41,11 +41,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flpbench: -scale %d: must be at least 1\n", *scale)
 		os.Exit(1)
 	}
-	sizes := experiments.DefaultSizes().Scaled(*scale)
-	sizes.Seed = *seed
-
 	if *id != "all" {
-		tab, err := experiments.RunByID(*id, sizes)
+		tab, err := experiments.RunByID(*id, *scale, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "flpbench: %v\n", err)
 			os.Exit(1)
@@ -54,7 +51,7 @@ func main() {
 		return
 	}
 	start := time.Now()
-	for _, r := range experiments.Suite(sizes) {
+	for _, r := range experiments.Suite(*scale, *seed) {
 		t0 := time.Now()
 		tab, err := r.Run()
 		if err != nil {

@@ -9,6 +9,9 @@
 //
 //	flpcheck -protocol naivemajority -n 3            # full checker battery
 //	flpcheck -protocol paxos -n 3 -adversary 12      # livelock Paxos for 12 stages
+//	flpcheck -protocol 'gen:j1:...'                  # a generated protocol, at its own n
+//	flpcheck -conformance -protocol 'gen:j1:...' -inputs 011 -budget 250
+//	                                                 # replay one conformance case (a fixture's fields)
 //	flpcheck -list                                   # available protocols
 //
 // The distributed engine is cross-checked against the local one by
@@ -36,16 +39,16 @@ import (
 
 func main() {
 	var (
-		name       = flag.String("protocol", "naivemajority", "protocol to check (see -list)")
-		n          = flag.Int("n", 3, "number of processes")
+		name       = flag.String("protocol", "naivemajority", "protocol to check (see -list), or a generated protocol's gen: name")
+		n          = flag.Int("n", 3, "number of processes (a gen: name runs at its own count when -n is not given)")
 		budget     = flag.Int("budget", 200000, "max configurations per exploration")
 		stages     = flag.Int("adversary", 0, "also run the Theorem 1 adversary for this many stages")
 		workers    = flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS, 1 = sequential)")
 		skipL3     = flag.Bool("skip-lemma3", false, "skip the Lemma 3 frontier census")
 		skipAgree  = flag.Bool("skip-agreement", false, "skip the partial-correctness audit")
 		genseed    = flag.Uint64("genseed", 0, "check the generated protocol Derive(seed, DefaultDials(n)) instead of -protocol (0 = off)")
-		genspec    = flag.String("genspec", "", "check a generated protocol by its full gen: name (replays fuzzer reproducers; overrides -protocol and -n)")
 		conf       = flag.Bool("conformance", false, "run the cross-engine conformance harness on the selected protocol and exit")
+		inputs     = flag.String("inputs", "", "with -conformance, check only these input bits (e.g. 011) instead of every assignment")
 		atlasDir   = flag.String("atlas-dir", "", "directory for the persistent atlas store: the Lemma 2 census loads/persists its valency atlases there, so repeat runs skip exploration ('' = off)")
 		list       = flag.Bool("list", false, "list available protocols and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -58,28 +61,19 @@ func main() {
 		fmt.Println("available protocols:", strings.Join(flp.ProtocolNames(), ", "))
 		return
 	}
-	// Generated-protocol selection: both forms produce a self-describing
-	// gen: name, which the ordinary registry lookup below resolves.
+	if *inputs != "" && !*conf {
+		fatalf("-inputs selects a conformance case; it needs -conformance")
+	}
+	nSet := false
+	flag.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
 	switch {
-	case *genspec != "" && *genseed != 0:
-		fatalf("-genseed and -genspec are mutually exclusive")
-	case *genspec != "":
-		sp, err := protogen.FromName(*genspec)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		*name = sp.Name()
-		*n = sp.N
 	case *genseed != 0:
 		sp := protogen.Derive(*genseed, protogen.DefaultDials(*n))
-		*name = sp.Name()
-		*n = sp.N
+		*name, *n = sp.Name(), sp.N
+	case protogen.IsGenerated(*name) && !nSet:
+		*n = 0 // the name carries its process count
 	}
-	factory, ok := flp.LookupProtocol(*name)
-	if !ok {
-		fatalf("unknown protocol %q; try -list", *name)
-	}
-	pr, err := factory(*n)
+	pr, err := protocols.Resolve(*name, *n)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -91,7 +85,7 @@ func main() {
 
 	fmt.Printf("protocol: %s\n\n", pr.Name())
 	if *conf {
-		runConformance(*name, pr.N(), *budget)
+		runConformance(*name, pr.N(), *inputs, *budget)
 		return
 	}
 	atlases := explore.NewAtlasCache()
@@ -124,11 +118,21 @@ func main() {
 	}
 }
 
-// runConformance sweeps every input assignment through the cross-engine
-// conformance harness: sequential, parallel, distributed (fault-free and
-// under a scripted worker kill), and the valency atlas must all produce
-// byte-identical results.
-func runConformance(name string, n, budget int) {
+// runConformance sweeps every input assignment, or only the one bits
+// names, through the cross-engine conformance harness: sequential,
+// parallel, distributed (fault-free and under a scripted worker kill),
+// and the valency atlas must all produce byte-identical results. One
+// (name, bits, budget) case is what a corpus fixture or a fuzzer's shrunk
+// reproducer pins, so this replays it exactly.
+func runConformance(name string, n int, bits string, budget int) {
+	ins := flp.AllInputs(n)
+	if bits != "" {
+		in, err := model.ParseInputs(bits, n)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		ins = []model.Inputs{in}
+	}
 	fmt.Println("== Cross-engine conformance ==")
 	if budget > 2000 {
 		// The contract holds on truncated explorations exactly as on
@@ -136,7 +140,7 @@ func runConformance(name string, n, budget int) {
 		// budget; capping keeps the 2^n-input sweep interactive.
 		budget = 2000
 	}
-	for _, in := range flp.AllInputs(n) {
+	for _, in := range ins {
 		c := enginetest.Case{Protocol: name, N: n, Inputs: in, Options: explore.Options{MaxConfigs: budget}}
 		if err := conformance.Check(c); err != nil {
 			fatalf("%v", err)

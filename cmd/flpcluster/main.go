@@ -287,12 +287,9 @@ func inputVectors(spec string, n int) ([]model.Inputs, error) {
 		}
 		return model.AllInputs(n), nil
 	}
-	in, err := model.ParseInputs(strings.ReplaceAll(spec, ",", ""))
+	in, err := model.ParseInputs(strings.ReplaceAll(spec, ",", ""), n)
 	if err != nil {
 		return nil, err
-	}
-	if len(in) != n {
-		return nil, fmt.Errorf("inputs %q has %d values, want %d", spec, len(in), n)
 	}
 	return []model.Inputs{in}, nil
 }
@@ -326,11 +323,7 @@ func clusterEndpoints(spec string) (tr distexplore.Transport, addrs []string, lo
 // input vector of the named protocol, the figure a loopback cluster's
 // counts are checked against.
 func localCount(name string, n int, opt explore.Options) (func(model.Inputs) (int, bool), error) {
-	factory, ok := protocols.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q", name)
-	}
-	pr, err := factory(n)
+	pr, err := protocols.Resolve(name, n)
 	if err != nil {
 		return nil, err
 	}

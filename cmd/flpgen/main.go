@@ -5,7 +5,6 @@
 //
 //	flpgen -out testdata/protogen -count 20          # mint a corpus
 //	flpgen -dump 'gen:d1:7:ttable.n3....'            # print a spec as JSON
-//	flpgen -check 'gen:d1:7:ttable.n3....' -inputs 011  # conformance-check one name
 //
 // Minting walks seeds through a rotation of dial presets (both templates,
 // several shapes), keeps protocols whose reachable census lands in the
@@ -14,6 +13,9 @@
 // floor so the corpus covers the explicit-JSON name form as well as the
 // compact derived form, and conformance-checks each fixture before
 // writing it — a corpus that fails at mint time never lands on disk.
+//
+// A fixture's fields replay its conformance case exactly:
+// flpcheck -conformance -protocol <name> -inputs <inputs> -budget <max_configs>.
 package main
 
 import (
@@ -40,60 +42,24 @@ func main() {
 		minC   = flag.Int("min", 40, "smallest acceptable reachable census")
 		maxC   = flag.Int("max", 4000, "largest acceptable reachable census (explorations above it are truncated, which is also acceptable)")
 		dump   = flag.String("dump", "", "decode a gen: protocol name and print its spec as JSON")
-		check  = flag.String("check", "", "run the conformance harness on one protocol name")
-		inputs = flag.String("inputs", "", "input bits for -check (e.g. 011); defaults to alternating")
 	)
 	flag.Parse()
 
-	switch {
-	case *dump != "":
+	if *dump != "" {
 		sp, err := protogen.FromName(*dump)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		raw, _ := json.MarshalIndent(sp, "", "  ")
 		fmt.Println(string(raw))
-	case *check != "":
-		runCheck(*check, *inputs, *budget)
-	default:
-		mint(*out, *count, *seed, *budget, *minC, *maxC)
+		return
 	}
+	mint(*out, *count, *seed, *budget, *minC, *maxC)
 }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "flpgen: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func runCheck(name, inputBits string, budget int) {
-	sp, err := protogen.FromName(name)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	in := altInputs(sp.N)
-	if inputBits != "" {
-		if in, err = model.ParseInputs(inputBits); err != nil {
-			fatalf("%v", err)
-		}
-		if len(in) != sp.N {
-			fatalf("inputs %q has %d bits for %d processes", inputBits, len(in), sp.N)
-		}
-	}
-	c := enginetest.Case{Protocol: name, N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: budget}}
-	if err := conformance.Check(c); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("ok: %s inputs %s agrees across all engines (budget %d)\n", name, in, budget)
-}
-
-// altInputs gives process p input p mod 2, the default for -check and
-// for minting.
-func altInputs(n int) model.Inputs {
-	in := make(model.Inputs, n)
-	for p := range in {
-		in[p] = model.Value(p & 1)
-	}
-	return in
 }
 
 // presets is the dial rotation the corpus draws from: both templates,
@@ -114,8 +80,7 @@ func presets() []protogen.Dials {
 // census measures the reachable set under the sequential engine: the size
 // and whether cap truncated it.
 func census(sp protogen.Spec, in model.Inputs, cap int) (int, bool) {
-	factory, _ := protocols.Lookup(sp.Name())
-	pr, err := factory(0)
+	pr, err := protocols.Resolve(sp.Name(), 0)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -141,7 +106,7 @@ func mint(dir string, count int, seed uint64, budget, minC, maxC int) {
 		found := false
 		for limit := s + 100000; s < limit; s++ {
 			sp = protogen.Derive(s, d)
-			in = altInputs(sp.N)
+			in = model.AlternatingInputs(sp.N)
 			size, complete = census(sp, in, maxC)
 			if (!complete || size >= minC) && !seen[sp.Name()] {
 				found = true

@@ -13,8 +13,12 @@
 //	curl -s localhost:8080/v1/jobs/census-1/events
 //	curl -s localhost:8080/metrics
 //
-// Answers are byte-identical to the CLI engines (flpcheck); the service
-// adds job management and cross-request atlas caching, not semantics.
+// Valency answers are explore.ClassifyRootCached's at each request's
+// budget. On a finite protocol that is what flpcheck's Lemma 2 table
+// prints; an unbounded one (paxos, benor) flpcheck classifies by directed
+// probes instead, so a served answer can be unknown where flpcheck prints
+// bivalent. The service adds job management and cross-request atlas
+// caching.
 package main
 
 import (

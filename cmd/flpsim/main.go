@@ -18,6 +18,7 @@ import (
 
 	"github.com/flpsim/flp"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 func main() {
@@ -38,15 +39,15 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	in, err := parseInputs(*inputs, *n)
+	in, err := parseInputs(*inputs, pr.N())
 	if err != nil {
 		fatalf("%v", err)
 	}
-	scheduler, err := buildScheduler(*sched, *n)
+	scheduler, err := buildScheduler(*sched, pr.N())
 	if err != nil {
 		fatalf("%v", err)
 	}
-	crashes, err := parseCrashes(*crash, *n)
+	crashes, err := parseCrashes(*crash, pr.N())
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -95,29 +96,22 @@ func main() {
 	}
 }
 
+// buildProtocol resolves -protocol and -n: deadstart, the Section 4
+// protocol no checker takes, or any name protocols.Resolve knows. Resolve
+// refuses an n below 2 whatever the name, deadstart's included.
 func buildProtocol(name string, n int) (flp.Protocol, error) {
-	if name == "deadstart" {
+	if name == "deadstart" && n >= 2 {
 		return flp.NewInitiallyDead(n), nil
 	}
-	factory, ok := flp.LookupProtocol(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q", name)
-	}
-	return factory(n)
+	return protocols.Resolve(name, n)
 }
 
+// parseInputs reads -inputs, alternating inputs when it is empty.
 func parseInputs(s string, n int) (flp.Inputs, error) {
 	if s == "" {
-		in := make(flp.Inputs, n)
-		for i := range in {
-			in[i] = flp.Value(i % 2)
-		}
-		return in, nil
+		return model.AlternatingInputs(n), nil
 	}
-	if len(s) != n {
-		return nil, fmt.Errorf("inputs %q has %d bits for %d processes", s, len(s), n)
-	}
-	return model.ParseInputs(s)
+	return model.ParseInputs(s, n)
 }
 
 func buildScheduler(s string, n int) (flp.Scheduler, error) {

@@ -30,3 +30,16 @@ func TestFlagParsers(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileNRefused holds -n to what a protocol can run at: below 2
+// processes every name, deadstart included, is refused before main sizes
+// the inputs, scheduler or crash plan by it.
+func TestHostileNRefused(t *testing.T) {
+	for _, name := range []string{"waitall", "2pc", "deadstart"} {
+		for _, n := range []int{-1, 0, 1} {
+			if pr, err := buildProtocol(name, n); err == nil {
+				t.Errorf("%s at n = %d: built %s", name, n, pr.Name())
+			}
+		}
+	}
+}

@@ -133,7 +133,8 @@ func workerNames(prefix string, n int) []string {
 //
 // The chaos leg's victim and kill level are drawn from the root's
 // fingerprint (Config.Hash), so every check of one case — a fuzzing
-// iteration, a corpus fixture, flpgen -check — scripts the same kill.
+// iteration, a corpus fixture, flpcheck -conformance -inputs — scripts
+// the same kill.
 func Check(c enginetest.Case) error {
 	if c.Options.MaxConfigs <= 0 {
 		c.Options.MaxConfigs = DefaultMaxConfigs

@@ -32,7 +32,7 @@ func TestCheckCases(t *testing.T) {
 // whose name the registry cannot resolve must fail as a harness error,
 // not a Divergence.
 func TestCheckRejectsUnresolvableName(t *testing.T) {
-	err := conformance.Check(enginetest.Case{Protocol: "not-in-any-registry", N: 2, Inputs: enginetest.Alternating(2)})
+	err := conformance.Check(enginetest.Case{Protocol: "not-in-any-registry", N: 2, Inputs: model.AlternatingInputs(2)})
 	if err == nil {
 		t.Fatal("Check accepted a name the workers cannot rebuild")
 	}
@@ -48,7 +48,7 @@ func TestCheckRejectsUnresolvableName(t *testing.T) {
 // table entry inert, a single 1 bit left.
 func TestShrinkTableMinimizes(t *testing.T) {
 	sp := protogen.Derive(9, protogen.DefaultDials(4))
-	inputs := enginetest.Alternating(sp.N)
+	inputs := model.AlternatingInputs(sp.N)
 	failing := func(s protogen.Spec, in model.Inputs) bool {
 		return in.Count(model.V1) >= 1
 	}
@@ -89,7 +89,7 @@ func TestShrinkTableMinimizes(t *testing.T) {
 func TestShrinkBenOrMinimizes(t *testing.T) {
 	d := protogen.Dials{Template: protogen.TemplateBenOr, N: 4, MaxRound: 3}
 	sp := protogen.Derive(13, d)
-	inputs := enginetest.Alternating(sp.N)
+	inputs := model.AlternatingInputs(sp.N)
 	failing := func(s protogen.Spec, in model.Inputs) bool {
 		return s.Template == protogen.TemplateBenOr
 	}
@@ -107,7 +107,7 @@ func TestShrinkBenOrMinimizes(t *testing.T) {
 // — shrinking may stall, never overshoot.
 func TestShrinkPreservesFailure(t *testing.T) {
 	sp := protogen.Derive(3, protogen.DefaultDials(3))
-	inputs := enginetest.Alternating(sp.N)
+	inputs := model.AlternatingInputs(sp.N)
 	// A predicate that pins a mid-size shape: exactly 3 processes.
 	failing := func(s protogen.Spec, in model.Inputs) bool { return s.N == 3 }
 	min, minIn := conformance.Shrink(sp, inputs, failing, 5000)
@@ -205,14 +205,14 @@ func FuzzConformanceBenOr(f *testing.F) {
 }
 
 // BenchmarkCheck runs one case through every leg, as each input vector of
-// flpcheck's conformance sweep and each case of flpgen's checks does: the
+// flpcheck's conformance sweep and each fixture flpgen mints does: the
 // reference, the in-process engines, the atlas, and two distributed legs,
 // each on a fresh three-worker cluster that is stopped before the next.
 // With -benchmem it reads what a check allocates once the process has run
 // one: from the second check on, each leg's cluster starts with the memory
 // the last one grew.
 func BenchmarkCheck(b *testing.B) {
-	c := enginetest.Case{Protocol: "paxos", N: 3, Inputs: enginetest.Alternating(3), Options: explore.Options{MaxConfigs: 400}}
+	c := enginetest.Case{Protocol: "paxos", N: 3, Inputs: model.AlternatingInputs(3), Options: explore.Options{MaxConfigs: 400}}
 	for i := 0; i < b.N; i++ {
 		if err := conformance.Check(c); err != nil {
 			b.Fatal(err)

@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // Adoption is parent-relative: a worker that did not expand an admitted
@@ -141,7 +141,7 @@ func (a *adoptAudit) check(t *testing.T, label string) {
 // audit, behind wrap (a fault injector, or nothing).
 func countedCluster(t *testing.T, name string, n int, wrap func(Transport) Transport, opt RPCOptions) (*Cluster, *adoptAudit) {
 	t.Helper()
-	base, err := RegistryProvider(name, n)
+	base, err := protocols.Resolve(name, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestAdoptionIsOneStep(t *testing.T) {
 		k := budgetKernels[i+1]
 		label := fmt.Sprintf("%s(%d)@%d", k.name, k.n, k.budget)
 		cl, audit := countedCluster(t, k.name, k.n, nil, failoverOptions())
-		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+		task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 			Options: explore.Options{MaxConfigs: k.budget}}
 		if _, visited, err := cl.Explore(task, nil); err != nil || visited != k.budget {
 			t.Fatalf("%s: visited %d, %v", label, visited, err)
@@ -204,7 +204,7 @@ func TestExpandIsOneStepPerEvent(t *testing.T) {
 	for _, k := range budgetKernels {
 		label := fmt.Sprintf("%s(%d)@%d", k.name, k.n, k.budget)
 		cl, audit := countedCluster(t, k.name, k.n, nil, failoverOptions())
-		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+		task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 			Options: explore.Options{MaxConfigs: k.budget}}
 		var events []int
 		if _, _, err := cl.Explore(task, func(c *model.Config, _ int, _ func() model.Schedule) bool {
@@ -259,7 +259,7 @@ type handWorker struct {
 func newHandWorker(t *testing.T) *handWorker {
 	h := &handWorker{t: t}
 	var err error
-	if h.base, err = RegistryProvider("naivemajority", 3); err != nil {
+	if h.base, err = protocols.Resolve("naivemajority", 3); err != nil {
 		t.Fatal(err)
 	}
 	pr := modeltest.StepCounter{Protocol: h.base, Steps: &h.steps}

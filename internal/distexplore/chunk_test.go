@@ -10,10 +10,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/modeltest"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // The cluster walks a level in budget-sized chunks of parent indices and
@@ -47,7 +47,7 @@ func TestDedupGuardIsPerChunk(t *testing.T) {
 	}
 	req := initReq{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}, Shards: 1, WorkerCount: 1, Replicas: 1}
 	send(frameInit, req.encode())
-	pr, _ := RegistryProvider(req.Protocol, req.N)
+	pr, _ := protocols.Resolve(req.Protocol, req.N)
 	root := model.MustInitial(pr, req.Inputs)
 	send(frameAdopt, appendAdoptReq(nil, 0, nil, []adoptNode{{wireKey: identityOf(root)}}))
 	_, cands, err := decodeCandidates(send(frameExpand, (&expandReq{Level: 0, Lo: 0, Hi: 1, Shards: []int{0}}).encode()), nil)
@@ -117,7 +117,7 @@ func TestKillInsideChunkedLevel(t *testing.T) {
 		name      string
 		n, budget int
 	}{{"onethird", 4, 400}, {"naivemajority", 4, 400}, {"naivemajority", 4, 1000}} {
-		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n),
+		task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n),
 			Options: explore.Options{MaxConfigs: k.budget}, Shards: 6, Replicas: 2}
 		ref := reference(t, task)
 		cut := ref.Visits[len(ref.Visits)-1].Depth - 1 // the level whose expansion fills the budget
@@ -168,7 +168,7 @@ func TestKillInsideChunkedLevel(t *testing.T) {
 // chunk and must end with the oracle's stream, paths included, expanding
 // live only what lies past the restored prefix.
 func TestLostShardInsideChunkedLevelResumes(t *testing.T) {
-	task := Task{Protocol: "naivemajority", N: 4, Inputs: enginetest.Alternating(4),
+	task := Task{Protocol: "naivemajority", N: 4, Inputs: model.AlternatingInputs(4),
 		Options: explore.Options{MaxConfigs: 1000}, Shards: 6, Replicas: 1}
 	ref := reference(t, task)
 	task.Checkpoints = openCheckpoints(t, t.TempDir())
@@ -224,11 +224,11 @@ func TestLostShardInsideChunkedLevelResumes(t *testing.T) {
 func TestClusterSpeculationBoundedByOneChunk(t *testing.T) {
 	const workers = 3
 	for _, k := range budgetKernels[1:] {
-		base, err := RegistryProvider(k.name, k.n)
+		base, err := protocols.Resolve(k.name, k.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := enginetest.Alternating(k.n)
+		in := model.AlternatingInputs(k.n)
 		for _, budget := range []int{60, 400, 1000} {
 			// The oracle run yields the sequential step count, every
 			// node's event count in admission order, and the shape of the
@@ -317,7 +317,7 @@ func clusterRun(t *testing.T, tap *frameTap, name string, n, budget int, around 
 	t.Helper()
 	addrs, _ := startWorkers(t, tap, []string{"b0", "b1", "b2"})
 	cl := dialCluster(t, tap, addrs, failoverOptions())
-	task := Task{Protocol: name, N: n, Inputs: enginetest.Alternating(n), Shards: 6, Replicas: 2,
+	task := Task{Protocol: name, N: n, Inputs: model.AlternatingInputs(n), Shards: 6, Replicas: 2,
 		Options: explore.Options{MaxConfigs: budget}}
 	visited := 0
 	around(func() {
@@ -377,7 +377,7 @@ func TestWireBytesPerConfig(t *testing.T) {
 func TestAllocsClusterBudgeted(t *testing.T) {
 	runtime.GC() // spares are held weakly: one collection empties them
 	k := budgetKernels[1]
-	pr, err := RegistryProvider(k.name, k.n)
+	pr, err := protocols.Resolve(k.name, k.n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestAllocsClusterBudgeted(t *testing.T) {
 	}
 	visit := func(*model.Config, int, func() model.Schedule) bool { return false }
 	sequential := allocated(func() {
-		explore.Explore(pr, model.MustInitial(pr, enginetest.Alternating(k.n)), explore.Options{MaxConfigs: k.budget, Workers: 1}, nil, visit)
+		explore.Explore(pr, model.MustInitial(pr, model.AlternatingInputs(k.n)), explore.Options{MaxConfigs: k.budget, Workers: 1}, nil, visit)
 	})
 	var cluster uint64
 	visited := clusterRun(t, &frameTap{Transport: NewLoopback()}, k.name, k.n, k.budget, func(run func()) { cluster = allocated(run) })
@@ -419,7 +419,7 @@ func TestAllocsClusterWarm(t *testing.T) {
 	lb := NewLoopback()
 	addrs, _ := startWorkers(t, lb, []string{"m0", "m1", "m2"})
 	cl := dialCluster(t, lb, addrs, failoverOptions())
-	task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+	task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 		Options: explore.Options{MaxConfigs: k.budget}}
 	visit := func(*model.Config, int, func() model.Schedule) bool { return false }
 	run := func() int {
@@ -465,7 +465,7 @@ func TestAllocsClusterWarm(t *testing.T) {
 func TestAllocsClusterSuccessor(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	k := budgetKernels[1]
-	task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+	task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 		Options: explore.Options{MaxConfigs: k.budget}}
 	visit := func(*model.Config, int, func() model.Schedule) bool { return false }
 	workers := []string{"n0", "n1", "n2"}

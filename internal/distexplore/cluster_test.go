@@ -12,6 +12,7 @@ import (
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // The distributed engine's contract is the in-process contract extended
@@ -304,7 +305,7 @@ func TestCountReachableParity(t *testing.T) {
 	addrs, _ := startWorkers(t, lb, []string{"c0", "c1", "c2"})
 	cl := dialCluster(t, lb, addrs, RPCOptions{})
 	for _, name := range []string{"waitall", "naivemajority", "2pc"} {
-		pr, err := RegistryProvider(name, 3)
+		pr, err := protocols.Resolve(name, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

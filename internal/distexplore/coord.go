@@ -76,7 +76,7 @@ func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Dur
 // reconstruct the job locally, plus the exploration bounds.
 type Task struct {
 	// Protocol and N name the protocol instance; the coordinator resolves
-	// it through RegistryProvider, each worker through its own provider.
+	// it through protocols.Resolve, each worker through its own provider.
 	Protocol string
 	N        int
 	// Inputs are the initial values defining the root configuration.

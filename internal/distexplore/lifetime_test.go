@@ -14,6 +14,7 @@ import (
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // A worker's visited interner outlives the job and a connection's payload
@@ -36,7 +37,7 @@ func TestJobsBackToBackOnOneCluster(t *testing.T) {
 	cl := dialCluster(t, lb, addrs, failoverOptions())
 	for i, k := range []int{1, 3, 1, 0} {
 		k := budgetKernels[k]
-		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+		task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 			Options: explore.Options{MaxConfigs: k.budget}}
 		mustAgree(t, fmt.Sprintf("job %d on the long-lived cluster", i+1), reference(t, task), record(t, cl, task))
 	}
@@ -161,7 +162,7 @@ func (st *stallTransport) finish() ([]byte, error) {
 // pure).
 func TestDyingConnectionKeepsItsResponse(t *testing.T) {
 	k := budgetKernels[1]
-	task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+	task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 		Options: explore.Options{MaxConfigs: k.budget}}
 	ref := reference(t, task)
 	st := &stallTransport{Transport: NewLoopback(), addr: "y1"}
@@ -215,7 +216,7 @@ func TestWorkerKeepsNothingOfTheRequest(t *testing.T) {
 	req := initReq{Protocol: "naivemajority", N: 3, Inputs: model.Inputs{0, 1, 1}, Avoid: &avoid,
 		Prefix: model.Schedule{model.NullEvent(0)}, Shards: 1, WorkerCount: 1, Replicas: 1}
 	send(frameInit, req.encode())
-	pr, _ := RegistryProvider(req.Protocol, req.N)
+	pr, _ := protocols.Resolve(req.Protocol, req.N)
 	root := model.MustApplySchedule(pr, model.MustInitial(pr, req.Inputs), req.Prefix)
 	send(frameAdopt, appendAdoptReq(nil, 0, nil, []adoptNode{{wireKey: identityOf(root)}}))
 
@@ -263,7 +264,7 @@ func TestClusterVisitPathOnlyDuringVisit(t *testing.T) {
 	addrs, _ := startWorkers(t, lb, []string{"v0", "v1", "v2"})
 	cl := dialCluster(t, lb, addrs, failoverOptions())
 	k := budgetKernels[1]
-	whole := enginetest.Case{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Options: explore.Options{MaxConfigs: k.budget}}
+	whole := enginetest.Case{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Options: explore.Options{MaxConfigs: k.budget}}
 	stopped := whole
 	stopped.StopAt = 57
 	const msg = "distexplore: path called outside its visit"
@@ -334,7 +335,7 @@ func TestFailoverKeepsExpandBuffers(t *testing.T) {
 	cl := dialCluster(t, ft, addrs, failoverOptions())
 	for i, k := range []int{3, 1, 2, 1} {
 		k := budgetKernels[k]
-		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+		task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 			Options: explore.Options{MaxConfigs: k.budget}}
 		tap.mu.Lock()
 		armed = i == 3
@@ -432,7 +433,7 @@ func succession(t *testing.T) []successionStep {
 		t.Fatal("the case table lost its avoid or prefix case")
 	}
 	budget := func(name string, n, max, shards, replicas int) Task {
-		return Task{Protocol: name, N: n, Inputs: enginetest.Alternating(n), Shards: shards, Replicas: replicas,
+		return Task{Protocol: name, N: n, Inputs: model.AlternatingInputs(n), Shards: shards, Replicas: replicas,
 			Options: explore.Options{MaxConfigs: max}}
 	}
 	withShape := func(tk Task, shards, replicas int) Task {
@@ -524,7 +525,7 @@ func TestClusterExploresAfterClose(t *testing.T) {
 	cl := dialCluster(t, lb, addrs, failoverOptions())
 	for i, k := range []int{1, 3, 1} {
 		k := budgetKernels[k]
-		task := Task{Protocol: k.name, N: k.n, Inputs: enginetest.Alternating(k.n), Shards: 6, Replicas: 2,
+		task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 			Options: explore.Options{MaxConfigs: k.budget}}
 		mustAgree(t, fmt.Sprintf("run %d, closed after each", i+1), reference(t, task), record(t, cl, task))
 		if cl.mem == nil {

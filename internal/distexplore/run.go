@@ -9,6 +9,7 @@ import (
 	"github.com/flpsim/flp/internal/atlasstore"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // run is one Cluster.Explore call: the state it owns and one method per
@@ -142,7 +143,7 @@ var errStopped = errors.New("distexplore: visit stopped the run")
 func (cl *Cluster) newRun(t Task, visit explore.Visit) (*run, error) {
 	cl.interrupted.Store(false)
 	cl.stats = RunStats{ResumedLevel: -1}
-	pr, root, err := jobRoot(RegistryProvider, t.Protocol, t.N, t.Inputs, t.Prefix)
+	pr, root, err := jobRoot(protocols.Resolve, t.Protocol, t.N, t.Inputs, t.Prefix)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // payloadShapes is every payload decoder of the cluster protocol, each
@@ -243,7 +244,7 @@ func TestMixedVersionOldHandshake(t *testing.T) {
 	if rtyp, ack := rpc(frameInit, req.encode()); rtyp != frameOK || checkInitAck(ack) != nil {
 		t.Fatalf("init: 0x%02x %q", rtyp, ack)
 	}
-	pr, _ := RegistryProvider(req.Protocol, req.N)
+	pr, _ := protocols.Resolve(req.Protocol, req.N)
 	root := model.MustInitial(pr, req.Inputs)
 	if rtyp, msg := rpc(frameAdopt, appendAdoptReq(nil, 0, nil, []adoptNode{{wireKey: identityOf(root)}})); rtyp != frameOK {
 		t.Fatalf("adopt: 0x%02x %q", rtyp, msg)

@@ -16,38 +16,23 @@ import (
 
 // ProtocolProvider resolves a protocol name and process count to a live
 // Protocol instance. A worker's provider must resolve exactly as the
-// coordinator's RegistryProvider does —
+// coordinator's protocols.Resolve does —
 // protocols are deterministic code, so shipping the *name* and
 // reconstructing locally is what keeps configurations replayable from
 // schedules on any cluster member.
 type ProtocolProvider func(name string, n int) (model.Protocol, error)
 
-// RegistryProvider resolves names against the built-in protocol registry
-// (the same one the CLIs use).
-func RegistryProvider(name string, n int) (model.Protocol, error) {
-	factory, ok := protocols.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("distexplore: unknown protocol %q", name)
-	}
-	return factory(n)
-}
-
-// jobRoot resolves a job's protocol through provider and builds its root:
-// the initial configuration of inputs advanced by prefix. The coordinator
-// and every worker derive the root this one way.
+// jobRoot resolves a job's protocol through provider and builds its root
+// (model.Root). The coordinator and every worker derive the root this one
+// way.
 func jobRoot(provider ProtocolProvider, name string, n int, inputs model.Inputs, prefix model.Schedule) (model.Protocol, *model.Config, error) {
 	pr, err := provider(name, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	root, err := model.Initial(pr, inputs)
+	root, err := model.Root(pr, inputs, prefix)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(prefix) > 0 {
-		if root, err = model.ApplySchedule(pr, root, prefix); err != nil {
-			return nil, nil, fmt.Errorf("distexplore: applying root prefix: %w", err)
-		}
 	}
 	return pr, root, nil
 }
@@ -242,10 +227,10 @@ type connState struct {
 }
 
 // NewWorker returns a worker resolving protocols through provider (nil
-// means the built-in registry).
+// means protocols.Resolve).
 func NewWorker(provider ProtocolProvider) *Worker {
 	if provider == nil {
-		provider = RegistryProvider
+		provider = protocols.Resolve
 	}
 	return &Worker{provider: provider}
 }

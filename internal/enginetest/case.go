@@ -50,22 +50,15 @@ type Case struct {
 	ref *reference
 }
 
-// Resolve builds c's protocol through the registry and its root: the
+// Resolve builds c's protocol through protocols.Resolve and its root: the
 // initial configuration of Inputs with Prefix applied.
 func (c Case) Resolve() (model.Protocol, *model.Config, error) {
-	factory, ok := protocols.Lookup(c.Protocol)
-	if !ok {
-		return nil, nil, fmt.Errorf("enginetest: unknown protocol %q", c.Protocol)
-	}
-	pr, err := factory(c.N)
+	pr, err := protocols.Resolve(c.Protocol, c.N)
 	if err != nil {
 		return nil, nil, err
 	}
-	root, err := model.Initial(pr, c.Inputs)
+	root, err := model.Root(pr, c.Inputs, c.Prefix)
 	if err != nil {
-		return nil, nil, err
-	}
-	if root, err = model.ApplySchedule(pr, root, c.Prefix); err != nil {
 		return nil, nil, err
 	}
 	return pr, root, nil
@@ -169,7 +162,7 @@ func buildCases() ([]Case, error) {
 		Case{Name: "naivemajority-avoid-budget400", Protocol: nm.Protocol, N: 3, Inputs: in3, Avoid: &avoid, Options: budget(400)},
 		Case{Name: "naivemajority-prefix2-budget300", Protocol: nm.Protocol, N: 3, Inputs: in3, Prefix: prefix, Options: budget(300)},
 		Case{Name: "naivemajority-stop40", Protocol: nm.Protocol, N: 3, Inputs: in3, StopAt: 40},
-		Case{Name: "gen5-depth3-budget250", Protocol: gen5.Name(), N: 3, Inputs: Alternating(3), Options: explore.Options{MaxConfigs: 250, MaxDepth: 3}},
+		Case{Name: "gen5-depth3-budget250", Protocol: gen5.Name(), N: 3, Inputs: model.AlternatingInputs(3), Options: explore.Options{MaxConfigs: 250, MaxDepth: 3}},
 	)
 
 	// Generated protocols of both templates: transition-table shapes
@@ -184,11 +177,11 @@ func buildCases() ([]Case, error) {
 	benor2.Template, benor2.N, benor2.MaxRound = protogen.TemplateBenOr, 2, 1
 	benor3.Template = protogen.TemplateBenOr
 	for seed := uint64(1); seed <= 5; seed++ {
-		gen("table", seed, protogen.DefaultDials(3), Alternating(3), 1500)
-		gen("benor", seed, benor2, Alternating(2), 1500)
+		gen("table", seed, protogen.DefaultDials(3), model.AlternatingInputs(3), 1500)
+		gen("benor", seed, benor2, model.AlternatingInputs(2), 1500)
 		if seed <= 4 {
-			gen("table", seed, protogen.DefaultDials(3), Alternating(3), 250)
-			gen("benor", seed, benor3, Alternating(3), 250)
+			gen("table", seed, protogen.DefaultDials(3), model.AlternatingInputs(3), 250)
+			gen("benor", seed, benor3, model.AlternatingInputs(3), 250)
 		}
 	}
 	for _, seed := range []uint64{1, 5, 9, 13} {
@@ -238,15 +231,6 @@ func CorpusDir() string {
 func effectful(pr model.Protocol, c *model.Config) model.Event {
 	evs := model.Events(c)
 	return evs[slices.IndexFunc(evs, func(e model.Event) bool { return !e.IsNull() || !model.IsNoOp(pr, c, e) })]
-}
-
-// Alternating is the input vector 0,1,0,1,… of n processes.
-func Alternating(n int) model.Inputs {
-	in := make(model.Inputs, n)
-	for p := range in {
-		in[p] = model.Value(p & 1)
-	}
-	return in
 }
 
 // oneAfterZero is 0,1,1,….

@@ -37,15 +37,6 @@ func NewFixture(sp protogen.Spec, inputs model.Inputs, maxConfigs int, note stri
 	return Fixture{Name: sp.Name(), Inputs: inputs.String(), MaxConfigs: maxConfigs, Note: note}
 }
 
-// InputValues decodes the fixture's input string.
-func (fx Fixture) InputValues() (model.Inputs, error) {
-	in, err := model.ParseInputs(fx.Inputs)
-	if err != nil {
-		return nil, fmt.Errorf("enginetest: fixture %w", err)
-	}
-	return in, nil
-}
-
 // Case is the fixture as an unnamed case: its protocol and inputs, bounded
 // by its pinned budget.
 func (fx Fixture) Case() (Case, error) {
@@ -53,12 +44,9 @@ func (fx Fixture) Case() (Case, error) {
 	if err != nil {
 		return Case{}, err
 	}
-	in, err := fx.InputValues()
+	in, err := model.ParseInputs(fx.Inputs, sp.N)
 	if err != nil {
-		return Case{}, err
-	}
-	if len(in) != sp.N {
-		return Case{}, fmt.Errorf("enginetest: fixture has %d inputs for %d processes", len(in), sp.N)
+		return Case{}, fmt.Errorf("enginetest: fixture %w", err)
 	}
 	return Case{Protocol: fx.Name, N: sp.N, Inputs: in, Options: explore.Options{MaxConfigs: fx.MaxConfigs}}, nil
 }

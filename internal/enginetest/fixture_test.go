@@ -24,15 +24,12 @@ func TestFixtureRoundTrip(t *testing.T) {
 	if back != fx {
 		t.Fatalf("round trip changed the fixture:\n  saved  %+v\n  loaded %+v", fx, back)
 	}
-	in, err := back.InputValues()
+	c, err := back.Case()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("fixture does not decode to a case: %v", err)
 	}
-	if len(in) != 3 || in[0] != model.V0 || in[1] != model.V1 || in[2] != model.V1 {
+	if in := c.Inputs; len(in) != 3 || in[0] != model.V0 || in[1] != model.V1 || in[2] != model.V1 {
 		t.Errorf("inputs decoded as %v", in)
-	}
-	if _, err := back.Case(); err != nil {
-		t.Errorf("fixture does not decode to a case: %v", err)
 	}
 
 	// Corrupt inputs must be rejected at load time.

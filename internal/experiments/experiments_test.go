@@ -332,9 +332,8 @@ func TestE13ProbeAblation(t *testing.T) {
 }
 
 func TestSuiteAndRunByID(t *testing.T) {
-	s := experiments.DefaultSizes()
 	var ids []string
-	for _, r := range experiments.Suite(s) {
+	for _, r := range experiments.Suite(1, 1) {
 		ids = append(ids, r.ID)
 	}
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13"}
@@ -344,12 +343,12 @@ func TestSuiteAndRunByID(t *testing.T) {
 	// The suite is the paper's experiments, E1–E11 and E13; the retired
 	// contrasts keep their numbers and no other id is known.
 	for _, id := range []string{"E12", "E14", "E15", "E16", "E17", "E18", "E19", "E99"} {
-		if _, err := experiments.RunByID(id, s); err == nil {
+		if _, err := experiments.RunByID(id, 1, 1); err == nil {
 			t.Errorf("unknown experiment id %s accepted", id)
 		}
 	}
 	// Run one small experiment through the dispatcher.
-	tab, err := experiments.RunByID("E8", s)
+	tab, err := experiments.RunByID("E8", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,31 +357,50 @@ func TestSuiteAndRunByID(t *testing.T) {
 	}
 }
 
+// TestSizesScaled reads each sampled experiment's count off its table at
+// scale 1 and 2: scale multiplies every count, and leaves E4's stage depth
+// (the adversary row's steps) where it is.
 func TestSizesScaled(t *testing.T) {
-	d := experiments.DefaultSizes()
-	s := d.Scaled(3)
-	counts := []struct {
-		name      string
-		got, base int
+	cells := []struct {
+		id, col string
+		row     int
+		scales  bool
 	}{
-		{"E1Trials", s.E1Trials, d.E1Trials},
-		{"E4Fair", s.E4Fair, d.E4Fair},
-		{"E5Runs", s.E5Runs, d.E5Runs},
-		{"E6Runs", s.E6Runs, d.E6Runs},
-		{"E7Trials", s.E7Trials, d.E7Trials},
-		{"E9Runs", s.E9Runs, d.E9Runs},
-		{"E10Seeds", s.E10Seeds, d.E10Seeds},
+		{"E1", "trials", 0, true},
+		{"E4", "runs", 1, true},
+		{"E4", "steps (mean)", 0, false},
+		{"E5", "runs", 0, true},
+		{"E6", "runs", 0, true},
+		{"E7", "checked", 3, true},
+		{"E9", "runs", 0, true},
+		{"E10", "checked", 0, true},
 	}
-	for _, c := range counts {
-		if c.got != 3*c.base {
-			t.Errorf("Scaled(3).%s = %d, want 3 × %d", c.name, c.got, c.base)
+	tabs := map[string]*experiments.Table{}
+	read := func(id, col string, row, scale int) int {
+		key := id + "@" + strconv.Itoa(scale)
+		if tabs[key] == nil {
+			tab, err := experiments.RunByID(id, scale, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabs[key] = tab
 		}
+		s, ok := tabs[key].Cell(row, col)
+		v, err := strconv.Atoi(s)
+		if !ok || err != nil {
+			t.Fatalf("%s row %d has no %q count: %q", id, row, col, s)
+		}
+		return v
 	}
-	if s.E4Stages != d.E4Stages || s.Seed != d.Seed {
-		t.Errorf("Scaled(3) moved E4Stages or Seed: %+v", s)
-	}
-	if d.Scaled(1) != d {
-		t.Errorf("Scaled(1) = %+v, want %+v", d.Scaled(1), d)
+	for _, c := range cells {
+		base, got := read(c.id, c.col, c.row, 1), read(c.id, c.col, c.row, 2)
+		want := base
+		if c.scales {
+			want = 2 * base
+		}
+		if got != want {
+			t.Errorf("%s %s at scale 2 = %d, want %d (scale 1: %d)", c.id, c.col, got, want, base)
+		}
 	}
 }
 

@@ -100,8 +100,10 @@ func CensusInitial(pr model.Protocol, opt Options) (InitialCensus, error) {
 // with shortest witnesses for both decision values — and by budgeted
 // per-configuration Classify otherwise. This is the per-root engine
 // behind CensusInitial; the serving layer calls it (via
-// ClassifyRootCached) so served classifications are identical to the
-// CLI's.
+// ClassifyRootCached) at each request's budget. flpcheck's Lemma 2 table
+// reads it too on a finite protocol, but classifies an unbounded one
+// (paxos, benor) by directed probes, so there a served answer can be
+// unknown where flpcheck prints bivalent.
 func ClassifyRoot(pr model.Protocol, c *model.Config, opt Options) ValencyInfo {
 	if atlas, ok := BuildAtlas(pr, c, opt); ok {
 		return atlas.InfoAt(0)

@@ -28,35 +28,12 @@ func New(n int) *Digraph {
 	return &Digraph{n: n, adj: adj}
 }
 
-// N returns the number of nodes.
-func (g *Digraph) N() int { return g.n }
-
 // AddEdge inserts the edge from → to. Self-loops are allowed (the closure
 // introduces them anyway for nodes on cycles).
 func (g *Digraph) AddEdge(from, to int) {
 	g.check(from)
 	g.check(to)
 	g.adj[from][to] = true
-}
-
-// HasEdge reports whether the edge from → to is present.
-func (g *Digraph) HasEdge(from, to int) bool {
-	g.check(from)
-	g.check(to)
-	return g.adj[from][to]
-}
-
-// EdgeCount returns the number of edges.
-func (g *Digraph) EdgeCount() int {
-	c := 0
-	for _, row := range g.adj {
-		for _, b := range row {
-			if b {
-				c++
-			}
-		}
-	}
-	return c
 }
 
 // InDegree returns the number of edges into node v.
@@ -69,42 +46,6 @@ func (g *Digraph) InDegree(v int) int {
 		}
 	}
 	return c
-}
-
-// OutDegree returns the number of edges out of node v.
-func (g *Digraph) OutDegree(v int) int {
-	g.check(v)
-	c := 0
-	for u := 0; u < g.n; u++ {
-		if g.adj[v][u] {
-			c++
-		}
-	}
-	return c
-}
-
-// Predecessors returns the sorted in-neighbors of v.
-func (g *Digraph) Predecessors(v int) []int {
-	g.check(v)
-	var ps []int
-	for u := 0; u < g.n; u++ {
-		if g.adj[u][v] {
-			ps = append(ps, u)
-		}
-	}
-	return ps
-}
-
-// Successors returns the sorted out-neighbors of v.
-func (g *Digraph) Successors(v int) []int {
-	g.check(v)
-	var ss []int
-	for u := 0; u < g.n; u++ {
-		if g.adj[v][u] {
-			ss = append(ss, u)
-		}
-	}
-	return ss
 }
 
 // Clone returns a deep copy.
@@ -148,28 +89,6 @@ func (g *Digraph) TransitiveClosure() *Digraph {
 		}
 	}
 	return c
-}
-
-// Ancestors returns the set of nodes from which v is reachable by a
-// nonempty path (v's ancestors in the paper's sense).
-func (g *Digraph) Ancestors(v int) map[int]bool {
-	g.check(v)
-	// Reverse breadth-first search from v.
-	anc := make(map[int]bool)
-	queue := []int{v}
-	visited := map[int]bool{}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for u := 0; u < g.n; u++ {
-			if g.adj[u][x] && !visited[u] {
-				visited[u] = true
-				anc[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	return anc
 }
 
 // InitialClique returns the initial clique of G+ for a closed graph g

@@ -79,6 +79,17 @@ func Initial(pr Protocol, in Inputs) (*Config, error) {
 	return &Config{procs: procs}, nil
 }
 
+// Root returns the initial configuration of in advanced by prefix: the
+// configuration a job that names its protocol, inputs and prefix explores
+// from.
+func Root(pr Protocol, in Inputs, prefix Schedule) (*Config, error) {
+	c, err := Initial(pr, in)
+	if err != nil {
+		return nil, err
+	}
+	return ApplySchedule(pr, c, prefix)
+}
+
 // MustInitial is Initial but panics on error, for tests and examples with
 // known-good arguments.
 func MustInitial(pr Protocol, in Inputs) *Config {

@@ -169,17 +169,22 @@ func TestInputsCount(t *testing.T) {
 }
 
 // ParseInputs inverts Inputs.String and refuses anything String cannot
-// write.
+// write, and any vector whose length is not the process count.
 func TestParseInputs(t *testing.T) {
 	for _, in := range append(model.AllInputs(3), model.Inputs{}, model.Inputs{model.V1}, model.AllInputs(6)[37]) {
-		got, err := model.ParseInputs(in.String())
+		got, err := model.ParseInputs(in.String(), len(in))
 		if err != nil || got.String() != in.String() || len(got) != len(in) {
 			t.Errorf("ParseInputs(%q) = %v, %v", in.String(), got, err)
 		}
 	}
 	for _, s := range []string{"2", "01x", "0 1", " 01", "01\n", "a", "0-1", "١", "0\x001"} {
-		if in, err := model.ParseInputs(s); err == nil {
+		if in, err := model.ParseInputs(s, len(s)); err == nil {
 			t.Errorf("ParseInputs(%q) = %v, want an error", s, in)
+		}
+	}
+	for _, n := range []int{-1, 0, 2, 4} {
+		if in, err := model.ParseInputs("011", n); err == nil {
+			t.Errorf("ParseInputs(011, %d) = %v, want an error", n, in)
 		}
 	}
 }

@@ -95,6 +95,15 @@ func UniformInputs(n int, v Value) Inputs {
 	return in
 }
 
+// AlternatingInputs gives process p input p mod 2: 0,1,0,1,….
+func AlternatingInputs(n int) Inputs {
+	in := make(Inputs, n)
+	for p := range in {
+		in[p] = Value(p & 1)
+	}
+	return in
+}
+
 // Count returns how many processes have input v.
 func (in Inputs) Count(v Value) int {
 	c := 0
@@ -115,15 +124,18 @@ func (in Inputs) String() string {
 	return string(b)
 }
 
-// ParseInputs is the inverse of Inputs.String: one '0' or '1' per
-// process, process 0 first, and nothing else.
-func ParseInputs(s string) (Inputs, error) {
+// ParseInputs is the inverse of Inputs.String for n processes: one '0'
+// or '1' per process, process 0 first, and nothing else.
+func ParseInputs(s string, n int) (Inputs, error) {
 	in := make(Inputs, len(s))
 	for i := 0; i < len(s); i++ {
 		if s[i] != '0' && s[i] != '1' {
 			return nil, fmt.Errorf("inputs %q: position %d is not a bit", s, i)
 		}
 		in[i] = Value(s[i] - '0')
+	}
+	if len(in) != n {
+		return nil, fmt.Errorf("inputs %q has %d values, want %d", s, len(in), n)
 	}
 	return in, nil
 }

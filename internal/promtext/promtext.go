@@ -164,14 +164,6 @@ func (c *Counter) write(sb *strings.Builder, name, labels string) {
 	fmt.Fprintf(sb, "%s%s %d\n", name, labels, c.v.Load())
 }
 
-// NewCounter registers an unlabeled counter.
-func NewCounter(r *Registry, name, help string) *Counter {
-	c := &Counter{}
-	f := r.register(&family{name: name, help: help, typ: "counter"})
-	f.get(nil, func() series { return c })
-	return c
-}
-
 // CounterVec is a counter family keyed by label values.
 type CounterVec struct{ f *family }
 
@@ -297,18 +289,6 @@ func (h *Histogram) write(sb *strings.Builder, name, labels string) {
 }
 
 func formatBound(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
-
-// NewHistogram registers an unlabeled histogram with the given bucket
-// upper bounds (nil means DefBuckets).
-func NewHistogram(r *Registry, name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	h := newHistogram(buckets)
-	f := r.register(&family{name: name, help: help, typ: "histogram"})
-	f.get(nil, func() series { return h })
-	return h
-}
 
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct {

@@ -24,7 +24,7 @@ func scrape(t *testing.T, r *Registry) string {
 // TestExposition pins the exact text format for every metric kind.
 func TestExposition(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(r, "jobs_total", "Jobs processed.")
+	c := NewCounterVec(r, "jobs_total", "Jobs processed.").With()
 	c.Add(3)
 	cv := NewCounterVec(r, "requests_total", "Requests by endpoint.", "endpoint", "code")
 	cv.With("/v1/census", "200").Inc()
@@ -33,7 +33,7 @@ func TestExposition(t *testing.T) {
 	g := NewGauge(r, "queue_depth", "Jobs queued.")
 	g.Set(5)
 	g.Dec()
-	h := NewHistogram(r, "latency_seconds", "Request latency.", []float64{0.1, 1})
+	h := NewHistogramVec(r, "latency_seconds", "Request latency.", []float64{0.1, 1}).With()
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(2)
@@ -108,8 +108,8 @@ func TestLabelEscaping(t *testing.T) {
 // lose updates.
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter(r, "c_total", "h")
-	h := NewHistogram(r, "h_seconds", "h", []float64{0.5})
+	c := NewCounterVec(r, "c_total", "h").With()
+	h := NewHistogramVec(r, "h_seconds", "h", []float64{0.5}).With()
 	var wg sync.WaitGroup
 	const G, N = 8, 1000
 	for g := 0; g < G; g++ {
@@ -137,11 +137,11 @@ func TestConcurrentObserve(t *testing.T) {
 // TestDuplicateRegistrationPanics pins the double-registration guard.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	NewCounter(r, "dup_total", "h")
+	NewCounterVec(r, "dup_total", "h")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	NewCounter(r, "dup_total", "h")
+	NewCounterVec(r, "dup_total", "h")
 }

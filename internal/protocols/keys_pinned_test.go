@@ -140,15 +140,12 @@ func TestStateKeysPinned(t *testing.T) {
 		t.Fatalf("%d protogen fixtures, want 20", len(fixtures))
 	}
 	for i, fx := range fixtures {
-		factory, _ := protocols.Lookup(fx.Name)
-		pr, err := factory(0)
+		c, err := fx.Case()
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := fx.InputValues()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr, _ := c.MustResolve(t)
+		in := c.Inputs
 		check(files[i], pr, in, 2000, 600)
 	}
 	// Long walks only: the round protocols past round 10, where the inbox
@@ -226,15 +223,12 @@ func TestBenorFixtureStreamsPinned(t *testing.T) {
 		if !ok {
 			continue
 		}
-		factory, _ := protocols.Lookup(fx.Name)
-		pr, err := factory(0)
+		c, err := fx.Case()
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := fx.InputValues()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr, _ := c.MustResolve(t)
+		in := c.Inputs
 		if got := streamDigest(pr, in, fx.MaxConfigs); got != want {
 			t.Errorf("%s: stream digest %s, pinned %s — the protocol's behaviour changed", files[i], got, want)
 		}

@@ -84,6 +84,23 @@ func Lookup(name string) (Factory, bool) {
 	return f, ok
 }
 
+// Resolve returns the protocol instance a name and a process count denote,
+// the one way every front end (the CLIs, the server, the cluster's
+// coordinator and workers, the test oracle) turns that text into a
+// protocol. An n below 2 is refused first, whatever the name, except that
+// a gen: name, which carries its own process count, runs at that count
+// when n is 0; any other n must equal it.
+func Resolve(name string, n int) (model.Protocol, error) {
+	if n < 2 && !(n == 0 && protogen.IsGenerated(name)) {
+		return nil, fmt.Errorf("protocol %q at n = %d: a protocol needs at least 2 processes", name, n)
+	}
+	factory, ok := Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown protocol %q", name)
+	}
+	return factory(n)
+}
+
 // Names lists the registered protocol names in sorted order.
 func Names() []string {
 	names := make([]string, 0, len(registry))

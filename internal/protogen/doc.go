@@ -9,7 +9,7 @@
 // generation dials — process count, message alphabet size, transition-table
 // density, decision-rule shape — to a Spec, a fully explicit, serializable
 // description of a protocol. Package protocols realizes a Spec as a
-// model.Protocol from its name (protocols.Lookup(sp.Name())); NewTable
+// model.Protocol from its name (protocols.Resolve(sp.Name(), 0)); NewTable
 // builds the table template alone. The map is a pure function: same seed
 // and dials, same Spec, same behaviour, on every machine and every run.
 //

@@ -119,23 +119,19 @@ type protocolKey struct {
 	n    int
 }
 
-// resolveProtocol looks a protocol up exactly as the CLIs do — registry
-// names plus self-describing gen: names — and keeps what resolved, so each
-// (name, n) pays its lookup once: a gen: name re-derives and re-validates
-// its whole table on every resolution. An n that model.CheckInputsN
-// refuses is refused on every endpoint, before any job work. Failures are
-// not kept. Protocols are immutable; the engines and the atlas cache
-// already share them across goroutines.
+// resolveProtocol resolves a protocol exactly as the CLIs do
+// (protocols.Resolve) and keeps what resolved, so each (name, n) pays its
+// lookup once: a gen: name re-derives and re-validates its whole table on
+// every resolution. An n that model.CheckInputsN refuses is refused on
+// every endpoint, before any job work. Failures are not kept. Protocols
+// are immutable; the engines and the atlas cache already share them
+// across goroutines.
 func (s *Server) resolveProtocol(name string, n int) (model.Protocol, error) {
 	key := protocolKey{name, n}
 	if pr, ok := s.protocols.Load(key); ok {
 		return pr.(model.Protocol), nil
 	}
-	factory, ok := protocols.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q", name)
-	}
-	pr, err := factory(n)
+	pr, err := protocols.Resolve(name, n)
 	if err != nil {
 		return nil, err
 	}

@@ -50,17 +50,7 @@ func NewInitiallyDead(n int) Protocol { return deadstart.New(n) }
 // LookupProtocol resolves a registered protocol name ("paxos", "2pc",
 // "benor", "waitall", "naivemajority", "trivial0") to a factory.
 func LookupProtocol(name string) (func(n int) (Protocol, error), bool) {
-	f, ok := protocols.Lookup(name)
-	if !ok {
-		return nil, false
-	}
-	return func(n int) (Protocol, error) {
-		pr, err := f(n)
-		if err != nil {
-			return nil, err
-		}
-		return pr, nil
-	}, true
+	return protocols.Lookup(name)
 }
 
 // ProtocolNames lists the registered protocol names.
