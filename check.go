@@ -97,7 +97,7 @@ type ValencyAtlas = explore.Atlas
 
 // BuildValencyAtlas materializes the reachable graph of pr from root and
 // classifies every node. It reports ok=false when the state space exceeds
-// opt's budget (or opt sets MaxDepth); callers then fall back to Classify.
+// opt's budget; callers then fall back to Classify.
 // Attach the atlas to a cache with ValencyCache.Warm, or let CensusLemma3
 // and the adversary build and share one automatically.
 func BuildValencyAtlas(pr Protocol, root *Config, opt CheckOptions) (*ValencyAtlas, bool) {

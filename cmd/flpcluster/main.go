@@ -35,6 +35,7 @@ import (
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
+	"github.com/flpsim/flp/internal/protogen"
 )
 
 func main() {
@@ -105,12 +106,11 @@ func runExplore(args []string) {
 	var (
 		cluster     = fs.String("cluster", "", "comma-separated worker addresses, or loopback:W for W in-process workers checked against the local engine (required)")
 		name        = fs.String("protocol", "naivemajority", "protocol to explore")
-		n           = fs.Int("n", 3, "number of processes")
+		n           = fs.Int("n", 3, "number of processes (a gen: name carries its own)")
 		inputs      = fs.String("inputs", "all", "input vector like 011 (commas allowed: 0,1,1) — or 'all' for a census over every vector")
 		shards      = fs.Int("shards", 0, "visited-set shards (0 = one per worker)")
 		replicas    = fs.Int("replicas", 0, "replicas per shard (0 = default 2; 1 disables failover)")
 		budget      = fs.Int("budget", 0, "max configurations per exploration (0 = default)")
-		depth       = fs.Int("depth", 0, "max schedule depth (0 = unlimited)")
 		chaos       = fs.String("chaos", "", "deterministic fault plan, e.g. seed=1,drop=0.02,kill=1@3")
 		ckDir       = fs.String("checkpoint-dir", "", "directory for durable level-boundary checkpoints ('' = checkpointing off)")
 		resume      = fs.Bool("resume", false, "restart from the newest matching checkpoint in -checkpoint-dir instead of from scratch")
@@ -123,7 +123,16 @@ func runExplore(args []string) {
 	if *resume && *ckDir == "" {
 		fatalf("explore: -resume requires -checkpoint-dir")
 	}
-	ins, err := inputVectors(*inputs, *n)
+	nSet := false
+	fs.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
+	if protogen.IsGenerated(*name) && !nSet {
+		*n = 0 // the name carries its process count
+	}
+	pr, err := protocols.Resolve(*name, *n)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	ins, err := inputVectors(*inputs, pr.N())
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -131,10 +140,11 @@ func runExplore(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	opt := explore.Options{MaxConfigs: *budget}
 	var local func(model.Inputs) (int, bool)
 	if loopback {
-		if local, err = localCount(*name, *n, explore.Options{MaxConfigs: *budget, MaxDepth: *depth}); err != nil {
-			fatalf("%v", err)
+		local = func(in model.Inputs) (int, bool) {
+			return explore.CountReachable(pr, model.MustInitial(pr, in), opt)
 		}
 	}
 	if *chaos != "" {
@@ -170,12 +180,12 @@ func runExplore(args []string) {
 	}()
 
 	fmt.Printf("distributed reachability census: %s n=%d, %d workers, shards=%d, replicas=%d\n",
-		*name, *n, len(addrs), *shards, distexplore.ReplicaCount(*replicas, len(addrs)))
+		*name, pr.N(), len(addrs), *shards, distexplore.ReplicaCount(*replicas, len(addrs)))
 	done := 0
 	for _, in := range ins {
 		task := distexplore.Task{
-			Protocol: *name, N: *n, Inputs: in, Shards: *shards, Replicas: *replicas,
-			Options:     explore.Options{MaxConfigs: *budget, MaxDepth: *depth},
+			Protocol: *name, N: pr.N(), Inputs: in, Shards: *shards, Replicas: *replicas,
+			Options:     opt,
 			Checkpoints: cks, Resume: *resume,
 		}
 		if *killAtLevel > 0 {
@@ -317,19 +327,6 @@ func clusterEndpoints(spec string) (tr distexplore.Transport, addrs []string, lo
 		addrs = append(addrs, l.Addr())
 	}
 	return lb, addrs, true, nil
-}
-
-// localCount returns the in-process engine's reachability count from each
-// input vector of the named protocol, the figure a loopback cluster's
-// counts are checked against.
-func localCount(name string, n int, opt explore.Options) (func(model.Inputs) (int, bool), error) {
-	pr, err := protocols.Resolve(name, n)
-	if err != nil {
-		return nil, err
-	}
-	return func(in model.Inputs) (int, bool) {
-		return explore.CountReachable(pr, model.MustInitial(pr, in), opt)
-	}, nil
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/flpsim/flp/internal/enginetest"
 )
 
 // TestParseChaos holds -chaos to its value ranges: probabilities in
@@ -73,4 +78,47 @@ func TestInputVectors(t *testing.T) {
 			t.Errorf("%q: error %q does not say %q", tc.spec, err, tc.want)
 		}
 	}
+}
+
+// TestGeneratedNameCensusAtItsN runs a loopback census of a corpus
+// fixture's gen: name with -n left unset: it runs at the name's own count,
+// every input vector of 2 processes, and each count matches the local
+// engine (a mismatch would exit).
+func TestGeneratedNameCensusAtItsN(t *testing.T) {
+	fx, err := enginetest.LoadFixture(filepath.Join("..", "..", "testdata", "protogen", "table-001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() { runExplore([]string{"-cluster", "loopback:2", "-protocol", fx.Name}) })
+	if !strings.Contains(out, " n=2, ") {
+		t.Errorf("census not at n = 2:\n%s", out)
+	}
+	for _, in := range []string{"00", "01", "10", "11"} {
+		if !strings.Contains(out, "  inputs "+in+": ") {
+			t.Errorf("census lacks inputs %s:\n%s", in, out)
+		}
+	}
+	if c := strings.Count(out, "matches the local engine"); c != 4 {
+		t.Errorf("%d of 4 counts match the local engine:\n%s", c, out)
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	f()
+	w.Close()
+	return <-read
 }

@@ -19,12 +19,13 @@ import (
 	"github.com/flpsim/flp"
 	"github.com/flpsim/flp/internal/model"
 	"github.com/flpsim/flp/internal/protocols"
+	"github.com/flpsim/flp/internal/protogen"
 )
 
 func main() {
 	var (
 		name     = flag.String("protocol", "paxos", "protocol to run (flpcheck -list, plus 'deadstart')")
-		n        = flag.Int("n", 3, "number of processes")
+		n        = flag.Int("n", 3, "number of processes (a gen: name carries its own)")
 		inputs   = flag.String("inputs", "", "input bits, e.g. 011 (default: alternating)")
 		sched    = flag.String("sched", "random", "scheduler: random | rr | delay:<pid>")
 		seed     = flag.Int64("seed", 1, "scheduler seed")
@@ -34,8 +35,10 @@ func main() {
 		diagram  = flag.Bool("diagram", false, "render the run as a space-time diagram with a fairness audit")
 	)
 	flag.Parse()
+	nSet := false
+	flag.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
 
-	pr, err := buildProtocol(*name, *n)
+	pr, err := buildProtocol(*name, *n, nSet)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -96,10 +99,14 @@ func main() {
 	}
 }
 
-// buildProtocol resolves -protocol and -n: deadstart, the Section 4
-// protocol no checker takes, or any name protocols.Resolve knows. Resolve
-// refuses an n below 2 whatever the name, deadstart's included.
-func buildProtocol(name string, n int) (flp.Protocol, error) {
+// buildProtocol resolves -protocol and -n (nSet: -n was given): deadstart,
+// the Section 4 protocol no checker takes, or any name protocols.Resolve
+// knows, a gen: name at its own count unless -n is set. Resolve refuses an
+// n below 2 whatever the name, deadstart's included.
+func buildProtocol(name string, n int, nSet bool) (flp.Protocol, error) {
+	if protogen.IsGenerated(name) && !nSet {
+		n = 0
+	}
 	if name == "deadstart" && n >= 2 {
 		return flp.NewInitiallyDead(n), nil
 	}

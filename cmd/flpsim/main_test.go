@@ -2,7 +2,10 @@ package main
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
+
+	"github.com/flpsim/flp/internal/enginetest"
 )
 
 // TestFlagParsers holds the three flag parsers to the process range
@@ -37,9 +40,25 @@ func TestFlagParsers(t *testing.T) {
 func TestHostileNRefused(t *testing.T) {
 	for _, name := range []string{"waitall", "2pc", "deadstart"} {
 		for _, n := range []int{-1, 0, 1} {
-			if pr, err := buildProtocol(name, n); err == nil {
+			if pr, err := buildProtocol(name, n, true); err == nil {
 				t.Errorf("%s at n = %d: built %s", name, n, pr.Name())
 			}
 		}
+	}
+}
+
+// TestGeneratedNameRunsAtItsN resolves a corpus fixture's gen: name with
+// -n at its default of 3: left unset, the name's own count (2) is used; set,
+// it is held to the name's count.
+func TestGeneratedNameRunsAtItsN(t *testing.T) {
+	fx, err := enginetest.LoadFixture(filepath.Join("..", "..", "testdata", "protogen", "table-001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr, err := buildProtocol(fx.Name, 3, false); err != nil || pr.N() != 2 {
+		t.Errorf("-n unset: got %v, %v; want the name's 2 processes", pr, err)
+	}
+	if _, err := buildProtocol(fx.Name, 3, true); err == nil {
+		t.Error("-n 3 resolved a 2-process name")
 	}
 }

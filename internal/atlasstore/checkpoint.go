@@ -27,7 +27,7 @@ import (
 // a damaged checkpoint degrades to a fresh start, never a wrong resume.
 
 // RunKey identifies one resumable exploration: the problem (protocol, n,
-// root, avoid filter) plus the bounds. Unlike atlas lineages the bounds are
+// root, avoid filter) plus the budget. Unlike atlas lineages the budget is
 // part of the identity — a checkpoint is a mid-flight cursor for one exact
 // run, not a reusable artifact — while the cluster layout (workers, shards,
 // replicas) is deliberately excluded: results are byte-identical across
@@ -42,7 +42,6 @@ type RunKey struct {
 	// when the run has no filter.
 	Avoid      string
 	MaxConfigs int
-	MaxDepth   int
 }
 
 // RunCheckpoint is a decoded checkpoint: the admitted node table as a

@@ -21,7 +21,6 @@ func ckFixture() (RunKey, *RunCheckpoint) {
 		RootKey:    []byte{0x01, 0x02, 0x03},
 		Avoid:      "",
 		MaxConfigs: 500,
-		MaxDepth:   0,
 	}
 	ck := &RunCheckpoint{
 		Snap: &explore.AtlasSnapshot{

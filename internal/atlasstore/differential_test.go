@@ -12,7 +12,7 @@ import (
 
 // TestStoreSuite runs the case table through the store, one fresh
 // directory per case, two ways: built cold and persisted, or resumed from
-// the truncated artifact a depth-2 Deepen wrote and persisted; either way a
+// the truncated artifact a Deepen at budget 16 wrote and persisted; either way a
 // second process then answers from disk. Where the bounds refuse an atlas,
 // the persisted artifact must refuse it too.
 func TestStoreSuite(t *testing.T) {
@@ -26,11 +26,9 @@ func TestStoreSuite(t *testing.T) {
 				dir := t.TempDir()
 				shallowDone := false
 				if way == "resumed" {
-					shallow := c.Options
-					shallow.MaxDepth = 2
-					_, st, err := openStore(t, dir).Deepen(pr, root, shallow)
+					_, st, err := openStore(t, dir).Deepen(pr, root, explore.Options{MaxConfigs: 16})
 					if err != nil {
-						t.Fatalf("Deepen to depth 2: %v", err)
+						t.Fatalf("Deepen to budget 16: %v", err)
 					}
 					shallowDone = st.Complete
 				}
@@ -41,9 +39,9 @@ func TestStoreSuite(t *testing.T) {
 				case way == "cold" && (st.Misses != 1 || st.Hits != 0):
 					t.Fatalf("cold build stats %+v, want one miss", st)
 				case way == "resumed" && shallowDone && st.Hits != 1:
-					t.Fatalf("stats %+v, want a hit: depth 2 exhausts the graph", st)
+					t.Fatalf("stats %+v, want a hit: budget 16 exhausts the graph", st)
 				case way == "resumed" && !shallowDone && st.Resumes != 1:
-					t.Fatalf("stats %+v, want a resume from the depth-2 artifact", st)
+					t.Fatalf("stats %+v, want a resume from the budget-16 artifact", st)
 				}
 				reload := openStore(t, dir)
 				a, reloaded := reload.GetAtlas(pr, root, c.Options)

@@ -2,8 +2,8 @@
 // explore.AtlasCache: valency atlases persisted as flat binary artifacts
 // that load with one sequential read — no per-node decoding, no
 // re-exploration — and budget-truncated explorations persisted with their
-// frontier so a later, deeper request resumes where the artifact stopped
-// instead of re-expanding anything.
+// frontier so a later request with a larger budget resumes where the
+// artifact stopped instead of re-expanding anything.
 //
 // This file is the artifact codec. The layout (DESIGN.md §9) is the magic,
 // the version and flags, a header of uvarint counts and identity fields,
@@ -49,7 +49,7 @@ const formatVersion uint32 = 2
 // load path needs them), and never without flagComplete. flagRun marks a
 // run checkpoint: a truncated artifact with no edges whose header carries
 // the run cursor, and flagLedgerTruncated, set only beside it, records
-// that the run's ledger had already observed a budget or depth cutoff.
+// that the run's ledger had already refused a configuration.
 const (
 	flagComplete        uint32 = 1 << 0
 	flagDists           uint32 = 1 << 1
@@ -115,7 +115,9 @@ func encodeArtifact(a *artifact) []byte {
 	b = model.AppendBytes(b, a.Key.RootKey)
 	if a.Run {
 		b = model.AppendString(b, a.Key.Avoid)
-		for _, v := range []int{a.Key.MaxConfigs, a.Key.MaxDepth, a.Start, a.Expanded} {
+		// 0 fills a reserved slot (once a depth bound): dropping it would
+		// bump formatVersion, which atlases share, and rebuild them all.
+		for _, v := range []int{a.Key.MaxConfigs, 0, a.Start, a.Expanded} {
 			b = model.AppendUvarint(b, uint64(v))
 		}
 	}
@@ -158,7 +160,7 @@ func encodedSize(a *artifact, dict []model.Event) int {
 	n += prefixedLen(len(a.Key.Protocol)) + uvarintLen(a.Key.N) + prefixedLen(len(a.Key.RootKey))
 	if a.Run {
 		n += prefixedLen(len(a.Key.Avoid))
-		for _, v := range []int{a.Key.MaxConfigs, a.Key.MaxDepth, a.Start, a.Expanded} {
+		for _, v := range []int{a.Key.MaxConfigs, 0, a.Start, a.Expanded} {
 			n += uvarintLen(v)
 		}
 	}
@@ -214,13 +216,14 @@ func decodeArtifact(b []byte) (*artifact, error) {
 	a.Key.N = r.Int("n")
 	a.Key.RootKey = r.Bytes("root key")
 	if run {
-		// The bounds are run parameters, not file-sized counts — a budget
-		// of 10M is plausible in a file of 200 bytes — so they are read
-		// unclamped; the identity check against the requested run
-		// validates them.
+		// The budget is a run parameter, not a file-sized count — 10M is
+		// plausible in a file of 200 bytes — so it is read unclamped; the
+		// identity check against the requested run validates it.
 		a.Key.Avoid = r.String("avoided event")
 		a.Key.MaxConfigs = int(r.Uvarint("max configs"))
-		a.Key.MaxDepth = int(r.Uvarint("max depth"))
+		if r.Uvarint("reserved") != 0 {
+			return nil, corruptf("reserved header slot is not zero")
+		}
 		a.Start = r.Int("pending level start")
 		a.Expanded = r.Int("expanded nodes")
 		a.Truncated = flags&flagLedgerTruncated != 0
@@ -313,7 +316,7 @@ func decodeFor(key RunKey, run bool, b []byte) (*artifact, error) {
 	}
 	k := a.Key
 	if k.Protocol != key.Protocol || k.N != key.N || !bytes.Equal(k.RootKey, key.RootKey) ||
-		k.Avoid != key.Avoid || k.MaxConfigs != key.MaxConfigs || k.MaxDepth != key.MaxDepth {
+		k.Avoid != key.Avoid || k.MaxConfigs != key.MaxConfigs {
 		return nil, corruptf("identity does not match the file name")
 	}
 	return a, nil

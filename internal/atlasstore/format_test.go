@@ -168,7 +168,7 @@ func columnsDigest(a *artifact) string {
 	field(a.Key.RootKey)
 	field([]byte(a.Key.Avoid))
 	num(a.Key.MaxConfigs)
-	num(a.Key.MaxDepth)
+	num(0) // the reserved slot
 	flag(a.Run)
 	num(a.Start)
 	flag(a.Truncated)

@@ -74,9 +74,10 @@ func openShelf(dir string, run bool) (*shelf, error) {
 // file is the content-addressed path of key's file: a SHA-256 over the
 // identity fields. A lineage hashes the length-prefixed protocol name, the
 // process count and the root's binary canonical key; a run length-prefixes
-// the root key too and adds the avoid filter and both bounds. Registry
-// names are stable identities and gen: protocol names encode their full
-// specification, so equal digests mean equal exploration problems.
+// the root key too and adds the avoid filter, the budget and a reserved
+// zero. Registry names are stable identities and gen: protocol names
+// encode their full specification, so equal digests mean equal exploration
+// problems.
 func (s *shelf) file(key RunKey) string {
 	b := appendField(nil, []byte(key.Protocol))
 	b = binary.LittleEndian.AppendUint64(b, uint64(key.N))
@@ -85,7 +86,8 @@ func (s *shelf) file(key RunKey) string {
 		b = appendField(b, key.RootKey)
 		b = appendField(b, []byte(key.Avoid))
 		b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxConfigs))
-		b = binary.LittleEndian.AppendUint64(b, uint64(key.MaxDepth))
+		// Reserved: 8 zero bytes (once a depth bound) keep every name.
+		b = binary.LittleEndian.AppendUint64(b, 0)
 		ext = ".ckpt"
 	} else {
 		b = append(b, key.RootKey...)
@@ -235,7 +237,7 @@ func (s *Store) Stats() Stats {
 }
 
 // lineage is the identity of pr's exploration from root: what the
-// artifact's file name and header are derived from. The bounds are
+// artifact's file name and header are derived from. The budget is
 // deliberately not part of it.
 func lineage(pr model.Protocol, root *model.Config) RunKey {
 	return RunKey{Protocol: pr.Name(), N: pr.N(), RootKey: root.KeyBytes()}
@@ -248,9 +250,8 @@ func lineage(pr model.Protocol, root *model.Config) RunKey {
 // fails a query it could answer by computing.
 func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Options) (*explore.Atlas, bool) {
 	opt = opt.Normalized()
-	if opt.MaxDepth != 0 || opt.MaxConfigs >= math.MaxInt32 {
-		// Mirror BuildAtlas's refusals without touching disk: depth-bounded
-		// atlases do not exist and the id space is int32.
+	if opt.MaxConfigs >= math.MaxInt32 {
+		// Mirror BuildAtlas's refusal without touching disk.
 		s.refused.Add(1)
 		return nil, false
 	}
@@ -276,39 +277,21 @@ func (s *Store) GetAtlas(pr model.Protocol, root *model.Config, opt explore.Opti
 		art = nil
 	}
 
-	b, resumed := s.builder(pr, root, path, art)
+	a, _, st := s.extend(pr, root, key, path, art, opt)
 	// Each request lands in exactly one outcome counter: hit (loaded),
 	// resume (frontier extended), miss (built from scratch), refused
 	// (answered without productive work). Whether a miss or resume ends
 	// in an atlas or a refusal is visible in the returned ok, not double-
 	// counted here.
-	grew := b.Extend(opt) > 0
 	switch {
-	case resumed && grew:
+	case st.Resumed && st.NewlyExpanded > 0:
 		s.resumes.Add(1)
-	case resumed:
+	case st.Resumed:
 		s.refused.Add(1) // restored state already saturates this budget
 	default:
 		s.misses.Add(1)
 	}
-	if !b.Complete() {
-		// Persist the truncated state with its frontier so the next
-		// bigger-budget request resumes instead of re-exploring.
-		if grew || !resumed {
-			s.save(path, key, b.Snapshot(), resumed)
-		}
-		return nil, false
-	}
-	a, ok := b.Finish()
-	if !ok {
-		return nil, false
-	}
-	if grew || !resumed {
-		// Persist the finished atlas — distance columns included, so the
-		// next process warm-loads without running the backward passes.
-		s.save(path, key, a.Snapshot(), resumed)
-	}
-	return a, true
+	return a, a != nil
 }
 
 // DeepenStats reports what one Deepen call did to a lineage's artifact.
@@ -320,7 +303,7 @@ type DeepenStats struct {
 	Expanded int
 	// NewlyExpanded is the number of configurations expanded *by this
 	// call* — zero when the artifact already covered the request, and
-	// never includes re-expansion of previously persisted depths.
+	// never includes re-expansion of a previously persisted node.
 	NewlyExpanded int
 	// Complete reports that the reachable set is exhausted.
 	Complete bool
@@ -330,59 +313,58 @@ type DeepenStats struct {
 }
 
 // Deepen is the incremental-deepening entry point: explore the lineage's
-// reachable graph under opt's bounds (opt.MaxDepth > 0 is meaningful
-// here, unlike GetAtlas), resuming from the persisted frontier when an
-// artifact exists, and persist the extended state. A depth-d artifact
-// deepened to d+k expands exactly the nodes at depths d..d+k-1 — nothing
-// below d is re-expanded — and the resulting state is byte-identical to a
-// one-shot depth-(d+k) exploration. The returned snapshot is the
-// persisted state.
+// reachable graph under opt's budget, resuming from the persisted frontier
+// when an artifact exists, and persist the extended state. Unlike
+// GetAtlas it answers with the state itself, truncated or not. An artifact
+// built at budget b and deepened to b′ expands exactly the nodes a one-shot
+// exploration at b′ expands past those b expanded — nothing is
+// re-expanded — and the resulting state is byte-identical to that one-shot
+// exploration's. The returned snapshot is the persisted state; the error
+// is always nil.
 func (s *Store) Deepen(pr model.Protocol, root *model.Config, opt explore.Options) (*explore.AtlasSnapshot, DeepenStats, error) {
-	opt = opt.Normalized()
 	key := lineage(pr, root)
 	path := s.file(key)
 	defer s.lock(path)()
 
 	art := s.load(key, path)
 	if art != nil && art.Snap.Complete {
-		// Exhausted: nothing a deeper bound could add.
+		// Exhausted: nothing a larger budget could add.
 		s.hits.Add(1)
 		return art.Snap, DeepenStats{
 			Nodes: art.Snap.Len(), Expanded: art.Snap.Expanded(),
 			Complete: true, Resumed: true,
 		}, nil
 	}
-	var st DeepenStats
-	b, resumed := s.builder(pr, root, path, art)
-	st.Resumed = resumed
-	st.NewlyExpanded = b.Extend(opt)
-	st.Nodes, st.Expanded, st.Complete = b.Len(), b.Expanded(), b.Complete()
-	if st.Resumed {
-		if st.NewlyExpanded > 0 {
-			s.resumes.Add(1)
-		} else {
-			s.hits.Add(1)
-		}
-	} else {
+	_, snap, st := s.extend(pr, root, key, path, art, opt)
+	switch {
+	case st.Resumed && st.NewlyExpanded > 0:
+		s.resumes.Add(1)
+	case st.Resumed:
+		s.hits.Add(1)
+	default:
 		s.misses.Add(1)
 	}
-	var snap *explore.AtlasSnapshot
-	if st.Complete {
-		// Exhausted under the depth bound: finish into a real atlas so the
-		// persisted artifact carries distance columns and GetAtlas can
-		// warm-load it.
-		a, ok := b.Finish()
-		if !ok {
-			return nil, st, fmt.Errorf("atlasstore: complete builder refused to finish")
-		}
+	return snap, st, nil
+}
+
+// extend grows the lineage's builder (restored from art, or fresh) under
+// opt's budget, finishes it into a once the reachable set is exhausted (a
+// is nil otherwise), and persists snap, the state reached, when the call
+// changed it. The caller counts the outcome.
+func (s *Store) extend(pr model.Protocol, root *model.Config, key RunKey, path string, art *artifact, opt explore.Options) (a *explore.Atlas, snap *explore.AtlasSnapshot, st DeepenStats) {
+	b, resumed := s.builder(pr, root, path, art)
+	st = DeepenStats{NewlyExpanded: b.Extend(opt), Resumed: resumed}
+	st.Nodes, st.Expanded, st.Complete = b.Len(), b.Expanded(), b.Complete()
+	if resumed && st.NewlyExpanded == 0 {
+		return nil, art.Snap, st // still truncated: the stored state stands
+	}
+	if a, _ = b.Finish(); a != nil { // Finish refuses exactly a truncated builder
 		snap = a.Snapshot()
 	} else {
 		snap = b.Snapshot()
 	}
-	if st.NewlyExpanded > 0 || !st.Resumed {
-		s.save(path, key, snap, st.Resumed)
-	}
-	return snap, st, nil
+	s.save(path, key, snap, resumed)
+	return a, snap, st
 }
 
 // builder returns the lineage's builder: restored from a truncated

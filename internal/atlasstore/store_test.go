@@ -2,6 +2,7 @@ package atlasstore_test
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -16,6 +17,10 @@ import (
 )
 
 const testBudget = 3000
+
+// deepenSmall and deepenLarge are the two budgets the Deepen tests extend
+// by; both cut the fixture's 141 configurations.
+const deepenSmall, deepenLarge = 40, 100
 
 func fixture(t *testing.T) (model.Protocol, *model.Config) {
 	t.Helper()
@@ -44,17 +49,21 @@ func artifactPath(t *testing.T, dir string) string {
 	return matches[0]
 }
 
-// TestStoreRefusals: bounds-refusals mirror BuildAtlas without touching
-// disk, and a complete artifact answers an over-budget request as a
-// persistent refusal straight from its header.
+// TestStoreRefusals: a budget past the int32 node ids is refused as
+// BuildAtlas refuses it, without touching disk, and a complete artifact
+// answers an over-budget request as a persistent refusal straight from its
+// header.
 func TestStoreRefusals(t *testing.T) {
 	pr, root := fixture(t)
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	opt := explore.Options{MaxConfigs: testBudget}
 
-	if _, ok := s.GetAtlas(pr, root, explore.Options{MaxConfigs: testBudget, MaxDepth: 3}); ok {
-		t.Fatal("store built a depth-bounded atlas; BuildAtlas's contract refuses those")
+	if _, ok := s.GetAtlas(pr, root, explore.Options{MaxConfigs: math.MaxInt32}); ok {
+		t.Fatal("store accepted a budget past the int32 node ids; BuildAtlas's contract refuses it")
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("the refusal touched disk: %d files", len(files))
 	}
 	if st := s.Stats(); st.Refused != 1 {
 		t.Fatalf("stats = %+v, want one refusal", st)
@@ -131,53 +140,47 @@ func TestStoreBudgetResume(t *testing.T) {
 }
 
 // TestStoreDeepenPinsExpansion is the incremental-deepening acceptance
-// criterion: extending a depth-d artifact to d+k expands only the new
-// depths — pinned by the expansion counter. That the result is a one-shot
-// depth-(d+k) exploration's, byte for byte, is
-// TestStoreDeepenLooksUpAcrossResume's, at the same d and k.
+// criterion: extending an artifact built at a small budget to a larger one
+// expands only what the larger budget adds — pinned by the expansion
+// counter. That the result is a one-shot exploration's at the larger
+// budget, byte for byte, is TestStoreDeepenLooksUpAcrossResume's, at the
+// same two budgets.
 func TestStoreDeepenPinsExpansion(t *testing.T) {
 	pr, root := fixture(t)
 	budget := explore.Options{MaxConfigs: testBudget}
-	const d, k = 3, 2
+	small, large := explore.Options{MaxConfigs: deepenSmall}, explore.Options{MaxConfigs: deepenLarge}
 
 	// One-shot reference, no store involved.
-	oneshot := explore.NewAtlasBuilder(pr, root)
-	oneOpt := budget
-	oneOpt.MaxDepth = d + k
-	oneTotal := oneshot.Extend(oneOpt)
+	oneTotal := explore.NewAtlasBuilder(pr, root).Extend(large)
 
 	s := openStore(t, t.TempDir())
-	dOpt := budget
-	dOpt.MaxDepth = d
-	snapD, stD, err := s.Deepen(pr, root, dOpt)
+	snapS, stS, err := s.Deepen(pr, root, small)
 	if err != nil {
-		t.Fatalf("Deepen(d): %v", err)
+		t.Fatalf("Deepen(small): %v", err)
 	}
-	if stD.Resumed || stD.Complete {
-		t.Fatalf("Deepen(d) stats = %+v, want a fresh truncated exploration", stD)
+	if stS.Resumed || stS.Complete {
+		t.Fatalf("Deepen(small) stats = %+v, want a fresh truncated exploration", stS)
 	}
 
-	dkOpt := budget
-	dkOpt.MaxDepth = d + k
-	snapDK, stDK, err := s.Deepen(pr, root, dkOpt)
+	snapL, stL, err := s.Deepen(pr, root, large)
 	if err != nil {
-		t.Fatalf("Deepen(d+k): %v", err)
+		t.Fatalf("Deepen(large): %v", err)
 	}
-	if !stDK.Resumed {
-		t.Fatal("Deepen(d+k) did not resume from the stored frontier")
+	if !stL.Resumed {
+		t.Fatal("Deepen(large) did not resume from the stored frontier")
 	}
-	if stD.NewlyExpanded+stDK.NewlyExpanded != oneTotal {
-		t.Fatalf("incremental expanded %d+%d nodes, one-shot expanded %d — depth ≤ d was re-expanded",
-			stD.NewlyExpanded, stDK.NewlyExpanded, oneTotal)
+	if stS.NewlyExpanded+stL.NewlyExpanded != oneTotal {
+		t.Fatalf("incremental expanded %d+%d nodes, one-shot expanded %d — a stored node was re-expanded",
+			stS.NewlyExpanded, stL.NewlyExpanded, oneTotal)
 	}
-	if snapD.Len() >= snapDK.Len() {
-		t.Fatalf("deepening did not grow the artifact: %d → %d nodes", snapD.Len(), snapDK.Len())
+	if snapS.Len() >= snapL.Len() {
+		t.Fatalf("deepening did not grow the artifact: %d → %d nodes", snapS.Len(), snapL.Len())
 	}
 
-	// A third Deepen at the same depth is a no-op hit.
-	_, st3, err := s.Deepen(pr, root, dkOpt)
+	// A third Deepen at the same budget is a no-op hit.
+	_, st3, err := s.Deepen(pr, root, large)
 	if err != nil {
-		t.Fatalf("Deepen(d+k) again: %v", err)
+		t.Fatalf("Deepen(large) again: %v", err)
 	}
 	if st3.NewlyExpanded != 0 || !st3.Resumed {
 		t.Fatalf("repeat Deepen stats = %+v, want a zero-expansion resume", st3)
@@ -189,9 +192,9 @@ func TestStoreDeepenPinsExpansion(t *testing.T) {
 	if err != nil || !st4.Complete {
 		t.Fatalf("Deepen to exhaustion: stats %+v, err %v", st4, err)
 	}
-	if all := explore.NewAtlasBuilder(pr, root).Extend(budget); stD.NewlyExpanded+stDK.NewlyExpanded+st4.NewlyExpanded != all {
+	if all := explore.NewAtlasBuilder(pr, root).Extend(budget); stS.NewlyExpanded+stL.NewlyExpanded+st4.NewlyExpanded != all {
 		t.Fatalf("three Deepen calls expanded %d+%d+%d nodes, one exhaustive build %d",
-			stD.NewlyExpanded, stDK.NewlyExpanded, st4.NewlyExpanded, all)
+			stS.NewlyExpanded, stL.NewlyExpanded, st4.NewlyExpanded, all)
 	}
 	s2 := openStore(t, s.Dir())
 	if _, ok := s2.GetAtlas(pr, root, budget); !ok {
@@ -213,9 +216,7 @@ func TestStoreDeepenLooksUpAcrossResume(t *testing.T) {
 	base, root := fixture(t)
 	var steps atomic.Int64
 	pr := modeltest.StepCounter{Protocol: base, Steps: &steps}
-	const d, k = 3, 2
-	shallow := explore.Options{MaxConfigs: testBudget, MaxDepth: d}
-	deep := explore.Options{MaxConfigs: testBudget, MaxDepth: d + k}
+	shallow, deep := explore.Options{MaxConfigs: deepenSmall}, explore.Options{MaxConfigs: deepenLarge}
 
 	oneshot := openStore(t, t.TempDir())
 	if _, _, err := oneshot.Deepen(pr, root, deep); err != nil {

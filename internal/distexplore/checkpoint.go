@@ -15,7 +15,7 @@ import (
 func (r *run) openCheckpoints() {
 	r.ckKey = atlasstore.RunKey{
 		Protocol: r.t.Protocol, N: r.t.N, RootKey: r.root.KeyBytes(),
-		MaxConfigs: r.eopt.MaxConfigs, MaxDepth: r.eopt.MaxDepth,
+		MaxConfigs: r.eopt.MaxConfigs,
 	}
 	if r.t.Avoid != nil {
 		r.ckKey.Avoid = string(model.AppendEvent(nil, *r.t.Avoid))
@@ -37,6 +37,9 @@ func (r *run) restore() (start int, ok bool) {
 		return 0, false
 	}
 	b, err := explore.RestoreAtlasBuilder(r.pr, r.root, ck.Snap)
+	if err == nil && ck.Truncated && ck.Snap.Len() < r.eopt.MaxConfigs {
+		err = fmt.Errorf("ledger truncated below its budget") // only a full ledger truncates
+	}
 	if err != nil {
 		r.t.Checkpoints.Discard(r.ckKey, err)
 		return 0, false
@@ -68,13 +71,13 @@ func (r *run) lastGood(level int) {
 
 // resume brings the workers and the caller level with a restored table.
 // Every worker is backfilled with the admitted state by the same per-level
-// adoption the original run performed — skipped entirely when the budget is
-// sealed: no expansion will ever run again, so no worker needs state. Then
+// adoption the original run performed — skipped entirely when the ledger is
+// truncated: no expansion will ever run again, so no worker needs state. Then
 // the completed prefix's visits are replayed, so callers observe the same
 // stream an uninterrupted run would produce (visit callbacks must be
 // deterministic for resume to be transparent).
 func (r *run) resume(start int) error {
-	if !r.led.Sealed() {
+	if !r.led.Truncated {
 		if err := r.adoptedLevels(); err != nil {
 			return err
 		}
@@ -88,9 +91,8 @@ func (r *run) resume(start int) error {
 }
 
 // adoptedLevels adopts the restored node table into the workers the way the
-// run adopted it: one batch per level, in admission order, depth-capped
-// levels skipped because the run never adopted them, identities taken from
-// the replayed configurations.
+// run adopted it: one batch per level, in admission order, identities taken
+// from the replayed configurations.
 func (r *run) adoptedLevels() error {
 	n := r.nodes.Len()
 	for lo := 0; lo < n; {
@@ -98,17 +100,15 @@ func (r *run) adoptedLevels() error {
 		for hi < n && r.nodes.Depth[hi] == d {
 			hi++
 		}
-		if !r.eopt.DepthCapped(int(d)) {
-			adopts := make([]adoptNode, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				adopts = append(adopts, adoptNode{
-					Index: uint64(i), Depth: uint64(d), wireKey: identityOf(r.wcfgs[i]),
-					Parent: uint64(max(r.nodes.Parent[i], 0)), Via: r.nodes.ParentVia[i],
-				})
-			}
-			if err := r.adoptPhase(int(d), adopts); err != nil {
-				return err
-			}
+		adopts := make([]adoptNode, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			adopts = append(adopts, adoptNode{
+				Index: uint64(i), Depth: uint64(d), wireKey: identityOf(r.wcfgs[i]),
+				Parent: uint64(max(r.nodes.Parent[i], 0)), Via: r.nodes.ParentVia[i],
+			})
+		}
+		if err := r.adoptPhase(int(d), adopts); err != nil {
+			return err
 		}
 		lo = hi
 	}

@@ -54,7 +54,8 @@ func mustAgree(t *testing.T, label string, ref, got enginetest.Stream) {
 }
 
 // gridCases are the cases the clean cluster runs at every shape: finite
-// protocols whole, and a budget and a depth cap that cut a level.
+// protocols whole, and budgets that cut a level at its end and in the
+// middle.
 var gridCases = []string{"waitall3-011", "naivemajority3-011", "2pc3-011", "paxos-budget600", "naivemajority-depth4", "naivemajority-budget137"}
 
 // TestClusterSuite runs the case table through the cluster four ways, over

@@ -98,7 +98,7 @@ type Task struct {
 	// the pre-replication behaviour. Results are byte-identical at every
 	// R, with or without failures.
 	Replicas int
-	// Options carries the exploration bounds (MaxConfigs, MaxDepth).
+	// Options carries the exploration's budget (MaxConfigs).
 	// Workers is ignored: in the distributed engine parallelism comes from
 	// worker processes (see explore.Options.Workers for the full
 	// Workers-versus-Shards contract).

@@ -11,6 +11,7 @@ import (
 	"github.com/flpsim/flp/internal/enginetest"
 	"github.com/flpsim/flp/internal/explore"
 	"github.com/flpsim/flp/internal/model"
+	"github.com/flpsim/flp/internal/protocols"
 )
 
 // The recovery suite pins the crash-recoverability tentpole: a coordinator
@@ -232,6 +233,37 @@ func TestCheckpointCorruptRestartsFresh(t *testing.T) {
 	mustAgree(t, "resume-after-corruption", reference(t, task), got)
 	if st.ResumedLevel != -1 {
 		t.Errorf("corrupt checkpoint resumed at level %d, want a fresh start", st.ResumedLevel)
+	}
+	if ckStats := cks.Stats(); ckStats.Corrupt != 1 {
+		t.Errorf("store stats %+v, want exactly 1 corrupt", ckStats)
+	}
+}
+
+// TestCheckpointTruncatedBelowBudgetRestartsFresh: a run takes a truncated
+// ledger for a sealed frontier, and only a refusal at a full budget
+// truncates one, so a checkpoint that says truncated below its budget —
+// well-formed, but never written by a run — is discarded at resume like a
+// corrupt one, and the run restarts from scratch.
+func TestCheckpointTruncatedBelowBudgetRestartsFresh(t *testing.T) {
+	task := recoveryTask()
+	cks := openCheckpoints(t, t.TempDir())
+	crashRun(t, task, cks, 3)
+	pr, err := protocols.Resolve(task.Protocol, task.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := atlasstore.RunKey{Protocol: task.Protocol, N: task.N, RootKey: model.MustInitial(pr, task.Inputs).KeyBytes(), MaxConfigs: task.Options.MaxConfigs}
+	ck := cks.Load(key)
+	if ck == nil || ck.Truncated || ck.Snap.Len() >= key.MaxConfigs {
+		t.Fatalf("the crash left checkpoint %+v, want one below the budget, not truncated", ck)
+	}
+	ck.Truncated = true
+	cks.Save(key, ck)
+
+	got, st := resumeRun(t, task, cks)
+	mustAgree(t, "resume-after-false-truncation", reference(t, task), got)
+	if st.ResumedLevel != -1 {
+		t.Errorf("falsely truncated checkpoint resumed at level %d, want a fresh start", st.ResumedLevel)
 	}
 	if ckStats := cks.Stats(); ckStats.Corrupt != 1 {
 		t.Errorf("store stats %+v, want exactly 1 corrupt", ckStats)

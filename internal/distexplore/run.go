@@ -235,10 +235,10 @@ func (r *run) begin() (start int, err error) {
 // walkLevel runs the level [start, end) — levels are contiguous index
 // ranges, as in the in-process engine — and returns where the next starts.
 // Its chunks are each expanded, merged, deduped and admitted before the
-// next is sized, so once the ledger seals nothing further is expanded,
-// keyed or shipped. The admitted nodes are adopted once, at the end —
-// unless they can never be expanded (sealed budget, or the next level sits
-// at the depth cap), in which case no worker needs them.
+// next is sized, so once the ledger is truncated nothing further is
+// expanded, keyed or shipped. The admitted nodes are adopted once, at the
+// end — unless the ledger is truncated, so they can never be expanded and
+// no worker needs them.
 func (r *run) walkLevel(start int) (next int, err error) {
 	if r.cl.interrupted.Load() {
 		// The last boundary checkpoint (if any) stays on disk: an
@@ -262,7 +262,7 @@ func (r *run) walkLevel(start int) (next int, err error) {
 			return start, err
 		}
 	}
-	if len(adopts) == 0 || r.led.Sealed() || r.eopt.DepthCapped(r.level+1) {
+	if len(adopts) == 0 || r.led.Truncated {
 		return end, nil
 	}
 	return end, r.adoptPhase(r.level+1, adopts)
@@ -271,12 +271,11 @@ func (r *run) walkLevel(start int) (next int, err error) {
 // expandChunk sizes the level's next chunk, parent indices [lo, hi), from
 // the ledger by the rule core.walk uses (explore.SpecChunk), then expands,
 // merges and dedups it and returns the fresh candidates in merge order.
-// When no node of the level may grow the frontier — a sealed budget, or
-// the level sits at the depth cap (level equals depth in breadth-first
-// order, so the cap is uniform across it) — nothing is expanded and the
-// chunk is the rest of the level, which is then only visited.
+// When the ledger is truncated no node of the level may grow the frontier:
+// nothing is expanded and the chunk is the rest of the level, which is
+// then only visited.
 func (r *run) expandChunk(lo, end int) (hi int, fresh []candidate, err error) {
-	if r.led.Sealed() || r.eopt.DepthCapped(r.level) {
+	if r.led.Truncated {
 		return end, nil, nil
 	}
 	ch := chunkID{r.level, lo}
@@ -301,9 +300,6 @@ func (r *run) admitChunk(lo, hi int, fresh []candidate, adopts []adoptNode) ([]a
 	for i := lo; i < hi; i++ {
 		if r.visitNode(i) {
 			return adopts, errStopped
-		}
-		if !r.led.ShouldExpand(int(r.nodes.Depth[i])) {
-			continue
 		}
 		for fi < len(fresh) && fresh[fi].Parent < uint64(i) {
 			fi++ // defensive; candidates of visited parents are behind us

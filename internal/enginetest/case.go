@@ -111,15 +111,16 @@ func Cases(t testing.TB) []Case {
 func buildCases() ([]Case, error) {
 	in3, in4 := model.Inputs{0, 1, 1}, model.Inputs{0, 1, 1, 0}
 	budget := func(n int) explore.Options { return explore.Options{MaxConfigs: n} }
-	// Registry protocols whole and cut by a budget, then budgets and a depth
-	// cap that cut a level in the middle, where the engines expand in
+	// Registry protocols whole and cut by a budget, then budgets that cut
+	// a level at its end or in the middle, where the engines expand in
 	// ledger-sized chunks (the last seven are the explore-wide shapes).
+	// naivemajority-depth4's 67 is every configuration within 4 steps.
 	cases := []Case{
 		{Name: "trivial0", Protocol: "trivial0", N: 3, Inputs: in3},
 		{Name: "3pc-budget2000", Protocol: "3pc", N: 3, Inputs: in3, Options: budget(2000)},
 		{Name: "paxos-budget600", Protocol: "paxos", N: 3, Inputs: in3, Options: budget(600)},
 		{Name: "benor-budget600", Protocol: "benor", N: 3, Inputs: in3, Options: budget(600)},
-		{Name: "naivemajority-depth4", Protocol: "naivemajority", N: 3, Inputs: in3, Options: explore.Options{MaxDepth: 4}},
+		{Name: "naivemajority-depth4", Protocol: "naivemajority", N: 3, Inputs: in3, Options: budget(67)},
 		{Name: "naivemajority-budget137", Protocol: "naivemajority", N: 3, Inputs: in3, Options: budget(137)},
 		{Name: "naivemajority4-budget60", Protocol: "naivemajority", N: 4, Inputs: in4, Options: budget(60)},
 		{Name: "naivemajority4-budget400", Protocol: "naivemajority", N: 4, Inputs: in4, Options: budget(400)},
@@ -145,7 +146,7 @@ func buildCases() ([]Case, error) {
 
 	// Lemma 3's avoided event, an exploration from a configuration two
 	// steps in, and an early stop, on naivemajority(3) from 0,1,1; and a
-	// generated protocol under a depth cap.
+	// generated protocol whose budget, 17, ends at depth 3.
 	nm := Case{Protocol: "naivemajority", N: 3, Inputs: in3}
 	pr, root, err := nm.Resolve()
 	if err != nil {
@@ -162,7 +163,7 @@ func buildCases() ([]Case, error) {
 		Case{Name: "naivemajority-avoid-budget400", Protocol: nm.Protocol, N: 3, Inputs: in3, Avoid: &avoid, Options: budget(400)},
 		Case{Name: "naivemajority-prefix2-budget300", Protocol: nm.Protocol, N: 3, Inputs: in3, Prefix: prefix, Options: budget(300)},
 		Case{Name: "naivemajority-stop40", Protocol: nm.Protocol, N: 3, Inputs: in3, StopAt: 40},
-		Case{Name: "gen5-depth3-budget250", Protocol: gen5.Name(), N: 3, Inputs: model.AlternatingInputs(3), Options: explore.Options{MaxConfigs: 250, MaxDepth: 3}},
+		Case{Name: "gen5-depth3-budget250", Protocol: gen5.Name(), N: 3, Inputs: model.AlternatingInputs(3), Options: budget(17)},
 	)
 
 	// Generated protocols of both templates: transition-table shapes

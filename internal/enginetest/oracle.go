@@ -99,11 +99,11 @@ func DiffStreams(want, got Stream) error {
 // Diff judges an engine's answer to case c — the stream Record made of its
 // walk, and the walk's error — against ref, c's reference stream: nil when
 // the answer is one the contract allows, the first divergence otherwise. An
-// engine may refuse only a case no atlas answers: one with an event filter,
-// a stop or a depth cap, or one the budget cuts.
+// engine may refuse only a case no atlas answers: one with an event filter
+// or a stop, or one the budget cuts.
 func Diff(c Case, ref, got Stream, err error) error {
 	if errors.Is(err, ErrRefused) {
-		if ref.Complete && c.Atlasable() && c.Options.MaxDepth == 0 {
+		if ref.Complete && c.Atlasable() {
 			return fmt.Errorf("refused a case the reference completes in %d configurations", ref.Visited)
 		}
 		return nil

@@ -68,11 +68,10 @@ func (a *Atlas) loaded() bool { return a.g.Keys != nil }
 // BuildAtlas materializes the reachable configuration graph of pr from
 // root and classifies every node, within opt's budget. It reports ok=false
 // — and builds nothing usable — when the reachable set exceeds
-// opt.MaxConfigs or when opt.MaxDepth is set (depth-bounded reachability is
-// root-relative, which a shared graph cannot answer); callers then fall
-// back to per-configuration Classify under the same options, which is
-// byte-identical in valency, exactness, and witness length whenever the
-// atlas would have been available.
+// opt.MaxConfigs, or when opt.MaxConfigs does not fit the atlas's int32
+// node ids; callers then fall back to per-configuration Classify under the
+// same options, which is byte-identical in valency, exactness, and witness
+// length whenever the atlas would have been available.
 //
 // The build is one AtlasBuilder extended once and finished, i.e. the
 // level-synchronous core (core.go) with edges recorded: it honours
@@ -81,7 +80,7 @@ func (a *Atlas) loaded() bool { return a.g.Keys != nil }
 // byte-identical at every worker count.
 func BuildAtlas(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool) {
 	opt = opt.withDefaults()
-	if opt.MaxDepth != 0 || opt.MaxConfigs >= math.MaxInt32 {
+	if opt.MaxConfigs >= math.MaxInt32 {
 		return nil, false
 	}
 	b := NewAtlasBuilder(pr, root)

@@ -3,6 +3,7 @@ package explore_test
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sync"
 	"testing"
 
@@ -100,13 +101,13 @@ func TestAtlasDifferentialAgainstClassify(t *testing.T) {
 					agree(fmt.Sprintf("workers %d", workers), b)
 				}
 				shallow := explore.NewAtlasBuilder(pr, root)
-				shallow.Extend(explore.Options{MaxConfigs: atlasTestBudget, MaxDepth: 3})
+				shallow.Extend(explore.Options{MaxConfigs: 30})
 				restored, err := explore.RestoreAtlasBuilder(pr, root, shallow.Snapshot())
 				if err != nil {
 					t.Fatalf("inputs %s: RestoreAtlasBuilder: %v", inp, err)
 				}
 				restored.Extend(opt)
-				agree("restored from depth 3", restored)
+				agree("restored from budget 30", restored)
 
 				loaded, err := explore.LoadAtlas(pr, root, want.Snapshot())
 				if err != nil {
@@ -238,13 +239,14 @@ func TestAtlasStuck(t *testing.T) {
 	}
 }
 
-// TestBuildAtlasRefusals pins the fallback conditions: depth-bounded
-// options and over-budget state spaces must refuse, not truncate.
+// TestBuildAtlasRefusals pins the fallback conditions: a budget past the
+// atlas's int32 node ids and over-budget state spaces must refuse, not
+// truncate.
 func TestBuildAtlasRefusals(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
 	root := model.MustInitial(pr, in(0, 1, 1))
-	if _, ok := explore.BuildAtlas(pr, root, explore.Options{MaxDepth: 3}); ok {
-		t.Error("depth-bounded atlas accepted; depth is root-relative and must refuse")
+	if _, ok := explore.BuildAtlas(pr, root, explore.Options{MaxConfigs: math.MaxInt32}); ok {
+		t.Error("a budget past the int32 node ids accepted")
 	}
 	if _, ok := explore.BuildAtlas(pr, root, explore.Options{MaxConfigs: 10}); ok {
 		t.Error("over-budget atlas accepted; truncated atlases must not exist")

@@ -11,8 +11,7 @@ import (
 // keyed by (protocol identity, exploration bounds, root configuration)
 // with singleflight build semantics: N concurrent requests for the same
 // atlas cost exactly one BuildAtlas sweep, and every later request is a
-// memory lookup. Refusals (reachable set over budget, depth-bounded
-// options) are memoized too, so a root that cannot be covered is probed
+// memory lookup. Refusals (reachable set over budget) are memoized too, so a root that cannot be covered is probed
 // once, not on every query.
 //
 // This is the cache the serving layer (internal/serve) shares across
@@ -31,20 +30,20 @@ type AtlasCache struct {
 
 // atlasKey is the cache identity of an atlas build: the protocol's registry
 // name (self-describing for generated gen: protocols) and process count, the
-// exploration bounds, and the root's binary canonical key.
+// budget, and the root's binary canonical key.
 // Options.Workers is deliberately excluded — worker count never changes
 // results (the byte-identity contract in Options), so explorations at
 // different parallelism share one cache slot.
 type atlasKey struct {
-	name                 string
-	n                    int
-	maxConfigs, maxDepth int
-	root                 string
+	name       string
+	n          int
+	maxConfigs int
+	root       string
 }
 
 func keyOf(pr model.Protocol, root *model.Config, opt Options) atlasKey {
 	opt = opt.Normalized()
-	return atlasKey{pr.Name(), pr.N(), opt.MaxConfigs, opt.MaxDepth, string(root.KeyBytes())}
+	return atlasKey{pr.Name(), pr.N(), opt.MaxConfigs, string(root.KeyBytes())}
 }
 
 // atlasEntry is one key's slot. done is closed when the build finishes;
@@ -63,7 +62,7 @@ func NewAtlasCache() *AtlasCache {
 // misses — in practice atlasstore.Store, which loads persisted artifacts
 // and persists fresh builds. GetAtlas must honour BuildAtlas's
 // complete-or-refused contract: atlas non-nil iff ok, nil/false for a
-// refusal under opt's bounds. The cache memoizes whatever the backend
+// refusal under opt's budget. The cache memoizes whatever the backend
 // answers, refusals included.
 type AtlasBackend interface {
 	GetAtlas(pr model.Protocol, root *model.Config, opt Options) (*Atlas, bool)

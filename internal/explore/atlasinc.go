@@ -19,9 +19,9 @@ import (
 // order, each node's successor list depends only on the node and the
 // protocol, and the expanded set is always a prefix [0, Expanded) of the
 // admission order. Any sequence of Extend calls therefore walks the same
-// trajectory as a single uninterrupted build — a depth-d state extended by
-// k is byte-identical to a one-shot depth-(d+k) build, which is what makes
-// frontier resume safe to persist. The trajectory itself is walked by the
+// trajectory as a single uninterrupted build — a state built at budget b
+// and extended to budget b′ is byte-identical to a one-shot build at b′,
+// which is what makes frontier resume safe to persist. The trajectory itself is walked by the
 // level-synchronous core (core.go); builder, atlas and snapshot all hold
 // its one node table rather than copies of it.
 
@@ -132,7 +132,7 @@ func (s *AtlasSnapshot) validateFor(root *model.Config) error {
 }
 
 // AtlasBuilder is the resumable form of BuildAtlas — which is itself one
-// builder extended once and finished: truncation (by budget or depth)
+// builder extended once and finished: truncation by the budget
 // leaves a usable state — every node admitted so far, the successor CSR
 // closed through the last expanded node — and Extend resumes expansion from
 // exactly that point. It stops *before* the first node whose fresh
@@ -169,15 +169,15 @@ func (b *AtlasBuilder) Configs() []*model.Config { return b.cfgs }
 // frontier).
 func (b *AtlasBuilder) Complete() bool { return b.g.Complete }
 
-// Extend expands frontier nodes in admission order under opt's bounds and
+// Extend expands frontier nodes in admission order under opt's budget and
 // reports how many nodes this call expanded. It stops — leaving the state
-// at a node boundary — before the first node at depth ≥ opt.MaxDepth (when
-// set), or before the first node whose distinct fresh successors would push
-// the node count past opt.MaxConfigs. When neither bound intervenes the
-// reachable set is exhausted and the builder becomes complete.
+// at a node boundary — before the first node whose distinct fresh
+// successors would push the node count past opt.MaxConfigs. When the budget
+// does not intervene the reachable set is exhausted and the builder becomes
+// complete.
 //
 // The trajectory is deterministic: any sequence of Extend calls reaching
-// the same bounds yields byte-identical arrays to a single call, which is
+// the same budget yields byte-identical arrays to a single call, which is
 // the contract frontier persistence rests on. Expansion honours
 // opt.Workers level-synchronously exactly like the other engines; the
 // merge order (and therefore every array) is worker-count independent.

@@ -98,34 +98,26 @@ func TestAtlasBuilderBudgetParity(t *testing.T) {
 }
 
 // TestAtlasBuilderIncrementalDeepening is the frontier-resume contract:
-// exploring to depth d and then extending to d+k expands exactly the
-// nodes a one-shot depth-(d+k) exploration expands — the counter pins
-// that nothing below depth d is re-expanded — and lands on an identical
-// snapshot.
+// exploring at a small budget and then extending to a larger one expands
+// exactly the nodes a one-shot exploration at the larger budget expands —
+// the counter pins that nothing is re-expanded — and lands on an identical
+// snapshot. The budgets sit at the ends of depths 1 to 6 of the fixture's
+// 141 configurations, and past all of them.
 func TestAtlasBuilderIncrementalDeepening(t *testing.T) {
 	pr := registryFixture(t, "naivemajority")
 	root := model.MustInitial(pr, model.Inputs{0, 1, 1})
-	budget := explore.Options{MaxConfigs: atlasTestBudget}
 
-	for _, step := range []struct{ d, k int }{{2, 1}, {2, 3}, {4, 2}, {1, 100}} {
-		// One shot to depth d+k.
+	for _, step := range []struct{ small, large int }{{13, 32}, {13, 106}, {67, 133}, {4, atlasTestBudget}} {
 		oneshot := explore.NewAtlasBuilder(pr, root)
-		oneOpt := budget
-		oneOpt.MaxDepth = step.d + step.k
-		oneTotal := oneshot.Extend(oneOpt)
+		oneTotal := oneshot.Extend(explore.Options{MaxConfigs: step.large})
 
-		// Depth d, then resume to d+k.
 		inc := explore.NewAtlasBuilder(pr, root)
-		dOpt := budget
-		dOpt.MaxDepth = step.d
-		n1 := inc.Extend(dOpt)
-		dkOpt := budget
-		dkOpt.MaxDepth = step.d + step.k
-		n2 := inc.Extend(dkOpt)
+		n1 := inc.Extend(explore.Options{MaxConfigs: step.small})
+		n2 := inc.Extend(explore.Options{MaxConfigs: step.large})
 
 		if n1+n2 != oneTotal {
-			t.Fatalf("d=%d k=%d: incremental expanded %d+%d nodes, one-shot expanded %d — depth ≤ d was re-expanded",
-				step.d, step.k, n1, n2, oneTotal)
+			t.Fatalf("budgets %d then %d: incremental expanded %d+%d nodes, one-shot expanded %d — a node was re-expanded",
+				step.small, step.large, n1, n2, oneTotal)
 		}
 		snapshotsEqual(t, "incremental vs one-shot", oneshot.Snapshot(), inc.Snapshot())
 	}
@@ -139,9 +131,7 @@ func TestLoadAtlasRejectsPartialAndForeign(t *testing.T) {
 	opt := explore.Options{MaxConfigs: atlasTestBudget}
 
 	b := explore.NewAtlasBuilder(pr, root)
-	dOpt := opt
-	dOpt.MaxDepth = 2
-	b.Extend(dOpt)
+	b.Extend(explore.Options{MaxConfigs: 13})
 	if _, err := explore.LoadAtlas(pr, root, b.Snapshot()); err == nil {
 		t.Error("LoadAtlas accepted a partial snapshot")
 	}

@@ -166,8 +166,8 @@ type scratch struct {
 }
 
 // walk advances the breadth-first trajectory from node from — the first
-// node not yet visited/expanded — under opt's bounds (defaults applied),
-// and reports whether it exhausted the reachable set: false when a bound
+// node not yet visited/expanded — under opt's budget (defaults applied),
+// and reports whether it exhausted the reachable set: false when the budget
 // cut something off or visit stopped it. Levels are contiguous id ranges
 // (successors always land after every node of the current depth), so a
 // level is expanded a chunk at a time on the worker pool when opt.Workers
@@ -178,16 +178,17 @@ type scratch struct {
 //
 // The pool speculates: it may expand nodes the budget then discards. The
 // ledger bounds that slack to one chunk (SpecChunk), and a node is merged
-// only while the ledger is not sealed — the per-node test the sequential
+// only while the ledger is not truncated — the per-node test the sequential
 // oracle makes — so the nodes whose successors are merged, and everything
 // observable, are the oracle's whatever the chunking.
 //
 // A walk that records edges stops at the first node it may not expand in
-// full (depth cap or budget), because CSR rows close in node order — the
+// full under the budget, because CSR rows close in node order — the
 // table is then at a clean node boundary a later walk resumes from. A walk
 // that records none carries on, so every admitted node is still visited;
 // its rows stay a closed prefix all the same, because the only row it can
-// leave open is the one that seals the ledger, after which nothing expands.
+// leave open is the one that truncates the ledger, after which nothing
+// expands.
 //
 // Every visit of one walk gets the same path func, which reads the node
 // being visited; between visits and after the walk it panics (Visit's
@@ -226,7 +227,7 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 		for lo := start; lo < end; {
 			hi := end
 			var exps [][]cand
-			if opt.Workers > 1 && !led.Sealed() && !opt.DepthCapped(depth) {
+			if opt.Workers > 1 && !led.Truncated {
 				hi = lo + SpecChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, opt.Workers)
 				exps = c.expandLevel(lo, hi, opt.Workers)
 			}
@@ -240,7 +241,7 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 					}
 				}
 				closed := false
-				if led.ShouldExpand(depth) && !led.Sealed() {
+				if !led.Truncated {
 					if exps != nil {
 						closed = c.merge(u, exps[u-lo], led, sc)
 					} else {

@@ -26,8 +26,8 @@ func withWorkers(opt explore.Options, w int) explore.Options {
 
 // TestEngineSuite runs the case table through ExploreFiltered and through
 // the atlas builder, each at one worker (inline expansion) and on pools of
-// several: the builder reaches each case's bounds in two Extend calls, a
-// shallower and smaller one first, must leave the table and expansion count
+// several: the builder reaches each case's budget in two Extend calls, the
+// first at a budget of at most 10, must leave the table and expansion count
 // one call leaves, and answers with the finished atlas or with the table it
 // stopped at.
 func TestEngineSuite(t *testing.T) {
@@ -48,10 +48,7 @@ func TestEngineSuite(t *testing.T) {
 				}
 				pr, root := c.MustResolve(t)
 				first := withWorkers(c.Options, w)
-				first.MaxConfigs = first.Normalized().MaxConfigs / 2
-				if first.MaxDepth == 0 || first.MaxDepth > 2 {
-					first.MaxDepth = 2
-				}
+				first.MaxConfigs = min(first.Normalized().MaxConfigs/2, 10)
 				b := explore.NewAtlasBuilder(pr, root)
 				n := b.Extend(first)
 				n += b.Extend(withWorkers(c.Options, w))

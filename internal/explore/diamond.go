@@ -36,7 +36,7 @@ type DiamondReport struct {
 // atlas's recorded adjacency — every corner is an interned node and each
 // square is four id lookups instead of four configuration applications and
 // a canonical-key comparison. Over-budget state spaces take the direct
-// route below, one square at a time around each member Frontier hands over.
+// route, diamondDirect: one square at a time around each member of ℰ.
 // TestLemma3RoutesAgree holds the two routes to identical reports.
 func CheckLemma3Diamond(pr model.Protocol, c *model.Config, e model.Event, opt Options) (DiamondReport, error) {
 	if err := applicable(c, e); err != nil {
@@ -45,6 +45,11 @@ func CheckLemma3Diamond(pr model.Protocol, c *model.Config, e model.Event, opt O
 	if atlas, ok := BuildAtlas(pr, c, opt); ok {
 		return diamondOnAtlas(atlas, e), nil
 	}
+	return diamondDirect(pr, c, e, opt)
+}
+
+// diamondDirect checks the squares around each member Frontier hands over.
+func diamondDirect(pr model.Protocol, c *model.Config, e model.Event, opt Options) (DiamondReport, error) {
 	rep := DiamondReport{Event: e}
 	complete, err := Frontier(pr, c, e, opt, func(C0, D0 *model.Config, _ func() model.Schedule) bool {
 		for _, ePrime := range model.Events(C0) {

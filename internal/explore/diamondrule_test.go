@@ -191,18 +191,10 @@ func TestDiamondRuleFallbacks(t *testing.T) {
 			sameAsReference(t, fmt.Sprintf("wide, p%d dead", dead), wide, wideRoot, explore.Options{MaxConfigs: 700}, skip)
 		}
 	})
-	// A depth cap at every level: the last level's nodes are admitted and
-	// visited but never expanded, with and without edges.
-	t.Run("max-depth", func(t *testing.T) {
-		for d := 1; d <= 7; d++ {
-			opt := explore.Options{MaxDepth: d}
-			ref := sameAsReference(t, fmt.Sprintf("depth %d", d), pr, root, opt, nil)
-			auditBuild(t, fmt.Sprintf("depth %d", d), pr, root, opt, ref)
-		}
-	})
-	// Every budget across the first levels: without edges the ledger seals
-	// in the middle of some node's row; with edges the node whose fresh
-	// successors do not fit is refused whole.
+	// Every budget across the first levels: without edges the ledger is
+	// truncated in the middle of some node's row, and the nodes admitted
+	// before it are visited but never expanded; with edges the node whose
+	// fresh successors do not fit is refused whole.
 	t.Run("budget", func(t *testing.T) {
 		for budget := 1; budget <= 90; budget++ {
 			opt := explore.Options{MaxConfigs: budget}

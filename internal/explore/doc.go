@@ -5,6 +5,8 @@
 //
 //   - [Explore] is budgeted breadth-first reachability over configurations,
 //     deduplicated by configuration identity (fingerprint, then fields).
+//     Its one bound is the configuration budget (Options.MaxConfigs): a
+//     cut exploration can only say "not exhausted" (Complete=false).
 //   - [Classify] computes the valency of a configuration: the set V of
 //     decision values of configurations reachable from it. Bivalence
 //     (|V| = 2) is certified by two concrete witness schedules and is exact

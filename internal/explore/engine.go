@@ -70,47 +70,29 @@ func AvoidFilter(avoid *model.Event) func(model.Event) bool {
 }
 
 // Ledger is the admission bookkeeping shared by every engine: how many
-// configurations have been admitted to the frontier, whether the
-// exploration was truncated (by budget or depth), and whether the frontier
-// is sealed. Engines consult it in deterministic merge order — a single
-// coordinator goroutine in-process, the coordinator process in the
-// distributed engine — so Ledger itself needs no synchronization.
+// configurations have been admitted to the frontier, and whether the
+// budget truncated the exploration. Engines consult it in deterministic
+// merge order — a single coordinator goroutine in-process, the coordinator
+// process in the distributed engine — so Ledger itself needs no
+// synchronization.
 type Ledger struct {
-	// MaxConfigs and MaxDepth mirror the exploration's Options after
-	// defaulting.
+	// MaxConfigs mirrors the exploration's Options after defaulting.
 	MaxConfigs int
-	MaxDepth   int
 	// Count is the number of admitted configurations, the root included.
 	Count int
-	// Truncated records that some reachable configuration may have been
-	// cut off (budget overflow or depth cutoff); the exploration then
-	// reports complete=false.
+	// Truncated records that a fresh configuration was refused: the
+	// exploration reports complete=false, and nothing can be admitted
+	// again, so expansion stops. Only a refusal sets it — Admit at a full
+	// ledger, or a walk with edges refusing a whole row, which ends that
+	// walk. An exactly-full ledger is not truncated: it must still expand
+	// to learn whether a fresh successor exists.
 	Truncated bool
 }
 
 // NewLedger returns the admission ledger for one exploration. The root is
 // always admitted, so Count starts at 1.
 func NewLedger(opt Options) *Ledger {
-	opt = opt.Normalized()
-	return &Ledger{MaxConfigs: opt.MaxConfigs, MaxDepth: opt.MaxDepth, Count: 1}
-}
-
-// ShouldExpand reports whether a node at the given depth may be expanded,
-// recording depth-cutoff truncation when it may not. Call it exactly when
-// the node is visited, so the Truncated flag is set by the same node in
-// every engine. (A pure variant for speculative workers is DepthCapped.)
-func (l *Ledger) ShouldExpand(depth int) bool {
-	if l.MaxDepth > 0 && depth >= l.MaxDepth {
-		l.Truncated = true
-		return false
-	}
-	return true
-}
-
-// DepthCapped is the pure form of the depth cutoff, for expansion workers
-// (in-process or remote) that must not race on the Truncated flag.
-func (o Options) DepthCapped(depth int) bool {
-	return o.MaxDepth > 0 && depth >= o.MaxDepth
+	return &Ledger{MaxConfigs: opt.Normalized().MaxConfigs, Count: 1}
 }
 
 // Admit accounts for one first-seen configuration, reporting whether it
@@ -126,13 +108,6 @@ func (l *Ledger) Admit() bool {
 	l.Count++
 	return true
 }
-
-// Sealed reports that the frontier can never grow again, making further
-// expansion pure waste. Truncated alone is not enough: an exactly-full
-// frontier must still expand to learn whether a fresh successor exists,
-// which is what distinguishes complete from truncated; and a depth-capped
-// level seals nothing because shallower nodes may still be admitted.
-func (l *Ledger) Sealed() bool { return l.Truncated && l.Count >= l.MaxConfigs }
 
 // Complete reports whether the reachable set was exhausted.
 func (l *Ledger) Complete() bool { return !l.Truncated }

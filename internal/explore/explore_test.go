@@ -72,25 +72,6 @@ func TestExploreBudget(t *testing.T) {
 	}
 }
 
-func TestExploreMaxDepth(t *testing.T) {
-	pr := protocols.NewNaiveMajority(3)
-	c := model.MustInitial(pr, in(0, 1, 1))
-	maxSeen := 0
-	complete, _ := explore.Explore(pr, c, explore.Options{MaxDepth: 2}, nil,
-		func(_ *model.Config, depth int, _ func() model.Schedule) bool {
-			if depth > maxSeen {
-				maxSeen = depth
-			}
-			return false
-		})
-	if maxSeen > 2 {
-		t.Errorf("depth %d exceeds MaxDepth 2", maxSeen)
-	}
-	if complete {
-		t.Error("depth-truncated exploration reported complete")
-	}
-}
-
 func TestExploreAvoidEvent(t *testing.T) {
 	pr := protocols.NewNaiveMajority(3)
 	c := model.MustInitial(pr, in(0, 1, 1))

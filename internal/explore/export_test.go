@@ -26,3 +26,11 @@ func AtlasFrontier(a *Atlas, from int32, e model.Event) ([]int32, []model.Schedu
 	}
 	return w.order, paths
 }
+
+// The direct routes of the three Lemma 3 front ends, which the public
+// functions take when no atlas covers C.
+var (
+	DiamondDirect = diamondDirect
+	Figure3Direct = figure3Direct
+	CensusDirect  = censusDirect
+)

@@ -41,9 +41,9 @@ type Figure3Report struct {
 // transitions (distDecidedAvoiding), and the commutation equalities
 // themselves are still verified by concrete configuration application — the
 // atlas finds the runs, the model checks the arrows. Over-budget state
-// spaces take the direct route below: each member Frontier hands over gets
-// decidingRunAvoiding's forward search. TestLemma3RoutesAgree holds the two
-// routes to identical reports.
+// spaces take the direct route (figure3Direct): each member Frontier hands
+// over gets decidingRunAvoiding's forward search. TestLemma3RoutesAgree
+// holds the two routes to identical reports.
 func CheckLemma3Figure3(pr model.Protocol, c *model.Config, e model.Event, opt Options) (Figure3Report, error) {
 	if err := applicable(c, e); err != nil {
 		return Figure3Report{}, err
@@ -51,6 +51,11 @@ func CheckLemma3Figure3(pr model.Protocol, c *model.Config, e model.Event, opt O
 	if atlas, ok := BuildAtlas(pr, c, opt); ok {
 		return figure3OnAtlas(pr, atlas, e), nil
 	}
+	return figure3Direct(pr, c, e, opt)
+}
+
+// figure3Direct searches σ forward from each member Frontier hands over.
+func figure3Direct(pr model.Protocol, c *model.Config, e model.Event, opt Options) (Figure3Report, error) {
 	rep := Figure3Report{}
 	p := e.P
 	complete, err := Frontier(pr, c, e, opt, func(C0, _ *model.Config, _ func() model.Schedule) bool {

@@ -75,9 +75,9 @@ func applicable(c *model.Config, e model.Event) error {
 //
 // Where an attached atlas covers C, ℰ is walked on its recorded adjacency
 // and every D is read off its row (censusOnAtlas); each D so answered
-// counts as one cache hit. Frontier runs instead, classifying each D
-// through the cache, in three cases: no atlas covers C (reach(C) is over
-// the cache's budget), opt sets MaxDepth, or ℰ is larger than
+// counts as one cache hit. Frontier runs instead (censusDirect),
+// classifying each D through the cache, in two cases: no atlas covers C
+// (reach(C) is over the cache's budget), or ℰ is larger than
 // opt.MaxConfigs, whose truncated walk only Frontier reproduces.
 // TestLemma3RoutesAgree holds the two routes to equal results.
 func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache) (Lemma3Result, error) {
@@ -88,14 +88,17 @@ func CensusLemma3(pr model.Protocol, c *model.Config, e model.Event, opt Options
 		cache = NewCache(pr, opt)
 	}
 	cache.TryWarm(c)
-	if opt = opt.Normalized(); opt.MaxDepth == 0 {
-		if a, id, ok := cache.atlasFor(c); ok {
-			if res, ok := censusOnAtlas(a, id, e, opt.MaxConfigs); ok {
-				cache.hits.Add(int64(res.FrontierSize))
-				return res, nil
-			}
+	if a, id, ok := cache.atlasFor(c); ok {
+		if res, ok := censusOnAtlas(a, id, e, opt.Normalized().MaxConfigs); ok {
+			cache.hits.Add(int64(res.FrontierSize))
+			return res, nil
 		}
 	}
+	return censusDirect(pr, c, e, opt, cache)
+}
+
+// censusDirect is CensusLemma3 over Frontier, each D classified by cache.
+func censusDirect(pr model.Protocol, c *model.Config, e model.Event, opt Options, cache *Cache) (Lemma3Result, error) {
 	res := Lemma3Result{Event: e, DValencies: make(map[Valency]int)}
 	complete, err := Frontier(pr, c, e, opt, func(_, D *model.Config, path func() model.Schedule) bool {
 		res.FrontierSize++

@@ -20,8 +20,7 @@ import (
 // must return identical reports. CensusLemma3's two routes must return
 // equal results field for field, at the root and at a non-root node of
 // its atlas, for every applicable event, no-op null events included. The
-// direct route is forced with a depth cap no walk reaches, because
-// BuildAtlas refuses any depth cap.
+// direct routes are called by name.
 func TestLemma3RoutesAgree(t *testing.T) {
 	cases, pairs, censuses := 0, 0, 0
 	for _, c := range enginetest.Cases(t) {
@@ -30,8 +29,6 @@ func TestLemma3RoutesAgree(t *testing.T) {
 			continue
 		}
 		cases++
-		direct := c.Options
-		direct.MaxDepth = 1 << 20
 		for _, e := range model.Events(root) {
 			if e.IsNull() && model.IsNoOp(pr, root, e) {
 				continue
@@ -40,7 +37,7 @@ func TestLemma3RoutesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, %s: %v", c.Name, e, err)
 			}
-			d2, err := explore.CheckLemma3Diamond(pr, root, e, direct)
+			d2, err := explore.DiamondDirect(pr, root, e, c.Options)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", c.Name, e, err)
 			}
@@ -51,7 +48,7 @@ func TestLemma3RoutesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, %s: %v", c.Name, e, err)
 			}
-			f2, err := explore.CheckLemma3Figure3(pr, root, e, direct)
+			f2, err := explore.Figure3Direct(pr, root, e, c.Options)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", c.Name, e, err)
 			}
@@ -90,9 +87,7 @@ func censusRoutesAgree(t *testing.T, name string, pr model.Protocol, root *model
 		}
 		cs = append(cs, a.Config(inner))
 	}
-	direct := opt
-	direct.MaxDepth = 1 << 20
-	onAtlas, viaFrontier := explore.NewCache(pr, opt), explore.NewCache(pr, direct)
+	onAtlas, viaFrontier := explore.NewCache(pr, opt), explore.NewCache(pr, opt)
 	n := 0
 	for _, c := range cs {
 		for _, e := range model.Events(c) {
@@ -100,7 +95,7 @@ func censusRoutesAgree(t *testing.T, name string, pr model.Protocol, root *model
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, e, err)
 			}
-			r2, err := explore.CensusLemma3(pr, c, e, direct, viaFrontier)
+			r2, err := explore.CensusDirect(pr, c, e, opt, viaFrontier)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, e, err)
 			}
@@ -133,9 +128,7 @@ func TestLemma3CensusOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := small
-	direct.MaxDepth = 1 << 20
-	want, err := explore.CensusLemma3(pr, root, e, direct, nil)
+	want, err := explore.CensusDirect(pr, root, e, small, explore.NewCache(pr, small))
 	if err != nil {
 		t.Fatal(err)
 	}

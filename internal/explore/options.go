@@ -10,12 +10,6 @@ type Options struct {
 	// reports Complete=false and results become one-sided (bivalence
 	// certificates remain exact; univalence claims do not). Default 200000.
 	MaxConfigs int
-	// MaxDepth bounds the schedule length explored; 0 means unlimited.
-	// Negative values are clamped to 0 (unlimited) by Normalized — they
-	// would otherwise slip through the engines' `depth >= MaxDepth`
-	// comparisons as a silent unlimited bound without being documented as
-	// one.
-	MaxDepth int
 	// Workers is the number of goroutines working *within one process*:
 	// the caller plus up to Workers−1 helpers, goroutines the package
 	// keeps for every call and offers work to when they are not busy
@@ -42,7 +36,7 @@ type Options struct {
 	// Every (Workers × Shards × worker-process) combination is
 	// byte-identical to Workers=1 here; choose Workers for one machine,
 	// Shards and worker processes for many. This paragraph is the single
-	// home of that contract — distexplore.Options refers back to it.
+	// home of that contract — distexplore.Task.Options refers back to it.
 	Workers int
 }
 
@@ -50,17 +44,13 @@ type Options struct {
 // Options.MaxConfigs is zero.
 const DefaultMaxConfigs = 200000
 
-// Normalized returns o with the engine-independent fields validated and
-// defaulted: MaxConfigs defaulted, MaxDepth clamped to "unlimited" when
-// negative. Engines outside this package (distexplore) apply it so that
+// Normalized returns o with the engine-independent field defaulted:
+// MaxConfigs. Engines outside this package (distexplore) apply it so that
 // bound handling cannot drift between engines; in-process entry points get
 // it via withDefaults.
 func (o Options) Normalized() Options {
 	if o.MaxConfigs <= 0 {
 		o.MaxConfigs = DefaultMaxConfigs
-	}
-	if o.MaxDepth < 0 {
-		o.MaxDepth = 0
 	}
 	return o
 }

@@ -63,8 +63,12 @@ func TestExpandLevelPanicDeterminism(t *testing.T) {
 			{"Explore", func(w int) { explore.Explore(pr, c, explore.Options{Workers: w}, nil, nil) }},
 			{"BuildAtlas", func(w int) { explore.BuildAtlas(pr, c, explore.Options{Workers: w}) }},
 			{"split Extend", func(w int) {
+				// Level d holds d+1 nodes, so this budget is one short of
+				// the configurations within boomAt-1 steps: the first call
+				// stops at the last node of the level before, whose
+				// successors do not fit, and panics nowhere.
 				b := explore.NewAtlasBuilder(pr, c)
-				b.Extend(explore.Options{Workers: w, MaxDepth: boomAt - 1}) // no panic yet
+				b.Extend(explore.Options{Workers: w, MaxConfigs: boomAt*(boomAt+1)/2 - 1})
 				b.Extend(explore.Options{Workers: w})
 			}},
 		}
@@ -128,8 +132,8 @@ func TestPoolHelpers(t *testing.T) {
 	}
 }
 
-// TestOptionsNormalized pins the bound-validation contract every engine
-// relies on: the MaxConfigs default and the MaxDepth clamp.
+// TestOptionsNormalized pins the budget contract every engine relies on:
+// the MaxConfigs default.
 func TestOptionsNormalized(t *testing.T) {
 	cases := []struct {
 		name string
@@ -138,25 +142,14 @@ func TestOptionsNormalized(t *testing.T) {
 	}{
 		{"zero", explore.Options{},
 			explore.Options{MaxConfigs: explore.DefaultMaxConfigs}},
-		{"negative-depth-clamped", explore.Options{MaxConfigs: 10, MaxDepth: -7},
-			explore.Options{MaxConfigs: 10, MaxDepth: 0}},
 		{"negative-budget-defaulted", explore.Options{MaxConfigs: -1},
 			explore.Options{MaxConfigs: explore.DefaultMaxConfigs}},
-		{"kept", explore.Options{MaxConfigs: 42, MaxDepth: 3, Workers: 5},
-			explore.Options{MaxConfigs: 42, MaxDepth: 3, Workers: 5}},
+		{"kept", explore.Options{MaxConfigs: 42, Workers: 5},
+			explore.Options{MaxConfigs: 42, Workers: 5}},
 	}
 	for _, tc := range cases {
 		if got := tc.in.Normalized(); got != tc.want {
 			t.Errorf("%s: Normalized() = %+v, want %+v", tc.name, got, tc.want)
 		}
-	}
-	// A negative MaxDepth must behave exactly like unlimited, not like
-	// "depth < 0 is instantly capped".
-	pr := &panicProto{n: 2, boomAt: 1 << 30}
-	c := model.MustInitial(pr, model.Inputs{0, 0})
-	unlimited, _ := explore.CountReachable(pr, c, explore.Options{MaxConfigs: 50, MaxDepth: 0})
-	negative, _ := explore.CountReachable(pr, c, explore.Options{MaxConfigs: 50, MaxDepth: -3})
-	if unlimited != negative {
-		t.Errorf("MaxDepth -3 explored %d configurations, unlimited explored %d", negative, unlimited)
 	}
 }

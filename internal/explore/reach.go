@@ -104,10 +104,7 @@ func ReferenceExplore(pr model.Protocol, c *model.Config, opt Options, skip func
 		if visit != nil && visit(n.cfg, n.depth, pathOf(i)) {
 			return false, len(nodes)
 		}
-		if !led.ShouldExpand(n.depth) {
-			continue
-		}
-		if led.Sealed() {
+		if led.Truncated {
 			continue
 		}
 		for _, e := range model.Events(n.cfg) {

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -31,8 +33,6 @@ type CensusRequest struct {
 	// Budget bounds each root's exploration (MaxConfigs); 0 means the
 	// engine default.
 	Budget int `json:"budget,omitempty"`
-	// Depth bounds schedule depth (MaxDepth); 0 means unlimited.
-	Depth int `json:"depth,omitempty"`
 	// Workers sets the census's parallelism, spent on roots
 	// (explore.Options.Workers). Results and progress rows are identical
 	// at any value (the engines' byte-identity contract); only latency
@@ -65,7 +65,6 @@ type ValencyRequest struct {
 	// Inputs is the initial input assignment, one 0/1 per process.
 	Inputs  []int `json:"inputs"`
 	Budget  int   `json:"budget,omitempty"`
-	Depth   int   `json:"depth,omitempty"`
 	Workers int   `json:"workers,omitempty"`
 }
 
@@ -170,7 +169,7 @@ func (s *Server) censusJob(req CensusRequest) jobFunc {
 		if err != nil {
 			return nil, err
 		}
-		opt := explore.Options{MaxConfigs: req.Budget, MaxDepth: req.Depth, Workers: req.Workers}
+		opt := explore.Options{MaxConfigs: req.Budget, Workers: req.Workers}
 		classify := func(c *model.Config, o explore.Options) explore.ValencyInfo {
 			return explore.ClassifyRootCached(pr, c, o, s.atlases)
 		}
@@ -228,7 +227,7 @@ func (s *Server) resolveValency(req ValencyRequest) (valencyQuery, error) {
 	if err != nil {
 		return valencyQuery{}, err
 	}
-	opt := explore.Options{MaxConfigs: req.Budget, MaxDepth: req.Depth, Workers: req.Workers}
+	opt := explore.Options{MaxConfigs: req.Budget, Workers: req.Workers}
 	return valencyQuery{pr: pr, in: in, root: c, opt: opt}, nil
 }
 
@@ -369,26 +368,36 @@ func (s *Server) adversaryJob(req AdversaryRequest) jobFunc {
 func (s *Server) jobBody(kind JobKind, raw json.RawMessage) (jobFunc, error) {
 	switch kind {
 	case KindCensus:
-		var req CensusRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, fmt.Errorf("decoding journaled census request: %w", err)
-		}
-		return s.censusJob(req), nil
+		return rebuild(kind, raw, s.censusJob)
 	case KindValency:
-		var req ValencyRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, fmt.Errorf("decoding journaled valency request: %w", err)
-		}
-		return s.valencyJob(req), nil
+		return rebuild(kind, raw, s.valencyJob)
 	case KindAdversary:
-		var req AdversaryRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, fmt.Errorf("decoding journaled adversary request: %w", err)
-		}
-		return s.adversaryJob(req), nil
+		return rebuild(kind, raw, s.adversaryJob)
 	default:
 		return nil, fmt.Errorf("unknown job kind %q", kind)
 	}
+}
+
+// rebuild decodes a journaled request as the door does, so a request
+// naming a field the schema no longer has is never run without it.
+func rebuild[R any](kind JobKind, raw json.RawMessage, mk func(R) jobFunc) (jobFunc, error) {
+	var req R
+	if err := decodeRequest(bytes.NewReader(raw), &req); err != nil {
+		return nil, fmt.Errorf("decoding journaled %s request: %w", kind, err)
+	}
+	return mk(req), nil
+}
+
+// decodeRequest decodes exactly one JSON value into req: a field req's
+// type does not name, or any bytes after the value, is an error.
+func decodeRequest(r io.Reader, req any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = fmt.Errorf("trailing data after the request object")
+	}
+	return err
 }
 
 // ---- HTTP handlers ----
@@ -409,7 +418,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v a
 func submit[R any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string, kind JobKind, mk func(R) jobFunc,
 	cached func(R) (result json.RawMessage, progress string, ok bool)) {
 	var req R
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		s.writeJSON(w, endpoint, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
 		return
 	}

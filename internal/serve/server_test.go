@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -129,7 +130,7 @@ func TestValencySuite(t *testing.T) {
 // byte, and answers with that classification.
 func servedValency(t *testing.T, base string, c enginetest.Case) enginetest.Valency {
 	t.Helper()
-	req := ValencyRequest{Protocol: c.Protocol, N: c.N, Budget: c.Options.MaxConfigs, Depth: c.Options.MaxDepth}
+	req := ValencyRequest{Protocol: c.Protocol, N: c.N, Budget: c.Options.MaxConfigs}
 	for _, v := range c.Inputs {
 		req.Inputs = append(req.Inputs, int(v))
 	}
@@ -366,6 +367,47 @@ func TestJobStatusAndErrors(t *testing.T) {
 	if health.Status != "ok" || health.Draining {
 		t.Errorf("healthz: %+v", health)
 	}
+}
+
+// TestStrictRequestBodies holds the door to the request schemas: a body
+// naming a field its schema does not have (depth) or carrying bytes after
+// its JSON object is refused with a 400 that says why, before anything is
+// journaled; trailing whitespace is not such a byte.
+func TestStrictRequestBodies(t *testing.T) {
+	_, hs := newTestServer(t, Options{AtlasDir: t.TempDir(), Log: t.Logf})
+	for _, tc := range []struct{ endpoint, body, want string }{
+		{"census", `{"protocol":"naivemajority","n":3,"depth":3}`, `unknown field "depth"`},
+		{"valency", `{"protocol":"naivemajority","n":3,"inputs":[0,1,1],"depth":3}`, `unknown field "depth"`},
+		{"census", `{"protocol":"naivemajority","n":3} {"n":4}`, "trailing data"},
+		{"valency", `{"protocol":"naivemajority","n":3,"inputs":[0,1,1]}x`, "trailing data"},
+	} {
+		code, body := postRaw(t, hs.URL+"/v1/"+tc.endpoint+"?wait=1", tc.body)
+		var e apiError
+		if err := json.Unmarshal(body, &e); err != nil || code != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s %s: status %d, body %s; want 400 naming %s", tc.endpoint, tc.body, code, body, tc.want)
+		}
+	}
+	if got := scrapeCounter(t, hs.URL, `flpserve_journal_records_total{type="accepted"}`); got != 0 {
+		t.Errorf("%v accepted records journaled for refused bodies, want 0", got)
+	}
+	if code, body := postRaw(t, hs.URL+"/v1/census?wait=1", "{\"protocol\":\"naivemajority\",\"n\":3}\n"); code != http.StatusOK {
+		t.Errorf("a body ending in a newline: status %d, body %s; want 200", code, body)
+	}
+}
+
+// postRaw posts body as it is and returns the status and response body.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
 }
 
 // TestHostileNRefused sends every endpoint a process count no root loop can
