@@ -27,14 +27,10 @@ func main() {
 		id         = flag.String("experiment", "all", "experiment id (E1..E11, E13) or 'all'")
 		scale      = flag.Int("scale", 1, "multiply every trial and seed count (at least 1)")
 		seed       = flag.Int64("seed", 1, "seed of the sampled runs in E1, E5 and E7; no other experiment reads it")
-		workers    = flag.Int("workers", 0, "exploration workers: sets GOMAXPROCS, the default worker count of every exploration (0 = leave as is)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
-	}
 	defer profiles(*cpuprofile, *memprofile)()
 
 	if *scale < 1 {

@@ -43,7 +43,6 @@ func main() {
 		n          = flag.Int("n", 3, "number of processes (a gen: name runs at its own count when -n is not given)")
 		budget     = flag.Int("budget", 200000, "max configurations per exploration")
 		stages     = flag.Int("adversary", 0, "also run the Theorem 1 adversary for this many stages")
-		workers    = flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS, 1 = sequential)")
 		skipL3     = flag.Bool("skip-lemma3", false, "skip the Lemma 3 frontier census")
 		skipAgree  = flag.Bool("skip-agreement", false, "skip the partial-correctness audit")
 		genseed    = flag.Uint64("genseed", 0, "check the generated protocol Derive(seed, DefaultDials(n)) instead of -protocol (0 = off)")
@@ -80,7 +79,7 @@ func main() {
 	if err := model.CheckInputsN(pr.N()); err != nil {
 		fatalf("%v", err) // every mode loops over all 2^n roots
 	}
-	opt := flp.CheckOptions{MaxConfigs: *budget, Workers: *workers}
+	opt := flp.CheckOptions{MaxConfigs: *budget}
 	unbounded := protocols.Unbounded(*name)
 
 	fmt.Printf("protocol: %s\n\n", pr.Name())
@@ -114,7 +113,7 @@ func main() {
 		runAgreement(pr, opt, unbounded)
 	}
 	if *stages > 0 {
-		runAdversary(pr, *stages, *workers, unbounded, census.Bivalent)
+		runAdversary(pr, *stages, unbounded, census.Bivalent)
 	}
 }
 
@@ -161,7 +160,7 @@ func runLemma2(pr flp.Protocol, opt flp.CheckOptions, unbounded bool, atlases *e
 		return explore.ClassifyRootCached(pr, c, o, atlases)
 	}
 	if unbounded {
-		opt = flp.CheckOptions{MaxConfigs: 2000, Workers: opt.Workers}
+		opt = flp.CheckOptions{MaxConfigs: 2000}
 		classify = func(c *flp.Config, o flp.CheckOptions) flp.ValencyInfo {
 			return flp.ClassifySmart(pr, c, o, flp.ProbeOptions{})
 		}
@@ -270,7 +269,7 @@ func printLemma3Atlas(a *explore.Atlas) {
 func runAgreement(pr flp.Protocol, opt flp.CheckOptions, unbounded bool) {
 	fmt.Println("== Partial correctness (Section 2) ==")
 	if unbounded {
-		opt = flp.CheckOptions{MaxConfigs: 2000, Workers: opt.Workers}
+		opt = flp.CheckOptions{MaxConfigs: 2000}
 	}
 	rep, err := flp.CheckPartialCorrectness(pr, opt)
 	if err != nil {
@@ -291,9 +290,9 @@ func runAgreement(pr flp.Protocol, opt flp.CheckOptions, unbounded bool) {
 
 // runAdversary runs the Theorem 1 construction from the census's first
 // bivalent initial configuration.
-func runAdversary(pr flp.Protocol, stages, workers int, unbounded bool, bivalent *explore.InitialValency) {
+func runAdversary(pr flp.Protocol, stages int, unbounded bool, bivalent *explore.InitialValency) {
 	fmt.Printf("== Theorem 1 adversary: %d stages ==\n", stages)
-	opt := flp.AdversaryOptions{Stages: stages, Workers: workers}
+	opt := flp.AdversaryOptions{Stages: stages}
 	if unbounded {
 		opt = adversary.ForUnbounded(opt)
 	}

@@ -19,6 +19,9 @@
 // probes instead, so a served answer can be unknown where flpcheck prints
 // bivalent. The service adds job management and cross-request atlas
 // caching.
+//
+// -pool is how many jobs run at once; inside a job the GOMAXPROCS
+// environment variable is the one parallelism setting.
 package main
 
 import (

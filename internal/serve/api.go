@@ -24,6 +24,10 @@ import (
 // classifies an unbounded protocol (protocols.Unbounded) with directed
 // probes, which a served census does not use. The shared atlas cache
 // changes only what an answer costs.
+//
+// No request sets a worker count: every job explores at GOMAXPROCS workers
+// (the engine default), and a body naming workers is refused as any
+// unknown field is.
 
 // CensusRequest asks for a Lemma 2 initial-valency census: every 2^N input
 // assignment classified.
@@ -33,11 +37,6 @@ type CensusRequest struct {
 	// Budget bounds each root's exploration (MaxConfigs); 0 means the
 	// engine default.
 	Budget int `json:"budget,omitempty"`
-	// Workers sets the census's parallelism, spent on roots
-	// (explore.Options.Workers). Results and progress rows are identical
-	// at any value (the engines' byte-identity contract); only latency
-	// moves.
-	Workers int `json:"workers,omitempty"`
 }
 
 // CensusRow is one input assignment's classification.
@@ -63,9 +62,8 @@ type ValencyRequest struct {
 	Protocol string `json:"protocol"`
 	N        int    `json:"n"`
 	// Inputs is the initial input assignment, one 0/1 per process.
-	Inputs  []int `json:"inputs"`
-	Budget  int   `json:"budget,omitempty"`
-	Workers int   `json:"workers,omitempty"`
+	Inputs []int `json:"inputs"`
+	Budget int   `json:"budget,omitempty"`
 }
 
 // ValencyResult is the classification answer, witnesses included.
@@ -90,8 +88,7 @@ type AdversaryRequest struct {
 	// Inputs, when present, names the starting assignment (which must be
 	// bivalent); otherwise the first bivalent initial configuration is
 	// located per Lemma 2.
-	Inputs  []int `json:"inputs,omitempty"`
-	Workers int   `json:"workers,omitempty"`
+	Inputs []int `json:"inputs,omitempty"`
 }
 
 // AdversaryResult is the constructed run, independently verified.
@@ -169,7 +166,7 @@ func (s *Server) censusJob(req CensusRequest) jobFunc {
 		if err != nil {
 			return nil, err
 		}
-		opt := explore.Options{MaxConfigs: req.Budget, Workers: req.Workers}
+		opt := explore.Options{MaxConfigs: req.Budget}
 		classify := func(c *model.Config, o explore.Options) explore.ValencyInfo {
 			return explore.ClassifyRootCached(pr, c, o, s.atlases)
 		}
@@ -227,7 +224,7 @@ func (s *Server) resolveValency(req ValencyRequest) (valencyQuery, error) {
 	if err != nil {
 		return valencyQuery{}, err
 	}
-	opt := explore.Options{MaxConfigs: req.Budget, Workers: req.Workers}
+	opt := explore.Options{MaxConfigs: req.Budget}
 	return valencyQuery{pr: pr, in: in, root: c, opt: opt}, nil
 }
 
@@ -301,7 +298,7 @@ func (s *Server) adversaryJob(req AdversaryRequest) jobFunc {
 		if stages <= 0 {
 			stages = 30
 		}
-		opt := adversary.Options{Workers: req.Workers, Atlases: s.atlases}
+		opt := adversary.Options{Atlases: s.atlases}
 		if protocols.Unbounded(req.Protocol) {
 			opt = adversary.ForUnbounded(opt)
 		}

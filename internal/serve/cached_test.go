@@ -121,7 +121,7 @@ func engineAnswer(t *testing.T, req ValencyRequest) (string, explore.ValencyInfo
 		in[i] = model.Value(v)
 	}
 	pr, root := enginetest.Case{Protocol: req.Protocol, N: req.N, Inputs: in}.MustResolve(t)
-	opt := explore.Options{MaxConfigs: req.Budget, Workers: req.Workers}
+	opt := explore.Options{MaxConfigs: req.Budget}
 	info := explore.ClassifyRootCached(pr, root, opt, explore.NewAtlasCache())
 	raw, err := json.Marshal(ValencyResult{
 		Protocol: pr.Name(), Inputs: in.String(), Valency: info.Valency.String(),

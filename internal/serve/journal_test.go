@@ -240,25 +240,29 @@ func TestServerJournalUnrebuildableJob(t *testing.T) {
 	}
 }
 
-// TestServerJournalRetiredFieldNotRerun: a journaled, unfinished valency
-// job whose request names a field the schema no longer has (depth) is
-// rebuilt by the door's strict rule, so it comes back failed, counted as
-// corrupt, and is never re-run without the field.
+// TestServerJournalRetiredFieldNotRerun: a journaled, unfinished job whose
+// request names a field the schema no longer has (a valency's depth, a
+// census's workers) is rebuilt by the door's strict rule, so it comes back
+// failed, counted as corrupt, and is never re-run without the field.
 func TestServerJournalRetiredFieldNotRerun(t *testing.T) {
-	dir := t.TempDir()
-	line := `{"rec":"accepted","id":"valency-1","kind":"valency","req":{"protocol":"naivemajority","n":3,"inputs":[0,1,1],"depth":3},"time":"2026-08-08T00:00:00Z"}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, hs := newTestServer(t, Options{AtlasDir: dir, Log: t.Logf})
-	var view JobView
-	getJSON(t, hs.URL+"/v1/jobs/valency-1", &view)
-	if view.State != StateFailed || !strings.Contains(view.Error, "unrecoverable after restart") || !strings.Contains(view.Error, `"depth"`) {
-		t.Fatalf("journaled depth job: state %q error %q", view.State, view.Error)
-	}
-	for outcome, want := range map[string]float64{"corrupt": 1, "resume": 0} {
-		if got := scrapeCounter(t, hs.URL, `flpserve_checkpoint_ops_total{outcome="`+outcome+`"}`); got != want {
-			t.Errorf("%s counter %v, want %v", outcome, got, want)
+	for _, tc := range []struct{ id, field, line string }{
+		{"valency-1", "depth", `{"rec":"accepted","id":"valency-1","kind":"valency","req":{"protocol":"naivemajority","n":3,"inputs":[0,1,1],"depth":3},"time":"2026-08-08T00:00:00Z"}`},
+		{"census-1", "workers", `{"rec":"accepted","id":"census-1","kind":"census","req":{"protocol":"naivemajority","n":3,"workers":4},"time":"2026-08-08T00:00:00Z"}`},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), []byte(tc.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, hs := newTestServer(t, Options{AtlasDir: dir, Log: t.Logf})
+		var view JobView
+		getJSON(t, hs.URL+"/v1/jobs/"+tc.id, &view)
+		if view.State != StateFailed || !strings.Contains(view.Error, "unrecoverable after restart") || !strings.Contains(view.Error, `"`+tc.field+`"`) {
+			t.Fatalf("journaled %s job: state %q error %q", tc.field, view.State, view.Error)
+		}
+		for outcome, want := range map[string]float64{"corrupt": 1, "resume": 0} {
+			if got := scrapeCounter(t, hs.URL, `flpserve_checkpoint_ops_total{outcome="`+outcome+`"}`); got != want {
+				t.Errorf("%s job: %s counter %v, want %v", tc.field, outcome, got, want)
+			}
 		}
 	}
 }

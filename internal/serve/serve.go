@@ -36,7 +36,7 @@ import (
 type Options struct {
 	// Workers is the job pool size — how many queries execute
 	// concurrently. Default 2. Parallelism inside one query is the
-	// request's workers field; this is parallelism across queries.
+	// engine default, GOMAXPROCS; this is parallelism across queries.
 	Workers int
 	// QueueDepth bounds how many admitted jobs may wait for a pool
 	// worker. Beyond it, submissions get 503 + Retry-After. Default 64.

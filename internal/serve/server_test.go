@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -222,7 +223,10 @@ func TestConcurrentCensusSharesAtlases(t *testing.T) {
 // when its roots are classified on several workers: every row is published
 // in order, and a census cut by a drain publishes the rows up to its cut
 // and none after, though the workers may have classified roots past it.
+// A census runs at GOMAXPROCS workers, so the test sets it to 4: on one
+// CPU the roots would otherwise be classified one after another.
 func TestCensusRowsInOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s, _ := newTestServer(t, Options{})
 	pr, err := s.resolveProtocol("naivemajority", 3)
 	if err != nil {
@@ -239,7 +243,7 @@ func TestCensusRowsInOrder(t *testing.T) {
 	for cut := 1; cut <= len(rows); cut++ {
 		for trial := 0; trial < 5; trial++ {
 			var got []string
-			_, err := s.censusJob(CensusRequest{Protocol: "naivemajority", N: 3, Workers: 4})(
+			_, err := s.censusJob(CensusRequest{Protocol: "naivemajority", N: 3})(
 				func(msg string) { got = append(got, msg) },
 				func() bool { return len(got) >= cut })
 			if cut < len(rows) && err != errCanceled {
@@ -370,14 +374,18 @@ func TestJobStatusAndErrors(t *testing.T) {
 }
 
 // TestStrictRequestBodies holds the door to the request schemas: a body
-// naming a field its schema does not have (depth) or carrying bytes after
-// its JSON object is refused with a 400 that says why, before anything is
-// journaled; trailing whitespace is not such a byte.
+// naming a field its schema does not have (depth, or workers: no request
+// sizes the engine) or carrying bytes after its JSON object is refused
+// with a 400 that says why, before anything is journaled; trailing
+// whitespace is not such a byte.
 func TestStrictRequestBodies(t *testing.T) {
 	_, hs := newTestServer(t, Options{AtlasDir: t.TempDir(), Log: t.Logf})
 	for _, tc := range []struct{ endpoint, body, want string }{
 		{"census", `{"protocol":"naivemajority","n":3,"depth":3}`, `unknown field "depth"`},
 		{"valency", `{"protocol":"naivemajority","n":3,"inputs":[0,1,1],"depth":3}`, `unknown field "depth"`},
+		{"census", `{"protocol":"naivemajority","n":3,"workers":4}`, `unknown field "workers"`},
+		{"valency", `{"protocol":"naivemajority","n":3,"inputs":[0,1,1],"workers":100000000}`, `unknown field "workers"`},
+		{"adversary", `{"protocol":"paxos","n":3,"stages":1,"workers":4}`, `unknown field "workers"`},
 		{"census", `{"protocol":"naivemajority","n":3} {"n":4}`, "trailing data"},
 		{"valency", `{"protocol":"naivemajority","n":3,"inputs":[0,1,1]}x`, "trailing data"},
 	} {
