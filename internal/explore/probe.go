@@ -144,21 +144,26 @@ func pickSenderFirst(q model.PID) pickFunc {
 // immutable configurations. Probes never compare configurations, so paying
 // for buffer copies and canonical keys on every step — the dominant cost at
 // hundreds of steps per run and dozens of runs per probe — would buy
-// nothing. A step costs one Protocol.Step and nothing else once the run's
+// nothing. A step costs one protocol step and nothing else once the run's
 // memory is warm: the delivered message is copied into the run's message
 // slab, the tracker's queues stop growing at their longest backlog, and
-// the schedule reuses its buffer. Each run resets the state to c and
+// the schedule reuses its buffer; a model.StepperInto step writes into a
+// spare state and the one sends slice. Each run resets the state to c and
 // reuses the memory of the one before; each call takes that memory from
 // probeRuns and puts it back cleared, so the memory outlives the call and
 // nothing of the call's outlives it but the witnesses record detaches.
 type probeRun struct {
 	pr       model.Protocol
+	into     model.StepperInto // pr's in-place step, or nil
 	c        *model.Config
 	maxSteps int
-	start    *fifo.Tracker  // c's buffer in canonical order, built once per call
-	tracker  *fifo.Tracker  // the current run's queues
-	states   []model.State  // the current run's process states
-	sigma    model.Schedule // the current run's schedule; valid until the next run
+	start    *fifo.Tracker   // c's buffer in canonical order, built once per call
+	tracker  *fifo.Tracker   // the current run's queues
+	states   []model.State   // the current run's process states
+	owned    []bool          // owned[p]: states[p] is a state StepInto made, not c's or s
+	spares   []model.State   // spares[p]: an owned state of p no run holds, or nil
+	sends    []model.Message // StepInto's sends buffer
+	sigma    model.Schedule  // the current run's schedule; valid until the next run
 	// msgs is the message slab: sigma's deliveries point into it, and so
 	// does the message Protocol.Step is handed. A full slab is replaced,
 	// not grown, so the pointers already handed out stay valid.
@@ -179,21 +184,26 @@ var probeRuns = sync.Pool{New: func() any {
 func getProbeRun(pr model.Protocol, c *model.Config, maxSteps int) *probeRun {
 	r := probeRuns.Get().(*probeRun)
 	r.pr, r.c, r.maxSteps = pr, c, maxSteps
+	r.into, _ = pr.(model.StepperInto)
 	r.start.ResetTo(c)
 	n := c.N()
 	r.states = slices.Grow(r.states[:0], n)[:n]
+	r.owned = slices.Grow(r.owned[:0], n)[:n]
+	r.spares = slices.Grow(r.spares[:0], n)[:n]
 	r.keys = slices.Grow(r.keys[:0], n)[:n]
 	r.keyed = slices.Grow(r.keyed[:0], n)[:n]
 	return r
 }
 
-// release clears everything the call left in r — states, keys, messages,
-// queues — and returns r to probeRuns.
+// release clears everything the call left in r — states, spares, keys,
+// messages, queues — and returns r to probeRuns.
 func (r *probeRun) release() {
-	r.pr, r.c = nil, nil
+	r.pr, r.into, r.c = nil, nil, nil
 	r.start.Reset()
 	r.tracker.Reset()
 	clear(r.states)
+	clear(r.spares)
+	clear(r.sends[:cap(r.sends)])
 	clear(r.keys)
 	clear(r.sigma[:cap(r.sigma)])
 	clear(r.msgs[:cap(r.msgs)])
@@ -208,7 +218,10 @@ func (r *probeRun) release() {
 func (r *probeRun) fair(order []model.PID, pick pickFunc) (sigma model.Schedule, has0, has1 bool) {
 	r.tracker.CopyFrom(r.start)
 	for p := range r.states {
-		r.states[p] = r.c.State(model.PID(p))
+		if r.owned[p] {
+			r.spares[p] = r.states[p]
+		}
+		r.states[p], r.owned[p] = r.c.State(model.PID(p)), false
 		r.keys[p], r.keyed[p] = r.c.StateKey(model.PID(p)), true
 	}
 	r.sigma, r.msgs = r.sigma[:0], r.msgs[:0]
@@ -241,7 +254,7 @@ func (r *probeRun) run(order []model.PID, pick pickFunc) {
 			if m, ok := pick(r.tracker, p); ok {
 				e.Msg = r.box(m) // Step and the schedule share the slot
 			}
-			ns, sends := r.pr.Step(p, r.states[p], e.Msg)
+			ns, sends := r.step(p, e.Msg)
 			if ns == nil {
 				return // contract violation: stop the run
 			}
@@ -260,6 +273,13 @@ func (r *probeRun) run(order []model.PID, pick pickFunc) {
 			if err := r.tracker.Advance(e, sends); err != nil {
 				return
 			}
+			if r.into != nil && ns != r.states[p] { // ns is the run's own, no spare
+				r.spares[p] = nil
+				if r.owned[p] {
+					r.spares[p] = r.states[p] // no run holds it now
+				}
+				r.owned[p] = true
+			}
 			r.states[p], r.keys[p], r.keyed[p] = ns, nkey, nkeyed
 			r.sigma = append(r.sigma, e)
 			progressed = true
@@ -271,6 +291,20 @@ func (r *probeRun) run(order []model.PID, pick pickFunc) {
 			return // quiescent: nothing left to do
 		}
 	}
+}
+
+// step takes p's step on m, in place when it can. A state StepInto hands
+// back unchanged (as Ben-Or's halted step would) may be c's: never a spare.
+func (r *probeRun) step(p model.PID, m *model.Message) (model.State, []model.Message) {
+	if r.into == nil {
+		return r.pr.Step(p, r.states[p], m)
+	}
+	var ns model.State
+	ns, r.sends = r.into.StepInto(p, r.spares[p], r.states[p], m, r.sends)
+	if ns == r.states[p] {
+		r.owned[p] = false
+	}
+	return ns, r.sends
 }
 
 // crashSubsets enumerates all subsets of {0..n-1} of size ≤ limit,

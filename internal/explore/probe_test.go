@@ -76,6 +76,51 @@ func TestProbeWitnessesOutliveTheRun(t *testing.T) {
 	}
 }
 
+// TestProbeLeavesConfigStatesAlone holds the probe's in-place steps to the
+// states they may write. After ProbeValencies(c), every state of c keeps
+// the key c carries for it, on Paxos and on keepPaxos, whose StepInto hands
+// a state back unchanged whenever the step leaves its key as it is; and no
+// state keepPaxos handed back is ever passed to it as dst.
+func TestProbeLeavesConfigStatesAlone(t *testing.T) {
+	keep := &keepPaxos{PaxosSynod: protocols.NewPaxosSynod(3), t: t, unchanged: map[model.State]bool{}}
+	for _, pr := range []model.Protocol{protocols.NewPaxosSynod(3), keep} {
+		for _, inputs := range []model.Inputs{in(0, 0, 1), in(0, 1, 1), in(1, 1, 0)} {
+			for _, c := range firstConfigs(pr, inputs, 24) {
+				explore.ProbeValencies(pr, c, explore.ProbeOptions{})
+				for p := range c.N() {
+					if got, want := c.State(model.PID(p)).Key(), c.StateKey(model.PID(p)); got != want {
+						t.Fatalf("%s: the probe rewrote p%d's state of %s: key %q, was %q", pr.Name(), p, inputs, got, want)
+					}
+				}
+			}
+		}
+	}
+	if len(keep.unchanged) == 0 {
+		t.Fatal("no keepPaxos step handed its state back unchanged")
+	}
+}
+
+// keepPaxos is Paxos whose StepInto returns s itself, the shape of Ben-Or's
+// halted step, when the step sends nothing and leaves s's key as it is. It
+// fails the test if the probe passes such a state back as dst.
+type keepPaxos struct {
+	*protocols.PaxosSynod
+	t         *testing.T
+	unchanged map[model.State]bool
+}
+
+func (k *keepPaxos) StepInto(p model.PID, dst, s model.State, m *model.Message, sends []model.Message) (model.State, []model.Message) {
+	if dst != nil && k.unchanged[dst] {
+		k.t.Fatalf("p%d: the probe passed a state StepInto had handed back unchanged as dst", p)
+	}
+	ns, sends := k.PaxosSynod.StepInto(p, dst, s, m, sends)
+	if len(sends) == 0 && ns.Key() == s.Key() {
+		k.unchanged[s] = true
+		return s, sends
+	}
+	return ns, sends
+}
+
 // BenchmarkProbeValencies is the per-layer view of the adversary op's
 // probes: one ProbeValencies call on paxos(3) from 001, where the first runs
 // find both values, and from 000, where no run finds a 1 and all 39 runs

@@ -304,7 +304,7 @@ func build(parent *Config, p PID, ns State, skey string, bd *bufDraft) (*Config,
 	}
 	pes := parent.buf.es
 	c := &Config{procs: procs}
-	c.buf.es = make([]bufEntry, len(bd.entries), len(pes)+len(bd.sends))
+	c.buf.es = make([]bufEntry, len(bd.entries))
 	for i, e := range bd.entries {
 		var rec *msgRec
 		if e.at < 0 {

@@ -8,9 +8,10 @@ import "fmt"
 //
 // States must be treated as immutable values: Step must return a fresh
 // State rather than mutating its argument, and callers must never modify a
-// State after obtaining it. Key defines semantic equality — two states are
-// equal iff their keys are equal — and therefore configuration equality and
-// the soundness of valency memoization rest on Key being canonical.
+// State after obtaining it, except StepperInto's dst. Key defines semantic
+// equality — two states are equal iff their keys are equal — and therefore
+// configuration equality and the soundness of valency memoization rest on
+// Key being canonical.
 type State interface {
 	// Key returns a canonical encoding of the state. Equal states must
 	// return identical keys and distinct states distinct keys.
@@ -27,7 +28,7 @@ type State interface {
 // twice with equal arguments must return equal results, and must not mutate
 // the given state. The harness enforces the write-once output register; a
 // Step that changes an already-decided register is reported as a protocol
-// error by Apply.
+// error by Apply. StepperInto is the one step that writes into a State.
 type Protocol interface {
 	// Name identifies the protocol in traces, checkers, and benchmarks.
 	Name() string
@@ -45,6 +46,14 @@ type Protocol interface {
 	// it after Step returns (a directed probe's message slab does), so
 	// Step copies whatever of it it keeps.
 	Step(p PID, s State, m *Message) (State, []Message)
+}
+
+// StepperInto is a Protocol whose step can write into its caller's memory.
+// StepInto is Step writing the successor into dst, a state the caller owns
+// and no configuration holds (nil: allocate one), and the sends into
+// sends[:0]; it returns dst, a fresh state, or s unchanged, never writing s.
+type StepperInto interface {
+	StepInto(p PID, dst, s State, m *Message, sends []Message) (State, []Message)
 }
 
 // Inputs is an assignment of input bits to all N processes: element p is

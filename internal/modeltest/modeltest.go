@@ -98,3 +98,12 @@ func (p StepCounter) Step(pid model.PID, s model.State, m *model.Message) (model
 	p.Steps.Add(1)
 	return p.Protocol.Step(pid, s, m)
 }
+
+// StepInto implements model.StepperInto: one counted step, in place if it can.
+func (p StepCounter) StepInto(pid model.PID, dst, s model.State, m *model.Message, sends []model.Message) (model.State, []model.Message) {
+	if into, ok := p.Protocol.(model.StepperInto); ok {
+		p.Steps.Add(1)
+		return into.StepInto(pid, dst, s, m, sends)
+	}
+	return p.Step(pid, s, m)
+}

@@ -150,9 +150,17 @@ func (px *PaxosSynod) nextBallot(p model.PID, above int) int {
 
 // Step implements model.Protocol.
 func (px *PaxosSynod) Step(p model.PID, s model.State, m *model.Message) (model.State, []model.Message) {
-	st := new(paxosState)
+	return px.StepInto(p, nil, s, m, nil)
+}
+
+// StepInto implements model.StepperInto; Step is StepInto reusing nothing.
+func (px *PaxosSynod) StepInto(p model.PID, dst, s model.State, m *model.Message, sends []model.Message) (model.State, []model.Message) {
+	st, _ := dst.(*paxosState)
+	if st == nil {
+		st = new(paxosState)
+	}
 	*st = *s.(*paxosState) // promises and learnSet are shared with s and replaced, never written
-	var sends []model.Message
+	sends = sends[:0]
 
 	// First step: open ballot p (round 0).
 	if st.curBal < 0 {
