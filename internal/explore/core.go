@@ -170,7 +170,7 @@ type scratch struct {
 // and reports whether it exhausted the reachable set: false when the budget
 // cut something off or visit stopped it. Levels are contiguous id ranges
 // (successors always land after every node of the current depth), so a
-// level is expanded a chunk at a time on the worker pool when opt.Workers
+// level is expanded a chunk at a time on the walk's gang when opt.Workers
 // > 1, or node by node inline otherwise, and each chunk is then visited
 // and merged in id order by this one goroutine. That fixed merge order is
 // what makes every array, count and truncation flag independent of the
@@ -198,8 +198,9 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 	led := NewLedger(opt)
 	led.Count = c.Len()
 	m := &c.mem
-	if n := max(1, opt.Workers); len(m.scr) < n {
-		m.scr = append(m.scr, make([]scratch, n-len(m.scr))...)
+	g := m.enlist(opt.Workers)
+	if g != nil {
+		defer g.dismiss()
 	}
 	sc := &m.scr[0] // the coordinator's
 	var cur *int    // the node being visited, -1 between visits
@@ -229,7 +230,7 @@ func (c *core) walk(from int, opt Options, visit Visit) (complete bool) {
 			var exps [][]cand
 			if opt.Workers > 1 && !led.Truncated {
 				hi = lo + SpecChunk(end-lo, led.MaxConfigs-led.Count, lo, led.Count, opt.Workers)
-				exps = c.expandLevel(lo, hi, opt.Workers)
+				exps = c.expandLevel(lo, hi, g)
 			}
 			for u := lo; u < hi; u++ {
 				if visit != nil {

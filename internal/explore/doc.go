@@ -47,8 +47,8 @@
 //
 // [Explore] runs on the core at every worker count: each frontier level is
 // a contiguous range of the node table. With [Options.Workers] > 1 (the
-// default is GOMAXPROCS) the coordinator and up to Workers−1 helpers —
-// goroutines the package starts once and every exploration shares — expand
+// default is GOMAXPROCS) the coordinator and up to GOMAXPROCS−1 helpers —
+// shared goroutines the walk enlists once and keeps to its end — expand
 // its nodes concurrently, a chunk at a time — event enumeration, no-op
 // filtering, successor application, and hash precomputation are all pure —
 // and the coordinator then merges
@@ -112,8 +112,8 @@
 // Tuning: the GOMAXPROCS default holds from the narrowest graphs to the
 // widest, and worker counts above GOMAXPROCS only add coordination
 // overhead. Measured at 2 vCPUs (go1.24): on explore-wide's shape the
-// level pool is about 16 % faster than inline expansion
-// (BenchmarkExplorePool, 157 against 188 ms a pass). The loops over every
+// level pool is about 30 % faster than inline expansion
+// (BenchmarkExplorePool, 120 against 174 ms a pass). The loops over every
 // initial configuration spend the workers on roots instead (see
 // Options.Workers), whose graphs are 4–64 configurations a level wide.
 // BenchmarkExploreNarrow at 2 workers against 1 (medians of three
@@ -123,9 +123,9 @@
 // at 0.84 against 1.32 ms on 2pc(4) and 1.82 against 2.98 on
 // naivemajority(3), for 1.005× one worker's bytes (TestAllocsRootLoops).
 // FindBivalentInitial may stop at any root, so it keeps at most Workers
-// roots in flight and gains less: 0.80 against 1.02 ms on
-// naivemajority(3), and nothing beyond noise on 2pc(4), whose roots take
-// about 60 µs each, less than an offered helper takes to start. The level
+// roots in flight and gains less: 0.88 against 1.12 ms on 2pc(4), whose
+// roots take about 60 µs each, and less on smaller loops, which pay the
+// wake of a helper taking their one offer (about 100 µs). The level
 // pool on those graphs read within about 10 % of inline and built about
 // 1.2× its bytes (TestAllocsPoolNarrow): inline sees every duplicate
 // before building it, the pool only those of nodes admitted before its

@@ -11,16 +11,16 @@ type Options struct {
 	// certificates remain exact; univalence claims do not). Default 200000.
 	MaxConfigs int
 	// Workers is the number of goroutines working *within one process*:
-	// the caller plus up to Workers−1 helpers, goroutines the package
-	// keeps for every call and offers work to when they are not busy
-	// elsewhere. 0 (the default) means runtime.GOMAXPROCS(0); 1 or a
-	// negative value works inline on the caller, with no helper. One
-	// exploration spends them on the nodes of each level. A call over
-	// many roots — Census and everything built on it (CensusInitial,
-	// FindBivalentInitial), and CheckPartialCorrectness — spends them on
-	// roots instead: each root is explored inline (Workers: 1) while up to
-	// Workers−1 other roots are explored beside it, and the results are
-	// consumed in AllInputs order, so up to Workers−1 roots past a stop
+	// the caller plus up to min(Workers, GOMAXPROCS)−1 helpers, goroutines
+	// the package keeps for every call, which stay with a call that finds
+	// them idle until it ends; a larger Workers only shapes chunking. 0
+	// (the default) means runtime.GOMAXPROCS(0); 1 or a negative value
+	// works inline on the caller. One exploration spends them on the nodes
+	// of each level. A call over many roots — Census and everything built
+	// on it (CensusInitial, FindBivalentInitial), and
+	// CheckPartialCorrectness — spends them on roots instead: each root is
+	// explored inline (Workers: 1) beside the others, the results are
+	// consumed in AllInputs order, and up to Workers−1 roots past a stop
 	// are explored and dropped. With one worker, or a single root, each
 	// root's exploration keeps the workers for its levels. Any worker
 	// count produces byte-identical results — same visit order, same

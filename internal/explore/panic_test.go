@@ -2,6 +2,7 @@ package explore_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -47,8 +48,10 @@ func (p *panicProto) Step(pid model.PID, s model.State, m *model.Message) (model
 // other and with ReferenceExplore. At the deeper thresholds the panicking
 // level's nodes have siblings, so the core reads part of their rows off
 // closed rows instead of stepping: a step it skips must not be the one that
-// would have panicked first.
+// would have panicked first. The test sets GOMAXPROCS to 8 for its length,
+// so that a walk at 8 workers has seven helpers.
 func TestExpandLevelPanicDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, boomAt := range []int{2, 3, 4} {
 		pr := &panicProto{n: 2, boomAt: boomAt}
 		c := model.MustInitial(pr, model.Inputs{0, 0})
@@ -97,11 +100,13 @@ func TestExpandLevelPanicDeterminism(t *testing.T) {
 // TestPoolHelpers holds the pool's helpers — process-wide goroutines every
 // pooled walk shares, not goroutines of one level — to three promises:
 // they survive the protocol panics they recover, walks leave no goroutine
-// behind but the helpers (at most Workers−1 = 7 of them here), and a walk
-// after the panics still equals the reference loop. The panicking walks run
-// at 2 workers, which offer a level to one helper, and at 8, which offer
-// it to seven.
+// behind but the helpers (at most GOMAXPROCS−1 = 7 of them here), and a
+// walk after the panics still equals the reference loop. The panicking
+// walks run at 2 workers, which enlist one helper, and at 8, which enlist
+// seven; the test sets GOMAXPROCS to 8 for its length, since a walk
+// enlists no more helpers than the processors beside its own.
 func TestPoolHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	before := runtime.NumGoroutine()
 	for _, w := range []int{2, 8, 2, 8} {
 		for trial := 0; trial < 10; trial++ {
@@ -129,6 +134,56 @@ func TestPoolHelpers(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatalf("after the panicking walks: %v", err)
+	}
+}
+
+// TestHelpersBounded holds the helpers to the processors, whatever Workers
+// asks for: a walk (Explore), an atlas build (BuildAtlas) and a root loop
+// (CensusInitial) at Workers: 64 under GOMAXPROCS 2 leave at most one
+// helper beyond the goroutines before them, where they once left up to one
+// fewer than the widest chunk or root count, and each still answers as the
+// reference loop (the census as at one worker).
+func TestHelpersBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := enginetest.Case{Name: "naivemajority3-workers64", Protocol: "naivemajority", N: 3,
+		Inputs: model.Inputs{0, 1, 1}, Options: explore.Options{Workers: 64}}
+	pr, root := c.MustResolve(t)
+	want, err := enginetest.Reference(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := explore.CensusInitial(pr, explore.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	walks := map[string]func(explore.Visit) (bool, int, error){
+		"Explore": func(visit explore.Visit) (bool, int, error) {
+			complete, visited := explore.Explore(pr, root, c.Options, nil, visit)
+			return complete, visited, nil
+		},
+		"BuildAtlas": func(visit explore.Visit) (bool, int, error) {
+			a, ok := explore.BuildAtlas(pr, root, c.Options)
+			if !ok {
+				return false, 0, fmt.Errorf("BuildAtlas refused naivemajority(3)")
+			}
+			return enginetest.WalkAtlas(pr, c.Options, a, 1, visit)
+		},
+	}
+	for name, walk := range walks {
+		got, err := enginetest.Record(c.StopAt, walk)
+		if err == nil {
+			err = enginetest.DiffStreams(want, got)
+		}
+		if err != nil {
+			t.Fatalf("%s at 64 workers: %v", name, err)
+		}
+	}
+	if got, err := explore.CensusInitial(pr, c.Options); err != nil || !reflect.DeepEqual(got, seq) {
+		t.Fatalf("CensusInitial at 64 workers: %+v (%v), want %+v", got, err, seq)
+	}
+	if after := runtime.NumGoroutine(); after > before+1 {
+		t.Fatalf("%d goroutines after the calls at 64 workers, %d before: more helpers than GOMAXPROCS−1, or a call leaked", after, before)
 	}
 }
 

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"github.com/flpsim/flp/internal/model"
@@ -16,16 +17,16 @@ import (
 // With opt.Workers ≤ 1, or a single root, the roots are walked one after
 // another on the caller with opt itself, so each exploration keeps the
 // workers for its levels. Otherwise the root is the grain: a rootJob hands
-// root indices from an atomic cursor to the caller and to up to Workers−1
-// idle helpers (the level pool's, see offer), and every root is walked
-// inline, with Workers: 1. While the result yield needs next is in flight
-// on a helper, the caller walks roots itself or parks; if no helper is
-// idle it walks every root. When stoppable (yield may return false), no
-// root more than Workers−1 past the one yield waits for is handed out, so
-// a stop wastes at most Workers−1 walks. Their results are dropped, and
-// eachRoot returns only once they are done: no walk outlives the call. A
-// panic in walk is re-raised on the caller when yield reaches its root,
-// which is the root the sequential loop would have panicked on.
+// root indices from an atomic cursor to the caller and to the helpers that
+// took its one offer (at most GOMAXPROCS−1), which stay until close, and
+// every root is walked inline, with Workers: 1. While the result yield
+// needs next is in flight on a helper, the caller walks roots or parks; if
+// no helper was idle it walks every root. When stoppable (yield may return
+// false), no root more than Workers−1 past the one yield waits for is
+// handed out, so a stop wastes at most Workers−1 walks, whose results are
+// dropped; eachRoot returns only once they are done. A panic in walk is
+// re-raised on the caller when yield reaches its root, which is the root
+// the sequential loop would have panicked on.
 func eachRoot[R any](pr model.Protocol, opt Options, stoppable bool,
 	walk func(in model.Inputs, c *model.Config, opt Options) R, yield func(R) bool) error {
 	if err := model.CheckInputsN(pr.N()); err != nil {
@@ -53,7 +54,8 @@ func eachRoot[R any](pr model.Protocol, opt Options, stoppable bool,
 		window = workers
 	}
 	j.limit.Store(int64(min(window, n)))
-	offer(j, min(workers, n)-1)
+	enlisted.Add(1)
+	offer(j, min(workers, runtime.GOMAXPROCS(0), n)-1)
 	defer j.close()
 	for i := range j.slots {
 		s := j.await(i)
@@ -67,7 +69,6 @@ func eachRoot[R any](pr model.Protocol, opt Options, stoppable bool,
 		}
 		if next := i + 1 + window; stoppable && next <= n {
 			j.limit.Store(int64(next))
-			offer(j, min(workers-1, next-int(j.cursor.Load())))
 		}
 	}
 	return nil
@@ -78,7 +79,7 @@ func eachRoot[R any](pr model.Protocol, opt Options, stoppable bool,
 // slot. Everything but the atomics and the slots is fixed before the job is
 // offered; a slot is written only by the goroutine that claimed its root,
 // before done is set. A helper that takes the job once nothing is left to
-// hand out touches only the atomics, so a job may outlive its loop.
+// hand out touches only the cursor, so a job may outlive its loop.
 type rootJob[R any] struct {
 	pr     model.Protocol
 	opt    Options // the caller's, with Workers: 1
@@ -100,10 +101,14 @@ type rootSlot[R any] struct {
 	done    atomic.Bool
 }
 
-// help walks roots of j until none may be handed out.
+// help walks roots of j as the window lets it claim them, yielding between
+// claims, until every root is handed out or the loop is closed.
 func (j *rootJob[R]) help() {
-	for k := j.claim(); k >= 0; k = j.claim() {
-		j.run(k)
+	for int(j.cursor.Load()) < len(j.ins) {
+		if k := j.claim(); k >= 0 {
+			j.run(k)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -157,7 +162,7 @@ func (j *rootJob[R]) await(i int) *rootSlot[R] {
 	return s
 }
 
-// close stops handing out roots and waits for those handed out already.
+// close frees the helpers and waits for the roots handed out already.
 func (j *rootJob[R]) close() {
 	claimed := int(j.cursor.Swap(int64(len(j.ins))))
 	for i := range claimed {
@@ -165,4 +170,5 @@ func (j *rootJob[R]) close() {
 			<-j.wake
 		}
 	}
+	enlisted.Add(-1)
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // rootLoopWorkers are the worker counts the root loops are held to: the
-// sequential path (−1 and 1), one helper, and more helpers than roots.
+// sequential path (−1 and 1), one helper, and more workers than roots.
 var rootLoopWorkers = []int{-1, 1, 2, 8}
 
 // rootLoopBudget keeps the loops quick enough for the race detector: the
@@ -168,9 +168,11 @@ func (rootPanicProto) Step(pid model.PID, s model.State, _ *model.Message) (mode
 // re-raised at every worker count, however the roots were scheduled. A
 // census stopped before the first panicking root raises nothing, though a
 // pool may have walked that root. The helpers survive it all: afterwards
-// there are at most 7 more goroutines (the helpers of 8 workers) and a
-// census equals the sequential one.
+// there are at most 7 more goroutines (the GOMAXPROCS−1 helpers a loop at
+// 8 workers may have; the test sets GOMAXPROCS to 8 for its length so that
+// it has them) and a census equals the sequential one.
 func TestRootLoopPanicDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	before := runtime.NumGoroutine()
 	pr := rootPanicProto{}
 	const want = "rootpanic: p1 has input 1" // root 01's
