@@ -45,6 +45,16 @@ func main() {
 		atlasDir = flag.String("atlas-dir", "", "directory for the persistent atlas store and the durable job journal; atlases and admitted jobs survive restarts ('' = memory-only cache, nothing survives)")
 	)
 	flag.Parse()
+	// serve.Options reads a value below 1 as "the default", so the banner
+	// would print a pool or queue the server does not run: refuse it.
+	if *pool < 1 {
+		fmt.Fprintf(os.Stderr, "flpserve: -pool %d: must be at least 1\n", *pool)
+		os.Exit(1)
+	}
+	if *depth < 1 {
+		fmt.Fprintf(os.Stderr, "flpserve: -queue %d: must be at least 1\n", *depth)
+		os.Exit(1)
+	}
 
 	s, err := serve.New(serve.Options{
 		Workers: *pool, QueueDepth: *depth, AtlasDir: *atlasDir,

@@ -92,7 +92,6 @@ func ExampleNewInitiallyDead() {
 // asynchronous one — in exactly f+1 rounds.
 func ExampleRunSync() {
 	res, _ := flp.RunSync(flp.FloodSet{}, flp.Inputs{0, 1, 1, 0, 1}, 2, flp.CrashPattern{})
-	v, _ := res.DecidedValue()
-	fmt.Println(res.Rounds, res.Agreement, v)
+	fmt.Println(res.Rounds, res.Agreement, res.Decisions[0])
 	// Output: 3 true 0
 }

@@ -123,20 +123,6 @@ type Result struct {
 // Steps returns the total number of events in the run prefix.
 func (r *Result) Steps() int { return len(r.Schedule) }
 
-// DecidedCount returns how many processes have decided in the final
-// configuration — zero for a successful construction.
-func (r *Result) DecidedCount() int { return r.Final.DecidedCount() }
-
-// StepsPerProcess tallies events by process, witnessing that every process
-// keeps taking steps (no process looks faulty).
-func (r *Result) StepsPerProcess() map[model.PID]int {
-	m := make(map[model.PID]int)
-	for _, e := range r.Schedule {
-		m[e.P]++
-	}
-	return m
-}
-
 // ErrNoBivalentInitial is returned when no initial configuration of the
 // protocol could be certified bivalent — the protocol is outside the
 // theorem's hypotheses (it is not a fault-tolerant consensus attempt in the

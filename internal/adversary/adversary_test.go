@@ -30,8 +30,8 @@ func TestAdversaryLivelocksPaxos(t *testing.T) {
 	if got := len(res.Stages); got != 9 {
 		t.Fatalf("completed %d stages, want 9", got)
 	}
-	if res.DecidedCount() != 0 {
-		t.Fatalf("%d processes decided; the run must be non-deciding", res.DecidedCount())
+	if res.Final.DecidedCount() != 0 {
+		t.Fatalf("%d processes decided; the run must be non-deciding", res.Final.DecidedCount())
 	}
 
 	rep, err := adversary.Verify(pr, res)
@@ -99,7 +99,7 @@ func TestAdversaryFailsOnAgreementViolators(t *testing.T) {
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %v, want StageError", err)
 	}
-	if res == nil || res.DecidedCount() != 0 {
+	if res == nil || res.Final.DecidedCount() != 0 {
 		t.Error("partial result should still be decision-free")
 	}
 }
@@ -246,9 +246,12 @@ func TestResultAccessors(t *testing.T) {
 	if res.Steps() != len(res.Schedule) {
 		t.Errorf("Steps = %d, schedule has %d events", res.Steps(), len(res.Schedule))
 	}
-	per := res.StepsPerProcess()
+	rep, err := adversary.Verify(pr, res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
-	for _, s := range per {
+	for _, s := range rep.StepsPerProcess {
 		total += s
 	}
 	if total != res.Steps() {

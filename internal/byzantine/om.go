@@ -26,10 +26,6 @@ import (
 // supposed to relay.
 type Strategy func(path []int, to int, v model.Value) model.Value
 
-// Silent never delivers (modeled as sending the default value, exactly the
-// "if no value received, use the default" rule of the paper).
-func Silent(_ []int, _ int, _ model.Value) model.Value { return DefaultOrder }
-
 // Flip always relays the opposite value.
 func Flip(_ []int, _ int, v model.Value) model.Value { return v.Other() }
 

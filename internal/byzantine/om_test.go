@@ -7,6 +7,11 @@ import (
 	"github.com/flpsim/flp/internal/model"
 )
 
+// silent is a traitor that never delivers (modeled as sending the default
+// value, exactly the "if no value received, use the default" rule of the
+// paper).
+func silent(_ []int, _ int, _ model.Value) model.Value { return byzantine.DefaultOrder }
+
 func run(t *testing.T, cfg byzantine.Config, order model.Value) *byzantine.Result {
 	t.Helper()
 	res, err := byzantine.Run(cfg, order)
@@ -28,7 +33,7 @@ func TestOM0NoTraitors(t *testing.T) {
 }
 
 func TestOM1FourGeneralsTraitorLieutenant(t *testing.T) {
-	for _, strat := range []byzantine.Strategy{byzantine.Flip, byzantine.Silent, byzantine.Split} {
+	for _, strat := range []byzantine.Strategy{byzantine.Flip, silent, byzantine.Split} {
 		for _, order := range []model.Value{model.V0, model.V1} {
 			cfg := byzantine.Config{N: 4, M: 1, Traitors: map[int]bool{2: true}, Strategy: strat}
 			res := run(t, cfg, order)
@@ -43,7 +48,7 @@ func TestOM1FourGeneralsTraitorLieutenant(t *testing.T) {
 }
 
 func TestOM1FourGeneralsTraitorCommander(t *testing.T) {
-	for _, strat := range []byzantine.Strategy{byzantine.Flip, byzantine.Silent, byzantine.Split} {
+	for _, strat := range []byzantine.Strategy{byzantine.Flip, silent, byzantine.Split} {
 		cfg := byzantine.Config{N: 4, M: 1, Traitors: map[int]bool{0: true}, Strategy: strat}
 		res := run(t, cfg, model.V1)
 		if !res.IC1(cfg) {
@@ -76,7 +81,7 @@ func TestOM2SevenGenerals(t *testing.T) {
 		{5: true, 6: true},
 	}
 	for _, traitors := range traitorSets {
-		for _, strat := range []byzantine.Strategy{byzantine.Flip, byzantine.Split, byzantine.Silent} {
+		for _, strat := range []byzantine.Strategy{byzantine.Flip, byzantine.Split, silent} {
 			for _, order := range []model.Value{model.V0, model.V1} {
 				cfg := byzantine.Config{N: 7, M: 2, Traitors: traitors, Strategy: strat}
 				res := run(t, cfg, order)

@@ -211,7 +211,7 @@ func TestAdversaryCannotStallByDelayAlone(t *testing.T) {
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %v, want StageError (delay alone cannot stall Theorem 2's protocol)", err)
 	}
-	if res.DecidedCount() != 0 {
+	if res.Final.DecidedCount() != 0 {
 		t.Error("the partial run must still be decision-free")
 	}
 	if len(res.Stages) == 0 {

@@ -38,6 +38,16 @@ type DiamondReport struct {
 // a canonical-key comparison. Over-budget state spaces take the direct
 // route, diamondDirect: one square at a time around each member of ℰ.
 // TestLemma3RoutesAgree holds the two routes to identical reports.
+//
+// The atlas route is partly true by construction. When C0 is D0's tree
+// parent and C1 was expanded before D0, the core may have filled D0's
+// e′-edge from C1's e-row with the same Lemma 1 diamond rule (doc.go), and
+// then the two corners are one id and the comparison cannot fail. For
+// those squares the evidence is TestDiamondRuleEdgesAreSteps, which
+// re-derives every recorded edge with a protocol step; only the direct
+// route steps every square at run time. The atlas route stays the default
+// because it allocates about half as much (naivemajority(3), p0's null
+// event, default options: 141 KB a check against 264 KB).
 func CheckLemma3Diamond(pr model.Protocol, c *model.Config, e model.Event, opt Options) (DiamondReport, error) {
 	if err := applicable(c, e); err != nil {
 		return DiamondReport{}, err

@@ -39,9 +39,6 @@ type InitialCensus struct {
 	AllExact bool
 }
 
-// HasBivalent reports whether a bivalent initial configuration was found.
-func (ic InitialCensus) HasBivalent() bool { return ic.Bivalent != nil }
-
 // Census is Lemma 2's loop, the one place initial configurations are
 // classified: it classifies each of pr's 2^N initial configurations with
 // classify, and tallies the census in AllInputs order. each, when non-nil,

@@ -46,9 +46,6 @@ func (v Valency) String() string {
 	return fmt.Sprintf("Valency(%d)", int(v))
 }
 
-// Univalent reports whether the class is 0-valent or 1-valent.
-func (v Valency) Univalent() bool { return v == ZeroValent || v == OneValent }
-
 // ValencyInfo is the result of classifying one configuration.
 type ValencyInfo struct {
 	Valency Valency

@@ -39,7 +39,7 @@ func TestAllocsTrackerSteadyState(t *testing.T) {
 	if got := testing.AllocsPerRun(1, cycles); got != 0 {
 		t.Errorf("1,000 Send + head-Deliver cycles make %.0f allocations, want 0", got)
 	}
-	if tr.Pending() != len(backlog) { // every cycle sends one and delivers one
-		t.Errorf("Pending = %d after the cycles, want %d", tr.Pending(), len(backlog))
+	if pending(tr, 2) != len(backlog) { // every cycle sends one and delivers one
+		t.Errorf("pending = %d after the cycles, want %d", pending(tr, 2), len(backlog))
 	}
 }

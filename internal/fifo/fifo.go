@@ -3,14 +3,14 @@
 // the time the messages were sent, earliest first" to argue admissibility;
 // the adversary and the fair schedulers of the runtime both need that
 // ordering, while valency analysis must not see it (timing would fragment
-// configuration equality). A Tracker mirrors a configuration's buffer with
-// sequence numbers, and is advanced alongside it.
+// configuration equality). A Tracker mirrors a configuration's buffer as
+// one send-ordered queue per destination, and is advanced alongside it.
 //
 // Queues are mutated in place: a delivery shifts the destination's queue
 // down instead of rebuilding it, so a queue stops growing once it has held
 // its longest backlog. Nothing a Tracker hands out aliases a queue — the
-// readers return message values, PendingList and Clone copy — so a
-// delivery never shows through a value obtained earlier.
+// readers return message values and CopyFrom copies — so a delivery never
+// shows through a value obtained earlier.
 package fifo
 
 import (
@@ -19,17 +19,10 @@ import (
 	"github.com/flpsim/flp/internal/model"
 )
 
-// entry is one in-flight message instance with its send sequence number.
-type entry struct {
-	msg model.Message
-	seq uint64
-}
-
 // Tracker maintains, per destination process, the pending messages in send
 // order.
 type Tracker struct {
-	queues  [][]entry // indexed by destination PID, grown by Send
-	nextSeq uint64
+	queues [][]model.Message // indexed by destination PID, grown by Send
 }
 
 // New returns an empty tracker for a system whose buffer is empty (an
@@ -64,12 +57,11 @@ func (t *Tracker) Reset() {
 		clear(q)
 		t.queues[p] = q[:0]
 	}
-	t.nextSeq = 0
 }
 
-// queue returns p's pending entries, oldest first; empty for a process no
+// queue returns p's pending messages, oldest first; empty for a process no
 // message was ever sent to.
-func (t *Tracker) queue(p model.PID) []entry {
+func (t *Tracker) queue(p model.PID) []model.Message {
 	if p < 0 || int(p) >= len(t.queues) {
 		return nil
 	}
@@ -82,8 +74,7 @@ func (t *Tracker) Send(m model.Message) {
 	for int(m.To) >= len(t.queues) {
 		t.queues = append(t.queues, nil)
 	}
-	t.queues[m.To] = append(t.queues[m.To], entry{msg: m, seq: t.nextSeq})
-	t.nextSeq++
+	t.queues[m.To] = append(t.queues[m.To], m)
 }
 
 // Oldest returns the earliest-sent pending message for p.
@@ -92,17 +83,7 @@ func (t *Tracker) Oldest(p model.PID) (model.Message, bool) {
 	if len(q) == 0 {
 		return model.Message{}, false
 	}
-	return q[0].msg, true
-}
-
-// OldestSeq returns the sequence number of the earliest-sent pending
-// message for p, for lag measurements.
-func (t *Tracker) OldestSeq(p model.PID) (uint64, bool) {
-	q := t.queue(p)
-	if len(q) == 0 {
-		return 0, false
-	}
-	return q[0].seq, true
+	return q[0], true
 }
 
 // Newest returns the latest-sent pending message for p.
@@ -111,15 +92,15 @@ func (t *Tracker) Newest(p model.PID) (model.Message, bool) {
 	if len(q) == 0 {
 		return model.Message{}, false
 	}
-	return q[len(q)-1].msg, true
+	return q[len(q)-1], true
 }
 
 // OldestFrom returns the earliest-sent pending message for p whose sender
 // is from.
 func (t *Tracker) OldestFrom(p, from model.PID) (model.Message, bool) {
-	for _, e := range t.queue(p) {
-		if e.msg.From == from {
-			return e.msg, true
+	for _, m := range t.queue(p) {
+		if m.From == from {
+			return m, true
 		}
 	}
 	return model.Message{}, false
@@ -127,38 +108,17 @@ func (t *Tracker) OldestFrom(p, from model.PID) (model.Message, bool) {
 
 // At returns the i-th pending message for p in send order; i must be in
 // [0, PendingTo(p)).
-func (t *Tracker) At(p model.PID, i int) model.Message { return t.queue(p)[i].msg }
+func (t *Tracker) At(p model.PID, i int) model.Message { return t.queue(p)[i] }
 
 // PendingTo returns the number of messages pending for p.
 func (t *Tracker) PendingTo(p model.PID) int { return len(t.queue(p)) }
-
-// Pending returns the total number of pending messages.
-func (t *Tracker) Pending() int {
-	n := 0
-	for _, q := range t.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// PendingList returns a copy of the pending messages for p in send order;
-// later deliveries do not change it. Callers that read one message use
-// Oldest, Newest, OldestFrom or At instead.
-func (t *Tracker) PendingList(p model.PID) []model.Message {
-	q := t.queue(p)
-	out := make([]model.Message, len(q))
-	for i, e := range q {
-		out[i] = e.msg
-	}
-	return out
-}
 
 // Deliver removes the oldest pending instance equal to m from m.To's
 // queue. The oldest instance is the right one to account against: under
 // multiset semantics equal copies are interchangeable, and charging the
 // oldest keeps the "earliest first" admissibility discipline honest.
 //
-// The queue is edited in place: the tail behind the delivered entry shifts
+// The queue is edited in place: the tail behind the delivered message shifts
 // down one slot, the head included, so the queue keeps its backing array
 // and a later Send fills the freed slot instead of regrowing it. The
 // vacated slot is zeroed so the queue's spare capacity retains no message
@@ -166,11 +126,11 @@ func (t *Tracker) PendingList(p model.PID) []model.Message {
 func (t *Tracker) Deliver(m model.Message) error {
 	q := t.queue(m.To)
 	for i := range q {
-		if q[i].msg != m {
+		if q[i] != m {
 			continue
 		}
 		copy(q[i:], q[i+1:])
-		q[len(q)-1] = entry{}
+		q[len(q)-1] = model.Message{}
 		t.queues[m.To] = q[:len(q)-1]
 		return nil
 	}
@@ -191,13 +151,6 @@ func (t *Tracker) Advance(e model.Event, sends []model.Message) error {
 	return nil
 }
 
-// Clone returns a deep copy.
-func (t *Tracker) Clone() *Tracker {
-	c := New()
-	c.CopyFrom(t)
-	return c
-}
-
 // CopyFrom makes t a deep copy of src, reusing the queue storage t already
 // owns. It is how a caller replays many runs from one starting point
 // without building a tracker per run.
@@ -209,5 +162,4 @@ func (t *Tracker) CopyFrom(src *Tracker) {
 		clear(q) // as Deliver: spare capacity retains no message body
 		t.queues[p] = append(q[:0], src.queue(model.PID(p))...)
 	}
-	t.nextSeq = src.nextSeq
 }

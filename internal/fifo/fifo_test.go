@@ -11,6 +11,31 @@ func msg(to, from model.PID, body string) model.Message {
 	return model.Message{To: to, From: from, Body: body}
 }
 
+// queueOf reads p's pending messages in send order through At.
+func queueOf(tr *Tracker, p model.PID) []model.Message {
+	q := make([]model.Message, tr.PendingTo(p))
+	for i := range q {
+		q[i] = tr.At(p, i)
+	}
+	return q
+}
+
+// pending returns the number of messages pending for processes 0..n-1.
+func pending(tr *Tracker, n int) int {
+	total := 0
+	for p := range n {
+		total += tr.PendingTo(model.PID(p))
+	}
+	return total
+}
+
+// clone returns a deep copy of tr made through CopyFrom.
+func clone(tr *Tracker) *Tracker {
+	c := New()
+	c.CopyFrom(tr)
+	return c
+}
+
 func TestSendOldestOrder(t *testing.T) {
 	tr := New()
 	a := msg(0, 1, "a")
@@ -28,8 +53,8 @@ func TestSendOldestOrder(t *testing.T) {
 	if _, ok := tr.Oldest(2); ok {
 		t.Error("Oldest(2) found a message in an empty queue")
 	}
-	if tr.Pending() != 3 || tr.PendingTo(0) != 2 {
-		t.Errorf("Pending=%d PendingTo(0)=%d, want 3, 2", tr.Pending(), tr.PendingTo(0))
+	if pending(tr, 3) != 3 || tr.PendingTo(0) != 2 {
+		t.Errorf("pending=%d PendingTo(0)=%d, want 3, 2", pending(tr, 3), tr.PendingTo(0))
 	}
 }
 
@@ -58,16 +83,9 @@ func TestSeqAndPendingList(t *testing.T) {
 	tr := New()
 	tr.Send(msg(1, 0, "x"))
 	tr.Send(msg(1, 0, "y"))
-	s, ok := tr.OldestSeq(1)
-	if !ok || s != 0 {
-		t.Errorf("OldestSeq = %d, %v; want 0, true", s, ok)
-	}
-	list := tr.PendingList(1)
+	list := queueOf(tr, 1)
 	if len(list) != 2 || list[0].Body != "x" || list[1].Body != "y" {
-		t.Errorf("PendingList = %v", list)
-	}
-	if _, ok := tr.OldestSeq(0); ok {
-		t.Error("OldestSeq on empty queue reported a message")
+		t.Errorf("queue of p1 = %v", list)
 	}
 }
 
@@ -100,7 +118,7 @@ func TestCloneIndependence(t *testing.T) {
 	tr := New()
 	m := msg(0, 1, "a")
 	tr.Send(m)
-	cl := tr.Clone()
+	cl := clone(tr)
 	if err := cl.Deliver(m); err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +137,8 @@ func TestNewFromConfigMirrorsBuffer(t *testing.T) {
 	c := model.MustInitial(pr, model.Inputs{model.V0, model.V0})
 	c1 := model.MustApply(pr, c, model.NullEvent(0))
 	tr := NewFromConfig(c1)
-	if tr.Pending() != c1.Buffer().Len() {
-		t.Errorf("tracker has %d pending, buffer has %d", tr.Pending(), c1.Buffer().Len())
+	if pending(tr, 2) != c1.Buffer().Len() {
+		t.Errorf("tracker has %d pending, buffer has %d", pending(tr, 2), c1.Buffer().Len())
 	}
 	m, ok := tr.Oldest(1)
 	if !ok || !c1.Buffer().Contains(m) {
@@ -130,7 +148,7 @@ func TestNewFromConfigMirrorsBuffer(t *testing.T) {
 
 // TestNewFromConfigEnqueuesEveryInstance pins the seeding order on a buffer
 // that holds duplicates: Count(m) instances per distinct message, distinct
-// messages in the buffer's canonical order, sequence numbers from zero.
+// messages in the buffer's canonical order.
 func TestNewFromConfigEnqueuesEveryInstance(t *testing.T) {
 	pr := chattyProto{}
 	c := model.MustInitial(pr, model.Inputs{model.V0, model.V0})
@@ -148,23 +166,20 @@ func TestNewFromConfigEnqueuesEveryInstance(t *testing.T) {
 	}
 	var got []model.Message
 	for p := model.PID(0); p < 2; p++ {
-		got = append(got, tr.PendingList(p)...)
+		got = append(got, queueOf(tr, p)...)
 	}
 	slices.SortStableFunc(want, func(a, b model.Message) int { return int(a.To) - int(b.To) })
 	if !slices.Equal(got, want) {
 		t.Errorf("queues hold %v, want %v", got, want)
 	}
-	if tr.Pending() != 4 {
-		t.Errorf("Pending = %d, want 4", tr.Pending())
-	}
-	if s, _ := tr.OldestSeq(want[0].To); s != 0 {
-		t.Errorf("first enqueued instance has seq %d, want 0", s)
+	if pending(tr, 2) != 4 {
+		t.Errorf("pending = %d, want 4", pending(tr, 2))
 	}
 }
 
 // TestInPlaceDeliveryAliasing pins what in-place queues must not change: a
-// PendingList taken before a Deliver or Advance keeps its contents, and a
-// Clone taken before in-place operations on either side stays independent
+// queue read before a Deliver or Advance keeps its contents, and a CopyFrom
+// copy taken before in-place operations on either side stays independent
 // — including operations that append into capacity a delivery freed.
 func TestInPlaceDeliveryAliasing(t *testing.T) {
 	tr := New()
@@ -172,8 +187,8 @@ func TestInPlaceDeliveryAliasing(t *testing.T) {
 	for _, m := range []model.Message{a, b, c} {
 		tr.Send(m)
 	}
-	before := tr.PendingList(0)
-	cl := tr.Clone()
+	before := queueOf(tr, 0)
+	cl := clone(tr)
 
 	if err := tr.Deliver(b); err != nil { // middle: shifts c down in place
 		t.Fatal(err)
@@ -184,12 +199,12 @@ func TestInPlaceDeliveryAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := []model.Message{a, b, c}; !slices.Equal(before, want) {
-		t.Errorf("PendingList taken before the deliveries now reads %v, want %v", before, want)
+		t.Errorf("queue read before the deliveries now reads %v, want %v", before, want)
 	}
-	if got, want := cl.PendingList(0), []model.Message{a, b, c}; !slices.Equal(got, want) {
+	if got, want := queueOf(cl, 0), []model.Message{a, b, c}; !slices.Equal(got, want) {
 		t.Errorf("clone reads %v after deliveries on the original, want %v", got, want)
 	}
-	if got, want := tr.PendingList(0), []model.Message{c, d}; !slices.Equal(got, want) {
+	if got, want := queueOf(tr, 0), []model.Message{c, d}; !slices.Equal(got, want) {
 		t.Errorf("original reads %v, want %v", got, want)
 	}
 
@@ -201,10 +216,10 @@ func TestInPlaceDeliveryAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Send(a)
-	if got, want := tr.PendingList(0), []model.Message{c, d}; !slices.Equal(got, want) {
+	if got, want := queueOf(tr, 0), []model.Message{c, d}; !slices.Equal(got, want) {
 		t.Errorf("original reads %v after deliveries on the clone, want %v", got, want)
 	}
-	if got, want := cl.PendingList(0), []model.Message{b, a}; !slices.Equal(got, want) {
+	if got, want := queueOf(cl, 0), []model.Message{b, a}; !slices.Equal(got, want) {
 		t.Errorf("clone reads %v, want %v", got, want)
 	}
 }

@@ -13,31 +13,13 @@ import (
 // queues became in-place: a map of queues, every delivery rebuilding the
 // destination's. It is the oracle the in-place Tracker is checked against.
 type refTracker struct {
-	queues  map[model.PID][]entry
-	nextSeq uint64
+	queues map[model.PID][]model.Message
 }
 
-func newRef() *refTracker { return &refTracker{queues: make(map[model.PID][]entry)} }
+func newRef() *refTracker { return &refTracker{queues: make(map[model.PID][]model.Message)} }
 
 func (t *refTracker) Send(m model.Message) {
-	t.queues[m.To] = append(t.queues[m.To], entry{msg: m, seq: t.nextSeq})
-	t.nextSeq++
-}
-
-func (t *refTracker) PendingList(p model.PID) []model.Message {
-	q := t.queues[p]
-	out := make([]model.Message, len(q))
-	for i, e := range q {
-		out[i] = e.msg
-	}
-	return out
-}
-
-func (t *refTracker) OldestSeq(p model.PID) (uint64, bool) {
-	if q := t.queues[p]; len(q) > 0 {
-		return q[0].seq, true
-	}
-	return 0, false
+	t.queues[m.To] = append(t.queues[m.To], m)
 }
 
 func (t *refTracker) Pending() int {
@@ -50,9 +32,9 @@ func (t *refTracker) Pending() int {
 
 func (t *refTracker) Deliver(m model.Message) error {
 	q := t.queues[m.To]
-	for i, e := range q {
-		if e.msg == m {
-			t.queues[m.To] = append(append([]entry(nil), q[:i]...), q[i+1:]...)
+	for i, x := range q {
+		if x == m {
+			t.queues[m.To] = append(append([]model.Message(nil), q[:i]...), q[i+1:]...)
 			return nil
 		}
 	}
@@ -72,9 +54,9 @@ func (t *refTracker) Advance(e model.Event, sends []model.Message) error {
 }
 
 func (t *refTracker) Clone() *refTracker {
-	c := &refTracker{queues: make(map[model.PID][]entry, len(t.queues)), nextSeq: t.nextSeq}
+	c := &refTracker{queues: make(map[model.PID][]model.Message, len(t.queues))}
 	for p, q := range t.queues {
-		c.queues[p] = append([]entry(nil), q...)
+		c.queues[p] = append([]model.Message(nil), q...)
 	}
 	return c
 }
@@ -83,20 +65,13 @@ func (t *refTracker) Clone() *refTracker {
 // processes 0..n (n itself has never been sent to).
 func agree(t *testing.T, step int, tr *Tracker, ref *refTracker, n int) {
 	t.Helper()
-	if tr.Pending() != ref.Pending() {
-		t.Fatalf("step %d: Pending = %d, oracle %d", step, tr.Pending(), ref.Pending())
+	if got := pending(tr, n+1); got != ref.Pending() {
+		t.Fatalf("step %d: pending = %d, oracle %d", step, got, ref.Pending())
 	}
 	for p := model.PID(0); int(p) <= n; p++ {
-		want := ref.PendingList(p)
-		if got := tr.PendingList(p); !slices.Equal(got, want) {
-			t.Fatalf("step %d: PendingList(%d) = %v, oracle %v", step, p, got, want)
-		}
-		if tr.PendingTo(p) != len(want) {
-			t.Fatalf("step %d: PendingTo(%d) = %d, oracle %d", step, p, tr.PendingTo(p), len(want))
-		}
-		seq, ok := tr.OldestSeq(p)
-		if wseq, wok := ref.OldestSeq(p); seq != wseq || ok != wok {
-			t.Fatalf("step %d: OldestSeq(%d) = %d, %v; oracle %d, %v", step, p, seq, ok, wseq, wok)
+		want := ref.queues[p]
+		if got := queueOf(tr, p); !slices.Equal(got, want) {
+			t.Fatalf("step %d: queue of p%d = %v, oracle %v", step, p, got, want)
 		}
 		oldest, ok := tr.Oldest(p)
 		newest, nok := tr.Newest(p)
@@ -105,11 +80,6 @@ func agree(t *testing.T, step int, tr *Tracker, ref *refTracker, n int) {
 		}
 		if ok && (oldest != want[0] || newest != want[len(want)-1]) {
 			t.Fatalf("step %d: Oldest/Newest(%d) = %v / %v, oracle list %v", step, p, oldest, newest, want)
-		}
-		for i, m := range want {
-			if got := tr.At(p, i); got != m {
-				t.Fatalf("step %d: At(%d, %d) = %v, oracle %v", step, p, i, got, m)
-			}
 		}
 		for from := model.PID(0); int(from) < n; from++ {
 			i := slices.IndexFunc(want, func(m model.Message) bool { return m.From == from })
@@ -121,8 +91,8 @@ func agree(t *testing.T, step int, tr *Tracker, ref *refTracker, n int) {
 	}
 }
 
-// TestTrackerAgainstOracle drives random Send / Deliver / Advance / Clone /
-// CopyFrom sequences — few distinct message values, so duplicates are common, and
+// TestTrackerAgainstOracle drives random Send / Deliver / Advance / CopyFrom
+// sequences — few distinct message values, so duplicates are common, and
 // deliveries of absent messages included — through the Tracker and the
 // copy-on-deliver oracle. Every reader and every error must agree after
 // every operation, on the live pair and on the clones set aside earlier.
@@ -133,10 +103,10 @@ func TestTrackerAgainstOracle(t *testing.T) {
 		randMsg := func() model.Message {
 			return msg(model.PID(rng.Intn(n)), model.PID(rng.Intn(n)), string(rune('a'+rng.Intn(3))))
 		}
-		// pending picks a message that is in flight (any position of any
+		// inFlight picks a message that is in flight (any position of any
 		// queue), falling back to a random, probably absent, one.
-		pending := func(ref *refTracker) model.Message {
-			if l := ref.PendingList(model.PID(rng.Intn(n))); len(l) > 0 {
+		inFlight := func(ref *refTracker) model.Message {
+			if l := ref.queues[model.PID(rng.Intn(n))]; len(l) > 0 {
 				return l[rng.Intn(len(l))]
 			}
 			return randMsg()
@@ -154,7 +124,7 @@ func TestTrackerAgainstOracle(t *testing.T) {
 				tr.Send(m)
 				ref.Send(m)
 			case op < 7:
-				m := pending(ref)
+				m := inFlight(ref)
 				if rng.Intn(8) == 0 {
 					m = randMsg()
 				}
@@ -165,7 +135,7 @@ func TestTrackerAgainstOracle(t *testing.T) {
 			case op < 9:
 				e := model.NullEvent(model.PID(rng.Intn(n)))
 				if rng.Intn(3) > 0 {
-					e = model.Deliver(pending(ref))
+					e = model.Deliver(inFlight(ref))
 				}
 				sends := make([]model.Message, rng.Intn(3))
 				for i := range sends {
@@ -181,7 +151,7 @@ func TestTrackerAgainstOracle(t *testing.T) {
 				// edits on either side of a copy must not show on the other.
 				switch i := rng.Intn(len(clones) + 1); {
 				case i == len(clones):
-					clones = append(clones, pair{tr.Clone(), ref.Clone()})
+					clones = append(clones, pair{clone(tr), ref.Clone()})
 				case rng.Intn(2) == 0:
 					clones[i], tr, ref = pair{tr, ref}, clones[i].tr, clones[i].ref
 				default:

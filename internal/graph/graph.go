@@ -57,21 +57,6 @@ func (g *Digraph) Clone() *Digraph {
 	return c
 }
 
-// Equal reports whether two graphs have identical node sets and edges.
-func (g *Digraph) Equal(o *Digraph) bool {
-	if g.n != o.n {
-		return false
-	}
-	for i := range g.adj {
-		for j := range g.adj[i] {
-			if g.adj[i][j] != o.adj[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TransitiveClosure returns G+: the graph with an edge u → v whenever v is
 // reachable from u by a nonempty path in g. (Warshall's algorithm.)
 func (g *Digraph) TransitiveClosure() *Digraph {

@@ -158,7 +158,7 @@ func TestAllocsInternKeySmallJob(t *testing.T) {
 		t.Fatalf("interning %d keys (%d key bytes) allocated %d bytes, ceiling %d", want, keyBytes, got, ceiling)
 	}
 	for _, c := range cfgs {
-		if _, ok := it.Lookup(c); !ok {
+		if _, ok := it.LookupKey(c.Hash(), c.KeyBytes()); !ok {
 			t.Fatal("a key interned through InternKey is not found by configuration")
 		}
 		if _, fresh := it.Intern(c); fresh {

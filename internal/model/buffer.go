@@ -79,20 +79,6 @@ func (b *Buffer) Messages() []Message {
 	return msgs
 }
 
-// MessagesTo returns the distinct messages addressed to p, in canonical
-// order. Delivering any one of them (or nothing) is an applicable event for
-// p; duplicates of the same message are interchangeable in the multiset
-// semantics, so distinct messages suffice for event enumeration.
-func (b *Buffer) MessagesTo(p PID) []Message {
-	var msgs []Message
-	for i := range b.es {
-		if b.es[i].rec.msg.To == p {
-			msgs = append(msgs, b.es[i].rec.msg)
-		}
-	}
-	return msgs
-}
-
 // appendDeliveries appends one delivery event per distinct message
 // addressed to p, in canonical order, pointing at b's message records.
 func (b *Buffer) appendDeliveries(evs []Event, p PID) []Event {

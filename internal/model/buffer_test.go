@@ -7,6 +7,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -130,8 +131,8 @@ func TestBufferMessagesSorted(t *testing.T) {
 	if got[len(got)-1] != to(2, "c") || got[len(got)-2] != to(10, "b") {
 		t.Errorf("Messages = %v, want destination 10 before destination 2", got)
 	}
-	if at1 := b.MessagesTo(10); len(at1) != 1 || at1[0] != to(10, "b") {
-		t.Errorf("MessagesTo(10) = %v", at1)
+	if at1 := slices.DeleteFunc(b.Messages(), func(m Message) bool { return m.To != 10 }); len(at1) != 1 || at1[0] != to(10, "b") {
+		t.Errorf("messages to 10 = %v", at1)
 	}
 }
 

@@ -141,21 +141,6 @@ func (c *Config) DecisionValues() []Value {
 	return vs
 }
 
-// Decided reports whether any process has decided, and if exactly the one
-// value v is present returns it. If both values are present (an agreement
-// violation) it returns ok=false with decided=true.
-func (c *Config) Decided() (decided bool, v Value, ok bool) {
-	vs := c.DecisionValues()
-	switch len(vs) {
-	case 0:
-		return false, 0, false
-	case 1:
-		return true, vs[0], true
-	default:
-		return true, 0, false
-	}
-}
-
 // DecidedCount returns how many processes have decided.
 func (c *Config) DecidedCount() int {
 	n := 0

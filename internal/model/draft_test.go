@@ -59,8 +59,8 @@ func FuzzDraftMatchesBuild(f *testing.F) {
 				t.Fatalf("%s: draft AppendKey = %q, Build().KeyBytes() = %q", e, drafted, key)
 			}
 			idKey, okKey := seen.LookupKey(d.Hash(), drafted)
-			if id, ok := seen.Lookup(cold); idKey != id || okKey != ok {
-				t.Fatalf("%s: LookupKey = (%d, %v), Lookup(Build()) = (%d, %v)", e, idKey, okKey, id, ok)
+			if id, ok := seen.LookupKey(cold.Hash(), cold.KeyBytes()); idKey != id || okKey != ok {
+				t.Fatalf("%s: LookupKey = (%d, %v), LookupKey of Build() = (%d, %v)", e, idKey, okKey, id, ok)
 			}
 			if h, want := cold.Hash(), stdFNV(key); h != want || model.KeyHash(key) != want {
 				t.Fatalf("%s: Build().Hash() = %#x, KeyHash = %#x, FNV-1a(KeyBytes()) = %#x", e, h, model.KeyHash(key), want)

@@ -136,15 +136,6 @@ func (it *Interner) LookupKey(h uint64, key []byte) (id uint64, ok bool) {
 	return it.lookup(h, key)
 }
 
-// Lookup returns the ID of c if it has been interned.
-func (it *Interner) Lookup(c *Config) (id uint64, ok bool) {
-	h := c.Hash()
-	key := c.KeyBytes()
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return it.lookup(h, key)
-}
-
 // Len returns the number of distinct configurations interned.
 func (it *Interner) Len() int {
 	it.mu.Lock()

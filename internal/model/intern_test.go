@@ -120,8 +120,8 @@ func FuzzConfigKeyHash(f *testing.F) {
 		if id, again := it.Intern(a); again || id != ida {
 			t.Fatalf("re-Intern(a) = (%d, %v), want (%d, false)", id, again, ida)
 		}
-		if id, ok := it.Lookup(b); !ok || id != idb {
-			t.Fatalf("Lookup(b) = (%d, %v), want (%d, true)", id, ok, idb)
+		if id, ok := it.LookupKey(b.Hash(), b.KeyBytes()); !ok || id != idb {
+			t.Fatalf("LookupKey(b) = (%d, %v), want (%d, true)", id, ok, idb)
 		}
 		wantLen := 2
 		if same {
@@ -419,7 +419,7 @@ func TestInternerReset(t *testing.T) {
 		t.Fatalf("Len = %d after Reset, want 0", it.Len())
 	}
 	for i, c := range cfgs {
-		if _, ok := it.Lookup(c); ok {
+		if _, ok := it.LookupKey(c.Hash(), c.KeyBytes()); ok {
 			t.Fatalf("configuration %d interned before Reset is still found", i)
 		}
 	}

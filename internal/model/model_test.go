@@ -3,6 +3,7 @@ package model_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,9 +204,15 @@ func TestInitialConfig(t *testing.T) {
 			t.Errorf("process %d starts decided", p)
 		}
 	}
-	if d, _, _ := c.Decided(); d {
-		t.Error("initial configuration reports decided")
+	if vs := c.DecisionValues(); len(vs) != 0 {
+		t.Errorf("initial configuration reports decisions %v", vs)
 	}
+}
+
+// messagesTo returns the distinct messages in b addressed to p, in
+// canonical order.
+func messagesTo(b *model.Buffer, p model.PID) []model.Message {
+	return slices.DeleteFunc(b.Messages(), func(m model.Message) bool { return m.To != p })
 }
 
 func TestInitialConfigErrors(t *testing.T) {
@@ -233,7 +240,7 @@ func TestApplyStepSemantics(t *testing.T) {
 	if c1.Buffer().Len() != 1 {
 		t.Fatalf("after p0's first step buffer has %d messages, want 1", c1.Buffer().Len())
 	}
-	msgs := c1.Buffer().MessagesTo(1)
+	msgs := messagesTo(c1.Buffer(), 1)
 	if len(msgs) != 1 || msgs[0].From != 0 {
 		t.Fatalf("message misaddressed: %v", msgs)
 	}
@@ -255,14 +262,11 @@ func TestApplyStepSemantics(t *testing.T) {
 	}
 	// Delivering p1's vote lets p0 decide 0: both decided, agreement broken
 	// by design in this toy protocol (each decides its own input).
-	back := c2.Buffer().MessagesTo(0)
+	back := messagesTo(c2.Buffer(), 0)
 	c3 := model.MustApply(pr, c2, model.Deliver(back[0]))
 	vs := c3.DecisionValues()
 	if len(vs) != 2 {
 		t.Fatalf("DecisionValues = %v, want both values", vs)
-	}
-	if d, _, ok := c3.Decided(); !d || ok {
-		t.Error("Decided should report a two-valued (not ok) configuration")
 	}
 	if c3.DecidedCount() != 2 {
 		t.Errorf("DecidedCount = %d, want 2", c3.DecidedCount())
@@ -322,7 +326,7 @@ func TestIsNoOp(t *testing.T) {
 		t.Error("repeated null step reported as effectful")
 	}
 	// Deliveries are never no-ops.
-	m := c1.Buffer().MessagesTo(1)[0]
+	m := messagesTo(c1.Buffer(), 1)[0]
 	if model.IsNoOp(pr, c1, model.Deliver(m)) {
 		t.Error("message delivery reported as no-op")
 	}
@@ -480,12 +484,6 @@ func TestScheduleHelpers(t *testing.T) {
 	}
 	if s1.DisjointFrom(s3) {
 		t.Error("overlapping schedules reported disjoint")
-	}
-	if s1.Steps(0) != 2 || s1.Steps(1) != 0 {
-		t.Errorf("Steps wrong: %d, %d", s1.Steps(0), s1.Steps(1))
-	}
-	if !s1.Contains(model.NullEvent(2)) || s1.Contains(model.NullEvent(1)) {
-		t.Error("Contains wrong")
 	}
 	ps := s1.Processes()
 	if !ps[0] || !ps[2] || ps[1] {

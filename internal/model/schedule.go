@@ -53,27 +53,6 @@ func (s Schedule) DisjointFrom(o Schedule) bool {
 	return true
 }
 
-// Contains reports whether σ applies an event the same as e.
-func (s Schedule) Contains(e Event) bool {
-	for _, x := range s {
-		if x.Same(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// Steps returns the number of steps taken by process p in σ.
-func (s Schedule) Steps(p PID) int {
-	n := 0
-	for _, e := range s {
-		if e.P == p {
-			n++
-		}
-	}
-	return n
-}
-
 func (s Schedule) String() string {
 	parts := make([]string, len(s))
 	for i, e := range s {

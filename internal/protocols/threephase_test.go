@@ -69,7 +69,7 @@ func TestThreePhaseAllInitialConfigsUnivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if census.HasBivalent() {
+	if census.Bivalent != nil {
 		t.Error("3PC has a bivalent initial configuration; it should be input-determined")
 	}
 	if !census.AllExact {

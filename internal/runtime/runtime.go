@@ -26,9 +26,6 @@ type Sim struct {
 	crashAt []int // step count at which each process crash-stops; -1 = never
 }
 
-// Protocol returns the protocol under simulation.
-func (s *Sim) Protocol() model.Protocol { return s.pr }
-
 // Config returns the current configuration.
 func (s *Sim) Config() *model.Config { return s.cfg }
 
@@ -37,9 +34,6 @@ func (s *Sim) Tracker() *fifo.Tracker { return s.tracker }
 
 // Rand returns the run's seeded random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
-
-// Steps returns the total number of steps taken.
-func (s *Sim) Steps() int { return s.steps }
 
 // Alive reports whether p may still take steps: crashed processes (and
 // initially dead ones, which crash at step 0) never do. This is the

@@ -105,7 +105,10 @@ type listRandomFair struct{ runtime.RandomFair }
 func (rf listRandomFair) Next(s *runtime.Sim) (model.Event, bool) {
 	var candidates []model.Event
 	for _, p := range s.LiveProcesses() {
-		pending := s.Tracker().PendingList(p)
+		pending := make([]model.Message, s.Tracker().PendingTo(p))
+		for i := range pending {
+			pending[i] = s.Tracker().At(p, i)
+		}
 		wantNull := rf.NullProb > 0 && s.Rand().Float64() < rf.NullProb
 		if null := model.NullEvent(p); wantNull && s.Effectful(null) {
 			candidates = append(candidates, null)
@@ -246,7 +249,7 @@ func TestAdversaryScheduleAdmissible(t *testing.T) {
 
 	// The constructed prefix must be non-deciding — that is the point of
 	// the theorem.
-	if res.DecidedCount() != 0 {
-		t.Fatalf("%d processes decided in the adversary's run", res.DecidedCount())
+	if res.Final.DecidedCount() != 0 {
+		t.Fatalf("%d processes decided in the adversary's run", res.Final.DecidedCount())
 	}
 }

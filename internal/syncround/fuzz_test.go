@@ -11,8 +11,9 @@ import (
 
 // FuzzRoundSampler holds the round engine's sampler to its walk: every
 // seeded sampler run is a path of the walk. A FloodSet crash pattern (even
-// kind) or a DLS drop seed (odd kind) must reach, after each round, a
-// configuration whose key the walk of the same system has at that round.
+// kind; bit 2 picks the f-round truncation) or a DLS drop seed (odd kind)
+// must reach, after each round, a configuration whose key the walk of the
+// same system has at that round.
 func FuzzRoundSampler(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(0), int64(7))
@@ -24,8 +25,11 @@ func FuzzRoundSampler(f *testing.F) {
 		var s syncround.System
 		var choose func(syncround.Config) syncround.Choice
 		if kind%2 == 0 {
-			algs := []syncround.Algorithm{syncround.FloodSet{}, syncround.EarlyFloodSet{}, syncround.TruncatedFloodSet{R: 1}}
-			alg, n := algs[kind/2%3], 3+int(size%2)
+			var alg syncround.Algorithm = syncround.FloodSet{}
+			if kind&4 != 0 {
+				alg = syncround.TruncatedFloodSet{R: 1}
+			}
+			n := 3 + int(size%2)
 			in := randomInputs(n, r)
 			cp := syncround.RandomCrashPattern(n, int(victim%2), alg.Rounds(n, 1), r)
 			s, choose = syncround.CrashSystem(alg, in, 1), cp.Choice

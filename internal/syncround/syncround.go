@@ -98,20 +98,6 @@ type Result struct {
 	Agreement bool
 	// Messages is the total number of point-to-point deliveries.
 	Messages int
-	// Procs exposes the process instances after the run, so callers can
-	// query algorithm-specific interfaces (e.g. EarlyDecider).
-	Procs []Process
-}
-
-// DecidedValue returns the survivors' common decision.
-func (r *Result) DecidedValue() (model.Value, bool) {
-	if !Agree(r.Decisions) {
-		return 0, false
-	}
-	for _, v := range r.Decisions {
-		return v, true
-	}
-	return 0, false
 }
 
 // Run executes alg on n processes with inputs in under the given crash
@@ -130,7 +116,7 @@ func Run(alg Algorithm, inputs model.Inputs, f int, cp CrashPattern) (*Result, e
 	path := CrashSystem(alg, inputs, f).Sample(cp.Choice)
 	last := path[len(path)-1]
 	res := &Result{Algorithm: alg.Name(), N: n, F: f, Rounds: alg.Rounds(n, f),
-		Decisions: last.Decisions(), Messages: last.Messages, Procs: last.Procs}
+		Decisions: last.Decisions(), Messages: last.Messages}
 	for p := range cp.Round {
 		delete(res.Decisions, p) // crashed processes render no decision
 	}

@@ -8,6 +8,17 @@ import (
 	"github.com/flpsim/flp/internal/syncround"
 )
 
+// decidedValue returns the survivors' common decision, if they agree.
+func decidedValue(res *syncround.Result) (model.Value, bool) {
+	if !res.Agreement {
+		return 0, false
+	}
+	for _, v := range res.Decisions {
+		return v, true
+	}
+	return 0, false
+}
+
 func TestFloodSetNoCrashes(t *testing.T) {
 	for _, in := range model.AllInputs(3) {
 		res, err := syncround.Run(syncround.FloodSet{}, in, 1, syncround.CrashPattern{})
@@ -21,7 +32,7 @@ func TestFloodSetNoCrashes(t *testing.T) {
 		if in.Count(model.V0) > 0 {
 			want = model.V0 // min(W) rule: 0 wins when present
 		}
-		if v, _ := res.DecidedValue(); v != want {
+		if v, _ := decidedValue(res); v != want {
 			t.Errorf("inputs %s: decided %v, want %v", in, v, want)
 		}
 		if res.Rounds != 2 {
@@ -40,7 +51,7 @@ func TestFloodSetUnanimousValidity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := res.DecidedValue(); !ok || got != v {
+		if got, ok := decidedValue(res); !ok || got != v {
 			t.Errorf("unanimous %v: decided %v (ok=%v)", v, got, ok)
 		}
 	}
@@ -71,7 +82,7 @@ func TestFloodSetAgreementUnderRandomCrashes(t *testing.T) {
 				t.Fatalf("n=%d f=%d: only %d survivors decided", n, f, len(res.Decisions))
 			}
 			// Validity: decision is someone's input.
-			if v, ok := res.DecidedValue(); ok && in.Count(v) == 0 {
+			if v, ok := decidedValue(res); ok && in.Count(v) == 0 {
 				t.Fatalf("decided %v which nobody proposed", v)
 			}
 		}
@@ -168,7 +179,7 @@ func TestInitiallyDeadSendNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// p0's value 0 never reaches anyone: survivors decide 1.
-	if v, ok := res.DecidedValue(); !ok || v != model.V1 {
+	if v, ok := decidedValue(res); !ok || v != model.V1 {
 		t.Errorf("decided %v (ok=%v), want 1", v, ok)
 	}
 	if _, decided := res.Decisions[0]; decided {

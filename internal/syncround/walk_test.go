@@ -96,9 +96,6 @@ func TestWalkTable(t *testing.T) {
 		crashRow("FloodSet(3,1)", syncround.FloodSet{}, 3, 1, leafAgreesValidly(2)),
 		crashRow("FloodSet(4,1)", syncround.FloodSet{}, 4, 1, leafAgreesValidly(2)),
 		crashRow("FloodSet(5,2)", syncround.FloodSet{}, 5, 2, leafAgreesValidly(3)),
-		crashRow("EarlyFloodSet(3,1)", syncround.EarlyFloodSet{}, 3, 1, func(_ model.Inputs, c syncround.Config) bool {
-			return c.Round < 2 || syncround.Agree(c.Decisions())
-		}),
 		truncated,
 		{name: "DLS(N=3,F=1,GST=4)", n: 3, holds: dlsDecidesInTime(4), system: func(in model.Inputs) (syncround.System, error) {
 			return dls.System(dls.Options{N: 3, F: 1, GST: 4}, in)
