@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -360,8 +359,9 @@ func TestWireBytesPerConfig(t *testing.T) {
 // for paxos(3)'s 400 configurations), ceiling that plus 6 % (it reads
 // 9,782 and 9,821 now); it read 11,088 while workers built every successor
 // they keyed, and 12,687 while adoption replayed root schedules. It is the
-// cold start: a collection first takes what stopped clusters, workers and
-// connections left for the next (spares), so the reading does not depend
+// cold start: the test first empties the lists that hold what stopped
+// clusters, workers and connections left for the next (spares, held
+// strongly, so a collection does not), so the reading does not depend
 // on which tests ran before it, and what a cluster saves by starting warm
 // (TestAllocsClusterSuccessor) or staying warm (TestAllocsClusterWarm,
 // BenchmarkClusterOp) does not show. The frame tap the run goes through,
@@ -375,7 +375,7 @@ func TestWireBytesPerConfig(t *testing.T) {
 // escaped string key, and every job cleared a 64 KiB arena in each interner
 // shard it touched.
 func TestAllocsClusterBudgeted(t *testing.T) {
-	runtime.GC() // spares are held weakly: one collection empties them
+	emptySpares()
 	k := budgetKernels[1]
 	pr, err := protocols.Resolve(k.name, k.n)
 	if err != nil {
@@ -449,21 +449,18 @@ func TestAllocsClusterWarm(t *testing.T) {
 // scratch that one grew, as each of conformance.Check's distributed legs
 // and each of cluster-recover's kill and resume ops does. Bytes per
 // admitted configuration of its paxos(3)@400 job, over eight clusters in
-// turn, at the GOMAXPROCS the test runs at. The first successor reads
-// about 4,200: a Worker's memory or a connection's buffers may go to
-// another worker index than the one that grew them, and grow again for the
-// new role. From there on each reads about 3,460. Both are pinned, the
-// most and the median over the eight, each at its measured reading plus
-// 6 %. A successor that missed the stopped cluster's memory would read
-// about 5,400; one that borrows nothing reads 9,782
-// (TestAllocsClusterBudgeted, through a frame tap), and a warm cluster
-// 3,207 (TestAllocsClusterWarm). The collector is off across the succession:
-// what no owner takes before a collection is the collector's by design
-// (spares), and this pins what a hand-off saves, not how often a
-// collection falls between a stop and a start, which cluster-recover's
-// alloc_mb_per_op reads.
+// turn, at the GOMAXPROCS the test runs at, with a collection between each
+// stop and the next start. The first successor reads about 4,020 (4,200
+// when the ceilings were set): a Worker's memory or a connection's buffers
+// may go to another worker index than the one that grew them, and grow
+// again for the new role. From there on each reads about 3,420 (3,460).
+// Both are pinned, the most and the median over the eight, each at the
+// reading it was set at plus 6 %. Spares are held strongly, so the
+// collections take nothing a successor borrows; while they were held
+// weakly, they took all of it and every successor read about 7,680. One
+// that borrows nothing reads 9,782 (TestAllocsClusterBudgeted, through a
+// frame tap), and a warm cluster 3,207 (TestAllocsClusterWarm).
 func TestAllocsClusterSuccessor(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	k := budgetKernels[1]
 	task := Task{Protocol: k.name, N: k.n, Inputs: model.AlternatingInputs(k.n), Shards: 6, Replicas: 2,
 		Options: explore.Options{MaxConfigs: k.budget}}
@@ -476,6 +473,7 @@ func TestAllocsClusterSuccessor(t *testing.T) {
 	first.stop()
 	var per [8]uint64
 	for i := range per {
+		runtime.GC()
 		c := startOwned(t, NewLoopback(), workers, failoverOptions())
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -132,7 +132,8 @@ func (cl *Cluster) giveBack() {
 
 // keepNodes bounds what runMem keeps: the columns of a run that admitted
 // more nodes are left to the collector, so a long-lived cluster that once
-// ran a huge job does not hold its table for every small one after it.
+// ran a huge job does not hold its table for every small one after it. A
+// drained Worker whose last job admitted more leaves no spare (workerMems).
 const keepNodes = 1 << 16
 
 // errStopped is a visit callback's deliberate stop; result reports no error.

@@ -1,55 +1,52 @@
 package distexplore
 
-import (
-	"sync"
-	"weak"
-)
+import "sync"
 
 // spares hands the memory an owner worked in — a Cluster's, a Worker's, a
 // worker connection's — to the next owner of its kind to start in the
-// process, on any goroutine: a cluster dialled for one job, a worker or
-// connection that replaces a stopped one, starts as warm as a long-lived
-// one. An owner takes once, when it first needs the memory, and puts back
-// when it stops: per lifetime, not per job, so a live owner keeps what it
-// grew for as long as it lives, as it always did.
+// process, on any goroutine, so a cluster dialled for one job, or a worker
+// or connection that replaces a stopped one, starts as warm as a long-lived
+// one. An owner takes once, when it first needs the memory (get), and puts
+// back when it stops (put): a live owner keeps what it grew while it lives.
 //
-// spares holds what it is given weakly: memory no owner takes before the
-// next collection is the collector's, so a process that stops owners and
-// starts none keeps nothing. A sync.Pool would keep it one collection
-// longer, but hands an item to another processor only from its shared
-// list; a lone item sits in the private slot of the processor that put it,
-// and a successor that happens to start on another one misses it.
+// Spares are held strongly, so a collection between a stop and the next
+// start does not take them, and bounded twice: the list keeps at most as
+// many as owners of its kind were ever alive at once (a put with no get
+// before it counts as one), and memory that outgrew keepNodes is not handed
+// on (run.release drops such columns; a Worker puts nil). A process keeps
+// at most what its busiest moment held.
+// A sync.Pool would empty at the second collection, and a successor on
+// another processor misses a lone item in the putter's private slot.
 type spares[T any] struct {
-	mu   sync.Mutex
-	free []weak.Pointer[T]
+	mu         sync.Mutex
+	free       []*T
+	live, peak int // owners started and not stopped; the most at once
 }
 
-// get returns the newest spare the collector has left, or nil.
+// get starts an owner and returns the newest spare, or nil.
 func (s *spares[T]) get() *T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.free) > 0 {
-		p := s.free[len(s.free)-1].Value()
-		s.free = s.free[:len(s.free)-1]
-		if p != nil {
-			return p
-		}
+	s.live++
+	s.peak = max(s.peak, s.live)
+	n := len(s.free)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	p := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return p
 }
 
-// put hands p on; its owner must not touch it again. Entries the collector
-// has emptied are dropped first, so the list stays as long as the number of
-// spares alive.
+// put stops an owner and hands p on, unless p is nil or the list already
+// holds one spare per owner of the peak; the owner must not touch p again.
 func (s *spares[T]) put(p *T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := s.free[:0]
-	for _, w := range s.free {
-		if w.Value() != nil {
-			live = append(live, w)
-		}
+	s.live = max(s.live-1, 0)
+	s.peak = max(s.peak, 1) // this owner was alive, got or not
+	if p != nil && len(s.free) < s.peak {
+		s.free = append(s.free, p)
 	}
-	clear(s.free[len(live):])
-	s.free = append(live, weak.Make(p))
 }

@@ -179,7 +179,8 @@ type workerMem struct {
 // workerMems holds the memory of drained Workers for the next Worker in the
 // process, so a worker started after another stopped (each distributed leg
 // of conformance.Check starts three) is as warm as the one it replaces. A
-// Worker borrows once, at its first job, and gives back in Wait after Drain.
+// Worker borrows once, at its first job, and gives back in Wait after Drain,
+// unless its last job admitted more than keepNodes configurations.
 var workerMems spares[workerMem]
 
 // payloadBufs are one connection's request and response payload buffers.
@@ -293,7 +294,11 @@ func (w *Worker) Wait() {
 	defer w.mu.Unlock()
 	w.endJob()
 	if w.mem != nil {
-		workerMems.put(w.mem)
+		m := w.mem
+		if m.visited.Len() > keepNodes {
+			m = nil // the collector's, as runMem's columns are (keepNodes)
+		}
+		workerMems.put(m)
 		w.mem = nil
 	}
 }
